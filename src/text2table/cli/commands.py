@@ -18,7 +18,7 @@ from ..corpus import (
     record_to_line,
     write_jsonl,
 )
-from ..decoding import DecodingConfig, decode_table
+from ..decoding import DecodingConfig, NonFiniteCountError, decode_table
 from ..metrics import AlignmentMode, score_corpus
 from ..model import (
     CheckpointError,
@@ -199,7 +199,7 @@ def cmd_decode(
     for rec in records:
         try:
             result = decode_table(rec.text, model, dcfg, rec.table.headers, keep_trace=bool(trace_path))
-        except LayoutError as exc:
+        except (LayoutError, NonFiniteCountError) as exc:
             raise ModelError(f"{rec.id}: {exc}") from None
         preds.append(DatasetRecord(rec.id, rec.text, result.table))
         if trace_path:
@@ -207,6 +207,8 @@ def cmd_decode(
                 {
                     "id": rec.id,
                     "outer_iterations": result.outer_iterations,
+                    "decoder_passes": result.decoder_passes,
+                    "input_tokens_dropped": result.input_tokens_dropped,
                     "predicted_count": result.predicted_count,
                     "trace": [
                         {

@@ -1,0 +1,78 @@
+"""Command-line entry point: ``text2table <subcommand> ...``.
+
+Parses arguments and dispatches to the ``cmd_*`` functions. Dataset and
+configuration problems exit with code 2, model and checkpoint problems with
+code 3, each with a one-line message on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from .ablate import cmd_ablate
+from .commands import DataError, ModelError, cmd_decode, cmd_eval, cmd_gen_data, cmd_train
+from .runconfig import ConfigError
+
+
+def _parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="text2table", description="Generate corpora, train, decode, score and run ablation grids."
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gen-data", help="generate a synthetic corpus from a JSON spec")
+    p.add_argument("spec")
+    p.add_argument("out")
+    p.set_defaults(run=lambda a: cmd_gen_data(a.spec, a.out))
+
+    p = sub.add_parser("train", help="train a model from a JSON run config")
+    p.add_argument("config")
+    p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
+    p.add_argument(
+        "--resume", action="store_true", help="continue from the checkpoint directory's latest.npz"
+    )
+    p.set_defaults(run=lambda a: cmd_train(a.config, a.overrides, resume=a.resume))
+
+    p = sub.add_parser("decode", help="decode a dataset's texts into tables")
+    p.add_argument("checkpoint")
+    p.add_argument("dataset")
+    p.add_argument("out")
+    p.add_argument("--config", help="JSON decoding config")
+    p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
+    p.add_argument("--trace", help="write per-table decode traces (JSON lines) here")
+    p.set_defaults(
+        run=lambda a: cmd_decode(a.checkpoint, a.dataset, a.out, a.config, a.overrides, a.trace)
+    )
+
+    p = sub.add_parser("eval", help="score predicted tables against gold tables")
+    p.add_argument("pred")
+    p.add_argument("gold")
+    p.add_argument("--alignment", default="assignment")
+    p.add_argument("--out", help="also write the JSON report here")
+    p.add_argument("--pretty", action="store_true")
+    p.add_argument("--force", action="store_true", help="score even if the corpus hashes differ")
+    p.set_defaults(run=lambda a: cmd_eval(a.pred, a.gold, a.alignment, a.out, a.pretty, a.force))
+
+    p = sub.add_parser("ablate", help="run a resumable ablation grid")
+    p.add_argument("grid")
+    p.add_argument("out_dir")
+    p.add_argument("--pretty", action="store_true")
+    p.set_defaults(run=lambda a: cmd_ablate(a.grid, a.out_dir, a.pretty))
+    return ap
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except (DataError, ConfigError) as exc:
+        print(f"text2table {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except ModelError as exc:
+        print(f"text2table {args.command}: {exc}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,13 @@ them. Decoding-order constraints restrict which undecoded cells are eligible
 per iteration. Stopping is either a template with an upfront predicted row
 count or the semi-templated variant that grows the template row by row until
 an all-NULL sentinel row appears.
+
+The neural inner loop (:class:`ModelCellSource`) decodes all eligible cells
+in parallel against a per-template decoder cache: one prefill over the
+context positions (headers, row markers, committed cells), then one step per
+token that runs the decoder for the newest position of each growing
+candidate only. The layout's visibility rules make this exact: context never
+attends to an open slot and open slots never attend to each other.
 """
 
 from __future__ import annotations
@@ -32,6 +39,14 @@ STOPPING = ("predicted-count", "semi-templated")
 
 class DecodingConfigError(ValueError):
     pass
+
+
+class NonFiniteCountError(ValueError):
+    """The row-count head gave NaN or infinity, so no template can be sized."""
+
+    def __init__(self, count: float):
+        self.count = count
+        super().__init__(f"row-count head gave a non-finite value ({count})")
 
 
 @dataclass
@@ -187,43 +202,68 @@ def outer_criterion(scores: dict[Coord, float], cfg: DecodingConfig) -> list[Coo
 
 class ModelCellSource:
     """Greedy per-cell decoding with grammar-masked logits, all open cells in
-    parallel: one decoder pass per token step serves every growing candidate
-    because open slots are mutually invisible."""
+    parallel, over one decoder cache per template.
+
+    Each :meth:`candidates` call is one inner loop, run as a prefill and then
+    one step per token:
+
+    - The prefill runs the decoder over the context positions only (headers,
+      row markers, committed cells) and caches each layer's self-attention
+      keys and values there. Context never attends to an open slot, so these
+      stay fixed for the whole inner loop.
+    - Each step runs the decoder for the newest position of every candidate
+      still growing. That position stores its keys and values in the cache,
+      then attends to the cached context and to its own cell's earlier
+      positions. Open slots are mutually invisible, so this gives the same
+      hidden state as a pass over the whole layout.
+
+    The template's pair and bucket bias and the memory's cross-attention keys
+    and values are built once, with the source. ``passes`` counts decoder
+    calls: prefills plus steps.
+    """
 
     def __init__(self, model: TextToTableModel, memory, mem_real, header_ids: list[list[int]], n_rows: int):
         self.model = model
         self.memory = memory
         self.mem_real = mem_real
-        self.header_ids = header_ids
-        self.n_rows = n_rows
+        self.template = model.template_for(header_ids, n_rows)
+        self.cache = model.decoder_cache(memory, self.template)
+        self.passes = 0
+
+    def _hidden(self, inst, rows: np.ndarray):
+        """Decoder pass over the given positions of `inst`; hidden states [1, R, d]."""
+        self.passes += 1
+        batch = collate_instances([inst], self.model.cfg, rows)
+        return self.model.decoder_hidden(self.memory, self.mem_real, batch, cache=self.cache)
 
     def candidates(
         self, committed: dict[Coord, list[int]], cells: list[Coord]
     ) -> dict[Coord, Candidate]:
-        model = self.model
+        model, tpl = self.model, self.template
         l = model.cfg.max_cell_len
-        tpl = model.template_for(self.header_ids, self.n_rows)
         grown: dict[Coord, Candidate] = {c: Candidate([], []) for c in cells}
         active = list(cells)
         with no_grad():
+            ctx = instance_for_decoding(tpl, model.vocab, committed, {})
+            self._hidden(ctx, np.flatnonzero(ctx.is_ctx & ~ctx.is_pad))
             while active:
                 partial = {c: grown[c].tokens for c in cells}
                 inst = instance_for_decoding(tpl, model.vocab, committed, partial)
-                batch = collate_instances([inst], model.cfg)
-                hidden = model.decoder_hidden(self.memory, self.mem_real, batch)
                 positions = np.array(
                     [tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64
                 )
-                logits = model.logits_at(hidden, positions).data
+                hidden = self._hidden(inst, positions)
+                logits = model.logits_at(hidden, np.arange(len(active))).data
+                tokens = [grown[c].tokens for c in active]
+                legal = np.stack([model.grammar.legal_row(len(t), t[-1] if t else -1) for t in tokens])
+                lp = _masked_log_softmax(logits, legal)
+                picks = lp.argmax(axis=-1)
                 still = []
                 for row_i, coord in enumerate(active):
                     cand = grown[coord]
                     t_rel = len(cand.tokens)
-                    prev = cand.tokens[-1] if cand.tokens else -1
-                    legal = model.grammar.legal_row(t_rel, prev)
-                    lp = _masked_log_softmax(logits[row_i], legal)
-                    tok = int(np.argmax(lp))
-                    cand.token_logprobs.append(float(lp[tok]))
+                    tok = int(picks[row_i])
+                    cand.token_logprobs.append(float(lp[row_i, tok]))
                     if tok == EOC:
                         # a close at the final slot position was forced by the
                         # grammar, not chosen: flag it for diagnostics
@@ -236,9 +276,10 @@ class ModelCellSource:
 
 
 def _masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax over the legal entries; illegal ones get -inf."""
     x = np.where(legal, logits, -np.inf)
-    mx = x.max()
-    z = np.where(legal, np.exp(x - mx), 0.0).sum()
+    mx = x.max(axis=-1, keepdims=True)
+    z = np.where(legal, np.exp(x - mx), 0.0).sum(axis=-1, keepdims=True)
     return x - mx - np.log(z)
 
 
@@ -332,6 +373,8 @@ class DecodeResult:
     outer_iterations: int
     predicted_count: float | None
     hit_row_cap: bool = False
+    decoder_passes: int = 0  # decoder calls: one prefill per outer iteration plus one per token step
+    input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
 
     @property
     def truncated_cells(self) -> list[Coord]:
@@ -364,7 +407,9 @@ def decode_table(
     vocab = model.vocab
     header_ids = [vocab.encode_tokens(tokenize(h)) for h in headers]
     m = len(headers)
-    ids = vocab.encode(text)[: model.cfg.max_input_len]
+    ids = vocab.encode(text)
+    dropped = max(0, len(ids) - model.cfg.max_input_len)
+    ids = ids[: model.cfg.max_input_len]
     with no_grad():
         memory, real = model.encode_source(ids)
         count = model.predict_group_count(memory)
@@ -372,19 +417,23 @@ def decode_table(
     trace: list[TraceEntry] | None = [] if keep_trace else None
 
     if cfg.stopping == "predicted-count":
+        if not np.isfinite(count):
+            raise NonFiniteCountError(count)
         n = rows_from_count(count, max_rows)
         state = DecodingState(n, m)
-        iters = 0
+        iters = passes = 0
         if n > 0:
             source = ModelCellSource(model, memory, real, header_ids, n)
             iters = run_outer_loop(source, state, cfg, trace=trace)
+            passes = source.passes
         return DecodeResult(
-            _state_to_table(vocab, state, headers, n), trace or [], iters, count
+            _state_to_table(vocab, state, headers, n), trace or [], iters, count,
+            decoder_passes=passes, input_tokens_dropped=dropped,
         )
 
     # semi-templated: grow the template row by row until the sentinel row
     state = DecodingState(0, m)
-    iters = 0
+    iters = passes = 0
     kept_rows = 0
     hit_cap = True
     for r in range(1, max_rows + 1):
@@ -394,10 +443,14 @@ def decode_table(
         iters += run_outer_loop(
             source, state, cfg, restrict=row_cells, trace=trace, iteration_offset=iters
         )
+        passes += source.passes
         if semi_templated_stop(state, r):
             kept_rows = r - 1
             hit_cap = False
             break
         kept_rows = r
     table = _state_to_table(vocab, state, headers, kept_rows)
-    return DecodeResult(table, trace or [], iters, count, hit_row_cap=hit_cap)
+    return DecodeResult(
+        table, trace or [], iters, count, hit_row_cap=hit_cap,
+        decoder_passes=passes, input_tokens_dropped=dropped,
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ParameterStore, Tensor, ops
+from ..numerics import ParameterStore, Tensor, no_grad, ops
 from ..vocab import PAD, Vocabulary
 from .config import ModelConfig
 from .layout import (
@@ -29,13 +29,20 @@ from .layout import (
 
 @dataclass
 class DecoderBatch:
-    """Padded batch of layout instances ready for the decoder stack."""
+    """Padded batch of layout instances ready for the decoder stack.
 
-    input_ids: np.ndarray  # [B, T]
-    allow: np.ndarray  # [B, 1, T, T]
+    A query batch (``rows`` set) serves a cached pass: it holds only the query
+    positions ``rows`` of one layout, all of them live, so it carries no pad
+    rows, no loss surface and no instances; its ``allow`` rows span all
+    ``length`` key positions.
+    """
+
+    input_ids: np.ndarray  # [B, T]; [1, R] for a query batch
+    allow: np.ndarray  # [B, 1, T, T]; [1, 1, R, T] for a query batch
     pair_idx: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # per example [T,T] maps
     length: int
     instances: list[LayoutInstance]
+    rows: np.ndarray | None = None  # [R] query positions of a query batch
 
     def flat_loss_arrays(self):
         """Concatenate loss surfaces across the batch; positions are offset
@@ -61,7 +68,17 @@ class DecoderBatch:
         )
 
 
-def collate_instances(instances: list[LayoutInstance], cfg: ModelConfig) -> DecoderBatch:
+def collate_instances(
+    instances: list[LayoutInstance], cfg: ModelConfig, rows: np.ndarray | None = None
+) -> DecoderBatch:
+    """Pad instances to one length; with ``rows``, the query batch of those
+    positions of a single instance (see :class:`DecoderBatch`)."""
+    if rows is not None:
+        (inst,) = instances
+        rows = np.asarray(rows, dtype=np.int64)
+        return DecoderBatch(
+            inst.input_ids[rows][None], inst.visibility()[rows][None, None], [], inst.length, [], rows
+        )
     t_max = max(inst.length for inst in instances)
     b = len(instances)
     ids = np.full((b, t_max), PAD, dtype=np.int64)
@@ -81,6 +98,30 @@ def collate_instances(instances: list[LayoutInstance], cfg: ModelConfig) -> Deco
             ri[:t, :t], ci[:t, :t], li[:t, :t] = tpl.row_idx, tpl.col_idx, tpl.loc_idx
             pair_idx.append((ri, ci, li))
     return DecoderBatch(ids, allow, pair_idx, t_max, list(instances))
+
+
+@dataclass
+class DecoderCache:
+    """Decoder state kept across the passes that decode one template for one
+    source text (inference only; valid while the parameters stay unchanged).
+
+    ``bias`` and ``cross`` are fixed for the table. ``keys`` and ``values``
+    hold each layer's self-attention keys and values at every template
+    position; a cached pass writes its query rows there before it attends, and
+    the visibility rows keep every query from seeing a position not written
+    for its own context.
+    """
+
+    bias: np.ndarray  # [H, T, T] pair + bucket bias of the template
+    cross: list[tuple[Tensor, Tensor]]  # per layer: memory keys and values [1, H, S, dh]
+    keys: list[np.ndarray]  # per layer [1, H, T, dh]
+    values: list[np.ndarray]
+
+    def store(self, layer: int, rows: np.ndarray, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Write the query rows' keys and values; return the whole layer's."""
+        self.keys[layer][:, :, rows] = k.data
+        self.values[layer][:, :, rows] = v.data
+        return Tensor(self.keys[layer]), Tensor(self.values[layer])
 
 
 class TextToTableModel:
@@ -165,29 +206,29 @@ class TextToTableModel:
     # forward pieces
     # ------------------------------------------------------------------
 
-    def _attention(self, x_q, x_kv, prefix, bias, allow, train, rng):
+    def _heads(self, x, w):
+        """Project [B, N, d] and split heads: [B, H, N, dh]."""
+        cfg = self.cfg
+        y = ops.matmul(x, self.params[w])
+        y = ops.reshape(y, (x.shape[0], x.shape[1], cfg.n_heads, cfg.head_dim))
+        return ops.transpose(y, (0, 2, 1, 3))
+
+    def _kv(self, x, prefix):
+        return self._heads(x, f"{prefix}.wk"), self._heads(x, f"{prefix}.wv")
+
+    def _attention(self, x_q, k, v, prefix, bias, allow, train, rng):
+        """Attention of x_q [B, T, d] over keys and values in head layout."""
         cfg = self.cfg
         b, t = x_q.shape[0], x_q.shape[1]
-        s = x_kv.shape[1]
-        h, dh = cfg.n_heads, cfg.head_dim
-        p = self.params
-
-        def heads(x, w, length):
-            y = ops.matmul(x, p[w])
-            y = ops.reshape(y, (b, length, h, dh))
-            return ops.transpose(y, (0, 2, 1, 3))
-
-        q = heads(x_q, f"{prefix}.wq", t)
-        k = heads(x_kv, f"{prefix}.wk", s)
-        v = heads(x_kv, f"{prefix}.wv", s)
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        q = self._heads(x_q, f"{prefix}.wq")
+        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.head_dim))
         if bias is not None:
             scores = ops.add(scores, bias)
         scores = ops.masked_fill(scores, ~allow, -np.inf)
         probs = ops.softmax(scores)
         ctx = ops.matmul(probs, v)
         ctx = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, t, cfg.d_model))
-        out = ops.matmul(ctx, p[f"{prefix}.wo"])
+        out = ops.matmul(ctx, self.params[f"{prefix}.wo"])
         if train and cfg.dropout > 0:
             out = ops.dropout(out, cfg.dropout, rng)
         return out
@@ -219,7 +260,8 @@ class TextToTableModel:
         allow = (real[:, None, None, :] & real[:, None, :, None]).astype(bool)
         for i in range(cfg.n_enc_layers):
             xn = self._ln(x, f"enc{i}.ln1")
-            x = ops.add(x, self._attention(xn, xn, f"enc{i}.attn", bias, allow, train, rng))
+            k, v = self._kv(xn, f"enc{i}.attn")
+            x = ops.add(x, self._attention(xn, k, v, f"enc{i}.attn", bias, allow, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn", train, rng))
         return self._ln(x, "enc.ln_f")
 
@@ -230,32 +272,68 @@ class TextToTableModel:
         batch: DecoderBatch,
         train: bool = False,
         rng=None,
+        cache: DecoderCache | None = None,
     ) -> Tensor:
-        """Decoder stack over a collated batch; returns hidden states [B,T,d]."""
+        """Decoder stack over a collated batch; returns hidden states [B,T,d].
+
+        With a ``cache`` (from :meth:`decoder_cache`, inference only) ``batch``
+        is a query batch: the stack runs for its R query rows alone, each
+        layer stores their self-attention keys and values in the cache and
+        attends over the cached ones, and the result is [1,R,d].
+        """
         cfg, p = self.cfg, self.params
         t = batch.length
         x = ops.embedding(p["embed"], batch.input_ids)
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
-        beta = ops.bucket_bias(p["dec_beta"], self._buckets(t))
-        pair = ops.stack_rows(
-            [
-                ops.pair_bias(p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], ri, ci, li)
-                for ri, ci, li in batch.pair_idx
-            ]
-        )
-        bias = ops.add(pair, beta)
-        q_real = np.zeros((len(batch.instances), t), dtype=bool)
-        for k, inst in enumerate(batch.instances):
-            q_real[k, : inst.length] = ~inst.is_pad
-        cross_allow = (q_real[:, None, :, None] & mem_real[:, None, None, :]).astype(bool)
+        if cache is None:
+            beta = ops.bucket_bias(p["dec_beta"], self._buckets(t))
+            pair = ops.stack_rows(
+                [
+                    ops.pair_bias(p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], ri, ci, li)
+                    for ri, ci, li in batch.pair_idx
+                ]
+            )
+            bias = ops.add(pair, beta)
+            q_real = np.zeros((len(batch.instances), t), dtype=bool)
+            for k, inst in enumerate(batch.instances):
+                q_real[k, : inst.length] = ~inst.is_pad
+            cross_allow = (q_real[:, None, :, None] & mem_real[:, None, None, :]).astype(bool)
+        else:
+            bias = Tensor(cache.bias[:, batch.rows])
+            cross_allow = mem_real[:, None, None, :]  # every query row is live
         for i in range(cfg.n_dec_layers):
             xs = self._ln(x, f"dec{i}.ln1")
-            x = ops.add(x, self._attention(xs, xs, f"dec{i}.self", bias, batch.allow, train, rng))
+            k, v = self._kv(xs, f"dec{i}.self")
+            if cache is not None:
+                k, v = cache.store(i, batch.rows, k, v)
+            x = ops.add(x, self._attention(xs, k, v, f"dec{i}.self", bias, batch.allow, train, rng))
             xc = self._ln(x, f"dec{i}.ln2")
-            x = ops.add(x, self._attention(xc, memory, f"dec{i}.cross", None, cross_allow, train, rng))
+            k, v = self._kv(memory, f"dec{i}.cross") if cache is None else cache.cross[i]
+            x = ops.add(x, self._attention(xc, k, v, f"dec{i}.cross", None, cross_allow, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"dec{i}.ln3"), f"dec{i}.ffn", train, rng))
         return self._ln(x, "dec.ln_f")
+
+    def decoder_cache(self, memory: Tensor, template: TableTemplate) -> DecoderCache:
+        """Cache for decoding ``template`` against one source text's memory
+        [1,S,d]: the template's attention bias and every layer's memory keys
+        and values, built once, plus empty self-attention key/value stores."""
+        cfg, p = self.cfg, self.params
+        t = template.length
+        shape = (1, cfg.n_heads, t, cfg.head_dim)
+        with no_grad():
+            pair = ops.pair_bias(
+                p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"],
+                template.row_idx, template.col_idx, template.loc_idx,
+            )
+            bias = ops.add(pair, ops.bucket_bias(p["dec_beta"], self._buckets(t)))
+            cross = [self._kv(memory, f"dec{i}.cross") for i in range(cfg.n_dec_layers)]
+        return DecoderCache(
+            bias=bias.data,
+            cross=cross,
+            keys=[np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)],
+            values=[np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)],
+        )
 
     def logits_at(self, hidden: Tensor, flat_positions: np.ndarray) -> Tensor:
         """Select flattened [B*T] positions and project to vocabulary logits."""

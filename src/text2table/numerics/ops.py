@@ -27,6 +27,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -119,10 +121,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    inv = np.argsort(axes)
-
     def vjp(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return make_result(a.data.transpose(axes), (a,), vjp)
 
@@ -171,11 +171,11 @@ def softmax(a: Tensor) -> Tensor:
     instead of NaN, so fully masked padding rows stay inert.
     """
     x = a.data
-    mx = np.max(x, axis=-1, keepdims=True)
+    mx = np.maximum.reduce(x, axis=-1, keepdims=True)
     dead = ~np.isfinite(mx)
     mx = np.where(dead, 0.0, mx)
     e = np.exp(x - mx)
-    z = e.sum(axis=-1, keepdims=True)
+    z = np.add.reduce(e, axis=-1, keepdims=True)
     z = np.where(z == 0.0, 1.0, z)
     s = e / z
 
@@ -191,9 +191,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatchError("layer_norm", x.shape, gain.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # add.reduce over the axis, then one division: what ndarray.mean computes, bit for bit
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gain.data * xhat + bias.data

@@ -12,6 +12,7 @@ from text2table.decoding import (
     DecodingState,
     InnerLoopError,
     ModelCellSource,
+    NonFiniteCountError,
     apply_constraint,
     decode_table,
     inner_loop,
@@ -359,3 +360,35 @@ def test_decode_states_reachable_as_training_plans(tiny_model, tiny_vocab):
             dec_inst.input_ids[dec_inst.is_ctx], train_inst.input_ids[train_inst.is_ctx]
         )
         committed[entry.cell] = entry.tokens
+
+
+def test_nan_row_count_raises_named_error(tiny_model):
+    tiny_model.params["count.b"].data[...] = np.nan
+    with pytest.raises(NonFiniteCountError):
+        decode_table("pens and mugs .", tiny_model, DecodingConfig(), ["item", "qty"])
+
+
+def test_decoder_passes_are_outer_iterations_plus_token_steps(tiny_model):
+    # every position gets the same hidden state, whose logits favour one
+    # content token: each cell then runs to the full slot width, so each inner
+    # loop is one prefill plus max_cell_len token steps
+    p = tiny_model.params
+    tok = tiny_model.vocab.content_ids()[1]
+    p["dec.ln_f.g"].data[...] = 0.0
+    p["dec.ln_f.b"].data[...] = np.eye(tiny_model.cfg.d_model)[0]
+    p["lm_head"].data[...] = 0.0
+    p["lm_head"].data[0, tok] = 5.0
+    p["count.b"].data[...] = [3.0]
+    headers = ["item", "qty", "price", "total"]
+    res = decode_table("pens and mugs .", tiny_model, DecodingConfig(k=1), headers, keep_trace=True)
+    l = tiny_model.cfg.max_cell_len
+    assert res.table.n_rows == 3 and res.outer_iterations == 12
+    assert all(t.truncated and t.tokens == [tok] * (l - 1) for t in res.trace)
+    assert res.decoder_passes == res.outer_iterations + res.outer_iterations * l
+
+
+def test_input_tokens_dropped_counts_truncated_source(tiny_model, tiny_vocab):
+    limit = tiny_model.cfg.max_input_len
+    long_text = " ".join(["pens"] * (limit + 17))
+    assert decode_table(long_text, tiny_model, DecodingConfig(), ["item"]).input_tokens_dropped == 17
+    assert decode_table("pens .", tiny_model, DecodingConfig(), ["item"]).input_tokens_dropped == 0

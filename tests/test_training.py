@@ -311,3 +311,41 @@ def test_smoothed_loss_floor_on_single_cell_corpus(tiny_vocab):
     assert expect > 0.5  # the floor is far from zero
     assert stats.nll > expect - 1e-6
     assert stats.nll < expect + 0.05
+
+
+def test_resume_from_checkpoint_is_bit_identical(tiny_vocab, lineitems_records, tmp_path):
+    # 3 steps, checkpoint, load, 3 more steps == 6 straight steps, with dropout on
+    from text2table.model import ModelConfig, TextToTableModel, load_checkpoint
+    from text2table.numerics import AdamW
+
+    def fresh_model():
+        cfg = ModelConfig(
+            vocab_size=len(tiny_vocab), d_model=16, n_heads=2, n_enc_layers=1,
+            n_dec_layers=1, d_ff=32, max_cell_len=4, max_rows=4, max_cols=4, dropout=0.1,
+        )
+        return TextToTableModel(cfg, tiny_vocab, seed=8)
+
+    records = lineitems_records[:8]
+    straight = _trainer(fresh_model(), records, steps=6)
+    straight.run()
+
+    first = _trainer(fresh_model(), records, steps=3, checkpoint_dir=str(tmp_path))
+    first.run()
+    model, meta = load_checkpoint(str(tmp_path / "latest.npz"))
+    assert meta["step"] == 3
+    opt = AdamW(model.params, lr=first.cfg.lr, weight_decay=first.cfg.weight_decay)
+    opt.load_state_arrays(meta["opt_arrays"], meta["optimizer"]["step_count"])
+    examples = [prepare_example(r, model.vocab, model.cfg) for r in records]
+    resumed = Trainer(
+        model, examples, TrainingConfig(seed=5, steps=6, batch_size=4),
+        start_step=meta["step"], optimizer=opt,
+    )
+    resumed.run()
+
+    assert resumed.opt.step_count == straight.opt.step_count == 6
+    for name, t in straight.model.params.items():
+        assert np.array_equal(t.data, model.params[name].data), name
+    want, got = straight.opt.state_arrays(), resumed.opt.state_arrays()
+    assert want.keys() == got.keys()
+    for name in want:
+        assert np.array_equal(want[name], got[name]), name
