@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from ..corpus import (
     record_to_line,
     write_jsonl,
 )
-from ..decoding import DecodingConfig, NonFiniteCountError, decode_table
+from ..decoding import DecodingConfig, NonFiniteCountError, NonFiniteLogitsError, decode_table
 from ..metrics import AlignmentMode, score_corpus
 from ..model import (
     CheckpointError,
@@ -143,6 +144,14 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
         model, examples = _build_model_and_examples(cfg, records, tcfg.mode)
         if metrics_path and os.path.exists(metrics_path):
             os.unlink(metrics_path)
+    dropped = sum(ex.input_tokens_dropped for ex in examples)
+    if dropped:
+        cut = sum(ex.input_tokens_dropped > 0 for ex in examples)
+        print(
+            f"text2table train: warning: {dropped} source token ids beyond max_input_len "
+            f"{model.cfg.max_input_len} dropped from {cut} of {len(examples)} training texts",
+            file=sys.stderr,
+        )
 
     try:
         val_examples = [prepare_example(r, model.vocab, model.cfg, "permuted") for r in val_records]
@@ -199,7 +208,7 @@ def cmd_decode(
     for rec in records:
         try:
             result = decode_table(rec.text, model, dcfg, rec.table.headers, keep_trace=bool(trace_path))
-        except (LayoutError, NonFiniteCountError) as exc:
+        except (LayoutError, NonFiniteCountError, NonFiniteLogitsError) as exc:
             raise ModelError(f"{rec.id}: {exc}") from None
         preds.append(DatasetRecord(rec.id, rec.text, result.table))
         if trace_path:

@@ -49,6 +49,14 @@ class NonFiniteCountError(ValueError):
         super().__init__(f"row-count head gave a non-finite value ({count})")
 
 
+class NonFiniteLogitsError(ValueError):
+    """The decoder gave NaN or infinite logits, so no token can be chosen."""
+
+    def __init__(self, cells: list[Coord]):
+        self.cells = cells
+        super().__init__(f"decoder gave non-finite logits for cells {cells}")
+
+
 @dataclass
 class DecodingConfig:
     k: int = 1
@@ -254,6 +262,9 @@ class ModelCellSource:
                 )
                 hidden = self._hidden(inst, positions)
                 logits = model.logits_at(hidden, np.arange(len(active))).data
+                bad = ~np.isfinite(logits).all(axis=-1)
+                if bad.any():
+                    raise NonFiniteLogitsError([active[i] for i in np.flatnonzero(bad)])
                 tokens = [grown[c].tokens for c in active]
                 legal = np.stack([model.grammar.legal_row(len(t), t[-1] if t else -1) for t in tokens])
                 lp = _masked_log_softmax(logits, legal)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ParameterStore, Tensor, no_grad, ops
+from ..numerics import ParameterStore, Tensor, kernels, no_grad, ops
 from ..vocab import PAD, Vocabulary
 from .config import ModelConfig
 from .layout import (
@@ -29,29 +29,38 @@ from .layout import (
 
 @dataclass
 class DecoderBatch:
-    """Padded batch of layout instances ready for the decoder stack.
+    """Batch of layout instances ready for the decoder stack.
 
-    A query batch (``rows`` set) serves a cached pass: it holds only the query
-    positions ``rows`` of one layout, all of them live, so it carries no pad
-    rows, no loss surface and no instances; its ``allow`` rows span all
-    ``length`` key positions.
+    Example ``b`` holds the template positions ``rows[b]`` of its instance, in
+    order, followed by batch padding up to ``length``. Keys are the same rows
+    as queries: ``allow`` is the instance's visibility submatrix at those rows
+    and ``bias_idx`` holds the template's row, column, local and bucket index
+    maps there.
+
+    A query batch (``instances`` empty) serves a cached pass: it holds only
+    the query positions ``rows[0]`` of one layout, all of them live, so it
+    carries no batch padding, no loss surface and no bias maps; its ``allow``
+    rows span all the template's key positions.
     """
 
-    input_ids: np.ndarray  # [B, T]; [1, R] for a query batch
-    allow: np.ndarray  # [B, 1, T, T]; [1, 1, R, T] for a query batch
-    pair_idx: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # per example [T,T] maps
-    length: int
+    input_ids: np.ndarray  # [B, L]; [1, R] for a query batch
+    allow: np.ndarray  # [B, 1, L, L]; [1, 1, R, T] for a query batch
+    rows: list[np.ndarray]  # per example: the template positions of its rows
     instances: list[LayoutInstance]
-    rows: np.ndarray | None = None  # [R] query positions of a query batch
+    bias_idx: tuple[np.ndarray, ...] = ()  # (row, col, loc, bucket) index maps, each [B, L, L]
+
+    @property
+    def length(self) -> int:
+        return self.input_ids.shape[1]
 
     def flat_loss_arrays(self):
-        """Concatenate loss surfaces across the batch; positions are offset
-        into the flattened [B*T] hidden sequence."""
+        """Concatenate loss surfaces across the batch; positions index the
+        flattened [B*L] hidden sequence."""
         pos, tgt, cell, legal, example = [], [], [], [], []
         for b, inst in enumerate(self.instances):
             if inst.loss_pos is None or len(inst.loss_pos) == 0:
                 continue
-            pos.append(inst.loss_pos + b * self.length)
+            pos.append(np.searchsorted(self.rows[b], inst.loss_pos) + b * self.length)
             tgt.append(inst.loss_targets)
             cell.append(inst.loss_cell)
             legal.append(inst.legal)
@@ -71,33 +80,35 @@ class DecoderBatch:
 def collate_instances(
     instances: list[LayoutInstance], cfg: ModelConfig, rows: np.ndarray | None = None
 ) -> DecoderBatch:
-    """Pad instances to one length; with ``rows``, the query batch of those
-    positions of a single instance (see :class:`DecoderBatch`)."""
+    """Pack each instance to its live positions (slot padding dropped) and pad
+    the batch to the largest live count; with ``rows``, the query batch of
+    those positions of a single instance (see :class:`DecoderBatch`)."""
     if rows is not None:
         (inst,) = instances
         rows = np.asarray(rows, dtype=np.int64)
-        return DecoderBatch(
-            inst.input_ids[rows][None], inst.visibility()[rows][None, None], [], inst.length, [], rows
+        return DecoderBatch(inst.input_ids[rows][None], inst.visibility()[rows][None, None], [rows], [])
+    live = [np.flatnonzero(~inst.is_pad) for inst in instances]
+    b, n = len(instances), max(len(r) for r in live)
+    ids = np.full((b, n), PAD, dtype=np.int64)
+    allow = np.zeros((b, 1, n, n), dtype=bool)
+    # batch padding: any valid table entry (row and column offset 0, no local
+    # term, bucket 0); the visibility mask hides it
+    row_idx = np.zeros((b, n, n), dtype=np.int64)
+    col_idx = np.zeros((b, n, n), dtype=np.int64)
+    loc_idx = np.full((b, n, n), -1, dtype=np.int64)
+    beta_idx = np.zeros((b, n, n), dtype=np.int64)
+    for k, (inst, r) in enumerate(zip(instances, live)):
+        tpl, m = inst.template, len(r)
+        ids[k, :m] = inst.input_ids[r]
+        allow[k, 0, :m, :m] = kernels.visibility_mask(
+            inst.is_pad[r], inst.is_ctx[r], inst.rank[r], tpl.cell_id[r], tpl.within[r]
         )
-    t_max = max(inst.length for inst in instances)
-    b = len(instances)
-    ids = np.full((b, t_max), PAD, dtype=np.int64)
-    allow = np.zeros((b, 1, t_max, t_max), dtype=bool)
-    pair_idx = []
-    for k, inst in enumerate(instances):
-        t = inst.length
-        ids[k, :t] = inst.input_ids
-        allow[k, 0, :t, :t] = inst.visibility()
-        tpl = inst.template
-        if t == t_max:
-            pair_idx.append((tpl.row_idx, tpl.col_idx, tpl.loc_idx))
-        else:
-            ri = np.zeros((t_max, t_max), dtype=np.int64)
-            ci = np.zeros((t_max, t_max), dtype=np.int64)
-            li = np.full((t_max, t_max), -1, dtype=np.int64)
-            ri[:t, :t], ci[:t, :t], li[:t, :t] = tpl.row_idx, tpl.col_idx, tpl.loc_idx
-            pair_idx.append((ri, ci, li))
-    return DecoderBatch(ids, allow, pair_idx, t_max, list(instances))
+        at = np.ix_(r, r)
+        row_idx[k, :m, :m] = tpl.row_idx[at]
+        col_idx[k, :m, :m] = tpl.col_idx[at]
+        loc_idx[k, :m, :m] = tpl.loc_idx[at]
+        beta_idx[k, :m, :m] = tpl.beta_idx[at]
+    return DecoderBatch(ids, allow, live, list(instances), (row_idx, col_idx, loc_idx, beta_idx))
 
 
 @dataclass
@@ -274,7 +285,7 @@ class TextToTableModel:
         rng=None,
         cache: DecoderCache | None = None,
     ) -> Tensor:
-        """Decoder stack over a collated batch; returns hidden states [B,T,d].
+        """Decoder stack over a collated batch; returns hidden states [B,L,d].
 
         With a ``cache`` (from :meth:`decoder_cache`, inference only) ``batch``
         is a query batch: the stack runs for its R query rows alone, each
@@ -282,31 +293,28 @@ class TextToTableModel:
         attends over the cached ones, and the result is [1,R,d].
         """
         cfg, p = self.cfg, self.params
-        t = batch.length
+        b, t = batch.input_ids.shape
         x = ops.embedding(p["embed"], batch.input_ids)
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
         if cache is None:
-            beta = ops.bucket_bias(p["dec_beta"], self._buckets(t))
-            pair = ops.stack_rows(
-                [
-                    ops.pair_bias(p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], ri, ci, li)
-                    for ri, ci, li in batch.pair_idx
-                ]
+            # every example's [L, L] maps stacked to [B*L, L]: one gather per table
+            ri, ci, li, bi = (m.reshape(b * t, t) for m in batch.bias_idx)
+            bias = ops.add(
+                ops.pair_bias(p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], ri, ci, li),
+                ops.bucket_bias(p["dec_beta"], bi),
             )
-            bias = ops.add(pair, beta)
-            q_real = np.zeros((len(batch.instances), t), dtype=bool)
-            for k, inst in enumerate(batch.instances):
-                q_real[k, : inst.length] = ~inst.is_pad
-            cross_allow = (q_real[:, None, :, None] & mem_real[:, None, None, :]).astype(bool)
+            bias = ops.transpose(ops.reshape(bias, (cfg.n_heads, b, t, t)), (1, 0, 2, 3))
         else:
-            bias = Tensor(cache.bias[:, batch.rows])
-            cross_allow = mem_real[:, None, None, :]  # every query row is live
+            rows = batch.rows[0]
+            bias = Tensor(cache.bias[:, rows])
+        # padding rows attend to the memory too; no live row ever sees them
+        cross_allow = mem_real[:, None, None, :]
         for i in range(cfg.n_dec_layers):
             xs = self._ln(x, f"dec{i}.ln1")
             k, v = self._kv(xs, f"dec{i}.self")
             if cache is not None:
-                k, v = cache.store(i, batch.rows, k, v)
+                k, v = cache.store(i, rows, k, v)
             x = ops.add(x, self._attention(xs, k, v, f"dec{i}.self", bias, batch.allow, train, rng))
             xc = self._ln(x, f"dec{i}.ln2")
             k, v = self._kv(memory, f"dec{i}.cross") if cache is None else cache.cross[i]
@@ -326,7 +334,7 @@ class TextToTableModel:
                 p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"],
                 template.row_idx, template.col_idx, template.loc_idx,
             )
-            bias = ops.add(pair, ops.bucket_bias(p["dec_beta"], self._buckets(t)))
+            bias = ops.add(pair, ops.bucket_bias(p["dec_beta"], template.beta_idx))
             cross = [self._kv(memory, f"dec{i}.cross") for i in range(cfg.n_dec_layers)]
         return DecoderCache(
             bias=bias.data,
@@ -336,7 +344,7 @@ class TextToTableModel:
         )
 
     def logits_at(self, hidden: Tensor, flat_positions: np.ndarray) -> Tensor:
-        """Select flattened [B*T] positions and project to vocabulary logits."""
+        """Select flattened [B*L] positions and project to vocabulary logits."""
         b, t, d = hidden.shape
         flat = ops.reshape(hidden, (b * t, d))
         sel = ops.take_rows(flat, flat_positions)
@@ -372,9 +380,9 @@ class TextToTableModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-position vocabulary logits for open content positions.
 
-        Returns (positions, logits) where logits have grammar-forbidden
-        entries set to -inf. `cells` defaults to every open cell that carries
-        loss positions in the instance.
+        Returns (template positions, logits) where logits have
+        grammar-forbidden entries set to -inf. `cells` defaults to every open
+        cell that carries loss positions in the instance.
         """
         if instance.loss_pos is None:
             raise ValueError("instance has no teacher-forced loss surface")
@@ -387,4 +395,4 @@ class TextToTableModel:
             keep = np.array([c in wanted for c in cell_ids], dtype=bool)
         logits = self.logits_at(hidden, pos[keep]).data
         masked = np.where(legal[keep], logits, -np.inf)
-        return pos[keep], masked
+        return batch.rows[0][pos[keep]], masked

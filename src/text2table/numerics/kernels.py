@@ -52,8 +52,7 @@ def _np_gather_pair_bias(row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_id
     local) so numba and numpy agree bitwise.
     """
     n_heads = row_tab.shape[0]
-    t = row_idx.shape[0]
-    out = np.empty((n_heads, t, t), dtype=row_tab.dtype)
+    out = np.empty((n_heads,) + row_idx.shape, dtype=row_tab.dtype)
     hdr = row_idx < 0
     same = loc_idx >= 0
     row_safe = np.where(hdr, 0, row_idx)
@@ -135,11 +134,11 @@ def _np_adamw_update(p, g, m, v, step_size, decay_factor, beta1, beta2, eps):
 @njit(cache=True)
 def _nb_gather_pair_bias(row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_idx):
     n_heads = row_tab.shape[0]
-    t = row_idx.shape[0]
-    out = np.empty((n_heads, t, t), dtype=row_tab.dtype)
+    t0, t1 = row_idx.shape
+    out = np.empty((n_heads, t0, t1), dtype=row_tab.dtype)
     for h in range(n_heads):
-        for i in range(t):
-            for j in range(t):
+        for i in range(t0):
+            for j in range(t1):
                 ri = row_idx[i, j]
                 if ri < 0:
                     acc = r0[h]
@@ -156,10 +155,10 @@ def _nb_gather_pair_bias(row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_id
 @njit(cache=True)
 def _nb_scatter_pair_bias_grad(g_row, g_r0, g_col, g_loc, grad, row_idx, col_idx, loc_idx):
     n_heads = grad.shape[0]
-    t = row_idx.shape[0]
+    t0, t1 = row_idx.shape
     for h in range(n_heads):
-        for i in range(t):
-            for j in range(t):
+        for i in range(t0):
+            for j in range(t1):
                 g = grad[h, i, j]
                 ri = row_idx[i, j]
                 if ri < 0:

@@ -331,7 +331,8 @@ def pair_bias(
     col_idx: np.ndarray,
     loc_idx: np.ndarray,
 ) -> Tensor:
-    """Tabular + local decoder bias, (heads, T, T), from coordinate offsets.
+    """Tabular + local decoder bias, (heads, N, K), from (N, K) coordinate
+    offset maps.
 
     row_idx[i,j] < 0 selects the dedicated header bucket r0 (key in header
     row); loc_idx[i,j] < 0 marks cross-cell pairs that get no local term.
@@ -354,16 +355,3 @@ def pair_bias(
         return g_row, g_r0, g_col, g_loc
 
     return make_result(out, (row_tab, r0, col_tab, loc_tab), vjp)
-
-
-def stack_rows(tensors: list[Tensor]) -> Tensor:
-    """Stack equally shaped tensors along a new leading axis."""
-    base = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != base:
-            raise ShapeMismatchError("stack_rows", base, t.shape)
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return make_result(np.stack([t.data for t in tensors]), tuple(tensors), vjp)

@@ -9,6 +9,7 @@ step number alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -79,6 +80,7 @@ class StepStats:
     nll: float
     mse: float
     total: float
+    grad_norm: float = math.nan  # global L2 norm of the gradients before clipping
 
 
 class Trainer:
@@ -178,7 +180,7 @@ class Trainer:
                 step, [ex.id for ex in batch], {"nll": stats.nll, "mse": stats.mse}
             )
         backward(total)
-        clip_grad_norm(self.model.params, cfg.clip_norm)
+        stats.grad_norm = clip_grad_norm(self.model.params, cfg.clip_norm)
         self.opt.step()
         return stats
 

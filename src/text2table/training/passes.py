@@ -24,6 +24,7 @@ class TrainingExample:
     n_rows: int
     n_cols: int
     count_target: float  # true group count (before any sentinel row)
+    input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
 
 
 def build_semi_templated_corpus_variant(gold: Table, max_rows: int) -> Table:
@@ -57,14 +58,16 @@ def prepare_example(
                     f"{record.id}: cell ({i},{j}) has {len(ids)} tokens, max {cfg.max_cell_len - 1}"
                 )
             cells[(i, j)] = ids
+    source_ids = vocab.encode(record.text)
     return TrainingExample(
         id=record.id,
-        source_ids=vocab.encode(record.text)[: cfg.max_input_len],
+        source_ids=source_ids[: cfg.max_input_len],
         header_ids=[vocab.encode_tokens(tokenize(h)) for h in table.headers],
         cell_ids=cells,
         n_rows=table.n_rows,
         n_cols=table.n_cols,
         count_target=count,
+        input_tokens_dropped=max(0, len(source_ids) - cfg.max_input_len),
     )
 
 

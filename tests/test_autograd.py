@@ -95,7 +95,6 @@ OP_CASES = {
         (lambda idx: lambda t: ops.bucket_bias(t, idx))(rng.integers(0, 5, size=(3, 3))),
         [(2, 5)],
     ),
-    "stack_rows": lambda rng: (lambda a, b: ops.stack_rows([a, b]), [(2, 3), (2, 3)]),
 }
 
 

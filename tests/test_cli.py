@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from text2table.cli.main import main
-from text2table.corpus import write_jsonl
+from text2table.corpus import DatasetRecord, build_vocab, write_jsonl
 from text2table.model import save_checkpoint
 
 
@@ -36,6 +36,18 @@ def test_decode_non_finite_row_count_exits_3(tiny_model, lineitems_records, tmp_
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_decode_non_finite_logits_exits_3(tiny_model, lineitems_records, tmp_path, capsys):
+    tiny_model.params["lm_head"].data[0, :] = np.nan
+    tiny_model.params["count.b"].data[...] = [1.0]
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:2], data)
+    assert main(["decode", ckpt, data, str(tmp_path / "out.jsonl")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "non-finite logits" in err
+
+
 def test_decode_trace_records_per_table_counters(tiny_model, lineitems_records, tmp_path):
     tiny_model.params["count.b"].data[...] = [1.0]
     ckpt = str(tmp_path / "model.npz")
@@ -49,3 +61,31 @@ def test_decode_trace_records_per_table_counters(tiny_model, lineitems_records, 
     for rec in records:
         assert rec["decoder_passes"] > rec["outer_iterations"] > 0
         assert rec["input_tokens_dropped"] == 0
+
+
+def _train_config(tmp_path, records, **model):
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(records, data)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32, **model},
+        "training": {"steps": 1, "batch_size": 2},
+        "paths": {"dataset": data},
+    }))
+    return str(config)
+
+
+def test_train_warns_once_about_dropped_source_ids(lineitems_records, tmp_path, capsys):
+    first = lineitems_records[0]
+    long_text = " ".join([first.text] * 40)
+    records = [DatasetRecord("long", long_text, first.table)] + lineitems_records[1:3]
+    assert main(["train", _train_config(tmp_path, records, max_input_len=64)]) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "warning" in err[0] and "1 of 3 training texts" in err[0]
+    n_ids = len(build_vocab(records, n_max_rows=5).encode(long_text))
+    assert n_ids > 64 and f" {n_ids - 64} source token ids" in err[0]
+
+
+def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path, capsys):
+    assert main(["train", _train_config(tmp_path, lineitems_records[:3])]) == 0
+    assert capsys.readouterr().err == ""

@@ -55,7 +55,7 @@ class FullRecomputeSource:
                 positions = np.array(
                     [tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64
                 )
-                logits = model.logits_at(hidden, positions).data
+                logits = model.logits_at(hidden, np.searchsorted(batch.rows[0], positions)).data
                 still = []
                 for row_i, coord in enumerate(active):
                     cand = grown[coord]
@@ -185,10 +185,11 @@ def test_prefill_hidden_matches_full_pass_at_context_positions(tiny_vocab):
     with no_grad():
         memory, real = model.encode_source(ids)
         inst = instance_for_decoding(tpl, tiny_vocab, committed, {})
-        full = model.decoder_hidden(memory, real, collate_instances([inst], model.cfg)).data[0]
+        batch = collate_instances([inst], model.cfg)
+        full = model.decoder_hidden(memory, real, batch).data[0]
         rows = np.flatnonzero(inst.is_ctx & ~inst.is_pad)
         assert len(rows) == tpl.is_struct.sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
         cache = model.decoder_cache(memory, tpl)
         prefill = model.decoder_hidden(memory, real, collate_instances([inst], model.cfg, rows), cache=cache)
     assert prefill.shape == (1, len(rows), model.cfg.d_model)
-    assert np.abs(prefill.data[0] - full[rows]).max() <= 1e-12
+    assert np.abs(prefill.data[0] - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12

@@ -13,6 +13,7 @@ from text2table.decoding import (
     InnerLoopError,
     ModelCellSource,
     NonFiniteCountError,
+    NonFiniteLogitsError,
     apply_constraint,
     decode_table,
     inner_loop,
@@ -366,6 +367,16 @@ def test_nan_row_count_raises_named_error(tiny_model):
     tiny_model.params["count.b"].data[...] = np.nan
     with pytest.raises(NonFiniteCountError):
         decode_table("pens and mugs .", tiny_model, DecodingConfig(), ["item", "qty"])
+
+
+@pytest.mark.parametrize("stopping", ["predicted-count", "semi-templated"])
+def test_nan_decoder_logits_raise_named_error(tiny_model, stopping):
+    tiny_model.params["lm_head"].data[0, :] = np.nan
+    tiny_model.params["count.b"].data[...] = [2.0]
+    with pytest.raises(NonFiniteLogitsError) as ei:
+        decode_table("pens and mugs .", tiny_model, DecodingConfig(stopping=stopping), ["item", "qty"])
+    assert ei.value.cells  # the first inner loop already fails, naming its open cells
+    assert set(ei.value.cells) <= {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_decoder_passes_are_outer_iterations_plus_token_steps(tiny_model):

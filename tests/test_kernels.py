@@ -12,14 +12,15 @@ NP = kernels.IMPLS["numpy"]
 NB = kernels.LOOPS
 
 
-def _pair_inputs(rng, heads=3, t=17, n_max=4, m_max=3, l=5):
+def _pair_inputs(rng, heads=3, t=17, n_max=4, m_max=3, l=5, shape=None):
+    shape = shape or (t, t)
     row_tab = rng.normal(size=(heads, 2 * n_max + 1))
     r0 = rng.normal(size=heads)
     col_tab = rng.normal(size=(heads, 2 * m_max + 1))
     loc_tab = rng.normal(size=(heads, 2 * l + 1))
-    row_idx = rng.integers(-1, 2 * n_max + 1, size=(t, t))
-    col_idx = rng.integers(0, 2 * m_max + 1, size=(t, t))
-    loc_idx = rng.integers(-1, 2 * l + 1, size=(t, t))
+    row_idx = rng.integers(-1, 2 * n_max + 1, size=shape)
+    col_idx = rng.integers(0, 2 * m_max + 1, size=shape)
+    loc_idx = rng.integers(-1, 2 * l + 1, size=shape)
     return row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_idx
 
 
@@ -45,6 +46,24 @@ def test_scatter_pair_bias_grad_bitwise():
         outs.append((g_row, g_r0, g_col, g_loc))
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
+
+
+def test_pair_bias_on_stacked_batch_maps_bitwise():
+    # a batch of B [L, L] index maps stacked to [B*L, L], as the decoder passes them
+    rng = np.random.default_rng(6)
+    row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_idx = _pair_inputs(rng, shape=(3 * 7, 7))
+    tables = (row_tab, r0, col_tab, loc_tab)
+    a = NP["gather_pair_bias"](*tables, row_idx, col_idx, loc_idx)
+    assert a.shape == (3, 21, 7)
+    assert np.array_equal(a, NB["gather_pair_bias"](*tables, row_idx, col_idx, loc_idx))
+    grad = rng.normal(size=(3, 21, 7))
+    outs = []
+    for impl in (NP, NB):
+        g = [np.zeros_like(x) for x in tables]
+        impl["scatter_pair_bias_grad"](*g, grad, row_idx, col_idx, loc_idx)
+        outs.append(g)
+    for x, y in zip(*outs):
+        assert np.array_equal(x, y)
 
 
 def test_bucket_bias_roundtrip_bitwise():

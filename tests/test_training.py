@@ -24,6 +24,7 @@ from text2table.training import (
     prepare_example,
     row_major_order,
     sample_permutation,
+    step_rng,
 )
 from text2table.vocab import EOC, NULL
 
@@ -349,3 +350,34 @@ def test_resume_from_checkpoint_is_bit_identical(tiny_vocab, lineitems_records, 
     assert want.keys() == got.keys()
     for name in want:
         assert np.array_equal(want[name], got[name]), name
+
+
+def test_step_stats_grad_norm_is_norm_before_clipping(tiny_model, lineitems_records):
+    from text2table.numerics import backward
+    from text2table.training.loop import STREAM_BATCH
+
+    tr = _trainer(tiny_model, lineitems_records[:8], clip_norm=1e-3)
+    idx = step_rng(5, 1, STREAM_BATCH).integers(0, len(tr.examples), size=4)
+    tiny_model.params.zero_grad()
+    total, _, _ = tr._batch_loss([tr.examples[int(i)] for i in idx], 1, train=True)
+    backward(total)
+
+    def grad_norm():
+        return math.sqrt(sum(float((t.grad * t.grad).sum()) for _, t in tiny_model.params.items()))
+
+    want = grad_norm()
+    assert want > 1e-3  # the step below clips
+    stats = tr.training_step(1)
+    assert stats.grad_norm == pytest.approx(want, rel=1e-12)
+    assert grad_norm() == pytest.approx(1e-3, rel=1e-9)  # the clip still applies
+
+
+def test_prepare_example_counts_dropped_source_ids(tiny_model):
+    limit = tiny_model.cfg.max_input_len
+    table = Table(["item"], [["pens"]])
+    long_rec = DatasetRecord("long", " ".join(["pens"] * (limit + 9)), table)
+    ex = prepare_example(long_rec, tiny_model.vocab, tiny_model.cfg)
+    assert len(ex.source_ids) == limit
+    assert ex.input_tokens_dropped == 9
+    short = prepare_example(DatasetRecord("short", "pens .", table), tiny_model.vocab, tiny_model.cfg)
+    assert short.input_tokens_dropped == 0
