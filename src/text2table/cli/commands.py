@@ -218,6 +218,7 @@ def cmd_decode(
                     "outer_iterations": result.outer_iterations,
                     "decoder_passes": result.decoder_passes,
                     "input_tokens_dropped": result.input_tokens_dropped,
+                    "header_tokens_dropped": result.header_tokens_dropped,
                     "predicted_count": result.predicted_count,
                     "trace": [
                         {

@@ -386,6 +386,7 @@ class DecodeResult:
     hit_row_cap: bool = False
     decoder_passes: int = 0  # decoder calls: one prefill per outer iteration plus one per token step
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
+    header_tokens_dropped: int = 0  # header token ids cut at max_cell_len (0 when no row is decoded)
 
     @property
     def truncated_cells(self) -> list[Coord]:
@@ -432,19 +433,20 @@ def decode_table(
             raise NonFiniteCountError(count)
         n = rows_from_count(count, max_rows)
         state = DecodingState(n, m)
-        iters = passes = 0
+        iters = passes = header_dropped = 0
         if n > 0:
             source = ModelCellSource(model, memory, real, header_ids, n)
             iters = run_outer_loop(source, state, cfg, trace=trace)
             passes = source.passes
+            header_dropped = model.template_for(header_ids, n).header_tokens_dropped
         return DecodeResult(
             _state_to_table(vocab, state, headers, n), trace or [], iters, count,
-            decoder_passes=passes, input_tokens_dropped=dropped,
+            decoder_passes=passes, input_tokens_dropped=dropped, header_tokens_dropped=header_dropped,
         )
 
     # semi-templated: grow the template row by row until the sentinel row
     state = DecodingState(0, m)
-    iters = passes = 0
+    iters = passes = header_dropped = 0
     kept_rows = 0
     hit_cap = True
     for r in range(1, max_rows + 1):
@@ -455,6 +457,7 @@ def decode_table(
             source, state, cfg, restrict=row_cells, trace=trace, iteration_offset=iters
         )
         passes += source.passes
+        header_dropped = model.template_for(header_ids, r).header_tokens_dropped
         if semi_templated_stop(state, r):
             kept_rows = r - 1
             hit_cap = False
@@ -464,4 +467,5 @@ def decode_table(
     return DecodeResult(
         table, trace or [], iters, count, hit_row_cap=hit_cap,
         decoder_passes=passes, input_tokens_dropped=dropped,
+        header_tokens_dropped=header_dropped,
     )

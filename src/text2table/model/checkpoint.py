@@ -77,8 +77,11 @@ def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
                     f"{path}: format version {meta.get('format_version')} != {FORMAT_VERSION}"
                 )
             arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    except (zipfile.BadZipFile, ValueError, OSError, KeyError) as exc:
+    except (zipfile.BadZipFile, ValueError, OSError, KeyError, EOFError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from None
+    missing = [k for k in ("manifest", "model_config", "vocab") if k not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: metadata lacks {', '.join(missing)}")
 
     manifest = meta["manifest"]
     for name, arr in arrays.items():
@@ -89,9 +92,12 @@ def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
     if set(manifest) != set(arrays):
         raise CheckpointError(f"{path}: manifest does not match stored arrays")
 
-    cfg = ModelConfig.from_json(meta["model_config"])
-    vocab = Vocabulary.from_json(meta["vocab"])
-    model = TextToTableModel(cfg, vocab, seed=0)
+    try:
+        cfg = ModelConfig.from_json(meta["model_config"])
+        vocab = Vocabulary.from_json(meta["vocab"])
+        model = TextToTableModel(cfg, vocab, seed=0)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"{path}: invalid model config or vocabulary ({exc})") from None
     for name, t in model.params.items():
         key = f"param::{name}"
         if key not in arrays:

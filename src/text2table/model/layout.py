@@ -77,6 +77,7 @@ class TableTemplate:
     col_idx: np.ndarray = field(repr=False, default=None)  # [T,T] into C table
     loc_idx: np.ndarray = field(repr=False, default=None)  # [T,T] into L table, -1 -> cross-cell
     beta_idx: np.ndarray = field(repr=False, default=None)  # [T,T] into the decoder bucket table
+    header_tokens_dropped: int = 0  # header token ids cut at max_cell_len
 
     def cells(self) -> list[Coord]:
         return [(r, c) for r in range(1, self.n_rows + 1) for c in range(1, self.n_cols + 1)]
@@ -92,6 +93,7 @@ def make_template(
     if m > cfg.max_cols or m == 0:
         raise LayoutError(f"n_cols {m} outside 1..{cfg.max_cols}")
 
+    dropped = sum(max(0, len(h) - l) for h in header_ids)
     header_ids = [h[:l] for h in header_ids]  # keep local offsets within the L table range
     length = sum(len(h) for h in header_ids) + n_rows * (1 + m * l)
     base = np.full(length, PAD, dtype=np.int64)
@@ -144,6 +146,7 @@ def make_template(
         is_struct=struct,
         slot_start=slot_start,
         cell_flat={(r, c): (r - 1) * m + (c - 1) for r in range(1, n_rows + 1) for c in range(1, m + 1)},
+        header_tokens_dropped=dropped,
     )
 
     hdr_key = rows[None, :] == 0
@@ -206,9 +209,11 @@ class LayoutInstance:
     def length(self) -> int:
         return self.template.length
 
-    def visibility(self) -> np.ndarray:
+    def visibility(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Visibility mask [T, T], or its query rows ``rows`` alone [R, T]."""
+        rows = np.arange(self.length) if rows is None else np.asarray(rows, dtype=np.int64)
         return kernels.visibility_mask(
-            self.is_pad, self.is_ctx, self.rank, self.template.cell_id, self.template.within
+            self.is_pad, self.is_ctx, self.rank, self.template.cell_id, self.template.within, rows
         )
 
 

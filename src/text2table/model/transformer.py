@@ -6,6 +6,14 @@ additionally receives the tabular bias (row/column offsets with a dedicated
 header bucket) and the local within-cell bias; cross-attention carries no
 position bias. A linear head on the first encoder position regresses the
 number of table rows.
+
+Both stacks hold the residual stream as packed rows: the encoder one row
+[d] per source token, example after example ([N_src, d], laid out by a
+[B, S] mask), the decoder one row per live position of each instance
+([N, d], laid out by a :class:`DecoderBatch`). Every weight product is a
+single [N, d] gemm and every row-wise layer runs on live tokens only; the
+attention op places the rows into the padded [B, L] layout for the scores
+alone.
 """
 
 from __future__ import annotations
@@ -35,7 +43,9 @@ class DecoderBatch:
     order, followed by batch padding up to ``length``. Keys are the same rows
     as queries: ``allow`` is the instance's visibility submatrix at those rows
     and ``bias_idx`` holds the template's row, column, local and bucket index
-    maps there.
+    maps there. The decoder runs on the packed rows alone: example after
+    example, ``len(rows[b])`` rows each, batch padding left out (see
+    :attr:`at`).
 
     A query batch (``instances`` empty) serves a cached pass: it holds only
     the query positions ``rows[0]`` of one layout, all of them live, so it
@@ -43,8 +53,8 @@ class DecoderBatch:
     rows span all the template's key positions.
     """
 
-    input_ids: np.ndarray  # [B, L]; [1, R] for a query batch
-    allow: np.ndarray  # [B, 1, L, L]; [1, 1, R, T] for a query batch
+    input_ids: np.ndarray  # [B, L], PAD where batch padding; [1, R] for a query batch
+    allow: np.ndarray  # [B, L, L]; [1, R, T] for a query batch
     rows: list[np.ndarray]  # per example: the template positions of its rows
     instances: list[LayoutInstance]
     bias_idx: tuple[np.ndarray, ...] = ()  # (row, col, loc, bucket) index maps, each [B, L, L]
@@ -53,18 +63,28 @@ class DecoderBatch:
     def length(self) -> int:
         return self.input_ids.shape[1]
 
+    @property
+    def at(self) -> np.ndarray | None:
+        """Positions of the packed rows in the flattened [B*L] layout; None
+        when the batch has no padding, so the rows fill it in order."""
+        lens = np.array([len(r) for r in self.rows])
+        if (lens == self.length).all():
+            return None
+        return np.flatnonzero(np.arange(self.length) < lens[:, None])
+
     def flat_loss_arrays(self):
         """Concatenate loss surfaces across the batch; positions index the
-        flattened [B*L] hidden sequence."""
+        packed decoder rows."""
         pos, tgt, cell, legal, example = [], [], [], [], []
+        offset = 0
         for b, inst in enumerate(self.instances):
-            if inst.loss_pos is None or len(inst.loss_pos) == 0:
-                continue
-            pos.append(np.searchsorted(self.rows[b], inst.loss_pos) + b * self.length)
-            tgt.append(inst.loss_targets)
-            cell.append(inst.loss_cell)
-            legal.append(inst.legal)
-            example.append(np.full(len(inst.loss_pos), b, dtype=np.int64))
+            if inst.loss_pos is not None and len(inst.loss_pos):
+                pos.append(np.searchsorted(self.rows[b], inst.loss_pos) + offset)
+                tgt.append(inst.loss_targets)
+                cell.append(inst.loss_cell)
+                legal.append(inst.legal)
+                example.append(np.full(len(inst.loss_pos), b, dtype=np.int64))
+            offset += len(self.rows[b])
         if not pos:
             v = self.instances[0].legal.shape[1] if self.instances else 0
             return (np.zeros(0, np.int64),) * 3 + (np.zeros((0, v), bool), np.zeros(0, np.int64))
@@ -86,11 +106,11 @@ def collate_instances(
     if rows is not None:
         (inst,) = instances
         rows = np.asarray(rows, dtype=np.int64)
-        return DecoderBatch(inst.input_ids[rows][None], inst.visibility()[rows][None, None], [rows], [])
+        return DecoderBatch(inst.input_ids[rows][None], inst.visibility(rows)[None], [rows], [])
     live = [np.flatnonzero(~inst.is_pad) for inst in instances]
     b, n = len(instances), max(len(r) for r in live)
     ids = np.full((b, n), PAD, dtype=np.int64)
-    allow = np.zeros((b, 1, n, n), dtype=bool)
+    allow = np.zeros((b, n, n), dtype=bool)
     # batch padding: any valid table entry (row and column offset 0, no local
     # term, bucket 0); the visibility mask hides it
     row_idx = np.zeros((b, n, n), dtype=np.int64)
@@ -100,8 +120,8 @@ def collate_instances(
     for k, (inst, r) in enumerate(zip(instances, live)):
         tpl, m = inst.template, len(r)
         ids[k, :m] = inst.input_ids[r]
-        allow[k, 0, :m, :m] = kernels.visibility_mask(
-            inst.is_pad[r], inst.is_ctx[r], inst.rank[r], tpl.cell_id[r], tpl.within[r]
+        allow[k, :m, :m] = kernels.visibility_mask(
+            inst.is_pad[r], inst.is_ctx[r], inst.rank[r], tpl.cell_id[r], tpl.within[r], np.arange(m)
         )
         at = np.ix_(r, r)
         row_idx[k, :m, :m] = tpl.row_idx[at]
@@ -117,21 +137,21 @@ class DecoderCache:
     source text (inference only; valid while the parameters stay unchanged).
 
     ``bias`` and ``cross`` are fixed for the table. ``keys`` and ``values``
-    hold each layer's self-attention keys and values at every template
+    hold each layer's self-attention key and value rows at every template
     position; a cached pass writes its query rows there before it attends, and
     the visibility rows keep every query from seeing a position not written
     for its own context.
     """
 
     bias: np.ndarray  # [H, T, T] pair + bucket bias of the template
-    cross: list[tuple[Tensor, Tensor]]  # per layer: memory keys and values [1, H, S, dh]
-    keys: list[np.ndarray]  # per layer [1, H, T, dh]
+    cross: list[tuple[Tensor, Tensor]]  # per layer: memory key and value rows [S, d]
+    keys: list[np.ndarray]  # per layer [T, d]
     values: list[np.ndarray]
 
     def store(self, layer: int, rows: np.ndarray, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Write the query rows' keys and values; return the whole layer's."""
-        self.keys[layer][:, :, rows] = k.data
-        self.values[layer][:, :, rows] = v.data
+        self.keys[layer][rows] = k.data
+        self.values[layer][rows] = v.data
         return Tensor(self.keys[layer]), Tensor(self.values[layer])
 
 
@@ -217,29 +237,13 @@ class TextToTableModel:
     # forward pieces
     # ------------------------------------------------------------------
 
-    def _heads(self, x, w):
-        """Project [B, N, d] and split heads: [B, H, N, dh]."""
-        cfg = self.cfg
-        y = ops.matmul(x, self.params[w])
-        y = ops.reshape(y, (x.shape[0], x.shape[1], cfg.n_heads, cfg.head_dim))
-        return ops.transpose(y, (0, 2, 1, 3))
-
-    def _kv(self, x, prefix):
-        return self._heads(x, f"{prefix}.wk"), self._heads(x, f"{prefix}.wv")
-
-    def _attention(self, x_q, k, v, prefix, bias, allow, train, rng):
-        """Attention of x_q [B, T, d] over keys and values in head layout."""
-        cfg = self.cfg
-        b, t = x_q.shape[0], x_q.shape[1]
-        q = self._heads(x_q, f"{prefix}.wq")
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.head_dim))
-        if bias is not None:
-            scores = ops.add(scores, bias)
-        scores = ops.masked_fill(scores, ~allow, -np.inf)
-        probs = ops.softmax(scores)
-        ctx = ops.matmul(probs, v)
-        ctx = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, t, cfg.d_model))
-        out = ops.matmul(ctx, self.params[f"{prefix}.wo"])
+    def _attention(self, x_q, k, v, q_at, k_at, prefix, bias, allow, train, rng):
+        """Attention of query rows x_q [N, d] over projected key and value rows
+        (see :func:`ops.attention` for the layout arguments)."""
+        cfg, p = self.cfg, self.params
+        q = ops.matmul(x_q, p[f"{prefix}.wq"])
+        ctx = ops.attention(q, k, v, q_at, k_at, cfg.n_heads, bias, allow, 1.0 / math.sqrt(cfg.head_dim))
+        out = ops.matmul(ctx, p[f"{prefix}.wo"])
         if train and cfg.dropout > 0:
             out = ops.dropout(out, cfg.dropout, rng)
         return out
@@ -256,23 +260,34 @@ class TextToTableModel:
         return ops.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def encode(self, ids: np.ndarray, real: np.ndarray, train: bool = False, rng=None) -> Tensor:
-        """Token ids [B,S] (PAD-padded) + validity mask -> memory [B,S,d]."""
-        cfg = self.cfg
+        """Packed source token ids [N] -> memory rows [N, d], in the same order.
+
+        ``real`` [B, S] lays the batch out: example ``b`` owns the positions
+        where ``real[b]`` is True, and ``ids`` lists the tokens at all such
+        positions in row-major order (as :func:`numpy.flatnonzero` visits
+        them). Every example needs at least one token.
+        """
+        cfg, p = self.cfg, self.params
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2 or ids.shape[1] > cfg.max_input_len:
-            raise ValueError(f"encoder input shape {ids.shape} exceeds max_input_len {cfg.max_input_len}")
+        real = np.asarray(real, dtype=bool)
+        if real.ndim != 2 or real.shape[1] > cfg.max_input_len:
+            raise ValueError(f"encoder layout {real.shape} exceeds max_input_len {cfg.max_input_len}")
+        if ids.shape != (int(real.sum()),):
+            raise ValueError(f"encoder input shape {ids.shape} does not fit a layout of {int(real.sum())} tokens")
+        if not real.any(axis=1).all():
+            raise ValueError("empty source text in encoder input")
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= cfg.vocab_size:
             raise ValueError("unknown token id in encoder input")
-        b, s = ids.shape
-        x = ops.embedding(self.params["embed"], ids)
+        at = None if real.all() else np.flatnonzero(real)
+        x = ops.embedding(p["embed"], ids)
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
-        bias = ops.bucket_bias(self.params["enc_beta"], self._buckets(s))
-        allow = (real[:, None, None, :] & real[:, None, :, None]).astype(bool)
+        bias = ops.bucket_bias(p["enc_beta"], self._buckets(real.shape[1]))
+        allow = real[:, :, None] & real[:, None, :]
         for i in range(cfg.n_enc_layers):
             xn = self._ln(x, f"enc{i}.ln1")
-            k, v = self._kv(xn, f"enc{i}.attn")
-            x = ops.add(x, self._attention(xn, k, v, f"enc{i}.attn", bias, allow, train, rng))
+            k, v = ops.matmul(xn, p[f"enc{i}.attn.wk"]), ops.matmul(xn, p[f"enc{i}.attn.wv"])
+            x = ops.add(x, self._attention(xn, k, v, at, at, f"enc{i}.attn", bias, allow, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn", train, rng))
         return self._ln(x, "enc.ln_f")
 
@@ -285,16 +300,21 @@ class TextToTableModel:
         rng=None,
         cache: DecoderCache | None = None,
     ) -> Tensor:
-        """Decoder stack over a collated batch; returns hidden states [B,L,d].
+        """Decoder stack over a collated batch; returns the hidden states of
+        its packed rows [N, d] (see :class:`DecoderBatch`).
 
-        With a ``cache`` (from :meth:`decoder_cache`, inference only) ``batch``
-        is a query batch: the stack runs for its R query rows alone, each
-        layer stores their self-attention keys and values in the cache and
-        attends over the cached ones, and the result is [1,R,d].
+        ``memory`` holds the packed memory rows of the batch's examples, laid
+        out by ``mem_real`` [B, S] as in :meth:`encode`. With a ``cache``
+        (from :meth:`decoder_cache`, inference only) ``batch`` is a query
+        batch: the stack runs for its R query rows alone, each layer stores
+        their self-attention keys and values in the cache and attends over
+        the cached ones, and the result is [R, d].
         """
         cfg, p = self.cfg, self.params
         b, t = batch.input_ids.shape
-        x = ops.embedding(p["embed"], batch.input_ids)
+        at = batch.at
+        ids = batch.input_ids.reshape(-1)
+        x = ops.embedding(p["embed"], ids if at is None else ids[at])
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
         if cache is None:
@@ -304,38 +324,44 @@ class TextToTableModel:
                 ops.pair_bias(p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], ri, ci, li),
                 ops.bucket_bias(p["dec_beta"], bi),
             )
-            bias = ops.transpose(ops.reshape(bias, (cfg.n_heads, b, t, t)), (1, 0, 2, 3))
         else:
+            # a query batch is dense (at is None), and so are the cached keys
             rows = batch.rows[0]
             bias = Tensor(cache.bias[:, rows])
-        # padding rows attend to the memory too; no live row ever sees them
-        cross_allow = mem_real[:, None, None, :]
+        mem_at = None if mem_real.all() else np.flatnonzero(mem_real)
+        cross_allow = np.broadcast_to(mem_real[:, None, :], (b, t, mem_real.shape[1]))
         for i in range(cfg.n_dec_layers):
             xs = self._ln(x, f"dec{i}.ln1")
-            k, v = self._kv(xs, f"dec{i}.self")
+            k, v = ops.matmul(xs, p[f"dec{i}.self.wk"]), ops.matmul(xs, p[f"dec{i}.self.wv"])
             if cache is not None:
                 k, v = cache.store(i, rows, k, v)
-            x = ops.add(x, self._attention(xs, k, v, f"dec{i}.self", bias, batch.allow, train, rng))
+            x = ops.add(x, self._attention(xs, k, v, at, at, f"dec{i}.self", bias, batch.allow, train, rng))
             xc = self._ln(x, f"dec{i}.ln2")
-            k, v = self._kv(memory, f"dec{i}.cross") if cache is None else cache.cross[i]
-            x = ops.add(x, self._attention(xc, k, v, f"dec{i}.cross", None, cross_allow, train, rng))
+            if cache is None:
+                k, v = ops.matmul(memory, p[f"dec{i}.cross.wk"]), ops.matmul(memory, p[f"dec{i}.cross.wv"])
+            else:
+                k, v = cache.cross[i]
+            x = ops.add(x, self._attention(xc, k, v, at, mem_at, f"dec{i}.cross", None, cross_allow, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"dec{i}.ln3"), f"dec{i}.ffn", train, rng))
         return self._ln(x, "dec.ln_f")
 
     def decoder_cache(self, memory: Tensor, template: TableTemplate) -> DecoderCache:
         """Cache for decoding ``template`` against one source text's memory
-        [1,S,d]: the template's attention bias and every layer's memory keys
-        and values, built once, plus empty self-attention key/value stores."""
+        rows [S, d]: the template's attention bias and every layer's memory
+        keys and values, built once, plus empty self-attention key/value
+        stores."""
         cfg, p = self.cfg, self.params
-        t = template.length
-        shape = (1, cfg.n_heads, t, cfg.head_dim)
+        shape = (template.length, cfg.d_model)
         with no_grad():
             pair = ops.pair_bias(
                 p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"],
                 template.row_idx, template.col_idx, template.loc_idx,
             )
             bias = ops.add(pair, ops.bucket_bias(p["dec_beta"], template.beta_idx))
-            cross = [self._kv(memory, f"dec{i}.cross") for i in range(cfg.n_dec_layers)]
+            cross = [
+                (ops.matmul(memory, p[f"dec{i}.cross.wk"]), ops.matmul(memory, p[f"dec{i}.cross.wv"]))
+                for i in range(cfg.n_dec_layers)
+            ]
         return DecoderCache(
             bias=bias.data,
             cross=cross,
@@ -343,33 +369,29 @@ class TextToTableModel:
             values=[np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)],
         )
 
-    def logits_at(self, hidden: Tensor, flat_positions: np.ndarray) -> Tensor:
-        """Select flattened [B*L] positions and project to vocabulary logits."""
-        b, t, d = hidden.shape
-        flat = ops.reshape(hidden, (b * t, d))
-        sel = ops.take_rows(flat, flat_positions)
-        return ops.matmul(sel, self.params["lm_head"])
+    def logits_at(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
+        """Select packed decoder rows and project to vocabulary logits."""
+        return ops.matmul(ops.take_rows(hidden, positions), self.params["lm_head"])
 
-    def count_pred(self, memory: Tensor) -> Tensor:
-        """Row-count regression from the first encoder position."""
-        b, s, d = memory.shape
-        flat = ops.reshape(memory, (b * s, d))
-        first = ops.take_rows(flat, np.arange(b, dtype=np.int64) * s)
-        out = ops.matmul(first, self.params["count.w"])
-        return ops.add(ops.reshape(out, (b,)), self.params["count.b"])
+    def count_pred(self, memory: Tensor, mem_real: np.ndarray) -> Tensor:
+        """Row-count regression from each example's first memory row [B]."""
+        n = mem_real.sum(axis=1)
+        out = ops.matmul(ops.take_rows(memory, np.cumsum(n) - n), self.params["count.w"])
+        return ops.add(ops.reshape(out, (len(n),)), self.params["count.b"])
 
     # ------------------------------------------------------------------
     # inference helpers
     # ------------------------------------------------------------------
 
     def encode_source(self, text_ids: list[int], train: bool = False, rng=None):
-        ids = np.asarray([text_ids], dtype=np.int64)
-        real = np.ones_like(ids, dtype=bool)
+        """Memory rows [S, d] of one source text, with its layout mask [1, S]."""
+        ids = np.asarray(text_ids, dtype=np.int64)
+        real = np.ones((1, len(ids)), dtype=bool)
         return self.encode(ids, real, train=train, rng=rng), real
 
     def predict_group_count(self, memory: Tensor) -> float:
         """Unbounded row-count estimate for a single-example memory."""
-        return float(self.count_pred(memory).data[0])
+        return float(self.count_pred(memory, np.ones((1, memory.shape[0]), dtype=bool)).data[0])
 
     def cell_logits(
         self,

@@ -90,20 +90,20 @@ def _np_scatter_bucket_bias_grad(g_table, grad, idx):
         np.add.at(g_table[h], idx, grad[h])
 
 
-def _np_visibility_mask(is_pad, is_ctx, rank, cell_id, within):
-    """allow[i,j]: may query position i attend key position j.
+def _np_visibility_mask(is_pad, is_ctx, rank, cell_id, within, rows):
+    """allow[n, j]: may query position rows[n] attend key position j.
 
     Context positions (headers, row markers, filled cells) see each other and
     are visible to everyone; a non-context position additionally sees lower
     ranks and its own cell causally, and never another open cell.
     """
     live = ~is_pad
-    ctx_i = is_ctx[:, None]
+    ctx_i = is_ctx[rows][:, None]
     ctx_j = is_ctx[None, :]
-    lower = rank[None, :] < rank[:, None]
-    own = (cell_id[:, None] == cell_id[None, :]) & (within[None, :] <= within[:, None])
+    lower = rank[None, :] < rank[rows][:, None]
+    own = (cell_id[rows][:, None] == cell_id[None, :]) & (within[None, :] <= within[rows][:, None])
     allow = np.where(ctx_i, ctx_j, ctx_j | lower | own)
-    return allow & live[:, None] & live[None, :]
+    return allow & live[rows][:, None] & live[None, :]
 
 
 def _np_scatter_add_rows(out, ids, rows):
@@ -194,19 +194,21 @@ def _nb_scatter_bucket_bias_grad(g_table, grad, idx):
 
 
 @njit(cache=True)
-def _nb_visibility_mask(is_pad, is_ctx, rank, cell_id, within):
+def _nb_visibility_mask(is_pad, is_ctx, rank, cell_id, within, rows):
+    n = rows.shape[0]
     t = is_pad.shape[0]
-    allow = np.empty((t, t), dtype=np.bool_)
-    for i in range(t):
+    allow = np.empty((n, t), dtype=np.bool_)
+    for q in range(n):
+        i = rows[q]
         for j in range(t):
             if is_pad[i] or is_pad[j]:
-                allow[i, j] = False
+                allow[q, j] = False
             elif is_ctx[i]:
-                allow[i, j] = is_ctx[j]
+                allow[q, j] = is_ctx[j]
             elif is_ctx[j] or rank[j] < rank[i]:
-                allow[i, j] = True
+                allow[q, j] = True
             else:
-                allow[i, j] = cell_id[i] == cell_id[j] and within[j] <= within[i]
+                allow[q, j] = cell_id[i] == cell_id[j] and within[j] <= within[i]
     return allow
 
 

@@ -1,8 +1,8 @@
 """Differentiable operations over :class:`~text2table.numerics.tensor.Tensor`.
 
 Shapes follow numpy broadcasting; every op validates operand shapes and
-raises :class:`ShapeMismatchError` naming the op on violation. Reductions,
-softmax and layer norm act over the last axis unless stated otherwise.
+raises :class:`ShapeMismatchError` naming the op on violation. Reductions
+and layer norm act over the last axis unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -120,13 +120,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return make_result(a.data.reshape(shape), (a,), vjp)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    def vjp(g):
-        return (g.transpose(np.argsort(axes)),)
-
-    return make_result(a.data.transpose(axes), (a,), vjp)
-
-
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows along axis 0: out[k] = a[idx[k]]."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -152,38 +145,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         return (out,)
 
     return make_result(table.data[ids], (table,), vjp)
-
-
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where mask is True with `value` (mask broadcasts)."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-
-    def vjp(g):
-        return (np.where(mask, 0.0, g),)
-
-    return make_result(np.where(mask, value, a.data), (a,), vjp)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Row softmax over the last axis; tolerates -inf entries.
-
-    Rows that are entirely -inf produce all-zero output (and zero gradient)
-    instead of NaN, so fully masked padding rows stay inert.
-    """
-    x = a.data
-    mx = np.maximum.reduce(x, axis=-1, keepdims=True)
-    dead = ~np.isfinite(mx)
-    mx = np.where(dead, 0.0, mx)
-    e = np.exp(x - mx)
-    z = np.add.reduce(e, axis=-1, keepdims=True)
-    z = np.where(z == 0.0, 1.0, z)
-    s = e / z
-
-    def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return make_result(s, (a,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -212,6 +173,83 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         return gx, ggain, gbias
 
     return make_result(out, (x, gain, bias), vjp)
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    q_at: np.ndarray | None,
+    k_at: np.ndarray | None,
+    n_heads: int,
+    bias: Tensor | None,
+    allow: np.ndarray,
+    scale: float,
+) -> Tensor:
+    """Multi-head attention of projected query rows over key and value rows.
+
+    ``allow`` is a bool [B, Lq, Lk] mask (a broadcast view will do) and fixes
+    the padded layout the heads are computed in: query row n sits at position
+    ``q_at[n]`` of the flattened [B*Lq] layout and key/value row n at
+    ``k_at[n]`` of [B*Lk]; ``None`` means the rows fill their layout in order.
+    q [Nq, d], k and v [Nk, d]; ``bias`` is [H, B*Lq, Lk], or [H, Lq, Lk]
+    shared by the batch, or None. Per head, the result is
+    softmax(scale * q k^T + bias, where allowed) v, with heads joined back to
+    rows [Nq, d]. A query that may see no key gets zero output and zero
+    gradient.
+    """
+    b, lq, lk = allow.shape
+    nq, d = q.shape
+    dh = d // n_heads
+    if (
+        d % n_heads
+        or k.shape != v.shape
+        or k.shape[-1] != d
+        or nq != (b * lq if q_at is None else len(q_at))
+        or k.shape[0] != (b * lk if k_at is None else len(k_at))
+    ):
+        raise ShapeMismatchError("attention", q.shape, k.shape)
+    if bias is not None and (
+        bias.data.ndim != 3 or bias.shape[0] != n_heads or bias.shape[2] != lk or bias.shape[1] not in (lq, b * lq)
+    ):
+        raise ShapeMismatchError("attention", (n_heads, b * lq, lk), bias.shape)
+
+    def split(x, at, length):  # rows -> [H, B, L, dh]; unfilled positions are zero
+        if at is not None:
+            buf = np.zeros((b * length, d), dtype=x.dtype)
+            buf[at] = x
+            x = buf
+        return x.reshape(b, length, n_heads, dh).transpose(2, 0, 1, 3)
+
+    def join(x, at):  # [H, B, L, dh] -> rows
+        rows = x.transpose(1, 2, 0, 3).reshape(-1, d)
+        return rows if at is None else rows[at]
+
+    qh, kh, vh = split(q.data, q_at, lq), split(k.data, k_at, lk), split(v.data, k_at, lk)
+    s = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    if bias is not None:
+        bias_shape = (n_heads, bias.shape[1] // lq, lq, lk)
+        s = s + bias.data.reshape(bias_shape)
+    s = np.where(allow, s, -np.inf)
+    mx = np.maximum.reduce(s, axis=-1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)  # a fully masked row: exp gives zeros, not NaN
+    e = np.exp(s - mx)
+    z = np.add.reduce(e, axis=-1, keepdims=True)
+    p = e / np.where(z == 0.0, 1.0, z)
+
+    def vjp(g):
+        gctx = split(g, q_at, lq)
+        gp = np.matmul(gctx, vh.swapaxes(-1, -2))
+        gv = np.matmul(p.swapaxes(-1, -2), gctx)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))  # zero wherever p is
+        gb = None if bias is None else _unbroadcast(gs, bias_shape).reshape(bias.shape)
+        gs = gs * scale
+        gq = join(np.matmul(gs, kh), q_at)
+        gk = join(np.matmul(gs.swapaxes(-1, -2), qh), k_at)
+        return gq, gk, join(gv, k_at), gb
+
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    return make_result(join(np.matmul(p, vh), q_at), parents, vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:

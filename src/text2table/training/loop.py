@@ -20,7 +20,6 @@ from ..decoding import DecodingConfig, decode_table
 from ..metrics import AlignmentMode, score_corpus
 from ..model import TextToTableModel, collate_instances, save_checkpoint
 from ..numerics import AdamW, Tensor, backward, clip_grad_norm, ops
-from ..vocab import PAD
 from .passes import TrainingExample, build_fixed_causal_pass, build_training_pass
 from .permutation import sample_permutation
 
@@ -65,12 +64,11 @@ class TrainingDiverged(RuntimeError):
 
 
 def build_source_batch(examples: list[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
-    s_max = max((len(e.source_ids) for e in examples), default=1)
-    ids = np.full((len(examples), max(s_max, 1)), PAD, dtype=np.int64)
-    real = np.zeros_like(ids, dtype=bool)
-    for i, e in enumerate(examples):
-        ids[i, : len(e.source_ids)] = e.source_ids
-        real[i, : len(e.source_ids)] = True
+    """Packed source ids [N], the examples' texts back to back, and their
+    layout mask [B, S] (see ``TextToTableModel.encode``)."""
+    lens = np.array([len(e.source_ids) for e in examples], dtype=np.int64)
+    ids = np.fromiter((t for e in examples for t in e.source_ids), dtype=np.int64, count=int(lens.sum()))
+    real = np.arange(max(lens.max(initial=0), 1)) < lens[:, None]
     return ids, real
 
 
@@ -140,19 +138,17 @@ class Trainer:
         memory = self.model.encode(ids, real, train=train, rng=rng)
 
         counts = np.array([ex.count_target for ex in batch], dtype=self.model.cfg.dtype)
-        mse = ops.mse(self.model.count_pred(memory), counts)
+        mse = ops.mse(self.model.count_pred(memory, real), counts)
 
         insts, owners = self._instances_for(batch, step)
         if insts:
             dec_batch = collate_instances(insts, self.model.cfg)
-            s = memory.shape[1]
-            gather = np.concatenate([np.arange(s, dtype=np.int64) + o * s for o in owners])
-            flat = ops.reshape(memory, (memory.shape[0] * s, memory.shape[2]))
-            sub_memory = ops.reshape(
-                ops.take_rows(flat, gather), (len(owners), s, memory.shape[2])
-            )
+            if len(owners) < len(batch):  # the decoder reads the memory rows of its examples only
+                owned = np.zeros(len(batch), dtype=bool)
+                owned[owners] = True
+                memory = ops.take_rows(memory, np.flatnonzero(np.repeat(owned, real.sum(axis=1))))
             hidden = self.model.decoder_hidden(
-                sub_memory, real[owners], dec_batch, train=train, rng=rng
+                memory, real[owners], dec_batch, train=train, rng=rng
             )
             pos, tgt, _, legal, _ = dec_batch.flat_loss_arrays()
             logits = self.model.logits_at(hidden, pos)

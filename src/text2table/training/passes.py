@@ -59,6 +59,8 @@ def prepare_example(
                 )
             cells[(i, j)] = ids
     source_ids = vocab.encode(record.text)
+    if not source_ids:
+        raise LayoutError(f"{record.id}: empty source text")
     return TrainingExample(
         id=record.id,
         source_ids=source_ids[: cfg.max_input_len],

@@ -26,6 +26,16 @@ def test_decode_missing_dataset_exits_2(tiny_model, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "dataset not found" in err
 
 
+def test_decode_empty_checkpoint_file_exits_3(lineitems_records, tmp_path, capsys):
+    ckpt = tmp_path / "model.npz"
+    ckpt.write_bytes(b"")
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:1], data)
+    assert main(["decode", str(ckpt), data, str(tmp_path / "out.jsonl")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "unreadable checkpoint" in err
+
+
 def test_decode_non_finite_row_count_exits_3(tiny_model, lineitems_records, tmp_path, capsys):
     tiny_model.params["count.b"].data[...] = np.nan
     ckpt = str(tmp_path / "model.npz")
@@ -61,6 +71,7 @@ def test_decode_trace_records_per_table_counters(tiny_model, lineitems_records, 
     for rec in records:
         assert rec["decoder_passes"] > rec["outer_iterations"] > 0
         assert rec["input_tokens_dropped"] == 0
+        assert rec["header_tokens_dropped"] == 0
 
 
 def _train_config(tmp_path, records, **model):

@@ -186,10 +186,10 @@ def test_prefill_hidden_matches_full_pass_at_context_positions(tiny_vocab):
         memory, real = model.encode_source(ids)
         inst = instance_for_decoding(tpl, tiny_vocab, committed, {})
         batch = collate_instances([inst], model.cfg)
-        full = model.decoder_hidden(memory, real, batch).data[0]
+        full = model.decoder_hidden(memory, real, batch).data
         rows = np.flatnonzero(inst.is_ctx & ~inst.is_pad)
         assert len(rows) == tpl.is_struct.sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
         cache = model.decoder_cache(memory, tpl)
         prefill = model.decoder_hidden(memory, real, collate_instances([inst], model.cfg, rows), cache=cache)
-    assert prefill.shape == (1, len(rows), model.cfg.d_model)
-    assert np.abs(prefill.data[0] - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12
+    assert prefill.shape == (len(rows), model.cfg.d_model)
+    assert np.abs(prefill.data - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12

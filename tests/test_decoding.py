@@ -403,3 +403,16 @@ def test_input_tokens_dropped_counts_truncated_source(tiny_model, tiny_vocab):
     long_text = " ".join(["pens"] * (limit + 17))
     assert decode_table(long_text, tiny_model, DecodingConfig(), ["item"]).input_tokens_dropped == 17
     assert decode_table("pens .", tiny_model, DecodingConfig(), ["item"]).input_tokens_dropped == 0
+
+
+@pytest.mark.parametrize("stopping", ["predicted-count", "semi-templated"])
+def test_header_tokens_dropped_counts_truncated_headers(tiny_model, stopping):
+    tiny_model.params["count.b"].data[...] = [1.0]
+    l = tiny_model.cfg.max_cell_len
+    long_header = " ".join(["price"] * (l + 3))
+    assert len(tokenize(long_header)) == l + 3
+    cfg = DecodingConfig(stopping=stopping)
+    res = decode_table("pens .", tiny_model, cfg, ["item", long_header, "qty " * (l + 1)])
+    assert res.header_tokens_dropped == 3 + 1
+    assert res.table.headers[1] == long_header  # the table keeps the full header
+    assert decode_table("pens .", tiny_model, cfg, ["item", "qty"]).header_tokens_dropped == 0

@@ -87,9 +87,15 @@ def test_visibility_mask_bitwise():
     rank = rng.integers(0, 5, size=t)
     cell_id = rng.integers(0, 9, size=t)
     within = rng.integers(0, 6, size=t)
-    a = NP["visibility_mask"](is_pad, is_ctx, rank, cell_id, within)
-    b = NB["visibility_mask"](is_pad, is_ctx, rank, cell_id, within)
+    full = NP["visibility_mask"](is_pad, is_ctx, rank, cell_id, within, np.arange(t))
+    assert full.shape == (t, t)
+    assert np.array_equal(full, NB["visibility_mask"](is_pad, is_ctx, rank, cell_id, within, np.arange(t)))
+    rows = np.sort(rng.choice(t, size=9, replace=False))  # query rows alone, as a cached pass asks
+    a = NP["visibility_mask"](is_pad, is_ctx, rank, cell_id, within, rows)
+    b = NB["visibility_mask"](is_pad, is_ctx, rank, cell_id, within, rows)
+    assert a.shape == (9, t)
     assert np.array_equal(a, b)
+    assert np.array_equal(a, full[rows])
 
 
 def test_scatter_add_rows_bitwise():

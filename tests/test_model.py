@@ -37,12 +37,12 @@ def _full_open_instance(model, table=None, filled=frozenset()):
 
 def test_encode_single_bos_shape(tiny_model):
     memory, _ = tiny_model.encode_source([BOS])
-    assert memory.shape == (1, 1, tiny_model.cfg.d_model)
+    assert memory.shape == (1, tiny_model.cfg.d_model)
 
 
 def test_encode_rejects_unknown_token_id(tiny_model):
     with pytest.raises(ValueError):
-        tiny_model.encode(np.array([[10**6]]), np.ones((1, 1), dtype=bool))
+        tiny_model.encode(np.array([10**6]), np.ones((1, 1), dtype=bool))
 
 
 def test_beta_zero_offset_bucket_on_diagonal(tiny_model):
@@ -296,3 +296,38 @@ def test_checkpoint_truncation_detected(tiny_model, tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
+
+
+def _rewrite_meta(path, edit):
+    """Rewrite a checkpoint's metadata in place, leaving the arrays as they are."""
+    import json
+
+    with np.load(str(path)) as data:
+        arrays = {k: data[k].copy() for k in data.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode("utf-8"))
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_checkpoint_without_manifest_raises_named_error(tiny_model, tmp_path):
+    from text2table.model import CheckpointError, load_checkpoint, save_checkpoint
+
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(str(path), tiny_model, step=1)
+    _rewrite_meta(path, lambda meta: meta.pop("manifest"))
+    with pytest.raises(CheckpointError) as ei:
+        load_checkpoint(str(path))
+    assert "manifest" in str(ei.value)
+
+
+def test_checkpoint_with_invalid_model_config_raises_named_error(tiny_model, tmp_path):
+    from text2table.model import CheckpointError, load_checkpoint, save_checkpoint
+
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(str(path), tiny_model, step=1)
+    _rewrite_meta(path, lambda meta: meta["model_config"].update(d_model=63, n_heads=4))
+    with pytest.raises(CheckpointError) as ei:
+        load_checkpoint(str(path))
+    assert "invalid model config" in str(ei.value) and "not divisible" in str(ei.value)

@@ -1,25 +1,22 @@
-"""Packed training batches against the padded layout they replace.
+"""The packed-row stacks against the padded forward they replace.
 
-``padded_batch`` is the reference: the batch over every template position
-(slot padding included), padded to the longest template, as the decoder was
-fed before packing. Both batches run through the same ``decoder_hidden``; in
-float64 with dropout off the losses, gradients and hidden states must agree
-to rounding, since packing only drops positions the visibility mask hides.
+``padded_model`` is the reference: the encoder over PAD-padded source texts
+and the decoder over every template position (slot padding included),
+batch-padded to the longest template, each attention as a chain of tape ops,
+as the model ran before packing. In float64 with dropout off the losses,
+gradients and hidden states must agree to rounding, since packing only drops
+positions the masks hide; in float32 to a tolerance set by the width.
 """
 
 import numpy as np
 import pytest
 
+import padded_model
 from conftest import random_bias_tables
-from text2table.corpus import CorpusSpec, build_vocab, generate
-from text2table.model import (
-    DecoderBatch,
-    ModelConfig,
-    TextToTableModel,
-    collate_instances,
-)
-from text2table.model.layout import sequence_bucket_matrix
+from text2table.corpus import CorpusSpec, DatasetRecord, build_vocab, generate
+from text2table.model import ModelConfig, TextToTableModel, collate_instances
 from text2table.numerics import backward, ops
+from text2table.table import Table
 from text2table.training import (
     PermutationPlan,
     Trainer,
@@ -31,32 +28,9 @@ from text2table.training import (
     row_major_order,
     sample_permutation,
 )
-from text2table.training import loop
 from text2table.vocab import NULL, PAD
 
-REL = 1e-12
-
-
-def padded_batch(instances, cfg) -> DecoderBatch:
-    """Every template position of each instance, batch-padded to the longest."""
-    b, t_max = len(instances), max(inst.length for inst in instances)
-    ids = np.full((b, t_max), PAD, dtype=np.int64)
-    allow = np.zeros((b, 1, t_max, t_max), dtype=bool)
-    maps = (
-        np.zeros((b, t_max, t_max), dtype=np.int64),
-        np.zeros((b, t_max, t_max), dtype=np.int64),
-        np.full((b, t_max, t_max), -1, dtype=np.int64),
-        np.zeros((b, t_max, t_max), dtype=np.int64),
-    )
-    for k, inst in enumerate(instances):
-        tpl, t = inst.template, inst.length
-        ids[k, :t] = inst.input_ids
-        allow[k, 0, :t, :t] = inst.visibility()
-        full = (tpl.row_idx, tpl.col_idx, tpl.loc_idx, sequence_bucket_matrix(t, cfg))
-        for m, src in zip(maps, full):
-            m[k, :t, :t] = src
-    rows = [np.arange(inst.length, dtype=np.int64) for inst in instances]
-    return DecoderBatch(ids, allow, rows, list(instances), maps)
+REL = {64: 1e-12, 32: 1e-4}
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +40,10 @@ def corpus():
     return records, build_vocab(records, n_max_rows=5)
 
 
-def _model(vocab, seed=3):
+def _model(vocab, seed=3, float_width=64):
     cfg = ModelConfig(
         vocab_size=len(vocab), d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=2, d_ff=32,
-        dropout=0.0, max_cell_len=6, max_rows=5, max_cols=4,
+        dropout=0.0, max_cell_len=6, max_rows=5, max_cols=4, float_width=float_width,
     )
     model = TextToTableModel(cfg, vocab, seed=seed)
     random_bias_tables(model, np.random.default_rng(seed))
@@ -109,50 +83,70 @@ def _mixed(model, records):
     assert any(NULL in inst.input_ids for inst in insts)
     assert any(inst.rank.any() for inst in insts)
     assert any(inst.is_ctx[~inst.template.is_struct].any() for inst in insts)
+    assert len({len(ex.source_ids) for ex in examples}) > 1  # the source texts are ragged too
     return examples, insts
 
 
-def _loss(model, examples, batch):
-    """Token loss of the training objective over one decoder batch."""
+def _loss(logits, batch):
+    pos, tgt, _, legal, _ = batch.flat_loss_arrays()
+    return ops.cross_entropy(logits(pos), tgt, smoothing=0.1, legal=legal)
+
+
+def _packed(model, examples, insts):
+    """Token loss, memory rows and hidden rows of the packed stacks."""
     ids, real = build_source_batch(examples)
     memory = model.encode(ids, real)
+    batch = collate_instances(insts, model.cfg)
     hidden = model.decoder_hidden(memory, real, batch)
-    pos, tgt, _, legal, _ = batch.flat_loss_arrays()
-    return ops.cross_entropy(model.logits_at(hidden, pos), tgt, smoothing=0.1, legal=legal), hidden
+    return _loss(lambda pos: model.logits_at(hidden, pos), batch), memory.data, hidden.data, batch
+
+
+def _padded(model, examples, insts):
+    """The same through the padded oracle; memory and hidden states padded."""
+    ids, real = padded_model.padded_source_batch(examples)
+    memory = padded_model.encode(model, ids, real)
+    batch = padded_model.padded_batch(insts, model.cfg)
+    hidden = padded_model.decoder_hidden(model, memory, real, batch)
+    live = padded_model.live_rows(hidden, batch)
+    return _loss(lambda pos: model.logits_at(live, pos), batch), memory.data, hidden.data, real
 
 
 def _grads(model):
     return {name: None if t.grad is None else t.grad.copy() for name, t in model.params.items()}
 
 
-def _assert_close_grads(got, want):
+def _assert_close_grads(got, want, rel):
     assert got.keys() == want.keys()
     for name in want:
         if want[name] is None:
             assert got[name] is None, name
             continue
         scale = max(np.abs(want[name]).max(), 1e-300)
-        assert np.abs(got[name] - want[name]).max() <= REL * scale, name
+        assert np.abs(got[name] - want[name]).max() <= rel * scale, name
 
 
-def test_packed_loss_grads_and_hidden_match_padded_oracle(corpus):
+@pytest.mark.parametrize("float_width", [64, 32])
+def test_packed_loss_grads_and_hidden_match_padded_oracle(corpus, float_width):
     records, vocab = corpus
-    model = _model(vocab)
+    model = _model(vocab, float_width=float_width)
+    rel = REL[float_width]
     examples, insts = _mixed(model, records)
-    results = {}
-    for name, collate in (("packed", collate_instances), ("padded", padded_batch)):
-        batch = collate(insts, model.cfg)
+    out = {}
+    for name, run in (("packed", _packed), ("padded", _padded)):
         model.params.zero_grad()
-        loss, hidden = _loss(model, examples, batch)
+        loss, *rest = run(model, examples, insts)
         backward(loss)
-        results[name] = (loss.item(), _grads(model), hidden.data, batch)
-    (lp, gp, hp, packed), (lo, go, ho, _) = results["packed"], results["padded"]
-    assert lp == pytest.approx(lo, rel=REL, abs=0)
-    _assert_close_grads(gp, go)
+        out[name] = (loss.item(), _grads(model), *rest)
+    (lp, gp, mp, hp, packed), (lo, go, mo, ho, real) = out["packed"], out["padded"]
+    assert lp == pytest.approx(lo, rel=rel, abs=0)
+    _assert_close_grads(gp, go, rel)
     assert sum(g is not None and np.abs(g).max() > 0 for g in gp.values()) > 20
-    # every packed row holds the hidden state of its template position
-    for k, rows in enumerate(packed.rows):
-        assert np.abs(hp[k, : len(rows)] - ho[k, rows]).max() <= REL * np.abs(ho).max()
+    # memory rows are the padded memory at the real source positions, in order
+    assert np.abs(mp - mo[real]).max() <= rel * np.abs(mo).max()
+    # the packed rows hold the hidden states of their template positions, example after example
+    want = np.concatenate([ho[k, rows] for k, rows in enumerate(packed.rows)])
+    assert hp.shape == want.shape
+    assert np.abs(hp - want).max() <= rel * np.abs(ho).max()
 
 
 def test_packed_batch_keeps_only_live_positions(corpus):
@@ -163,13 +157,14 @@ def test_packed_batch_keeps_only_live_positions(corpus):
     live = [int((~inst.is_pad).sum()) for inst in insts]
     assert batch.length == max(live) < max(inst.length for inst in insts)
     assert batch.input_ids.shape == (len(insts), max(live))
+    assert np.array_equal(batch.at, np.concatenate([k * batch.length + np.arange(n) for k, n in enumerate(live)]))
     for k, (inst, rows) in enumerate(zip(insts, batch.rows)):
         assert np.array_equal(rows, np.flatnonzero(~inst.is_pad))  # no slot-PAD row, order kept
         assert np.array_equal(batch.input_ids[k, : len(rows)], inst.input_ids[rows])
         assert (batch.input_ids[k, len(rows) :] == PAD).all()
-        assert not batch.allow[k, 0, len(rows) :].any() and not batch.allow[k, 0, :, len(rows) :].any()
+        assert not batch.allow[k, len(rows) :].any() and not batch.allow[k, :, len(rows) :].any()
         want = inst.visibility()[np.ix_(rows, rows)]
-        assert np.array_equal(batch.allow[k, 0, : len(rows), : len(rows)], want)
+        assert np.array_equal(batch.allow[k, : len(rows), : len(rows)], want)
 
 
 def test_packed_loss_positions_carry_their_template_token_and_target(corpus):
@@ -179,8 +174,10 @@ def test_packed_loss_positions_carry_their_template_token_and_target(corpus):
     batch = collate_instances(insts, model.cfg)
     pos, tgt, cell, _, example = batch.flat_loss_arrays()
     assert len(pos) == sum(len(inst.loss_pos) for inst in insts)
-    b, j = np.divmod(pos, batch.length)
+    offsets = np.cumsum([0] + [len(r) for r in batch.rows])
+    b = np.searchsorted(offsets, pos, side="right") - 1
     assert np.array_equal(b, example)
+    j = pos - offsets[b]
     start = 0
     for k, inst in enumerate(insts):
         n = len(inst.loss_pos)
@@ -201,27 +198,33 @@ def test_cell_logits_report_template_positions(corpus):
     memory, real = model.encode_source(ex.source_ids)
     pos, logits = model.cell_logits(memory, real, inst)
     assert np.array_equal(pos, inst.loss_pos)
-    hidden = model.decoder_hidden(memory, real, padded_batch([inst], model.cfg))
-    want = np.where(inst.legal, model.logits_at(hidden, inst.loss_pos).data, -np.inf)
+    ids, real = padded_model.padded_source_batch([ex])
+    memory = padded_model.encode(model, ids, real)
+    hidden = padded_model.decoder_hidden(model, memory, real, padded_model.padded_batch([inst], model.cfg))
+    want = np.where(inst.legal, model.logits_at(ops.reshape(hidden, hidden.shape[1:]), inst.loss_pos).data, -np.inf)
     finite = np.isfinite(want)
     assert np.array_equal(finite, np.isfinite(logits))
-    assert np.abs(logits[finite] - want[finite]).max() <= REL * np.abs(want[finite]).max()
+    assert np.abs(logits[finite] - want[finite]).max() <= REL[64] * np.abs(want[finite]).max()
 
 
+@pytest.mark.parametrize("float_width", [64, 32])
 @pytest.mark.parametrize("mode", ["permuted", "fixed-causal", "semi-templated"])
-def test_training_step_loss_matches_padded_oracle(corpus, monkeypatch, mode):
+def test_training_step_loss_matches_padded_oracle(corpus, mode, float_width):
     records, vocab = corpus
-    model = _model(vocab)
+    model = _model(vocab, float_width=float_width)
+    rel = REL[float_width]
     examples = [prepare_example(r, vocab, model.cfg, mode) for r in records[:12]]
+    # an empty table trains only the count head, so the decoder reads a subset of the memory rows
+    empty = DatasetRecord("empty", "nothing was bought today .", Table(list(records[0].table.headers), []))
+    batch = examples[:3] + [prepare_example(empty, vocab, model.cfg, "permuted")] + examples[3:7]
+    assert batch[3].n_rows == 0
     trainer = Trainer(model, examples, TrainingConfig(seed=4, batch_size=8, mode=mode))
-    batch = examples[:8]
     out = {}
-    for name, collate in (("packed", collate_instances), ("padded", padded_batch)):
-        monkeypatch.setattr(loop, "collate_instances", collate)
+    for name, loss in (("packed", trainer._batch_loss), ("padded", lambda *a: padded_model.batch_loss(trainer, *a))):
         model.params.zero_grad()
-        total, nll, mse = trainer._batch_loss(batch, 1, train=True)
+        total, nll, mse = loss(batch, 1, True)
         backward(total)
-        out[name] = (total.item(), nll.item(), _grads(model))
-    assert out["packed"][0] == pytest.approx(out["padded"][0], rel=REL, abs=0)
-    assert out["packed"][1] == pytest.approx(out["padded"][1], rel=REL, abs=0)
-    _assert_close_grads(out["packed"][2], out["padded"][2])
+        out[name] = (total.item(), nll.item(), mse.item(), _grads(model))
+    for got, want in zip(out["packed"][:3], out["padded"][:3]):
+        assert got == pytest.approx(want, rel=rel, abs=0)
+    _assert_close_grads(out["packed"][3], out["padded"][3], rel)

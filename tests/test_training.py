@@ -26,7 +26,8 @@ from text2table.training import (
     sample_permutation,
     step_rng,
 )
-from text2table.vocab import EOC, NULL
+from text2table.numerics import backward
+from text2table.vocab import BOS, EOC, NULL, PAD
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +270,29 @@ def test_count_head_fits_constant_target(tiny_vocab):
 
     with no_grad():
         ids, real = build_source_batch(held_out)
-        preds = model.count_pred(model.encode(ids, real)).data
+        preds = model.count_pred(model.encode(ids, real), real).data
     assert (np.abs(preds - 3.0) < 0.5).all()
 
 
 def test_divergence_aborts_with_diagnostics(tiny_model, lineitems_records, tmp_path):
     tr = _trainer(tiny_model, lineitems_records[:4], checkpoint_dir=str(tmp_path))
-    tiny_model.params["embed"].data[0, 0] = np.nan
+    tiny_model.params["embed"].data[BOS, 0] = np.nan  # every cell slot starts with BOS
     with pytest.raises(TrainingDiverged) as ei:
         tr.training_step(1)
     assert ei.value.step == 1
     assert list(tmp_path.glob("diverged-step1.json"))
+
+
+def test_nan_pad_embedding_leaves_loss_unchanged(tiny_model, lineitems_records):
+    # the stacks run on packed rows, so no position ever embeds PAD
+    tr = _trainer(tiny_model, lineitems_records[:4])
+    batch = tr.examples
+    clean = [t.item() for t in tr._batch_loss(batch, 1, train=True)]
+    tiny_model.params["embed"].data[PAD] = np.nan
+    total, nll, mse = tr._batch_loss(batch, 1, train=True)
+    assert [total.item(), nll.item(), mse.item()] == clean
+    backward(total)
+    assert all(np.isfinite(t.grad).all() for _, t in tiny_model.params.items() if t.grad is not None)
 
 
 def test_smoothed_loss_floor_on_single_cell_corpus(tiny_vocab):
