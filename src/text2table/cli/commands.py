@@ -19,7 +19,13 @@ from ..corpus import (
     record_to_line,
     write_jsonl,
 )
-from ..decoding import DecodingConfig, NonFiniteCountError, NonFiniteLogitsError, decode_table
+from ..decoding import (
+    DecodingConfig,
+    EmptySourceTextError,
+    NonFiniteCountError,
+    NonFiniteLogitsError,
+    decode_table,
+)
 from ..metrics import AlignmentMode, score_corpus
 from ..model import (
     CheckpointError,
@@ -152,6 +158,14 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
             f"{model.cfg.max_input_len} dropped from {cut} of {len(examples)} training texts",
             file=sys.stderr,
         )
+    dropped = sum(ex.header_tokens_dropped for ex in examples)
+    if dropped:
+        cut = sum(ex.header_tokens_dropped > 0 for ex in examples)
+        print(
+            f"text2table train: warning: {dropped} header token ids beyond max_cell_len "
+            f"{model.cfg.max_cell_len} dropped from {cut} of {len(examples)} training tables",
+            file=sys.stderr,
+        )
 
     try:
         val_examples = [prepare_example(r, model.vocab, model.cfg, "permuted") for r in val_records]
@@ -208,6 +222,8 @@ def cmd_decode(
     for rec in records:
         try:
             result = decode_table(rec.text, model, dcfg, rec.table.headers, keep_trace=bool(trace_path))
+        except EmptySourceTextError as exc:
+            raise DataError(f"{rec.id}: {exc}") from None
         except (LayoutError, NonFiniteCountError, NonFiniteLogitsError) as exc:
             raise ModelError(f"{rec.id}: {exc}") from None
         preds.append(DatasetRecord(rec.id, rec.text, result.table))

@@ -41,6 +41,13 @@ class DecodingConfigError(ValueError):
     pass
 
 
+class EmptySourceTextError(ValueError):
+    """The source text has no token, so the encoder has no row to read."""
+
+    def __init__(self):
+        super().__init__("empty source text")
+
+
 class NonFiniteCountError(ValueError):
     """The row-count head gave NaN or infinity, so no template can be sized."""
 
@@ -420,6 +427,8 @@ def decode_table(
     header_ids = [vocab.encode_tokens(tokenize(h)) for h in headers]
     m = len(headers)
     ids = vocab.encode(text)
+    if not ids:
+        raise EmptySourceTextError()
     dropped = max(0, len(ids) - model.cfg.max_input_len)
     ids = ids[: model.cfg.max_input_len]
     with no_grad():

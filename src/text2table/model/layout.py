@@ -83,6 +83,12 @@ class TableTemplate:
         return [(r, c) for r in range(1, self.n_rows + 1) for c in range(1, self.n_cols + 1)]
 
 
+def header_tokens_cut(header_ids: list[list[int]], max_cell_len: int) -> int:
+    """Header token ids beyond ``max_cell_len`` per header, which
+    :func:`make_template` cuts."""
+    return sum(max(0, len(h) - max_cell_len) for h in header_ids)
+
+
 def make_template(
     vocab: Vocabulary, cfg: ModelConfig, header_ids: list[list[int]], n_rows: int
 ) -> TableTemplate:
@@ -93,7 +99,7 @@ def make_template(
     if m > cfg.max_cols or m == 0:
         raise LayoutError(f"n_cols {m} outside 1..{cfg.max_cols}")
 
-    dropped = sum(max(0, len(h) - l) for h in header_ids)
+    dropped = header_tokens_cut(header_ids, l)
     header_ids = [h[:l] for h in header_ids]  # keep local offsets within the L table range
     length = sum(len(h) for h in header_ids) + n_rows * (1 + m * l)
     base = np.full(length, PAD, dtype=np.int64)

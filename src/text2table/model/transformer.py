@@ -11,9 +11,9 @@ Both stacks hold the residual stream as packed rows: the encoder one row
 [d] per source token, example after example ([N_src, d], laid out by a
 [B, S] mask), the decoder one row per live position of each instance
 ([N, d], laid out by a :class:`DecoderBatch`). Every weight product is a
-single [N, d] gemm and every row-wise layer runs on live tokens only; the
-attention op places the rows into the padded [B, L] layout for the scores
-alone.
+single [N, d] gemm and every row-wise layer runs on live tokens only. The
+attention op takes each example's row count and scores every example at its
+own length, so no layer sees batch padding.
 """
 
 from __future__ import annotations
@@ -40,12 +40,14 @@ class DecoderBatch:
     """Batch of layout instances ready for the decoder stack.
 
     Example ``b`` holds the template positions ``rows[b]`` of its instance, in
-    order, followed by batch padding up to ``length``. Keys are the same rows
-    as queries: ``allow`` is the instance's visibility submatrix at those rows
-    and ``bias_idx`` holds the template's row, column, local and bucket index
-    maps there. The decoder runs on the packed rows alone: example after
-    example, ``len(rows[b])`` rows each, batch padding left out (see
-    :attr:`at`).
+    order; ``input_ids``, ``allow`` and ``bias_idx`` pad every example to
+    ``length`` so they stack, and :attr:`real` marks the live prefix. Keys are
+    the same rows as queries: ``allow`` is the instance's visibility
+    submatrix at those rows and ``bias_idx`` holds the template's row,
+    column, local and bucket index maps there. The decoder runs on the
+    packed rows alone: example after example, ``len(rows[b])`` rows each.
+    Its attention scores example b at its own length n, on the top-left
+    [n, n] blocks of ``allow`` and of the bias gathered from ``bias_idx``.
 
     A query batch (``instances`` empty) serves a cached pass: it holds only
     the query positions ``rows[0]`` of one layout, all of them live, so it
@@ -64,13 +66,10 @@ class DecoderBatch:
         return self.input_ids.shape[1]
 
     @property
-    def at(self) -> np.ndarray | None:
-        """Positions of the packed rows in the flattened [B*L] layout; None
-        when the batch has no padding, so the rows fill it in order."""
-        lens = np.array([len(r) for r in self.rows])
-        if (lens == self.length).all():
-            return None
-        return np.flatnonzero(np.arange(self.length) < lens[:, None])
+    def real(self) -> np.ndarray:
+        """[B, L] mask of the live rows: the first ``len(rows[b])`` positions
+        of example b."""
+        return np.arange(self.length) < np.array([len(r) for r in self.rows])[:, None]
 
     def flat_loss_arrays(self):
         """Concatenate loss surfaces across the batch; positions index the
@@ -237,12 +236,12 @@ class TextToTableModel:
     # forward pieces
     # ------------------------------------------------------------------
 
-    def _attention(self, x_q, k, v, q_at, k_at, prefix, bias, allow, train, rng):
+    def _attention(self, x_q, k, v, q_len, k_len, prefix, bias, allow, train, rng):
         """Attention of query rows x_q [N, d] over projected key and value rows
-        (see :func:`ops.attention` for the layout arguments)."""
+        (see :func:`ops.attention` for the length arguments)."""
         cfg, p = self.cfg, self.params
         q = ops.matmul(x_q, p[f"{prefix}.wq"])
-        ctx = ops.attention(q, k, v, q_at, k_at, cfg.n_heads, bias, allow, 1.0 / math.sqrt(cfg.head_dim))
+        ctx = ops.attention(q, k, v, q_len, k_len, cfg.n_heads, bias, allow, 1.0 / math.sqrt(cfg.head_dim))
         out = ops.matmul(ctx, p[f"{prefix}.wo"])
         if train and cfg.dropout > 0:
             out = ops.dropout(out, cfg.dropout, rng)
@@ -262,10 +261,10 @@ class TextToTableModel:
     def encode(self, ids: np.ndarray, real: np.ndarray, train: bool = False, rng=None) -> Tensor:
         """Packed source token ids [N] -> memory rows [N, d], in the same order.
 
-        ``real`` [B, S] lays the batch out: example ``b`` owns the positions
-        where ``real[b]`` is True, and ``ids`` lists the tokens at all such
-        positions in row-major order (as :func:`numpy.flatnonzero` visits
-        them). Every example needs at least one token.
+        ``real`` [B, S] lays the batch out: example ``b`` owns the prefix of
+        its positions where ``real[b]`` is True, and ``ids`` lists the tokens
+        at all such positions in row-major order (as :func:`numpy.flatnonzero`
+        visits them). Every example needs at least one token.
         """
         cfg, p = self.cfg, self.params
         ids = np.asarray(ids, dtype=np.int64)
@@ -274,20 +273,21 @@ class TextToTableModel:
             raise ValueError(f"encoder layout {real.shape} exceeds max_input_len {cfg.max_input_len}")
         if ids.shape != (int(real.sum()),):
             raise ValueError(f"encoder input shape {ids.shape} does not fit a layout of {int(real.sum())} tokens")
-        if not real.any(axis=1).all():
+        lens = real.sum(axis=1)
+        if not lens.all():
             raise ValueError("empty source text in encoder input")
+        if not (real == (np.arange(real.shape[1]) < lens[:, None])).all():
+            raise ValueError("encoder layout is not a prefix of each example's positions")
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= cfg.vocab_size:
             raise ValueError("unknown token id in encoder input")
-        at = None if real.all() else np.flatnonzero(real)
         x = ops.embedding(p["embed"], ids)
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
         bias = ops.bucket_bias(p["enc_beta"], self._buckets(real.shape[1]))
-        allow = real[:, :, None] & real[:, None, :]
         for i in range(cfg.n_enc_layers):
             xn = self._ln(x, f"enc{i}.ln1")
             k, v = ops.matmul(xn, p[f"enc{i}.attn.wk"]), ops.matmul(xn, p[f"enc{i}.attn.wv"])
-            x = ops.add(x, self._attention(xn, k, v, at, at, f"enc{i}.attn", bias, allow, train, rng))
+            x = ops.add(x, self._attention(xn, k, v, lens, lens, f"enc{i}.attn", bias, None, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn", train, rng))
         return self._ln(x, "enc.ln_f")
 
@@ -312,11 +312,11 @@ class TextToTableModel:
         """
         cfg, p = self.cfg, self.params
         b, t = batch.input_ids.shape
-        at = batch.at
-        ids = batch.input_ids.reshape(-1)
-        x = ops.embedding(p["embed"], ids if at is None else ids[at])
+        real = batch.real
+        x = ops.embedding(p["embed"], batch.input_ids[real])
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
+        q_len = real.sum(axis=1)
         if cache is None:
             # every example's [L, L] maps stacked to [B*L, L]: one gather per table
             ri, ci, li, bi = (m.reshape(b * t, t) for m in batch.bias_idx)
@@ -324,24 +324,26 @@ class TextToTableModel:
                 ops.pair_bias(p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], ri, ci, li),
                 ops.bucket_bias(p["dec_beta"], bi),
             )
+            bias = ops.reshape(bias, (cfg.n_heads, b, t, t))
+            k_len = q_len
         else:
-            # a query batch is dense (at is None), and so are the cached keys
+            # one query example over the cached keys of every template position
             rows = batch.rows[0]
             bias = Tensor(cache.bias[:, rows])
-        mem_at = None if mem_real.all() else np.flatnonzero(mem_real)
-        cross_allow = np.broadcast_to(mem_real[:, None, :], (b, t, mem_real.shape[1]))
+            k_len = [len(cache.keys[0])]
+        mem_len = mem_real.sum(axis=1)
         for i in range(cfg.n_dec_layers):
             xs = self._ln(x, f"dec{i}.ln1")
             k, v = ops.matmul(xs, p[f"dec{i}.self.wk"]), ops.matmul(xs, p[f"dec{i}.self.wv"])
             if cache is not None:
                 k, v = cache.store(i, rows, k, v)
-            x = ops.add(x, self._attention(xs, k, v, at, at, f"dec{i}.self", bias, batch.allow, train, rng))
+            x = ops.add(x, self._attention(xs, k, v, q_len, k_len, f"dec{i}.self", bias, batch.allow, train, rng))
             xc = self._ln(x, f"dec{i}.ln2")
             if cache is None:
                 k, v = ops.matmul(memory, p[f"dec{i}.cross.wk"]), ops.matmul(memory, p[f"dec{i}.cross.wv"])
             else:
                 k, v = cache.cross[i]
-            x = ops.add(x, self._attention(xc, k, v, at, mem_at, f"dec{i}.cross", None, cross_allow, train, rng))
+            x = ops.add(x, self._attention(xc, k, v, q_len, mem_len, f"dec{i}.cross", None, None, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"dec{i}.ln3"), f"dec{i}.ffn", train, rng))
         return self._ln(x, "dec.ln_f")
 

@@ -35,10 +35,6 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
         raise ShapeMismatchError(op, a.shape, b.shape) from None
 
 
-def constant(value, dtype=np.float64) -> Tensor:
-    return Tensor(np.asarray(value, dtype=dtype))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
 
@@ -179,77 +175,107 @@ def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    q_at: np.ndarray | None,
-    k_at: np.ndarray | None,
+    q_len: np.ndarray,
+    k_len: np.ndarray,
     n_heads: int,
     bias: Tensor | None,
-    allow: np.ndarray,
+    allow: np.ndarray | None,
     scale: float,
 ) -> Tensor:
-    """Multi-head attention of projected query rows over key and value rows.
+    """Multi-head attention of projected query rows over key and value rows,
+    scored example by example at each example's own length.
 
-    ``allow`` is a bool [B, Lq, Lk] mask (a broadcast view will do) and fixes
-    the padded layout the heads are computed in: query row n sits at position
-    ``q_at[n]`` of the flattened [B*Lq] layout and key/value row n at
-    ``k_at[n]`` of [B*Lk]; ``None`` means the rows fill their layout in order.
-    q [Nq, d], k and v [Nk, d]; ``bias`` is [H, B*Lq, Lk], or [H, Lq, Lk]
-    shared by the batch, or None. Per head, the result is
-    softmax(scale * q k^T + bias, where allowed) v, with heads joined back to
-    rows [Nq, d]. A query that may see no key gets zero output and zero
-    gradient.
+    q [Nq, d] holds example after example, ``q_len[b]`` rows each; k and v
+    [Nk, d] hold ``k_len[b]`` rows each. Example b scores its n = q_len[b]
+    queries against its m = k_len[b] keys in [H, n, m] and reads the top-left
+    [n, m] block of ``bias`` and ``allow``. ``bias`` is [H, B, Lq, Lk] per
+    example, or [H, Lq, Lk] shared by the batch, or None; ``allow`` is a bool
+    [B, Lq, Lk] mask, or None when every key of an example is visible to all
+    its queries. Per head, the result is softmax(scale * q k^T + bias, where
+    allowed) v, with heads joined back to rows [Nq, d]. A query that may see
+    no key gets zero output and zero gradient.
     """
-    b, lq, lk = allow.shape
     nq, d = q.shape
     dh = d // n_heads
+    q_len, k_len = np.asarray(q_len).tolist(), np.asarray(k_len).tolist()
+    b = len(q_len)
     if (
         d % n_heads
         or k.shape != v.shape
         or k.shape[-1] != d
-        or nq != (b * lq if q_at is None else len(q_at))
-        or k.shape[0] != (b * lk if k_at is None else len(k_at))
+        or len(k_len) != b
+        or sum(q_len) != nq
+        or sum(k_len) != k.shape[0]
+        or min(q_len + k_len, default=0) < 0
     ):
         raise ShapeMismatchError("attention", q.shape, k.shape)
+    lq, lk = max(q_len, default=0), max(k_len, default=0)
+    per_example = bias is not None and bias.data.ndim == 4
     if bias is not None and (
-        bias.data.ndim != 3 or bias.shape[0] != n_heads or bias.shape[2] != lk or bias.shape[1] not in (lq, b * lq)
+        bias.data.ndim not in (3, 4)
+        or bias.shape[0] != n_heads
+        or (per_example and bias.shape[1] != b)
+        or bias.shape[-2] < lq
+        or bias.shape[-1] < lk
     ):
-        raise ShapeMismatchError("attention", (n_heads, b * lq, lk), bias.shape)
+        raise ShapeMismatchError("attention", (n_heads, b, lq, lk), bias.shape)
+    if allow is not None and (allow.ndim != 3 or allow.shape[0] != b or allow.shape[1] < lq or allow.shape[2] < lk):
+        raise ShapeMismatchError("attention", (b, lq, lk), allow.shape)
 
-    def split(x, at, length):  # rows -> [H, B, L, dh]; unfilled positions are zero
-        if at is not None:
-            buf = np.zeros((b * length, d), dtype=x.dtype)
-            buf[at] = x
-            x = buf
-        return x.reshape(b, length, n_heads, dh).transpose(2, 0, 1, 3)
+    def heads(x, rows):  # rows [n, d] -> [H, n, dh]
+        return x.reshape(rows, n_heads, dh).transpose(1, 0, 2)
 
-    def join(x, at):  # [H, B, L, dh] -> rows
-        rows = x.transpose(1, 2, 0, 3).reshape(-1, d)
-        return rows if at is None else rows[at]
+    def join(x, rows):  # [H, n, dh] -> rows [n, d]
+        return x.transpose(1, 0, 2).reshape(rows, d)
 
-    qh, kh, vh = split(q.data, q_at, lq), split(k.data, k_at, lk), split(v.data, k_at, lk)
-    s = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
-    if bias is not None:
-        bias_shape = (n_heads, bias.shape[1] // lq, lq, lk)
-        s = s + bias.data.reshape(bias_shape)
-    s = np.where(allow, s, -np.inf)
-    mx = np.maximum.reduce(s, axis=-1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)  # a fully masked row: exp gives zeros, not NaN
-    e = np.exp(s - mx)
-    z = np.add.reduce(e, axis=-1, keepdims=True)
-    p = e / np.where(z == 0.0, 1.0, z)
+    # per example: (index, query slice, key slice, n, m, qh, kh, vh, probabilities)
+    saved = []
+    out = np.zeros_like(q.data)
+    qo = ko = 0
+    for i, (n, m) in enumerate(zip(q_len, k_len)):
+        qs, ks = slice(qo, qo + n), slice(ko, ko + m)
+        qo, ko = qo + n, ko + m
+        if not n or not m:
+            continue
+        qh, kh, vh = heads(q.data[qs], n), heads(k.data[ks], m), heads(v.data[ks], m)
+        p = np.matmul(qh, kh.swapaxes(-1, -2))  # scores, turned into probabilities in place
+        p *= scale
+        if bias is not None:
+            p += bias.data[:, i, :n, :m] if per_example else bias.data[:, :n, :m]
+        if allow is None:
+            p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= np.add.reduce(p, axis=-1, keepdims=True)
+        else:
+            p = np.where(allow[i, :n, :m], p, -np.inf)
+            mx = np.maximum.reduce(p, axis=-1, keepdims=True)
+            p -= np.where(np.isfinite(mx), mx, 0.0)  # a fully masked row: exp gives zeros, not NaN
+            np.exp(p, out=p)
+            z = np.add.reduce(p, axis=-1, keepdims=True)
+            p /= np.where(z == 0.0, 1.0, z)
+        out[qs] = join(np.matmul(p, vh), n)
+        saved.append((i, qs, ks, n, m, qh, kh, vh, p))
 
     def vjp(g):
-        gctx = split(g, q_at, lq)
-        gp = np.matmul(gctx, vh.swapaxes(-1, -2))
-        gv = np.matmul(p.swapaxes(-1, -2), gctx)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))  # zero wherever p is
-        gb = None if bias is None else _unbroadcast(gs, bias_shape).reshape(bias.shape)
-        gs = gs * scale
-        gq = join(np.matmul(gs, kh), q_at)
-        gk = join(np.matmul(gs.swapaxes(-1, -2), qh), k_at)
-        return gq, gk, join(gv, k_at), gb
+        gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
+        gb = None if bias is None else np.zeros_like(bias.data)
+        for i, qs, ks, n, m, qh, kh, vh, p in saved:
+            gctx = heads(g[qs], n)
+            gp = np.matmul(gctx, vh.swapaxes(-1, -2))
+            gv[ks] = join(np.matmul(p.swapaxes(-1, -2), gctx), m)
+            gs = gp - (gp * p).sum(axis=-1, keepdims=True)
+            gs *= p  # zero wherever p is
+            if per_example:
+                gb[:, i, :n, :m] = gs
+            elif gb is not None:
+                gb[:, :n, :m] += gs
+            gs *= scale
+            gq[qs] = join(np.matmul(gs, kh), n)
+            gk[ks] = join(np.matmul(gs.swapaxes(-1, -2), qh), m)
+        return gq, gk, gv, gb
 
     parents = (q, k, v) if bias is None else (q, k, v, bias)
-    return make_result(join(np.matmul(p, vh), q_at), parents, vjp)
+    return make_result(out, parents, vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:

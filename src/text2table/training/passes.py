@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..corpus import DatasetRecord
 from ..model import LayoutError, LayoutInstance, TextToTableModel, instance_for_pass
 from ..model.config import ModelConfig
-from ..model.layout import content_token_ids
+from ..model.layout import content_token_ids, header_tokens_cut
 from ..table import Table
 from ..vocab import Vocabulary, tokenize
 from .permutation import Coord, PermutationPlan
@@ -25,6 +25,7 @@ class TrainingExample:
     n_cols: int
     count_target: float  # true group count (before any sentinel row)
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
+    header_tokens_dropped: int = 0  # header token ids the template cuts at max_cell_len
 
 
 def build_semi_templated_corpus_variant(gold: Table, max_rows: int) -> Table:
@@ -61,15 +62,17 @@ def prepare_example(
     source_ids = vocab.encode(record.text)
     if not source_ids:
         raise LayoutError(f"{record.id}: empty source text")
+    header_ids = [vocab.encode_tokens(tokenize(h)) for h in table.headers]
     return TrainingExample(
         id=record.id,
         source_ids=source_ids[: cfg.max_input_len],
-        header_ids=[vocab.encode_tokens(tokenize(h)) for h in table.headers],
+        header_ids=header_ids,
         cell_ids=cells,
         n_rows=table.n_rows,
         n_cols=table.n_cols,
         count_target=count,
         input_tokens_dropped=max(0, len(source_ids) - cfg.max_input_len),
+        header_tokens_dropped=header_tokens_cut(header_ids, cfg.max_cell_len),
     )
 
 

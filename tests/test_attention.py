@@ -1,5 +1,5 @@
-"""The fused attention op: gradients by finite differences, masked rows, and
-agreement with the op chain it replaced (``padded_model``)."""
+"""The ragged attention op: gradients by finite differences, masked rows, and
+agreement with the padded op chain it replaced (``padded_model``)."""
 
 import math
 
@@ -10,30 +10,36 @@ from padded_model import masked_fill, softmax, transpose
 from text2table.numerics import ShapeMismatchError, Tensor, backward, ops
 from util import finite_diff_grad, max_rel_err
 
-B, LQ, LK, H, D = 2, 3, 4, 2, 4
+H, D = 2, 4
 SCALE = 1.0 / math.sqrt(D // H)
+LENGTHS = {
+    # per example: query rows and key rows; example 1 has a single row of each
+    "ragged": ([2, 1, 3], [3, 1, 4]),
+    "equal": ([3, 3, 3], [4, 4, 4]),
+}
+BIAS_KINDS = ["none", "per-example", "shared"]
 
 
-def _case(rng, packed, with_bias, shared_bias=False, dtype=np.float64):
-    """Operands of one attention call. Packed rows leave some positions of
-    each example empty; the mask hides empty keys, as the model's masks do."""
-    if packed:
-        q_at = np.array([0, 1, 3])  # example 0 has 2 query rows, example 1 one
-        k_at = np.array([0, 1, 2, 4, 5])  # example 0 has 3 keys, example 1 two
-    else:
-        q_at = k_at = None
-    nq = B * LQ if q_at is None else len(q_at)
-    nk = B * LK if k_at is None else len(k_at)
-    key_live = np.zeros(B * LK, dtype=bool)
-    key_live[np.arange(B * LK) if k_at is None else k_at] = True
-    allow = (rng.random((B, LQ, LK)) < 0.7) & key_live.reshape(B, 1, LK)
-    allow[:, :, 0] = True  # every query sees at least its example's first key
-    tensors = [Tensor(rng.normal(size=(n, D)).astype(dtype), requires_grad=True) for n in (nq, nk, nk)]
+def _case(rng, lengths, bias_kind, masked, dtype=np.float64):
+    """Operands of one attention call: rows, lengths, bias and mask.
+
+    The mask, when there is one, covers the padded [B, Lq, Lk] layout; every
+    query sees its example's first key."""
+    q_len, k_len = (np.array(x) for x in LENGTHS[lengths])
+    b, lq, lk = len(q_len), q_len.max(), k_len.max()
+    tensors = [
+        Tensor(rng.normal(size=(int(n), D)).astype(dtype), requires_grad=True)
+        for n in (q_len.sum(), k_len.sum(), k_len.sum())
+    ]
     bias = None
-    if with_bias:
-        shape = (H, LQ, LK) if shared_bias else (H, B * LQ, LK)
+    if bias_kind != "none":
+        shape = (H, lq, lk) if bias_kind == "shared" else (H, b, lq, lk)
         bias = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
-    return tensors, q_at, k_at, bias, allow
+    allow = None
+    if masked:
+        allow = rng.random((b, lq, lk)) < 0.7
+        allow[:, :, 0] = True
+    return tensors, q_len, k_len, bias, allow
 
 
 def _scalarize(t):
@@ -41,16 +47,15 @@ def _scalarize(t):
     return ops.sum_all(ops.mul(t, Tensor(w)))
 
 
-@pytest.mark.parametrize("packed", [False, True])
-@pytest.mark.parametrize("bias_kind", ["none", "per-example", "shared"])
-def test_attention_gradients_vs_finite_differences(packed, bias_kind):
-    rng = np.random.default_rng(3 + packed + 2 * len(bias_kind))
-    (q, k, v), q_at, k_at, bias, allow = _case(
-        rng, packed, bias_kind != "none", shared_bias=bias_kind == "shared"
-    )
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("bias_kind", BIAS_KINDS)
+@pytest.mark.parametrize("lengths", list(LENGTHS))
+def test_attention_gradients_vs_finite_differences(lengths, bias_kind, masked):
+    rng = np.random.default_rng(3 + len(lengths) + 2 * len(bias_kind) + 7 * masked)
+    (q, k, v), q_len, k_len, bias, allow = _case(rng, lengths, bias_kind, masked)
 
     def build():
-        return _scalarize(ops.attention(q, k, v, q_at, k_at, H, bias, allow, SCALE))
+        return _scalarize(ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE))
 
     backward(build())
     leaves = [q, k, v] + ([bias] if bias is not None else [])
@@ -59,69 +64,93 @@ def test_attention_gradients_vs_finite_differences(packed, bias_kind):
         assert max_rel_err(t.grad, fd) < 1e-4  # the bound test_autograd sets for every op
 
 
-def _chain(q, k, v, q_at, k_at, bias, allow):
+def _chain(q, k, v, q_len, k_len, bias, allow):
     """The same attention as the op chain of the padded model, from rows."""
-    d = q.shape[1]
+    b, lq, lk, d = len(q_len), q_len.max(), k_len.max(), q.shape[1]
+    q_at = np.flatnonzero(np.arange(lq) < q_len[:, None])  # positions in [B*Lq]
+    k_at = np.flatnonzero(np.arange(lk) < k_len[:, None])
+    key_live = np.arange(lk) < k_len[:, None, None]
+    allow = key_live if allow is None else allow & key_live
 
     def lift(x, at, length):  # rows -> [B, H, L, dh] as a differentiable gather
         n = len(x.data)
         with_zero = ops.matmul(Tensor(np.eye(n + 1)[:, :n]), x)  # x plus a zero row last
-        idx = np.full(B * length, n)  # empty positions read the zero row
-        idx[np.arange(B * length) if at is None else at] = np.arange(n)
+        idx = np.full(b * length, n)  # empty positions read the zero row
+        idx[at] = np.arange(n)
         padded = ops.take_rows(with_zero, idx)
-        return transpose(ops.reshape(padded, (B, length, H, d // H)), (0, 2, 1, 3))
+        return transpose(ops.reshape(padded, (b, length, H, d // H)), (0, 2, 1, 3))
 
-    qh, kh, vh = lift(q, q_at, LQ), lift(k, k_at, LK), lift(v, k_at, LK)
+    qh, kh, vh = lift(q, q_at, lq), lift(k, k_at, lk), lift(v, k_at, lk)
     scores = ops.scale(ops.matmul(qh, transpose(kh, (0, 1, 3, 2))), SCALE)
     if bias is not None:
-        b4 = ops.reshape(bias, (H, -1, LQ, LK))
-        scores = ops.add(scores, transpose(b4, (1, 0, 2, 3)))
-    probs = softmax(masked_fill(scores, ~allow[:, None], -np.inf))
-    ctx = ops.reshape(transpose(ops.matmul(probs, vh), (0, 2, 1, 3)), (B * LQ, d))
-    return ops.take_rows(ctx, np.arange(B * LQ) if q_at is None else q_at)
+        scores = ops.add(scores, bias if bias.data.ndim == 3 else transpose(bias, (1, 0, 2, 3)))
+    probs = softmax(masked_fill(scores, ~np.broadcast_to(allow, (b, lq, lk))[:, None], -np.inf))
+    ctx = ops.reshape(transpose(ops.matmul(probs, vh), (0, 2, 1, 3)), (b * lq, d))
+    return ops.take_rows(ctx, q_at)
 
 
-@pytest.mark.parametrize("packed", [False, True])
-def test_attention_matches_op_chain(packed):
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("bias_kind", BIAS_KINDS)
+@pytest.mark.parametrize("lengths", list(LENGTHS))
+def test_attention_matches_op_chain(lengths, bias_kind, masked):
     rng = np.random.default_rng(17)
-    (q, k, v), q_at, k_at, bias, allow = _case(rng, packed, with_bias=True)
-    out = ops.attention(q, k, v, q_at, k_at, H, bias, allow, SCALE)
+    (q, k, v), q_len, k_len, bias, allow = _case(rng, lengths, bias_kind, masked)
+    leaves = [q, k, v] + ([bias] if bias is not None else [])
+    out = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
     backward(_scalarize(out))
-    got = [t.grad.copy() for t in (q, k, v, bias)]
-    for t in (q, k, v, bias):
+    got = [t.grad.copy() for t in leaves]
+    for t in leaves:
         t.zero_grad()
-    want = _chain(q, k, v, q_at, k_at, bias, allow)
+    want = _chain(q, k, v, q_len, k_len, bias, allow)
     backward(_scalarize(want))
     assert np.abs(out.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
-    for g, t in zip(got, (q, k, v, bias)):
+    for g, t in zip(got, leaves):
         assert np.abs(g - t.grad).max() <= 1e-12 * np.abs(t.grad).max()
 
 
-@pytest.mark.parametrize("packed", [False, True])
-def test_fully_masked_query_gets_zero_output_and_gradient(packed):
+@pytest.mark.parametrize("lengths", list(LENGTHS))
+def test_no_mask_equals_an_all_visible_mask(lengths):
+    rng = np.random.default_rng(8)
+    (q, k, v), q_len, k_len, bias, _ = _case(rng, lengths, "per-example", masked=False)
+    all_visible = np.ones((len(q_len), q_len.max(), k_len.max()), dtype=bool)
+    outs, grads = [], []
+    for allow in (None, all_visible):
+        for t in (q, k, v, bias):
+            t.zero_grad()
+        out = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
+        backward(_scalarize(out))
+        outs.append(out.data)
+        grads.append([t.grad.copy() for t in (q, k, v, bias)])
+    assert np.array_equal(outs[0], outs[1])
+    for g0, g1 in zip(*grads):
+        assert np.array_equal(g0, g1)
+
+
+@pytest.mark.parametrize("lengths", list(LENGTHS))
+def test_fully_masked_query_gets_zero_output_and_gradient(lengths):
     rng = np.random.default_rng(5)
-    (q, k, v), q_at, k_at, bias, allow = _case(rng, packed, with_bias=True)
+    (q, k, v), q_len, k_len, bias, allow = _case(rng, lengths, "per-example", masked=True)
     allow[1, 0] = False  # the first query of example 1 sees no key
-    row = int(np.flatnonzero((np.arange(B * LQ) if q_at is None else q_at) == LQ)[0])
-    out = ops.attention(q, k, v, q_at, k_at, H, bias, allow, SCALE)
+    row = int(q_len[0])
+    out = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
     assert np.isfinite(out.data).all()
     assert (out.data[row] == 0.0).all()
     backward(_scalarize(out))
     assert (q.grad[row] == 0.0).all()
-    assert (bias.grad[:, LQ] == 0.0).all()  # the bias row of that query
+    assert (bias.grad[:, 1, 0] == 0.0).all()  # the bias row of that query
     assert np.isfinite(k.grad).all() and np.isfinite(v.grad).all()
 
 
-@pytest.mark.parametrize("packed", [False, True])
-def test_attention_float32_matches_float64(packed):
+@pytest.mark.parametrize("lengths", list(LENGTHS))
+def test_attention_float32_matches_float64(lengths):
     rng = np.random.default_rng(9)
-    (q, k, v), q_at, k_at, bias, allow = _case(rng, packed, with_bias=True, dtype=np.float32)
-    out32 = ops.attention(q, k, v, q_at, k_at, H, bias, allow, SCALE)
+    (q, k, v), q_len, k_len, bias, allow = _case(rng, lengths, "per-example", masked=True, dtype=np.float32)
+    out32 = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
     assert out32.dtype == np.float32
     backward(_scalarize(out32))
     grads32 = [t.grad for t in (q, k, v, bias)]
     wide = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in (q, k, v, bias)]
-    out64 = ops.attention(*wide[:3], q_at, k_at, H, wide[3], allow, SCALE)
+    out64 = ops.attention(*wide[:3], q_len, k_len, H, wide[3], allow, SCALE)
     backward(_scalarize(out64))
     assert max_rel_err(out32.data, out64.data) < 1e-5
     for g32, t in zip(grads32, wide):
@@ -129,10 +158,26 @@ def test_attention_float32_matches_float64(packed):
         assert max_rel_err(g32, t.grad) < 1e-4
 
 
-def test_attention_rejects_rows_that_do_not_fit_the_layout():
+def test_attention_rejects_lengths_and_bias_that_do_not_fit():
     rng = np.random.default_rng(1)
-    (q, k, v), _, _, _, allow = _case(rng, packed=False, with_bias=False)
+    (q, k, v), q_len, k_len, _, allow = _case(rng, "ragged", "none", masked=True)
+    b, lq, lk = allow.shape
+
+    def call(q_len=q_len, k_len=k_len, bias=None, allow=allow):
+        return ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
+
+    call()  # the case itself fits
     with pytest.raises(ShapeMismatchError):
-        ops.attention(q, k, v, np.array([0, 1]), None, H, None, allow, SCALE)
+        call(q_len=q_len + [1, 0, 0])  # one query row more than q holds
     with pytest.raises(ShapeMismatchError):
-        ops.attention(q, k, v, None, None, H, Tensor(np.zeros((H, 5, LK))), allow, SCALE)
+        call(k_len=k_len - [0, 0, 1])  # one key row fewer than k holds
+    with pytest.raises(ShapeMismatchError):
+        call(k_len=k_len[:2])  # lengths of a different batch size
+    with pytest.raises(ShapeMismatchError):
+        call(bias=Tensor(np.zeros((H, b + 1, lq, lk))))  # per-example bias of another batch
+    with pytest.raises(ShapeMismatchError):
+        call(bias=Tensor(np.zeros((H, lq, lk - 1))))  # too few bias columns for the longest example
+    with pytest.raises(ShapeMismatchError):
+        call(bias=Tensor(np.zeros((H + 1, lq, lk))))  # bias of another head count
+    with pytest.raises(ShapeMismatchError):
+        call(allow=allow[:, : lq - 1])  # a mask too short for the longest example

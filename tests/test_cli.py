@@ -8,6 +8,7 @@ import pytest
 from text2table.cli.main import main
 from text2table.corpus import DatasetRecord, build_vocab, write_jsonl
 from text2table.model import save_checkpoint
+from text2table.table import Table
 
 
 def test_help_exits_zero(capsys):
@@ -34,6 +35,16 @@ def test_decode_empty_checkpoint_file_exits_3(lineitems_records, tmp_path, capsy
     assert main(["decode", str(ckpt), data, str(tmp_path / "out.jsonl")]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "unreadable checkpoint" in err
+
+
+def test_decode_empty_source_text_exits_2(tiny_model, tmp_path, capsys):
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl([DatasetRecord("blank", "", Table(["item", "qty"], []))], data)
+    assert main(["decode", ckpt, data, str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "blank: empty source text" in err
 
 
 def test_decode_non_finite_row_count_exits_3(tiny_model, lineitems_records, tmp_path, capsys):
@@ -97,6 +108,18 @@ def test_train_warns_once_about_dropped_source_ids(lineitems_records, tmp_path, 
     assert n_ids > 64 and f" {n_ids - 64} source token ids" in err[0]
 
 
+def test_train_warns_once_about_cut_header_ids(lineitems_records, tmp_path, capsys):
+    first = lineitems_records[0]
+    headers = list(first.table.headers)
+    headers[1] = " ".join(["quantity"] * 9)  # 9 tokens against the default max_cell_len 6
+    records = [DatasetRecord("wide", first.text, Table(headers, first.table.rows))] + lineitems_records[1:3]
+    assert main(["train", _train_config(tmp_path, records)]) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "warning" in err[0]
+    assert " 3 header token ids beyond max_cell_len 6 dropped from 1 of 3 training tables" in err[0]
+
+
 def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path, capsys):
+    # no text beyond max_input_len and no header beyond max_cell_len: neither warning
     assert main(["train", _train_config(tmp_path, lineitems_records[:3])]) == 0
     assert capsys.readouterr().err == ""

@@ -10,6 +10,7 @@ from text2table.decoding import (
     DecodingConfig,
     DecodingConfigError,
     DecodingState,
+    EmptySourceTextError,
     InnerLoopError,
     ModelCellSource,
     NonFiniteCountError,
@@ -22,7 +23,7 @@ from text2table.decoding import (
     run_outer_loop,
     semi_templated_stop,
 )
-from text2table.model import instance_for_decoding, instance_for_pass
+from text2table.model import LayoutError, instance_for_decoding, instance_for_pass
 from text2table.vocab import EOC, NULL, tokenize
 from util import MockCellSource
 
@@ -416,3 +417,14 @@ def test_header_tokens_dropped_counts_truncated_headers(tiny_model, stopping):
     assert res.header_tokens_dropped == 3 + 1
     assert res.table.headers[1] == long_header  # the table keeps the full header
     assert decode_table("pens .", tiny_model, cfg, ["item", "qty"]).header_tokens_dropped == 0
+
+
+@pytest.mark.parametrize("text", ["", "   "])
+def test_empty_source_text_raises_named_error_before_encoding(tiny_model, monkeypatch, text):
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encode reached")
+
+    monkeypatch.setattr(tiny_model, "encode_source", no_encode)
+    with pytest.raises(EmptySourceTextError) as ei:
+        decode_table(text, tiny_model, DecodingConfig(), ["item", "qty"])
+    assert not isinstance(ei.value, LayoutError)  # LayoutError means a model problem to the CLI

@@ -45,6 +45,13 @@ def test_encode_rejects_unknown_token_id(tiny_model):
         tiny_model.encode(np.array([10**6]), np.ones((1, 1), dtype=bool))
 
 
+def test_encode_rejects_a_layout_with_gaps(tiny_model):
+    # the attention reads each example's tokens as a prefix of its positions
+    real = np.array([[True, False, True], [True, True, True]])
+    with pytest.raises(ValueError, match="prefix"):
+        tiny_model.encode(np.full(5, BOS), real)
+
+
 def test_beta_zero_offset_bucket_on_diagonal(tiny_model):
     idx = sequence_bucket_matrix(9, tiny_model.cfg)
     assert (np.diag(idx) == idx[0, 0]).all()

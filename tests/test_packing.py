@@ -157,7 +157,7 @@ def test_packed_batch_keeps_only_live_positions(corpus):
     live = [int((~inst.is_pad).sum()) for inst in insts]
     assert batch.length == max(live) < max(inst.length for inst in insts)
     assert batch.input_ids.shape == (len(insts), max(live))
-    assert np.array_equal(batch.at, np.concatenate([k * batch.length + np.arange(n) for k, n in enumerate(live)]))
+    assert np.array_equal(np.flatnonzero(batch.real), np.concatenate([k * batch.length + np.arange(n) for k, n in enumerate(live)]))
     for k, (inst, rows) in enumerate(zip(insts, batch.rows)):
         assert np.array_equal(rows, np.flatnonzero(~inst.is_pad))  # no slot-PAD row, order kept
         assert np.array_equal(batch.input_ids[k, : len(rows)], inst.input_ids[rows])

@@ -394,3 +394,14 @@ def test_prepare_example_counts_dropped_source_ids(tiny_model):
     assert ex.input_tokens_dropped == 9
     short = prepare_example(DatasetRecord("short", "pens .", table), tiny_model.vocab, tiny_model.cfg)
     assert short.input_tokens_dropped == 0
+
+
+def test_prepare_example_counts_header_ids_the_template_cuts(tiny_model):
+    l = tiny_model.cfg.max_cell_len
+    long_header = " ".join(["price"] * (l + 3))
+    table = Table(["item", long_header], [["pens", "2"]])
+    ex = prepare_example(DatasetRecord("long", "pens for 2 .", table), tiny_model.vocab, tiny_model.cfg)
+    assert ex.header_tokens_dropped == 3
+    assert ex.header_tokens_dropped == tiny_model.template_for(ex.header_ids, ex.n_rows).header_tokens_dropped
+    short = Table(["item", "price"], [["pens", "2"]])
+    assert prepare_example(DatasetRecord("short", "pens .", short), tiny_model.vocab, tiny_model.cfg).header_tokens_dropped == 0
