@@ -35,7 +35,7 @@ from ..model import (
     load_checkpoint,
 )
 from ..numerics import AdamW
-from ..training import Trainer, TrainingConfig, prepare_example
+from ..training import TRAINING_MODES, Trainer, TrainingConfig, prepare_example
 from .runconfig import (
     ConfigError,
     apply_env_seed,
@@ -90,11 +90,20 @@ def cmd_gen_data(spec_path: str, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_training_mode(mode: str) -> None:
+    if mode not in TRAINING_MODES:
+        raise ConfigError(f"unknown training mode {mode!r} (expected one of {', '.join(TRAINING_MODES)})")
+
+
 def _build_model_and_examples(cfg: dict, records, mode: str):
+    _check_training_mode(mode)
     model_cfg_dict = dict(cfg.get("model", {}))
     vocab = build_vocab(records, n_max_rows=model_cfg_dict.get("max_rows", 5))
     model_cfg_dict["vocab_size"] = len(vocab)
-    model_cfg = ModelConfig.from_json(model_cfg_dict)
+    try:
+        model_cfg = ModelConfig.from_json(model_cfg_dict)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad model config: {exc}") from None
     model = TextToTableModel(model_cfg, vocab, seed=cfg["seed"])
     try:
         examples = [prepare_example(r, vocab, model_cfg, mode) for r in records]
@@ -117,6 +126,7 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     val_records = _read_records(paths["val_dataset"]) if paths.get("val_dataset") else records[:32]
 
     tcfg = TrainingConfig.from_json({"seed": cfg["seed"], **cfg.get("training", {})})
+    _check_training_mode(tcfg.mode)
     ckpt_dir = paths.get("checkpoint_dir") or cfg.get("training", {}).get("checkpoint_dir")
     if ckpt_dir:
         tcfg.checkpoint_dir = ckpt_dir
@@ -142,8 +152,13 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
             examples = [prepare_example(r, model.vocab, model.cfg, tcfg.mode) for r in records]
         except LayoutError as exc:
             raise DataError(str(exc)) from None
+        if not meta.get("optimizer"):
+            raise ModelError(f"cannot resume from {latest}: it holds no optimizer state")
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
-        optimizer.load_state_arrays(meta["opt_arrays"], meta["optimizer"]["step_count"])
+        try:
+            optimizer.load_state_arrays(meta["opt_arrays"], meta["optimizer"]["step_count"])
+        except KeyError as exc:
+            raise ModelError(f"cannot resume from {latest}: optimizer state lacks {exc.args[0]}") from None
         start_step = meta["step"]
         print(f"resuming from step {start_step}")
     else:

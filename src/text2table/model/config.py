@@ -25,6 +25,10 @@ class ModelConfig:
     float_width: int = 64
 
     def __post_init__(self):
+        sizes = ("d_model", "n_heads", "d_ff", "max_rows", "max_cols", "relative_buckets", "max_input_len")
+        bad = [name for name in sizes if getattr(self, name) < 1]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_cell_len < 2:

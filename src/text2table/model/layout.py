@@ -1,6 +1,6 @@
 """Serialized decoder layout: header blocks, row markers and fixed-width cell
-slots, with the coordinate maps and index matrices the attention biases and
-visibility masks are built from.
+slots, with the coordinate maps and index matrices the attention biases are
+gathered from, and the visibility policy (:func:`visibility_mask`).
 
 Sequence layout for an n-row, m-column template:
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..numerics import kernels
 from ..vocab import BOS, EOC, NULL, PAD, Vocabulary
 from .config import ModelConfig
 
@@ -165,6 +164,30 @@ def make_template(
     return tpl
 
 
+def visibility_mask(
+    is_pad: np.ndarray,
+    is_ctx: np.ndarray,
+    rank: np.ndarray,
+    cell_id: np.ndarray,
+    within: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """allow[n, j]: may query position rows[n] attend key position j.
+
+    Context positions (headers, row markers, filled cells) see each other and
+    are visible to everyone; a non-context position additionally sees lower
+    ranks and its own cell causally, and never another open cell. Padding
+    sees and is seen by nothing.
+    """
+    live = ~is_pad
+    ctx_i = is_ctx[rows][:, None]
+    ctx_j = is_ctx[None, :]
+    lower = rank[None, :] < rank[rows][:, None]
+    own = (cell_id[rows][:, None] == cell_id[None, :]) & (within[None, :] <= within[rows][:, None])
+    allow = np.where(ctx_i, ctx_j, ctx_j | lower | own)
+    return allow & live[rows][:, None] & live[None, :]
+
+
 class GrammarMasks:
     """Legal next-token sets for slot positions.
 
@@ -218,7 +241,7 @@ class LayoutInstance:
     def visibility(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Visibility mask [T, T], or its query rows ``rows`` alone [R, T]."""
         rows = np.arange(self.length) if rows is None else np.asarray(rows, dtype=np.int64)
-        return kernels.visibility_mask(
+        return visibility_mask(
             self.is_pad, self.is_ctx, self.rank, self.template.cell_id, self.template.within, rows
         )
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ParameterStore, Tensor, kernels, no_grad, ops
+from ..numerics import ParameterStore, Tensor, no_grad, ops
 from ..vocab import PAD, Vocabulary
 from .config import ModelConfig
 from .layout import (
@@ -32,6 +32,7 @@ from .layout import (
     TableTemplate,
     make_template,
     sequence_bucket_matrix,
+    visibility_mask,
 )
 
 
@@ -119,7 +120,7 @@ def collate_instances(
     for k, (inst, r) in enumerate(zip(instances, live)):
         tpl, m = inst.template, len(r)
         ids[k, :m] = inst.input_ids[r]
-        allow[k, :m, :m] = kernels.visibility_mask(
+        allow[k, :m, :m] = visibility_mask(
             inst.is_pad[r], inst.is_ctx[r], inst.rank[r], tpl.cell_id[r], tpl.within[r], np.arange(m)
         )
         at = np.ix_(r, r)
@@ -394,29 +395,3 @@ class TextToTableModel:
     def predict_group_count(self, memory: Tensor) -> float:
         """Unbounded row-count estimate for a single-example memory."""
         return float(self.count_pred(memory, np.ones((1, memory.shape[0]), dtype=bool)).data[0])
-
-    def cell_logits(
-        self,
-        memory: Tensor,
-        mem_real: np.ndarray,
-        instance: LayoutInstance,
-        cells: list[tuple[int, int]] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-position vocabulary logits for open content positions.
-
-        Returns (template positions, logits) where logits have
-        grammar-forbidden entries set to -inf. `cells` defaults to every open
-        cell that carries loss positions in the instance.
-        """
-        if instance.loss_pos is None:
-            raise ValueError("instance has no teacher-forced loss surface")
-        batch = collate_instances([instance], self.cfg)
-        hidden = self.decoder_hidden(memory, mem_real, batch, train=False)
-        pos, _, cell_ids, legal, _ = batch.flat_loss_arrays()
-        keep = np.ones(len(pos), dtype=bool)
-        if cells is not None:
-            wanted = {instance.template.cell_flat[c] for c in cells}
-            keep = np.array([c in wanted for c in cell_ids], dtype=bool)
-        logits = self.logits_at(hidden, pos[keep]).data
-        masked = np.where(legal[keep], logits, -np.inf)
-        return batch.rows[0][pos[keep]], masked

@@ -1,4 +1,4 @@
-from . import kernels, ops
+from . import ops
 from .optim import AdamW, MissingGradError, ParameterStore, clip_grad_norm
 from .tensor import (
     NonScalarRootError,
@@ -6,7 +6,6 @@ from .tensor import (
     ShapeMismatchError,
     Tensor,
     backward,
-    grad_enabled,
     no_grad,
 )
 
@@ -20,8 +19,6 @@ __all__ = [
     "Tensor",
     "backward",
     "clip_grad_norm",
-    "grad_enabled",
-    "kernels",
     "no_grad",
     "ops",
 ]

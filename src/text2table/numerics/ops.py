@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .tensor import ShapeMismatchError, Tensor, make_result
 
 
@@ -42,15 +41,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return make_result(a.data + b.data, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return make_result(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -122,7 +112,7 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        kernels.scatter_add_rows(out.reshape(out.shape[0], -1), idx, g.reshape(g.shape[0], -1))
+        np.add.at(out.reshape(out.shape[0], -1), idx, g.reshape(g.shape[0], -1))
         return (out,)
 
     return make_result(a.data[idx], (a,), vjp)
@@ -137,7 +127,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def vjp(g):
         out = np.zeros_like(table.data)
-        kernels.scatter_add_rows(out, flat, g.reshape(flat.shape[0], -1))
+        np.add.at(out, flat, g.reshape(flat.shape[0], -1))
         return (out,)
 
     return make_result(table.data[ids], (table,), vjp)
@@ -285,15 +275,6 @@ def sum_all(a: Tensor) -> Tensor:
     return make_result(np.asarray(a.data.sum()), (a,), vjp)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def vjp(g):
-        return (np.full(a.shape, g / n, dtype=a.dtype),)
-
-    return make_result(np.asarray(a.data.mean()), (a,), vjp)
-
-
 def cross_entropy(
     logits: Tensor,
     targets: np.ndarray,
@@ -374,16 +355,34 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     return make_result(np.asarray((diff * diff).mean() if diff.size else 0.0, dtype=pred.dtype), (pred,), vjp)
 
 
+def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per-head table lookup: out[h, i, j] = table[h, idx[i, j]]; index -1
+    selects a table's last column."""
+    return np.take(table, idx, axis=1)
+
+
+def _scatter(g_table: np.ndarray, grad: np.ndarray, idx: np.ndarray) -> None:
+    """Reverse of :func:`_gather`: add grad[h, i, j] into g_table[h, idx[i, j]].
+
+    One ``np.add.at`` over the flattened table, with index -1 mapped to the
+    last column of its own head. Each table entry sums its contributions in
+    row-major (i, j) order.
+    """
+    n_heads, width = g_table.shape
+    flat = (idx % width)[None] + (width * np.arange(n_heads))[:, None, None]
+    np.add.at(g_table.reshape(-1), flat.reshape(-1), grad.reshape(-1))
+
+
 def bucket_bias(table: Tensor, idx: np.ndarray) -> Tensor:
     """Per-head relative bias gather: out[h, i, j] = table[h, idx[i, j]]."""
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    idx = np.asarray(idx, dtype=np.int64)
 
     def vjp(g):
         gt = np.zeros_like(table.data)
-        kernels.scatter_bucket_bias_grad(gt, np.ascontiguousarray(g), idx)
+        _scatter(gt, g, idx)
         return (gt,)
 
-    return make_result(kernels.gather_bucket_bias(table.data, idx), (table,), vjp)
+    return make_result(_gather(table.data, idx), (table,), vjp)
 
 
 def pair_bias(
@@ -396,26 +395,30 @@ def pair_bias(
     loc_idx: np.ndarray,
 ) -> Tensor:
     """Tabular + local decoder bias, (heads, N, K), from (N, K) coordinate
-    offset maps.
+    offset maps: row offset, then column offset, then local offset.
 
     row_idx[i,j] < 0 selects the dedicated header bucket r0 (key in header
     row); loc_idx[i,j] < 0 marks cross-cell pairs that get no local term.
+    Both are sentinel columns appended to their tables, so each term is one
+    :func:`_gather`.
     """
-    row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
-    col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
-    loc_idx = np.ascontiguousarray(loc_idx, dtype=np.int64)
-    out = kernels.gather_pair_bias(
-        row_tab.data, r0.data, col_tab.data, loc_tab.data, row_idx, col_idx, loc_idx
-    )
+    row_idx = np.asarray(row_idx, dtype=np.int64)
+    col_idx = np.asarray(col_idx, dtype=np.int64)
+    loc_idx = np.asarray(loc_idx, dtype=np.int64)
+    n_heads = row_tab.shape[0]
+    row_ext = np.concatenate([row_tab.data, r0.data[:, None]], axis=1)  # [R | r0]
+    loc_ext = np.concatenate([loc_tab.data, np.zeros((n_heads, 1), loc_tab.dtype)], axis=1)  # [L | 0]
+    out = _gather(row_ext, row_idx)
+    out += _gather(col_tab.data, col_idx)
+    out += _gather(loc_ext, loc_idx)
 
     def vjp(g):
-        g_row = np.zeros_like(row_tab.data)
-        g_r0 = np.zeros_like(r0.data)
+        g_row = np.zeros_like(row_ext)
         g_col = np.zeros_like(col_tab.data)
-        g_loc = np.zeros_like(loc_tab.data)
-        kernels.scatter_pair_bias_grad(
-            g_row, g_r0, g_col, g_loc, np.ascontiguousarray(g), row_idx, col_idx, loc_idx
-        )
-        return g_row, g_r0, g_col, g_loc
+        g_loc = np.zeros_like(loc_ext)
+        _scatter(g_row, g, row_idx)
+        _scatter(g_col, g, col_idx)
+        _scatter(g_loc, g, loc_idx)
+        return g_row[:, :-1], g_row[:, -1], g_col, g_loc[:, :-1]
 
     return make_result(out, (row_tab, r0, col_tab, loc_tab), vjp)

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .tensor import NumericsError, Tensor
 
 
@@ -55,9 +54,6 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
 
 def clip_grad_norm(store: ParameterStore, max_norm: float) -> float:
@@ -98,7 +94,8 @@ class AdamW:
         }
 
     def step(self) -> None:
-        """One update over all parameters; grads are left untouched."""
+        """One in-place update of every parameter and its moments; grads are
+        left untouched."""
         missing = [name for name, t in self.store.items() if t.grad is None]
         if missing:
             raise MissingGradError(missing)
@@ -106,18 +103,16 @@ class AdamW:
         t = self.step_count
         step_size = self.lr * math.sqrt(1.0 - self.beta2**t) / (1.0 - self.beta1**t)
         decay = self.lr * self.weight_decay
+        b1, b2 = self.beta1, self.beta2
         for name, p in self.store.items():
-            kernels.adamw_update(
-                p.data.reshape(-1),
-                p.grad.reshape(-1),
-                self.m[name].reshape(-1),
-                self.v[name].reshape(-1),
-                step_size,
-                decay,
-                self.beta1,
-                self.beta2,
-                self.eps,
-            )
+            w, g, m, v = p.data, p.grad, self.m[name], self.v[name]  # updated in place
+            if decay != 0.0:
+                w -= decay * w
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            w -= step_size * (m / (np.sqrt(v) + self.eps))
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Flat view of optimizer state for checkpointing."""

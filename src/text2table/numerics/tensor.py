@@ -51,10 +51,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 

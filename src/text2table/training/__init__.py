@@ -1,12 +1,3 @@
-from .estimator import (
-    exact_expected_nll,
-    exact_expected_nll_by_orderings,
-    instance_cell_nll,
-    masked_nll_rows,
-    mc_expected_nll,
-    mean_pass_loss_over_all_pairs,
-    pass_cell_nll,
-)
 from .loop import (
     StepStats,
     Trainer,
@@ -37,13 +28,6 @@ __all__ = [
     "build_semi_templated_corpus_variant",
     "build_source_batch",
     "build_training_pass",
-    "exact_expected_nll",
-    "exact_expected_nll_by_orderings",
-    "instance_cell_nll",
-    "masked_nll_rows",
-    "mc_expected_nll",
-    "mean_pass_loss_over_all_pairs",
-    "pass_cell_nll",
     "prepare_example",
     "row_major_order",
     "sample_permutation",

@@ -69,9 +69,6 @@ class Vocabulary:
     def decode_content(self, ids: list[int]) -> str:
         return detokenize([self._surfaces[i] for i in ids])
 
-    def is_content_id(self, token_id: int) -> bool:
-        return token_id >= self.first_content_id or token_id == UNK
-
     def content_ids(self) -> list[int]:
         return [UNK] + list(range(self.first_content_id, len(self._surfaces)))
 

@@ -1,4 +1,5 @@
-"""Exact and Monte-Carlo evaluation of the permuted-factorization objective.
+"""Exact and Monte-Carlo evaluation of the permuted-factorization objective,
+the oracle the estimator tests check the training pass loss against.
 
 The pass loss of a sampled (order, cut) pair is the mean over open cells of
 their full token negative log-likelihood given the filled context. Because
@@ -18,10 +19,10 @@ from itertools import permutations
 
 import numpy as np
 
-from ..model import TextToTableModel, collate_instances, instance_for_pass
-from ..numerics import no_grad
-from .passes import TrainingExample
-from .permutation import Coord, PermutationPlan, row_major_order, sample_permutation
+from text2table.model import TextToTableModel, collate_instances, instance_for_pass
+from text2table.numerics import no_grad
+from text2table.training import PermutationPlan, TrainingExample, row_major_order, sample_permutation
+from text2table.training.permutation import Coord
 
 
 def masked_nll_rows(logits: np.ndarray, targets: np.ndarray, legal: np.ndarray) -> np.ndarray:

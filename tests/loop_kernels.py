@@ -1,0 +1,108 @@
+"""Naive element-by-element reference for the library's vectorised hot loops.
+
+Each function spells one loop out in plain Python: the decoder pair bias
+and its gradient, the bucket bias and its gradient, the visibility mask, the
+embedding-gradient row scatter and the AdamW update. The arithmetic and the
+accumulation order are the ones the numpy code must keep, so
+``tests/test_kernels.py`` compares the two bitwise. Too slow for anything but
+small inputs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def gather_pair_bias(row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_idx):
+    """bias[h,i,j] = (R0[h] | R[h,ri]) + C[h,ci] + (L[h,li] | 0), added in
+    that order; row index -1 selects R0, local index -1 adds nothing."""
+    n_heads = row_tab.shape[0]
+    t0, t1 = row_idx.shape
+    out = np.empty((n_heads, t0, t1), dtype=row_tab.dtype)
+    for h in range(n_heads):
+        for i in range(t0):
+            for j in range(t1):
+                ri = row_idx[i, j]
+                acc = r0[h] if ri < 0 else row_tab[h, ri]
+                acc = acc + col_tab[h, col_idx[i, j]]
+                li = loc_idx[i, j]
+                if li >= 0:
+                    acc = acc + loc_tab[h, li]
+                out[h, i, j] = acc
+    return out
+
+
+def scatter_pair_bias_grad(g_row, g_r0, g_col, g_loc, grad, row_idx, col_idx, loc_idx):
+    n_heads = grad.shape[0]
+    t0, t1 = row_idx.shape
+    for h in range(n_heads):
+        for i in range(t0):
+            for j in range(t1):
+                g = grad[h, i, j]
+                ri = row_idx[i, j]
+                if ri < 0:
+                    g_r0[h] += g
+                else:
+                    g_row[h, ri] += g
+                g_col[h, col_idx[i, j]] += g
+                li = loc_idx[i, j]
+                if li >= 0:
+                    g_loc[h, li] += g
+
+
+def gather_bucket_bias(table, idx):
+    n_heads = table.shape[0]
+    t0, t1 = idx.shape
+    out = np.empty((n_heads, t0, t1), dtype=table.dtype)
+    for h in range(n_heads):
+        for i in range(t0):
+            for j in range(t1):
+                out[h, i, j] = table[h, idx[i, j]]
+    return out
+
+
+def scatter_bucket_bias_grad(g_table, grad, idx):
+    n_heads = grad.shape[0]
+    t0, t1 = idx.shape
+    for h in range(n_heads):
+        for i in range(t0):
+            for j in range(t1):
+                g_table[h, idx[i, j]] += grad[h, i, j]
+
+
+def visibility_mask(is_pad, is_ctx, rank, cell_id, within, rows):
+    n = rows.shape[0]
+    t = is_pad.shape[0]
+    allow = np.empty((n, t), dtype=np.bool_)
+    for q in range(n):
+        i = rows[q]
+        for j in range(t):
+            if is_pad[i] or is_pad[j]:
+                allow[q, j] = False
+            elif is_ctx[i]:
+                allow[q, j] = is_ctx[j]
+            elif is_ctx[j] or rank[j] < rank[i]:
+                allow[q, j] = True
+            else:
+                allow[q, j] = cell_id[i] == cell_id[j] and within[j] <= within[i]
+    return allow
+
+
+def scatter_add_rows(out, ids, rows):
+    n, d = rows.shape
+    for i in range(n):
+        r = ids[i]
+        for j in range(d):
+            out[r, j] += rows[i, j]
+
+
+def adamw_update(p, g, m, v, step_size, decay_factor, beta1, beta2, eps):
+    """Decoupled-decay Adam on flat arrays, in place; bias correction folded
+    into step_size by the caller."""
+    n = p.shape[0]
+    for i in range(n):
+        if decay_factor != 0.0:
+            p[i] -= decay_factor * p[i]
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
+        v[i] = beta2 * v[i] + (1.0 - beta2) * (g[i] * g[i])
+        p[i] -= step_size * (m[i] / (np.sqrt(v[i]) + eps))

@@ -7,7 +7,7 @@ import pytest
 
 from text2table.cli.main import main
 from text2table.corpus import DatasetRecord, build_vocab, write_jsonl
-from text2table.model import save_checkpoint
+from text2table.model import load_checkpoint, save_checkpoint
 from text2table.table import Table
 
 
@@ -123,3 +123,66 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
     # no text beyond max_input_len and no header beyond max_cell_len: neither warning
     assert main(["train", _train_config(tmp_path, lineitems_records[:3])]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("model.n_heads=3", "bad model config: d_model 16 not divisible by n_heads 3"),
+        ("model.n_heads=0", "bad model config: n_heads must be positive"),
+        ("training.mode=bogus", "unknown training mode 'bogus'"),
+    ],
+    ids=["n_heads", "zero_heads", "mode"],
+)
+def test_train_bad_run_config_exits_2(lineitems_records, tmp_path, capsys, override, message):
+    assert main(["train", _train_config(tmp_path, lineitems_records[:3]), "--set", override]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_ablate_unknown_training_mode_exits_2(lineitems_records, tmp_path, capsys):
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:3], data)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "dataset": data,
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
+        "training": {"steps": 1, "batch_size": 2},
+        "grid": {"training_mode": ["bogus"]},
+    }))
+    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "unknown training mode 'bogus'" in err
+
+
+def _trained_checkpoint(tmp_path, records):
+    """Train one step into a checkpoint directory; returns (train argv, latest.npz)."""
+    ckpt_dir = tmp_path / "ckpt"
+    argv = ["train", _train_config(tmp_path, records), "--set", f"paths.checkpoint_dir={ckpt_dir}"]
+    assert main(argv) == 0
+    return argv, str(ckpt_dir / "latest.npz")
+
+
+def test_resume_without_optimizer_state_exits_3(lineitems_records, tmp_path, capsys):
+    argv, latest = _trained_checkpoint(tmp_path, lineitems_records[:3])
+    model, meta = load_checkpoint(latest)
+    save_checkpoint(latest, model, step=meta["step"], optimizer=None, run_config=meta["run_config"])
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "holds no optimizer state" in err
+
+
+def test_resume_with_missing_optimizer_array_exits_3(lineitems_records, tmp_path, capsys):
+    argv, latest = _trained_checkpoint(tmp_path, lineitems_records[:3])
+    with np.load(latest) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+    del arrays["opt::v::embed"], meta["manifest"]["opt::v::embed"]  # a consistent file, one array short
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(latest, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "optimizer state lacks v::embed" in err

@@ -1,129 +1,184 @@
-"""The numpy kernels and the loop kernels must agree bitwise.
+"""The library's vectorised hot loops against the naive loops of
+``loop_kernels``, bitwise.
 
-The loop kernels are jitted by numba when it is installed and run as plain
-Python otherwise, so these tests run on every machine.
+Covered: ``ops.pair_bias`` and ``ops.bucket_bias`` forward and vjp, the
+visibility mask, the ``ops.embedding`` and ``ops.take_rows`` vjps and
+``AdamW.step``. The bias inputs are random maps and the maps of a real
+collated training batch stacked to [B*L, L] as the decoder passes them, in
+float64 and float32, with more than one head and with -1 in both the row and
+the local map: a sentinel index that wrapped into another head's part of a
+table would show as a wrong gradient.
 """
 
+import math
+
 import numpy as np
+import pytest
 
-from text2table.numerics import kernels
+import loop_kernels as ref
+from text2table.model import collate_instances
+from text2table.model.layout import visibility_mask
+from text2table.numerics import AdamW, ParameterStore, Tensor, backward, ops
+from text2table.training import build_training_pass, prepare_example, sample_permutation
 
-NP = kernels.IMPLS["numpy"]
-NB = kernels.LOOPS
-
-
-def _pair_inputs(rng, heads=3, t=17, n_max=4, m_max=3, l=5, shape=None):
-    shape = shape or (t, t)
-    row_tab = rng.normal(size=(heads, 2 * n_max + 1))
-    r0 = rng.normal(size=heads)
-    col_tab = rng.normal(size=(heads, 2 * m_max + 1))
-    loc_tab = rng.normal(size=(heads, 2 * l + 1))
-    row_idx = rng.integers(-1, 2 * n_max + 1, size=shape)
-    col_idx = rng.integers(0, 2 * m_max + 1, size=shape)
-    loc_idx = rng.integers(-1, 2 * l + 1, size=shape)
-    return row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_idx
+DTYPES = [np.float64, np.float32]
 
 
-def test_gather_pair_bias_bitwise():
+def _vjp(op, tensors, grad):
+    """Gradients of every input of ``op(*tensors)`` for the upstream ``grad``."""
+    for t in tensors:
+        t.grad = None
+    out = op(*tensors)
+    backward(ops.sum_all(ops.mul(out, Tensor(grad))))
+    return out.data, [t.grad for t in tensors]
+
+
+def _tables(rng, dtype, heads=3, n_max=4, m_max=3, l=5):
+    shapes = [(heads, 2 * n_max + 1), (heads,), (heads, 2 * m_max + 1), (heads, 2 * l + 1)]
+    return [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+def _random_maps(rng, tables, shape):
+    row, _, col, loc = (t.shape[-1] for t in tables)
+    return (
+        rng.integers(-1, row, size=shape),
+        rng.integers(0, col, size=shape),
+        rng.integers(-1, loc, size=shape),
+    )
+
+
+@pytest.fixture(scope="module")
+def batch_maps(lineitems_records, tiny_vocab):
+    """(row, col, loc, bucket) maps of a collated permuted-training batch,
+    each stacked to [B*L, L], and the model config that made them."""
+    from text2table.model import ModelConfig, TextToTableModel
+
+    cfg = ModelConfig(
+        vocab_size=len(tiny_vocab), d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+        d_ff=32, dropout=0.0, max_cell_len=4, max_rows=4, max_cols=4,
+    )
+    model = TextToTableModel(cfg, tiny_vocab, seed=1)
+    rng = np.random.default_rng(8)
+    insts = []
+    for rec in lineitems_records[:4]:
+        ex = prepare_example(rec, tiny_vocab, cfg)
+        insts.append(build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng), model))
+    batch = collate_instances(insts, cfg)
+    b, n = batch.input_ids.shape
+    maps = [m.reshape(b * n, n) for m in batch.bias_idx]
+    assert (maps[0] < 0).any() and (maps[2] < 0).any()  # header bucket and cross-cell pairs
+    return maps, cfg
+
+
+def _check_pair_bias(tables, maps, rng):
+    data = [t.data for t in tables]
+    grad = rng.normal(size=(tables[0].shape[0],) + maps[0].shape).astype(tables[0].dtype)
+    out, grads = _vjp(lambda *t: ops.pair_bias(*t, *maps), tables, grad)
+    assert out.dtype == tables[0].dtype
+    assert np.array_equal(out, ref.gather_pair_bias(*data, *maps))
+    want = [np.zeros_like(x) for x in data]
+    ref.scatter_pair_bias_grad(*want, grad, *maps)
+    for got, w in zip(grads, want):
+        assert got.dtype == w.dtype and np.array_equal(got, w)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_pair_bias_random_maps_bitwise(dtype):
     rng = np.random.default_rng(0)
-    args = _pair_inputs(rng)
-    a = NP["gather_pair_bias"](*args)
-    b = NB["gather_pair_bias"](*args)
-    assert np.array_equal(a, b)
+    tables = _tables(rng, dtype)
+    _check_pair_bias(tables, _random_maps(rng, tables, (17, 17)), rng)
+    # a batch of B [L, L] maps stacked to [B*L, L], as the decoder passes them
+    _check_pair_bias(tables, _random_maps(rng, tables, (3 * 7, 7)), rng)
+    # every key in the header row and every pair across cells: sentinels only
+    _, col, _ = _random_maps(rng, tables, (4, 4))
+    _check_pair_bias(tables, (np.full((4, 4), -1), col, np.full((4, 4), -1)), rng)
 
 
-def test_scatter_pair_bias_grad_bitwise():
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_pair_bias_collated_batch_bitwise(dtype, batch_maps):
+    (row, col, loc, _), cfg = batch_maps
     rng = np.random.default_rng(1)
-    row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_idx = _pair_inputs(rng)
-    grad = rng.normal(size=(3, 17, 17))
-    outs = []
-    for impl in (NP, NB):
-        g_row = np.zeros_like(row_tab)
-        g_r0 = np.zeros_like(r0)
-        g_col = np.zeros_like(col_tab)
-        g_loc = np.zeros_like(loc_tab)
-        impl["scatter_pair_bias_grad"](g_row, g_r0, g_col, g_loc, grad, row_idx, col_idx, loc_idx)
-        outs.append((g_row, g_r0, g_col, g_loc))
-    for a, b in zip(*outs):
-        assert np.array_equal(a, b)
+    tables = _tables(rng, dtype, heads=cfg.n_heads, n_max=cfg.max_rows, m_max=cfg.max_cols, l=cfg.max_cell_len)
+    _check_pair_bias(tables, (row, col, loc), rng)
 
 
-def test_pair_bias_on_stacked_batch_maps_bitwise():
-    # a batch of B [L, L] index maps stacked to [B*L, L], as the decoder passes them
-    rng = np.random.default_rng(6)
-    row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_idx = _pair_inputs(rng, shape=(3 * 7, 7))
-    tables = (row_tab, r0, col_tab, loc_tab)
-    a = NP["gather_pair_bias"](*tables, row_idx, col_idx, loc_idx)
-    assert a.shape == (3, 21, 7)
-    assert np.array_equal(a, NB["gather_pair_bias"](*tables, row_idx, col_idx, loc_idx))
-    grad = rng.normal(size=(3, 21, 7))
-    outs = []
-    for impl in (NP, NB):
-        g = [np.zeros_like(x) for x in tables]
-        impl["scatter_pair_bias_grad"](*g, grad, row_idx, col_idx, loc_idx)
-        outs.append(g)
-    for x, y in zip(*outs):
-        assert np.array_equal(x, y)
+def _check_bucket_bias(table, idx, rng):
+    grad = rng.normal(size=(table.shape[0],) + idx.shape).astype(table.dtype)
+    out, (g,) = _vjp(lambda t: ops.bucket_bias(t, idx), [table], grad)
+    assert np.array_equal(out, ref.gather_bucket_bias(table.data, idx))
+    want = np.zeros_like(table.data)
+    ref.scatter_bucket_bias_grad(want, grad, idx)
+    assert g.dtype == want.dtype and np.array_equal(g, want)
 
 
-def test_bucket_bias_roundtrip_bitwise():
-    rng = np.random.default_rng(2)
-    table = rng.normal(size=(4, 32))
-    idx = rng.integers(0, 32, size=(23, 23))
-    assert np.array_equal(NP["gather_bucket_bias"](table, idx), NB["gather_bucket_bias"](table, idx))
-    grad = rng.normal(size=(4, 23, 23))
-    ga = np.zeros_like(table)
-    gb = np.zeros_like(table)
-    NP["scatter_bucket_bias_grad"](ga, grad, idx)
-    NB["scatter_bucket_bias_grad"](gb, grad, idx)
-    assert np.array_equal(ga, gb)
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_bucket_bias_bitwise(dtype, batch_maps):
+    (_, _, _, buckets), cfg = batch_maps
+    rng = np.random.default_rng(3)
+    table = Tensor(rng.normal(size=(4, 32)).astype(dtype), requires_grad=True)
+    _check_bucket_bias(table, rng.integers(0, 32, size=(23, 23)), rng)
+    table = Tensor(rng.normal(size=(cfg.n_heads, cfg.relative_buckets)).astype(dtype), requires_grad=True)
+    _check_bucket_bias(table, buckets, rng)
 
 
 def test_visibility_mask_bitwise():
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(4)
     t = 41
     is_pad = rng.random(t) < 0.15
     is_ctx = rng.random(t) < 0.4
     rank = rng.integers(0, 5, size=t)
     cell_id = rng.integers(0, 9, size=t)
     within = rng.integers(0, 6, size=t)
-    full = NP["visibility_mask"](is_pad, is_ctx, rank, cell_id, within, np.arange(t))
+    args = (is_pad, is_ctx, rank, cell_id, within)
+    full = visibility_mask(*args, np.arange(t))
     assert full.shape == (t, t)
-    assert np.array_equal(full, NB["visibility_mask"](is_pad, is_ctx, rank, cell_id, within, np.arange(t)))
+    assert np.array_equal(full, ref.visibility_mask(*args, np.arange(t)))
     rows = np.sort(rng.choice(t, size=9, replace=False))  # query rows alone, as a cached pass asks
-    a = NP["visibility_mask"](is_pad, is_ctx, rank, cell_id, within, rows)
-    b = NB["visibility_mask"](is_pad, is_ctx, rank, cell_id, within, rows)
-    assert a.shape == (9, t)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, full[rows])
+    part = visibility_mask(*args, rows)
+    assert part.shape == (9, t)
+    assert np.array_equal(part, ref.visibility_mask(*args, rows))
+    assert np.array_equal(part, full[rows])
 
 
-def test_scatter_add_rows_bitwise():
-    rng = np.random.default_rng(4)
-    ids = rng.integers(0, 10, size=50)
-    rows = rng.normal(size=(50, 7))
-    a = np.zeros((10, 7))
-    b = np.zeros((10, 7))
-    NP["scatter_add_rows"](a, ids, rows)
-    NB["scatter_add_rows"](b, ids, rows)
-    assert np.array_equal(a, b)
-
-
-def test_adamw_update_bitwise():
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_embedding_and_take_rows_vjp_bitwise(dtype):
     rng = np.random.default_rng(5)
-    n = 101
-    p = rng.normal(size=n)
-    g = rng.normal(size=n)
-    m = rng.normal(size=n) * 0.1
-    v = np.abs(rng.normal(size=n)) * 0.01
-    state_a = (p.copy(), g.copy(), m.copy(), v.copy())
-    state_b = (p.copy(), g.copy(), m.copy(), v.copy())
-    args = (3.16e-3, 1e-8, 0.9, 0.999, 1e-8)
-    NP["adamw_update"](*state_a, *args)
-    NB["adamw_update"](*state_b, *args)
-    for a, b in zip(state_a, state_b):
-        assert np.array_equal(a, b)
+    table = Tensor(rng.normal(size=(10, 7)).astype(dtype), requires_grad=True)
+    ids = rng.integers(0, 10, size=(5, 10))  # repeated ids accumulate
+    grad = rng.normal(size=(5, 10, 7)).astype(dtype)
+    _, (g,) = _vjp(lambda t: ops.embedding(t, ids), [table], grad)
+    want = np.zeros_like(table.data)
+    ref.scatter_add_rows(want, ids.reshape(-1), grad.reshape(-1, 7))
+    assert np.array_equal(g, want)
+
+    x = Tensor(rng.normal(size=(6, 2, 3)).astype(dtype), requires_grad=True)
+    idx = rng.integers(0, 6, size=20)
+    grad = rng.normal(size=(20, 2, 3)).astype(dtype)
+    _, (g,) = _vjp(lambda t: ops.take_rows(t, idx), [x], grad)
+    want = np.zeros((6, 6), dtype=dtype)
+    ref.scatter_add_rows(want, idx, grad.reshape(20, 6))
+    assert np.array_equal(g, want.reshape(6, 2, 3))
 
 
-def test_backend_selection_reports_name():
-    assert kernels.backend_name() in ("numba", "numpy")
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_adamw_step_bitwise(dtype):
+    rng = np.random.default_rng(6)
+    store = ParameterStore()
+    for name, shape in (("w", (7, 5)), ("b", (5,))):
+        store.add(name, rng.normal(size=shape).astype(dtype))
+    opt = AdamW(store, lr=3e-3, weight_decay=1e-2)
+    want = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)) for name, t in store.items()}
+    for step in range(1, 4):
+        for name, t in store.items():
+            t.grad = rng.normal(size=t.shape).astype(dtype)
+        opt.step()
+        step_size = opt.lr * math.sqrt(1.0 - opt.beta2**step) / (1.0 - opt.beta1**step)
+        for name, t in store.items():
+            p, m, v = (a.reshape(-1) for a in want[name])
+            ref.adamw_update(
+                p, t.grad.reshape(-1), m, v, step_size, opt.lr * opt.weight_decay, opt.beta1, opt.beta2, opt.eps
+            )
+    for name, t in store.items():
+        p, m, v = want[name]
+        assert t.data.dtype == dtype
+        assert np.array_equal(t.data, p) and np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v)

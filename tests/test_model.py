@@ -12,6 +12,7 @@ from text2table.model.layout import sequence_bucket_matrix
 from text2table.numerics import ops
 from text2table.table import Table
 from text2table.vocab import BOS, EOC, NULL
+from util import cell_logits
 
 
 def _demo_table():
@@ -200,7 +201,7 @@ def test_eoc_logit_minus_inf_before_any_cell_content(tiny_model, tiny_vocab):
     table = _demo_table()
     tpl, inst = _full_open_instance(tiny_model, table)
     memory, real = tiny_model.encode_source(tiny_vocab.encode("pens and mugs ."))
-    pos, logits = tiny_model.cell_logits(memory, real, inst)
+    pos, logits = cell_logits(tiny_model, memory, real, inst)
     first = inst.template.within[pos % inst.template.length] == 0
     assert np.isneginf(logits[first][:, EOC]).all()
     # structural ids are never legal inside cells
@@ -229,8 +230,8 @@ def test_open_cell_logits_independent_of_sibling_content(tiny_model, tiny_vocab)
     mutated[(1, 2)] = [NULL]  # zero out a sibling open cell's gold content
     inst_b = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, mutated, {(1, 1)})
 
-    _, la = tiny_model.cell_logits(memory, real, inst_a, cells=[target])
-    _, lb = tiny_model.cell_logits(memory, real, inst_b, cells=[target])
+    _, la = cell_logits(tiny_model, memory, real, inst_a, cells=[target])
+    _, lb = cell_logits(tiny_model, memory, real, inst_b, cells=[target])
     assert np.array_equal(la, lb)
 
 

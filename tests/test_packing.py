@@ -29,6 +29,7 @@ from text2table.training import (
     sample_permutation,
 )
 from text2table.vocab import NULL, PAD
+from util import cell_logits
 
 REL = {64: 1e-12, 32: 1e-4}
 
@@ -196,7 +197,7 @@ def test_cell_logits_report_template_positions(corpus):
     examples, insts = _mixed(model, records)
     ex, inst = examples[2], insts[2]
     memory, real = model.encode_source(ex.source_ids)
-    pos, logits = model.cell_logits(memory, real, inst)
+    pos, logits = cell_logits(model, memory, real, inst)
     assert np.array_equal(pos, inst.loss_pos)
     ids, real = padded_model.padded_source_batch([ex])
     memory = padded_model.encode(model, ids, real)

@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import random_bias_tables
+from estimator import (
+    exact_expected_nll,
+    exact_expected_nll_by_orderings,
+    instance_cell_nll,
+    mc_expected_nll,
+    mean_pass_loss_over_all_pairs,
+    pass_cell_nll,
+)
 from text2table.corpus import CorpusSpec, DatasetRecord, generate
 from text2table.model import LayoutError
 from text2table.table import Table
@@ -16,11 +24,6 @@ from text2table.training import (
     build_fixed_causal_pass,
     build_semi_templated_corpus_variant,
     build_training_pass,
-    exact_expected_nll,
-    exact_expected_nll_by_orderings,
-    instance_cell_nll,
-    mean_pass_loss_over_all_pairs,
-    pass_cell_nll,
     prepare_example,
     row_major_order,
     sample_permutation,
@@ -180,8 +183,6 @@ def test_mc_estimator_converges_2x2(tiny_model):
     rng = np.random.default_rng(10)
     random_bias_tables(tiny_model, rng)
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
-    from text2table.training import mc_expected_nll
-
     exact = exact_expected_nll(tiny_model, ex)
     mean, se = mc_expected_nll(tiny_model, ex, 2000, np.random.default_rng(11))
     assert se > 0

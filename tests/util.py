@@ -1,8 +1,11 @@
-"""Shared test helpers: finite differences and gradient comparison."""
+"""Shared test helpers: finite differences, gradient comparison, teacher-forced
+cell logits and a mock candidate source."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from text2table.model import collate_instances
 
 
 def finite_diff_grad(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -25,6 +28,25 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     """Max elementwise |a-b| / max(|a|, |b|, floor)."""
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+def cell_logits(model, memory, mem_real, instance, cells=None):
+    """Per-position vocabulary logits for the open content positions of a
+    teacher-forced instance.
+
+    Returns (template positions, logits) where logits have grammar-forbidden
+    entries set to -inf. ``cells`` defaults to every open cell that carries
+    loss positions in the instance.
+    """
+    batch = collate_instances([instance], model.cfg)
+    hidden = model.decoder_hidden(memory, mem_real, batch, train=False)
+    pos, _, cell_ids, legal, _ = batch.flat_loss_arrays()
+    keep = np.ones(len(pos), dtype=bool)
+    if cells is not None:
+        wanted = {instance.template.cell_flat[c] for c in cells}
+        keep = np.array([c in wanted for c in cell_ids], dtype=bool)
+    logits = model.logits_at(hidden, pos[keep]).data
+    return batch.rows[0][pos[keep]], np.where(legal[keep], logits, -np.inf)
 
 
 class MockCellSource:
