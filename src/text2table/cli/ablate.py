@@ -14,7 +14,7 @@ import numpy as np
 from ..decoding import DecodingConfig, decode_table
 from ..metrics import AlignmentMode, score_corpus
 from ..training import Trainer, TrainingConfig
-from .commands import DataError, _build_model_and_examples, _read_records
+from .commands import DataError, _build_model_and_examples, _parse_config, _read_records
 from .runconfig import ConfigError, apply_env_seed, canonical_json, load_json_config
 
 GRID_AXES = ("constraint", "k", "inner_criterion", "outer_criterion", "stopping", "training_mode")
@@ -59,7 +59,7 @@ def _single_run(cfg: dict, combo: dict, seed: int, records, val_records) -> dict
         "training": {**cfg.get("training", {}), "mode": combo["training_mode"]},
     }
     model, examples = _build_model_and_examples(run_cfg, records, combo["training_mode"])
-    tcfg = TrainingConfig.from_json({"seed": seed, **run_cfg["training"]})
+    tcfg = _parse_config("training", TrainingConfig, {"seed": seed, **run_cfg["training"]})
     trainer = Trainer(model, examples, tcfg)
     trainer.run()
 

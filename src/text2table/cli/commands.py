@@ -56,6 +56,14 @@ class ModelError(RuntimeError):
     """Exit code 3: model or checkpoint problems."""
 
 
+def _parse_config(kind: str, cls, d: dict):
+    """``cls.from_json(d)``, with a bad or unknown key as a :class:`ConfigError`."""
+    try:
+        return cls.from_json(d)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {kind} config: {exc}") from None
+
+
 def _read_records(path: str) -> list[DatasetRecord]:
     if not os.path.exists(path):
         raise DataError(f"dataset not found: {path}")
@@ -75,7 +83,7 @@ def cmd_gen_data(spec_path: str, out_path: str) -> int:
     raw = apply_env_seed(raw) if "seed" in raw or os.environ.get("STABLE_SEED") else raw
     try:
         spec = CorpusSpec.from_json(raw)
-    except (CorpusError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # CorpusError, or an unknown key
         raise DataError(f"bad corpus spec: {exc}") from None
     try:
         n = write_jsonl(generate(spec), out_path)
@@ -100,10 +108,7 @@ def _build_model_and_examples(cfg: dict, records, mode: str):
     model_cfg_dict = dict(cfg.get("model", {}))
     vocab = build_vocab(records, n_max_rows=model_cfg_dict.get("max_rows", 5))
     model_cfg_dict["vocab_size"] = len(vocab)
-    try:
-        model_cfg = ModelConfig.from_json(model_cfg_dict)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from None
+    model_cfg = _parse_config("model", ModelConfig, model_cfg_dict)
     model = TextToTableModel(model_cfg, vocab, seed=cfg["seed"])
     try:
         examples = [prepare_example(r, vocab, model_cfg, mode) for r in records]
@@ -125,8 +130,9 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     records = _read_records(data_path)
     val_records = _read_records(paths["val_dataset"]) if paths.get("val_dataset") else records[:32]
 
-    tcfg = TrainingConfig.from_json({"seed": cfg["seed"], **cfg.get("training", {})})
+    tcfg = _parse_config("training", TrainingConfig, {"seed": cfg["seed"], **cfg.get("training", {})})
     _check_training_mode(tcfg.mode)
+    eval_decoding = _parse_config("decoding", DecodingConfig, cfg.get("decoding", {}))
     ckpt_dir = paths.get("checkpoint_dir") or cfg.get("training", {}).get("checkpoint_dir")
     if ckpt_dir:
         tcfg.checkpoint_dir = ckpt_dir
@@ -193,7 +199,7 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
         tcfg,
         val_records=val_records,
         val_examples=val_examples,
-        eval_decoding=DecodingConfig.from_json(cfg.get("decoding", {})),
+        eval_decoding=eval_decoding,
         metrics_path=metrics_path,
         run_config=run_config,
         start_step=start_step,
@@ -225,11 +231,7 @@ def cmd_decode(
     except CheckpointError as exc:
         raise ModelError(str(exc)) from None
     dcfg_dict = load_json_config(config_path) if config_path else {}
-    dcfg_dict = apply_overrides(dcfg_dict, overrides or [])
-    try:
-        dcfg = DecodingConfig.from_json(dcfg_dict)
-    except Exception as exc:
-        raise ConfigError(f"bad decoding config: {exc}") from None
+    dcfg = _parse_config("decoding", DecodingConfig, apply_overrides(dcfg_dict, overrides or []))
 
     records = _read_records(dataset_path)
     preds: list[DatasetRecord] = []
@@ -248,6 +250,7 @@ def cmd_decode(
                     "id": rec.id,
                     "outer_iterations": result.outer_iterations,
                     "decoder_passes": result.decoder_passes,
+                    "forced_tokens": result.forced_tokens,
                     "input_tokens_dropped": result.input_tokens_dropped,
                     "header_tokens_dropped": result.header_tokens_dropped,
                     "predicted_count": result.predicted_count,

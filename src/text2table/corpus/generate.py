@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..fields import from_fields
 from ..table import Table
 from ..vocab import tokenize
 from .io import DatasetRecord
@@ -96,7 +97,7 @@ class CorpusSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "CorpusSpec":
-        return cls(**{k: d[k] for k in d if k in cls.__dataclass_fields__})
+        return from_fields(cls, d)
 
 
 _DEFAULT_COLUMNS = {

@@ -10,11 +10,21 @@ count or the semi-templated variant that grows the template row by row until
 an all-NULL sentinel row appears.
 
 The neural inner loop (:class:`ModelCellSource`) decodes all eligible cells
-in parallel against a per-template decoder cache: one prefill over the
-context positions (headers, row markers, committed cells), then one step per
-token that runs the decoder for the newest position of each growing
-candidate only. The layout's visibility rules make this exact: context never
-attends to an open slot and open slots never attend to each other.
+in parallel, one decoder pass per token step, against a decoder cache built
+once per table:
+
+- The first pass runs the context positions (headers, row markers, committed
+  cells) together with the first position of every open cell; the context
+  keys and values it caches hold for the whole inner loop.
+- Each later pass runs the newest position of every candidate still growing.
+- A step at which the grammar allows only end-of-cell (after NULL, or at the
+  final slot position) needs no pass: the close is committed with its exact
+  log-probability 0.
+- The layout is built once per inner loop, with every open slot live; a
+  step writes its input ids in place and slices its visibility rows.
+
+The layout's visibility rules make this exact: context never attends to an
+open slot and open slots never attend to each other.
 """
 
 from __future__ import annotations
@@ -24,7 +34,9 @@ from typing import Protocol
 
 import numpy as np
 
-from ..model import TextToTableModel, collate_instances, instance_for_decoding
+from ..fields import from_fields
+from ..model import TableTemplate, TextToTableModel, collate_instances, instance_for_decoding
+from ..model.transformer import DecoderCache
 from ..numerics import no_grad
 from ..table import Table
 from ..vocab import EOC, NULL, UNK, Vocabulary, tokenize
@@ -97,7 +109,7 @@ class DecodingConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "DecodingConfig":
-        return cls(**{k: d[k] for k in d if k in cls.__dataclass_fields__})
+        return from_fields(cls, d)
 
 
 @dataclass
@@ -217,79 +229,93 @@ def outer_criterion(scores: dict[Coord, float], cfg: DecodingConfig) -> list[Coo
 
 class ModelCellSource:
     """Greedy per-cell decoding with grammar-masked logits, all open cells in
-    parallel, over one decoder cache per template.
+    parallel, over a decoder cache shared by every template of one table.
 
-    Each :meth:`candidates` call is one inner loop, run as a prefill and then
-    one step per token:
+    Each :meth:`candidates` call is one inner loop, run as one decoder pass
+    per token step:
 
-    - The prefill runs the decoder over the context positions only (headers,
-      row markers, committed cells) and caches each layer's self-attention
-      keys and values there. Context never attends to an open slot, so these
-      stay fixed for the whole inner loop.
-    - Each step runs the decoder for the newest position of every candidate
-      still growing. That position stores its keys and values in the cache,
-      then attends to the cached context and to its own cell's earlier
-      positions. Open slots are mutually invisible, so this gives the same
-      hidden state as a pass over the whole layout.
+    - The first pass runs the context positions (headers, row markers,
+      committed cells) and the BOS position of every open cell, and caches
+      each layer's self-attention keys and values. Every layer stores its
+      keys and values before it attends, and context never attends to an
+      open slot, so the context entries are exact and stay fixed for the
+      whole inner loop. Logits are taken at the BOS rows only.
+    - Each later pass runs the newest position of every candidate still
+      growing. That position stores its keys and values in the cache, then
+      attends to the cached context and to its own cell's earlier positions.
+      Open slots are mutually invisible, so this gives the same hidden state
+      as a pass over the whole layout.
+    - A candidate whose next token the grammar forces to end-of-cell (after
+      NULL, or at the final slot position) takes it with log-probability 0,
+      which the masked log-softmax gives for any finite logits, and leaves
+      the pass. A step where every candidate is forced runs no pass.
 
-    The template's pair and bucket bias and the memory's cross-attention keys
-    and values are built once, with the source. ``passes`` counts decoder
-    calls: prefills plus steps.
+    The layout is built once per inner loop with every open slot live: a
+    query at slot position t sees its own cell up to t and no other open
+    slot, so its visibility row is the one the grown layout would give. A
+    step writes its input ids into the layout and slices its rows.
+
+    ``cache`` holds the template's pair and bucket bias and the memory's
+    cross-attention keys and values; it may be built for a template with more
+    rows (see :meth:`DecoderCache.prefix`). ``passes`` counts decoder calls
+    and ``forced`` the end-of-cell marks committed without one.
     """
 
-    def __init__(self, model: TextToTableModel, memory, mem_real, header_ids: list[list[int]], n_rows: int):
+    def __init__(self, model: TextToTableModel, memory, mem_real, template: TableTemplate, cache: DecoderCache):
         self.model = model
         self.memory = memory
         self.mem_real = mem_real
-        self.template = model.template_for(header_ids, n_rows)
-        self.cache = model.decoder_cache(memory, self.template)
+        self.template = template
+        self.cache = cache.prefix(template.length)
         self.passes = 0
-
-    def _hidden(self, inst, rows: np.ndarray):
-        """Decoder pass over the given positions of `inst`; hidden states [1, R, d]."""
-        self.passes += 1
-        batch = collate_instances([inst], self.model.cfg, rows)
-        return self.model.decoder_hidden(self.memory, self.mem_real, batch, cache=self.cache)
+        self.forced = 0
 
     def candidates(
         self, committed: dict[Coord, list[int]], cells: list[Coord]
     ) -> dict[Coord, Candidate]:
-        model, tpl = self.model, self.template
+        model, tpl, grammar = self.model, self.template, self.model.grammar
         l = model.cfg.max_cell_len
         grown: dict[Coord, Candidate] = {c: Candidate([], []) for c in cells}
         active = list(cells)
         with no_grad():
-            ctx = instance_for_decoding(tpl, model.vocab, committed, {})
-            self._hidden(ctx, np.flatnonzero(ctx.is_ctx & ~ctx.is_pad))
+            inst = instance_for_decoding(tpl, model.vocab, committed, {})
+            ctx_rows = np.flatnonzero(inst.is_ctx & ~inst.is_pad)
+            inst.is_pad &= inst.is_ctx  # every open slot position live
+            layout = collate_instances([inst], model.cfg, np.arange(tpl.length))
+            rows = np.concatenate([ctx_rows, [tpl.slot_start[c] for c in active]]).astype(np.int64)
             while active:
-                partial = {c: grown[c].tokens for c in cells}
-                inst = instance_for_decoding(tpl, model.vocab, committed, partial)
-                positions = np.array(
-                    [tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64
-                )
-                hidden = self._hidden(inst, positions)
-                logits = model.logits_at(hidden, np.arange(len(active))).data
+                self.passes += 1
+                hidden = model.decoder_hidden(self.memory, self.mem_real, layout.query(rows), cache=self.cache)
+                logits = model.logits_at(hidden, np.arange(len(rows) - len(active), len(rows))).data
                 bad = ~np.isfinite(logits).all(axis=-1)
                 if bad.any():
                     raise NonFiniteLogitsError([active[i] for i in np.flatnonzero(bad)])
                 tokens = [grown[c].tokens for c in active]
-                legal = np.stack([model.grammar.legal_row(len(t), t[-1] if t else -1) for t in tokens])
+                legal = np.stack([grammar.legal_row(len(t), t[-1] if t else -1) for t in tokens])
                 lp = _masked_log_softmax(logits, legal)
                 picks = lp.argmax(axis=-1)
                 still = []
                 for row_i, coord in enumerate(active):
                     cand = grown[coord]
-                    t_rel = len(cand.tokens)
                     tok = int(picks[row_i])
                     cand.token_logprobs.append(float(lp[row_i, tok]))
                     if tok == EOC:
+                        continue
+                    cand.tokens.append(tok)
+                    t_rel = len(cand.tokens)
+                    if grammar.legal_row(t_rel, tok) is grammar.close_only:
+                        # only end-of-cell is legal next, and its masked
+                        # log-probability is exactly 0 for any finite logits
+                        cand.token_logprobs.append(0.0)
+                        self.forced += 1
                         # a close at the final slot position was forced by the
                         # grammar, not chosen: flag it for diagnostics
                         cand.truncated = t_rel == l - 1
                     else:
-                        cand.tokens.append(tok)
+                        layout.input_ids[0, tpl.slot_start[coord] + t_rel] = tok
                         still.append(coord)
                 active = still
+                rows = np.array([tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64)
         return grown
 
 
@@ -391,7 +417,8 @@ class DecodeResult:
     outer_iterations: int
     predicted_count: float | None
     hit_row_cap: bool = False
-    decoder_passes: int = 0  # decoder calls: one prefill per outer iteration plus one per token step
+    decoder_passes: int = 0  # decoder calls: one per inner-loop token step that some cell's grammar leaves open
+    forced_tokens: int = 0  # end-of-cell marks the grammar forced, committed with no decoder pass
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
     header_tokens_dropped: int = 0  # header token ids cut at max_cell_len (0 when no row is decoded)
 
@@ -442,31 +469,41 @@ def decode_table(
             raise NonFiniteCountError(count)
         n = rows_from_count(count, max_rows)
         state = DecodingState(n, m)
-        iters = passes = header_dropped = 0
+        iters = passes = forced = header_dropped = 0
         if n > 0:
-            source = ModelCellSource(model, memory, real, header_ids, n)
+            tpl = model.template_for(header_ids, n)
+            source = ModelCellSource(model, memory, real, tpl, model.decoder_cache(memory, tpl))
             iters = run_outer_loop(source, state, cfg, trace=trace)
-            passes = source.passes
-            header_dropped = model.template_for(header_ids, n).header_tokens_dropped
+            passes, forced = source.passes, source.forced
+            header_dropped = tpl.header_tokens_dropped
         return DecodeResult(
             _state_to_table(vocab, state, headers, n), trace or [], iters, count,
-            decoder_passes=passes, input_tokens_dropped=dropped, header_tokens_dropped=header_dropped,
+            decoder_passes=passes, forced_tokens=forced, input_tokens_dropped=dropped,
+            header_tokens_dropped=header_dropped,
         )
 
-    # semi-templated: grow the template row by row until the sentinel row
+    # semi-templated: grow the template row by row until the sentinel row.
+    # Each r-row template is a prefix of the largest one, so one cache, built
+    # at the row cap the model allows, serves every row; a row past that cap
+    # still fails in template_for when decoding reaches it.
     state = DecodingState(0, m)
-    iters = passes = header_dropped = 0
+    iters = passes = forced = header_dropped = 0
     kept_rows = 0
     hit_cap = True
+    cache = None
     for r in range(1, max_rows + 1):
         state.n_rows = r
-        source = ModelCellSource(model, memory, real, header_ids, r)
+        tpl = model.template_for(header_ids, r)
+        if cache is None:
+            cache = model.decoder_cache(memory, model.template_for(header_ids, min(max_rows, model.cfg.max_rows)))
+        source = ModelCellSource(model, memory, real, tpl, cache)
         row_cells = {(r, c) for c in range(1, m + 1)}
         iters += run_outer_loop(
             source, state, cfg, restrict=row_cells, trace=trace, iteration_offset=iters
         )
         passes += source.passes
-        header_dropped = model.template_for(header_ids, r).header_tokens_dropped
+        forced += source.forced
+        header_dropped = tpl.header_tokens_dropped
         if semi_templated_stop(state, r):
             kept_rows = r - 1
             hit_cap = False
@@ -475,6 +512,6 @@ def decode_table(
     table = _state_to_table(vocab, state, headers, kept_rows)
     return DecodeResult(
         table, trace or [], iters, count, hit_row_cap=hit_cap,
-        decoder_passes=passes, input_tokens_dropped=dropped,
+        decoder_passes=passes, forced_tokens=forced, input_tokens_dropped=dropped,
         header_tokens_dropped=header_dropped,
     )

@@ -6,6 +6,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..fields import from_fields
+
 
 @dataclass
 class ModelConfig:
@@ -49,4 +51,4 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in d if k in cls.__dataclass_fields__})
+        return from_fields(cls, d)

@@ -72,6 +72,11 @@ class DecoderBatch:
         of example b."""
         return np.arange(self.length) < np.array([len(r) for r in self.rows])[:, None]
 
+    def query(self, rows: np.ndarray) -> "DecoderBatch":
+        """The query batch of template positions ``rows``, sliced from a query
+        batch over every position of its layout (nothing is rebuilt)."""
+        return DecoderBatch(self.input_ids[:, rows], self.allow[:, rows], [rows], [])
+
     def flat_loss_arrays(self):
         """Concatenate loss surfaces across the batch; positions index the
         packed decoder rows."""
@@ -133,14 +138,15 @@ def collate_instances(
 
 @dataclass
 class DecoderCache:
-    """Decoder state kept across the passes that decode one template for one
-    source text (inference only; valid while the parameters stay unchanged).
+    """Decoder state kept across the passes that decode one source text
+    (inference only; valid while the parameters stay unchanged).
 
     ``bias`` and ``cross`` are fixed for the table. ``keys`` and ``values``
     hold each layer's self-attention key and value rows at every template
     position; a cached pass writes its query rows there before it attends, and
     the visibility rows keep every query from seeing a position not written
-    for its own context.
+    for its own context. A template with fewer rows is a prefix of this one
+    (:meth:`prefix`).
     """
 
     bias: np.ndarray  # [H, T, T] pair + bucket bias of the template
@@ -153,6 +159,19 @@ class DecoderCache:
         self.keys[layer][rows] = k.data
         self.values[layer][rows] = v.data
         return Tensor(self.keys[layer]), Tensor(self.values[layer])
+
+    def prefix(self, length: int) -> "DecoderCache":
+        """View of the first ``length`` template positions: the cache of a
+        template with the same headers and fewer rows, whose positions, bias
+        indices and bucket offsets are the leading ones of this template's."""
+        if length > len(self.keys[0]):
+            raise ValueError(f"template length {length} exceeds the cached {len(self.keys[0])}")
+        return DecoderCache(
+            self.bias[:, :length, :length],
+            self.cross,
+            [k[:length] for k in self.keys],
+            [v[:length] for v in self.values],
+        )
 
 
 class TextToTableModel:

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..corpus import DatasetRecord
 from ..decoding import DecodingConfig, decode_table
+from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
 from ..model import TextToTableModel, collate_instances, save_checkpoint
 from ..numerics import AdamW, Tensor, backward, clip_grad_norm, ops
@@ -50,7 +51,7 @@ class TrainingConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "TrainingConfig":
-        return cls(**{k: d[k] for k in d if k in cls.__dataclass_fields__})
+        return from_fields(cls, d)
 
 
 class TrainingDiverged(RuntimeError):

@@ -9,6 +9,7 @@ from text2table.cli.main import main
 from text2table.corpus import DatasetRecord, build_vocab, write_jsonl
 from text2table.model import load_checkpoint, save_checkpoint
 from text2table.table import Table
+from text2table.vocab import NULL
 
 
 def test_help_exits_zero(capsys):
@@ -79,8 +80,15 @@ def test_decode_trace_records_per_table_counters(tiny_model, lineitems_records, 
     assert main(["decode", ckpt, data, str(tmp_path / "out.jsonl"), "--trace", str(trace)]) == 0
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert len(records) == 2
+    l = tiny_model.cfg.max_cell_len
+    null = tiny_model.vocab.surface(NULL)
     for rec in records:
         assert rec["decoder_passes"] > rec["outer_iterations"] > 0
+        # at most one pass per slot position but the last, whose close is forced
+        assert rec["decoder_passes"] <= rec["outer_iterations"] * (l - 1)
+        # every committed cell cut at the slot width or holding NULL closed by force
+        closed_by_force = sum(t["truncated"] or t["tokens"] == [null] for t in rec["trace"])
+        assert rec["forced_tokens"] >= closed_by_force > 0
         assert rec["input_tokens_dropped"] == 0
         assert rec["header_tokens_dropped"] == 0
 
@@ -131,13 +139,50 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
         ("model.n_heads=3", "bad model config: d_model 16 not divisible by n_heads 3"),
         ("model.n_heads=0", "bad model config: n_heads must be positive"),
         ("training.mode=bogus", "unknown training mode 'bogus'"),
+        ("training.stpes=500", "bad training config: unknown TrainingConfig keys: stpes"),
+        ("model.d_modle=8", "bad model config: unknown ModelConfig keys: d_modle"),
+        ("decoding.stoping=semi-templated", "bad decoding config: unknown DecodingConfig keys: stoping"),
     ],
-    ids=["n_heads", "zero_heads", "mode"],
+    ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key"],
 )
 def test_train_bad_run_config_exits_2(lineitems_records, tmp_path, capsys, override, message):
     assert main(["train", _train_config(tmp_path, lineitems_records[:3]), "--set", override]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and message in err
+
+
+def test_decode_unknown_config_key_exits_2(tiny_model, lineitems_records, tmp_path, capsys):
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:1], data)
+    out = str(tmp_path / "out.jsonl")
+    assert main(["decode", ckpt, data, out, "--set", "k=2", "--set", "contraint=row-by-row"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "bad decoding config: unknown DecodingConfig keys: contraint" in err
+
+
+def test_gen_data_unknown_spec_key_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"task": "lineitems", "n_examples": 2, "row_max": 3}))
+    assert main(["gen-data", str(spec), str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "bad corpus spec: unknown CorpusSpec keys: row_max" in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_ablate_unknown_training_key_exits_2(lineitems_records, tmp_path, capsys):
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:3], data)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "dataset": data,
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
+        "training": {"stpes": 1, "batch_size": 2},
+    }))
+    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "bad training config: unknown TrainingConfig keys: stpes" in err
 
 
 def test_ablate_unknown_training_mode_exits_2(lineitems_records, tmp_path, capsys):

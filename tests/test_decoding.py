@@ -23,6 +23,7 @@ from text2table.decoding import (
     run_outer_loop,
     semi_templated_stop,
 )
+from text2table.decoding.engine import _masked_log_softmax
 from text2table.model import LayoutError, instance_for_decoding, instance_for_pass
 from text2table.vocab import EOC, NULL, tokenize
 from util import MockCellSource
@@ -380,10 +381,11 @@ def test_nan_decoder_logits_raise_named_error(tiny_model, stopping):
     assert set(ei.value.cells) <= {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
-def test_decoder_passes_are_outer_iterations_plus_token_steps(tiny_model):
+def test_decoder_passes_are_unforced_token_steps(tiny_model):
     # every position gets the same hidden state, whose logits favour one
     # content token: each cell then runs to the full slot width, so each inner
-    # loop is one prefill plus max_cell_len token steps
+    # loop is one pass per token step but the last, whose close the grammar
+    # forces (the first pass also computes the context)
     p = tiny_model.params
     tok = tiny_model.vocab.content_ids()[1]
     p["dec.ln_f.g"].data[...] = 0.0
@@ -396,7 +398,24 @@ def test_decoder_passes_are_outer_iterations_plus_token_steps(tiny_model):
     l = tiny_model.cfg.max_cell_len
     assert res.table.n_rows == 3 and res.outer_iterations == 12
     assert all(t.truncated and t.tokens == [tok] * (l - 1) for t in res.trace)
-    assert res.decoder_passes == res.outer_iterations + res.outer_iterations * l
+    assert res.decoder_passes == res.outer_iterations * (l - 1)
+    # iteration i re-decodes the 13 - i cells still open, each closing by force
+    assert res.forced_tokens == sum(range(1, 13))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_forced_close_has_log_prob_exactly_zero(tiny_model, dtype):
+    # the identity that lets the inner loop commit a grammar-forced close
+    # without a decoder pass: for any finite logits, end-of-cell alone gets 0
+    rng = np.random.default_rng(4)
+    shape = (512, len(tiny_model.vocab))
+    magnitude = 10.0 ** rng.uniform(-30, 30, size=shape)
+    logits = (magnitude * rng.choice([-1.0, 1.0], size=shape)).astype(dtype)
+    assert np.isfinite(logits).all()
+    lp = _masked_log_softmax(logits, tiny_model.grammar.close_only)
+    assert lp.dtype == dtype
+    assert (lp[:, EOC] == 0.0).all()
+    assert (lp.argmax(axis=-1) == EOC).all()
 
 
 def test_input_tokens_dropped_counts_truncated_source(tiny_model, tiny_vocab):
