@@ -29,6 +29,11 @@ DEFAULT_AXES = {
 
 
 def expand_grid(grid: dict) -> list[dict]:
+    unknown = sorted(set(grid) - set(GRID_AXES))
+    if unknown:
+        raise ConfigError(
+            f"unknown grid axis {', '.join(map(repr, unknown))} (expected {', '.join(GRID_AXES)})"
+        )
     axes = {}
     for name in GRID_AXES:
         values = grid.get(name, DEFAULT_AXES[name])

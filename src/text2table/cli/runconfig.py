@@ -12,7 +12,6 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
     "model": {},
     "training": {},
     "decoding": {},
-    "metrics": {"alignment": "assignment"},
     "paths": {},
 }
 
@@ -35,6 +34,15 @@ def load_json_config(path: str) -> dict:
 
 
 def merged_run_config(loaded: dict) -> dict:
+    """``DEFAULT_RUN_CONFIG`` with the loaded sections merged in; a top-level
+    key it does not hold is a :class:`ConfigError`, so a misspelt section
+    fails instead of being ignored."""
+    unknown = sorted(set(loaded) - set(DEFAULT_RUN_CONFIG))
+    if unknown:
+        raise ConfigError(
+            f"unknown run config key(s) {', '.join(map(repr, unknown))} "
+            f"(expected {', '.join(DEFAULT_RUN_CONFIG)})"
+        )
     cfg = json.loads(json.dumps(DEFAULT_RUN_CONFIG))
     for key, value in loaded.items():
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):

@@ -4,7 +4,7 @@ An outer loop repeatedly asks the inner loop for a complete greedy candidate
 of every eligible undecoded cell (candidates are mutually independent given
 the committed cells), aggregates each candidate's token log-probabilities
 into a cell score, sorts eligible cells by score, and commits up to k of
-them. Decoding-order constraints restrict which undecoded cells are eligible
+them. Decoding-order constraints limit which undecoded cells are eligible
 per iteration. Stopping is either a template with an upfront predicted row
 count or the semi-templated variant that grows the template row by row until
 an all-NULL sentinel row appears.
@@ -96,6 +96,8 @@ class DecodingConfig:
             raise DecodingConfigError(f"constraint must be one of {CONSTRAINTS}")
         if self.stopping not in STOPPING:
             raise DecodingConfigError(f"stopping must be one of {STOPPING}")
+        if self.max_rows_override is not None and self.max_rows_override < 1:
+            raise DecodingConfigError("max_rows_override must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -341,12 +343,9 @@ def inner_loop(
     state: DecodingState,
     cfg: DecodingConfig,
     commit_order: list[Coord] | None = None,
-    restrict: set[Coord] | None = None,
 ) -> tuple[dict[Coord, Candidate], dict[Coord, float]]:
     """Complete greedy candidates plus aggregated scores for eligible cells."""
     eligible = apply_constraint(state, cfg, commit_order or [])
-    if restrict is not None:
-        eligible = [c for c in eligible if c in restrict]
     if not eligible:
         raise InnerLoopError("no undecoded cell is eligible under the active constraint")
     cands = source.candidates(dict(state.committed), eligible)
@@ -359,23 +358,19 @@ def run_outer_loop(
     state: DecodingState,
     cfg: DecodingConfig,
     *,
-    restrict: set[Coord] | None = None,
     trace: list[TraceEntry] | None = None,
     iteration_offset: int = 0,
 ) -> int:
-    """Fill every (restricted) undecoded cell; returns outer iteration count."""
+    """Fill every undecoded cell; returns outer iteration count."""
     commit_order: list[Coord] = list(state.committed)
-    target = restrict if restrict is not None else set(state.undecoded())
     iteration = 0
-    while any(c not in state.committed for c in target):
+    while not state.done():
         iteration += 1
-        cands, scores = inner_loop(source, state, cfg, commit_order, restrict)
+        cands, scores = inner_loop(source, state, cfg, commit_order)
         ranked = outer_criterion(scores, cfg)
         committed_now = 0
         while committed_now < cfg.k:
             eligible_now = set(apply_constraint(state, cfg, commit_order))
-            if restrict is not None:
-                eligible_now &= restrict
             pick = next(
                 (c for c in ranked if c not in state.committed and c in eligible_now), None
             )
@@ -461,57 +456,45 @@ def decode_table(
     with no_grad():
         memory, real = model.encode_source(ids)
         count = model.predict_group_count(memory)
-    max_rows = cfg.max_rows_override or model.cfg.max_rows
+    max_rows = model.cfg.max_rows if cfg.max_rows_override is None else cfg.max_rows_override
     trace: list[TraceEntry] | None = [] if keep_trace else None
 
-    if cfg.stopping == "predicted-count":
+    # Predicted-count stopping decodes one block of n rows. Semi-templated
+    # stopping grows the template one row per block until the sentinel row;
+    # when a block starts, every earlier row is committed, so its undecoded
+    # cells are exactly the new row. Each template is a prefix of the largest
+    # one, so one cache, built for the largest template the model allows,
+    # serves every block; a row past that cap still fails in template_for
+    # when decoding reaches it.
+    semi = cfg.stopping == "semi-templated"
+    if semi:
+        blocks = range(1, max_rows + 1)
+        cache_rows = min(max_rows, model.cfg.max_rows)
+    else:
         if not np.isfinite(count):
             raise NonFiniteCountError(count)
-        n = rows_from_count(count, max_rows)
-        state = DecodingState(n, m)
-        iters = passes = forced = header_dropped = 0
-        if n > 0:
-            tpl = model.template_for(header_ids, n)
-            source = ModelCellSource(model, memory, real, tpl, model.decoder_cache(memory, tpl))
-            iters = run_outer_loop(source, state, cfg, trace=trace)
-            passes, forced = source.passes, source.forced
-            header_dropped = tpl.header_tokens_dropped
-        return DecodeResult(
-            _state_to_table(vocab, state, headers, n), trace or [], iters, count,
-            decoder_passes=passes, forced_tokens=forced, input_tokens_dropped=dropped,
-            header_tokens_dropped=header_dropped,
-        )
-
-    # semi-templated: grow the template row by row until the sentinel row.
-    # Each r-row template is a prefix of the largest one, so one cache, built
-    # at the row cap the model allows, serves every row; a row past that cap
-    # still fails in template_for when decoding reaches it.
+        cache_rows = rows_from_count(count, max_rows)
+        blocks = [cache_rows] if cache_rows else []
     state = DecodingState(0, m)
     iters = passes = forced = header_dropped = 0
-    kept_rows = 0
-    hit_cap = True
+    hit_cap = semi
     cache = None
-    for r in range(1, max_rows + 1):
-        state.n_rows = r
-        tpl = model.template_for(header_ids, r)
+    for n_rows in blocks:
+        state.n_rows = n_rows
+        tpl = model.template_for(header_ids, n_rows)
         if cache is None:
-            cache = model.decoder_cache(memory, model.template_for(header_ids, min(max_rows, model.cfg.max_rows)))
+            cache = model.decoder_cache(memory, model.template_for(header_ids, cache_rows))
         source = ModelCellSource(model, memory, real, tpl, cache)
-        row_cells = {(r, c) for c in range(1, m + 1)}
-        iters += run_outer_loop(
-            source, state, cfg, restrict=row_cells, trace=trace, iteration_offset=iters
-        )
+        iters += run_outer_loop(source, state, cfg, trace=trace, iteration_offset=iters)
         passes += source.passes
         forced += source.forced
         header_dropped = tpl.header_tokens_dropped
-        if semi_templated_stop(state, r):
-            kept_rows = r - 1
+        if semi and semi_templated_stop(state, n_rows):
+            state.n_rows -= 1  # the sentinel row is decoded but not kept
             hit_cap = False
             break
-        kept_rows = r
-    table = _state_to_table(vocab, state, headers, kept_rows)
     return DecodeResult(
-        table, trace or [], iters, count, hit_row_cap=hit_cap,
+        _state_to_table(vocab, state, headers, state.n_rows), trace or [], iters, count, hit_row_cap=hit_cap,
         decoder_passes=passes, forced_tokens=forced, input_tokens_dropped=dropped,
         header_tokens_dropped=header_dropped,
     )

@@ -1,6 +1,6 @@
 """Serialized decoder layout: header blocks, row markers and fixed-width cell
-slots, with the coordinate maps and index matrices the attention biases are
-gathered from, and the visibility policy (:func:`visibility_mask`).
+slots, with the coordinate maps and the stacked index maps the attention
+biases are gathered from, and the visibility policy (:func:`visibility_mask`).
 
 Sequence layout for an n-row, m-column template:
 
@@ -72,10 +72,9 @@ class TableTemplate:
     is_struct: np.ndarray  # [T] header tokens and row markers
     slot_start: dict[Coord, int]
     cell_flat: dict[Coord, int]  # (r,c) -> 0-based row-major cell index
-    row_idx: np.ndarray = field(repr=False, default=None)  # [T,T] into R table, -1 -> header bucket
-    col_idx: np.ndarray = field(repr=False, default=None)  # [T,T] into C table
-    loc_idx: np.ndarray = field(repr=False, default=None)  # [T,T] into L table, -1 -> cross-cell
-    beta_idx: np.ndarray = field(repr=False, default=None)  # [T,T] into the decoder bucket table
+    # [4, T, T] index maps, stacked: into the R table (-1 -> header bucket),
+    # the C table, the L table (-1 -> cross-cell) and the decoder bucket table
+    bias_idx: np.ndarray = field(repr=False, default=None)
     header_tokens_dropped: int = 0  # header token ids cut at max_cell_len
 
     def cells(self) -> list[Coord]:
@@ -155,12 +154,14 @@ def make_template(
     )
 
     hdr_key = rows[None, :] == 0
-    tpl.row_idx = np.where(hdr_key, -1, rows[:, None] - rows[None, :] + cfg.max_rows)
-    tpl.col_idx = cols[:, None] - cols[None, :] + cfg.max_cols
     serial = np.arange(length, dtype=np.int64)
     same_cell = cell_id[:, None] == cell_id[None, :]
-    tpl.loc_idx = np.where(same_cell, serial[:, None] - serial[None, :] + l, -1)
-    tpl.beta_idx = sequence_bucket_matrix(length, cfg)
+    tpl.bias_idx = np.stack([
+        np.where(hdr_key, -1, rows[:, None] - rows[None, :] + cfg.max_rows),
+        cols[:, None] - cols[None, :] + cfg.max_cols,
+        np.where(same_cell, serial[:, None] - serial[None, :] + l, -1),
+        sequence_bucket_matrix(length, cfg),
+    ])
     return tpl
 
 
@@ -227,7 +228,6 @@ class LayoutInstance:
     is_pad: np.ndarray  # [T]
     is_ctx: np.ndarray  # [T] structural tokens and filled cells
     rank: np.ndarray  # [T] visibility stage for staircase (fixed-order) masks
-    open_cells: list[Coord] = field(default_factory=list)
     # loss surface (teacher-forced instances only)
     loss_pos: np.ndarray | None = None  # [P] positions
     loss_targets: np.ndarray | None = None  # [P]
@@ -293,7 +293,6 @@ def instance_for_pass(
     loss_tgt: list[int] = []
     loss_cell: list[int] = []
     legal_rows: list[np.ndarray] = []
-    open_cells: list[Coord] = []
 
     for coord in template.cells():
         content = cell_contents[coord]
@@ -304,7 +303,6 @@ def instance_for_pass(
         if coord in filled and not staircase:
             ctx[p0 : p0 + template.slot_len] = True
             continue
-        open_cells.append(coord)
         targets = content + [EOC]
         prev = BOS
         for t, tok in enumerate(targets):
@@ -320,7 +318,6 @@ def instance_for_pass(
         is_pad=pad,
         is_ctx=ctx,
         rank=rank,
-        open_cells=open_cells,
         loss_pos=np.asarray(loss_pos, dtype=np.int64),
         loss_targets=np.asarray(loss_tgt, dtype=np.int64),
         loss_cell=np.asarray(loss_cell, dtype=np.int64),
@@ -355,5 +352,4 @@ def instance_for_decoding(
         is_pad=pad,
         is_ctx=ctx,
         rank=rank,
-        open_cells=[c for c in template.cells() if c not in committed],
     )

@@ -13,7 +13,10 @@ Both stacks hold the residual stream as packed rows: the encoder one row
 ([N, d], laid out by a :class:`DecoderBatch`). Every weight product is a
 single [N, d] gemm and every row-wise layer runs on live tokens only. The
 attention op takes each example's row count and scores every example at its
-own length, so no layer sees batch padding.
+own length, so no layer sees batch padding. The decoder's self-attention bias
+and visibility mask are packed the same way, one [n, m] block per example
+back to back, and one method gathers that bias for a training batch and for
+a decode cache alike.
 """
 
 from __future__ import annotations
@@ -40,27 +43,29 @@ from .layout import (
 class DecoderBatch:
     """Batch of layout instances ready for the decoder stack.
 
-    Example ``b`` holds the template positions ``rows[b]`` of its instance, in
-    order; ``input_ids``, ``allow`` and ``bias_idx`` pad every example to
-    ``length`` so they stack, and :attr:`real` marks the live prefix. Keys are
-    the same rows as queries: ``allow`` is the instance's visibility
-    submatrix at those rows and ``bias_idx`` holds the template's row,
-    column, local and bucket index maps there. The decoder runs on the
-    packed rows alone: example after example, ``len(rows[b])`` rows each.
-    Its attention scores example b at its own length n, on the top-left
-    [n, n] blocks of ``allow`` and of the bias gathered from ``bias_idx``.
+    Example ``b`` holds the n_b template positions ``rows[b]`` of its
+    instance, in order; keys are the same rows as queries. The decoder runs
+    on the packed rows alone: example after example, n_b rows each.
+    ``input_ids`` pads every example to ``length`` so they stack, and
+    :attr:`real` marks the live prefix. The attention inputs are packed
+    per-example blocks with no batch padding: example b owns the n_b * n_b
+    entries after those of the examples before it, its [n_b, n_b] block in
+    row-major order. ``allow`` holds the instance's visibility submatrix at
+    those rows and ``bias_idx`` the template's row, column, local and bucket
+    index maps there, stacked.
 
     A query batch (``instances`` empty) serves a cached pass: it holds only
-    the query positions ``rows[0]`` of one layout, all of them live, so it
+    the R query positions ``rows[0]`` of one layout, all of them live, so it
     carries no batch padding, no loss surface and no bias maps; its ``allow``
-    rows span all the template's key positions.
+    is the [R, T] visibility rows of those positions over all the template's
+    key positions, flattened.
     """
 
     input_ids: np.ndarray  # [B, L], PAD where batch padding; [1, R] for a query batch
-    allow: np.ndarray  # [B, L, L]; [1, R, T] for a query batch
+    allow: np.ndarray  # [sum n_b^2] per-example blocks; [R*T] for a query batch
     rows: list[np.ndarray]  # per example: the template positions of its rows
     instances: list[LayoutInstance]
-    bias_idx: tuple[np.ndarray, ...] = ()  # (row, col, loc, bucket) index maps, each [B, L, L]
+    bias_idx: np.ndarray | None = None  # [4, sum n_b^2] (row, col, loc, bucket) blocks
 
     @property
     def length(self) -> int:
@@ -75,7 +80,8 @@ class DecoderBatch:
     def query(self, rows: np.ndarray) -> "DecoderBatch":
         """The query batch of template positions ``rows``, sliced from a query
         batch over every position of its layout (nothing is rebuilt)."""
-        return DecoderBatch(self.input_ids[:, rows], self.allow[:, rows], [rows], [])
+        allow = self.allow.reshape(self.length, -1)[rows].reshape(-1)
+        return DecoderBatch(self.input_ids[:, rows], allow, [rows], [])
 
     def flat_loss_arrays(self):
         """Concatenate loss surfaces across the batch; positions index the
@@ -105,35 +111,24 @@ class DecoderBatch:
 def collate_instances(
     instances: list[LayoutInstance], cfg: ModelConfig, rows: np.ndarray | None = None
 ) -> DecoderBatch:
-    """Pack each instance to its live positions (slot padding dropped) and pad
-    the batch to the largest live count; with ``rows``, the query batch of
-    those positions of a single instance (see :class:`DecoderBatch`)."""
+    """Pack each instance to its live positions (slot padding dropped) and cut
+    its visibility and bias-index blocks there; with ``rows``, the query batch
+    of those positions of a single instance (see :class:`DecoderBatch`)."""
     if rows is not None:
         (inst,) = instances
         rows = np.asarray(rows, dtype=np.int64)
-        return DecoderBatch(inst.input_ids[rows][None], inst.visibility(rows)[None], [rows], [])
+        return DecoderBatch(inst.input_ids[rows][None], inst.visibility(rows).reshape(-1), [rows], [])
     live = [np.flatnonzero(~inst.is_pad) for inst in instances]
-    b, n = len(instances), max(len(r) for r in live)
-    ids = np.full((b, n), PAD, dtype=np.int64)
-    allow = np.zeros((b, n, n), dtype=bool)
-    # batch padding: any valid table entry (row and column offset 0, no local
-    # term, bucket 0); the visibility mask hides it
-    row_idx = np.zeros((b, n, n), dtype=np.int64)
-    col_idx = np.zeros((b, n, n), dtype=np.int64)
-    loc_idx = np.full((b, n, n), -1, dtype=np.int64)
-    beta_idx = np.zeros((b, n, n), dtype=np.int64)
+    ids = np.full((len(instances), max(len(r) for r in live)), PAD, dtype=np.int64)
+    allow, bias_idx = [], []
     for k, (inst, r) in enumerate(zip(instances, live)):
-        tpl, m = inst.template, len(r)
-        ids[k, :m] = inst.input_ids[r]
-        allow[k, :m, :m] = visibility_mask(
-            inst.is_pad[r], inst.is_ctx[r], inst.rank[r], tpl.cell_id[r], tpl.within[r], np.arange(m)
-        )
-        at = np.ix_(r, r)
-        row_idx[k, :m, :m] = tpl.row_idx[at]
-        col_idx[k, :m, :m] = tpl.col_idx[at]
-        loc_idx[k, :m, :m] = tpl.loc_idx[at]
-        beta_idx[k, :m, :m] = tpl.beta_idx[at]
-    return DecoderBatch(ids, allow, live, list(instances), (row_idx, col_idx, loc_idx, beta_idx))
+        tpl, n = inst.template, len(r)
+        ids[k, :n] = inst.input_ids[r]
+        allow.append(visibility_mask(
+            inst.is_pad[r], inst.is_ctx[r], inst.rank[r], tpl.cell_id[r], tpl.within[r], np.arange(n)
+        ).reshape(-1))
+        bias_idx.append(tpl.bias_idx[:, r[:, None], r].reshape(4, -1))
+    return DecoderBatch(ids, np.concatenate(allow), live, list(instances), np.concatenate(bias_idx, axis=1))
 
 
 @dataclass
@@ -141,9 +136,11 @@ class DecoderCache:
     """Decoder state kept across the passes that decode one source text
     (inference only; valid while the parameters stay unchanged).
 
-    ``bias`` and ``cross`` are fixed for the table. ``keys`` and ``values``
-    hold each layer's self-attention key and value rows at every template
-    position; a cached pass writes its query rows there before it attends, and
+    ``bias`` and ``cross`` are fixed for the table; a cached pass reads the
+    bias rows of its query positions, flattened into one example's packed
+    block. ``keys`` and ``values`` hold each layer's self-attention key and
+    value rows at every template position; a cached pass writes its query
+    rows there before it attends, and
     the visibility rows keep every query from seeing a position not written
     for its own context. A template with fewer rows is a prefix of this one
     (:meth:`prefix`).
@@ -311,6 +308,16 @@ class TextToTableModel:
             x = ops.add(x, self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn", train, rng))
         return self._ln(x, "enc.ln_f")
 
+    def _decoder_bias(self, bias_idx: np.ndarray) -> Tensor:
+        """Decoder self-attention bias [H, ...]: the pair (row, column, local)
+        plus bucket bias gathered from stacked index maps [4, ...]."""
+        p = self.params
+        row, col, loc, bucket = bias_idx
+        return ops.add(
+            ops.pair_bias(p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], row, col, loc),
+            ops.bucket_bias(p["dec_beta"], bucket),
+        )
+
     def decoder_hidden(
         self,
         memory: Tensor,
@@ -331,25 +338,18 @@ class TextToTableModel:
         the cached ones, and the result is [R, d].
         """
         cfg, p = self.cfg, self.params
-        b, t = batch.input_ids.shape
         real = batch.real
         x = ops.embedding(p["embed"], batch.input_ids[real])
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
         q_len = real.sum(axis=1)
         if cache is None:
-            # every example's [L, L] maps stacked to [B*L, L]: one gather per table
-            ri, ci, li, bi = (m.reshape(b * t, t) for m in batch.bias_idx)
-            bias = ops.add(
-                ops.pair_bias(p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], ri, ci, li),
-                ops.bucket_bias(p["dec_beta"], bi),
-            )
-            bias = ops.reshape(bias, (cfg.n_heads, b, t, t))
+            bias = self._decoder_bias(batch.bias_idx)
             k_len = q_len
         else:
             # one query example over the cached keys of every template position
             rows = batch.rows[0]
-            bias = Tensor(cache.bias[:, rows])
+            bias = Tensor(cache.bias[:, rows].reshape(cfg.n_heads, -1))
             k_len = [len(cache.keys[0])]
         mem_len = mem_real.sum(axis=1)
         for i in range(cfg.n_dec_layers):
@@ -375,11 +375,7 @@ class TextToTableModel:
         cfg, p = self.cfg, self.params
         shape = (template.length, cfg.d_model)
         with no_grad():
-            pair = ops.pair_bias(
-                p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"],
-                template.row_idx, template.col_idx, template.loc_idx,
-            )
-            bias = ops.add(pair, ops.bucket_bias(p["dec_beta"], template.beta_idx))
+            bias = self._decoder_bias(template.bias_idx)
             cross = [
                 (ops.matmul(memory, p[f"dec{i}.cross.wk"]), ops.matmul(memory, p[f"dec{i}.cross.wv"]))
                 for i in range(cfg.n_dec_layers)

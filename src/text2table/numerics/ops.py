@@ -43,15 +43,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_result(a.data + b.data, (a, b), vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return make_result(a.data * b.data, (a, b), vjp)
-
-
 def scale(a: Tensor, k: float) -> Tensor:
     def vjp(g):
         return (g * k,)
@@ -177,13 +168,15 @@ def attention(
 
     q [Nq, d] holds example after example, ``q_len[b]`` rows each; k and v
     [Nk, d] hold ``k_len[b]`` rows each. Example b scores its n = q_len[b]
-    queries against its m = k_len[b] keys in [H, n, m] and reads the top-left
-    [n, m] block of ``bias`` and ``allow``. ``bias`` is [H, B, Lq, Lk] per
-    example, or [H, Lq, Lk] shared by the batch, or None; ``allow`` is a bool
-    [B, Lq, Lk] mask, or None when every key of an example is visible to all
-    its queries. Per head, the result is softmax(scale * q k^T + bias, where
-    allowed) v, with heads joined back to rows [Nq, d]. A query that may see
-    no key gets zero output and zero gradient.
+    queries against its m = k_len[b] keys in [H, n, m]. ``bias`` is either
+    [H, sum n*m] per example, or [H, Lq, Lk] shared by the batch, of which
+    example b reads the top-left [n, m] block, or None. ``allow`` is a bool
+    [sum n*m] mask, or None when every key of an example is visible to all its
+    queries. A per-example bias and the mask are packed blocks: example b's
+    [n, m] block, in row-major order, starts at the offset sum over c < b of
+    q_len[c] * k_len[c] in both. Per head, the result is softmax(scale *
+    q k^T + bias, where allowed) v, with heads joined back to rows [Nq, d]. A
+    query that may see no key gets zero output and zero gradient.
     """
     nq, d = q.shape
     dh = d // n_heads
@@ -200,17 +193,16 @@ def attention(
     ):
         raise ShapeMismatchError("attention", q.shape, k.shape)
     lq, lk = max(q_len, default=0), max(k_len, default=0)
-    per_example = bias is not None and bias.data.ndim == 4
+    packed = sum(n * m for n, m in zip(q_len, k_len))
+    per_example = bias is not None and bias.data.ndim == 2
     if bias is not None and (
-        bias.data.ndim not in (3, 4)
-        or bias.shape[0] != n_heads
-        or (per_example and bias.shape[1] != b)
-        or bias.shape[-2] < lq
-        or bias.shape[-1] < lk
+        bias.shape[0] != n_heads
+        or (per_example and bias.shape[1] != packed)
+        or (not per_example and (bias.data.ndim != 3 or bias.shape[1] < lq or bias.shape[2] < lk))
     ):
-        raise ShapeMismatchError("attention", (n_heads, b, lq, lk), bias.shape)
-    if allow is not None and (allow.ndim != 3 or allow.shape[0] != b or allow.shape[1] < lq or allow.shape[2] < lk):
-        raise ShapeMismatchError("attention", (b, lq, lk), allow.shape)
+        raise ShapeMismatchError("attention", (n_heads, packed), bias.shape)
+    if allow is not None and allow.shape != (packed,):
+        raise ShapeMismatchError("attention", (packed,), allow.shape)
 
     def heads(x, rows):  # rows [n, d] -> [H, n, dh]
         return x.reshape(rows, n_heads, dh).transpose(1, 0, 2)
@@ -218,45 +210,45 @@ def attention(
     def join(x, rows):  # [H, n, dh] -> rows [n, d]
         return x.transpose(1, 0, 2).reshape(rows, d)
 
-    # per example: (index, query slice, key slice, n, m, qh, kh, vh, probabilities)
+    # per example: (query slice, key slice, block slice, n, m, qh, kh, vh, probabilities)
     saved = []
     out = np.zeros_like(q.data)
-    qo = ko = 0
-    for i, (n, m) in enumerate(zip(q_len, k_len)):
-        qs, ks = slice(qo, qo + n), slice(ko, ko + m)
-        qo, ko = qo + n, ko + m
+    qo = ko = po = 0
+    for n, m in zip(q_len, k_len):
+        qs, ks, ps = slice(qo, qo + n), slice(ko, ko + m), slice(po, po + n * m)
+        qo, ko, po = qo + n, ko + m, po + n * m
         if not n or not m:
             continue
         qh, kh, vh = heads(q.data[qs], n), heads(k.data[ks], m), heads(v.data[ks], m)
         p = np.matmul(qh, kh.swapaxes(-1, -2))  # scores, turned into probabilities in place
         p *= scale
         if bias is not None:
-            p += bias.data[:, i, :n, :m] if per_example else bias.data[:, :n, :m]
+            p += bias.data[:, ps].reshape(n_heads, n, m) if per_example else bias.data[:, :n, :m]
         if allow is None:
             p -= np.maximum.reduce(p, axis=-1, keepdims=True)
             np.exp(p, out=p)
             p /= np.add.reduce(p, axis=-1, keepdims=True)
         else:
-            p = np.where(allow[i, :n, :m], p, -np.inf)
+            p = np.where(allow[ps].reshape(n, m), p, -np.inf)
             mx = np.maximum.reduce(p, axis=-1, keepdims=True)
             p -= np.where(np.isfinite(mx), mx, 0.0)  # a fully masked row: exp gives zeros, not NaN
             np.exp(p, out=p)
             z = np.add.reduce(p, axis=-1, keepdims=True)
             p /= np.where(z == 0.0, 1.0, z)
         out[qs] = join(np.matmul(p, vh), n)
-        saved.append((i, qs, ks, n, m, qh, kh, vh, p))
+        saved.append((qs, ks, ps, n, m, qh, kh, vh, p))
 
     def vjp(g):
         gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
         gb = None if bias is None else np.zeros_like(bias.data)
-        for i, qs, ks, n, m, qh, kh, vh, p in saved:
+        for qs, ks, ps, n, m, qh, kh, vh, p in saved:
             gctx = heads(g[qs], n)
             gp = np.matmul(gctx, vh.swapaxes(-1, -2))
             gv[ks] = join(np.matmul(p.swapaxes(-1, -2), gctx), m)
             gs = gp - (gp * p).sum(axis=-1, keepdims=True)
             gs *= p  # zero wherever p is
             if per_example:
-                gb[:, i, :n, :m] = gs
+                gb[:, ps] = gs.reshape(n_heads, n * m)
             elif gb is not None:
                 gb[:, :n, :m] += gs
             gs *= scale
@@ -266,13 +258,6 @@ def attention(
 
     parents = (q, k, v) if bias is None else (q, k, v, bias)
     return make_result(out, parents, vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (np.full(a.shape, g, dtype=a.dtype),)
-
-    return make_result(np.asarray(a.data.sum()), (a,), vjp)
 
 
 def cross_entropy(
@@ -356,25 +341,25 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-head table lookup: out[h, i, j] = table[h, idx[i, j]]; index -1
-    selects a table's last column."""
+    """Per-head table lookup, for an index map of any shape: out[h, ...] =
+    table[h, idx[...]]; index -1 selects a table's last column."""
     return np.take(table, idx, axis=1)
 
 
 def _scatter(g_table: np.ndarray, grad: np.ndarray, idx: np.ndarray) -> None:
-    """Reverse of :func:`_gather`: add grad[h, i, j] into g_table[h, idx[i, j]].
+    """Reverse of :func:`_gather`: add grad[h, ...] into g_table[h, idx[...]].
 
     One ``np.add.at`` over the flattened table, with index -1 mapped to the
     last column of its own head. Each table entry sums its contributions in
-    row-major (i, j) order.
+    the row-major order of the index map.
     """
     n_heads, width = g_table.shape
-    flat = (idx % width)[None] + (width * np.arange(n_heads))[:, None, None]
+    flat = (idx % width).reshape(1, -1) + (width * np.arange(n_heads))[:, None]
     np.add.at(g_table.reshape(-1), flat.reshape(-1), grad.reshape(-1))
 
 
 def bucket_bias(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-head relative bias gather: out[h, i, j] = table[h, idx[i, j]]."""
+    """Per-head relative bias gather: out[h, ...] = table[h, idx[...]]."""
     idx = np.asarray(idx, dtype=np.int64)
 
     def vjp(g):
@@ -394,11 +379,12 @@ def pair_bias(
     col_idx: np.ndarray,
     loc_idx: np.ndarray,
 ) -> Tensor:
-    """Tabular + local decoder bias, (heads, N, K), from (N, K) coordinate
-    offset maps: row offset, then column offset, then local offset.
+    """Tabular + local decoder bias [heads, ...] from coordinate offset maps
+    of one shape, such as a template's [T, T] or a batch's packed per-example
+    blocks: row offset, then column offset, then local offset.
 
-    row_idx[i,j] < 0 selects the dedicated header bucket r0 (key in header
-    row); loc_idx[i,j] < 0 marks cross-cell pairs that get no local term.
+    A row index < 0 selects the dedicated header bucket r0 (key in header
+    row); a local index < 0 marks cross-cell pairs that get no local term.
     Both are sentinel columns appended to their tables, so each term is one
     :func:`_gather`.
     """

@@ -14,60 +14,59 @@ import numpy as np
 
 
 def gather_pair_bias(row_tab, r0, col_tab, loc_tab, row_idx, col_idx, loc_idx):
-    """bias[h,i,j] = (R0[h] | R[h,ri]) + C[h,ci] + (L[h,li] | 0), added in
-    that order; row index -1 selects R0, local index -1 adds nothing."""
+    """bias[h, e] = (R0[h] | R[h,ri]) + C[h,ci] + (L[h,li] | 0), added in
+    that order, for every entry e of the maps (any shape, row-major); row
+    index -1 selects R0, local index -1 adds nothing."""
     n_heads = row_tab.shape[0]
-    t0, t1 = row_idx.shape
-    out = np.empty((n_heads, t0, t1), dtype=row_tab.dtype)
+    ri_, ci_, li_ = (np.asarray(m).reshape(-1) for m in (row_idx, col_idx, loc_idx))
+    out = np.empty((n_heads, ri_.size), dtype=row_tab.dtype)
     for h in range(n_heads):
-        for i in range(t0):
-            for j in range(t1):
-                ri = row_idx[i, j]
-                acc = r0[h] if ri < 0 else row_tab[h, ri]
-                acc = acc + col_tab[h, col_idx[i, j]]
-                li = loc_idx[i, j]
-                if li >= 0:
-                    acc = acc + loc_tab[h, li]
-                out[h, i, j] = acc
-    return out
+        for e in range(ri_.size):
+            ri = ri_[e]
+            acc = r0[h] if ri < 0 else row_tab[h, ri]
+            acc = acc + col_tab[h, ci_[e]]
+            li = li_[e]
+            if li >= 0:
+                acc = acc + loc_tab[h, li]
+            out[h, e] = acc
+    return out.reshape((n_heads,) + np.shape(row_idx))
 
 
 def scatter_pair_bias_grad(g_row, g_r0, g_col, g_loc, grad, row_idx, col_idx, loc_idx):
     n_heads = grad.shape[0]
-    t0, t1 = row_idx.shape
+    ri_, ci_, li_ = (np.asarray(m).reshape(-1) for m in (row_idx, col_idx, loc_idx))
+    grad = grad.reshape(n_heads, -1)
     for h in range(n_heads):
-        for i in range(t0):
-            for j in range(t1):
-                g = grad[h, i, j]
-                ri = row_idx[i, j]
-                if ri < 0:
-                    g_r0[h] += g
-                else:
-                    g_row[h, ri] += g
-                g_col[h, col_idx[i, j]] += g
-                li = loc_idx[i, j]
-                if li >= 0:
-                    g_loc[h, li] += g
+        for e in range(ri_.size):
+            g = grad[h, e]
+            ri = ri_[e]
+            if ri < 0:
+                g_r0[h] += g
+            else:
+                g_row[h, ri] += g
+            g_col[h, ci_[e]] += g
+            li = li_[e]
+            if li >= 0:
+                g_loc[h, li] += g
 
 
 def gather_bucket_bias(table, idx):
     n_heads = table.shape[0]
-    t0, t1 = idx.shape
-    out = np.empty((n_heads, t0, t1), dtype=table.dtype)
+    flat = np.asarray(idx).reshape(-1)
+    out = np.empty((n_heads, flat.size), dtype=table.dtype)
     for h in range(n_heads):
-        for i in range(t0):
-            for j in range(t1):
-                out[h, i, j] = table[h, idx[i, j]]
-    return out
+        for e in range(flat.size):
+            out[h, e] = table[h, flat[e]]
+    return out.reshape((n_heads,) + np.shape(idx))
 
 
 def scatter_bucket_bias_grad(g_table, grad, idx):
     n_heads = grad.shape[0]
-    t0, t1 = idx.shape
+    flat = np.asarray(idx).reshape(-1)
+    grad = grad.reshape(n_heads, -1)
     for h in range(n_heads):
-        for i in range(t0):
-            for j in range(t1):
-                g_table[h, idx[i, j]] += grad[h, i, j]
+        for e in range(flat.size):
+            g_table[h, flat[e]] += grad[h, e]
 
 
 def visibility_mask(is_pad, is_ctx, rank, cell_id, within, rows):

@@ -65,24 +65,23 @@ def softmax(a: Tensor) -> Tensor:
     return make_result(s, (a,), vjp)
 
 
-def padded_batch(instances, cfg) -> DecoderBatch:
-    """Every template position of each instance, batch-padded to the longest."""
+def padded_batch(instances) -> DecoderBatch:
+    """Every template position of each instance, batch-padded to the longest.
+
+    The batch keeps its own padded arrays in the :class:`DecoderBatch` fields:
+    ``allow`` [B, L, L] and ``bias_idx`` [4, B, L, L], whose batch padding
+    holds a valid table entry (offset 0, no local term, bucket 0) that the
+    mask hides. Only this module's forward reads them."""
     b, t_max = len(instances), max(inst.length for inst in instances)
     ids = np.full((b, t_max), PAD, dtype=np.int64)
     allow = np.zeros((b, t_max, t_max), dtype=bool)
-    maps = (
-        np.zeros((b, t_max, t_max), dtype=np.int64),
-        np.zeros((b, t_max, t_max), dtype=np.int64),
-        np.full((b, t_max, t_max), -1, dtype=np.int64),
-        np.zeros((b, t_max, t_max), dtype=np.int64),
-    )
+    maps = np.zeros((4, b, t_max, t_max), dtype=np.int64)
+    maps[2] = -1
     for k, inst in enumerate(instances):
-        tpl, t = inst.template, inst.length
+        t = inst.length
         ids[k, :t] = inst.input_ids
         allow[k, :t, :t] = inst.visibility()
-        full = (tpl.row_idx, tpl.col_idx, tpl.loc_idx, sequence_bucket_matrix(t, cfg))
-        for m, src in zip(maps, full):
-            m[k, :t, :t] = src
+        maps[:, k, :t, :t] = inst.template.bias_idx
     rows = [np.arange(inst.length, dtype=np.int64) for inst in instances]
     return DecoderBatch(ids, allow, rows, list(instances), maps)
 
@@ -189,7 +188,7 @@ def batch_loss(trainer, batch, step, train):
     mse = ops.mse(count_pred(model, memory), counts)
     insts, owners = trainer._instances_for(batch, step)
     if insts:
-        dec_batch = padded_batch(insts, model.cfg)
+        dec_batch = padded_batch(insts)
         s = memory.shape[1]
         gather = np.concatenate([np.arange(s, dtype=np.int64) + o * s for o in owners])
         flat = ops.reshape(memory, (memory.shape[0] * s, memory.shape[2]))

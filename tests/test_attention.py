@@ -1,5 +1,8 @@
 """The ragged attention op: gradients by finite differences, masked rows, and
-agreement with the padded op chain it replaced (``padded_model``)."""
+agreement with the padded op chain it replaced (``padded_model``).
+
+The per-example bias and the mask are packed: each example's [n, m] block,
+row-major, after the blocks of the examples before it."""
 
 import math
 
@@ -8,7 +11,7 @@ import pytest
 
 from padded_model import masked_fill, softmax, transpose
 from text2table.numerics import ShapeMismatchError, Tensor, backward, ops
-from util import finite_diff_grad, max_rel_err
+from util import finite_diff_grad, max_rel_err, mul, sum_all
 
 H, D = 2, 4
 SCALE = 1.0 / math.sqrt(D // H)
@@ -20,31 +23,44 @@ LENGTHS = {
 BIAS_KINDS = ["none", "per-example", "shared"]
 
 
+def _block_index(q_len, k_len):
+    """Packed entry of every position of the padded [B, Lq, Lk] layout, -1
+    outside the examples' blocks."""
+    idx = np.full((len(q_len), q_len.max(), k_len.max()), -1)
+    offset = 0
+    for i, (n, m) in enumerate(zip(q_len, k_len)):
+        idx[i, :n, :m] = offset + np.arange(n * m).reshape(n, m)
+        offset += n * m
+    return idx
+
+
 def _case(rng, lengths, bias_kind, masked, dtype=np.float64):
     """Operands of one attention call: rows, lengths, bias and mask.
 
-    The mask, when there is one, covers the padded [B, Lq, Lk] layout; every
+    The mask, when there is one, holds each example's [n, m] block; every
     query sees its example's first key."""
     q_len, k_len = (np.array(x) for x in LENGTHS[lengths])
-    b, lq, lk = len(q_len), q_len.max(), k_len.max()
+    lq, lk = q_len.max(), k_len.max()
+    packed = int((q_len * k_len).sum())
     tensors = [
         Tensor(rng.normal(size=(int(n), D)).astype(dtype), requires_grad=True)
         for n in (q_len.sum(), k_len.sum(), k_len.sum())
     ]
     bias = None
     if bias_kind != "none":
-        shape = (H, lq, lk) if bias_kind == "shared" else (H, b, lq, lk)
+        shape = (H, lq, lk) if bias_kind == "shared" else (H, packed)
         bias = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
     allow = None
     if masked:
-        allow = rng.random((b, lq, lk)) < 0.7
-        allow[:, :, 0] = True
+        allow = rng.random(packed) < 0.7
+        idx = _block_index(q_len, k_len)
+        allow[idx[:, :, 0][idx[:, :, 0] >= 0]] = True
     return tensors, q_len, k_len, bias, allow
 
 
 def _scalarize(t):
     w = np.cos(np.arange(t.data.size)).reshape(t.shape).astype(t.dtype)
-    return ops.sum_all(ops.mul(t, Tensor(w)))
+    return sum_all(mul(t, Tensor(w)))
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -65,26 +81,32 @@ def test_attention_gradients_vs_finite_differences(lengths, bias_kind, masked):
 
 
 def _chain(q, k, v, q_len, k_len, bias, allow):
-    """The same attention as the op chain of the padded model, from rows."""
+    """The same attention as the op chain of the padded model, from rows and
+    packed blocks."""
     b, lq, lk, d = len(q_len), q_len.max(), k_len.max(), q.shape[1]
     q_at = np.flatnonzero(np.arange(lq) < q_len[:, None])  # positions in [B*Lq]
     k_at = np.flatnonzero(np.arange(lk) < k_len[:, None])
-    key_live = np.arange(lk) < k_len[:, None, None]
-    allow = key_live if allow is None else allow & key_live
+    block = _block_index(q_len, k_len)
+    allow = block >= 0 if allow is None else (block >= 0) & allow[block]
 
-    def lift(x, at, length):  # rows -> [B, H, L, dh] as a differentiable gather
+    def lift(x, at, length):  # rows -> [B, L, ...] as a differentiable gather
         n = len(x.data)
         with_zero = ops.matmul(Tensor(np.eye(n + 1)[:, :n]), x)  # x plus a zero row last
         idx = np.full(b * length, n)  # empty positions read the zero row
         idx[at] = np.arange(n)
-        padded = ops.take_rows(with_zero, idx)
-        return transpose(ops.reshape(padded, (b, length, H, d // H)), (0, 2, 1, 3))
+        return ops.reshape(ops.take_rows(with_zero, idx), (b, length) + x.shape[1:])
 
-    qh, kh, vh = lift(q, q_at, lq), lift(k, k_at, lk), lift(v, k_at, lk)
+    def heads(x, at, length):  # rows -> [B, H, L, dh]
+        return transpose(ops.reshape(lift(x, at, length), (b, length, H, d // H)), (0, 2, 1, 3))
+
+    qh, kh, vh = heads(q, q_at, lq), heads(k, k_at, lk), heads(v, k_at, lk)
     scores = ops.scale(ops.matmul(qh, transpose(kh, (0, 1, 3, 2))), SCALE)
-    if bias is not None:
-        scores = ops.add(scores, bias if bias.data.ndim == 3 else transpose(bias, (1, 0, 2, 3)))
-    probs = softmax(masked_fill(scores, ~np.broadcast_to(allow, (b, lq, lk))[:, None], -np.inf))
+    if bias is not None and bias.data.ndim == 3:
+        scores = ops.add(scores, bias)
+    elif bias is not None:  # packed [H, P] -> [P, H] rows -> [B, Lq, Lk, H] -> [B, H, Lq, Lk]
+        rows = lift(transpose(bias, (1, 0)), np.flatnonzero(block >= 0), lq * lk)
+        scores = ops.add(scores, transpose(ops.reshape(rows, (b, lq, lk, H)), (0, 3, 1, 2)))
+    probs = softmax(masked_fill(scores, ~allow[:, None], -np.inf))
     ctx = ops.reshape(transpose(ops.matmul(probs, vh), (0, 2, 1, 3)), (b * lq, d))
     return ops.take_rows(ctx, q_at)
 
@@ -112,7 +134,7 @@ def test_attention_matches_op_chain(lengths, bias_kind, masked):
 def test_no_mask_equals_an_all_visible_mask(lengths):
     rng = np.random.default_rng(8)
     (q, k, v), q_len, k_len, bias, _ = _case(rng, lengths, "per-example", masked=False)
-    all_visible = np.ones((len(q_len), q_len.max(), k_len.max()), dtype=bool)
+    all_visible = np.ones(int((q_len * k_len).sum()), dtype=bool)
     outs, grads = [], []
     for allow in (None, all_visible):
         for t in (q, k, v, bias):
@@ -130,14 +152,15 @@ def test_no_mask_equals_an_all_visible_mask(lengths):
 def test_fully_masked_query_gets_zero_output_and_gradient(lengths):
     rng = np.random.default_rng(5)
     (q, k, v), q_len, k_len, bias, allow = _case(rng, lengths, "per-example", masked=True)
-    allow[1, 0] = False  # the first query of example 1 sees no key
+    first = _block_index(q_len, k_len)[1, 0, : k_len[1]]  # the first query row of example 1
+    allow[first] = False  # sees no key
     row = int(q_len[0])
     out = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
     assert np.isfinite(out.data).all()
     assert (out.data[row] == 0.0).all()
     backward(_scalarize(out))
     assert (q.grad[row] == 0.0).all()
-    assert (bias.grad[:, 1, 0] == 0.0).all()  # the bias row of that query
+    assert (bias.grad[:, first] == 0.0).all()  # the bias row of that query
     assert np.isfinite(k.grad).all() and np.isfinite(v.grad).all()
 
 
@@ -161,12 +184,13 @@ def test_attention_float32_matches_float64(lengths):
 def test_attention_rejects_lengths_and_bias_that_do_not_fit():
     rng = np.random.default_rng(1)
     (q, k, v), q_len, k_len, _, allow = _case(rng, "ragged", "none", masked=True)
-    b, lq, lk = allow.shape
+    b, lq, lk, packed = len(q_len), q_len.max(), k_len.max(), allow.size
 
     def call(q_len=q_len, k_len=k_len, bias=None, allow=allow):
         return ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
 
     call()  # the case itself fits
+    call(bias=Tensor(np.zeros((H, packed))))  # so does a per-example bias
     with pytest.raises(ShapeMismatchError):
         call(q_len=q_len + [1, 0, 0])  # one query row more than q holds
     with pytest.raises(ShapeMismatchError):
@@ -174,10 +198,14 @@ def test_attention_rejects_lengths_and_bias_that_do_not_fit():
     with pytest.raises(ShapeMismatchError):
         call(k_len=k_len[:2])  # lengths of a different batch size
     with pytest.raises(ShapeMismatchError):
-        call(bias=Tensor(np.zeros((H, b + 1, lq, lk))))  # per-example bias of another batch
+        call(bias=Tensor(np.zeros((H, packed + 1))))  # per-example blocks of another batch
+    with pytest.raises(ShapeMismatchError):
+        call(bias=Tensor(np.zeros((H, b, lq, lk))))  # the padded per-example layout
     with pytest.raises(ShapeMismatchError):
         call(bias=Tensor(np.zeros((H, lq, lk - 1))))  # too few bias columns for the longest example
     with pytest.raises(ShapeMismatchError):
         call(bias=Tensor(np.zeros((H + 1, lq, lk))))  # bias of another head count
     with pytest.raises(ShapeMismatchError):
-        call(allow=allow[:, : lq - 1])  # a mask too short for the longest example
+        call(allow=allow[:-1])  # a mask one entry short
+    with pytest.raises(ShapeMismatchError):
+        call(allow=np.ones((b, lq, lk), dtype=bool))  # the padded mask layout

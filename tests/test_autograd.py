@@ -3,34 +3,34 @@ import pytest
 
 from padded_model import masked_fill, softmax, transpose
 from text2table.numerics import NonScalarRootError, Tensor, backward, no_grad, ops
-from util import finite_diff_grad, max_rel_err
+from util import finite_diff_grad, max_rel_err, mul, sum_all
 
 
 def test_square_gradient():
     x = Tensor(np.array(3.0), requires_grad=True)
-    y = ops.mul(x, x)
+    y = mul(x, x)
     backward(y)
     assert x.grad == 6.0
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
-    y = ops.mul(x, x)
+    y = mul(x, x)
     with pytest.raises(NonScalarRootError):
         backward(y)
 
 
 def test_repeated_backward_accumulates():
     x = Tensor(np.array(2.0), requires_grad=True)
-    backward(ops.mul(x, x))
-    backward(ops.mul(x, x))
+    backward(mul(x, x))
+    backward(mul(x, x))
     assert x.grad == 8.0
 
 
 def test_no_grad_suppresses_tape():
     x = Tensor(np.array(2.0), requires_grad=True)
     with no_grad():
-        y = ops.mul(x, x)
+        y = mul(x, x)
     assert not y.requires_grad
     assert y.is_leaf()
 
@@ -55,9 +55,9 @@ def test_layer_norm_param_grads_vs_finite_differences():
     b = Tensor(rng.normal(size=4), requires_grad=True)
 
     def run():
-        return ops.sum_all(ops.mul(ops.layer_norm(x, g, b), ops.layer_norm(x, g, b))).item()
+        return sum_all(mul(ops.layer_norm(x, g, b), ops.layer_norm(x, g, b))).item()
 
-    loss = ops.sum_all(ops.mul(ops.layer_norm(x, g, b), ops.layer_norm(x, g, b)))
+    loss = sum_all(mul(ops.layer_norm(x, g, b), ops.layer_norm(x, g, b)))
     backward(loss)
     for t in (g, b, x):
         fd = finite_diff_grad(run, t.data, h=1e-5)
@@ -71,13 +71,13 @@ def _rand(rng, *shape):
 def _scalarize(t):
     # reduce via a fixed random-ish projection to exercise all entries
     w = np.cos(np.arange(t.data.size)).reshape(t.shape)
-    return ops.sum_all(ops.mul(t, Tensor(w)))
+    return sum_all(mul(t, Tensor(w)))
 
 
 OP_CASES = {
     "add": lambda rng: (lambda a, b: ops.add(a, b), [(2, 3), (2, 3)]),
     "add_broadcast": lambda rng: (lambda a, b: ops.add(a, b), [(2, 1, 3), (4, 3)]),
-    "mul": lambda rng: (lambda a, b: ops.mul(a, b), [(2, 3), (1, 3)]),
+    "mul": lambda rng: (lambda a, b: mul(a, b), [(2, 3), (1, 3)]),
     "matmul": lambda rng: (lambda a, b: ops.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
     "relu": lambda rng: (lambda a: ops.relu(a), [(3, 5)]),
     "softmax": lambda rng: (lambda a: softmax(a), [(2, 6)]),

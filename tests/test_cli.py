@@ -162,6 +162,25 @@ def test_decode_unknown_config_key_exits_2(tiny_model, lineitems_records, tmp_pa
     assert len(err.splitlines()) == 1 and "bad decoding config: unknown DecodingConfig keys: contraint" in err
 
 
+def test_decode_max_rows_override_below_one_exits_2(tiny_model, lineitems_records, tmp_path, capsys):
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:1], data)
+    out = str(tmp_path / "out.jsonl")
+    assert main(["decode", ckpt, data, out, "--set", "max_rows_override=0"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "max_rows_override must be >= 1" in err
+
+
+def test_train_misspelt_config_section_exits_2(lineitems_records, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"trainig": {"steps": 1}, "paths": {"dataset": str(tmp_path / "data.jsonl")}}))
+    assert main(["train", str(config)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "unknown run config key(s) 'trainig'" in err
+
+
 def test_gen_data_unknown_spec_key_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"task": "lineitems", "n_examples": 2, "row_max": 3}))
@@ -198,6 +217,22 @@ def test_ablate_unknown_training_mode_exits_2(lineitems_records, tmp_path, capsy
     assert main(["ablate", str(grid), str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "unknown training mode 'bogus'" in err
+
+
+def test_ablate_misspelt_grid_axis_exits_2(lineitems_records, tmp_path, capsys):
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:3], data)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "dataset": data,
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
+        "training": {"steps": 1, "batch_size": 2},
+        "grid": {"constrant": ["row-by-row"]},
+    }))
+    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "unknown grid axis 'constrant'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _trained_checkpoint(tmp_path, records):

@@ -64,6 +64,12 @@ def test_bad_config_rejected():
         DecodingConfig(constraint="diagonal")
 
 
+@pytest.mark.parametrize("rows", [0, -1])
+def test_max_rows_override_below_one_rejected(rows):
+    with pytest.raises(DecodingConfigError, match="max_rows_override"):
+        DecodingConfig(max_rows_override=rows)
+
+
 def test_rows_from_count_rounding_contract():
     assert rows_from_count(2.4, 5) == 2
     assert rows_from_count(2.5, 5) == 3  # round half up
@@ -320,6 +326,17 @@ def test_semi_templated_neural_decode_caps_rows(tiny_model):
     _assert_structurally_valid(tiny_model, res.table, ["item", "qty"], res.table.n_rows)
     # a random model almost surely never emits the all-NULL sentinel
     assert res.hit_row_cap or res.table.n_rows < tiny_model.cfg.max_rows
+
+
+@pytest.mark.parametrize("stopping", ["predicted-count", "semi-templated"])
+def test_max_rows_override_caps_the_decoded_rows(tiny_model, stopping):
+    random_bias_tables(tiny_model, np.random.default_rng(15))
+    tiny_model.params["count.b"].data[...] = [3.0]
+    res = decode_table("pens mugs .", tiny_model, DecodingConfig(stopping=stopping, max_rows_override=2), ["item", "qty"])
+    assert res.table.n_rows <= 2
+    assert {t.cell[0] for t in res.trace} <= {1, 2}
+    if stopping == "predicted-count":
+        assert res.table.n_rows == 2
 
 
 def test_decode_states_reachable_as_training_plans(tiny_model, tiny_vocab):

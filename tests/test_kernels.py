@@ -3,8 +3,9 @@
 
 Covered: ``ops.pair_bias`` and ``ops.bucket_bias`` forward and vjp, the
 visibility mask, the ``ops.embedding`` and ``ops.take_rows`` vjps and
-``AdamW.step``. The bias inputs are random maps and the maps of a real
-collated training batch stacked to [B*L, L] as the decoder passes them, in
+``AdamW.step``. The bias inputs are random [T, T] maps, as a decode cache
+passes a template's, and packed per-example blocks, random and those of a
+real collated training batch, as the decoder passes a batch's. They run in
 float64 and float32, with more than one head and with -1 in both the row and
 the local map: a sentinel index that wrapped into another head's part of a
 table would show as a wrong gradient.
@@ -20,6 +21,7 @@ from text2table.model import collate_instances
 from text2table.model.layout import visibility_mask
 from text2table.numerics import AdamW, ParameterStore, Tensor, backward, ops
 from text2table.training import build_training_pass, prepare_example, sample_permutation
+from util import mul, sum_all
 
 DTYPES = [np.float64, np.float32]
 
@@ -29,7 +31,7 @@ def _vjp(op, tensors, grad):
     for t in tensors:
         t.grad = None
     out = op(*tensors)
-    backward(ops.sum_all(ops.mul(out, Tensor(grad))))
+    backward(sum_all(mul(out, Tensor(grad))))
     return out.data, [t.grad for t in tensors]
 
 
@@ -50,7 +52,8 @@ def _random_maps(rng, tables, shape):
 @pytest.fixture(scope="module")
 def batch_maps(lineitems_records, tiny_vocab):
     """(row, col, loc, bucket) maps of a collated permuted-training batch,
-    each stacked to [B*L, L], and the model config that made them."""
+    each the packed per-example blocks [sum n_b^2], and the model config that
+    made them."""
     from text2table.model import ModelConfig, TextToTableModel
 
     cfg = ModelConfig(
@@ -63,9 +66,8 @@ def batch_maps(lineitems_records, tiny_vocab):
     for rec in lineitems_records[:4]:
         ex = prepare_example(rec, tiny_vocab, cfg)
         insts.append(build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng), model))
-    batch = collate_instances(insts, cfg)
-    b, n = batch.input_ids.shape
-    maps = [m.reshape(b * n, n) for m in batch.bias_idx]
+    maps = collate_instances(insts, cfg).bias_idx
+    assert maps.shape == (4, sum(int((~inst.is_pad).sum()) ** 2 for inst in insts))
     assert (maps[0] < 0).any() and (maps[2] < 0).any()  # header bucket and cross-cell pairs
     return maps, cfg
 
@@ -87,8 +89,8 @@ def test_pair_bias_random_maps_bitwise(dtype):
     rng = np.random.default_rng(0)
     tables = _tables(rng, dtype)
     _check_pair_bias(tables, _random_maps(rng, tables, (17, 17)), rng)
-    # a batch of B [L, L] maps stacked to [B*L, L], as the decoder passes them
-    _check_pair_bias(tables, _random_maps(rng, tables, (3 * 7, 7)), rng)
+    # packed [n_b, n_b] blocks of a batch of 3, as the decoder passes them
+    _check_pair_bias(tables, _random_maps(rng, tables, (5 * 5 + 7 * 7 + 2 * 2,)), rng)
     # every key in the header row and every pair across cells: sentinels only
     _, col, _ = _random_maps(rng, tables, (4, 4))
     _check_pair_bias(tables, (np.full((4, 4), -1), col, np.full((4, 4), -1)), rng)
@@ -117,6 +119,7 @@ def test_bucket_bias_bitwise(dtype, batch_maps):
     rng = np.random.default_rng(3)
     table = Tensor(rng.normal(size=(4, 32)).astype(dtype), requires_grad=True)
     _check_bucket_bias(table, rng.integers(0, 32, size=(23, 23)), rng)
+    _check_bucket_bias(table, rng.integers(0, 32, size=(5 * 5 + 7 * 7 + 2 * 2,)), rng)
     table = Tensor(rng.normal(size=(cfg.n_heads, cfg.relative_buckets)).astype(dtype), requires_grad=True)
     _check_bucket_bias(table, buckets, rng)
 

@@ -79,7 +79,7 @@ def test_encode_eval_deterministic(tiny_model, tiny_vocab):
 def _pair_bias_matrix(model, tpl):
     p = model.params
     return ops.pair_bias(
-        p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], tpl.row_idx, tpl.col_idx, tpl.loc_idx
+        p["tab_row"], p["tab_r0"], p["tab_col"], p["tab_loc"], *tpl.bias_idx[:3]
     ).data
 
 

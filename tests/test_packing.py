@@ -106,7 +106,7 @@ def _padded(model, examples, insts):
     """The same through the padded oracle; memory and hidden states padded."""
     ids, real = padded_model.padded_source_batch(examples)
     memory = padded_model.encode(model, ids, real)
-    batch = padded_model.padded_batch(insts, model.cfg)
+    batch = padded_model.padded_batch(insts)
     hidden = padded_model.decoder_hidden(model, memory, real, batch)
     live = padded_model.live_rows(hidden, batch)
     return _loss(lambda pos: model.logits_at(live, pos), batch), memory.data, hidden.data, real
@@ -163,9 +163,25 @@ def test_packed_batch_keeps_only_live_positions(corpus):
         assert np.array_equal(rows, np.flatnonzero(~inst.is_pad))  # no slot-PAD row, order kept
         assert np.array_equal(batch.input_ids[k, : len(rows)], inst.input_ids[rows])
         assert (batch.input_ids[k, len(rows) :] == PAD).all()
-        assert not batch.allow[k, len(rows) :].any() and not batch.allow[k, :, len(rows) :].any()
-        want = inst.visibility()[np.ix_(rows, rows)]
-        assert np.array_equal(batch.allow[k, : len(rows), : len(rows)], want)
+
+
+def test_packed_blocks_hold_each_example_at_its_live_rows(corpus):
+    # the visibility and bias-index blocks carry no batch padding: example
+    # after example, each its own [n_b, n_b] block, row-major
+    records, vocab = corpus
+    model = _model(vocab)
+    _, insts = _mixed(model, records)
+    batch = collate_instances(insts, model.cfg)
+    sizes = [len(rows) ** 2 for rows in batch.rows]
+    assert len(set(sizes)) > 1  # ragged, so padding to the longest would show in the sizes
+    assert batch.allow.dtype == bool and batch.allow.size == batch.bias_idx.shape[1] == sum(sizes)
+    assert batch.bias_idx.shape == (4, sum(sizes))
+    offsets = np.cumsum([0] + sizes)
+    for k, (inst, rows) in enumerate(zip(insts, batch.rows)):
+        n, block = len(rows), slice(offsets[k], offsets[k + 1])
+        assert np.array_equal(batch.allow[block].reshape(n, n), inst.visibility()[np.ix_(rows, rows)])
+        want = inst.template.bias_idx[:, rows[:, None], rows]
+        assert np.array_equal(batch.bias_idx[:, block].reshape(4, n, n), want)
 
 
 def test_packed_loss_positions_carry_their_template_token_and_target(corpus):
@@ -201,7 +217,7 @@ def test_cell_logits_report_template_positions(corpus):
     assert np.array_equal(pos, inst.loss_pos)
     ids, real = padded_model.padded_source_batch([ex])
     memory = padded_model.encode(model, ids, real)
-    hidden = padded_model.decoder_hidden(model, memory, real, padded_model.padded_batch([inst], model.cfg))
+    hidden = padded_model.decoder_hidden(model, memory, real, padded_model.padded_batch([inst]))
     want = np.where(inst.legal, model.logits_at(ops.reshape(hidden, hidden.shape[1:]), inst.loss_pos).data, -np.inf)
     finite = np.isfinite(want)
     assert np.array_equal(finite, np.isfinite(logits))

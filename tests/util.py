@@ -1,11 +1,34 @@
-"""Shared test helpers: finite differences, gradient comparison, teacher-forced
-cell logits and a mock candidate source."""
+"""Shared test helpers: the ``mul`` and ``sum_all`` ops only tests use,
+finite differences, gradient comparison, teacher-forced cell logits and a
+mock candidate source."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from text2table.model import collate_instances
+from text2table.numerics import Tensor
+from text2table.numerics.ops import _check_broadcast, _unbroadcast
+from text2table.numerics.tensor import make_result
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product (numpy broadcasting)."""
+    _check_broadcast("mul", a, b)
+
+    def vjp(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+
+    return make_result(a.data * b.data, (a, b), vjp)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    """Sum of every entry, as a scalar tensor."""
+
+    def vjp(g):
+        return (np.full(a.shape, g, dtype=a.dtype),)
+
+    return make_result(np.asarray(a.data.sum()), (a,), vjp)
 
 
 def finite_diff_grad(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
