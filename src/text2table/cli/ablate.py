@@ -1,9 +1,35 @@
-"""Ablation sweeps: cartesian grids over decoding/training options, repeated
-over derived seeds, with a completion ledger so interrupted sweeps resume
-without redoing finished runs."""
+"""Ablation sweeps: a grid over the run config, repeated over derived seeds,
+with a completion ledger so interrupted sweeps resume without redoing
+finished runs.
+
+A grid file is a run config, the file ``text2table train`` reads (``seed``,
+``model``, ``training``, ``decoding`` and ``paths`` with ``dataset`` and
+``val_dataset``), plus two keys:
+
+* ``grid`` maps dotted run-config keys to non-empty lists, for example
+  ``{"training.mode": ["permuted", "fixed-causal"], "decoding.k": [1, 4]}``.
+  Each grid point, one value per key, is the base config with those keys set
+  as ``train --set`` sets them.
+* ``n_seeds`` (default 3) runs each point that many times. Run ``i`` of a
+  point takes as its ``seed`` a hash of the point's ``seed``, its grid values
+  and ``i``; that one seed sets the initial weights and the training draws.
+
+Before the first run, every point is checked and parsed as ``train`` checks
+its run config, so a misspelt key or a bad value exits 2 before ``out_dir``
+is made. Each run trains as ``train`` does and then evaluates
+once; the ledger row's ``result`` is that :meth:`Trainer.evaluate` record,
+the record ``train`` writes to ``metrics.jsonl``. It decodes the first
+``training.eval_decode_examples`` validation records (``paths.val_dataset``,
+else the first 32 training records).
+
+``out_dir/done.jsonl`` holds one row per finished run, keyed by a hash of the
+point's grid values and the seed index, and ``out_dir/summary.json`` the mean
+and standard deviation of cell F1 and count accuracy per point.
+"""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -11,39 +37,25 @@ import os
 
 import numpy as np
 
-from ..decoding import DecodingConfig, decode_table
-from ..metrics import AlignmentMode, score_corpus
-from ..training import Trainer, TrainingConfig
-from .commands import DataError, _build_model_and_examples, _parse_config, _read_records
-from .runconfig import ConfigError, apply_env_seed, canonical_json, load_json_config
-
-GRID_AXES = ("constraint", "k", "inner_criterion", "outer_criterion", "stopping", "training_mode")
-DEFAULT_AXES = {
-    "constraint": ["none"],
-    "k": [1],
-    "inner_criterion": ["max"],
-    "outer_criterion": ["max-first"],
-    "stopping": ["predicted-count"],
-    "training_mode": ["permuted"],
-}
+from .commands import prepare_run
+from .runconfig import ConfigError, canonical_json, load_json_config, merged_run_config, set_key
 
 
-def expand_grid(grid: dict) -> list[dict]:
-    unknown = sorted(set(grid) - set(GRID_AXES))
-    if unknown:
-        raise ConfigError(
-            f"unknown grid axis {', '.join(map(repr, unknown))} (expected {', '.join(GRID_AXES)})"
-        )
-    axes = {}
-    for name in GRID_AXES:
-        values = grid.get(name, DEFAULT_AXES[name])
+def expand_grid(base: dict, grid: dict) -> list[tuple[dict, dict]]:
+    """``(combo, config)`` per grid point: ``combo`` maps each grid key to its
+    value at the point, and ``config`` is ``base`` with those keys set."""
+    if not isinstance(grid, dict):
+        raise ConfigError("grid must map dotted run config keys to lists")
+    for key, values in grid.items():
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"grid axis {name!r} must be a non-empty list")
-        axes[name] = values
-    combos = []
-    for values in itertools.product(*(axes[name] for name in GRID_AXES)):
-        combos.append(dict(zip(GRID_AXES, values)))
-    return combos
+            raise ConfigError(f"grid key {key!r} must map to a non-empty list")
+    points = []
+    for values in itertools.product(*grid.values()):
+        combo, cfg = dict(zip(grid, values)), copy.deepcopy(base)
+        for key, value in combo.items():
+            set_key(cfg, key, value)
+        points.append((combo, cfg))
+    return points
 
 
 def derived_seed(base_seed: int, combo: dict, seed_index: int) -> int:
@@ -57,98 +69,53 @@ def run_id(combo: dict, seed_index: int) -> str:
     return hashlib.sha256(f"{canonical_json(combo)}|{seed_index}".encode()).hexdigest()[:16]
 
 
-def _single_run(cfg: dict, combo: dict, seed: int, records, val_records) -> dict:
-    run_cfg = {
-        "seed": seed,
-        "model": cfg.get("model", {}),
-        "training": {**cfg.get("training", {}), "mode": combo["training_mode"]},
-    }
-    model, examples = _build_model_and_examples(run_cfg, records, combo["training_mode"])
-    tcfg = _parse_config("training", TrainingConfig, {"seed": seed, **run_cfg["training"]})
-    trainer = Trainer(model, examples, tcfg)
+def _single_run(cfg: dict) -> dict:
+    """Train one run config as ``train`` does; returns its evaluation record."""
+    run = prepare_run(cfg)
+    trainer = run.trainer(*run.build())
     trainer.run()
-
-    decoding = DecodingConfig(
-        k=combo["k"],
-        inner_criterion=combo["inner_criterion"],
-        outer_criterion=combo["outer_criterion"],
-        constraint=combo["constraint"],
-        stopping=combo["stopping"],
-    )
-    pairs = []
-    for rec in val_records:
-        result = decode_table(rec.text, model, decoding, rec.table.headers)
-        pairs.append((result.table, rec.table))
-    score = score_corpus(pairs, AlignmentMode.assignment())
-    return {
-        "f1": score.counts.f1,
-        "precision": score.counts.precision,
-        "recall": score.counts.recall,
-        "count_accuracy": score.count_accuracy,
-        "per_column_f1": {h: c.f1 for h, c in score.per_column.items()},
-    }
+    return trainer.evaluate(trainer.step)
 
 
 def summarize(rows: list[dict]) -> list[dict]:
-    by_combo: dict[str, dict] = {}
+    """Mean and standard deviation of cell F1 and count accuracy per grid point."""
+    by_combo: dict[str, tuple[dict, list[dict]]] = {}
     for row in rows:
-        key = canonical_json(row["combo"])
-        slot = by_combo.setdefault(key, {"combo": row["combo"], "f1": [], "count_accuracy": []})
-        slot["f1"].append(row["result"]["f1"])
-        slot["count_accuracy"].append(row["result"]["count_accuracy"])
+        by_combo.setdefault(canonical_json(row["combo"]), (row["combo"], []))[1].append(row["result"])
     out = []
-    for slot in by_combo.values():
-        f1 = np.array(slot["f1"])
-        ca = np.array(slot["count_accuracy"])
-        out.append(
-            {
-                "combo": slot["combo"],
-                "n_seeds": len(f1),
-                "f1_mean": float(f1.mean()),
-                "f1_std": float(f1.std(ddof=1)) if len(f1) > 1 else 0.0,
-                "count_accuracy_mean": float(ca.mean()),
-                "count_accuracy_std": float(ca.std(ddof=1)) if len(ca) > 1 else 0.0,
-            }
-        )
-    out.sort(key=lambda r: canonical_json(r["combo"]))
+    for key in sorted(by_combo):
+        combo, results = by_combo[key]
+        entry = {"combo": combo, "n_seeds": len(results)}
+        for name, field in (("f1", "cell_f1"), ("count_accuracy", "count_accuracy")):
+            values = np.array([r[field] for r in results])
+            entry[f"{name}_mean"] = float(values.mean())
+            entry[f"{name}_std"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+        out.append(entry)
     return out
 
 
 def pretty_summary(summary: list[dict]) -> str:
-    varying = [
-        name
-        for name in GRID_AXES
-        if len({canonical_json(row["combo"][name]) for row in summary}) > 1
-    ] or ["constraint"]
-    header = "  ".join(f"{n:<22}" for n in varying) + f"  {'f1':>14}  {'count_acc':>14}"
+    keys = sorted(summary[0]["combo"]) if summary else []
+    header = "".join(f"{n:<24}" for n in keys) + f"{'f1':>14}  {'count_acc':>14}"
     lines = [header, "-" * len(header)]
     for row in summary:
-        cells = "  ".join(f"{str(row['combo'][n]):<22}" for n in varying)
+        cells = "".join(f"{str(row['combo'][n]):<24}" for n in keys)
         lines.append(
-            f"{cells}  {row['f1_mean']:.4f}±{row['f1_std']:.4f}  "
+            f"{cells}{row['f1_mean']:.4f}±{row['f1_std']:.4f}  "
             f"{row['count_accuracy_mean']:.4f}±{row['count_accuracy_std']:.4f}"
         )
     return "\n".join(lines)
 
 
 def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
-    cfg = apply_env_seed(load_json_config(grid_path))
-    base_seed = int(cfg.get("seed", 0))
-    data_path = cfg.get("dataset")
-    if not data_path:
-        raise ConfigError("ablation grid needs a 'dataset' path")
-    records = _read_records(data_path)
-    val_records = (
-        _read_records(cfg["val_dataset"]) if cfg.get("val_dataset") else records[:24]
-    )
-    combos = expand_grid(cfg.get("grid", {}))
-    if "seeds" in cfg:
-        seed_indices = list(range(len(cfg["seeds"])))
-        explicit = [int(s) for s in cfg["seeds"]]
-    else:
-        n_seeds = int(cfg.get("n_seeds", 3))
-        seed_indices = list(range(n_seeds))
-        explicit = None
+    cfg = load_json_config(grid_path)
+    grid = cfg.pop("grid", {})
+    n_seeds = cfg.pop("n_seeds", 3)
+    if not isinstance(n_seeds, int) or n_seeds < 1:
+        raise ConfigError(f"n_seeds must be a positive integer, got {n_seeds!r}")
+    points = expand_grid(merged_run_config(cfg), grid)
+    for _, point in points:
+        prepare_run(point)  # every point fails here, before any run, or not at all
 
     os.makedirs(out_dir, exist_ok=True)
     ledger_path = os.path.join(out_dir, "done.jsonl")
@@ -159,27 +126,26 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
                 row = json.loads(line)
                 done[row["run_id"]] = row
 
-    total = len(combos) * len(seed_indices)
-    print(f"{len(combos)} configurations x {len(seed_indices)} seeds = {total} runs")
+    print(f"{len(points)} configurations x {n_seeds} seeds = {len(points) * n_seeds} runs")
     rows: list[dict] = []
     with open(ledger_path, "a", encoding="utf-8") as ledger:
-        for combo in combos:
-            for si in seed_indices:
+        for combo, point in points:
+            for si in range(n_seeds):
                 rid = run_id(combo, si)
                 if rid in done:
                     rows.append(done[rid])
                     continue
-                seed = explicit[si] if explicit else derived_seed(base_seed, combo, si)
-                result = _single_run(cfg, combo, seed, records, val_records)
+                seed = derived_seed(point["seed"], combo, si)
+                result = _single_run({**point, "seed": seed})
                 row = {"run_id": rid, "combo": combo, "seed_index": si, "seed": seed, "result": result}
                 ledger.write(json.dumps(row, sort_keys=True) + "\n")
                 ledger.flush()
                 rows.append(row)
-                print(f"  run {rid} f1={result['f1']:.4f}")
+                print(f"  run {rid} f1={result['cell_f1']:.4f}")
 
     summary = summarize(rows)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({"grid": cfg.get("grid", {}), "rows": summary}, fh, sort_keys=True, indent=2)
+        json.dump({"grid": grid, "rows": summary}, fh, sort_keys=True, indent=2)
     if pretty:
         print(pretty_summary(summary))
     print(f"summary for {len(summary)} configurations written to {out_dir}/summary.json")

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-
-import numpy as np
+from typing import NamedTuple
 
 from ..corpus import (
     CorpusError,
@@ -35,12 +34,12 @@ from ..model import (
     load_checkpoint,
 )
 from ..numerics import AdamW
-from ..training import TRAINING_MODES, Trainer, TrainingConfig, prepare_example
+from ..training import Trainer, TrainingConfig, TrainingExample, prepare_example
+from ..vocab import Vocabulary
 from .runconfig import (
     ConfigError,
-    apply_env_seed,
     apply_overrides,
-    canonical_json,
+    check_run_config,
     config_hash,
     file_sha256,
     load_json_config,
@@ -79,10 +78,8 @@ def _read_records(path: str) -> list[DatasetRecord]:
 
 
 def cmd_gen_data(spec_path: str, out_path: str) -> int:
-    raw = load_json_config(spec_path)
-    raw = apply_env_seed(raw) if "seed" in raw or os.environ.get("STABLE_SEED") else raw
     try:
-        spec = CorpusSpec.from_json(raw)
+        spec = CorpusSpec.from_json(load_json_config(spec_path))
     except (ValueError, TypeError) as exc:  # CorpusError, or an unknown key
         raise DataError(f"bad corpus spec: {exc}") from None
     try:
@@ -98,48 +95,71 @@ def cmd_gen_data(spec_path: str, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_training_mode(mode: str) -> None:
-    if mode not in TRAINING_MODES:
-        raise ConfigError(f"unknown training mode {mode!r} (expected one of {', '.join(TRAINING_MODES)})")
-
-
-def _build_model_and_examples(cfg: dict, records, mode: str):
-    _check_training_mode(mode)
-    model_cfg_dict = dict(cfg.get("model", {}))
-    vocab = build_vocab(records, n_max_rows=model_cfg_dict.get("max_rows", 5))
-    model_cfg_dict["vocab_size"] = len(vocab)
-    model_cfg = _parse_config("model", ModelConfig, model_cfg_dict)
-    model = TextToTableModel(model_cfg, vocab, seed=cfg["seed"])
+def _prepare_examples(records, model: TextToTableModel, mode: str) -> list[TrainingExample]:
     try:
-        examples = [prepare_example(r, vocab, model_cfg, mode) for r in records]
+        return [prepare_example(r, model.vocab, model.cfg, mode) for r in records]
     except LayoutError as exc:
         raise DataError(str(exc)) from None
-    return model, examples
+
+
+class Run(NamedTuple):
+    """A checked run config with its data read and every section parsed."""
+
+    records: list[DatasetRecord]
+    val_records: list[DatasetRecord]
+    vocab: Vocabulary
+    model: ModelConfig
+    training: TrainingConfig
+    decoding: DecodingConfig
+
+    def build(self) -> tuple[TextToTableModel, list[TrainingExample]]:
+        """A freshly initialised model and its training examples."""
+        model = TextToTableModel(self.model, self.vocab, seed=self.training.seed)
+        return model, _prepare_examples(self.records, model, self.training.mode)
+
+    def trainer(self, model: TextToTableModel, examples: list[TrainingExample], **kwargs) -> Trainer:
+        """A :class:`Trainer` that evaluates on the run's validation records."""
+        val_examples = _prepare_examples(self.val_records, model, "permuted")
+        return Trainer(
+            model, examples, self.training, val_records=self.val_records, val_examples=val_examples,
+            eval_decoding=self.decoding, **kwargs
+        )
+
+
+def prepare_run(cfg: dict) -> Run:
+    """Check a merged run config, read its datasets and parse its sections.
+    Without ``paths.val_dataset`` the first 32 training records validate."""
+    check_run_config(cfg)
+    paths = cfg["paths"]
+    if not paths.get("dataset"):
+        raise ConfigError("paths.dataset is required")
+    records = _read_records(paths["dataset"])
+    val_records = _read_records(paths["val_dataset"]) if paths.get("val_dataset") else records[:32]
+    for path, recs in ((paths["dataset"], records), (paths.get("val_dataset"), val_records)):
+        if not recs:
+            raise DataError(f"dataset has no records: {path}")
+    model_cfg = dict(cfg["model"])
+    vocab = build_vocab(records, n_max_rows=model_cfg.get("max_rows", 5))
+    model_cfg["vocab_size"] = len(vocab)
+    return Run(
+        records,
+        val_records,
+        vocab,
+        _parse_config("model", ModelConfig, model_cfg),
+        _parse_config("training", TrainingConfig, {"seed": cfg["seed"], **cfg["training"]}),
+        _parse_config("decoding", DecodingConfig, cfg["decoding"]),
+    )
 
 
 def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> int:
-    cfg = merged_run_config(load_json_config(config_path))
-    apply_overrides(cfg, overrides)
-    apply_env_seed(cfg)
+    cfg = apply_overrides(merged_run_config(load_json_config(config_path)), overrides)
+    run = prepare_run(cfg)
+    tcfg = run.training
     chash = config_hash(cfg)
-
-    paths = cfg.get("paths", {})
-    data_path = paths.get("dataset")
-    if not data_path:
-        raise ConfigError("paths.dataset is required for train")
-    records = _read_records(data_path)
-    val_records = _read_records(paths["val_dataset"]) if paths.get("val_dataset") else records[:32]
-
-    tcfg = _parse_config("training", TrainingConfig, {"seed": cfg["seed"], **cfg.get("training", {})})
-    _check_training_mode(tcfg.mode)
-    eval_decoding = _parse_config("decoding", DecodingConfig, cfg.get("decoding", {}))
-    ckpt_dir = paths.get("checkpoint_dir") or cfg.get("training", {}).get("checkpoint_dir")
-    if ckpt_dir:
-        tcfg.checkpoint_dir = ckpt_dir
-        os.makedirs(ckpt_dir, exist_ok=True)
+    if tcfg.checkpoint_dir:
+        os.makedirs(tcfg.checkpoint_dir, exist_ok=True)
     metrics_path = os.path.join(tcfg.checkpoint_dir, "metrics.jsonl") if tcfg.checkpoint_dir else None
-
-    run_config = {"config": cfg, "config_hash": chash, "dataset_sha256": file_sha256(data_path)}
+    run_config = {"config": cfg, "config_hash": chash, "dataset_sha256": file_sha256(cfg["paths"]["dataset"])}
 
     latest = os.path.join(tcfg.checkpoint_dir, "latest.npz") if tcfg.checkpoint_dir else None
     start_step = 0
@@ -154,10 +174,7 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
             raise ModelError(
                 f"refusing to resume: checkpoint config hash {str(stored)[:12]} != current {chash[:12]}"
             )
-        try:
-            examples = [prepare_example(r, model.vocab, model.cfg, tcfg.mode) for r in records]
-        except LayoutError as exc:
-            raise DataError(str(exc)) from None
+        examples = _prepare_examples(run.records, model, tcfg.mode)
         if not meta.get("optimizer"):
             raise ModelError(f"cannot resume from {latest}: it holds no optimizer state")
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
@@ -168,42 +185,23 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
         start_step = meta["step"]
         print(f"resuming from step {start_step}")
     else:
-        model, examples = _build_model_and_examples(cfg, records, tcfg.mode)
+        model, examples = run.build()
         if metrics_path and os.path.exists(metrics_path):
             os.unlink(metrics_path)
-    dropped = sum(ex.input_tokens_dropped for ex in examples)
-    if dropped:
-        cut = sum(ex.input_tokens_dropped > 0 for ex in examples)
-        print(
-            f"text2table train: warning: {dropped} source token ids beyond max_input_len "
-            f"{model.cfg.max_input_len} dropped from {cut} of {len(examples)} training texts",
-            file=sys.stderr,
-        )
-    dropped = sum(ex.header_tokens_dropped for ex in examples)
-    if dropped:
-        cut = sum(ex.header_tokens_dropped > 0 for ex in examples)
-        print(
-            f"text2table train: warning: {dropped} header token ids beyond max_cell_len "
-            f"{model.cfg.max_cell_len} dropped from {cut} of {len(examples)} training tables",
-            file=sys.stderr,
-        )
+    for attr, what, limit, unit in (
+        ("input_tokens_dropped", "source", "max_input_len", "texts"),
+        ("header_tokens_dropped", "header", "max_cell_len", "tables"),
+    ):
+        cut = [getattr(ex, attr) for ex in examples if getattr(ex, attr)]
+        if cut:
+            print(
+                f"text2table train: warning: {sum(cut)} {what} token ids beyond {limit} "
+                f"{getattr(model.cfg, limit)} dropped from {len(cut)} of {len(examples)} training {unit}",
+                file=sys.stderr,
+            )
 
-    try:
-        val_examples = [prepare_example(r, model.vocab, model.cfg, "permuted") for r in val_records]
-    except LayoutError as exc:
-        raise DataError(str(exc)) from None
-
-    trainer = Trainer(
-        model,
-        examples,
-        tcfg,
-        val_records=val_records,
-        val_examples=val_examples,
-        eval_decoding=eval_decoding,
-        metrics_path=metrics_path,
-        run_config=run_config,
-        start_step=start_step,
-        optimizer=optimizer,
+    trainer = run.trainer(
+        model, examples, metrics_path=metrics_path, run_config=run_config, start_step=start_step, optimizer=optimizer
     )
     history = trainer.run()
     if history:
@@ -312,7 +310,7 @@ def cmd_eval(
 ) -> int:
     try:
         mode = AlignmentMode.parse(mode_text)
-    except Exception as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     preds = _read_records(pred_path)
@@ -336,7 +334,7 @@ def cmd_eval(
         score = score_corpus(
             [(p.id, p.table, g.id, g.table) for p, g in zip(preds, golds)], mode
         )
-    except Exception as exc:
+    except ValueError as exc:  # AlignmentError, HeaderMismatchError
         raise DataError(str(exc)) from None
     report = score.report()
     report["alignment"] = mode_text

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any
 
 DEFAULT_RUN_CONFIG: dict[str, Any] = {
@@ -14,6 +13,7 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
     "decoding": {},
     "paths": {},
 }
+PATH_KEYS = ("dataset", "val_dataset")
 
 
 class ConfigError(ValueError):
@@ -34,15 +34,8 @@ def load_json_config(path: str) -> dict:
 
 
 def merged_run_config(loaded: dict) -> dict:
-    """``DEFAULT_RUN_CONFIG`` with the loaded sections merged in; a top-level
-    key it does not hold is a :class:`ConfigError`, so a misspelt section
-    fails instead of being ignored."""
-    unknown = sorted(set(loaded) - set(DEFAULT_RUN_CONFIG))
-    if unknown:
-        raise ConfigError(
-            f"unknown run config key(s) {', '.join(map(repr, unknown))} "
-            f"(expected {', '.join(DEFAULT_RUN_CONFIG)})"
-        )
+    """``DEFAULT_RUN_CONFIG`` with the loaded sections merged in; the keys are
+    checked by :func:`check_run_config`, once any overrides are applied."""
     cfg = json.loads(json.dumps(DEFAULT_RUN_CONFIG))
     for key, value in loaded.items():
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):
@@ -50,6 +43,40 @@ def merged_run_config(loaded: dict) -> dict:
         else:
             cfg[key] = value
     return cfg
+
+
+def _refuse_unknown(where: str, keys, expected) -> None:
+    unknown = sorted(set(keys) - set(expected))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))} (expected {', '.join(expected)})")
+
+
+def check_run_config(cfg: dict) -> None:
+    """Refuse, as a :class:`ConfigError`, a top-level key outside
+    ``DEFAULT_RUN_CONFIG`` (a misspelt section would otherwise be ignored), a
+    seed that is not an integer, a section that is not an object, a ``paths`` key outside ``PATH_KEYS`` and
+    ``training.seed``: the top-level ``seed`` seeds both the initial weights
+    and the training draws."""
+    _refuse_unknown("run config", cfg, DEFAULT_RUN_CONFIG)
+    if not isinstance(cfg["seed"], int):
+        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    for section in ("model", "training", "decoding", "paths"):
+        if not isinstance(cfg[section], dict):
+            raise ConfigError(f"run config section {section!r} must be an object")
+    _refuse_unknown("paths", cfg["paths"], PATH_KEYS)
+    if "seed" in cfg["training"]:
+        raise ConfigError("training.seed is not a run config key: the top-level seed seeds the whole run")
+
+
+def set_key(cfg: dict, key: str, value: Any) -> None:
+    """Set the dotted ``key`` of ``cfg`` to ``value``, making missing objects."""
+    node = cfg
+    *parents, last = key.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"key {key!r} crosses a non-object value")
+    node[last] = value
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -63,24 +90,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set path {key!r} crosses a non-object value")
-        node[parts[-1]] = value
-    return cfg
-
-
-def apply_env_seed(cfg: dict) -> dict:
-    """STABLE_SEED, when set, overrides the configured seed."""
-    env = os.environ.get("STABLE_SEED")
-    if env is not None:
-        try:
-            cfg["seed"] = int(env)
-        except ValueError:
-            raise ConfigError(f"STABLE_SEED must be an integer, got {env!r}") from None
+        set_key(cfg, key, value)
     return cfg
 
 

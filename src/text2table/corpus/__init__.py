@@ -2,7 +2,7 @@ from collections import Counter
 from typing import Iterable
 
 from ..vocab import Vocabulary, tokenize
-from .generate import TASKS, CorpusError, CorpusSpec, generate, oracle_extract
+from .generate import TASKS, CorpusError, CorpusSpec, generate
 from .io import DataFormatError, DatasetRecord, read_jsonl, record_to_line, write_jsonl
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "TASKS",
     "build_vocab",
     "generate",
-    "oracle_extract",
     "read_jsonl",
     "record_to_line",
     "write_jsonl",

@@ -11,8 +11,6 @@ Three task families:
 
 Generation is deterministic per (seed, record index); records are therefore
 independent and the stream can be produced in any order or in parallel.
-A rule-based extractor over the same sentence templates doubles as a
-solvability oracle in tests.
 """
 
 from __future__ import annotations
@@ -197,57 +195,3 @@ def generate(spec: CorpusSpec) -> Iterator[DatasetRecord]:
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, idx]))
         text, table = gen(spec, rng)
         yield DatasetRecord(f"{spec.task}-{idx:06d}", text, table.validate())
-
-
-# ---------------------------------------------------------------------------
-# rule-based extraction oracle (tests assert it reconstructs gold exactly)
-# ---------------------------------------------------------------------------
-
-
-def oracle_extract(spec: CorpusSpec, text: str) -> Table:
-    """Reconstruct the gold table from generated text via the templates."""
-    sentences = [s.strip() for s in text.split(" . ") if s.strip()]
-    sentences = [s[:-2] if s.endswith(" .") else s for s in sentences]
-    if spec.task == "keyvalue":
-        values: dict[str, str | None] = {c: None for c in spec.columns}
-        for s in sentences:
-            w = s.split()
-            if len(w) >= 4 and w[0] == "the" and w[2] == "is" and w[1] in values:
-                values[w[1]] = " ".join(w[3:])
-        return Table(list(spec.columns), [[values[c] for c in spec.columns]])
-
-    if spec.task == "lineitems":
-        rows = []
-        for s in sentences:
-            w = s.split()
-            if len(w) >= 7 and w[:2] == ["the", "customer"] and w[2] in ("bought", "ordered"):
-                qty = w[3]
-                rest = w[4:]
-                k = rest.index("for")
-                pre = rest[:k]
-                price = rest[k + 1]
-                color = pre[0] if len(pre) == 2 else None
-                item = pre[-1]
-                cells = {"item": item, "qty": qty, "price": price, "color": color}
-                rows.append([cells.get(c) for c in spec.columns])
-        return Table(list(spec.columns), rows)
-
-    if spec.task == "dependent":
-        rows = []
-        totals: dict[str, str] = {}
-        for s in sentences:
-            w = s.split()
-            if len(w) >= 7 and w[:2] == ["they", "bought"] and "at" in w:
-                k = w.index("at")
-                cells = {"item": " ".join(w[3:k]), "qty": w[2], "unit": w[k + 1]}
-                rows.append(cells)
-            elif len(w) >= 7 and w[0] == "the" and w[-2:] == ["in", "total"] and "came" in w:
-                k = w.index("came")
-                totals[" ".join(w[1 : k - 1])] = w[k + 2]
-        out = []
-        for cells in rows:
-            cells = dict(cells, total=totals.get(cells["item"]))
-            out.append([cells.get(c) for c in spec.columns])
-        return Table(list(spec.columns), out)
-
-    raise CorpusError(f"no oracle for task {spec.task}")

@@ -20,8 +20,8 @@ from ..decoding import DecodingConfig, decode_table
 from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
 from ..model import TextToTableModel, collate_instances, save_checkpoint
-from ..numerics import AdamW, Tensor, backward, clip_grad_norm, ops
-from .passes import TrainingExample, build_fixed_causal_pass, build_training_pass
+from ..numerics import AdamW, Tensor, backward, clip_grad_norm, no_grad, ops
+from .passes import TRAINING_MODES, TrainingExample, build_fixed_causal_pass, build_training_pass
 from .permutation import sample_permutation
 
 STREAM_BATCH, STREAM_PLAN, STREAM_DROPOUT, STREAM_EVAL = 0, 1, 2, 3
@@ -45,6 +45,10 @@ class TrainingConfig:
     checkpoint_dir: str | None = None
     mode: str = "permuted"  # permuted | fixed-causal | semi-templated
     eval_decode_examples: int = 24
+
+    def __post_init__(self):
+        if self.mode not in TRAINING_MODES:
+            raise ValueError(f"unknown training mode {self.mode!r} (expected one of {', '.join(TRAINING_MODES)})")
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -202,11 +206,15 @@ class Trainer:
     # ------------------------------------------------------------------
 
     def evaluate(self, step: int) -> dict:
-        """Validation NLL/MSE plus decoded cell F1 and row-count accuracy."""
-        out = {"step": step, "nll": None, "mse": None, "cell_f1": None, "count_accuracy": None}
+        """Validation NLL/MSE (without a tape) and, from decoded tables, cell
+        precision, recall and F1, per-column F1 and row-count accuracy; a
+        value whose validation data the trainer lacks is None."""
+        keys = ("nll", "mse", "cell_precision", "cell_recall", "cell_f1", "per_column_f1", "count_accuracy")
+        out = {"step": step, **dict.fromkeys(keys)}
         if self.val_examples:
             cap = min(len(self.val_examples), max(self.cfg.batch_size, 8))
-            _, nll, mse = self._batch_loss(self.val_examples[:cap], 0, train=False)
+            with no_grad():
+                _, nll, mse = self._batch_loss(self.val_examples[:cap], 0, train=False)
             out["nll"] = nll.item()
             out["mse"] = mse.item()
         if self.val_records:
@@ -218,7 +226,10 @@ class Trainer:
                 )
                 pairs.append((result.table, rec.table))
             score = score_corpus(pairs, AlignmentMode.assignment())
+            out["cell_precision"] = score.counts.precision
+            out["cell_recall"] = score.counts.recall
             out["cell_f1"] = score.counts.f1
+            out["per_column_f1"] = {h: c.f1 for h, c in score.per_column.items()}
             out["count_accuracy"] = score.count_accuracy
         return out
 
@@ -240,9 +251,8 @@ class Trainer:
             run_config=self.run_config,
         )
 
-    def run(self, stop_when=None) -> list[dict]:
-        """Train to cfg.steps; returns the eval history. `stop_when(evals)`
-        may end the run early (used by convergence-style tests)."""
+    def run(self) -> list[dict]:
+        """Train to cfg.steps; returns the eval history."""
         history: list[dict] = []
         while self.step < self.cfg.steps:
             self.step += 1
@@ -252,7 +262,5 @@ class Trainer:
                 history.append(record)
                 self._log_metrics(record)
                 self._checkpoint()
-                if stop_when is not None and stop_when(history):
-                    break
         self._checkpoint()
         return history

@@ -8,19 +8,23 @@ from text2table.cli.main import main
 from text2table.corpus import write_jsonl
 
 
-def _grid(tmp_path, records):
+def _base(tmp_path, records):
+    """A run config over a tiny model, its data written under ``tmp_path``."""
     data, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
     write_jsonl(records[:6], str(data))
     write_jsonl(records[6:8], str(val))
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "dataset": str(data),
-        "val_dataset": str(val),
+    return {
+        "paths": {"dataset": str(data), "val_dataset": str(val)},
         "seed": 3,
-        "n_seeds": 1,
-        "grid": {"stopping": ["predicted-count", "semi-templated"]},
         "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
         "training": {"steps": 12, "batch_size": 4, "lr": 0.05},
+    }
+
+
+def _grid(tmp_path, records, stopping=("predicted-count", "semi-templated")):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        **_base(tmp_path, records), "n_seeds": 1, "grid": {"decoding.stopping": list(stopping)},
     }))
     return str(grid)
 
@@ -30,14 +34,13 @@ def _ledger(out_dir):
 
 
 def test_ablate_grid_resumes_from_its_ledger_and_repeats_per_seed(lineitems_records, tmp_path, monkeypatch):
-    monkeypatch.delenv("STABLE_SEED", raising=False)
     grid = _grid(tmp_path, lineitems_records)
     first = tmp_path / "first"
     assert main(["ablate", grid, str(first)]) == 0
     rows = _ledger(first)
-    assert len(rows) == 2 and {r["combo"]["stopping"] for r in rows} == {"predicted-count", "semi-templated"}
+    assert len(rows) == 2 and {r["combo"]["decoding.stopping"] for r in rows} == {"predicted-count", "semi-templated"}
     assert all(r["seed_index"] == 0 for r in rows)
-    assert any(r["result"]["f1"] > 0 for r in rows)  # so the repeat below compares trained results
+    assert any(r["result"]["cell_f1"] > 0 for r in rows)  # so the repeat below compares trained results
     summary = (first / "summary.json").read_text()
     assert len(json.loads(summary)["rows"]) == 2
 
@@ -56,3 +59,18 @@ def test_ablate_grid_resumes_from_its_ledger_and_repeats_per_seed(lineitems_reco
     assert main(["ablate", grid, str(second)]) == 0
     assert _ledger(second) == rows
     assert (second / "summary.json").read_text() == summary
+
+
+def test_ablate_result_is_the_evaluate_record_train_writes(lineitems_records, tmp_path):
+    # one grid point, run by ablate and then by train with the run's seed
+    assert main(["ablate", _grid(tmp_path, lineitems_records, ["semi-templated"]), str(tmp_path / "out")]) == 0
+    (row,) = _ledger(tmp_path / "out")
+    cfg = _base(tmp_path, lineitems_records)
+    cfg["seed"] = row["seed"]
+    cfg["decoding"] = {"stopping": "semi-templated"}
+    cfg["training"].update(eval_every=12, checkpoint_dir=str(tmp_path / "ckpt"))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["train", str(config)]) == 0
+    (record,) = [json.loads(line) for line in (tmp_path / "ckpt" / "metrics.jsonl").read_text().splitlines()]
+    assert row["result"] == record and record["step"] == 12

@@ -142,8 +142,13 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
         ("training.stpes=500", "bad training config: unknown TrainingConfig keys: stpes"),
         ("model.d_modle=8", "bad model config: unknown ModelConfig keys: d_modle"),
         ("decoding.stoping=semi-templated", "bad decoding config: unknown DecodingConfig keys: stoping"),
+        ("trainig.steps=5", "unknown run config key(s) 'trainig'"),
+        ("paths.val_datset=val.jsonl", "unknown paths key(s) 'val_datset'"),
+        ("training.seed=4", "training.seed is not a run config key"),
+        ("seed=x", "seed must be an integer, got 'x'"),
     ],
-    ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key"],
+    ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key", "section", "paths_key",
+         "training_seed", "seed"],
 )
 def test_train_bad_run_config_exits_2(lineitems_records, tmp_path, capsys, override, message):
     assert main(["train", _train_config(tmp_path, lineitems_records[:3]), "--set", override]) == 2
@@ -190,55 +195,69 @@ def test_gen_data_unknown_spec_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
-def test_ablate_unknown_training_key_exits_2(lineitems_records, tmp_path, capsys):
+def _grid_file(tmp_path, records, **keys):
+    """A grid file over ``records`` with a tiny model, updated by ``keys``."""
     data = str(tmp_path / "data.jsonl")
-    write_jsonl(lineitems_records[:3], data)
+    write_jsonl(records, data)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
-        "dataset": data,
         "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
-        "training": {"stpes": 1, "batch_size": 2},
+        "training": {"steps": 1, "batch_size": 2},
+        **keys,
+        "paths": {"dataset": data, **keys.get("paths", {})},
     }))
-    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 2
+    return str(grid)
+
+
+def test_ablate_unknown_training_key_exits_2(lineitems_records, tmp_path, capsys):
+    grid = _grid_file(tmp_path, lineitems_records[:3], training={"stpes": 1, "batch_size": 2})
+    assert main(["ablate", grid, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "bad training config: unknown TrainingConfig keys: stpes" in err
 
 
 def test_ablate_unknown_training_mode_exits_2(lineitems_records, tmp_path, capsys):
-    data = str(tmp_path / "data.jsonl")
-    write_jsonl(lineitems_records[:3], data)
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "dataset": data,
-        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
-        "training": {"steps": 1, "batch_size": 2},
-        "grid": {"training_mode": ["bogus"]},
-    }))
-    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 2
+    grid = _grid_file(tmp_path, lineitems_records[:3], grid={"training.mode": ["bogus"]})
+    assert main(["ablate", grid, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "unknown training mode 'bogus'" in err
 
 
 def test_ablate_misspelt_grid_axis_exits_2(lineitems_records, tmp_path, capsys):
-    data = str(tmp_path / "data.jsonl")
-    write_jsonl(lineitems_records[:3], data)
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "dataset": data,
-        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
-        "training": {"steps": 1, "batch_size": 2},
-        "grid": {"constrant": ["row-by-row"]},
-    }))
-    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 2
+    grid = _grid_file(tmp_path, lineitems_records[:3], grid={"decoding.constrant": ["row-by-row"]})
+    assert main(["ablate", grid, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "unknown grid axis 'constrant'" in err
+    assert len(err.splitlines()) == 1 and "unknown DecodingConfig keys: constrant" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"n_sedes": 1}, "unknown run config key(s) 'n_sedes'"),
+        ({"decoding": {"k": 99, "constrant": "x"}}, "unknown DecodingConfig keys: constrant"),
+        ({"paths": {"val_datset": "val.jsonl"}}, "unknown paths key(s) 'val_datset'"),
+        ({"training": {"steps": 1, "seed": 4}}, "training.seed is not a run config key"),
+        ({"grid": {"decoding.k": [1, 0]}}, "bad decoding config: k must be >= 1"),
+        ({"grid": {"trainig.steps": [2]}}, "unknown run config key(s) 'trainig'"),
+        ({"grid": {"decoding.k": []}}, "grid key 'decoding.k' must map to a non-empty list"),
+        ({"n_seeds": 0}, "n_seeds must be a positive integer"),
+    ],
+    ids=["grid_file_key", "base_section_key", "paths_key", "training_seed", "axis_value", "axis_section",
+         "empty_axis", "n_seeds"],
+)
+def test_ablate_bad_grid_file_exits_2_before_any_run(lineitems_records, tmp_path, capsys, keys, message):
+    grid = _grid_file(tmp_path, lineitems_records[:3], **keys)
+    assert main(["ablate", grid, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and message in err
     assert not (tmp_path / "out").exists()
 
 
 def _trained_checkpoint(tmp_path, records):
     """Train one step into a checkpoint directory; returns (train argv, latest.npz)."""
     ckpt_dir = tmp_path / "ckpt"
-    argv = ["train", _train_config(tmp_path, records), "--set", f"paths.checkpoint_dir={ckpt_dir}"]
+    argv = ["train", _train_config(tmp_path, records), "--set", f"training.checkpoint_dir={ckpt_dir}"]
     assert main(argv) == 0
     return argv, str(ckpt_dir / "latest.npz")
 
@@ -266,3 +285,68 @@ def test_resume_with_missing_optimizer_array_exits_3(lineitems_records, tmp_path
     assert main(argv + ["--resume"]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "optimizer state lacks v::embed" in err
+
+
+def test_ablate_empty_validation_set_exits_2_before_any_run(lineitems_records, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    grid = _grid_file(tmp_path, lineitems_records[:3], paths={"val_dataset": str(empty)})
+    assert main(["ablate", grid, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"dataset has no records: {empty}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _eval_files(tmp_path, pred_headers):
+    pred, gold = str(tmp_path / "pred.jsonl"), str(tmp_path / "gold.jsonl")
+    write_jsonl([DatasetRecord("r", "text", Table(pred_headers, [["1", "2"]]))], pred)
+    write_jsonl([DatasetRecord("r", "text", Table(["item", "qty"], [["1", "2"]]))], gold)
+    return pred, gold
+
+
+def test_eval_header_mismatch_exits_2(tmp_path, capsys):
+    pred, gold = _eval_files(tmp_path, ["item", "price"])
+    assert main(["eval", pred, gold]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "header sets differ" in err
+
+
+def test_eval_lets_a_bug_in_scoring_propagate(tmp_path, monkeypatch):
+    from text2table.cli import commands
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug, not a data error")
+
+    monkeypatch.setattr(commands, "score_corpus", broken)
+    pred, gold = _eval_files(tmp_path, ["item", "qty"])
+    with pytest.raises(ZeroDivisionError):
+        main(["eval", pred, gold])
+
+
+EVAL_KEYS = {"step", "nll", "mse", "cell_precision", "cell_recall", "cell_f1", "per_column_f1", "count_accuracy"}
+
+
+def test_gen_data_train_decode_eval_end_to_end(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"task": "lineitems", "n_examples": 8, "rows_max": 2, "seed": 5}))
+    data = str(tmp_path / "data.jsonl")
+    assert main(["gen-data", str(spec), data]) == 0
+
+    ckpt = tmp_path / "ckpt"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
+        "training": {"steps": 3, "batch_size": 2, "eval_every": 3, "eval_decode_examples": 4,
+                     "checkpoint_dir": str(ckpt)},
+        "paths": {"dataset": data},
+    }))
+    assert main(["train", str(config)]) == 0
+    metrics = [json.loads(line) for line in (ckpt / "metrics.jsonl").read_text().splitlines()]
+    assert len(metrics) == 1 and set(metrics[0]) == EVAL_KEYS and metrics[0]["step"] == 3
+    assert None not in metrics[0].values()  # the validation loss and the decoded scores both ran
+    assert set(metrics[0]["per_column_f1"]) == {"item", "qty", "price", "color"}
+
+    pred, report = str(tmp_path / "pred.jsonl"), tmp_path / "report.json"
+    assert main(["decode", str(ckpt / "latest.npz"), data, pred]) == 0
+    assert main(["eval", pred, data, "--out", str(report)]) == 0
+    assert 0.0 <= json.loads(report.read_text())["f1"] <= 1.0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from corpus_oracle import oracle_extract
 from text2table.corpus import (
     CorpusError,
     CorpusSpec,
@@ -10,7 +11,6 @@ from text2table.corpus import (
     DatasetRecord,
     build_vocab,
     generate,
-    oracle_extract,
     read_jsonl,
     write_jsonl,
 )

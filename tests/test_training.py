@@ -296,6 +296,29 @@ def test_nan_pad_embedding_leaves_loss_unchanged(tiny_model, lineitems_records):
     assert all(np.isfinite(t.grad).all() for _, t in tiny_model.params.items() if t.grad is not None)
 
 
+def test_evaluate_loss_records_no_tape_and_keeps_its_value(tiny_model, lineitems_records):
+    tr = _trainer(tiny_model, lineitems_records[:4])
+    tr.val_examples = tr.examples
+    _, nll, mse = tr._batch_loss(tr.val_examples, 0, train=False)
+    assert nll.requires_grad  # outside evaluate the same call records a tape
+    losses, batch_loss = [], tr._batch_loss
+
+    def recording(*args, **kwargs):
+        losses.append(batch_loss(*args, **kwargs))
+        return losses[-1]
+
+    tr._batch_loss = recording
+    record = tr.evaluate(0)
+    assert not any(t.requires_grad or t._parents for t in losses[0])
+    assert record["nll"] == nll.item() and record["mse"] == mse.item()  # bitwise
+    assert record["cell_f1"] is None and record["per_column_f1"] is None  # no validation records
+
+
+def test_training_config_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown training mode 'bogus'"):
+        TrainingConfig(mode="bogus")
+
+
 def test_smoothed_loss_floor_on_single_cell_corpus(tiny_vocab):
     # a perfectly fit model approaches the label-smoothing entropy floor, not 0
     from text2table.model import ModelConfig, TextToTableModel
