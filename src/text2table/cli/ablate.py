@@ -22,9 +22,11 @@ the record ``train`` writes to ``metrics.jsonl``. It decodes the first
 ``training.eval_decode_examples`` validation records (``paths.val_dataset``,
 else the first 32 training records).
 
-``out_dir/done.jsonl`` holds one row per finished run, keyed by a hash of the
-point's grid values and the seed index, and ``out_dir/summary.json`` the mean
-and standard deviation of cell F1 and count accuracy per point.
+``out_dir/done.jsonl`` holds one row per finished run, keyed by a hash of
+what the run is: its whole run config, derived seed included, and the
+contents of its datasets. A run whose base config or data changed therefore
+runs again. ``out_dir/summary.json`` holds the mean and standard deviation of
+cell F1 and count accuracy per point.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ import os
 import numpy as np
 
 from .commands import prepare_run
-from .runconfig import ConfigError, canonical_json, load_json_config, merged_run_config, set_key
+from .runconfig import (
+    PATH_KEYS, ConfigError, canonical_json, config_hash, file_sha256, load_json_config, merged_run_config, set_key
+)
 
 
 def expand_grid(base: dict, grid: dict) -> list[tuple[dict, dict]]:
@@ -65,8 +69,11 @@ def derived_seed(base_seed: int, combo: dict, seed_index: int) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def run_id(combo: dict, seed_index: int) -> str:
-    return hashlib.sha256(f"{canonical_json(combo)}|{seed_index}".encode()).hexdigest()[:16]
+def run_id(cfg: dict) -> str:
+    """Ledger key of a run: a hash of its run config and of the contents of
+    its ``paths.dataset`` and ``paths.val_dataset``."""
+    data = [file_sha256(cfg["paths"][k]) if cfg["paths"].get(k) else None for k in PATH_KEYS]
+    return config_hash({"config": cfg, "data_sha256": data})[:16]
 
 
 def _single_run(cfg: dict) -> dict:
@@ -131,12 +138,13 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
     with open(ledger_path, "a", encoding="utf-8") as ledger:
         for combo, point in points:
             for si in range(n_seeds):
-                rid = run_id(combo, si)
+                seed = derived_seed(point["seed"], combo, si)
+                run_cfg = {**point, "seed": seed}
+                rid = run_id(run_cfg)
                 if rid in done:
                     rows.append(done[rid])
                     continue
-                seed = derived_seed(point["seed"], combo, si)
-                result = _single_run({**point, "seed": seed})
+                result = _single_run(run_cfg)
                 row = {"run_id": rid, "combo": combo, "seed_index": si, "seed": seed, "result": result}
                 ledger.write(json.dumps(row, sort_keys=True) + "\n")
                 ledger.flush()

@@ -15,7 +15,7 @@ independent and the stream can be produced in any order or in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -81,17 +81,7 @@ class CorpusSpec:
             raise CorpusError(f"rows_max {self.rows_max} exceeds distinct item pool {len(ITEMS)}")
 
     def to_json(self) -> dict:
-        return {
-            "task": self.task,
-            "n_examples": self.n_examples,
-            "rows_min": self.rows_min,
-            "rows_max": self.rows_max,
-            "noise_rate": self.noise_rate,
-            "null_rate": self.null_rate,
-            "max_cell_tokens": self.max_cell_tokens,
-            "seed": self.seed,
-            "columns": list(self.columns),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "CorpusSpec":

@@ -2,10 +2,11 @@
 
 An outer loop repeatedly asks the inner loop for a complete greedy candidate
 of every eligible undecoded cell (candidates are mutually independent given
-the committed cells), aggregates each candidate's token log-probabilities
-into a cell score, sorts eligible cells by score, and commits up to k of
-them. Decoding-order constraints limit which undecoded cells are eligible
-per iteration. Stopping is either a template with an upfront predicted row
+the committed cells), aggregates the log-probabilities of the tokens the
+model chose for each candidate into a cell score (an end-of-cell mark the
+grammar forced is no choice and does not count), sorts eligible cells by
+score, and commits up to k of them. Decoding-order constraints limit which
+undecoded cells are eligible per iteration. Stopping is either a template with an upfront predicted row
 count or the semi-templated variant that grows the template row by row until
 an all-NULL sentinel row appears.
 
@@ -29,7 +30,7 @@ open slot and open slots never attend to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -100,14 +101,7 @@ class DecodingConfig:
             raise DecodingConfigError("max_rows_override must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "inner_criterion": self.inner_criterion,
-            "outer_criterion": self.outer_criterion,
-            "constraint": self.constraint,
-            "stopping": self.stopping,
-            "max_rows_override": self.max_rows_override,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "DecodingConfig":
@@ -119,10 +113,14 @@ class Candidate:
     tokens: list[int]  # content ids, end-of-cell excluded
     token_logprobs: list[float]  # every emitted token including end-of-cell
     truncated: bool = False
+    forced_close: bool = False  # the grammar forced the end-of-cell (log-probability 0)
 
     def score(self, criterion: str) -> float:
+        """Aggregate of the log-probabilities of the tokens the model chose; a
+        forced end-of-cell is left out, so it cannot pass for confidence."""
+        chosen = self.token_logprobs[:-1] if self.forced_close else self.token_logprobs
         agg = {"min": min, "max": max, "mean": lambda v: sum(v) / len(v)}[criterion]
-        return float(agg(self.token_logprobs))
+        return float(agg(chosen))
 
 
 class CellCandidateSource(Protocol):
@@ -174,36 +172,14 @@ def apply_constraint(state: DecodingState, cfg: DecodingConfig, commit_order: li
     """Eligible undecoded cells under the active decoding-order constraint.
 
     commit_order is the history of committed cells (first to last), needed by
-    the column-by-column rule whose active column is seeded by the first
-    commit and then moves to the next unfinished column.
+    the row-by-row and column-by-column rules, whose active line is seeded by
+    the first commit and then moves to the lowest unfinished line.
     """
     undecoded = state.undecoded()
     if cfg.constraint == "none":
         return undecoded
-    if cfg.constraint == "column-by-column":
-        if not commit_order:
-            return undecoded
-        by_col: dict[int, list[Coord]] = {}
-        for r, c in undecoded:
-            by_col.setdefault(c, []).append((r, c))
-        first_col = commit_order[0][1]
-        if first_col in by_col:
-            return by_col[first_col]
-        for c in sorted(by_col):
-            return by_col[c]
-        return []
-    if cfg.constraint == "row-by-row":
-        if not commit_order:
-            return undecoded
-        by_row: dict[int, list[Coord]] = {}
-        for r, c in undecoded:
-            by_row.setdefault(r, []).append((r, c))
-        first_row = commit_order[0][0]
-        if first_row in by_row:
-            return by_row[first_row]
-        for r in sorted(by_row):
-            return by_row[r]
-        return []
+    if cfg.constraint in _LINE_AXIS:
+        return _line_cells(undecoded, commit_order, _LINE_AXIS[cfg.constraint])
     if cfg.constraint == "left-right-top-bottom":
         return [min(undecoded, key=lambda rc: (rc[0], rc[1]))] if undecoded else []
     if cfg.constraint == "no-distant-rows":
@@ -214,6 +190,22 @@ def apply_constraint(state: DecodingState, cfg: DecodingConfig, commit_order: li
             if all((rr, c) in decoded for rr in range(1, r))
         ]
     raise DecodingConfigError(cfg.constraint)
+
+
+_LINE_AXIS = {"row-by-row": 0, "column-by-column": 1}  # coordinate that names a cell's line
+
+
+def _line_cells(undecoded: list[Coord], commit_order: list[Coord], axis: int) -> list[Coord]:
+    """Undecoded cells of the active line (a row for axis 0, a column for
+    axis 1): every cell before the first commit, then the first commit's line
+    while it has undecoded cells, then the lowest unfinished line."""
+    if not commit_order:
+        return undecoded
+    lines = {rc[axis] for rc in undecoded}
+    line = commit_order[0][axis]
+    if line not in lines:
+        line = min(lines, default=None)
+    return [rc for rc in undecoded if rc[axis] == line]
 
 
 def outer_criterion(scores: dict[Coord, float], cfg: DecodingConfig) -> list[Coord]:
@@ -250,7 +242,8 @@ class ModelCellSource:
     - A candidate whose next token the grammar forces to end-of-cell (after
       NULL, or at the final slot position) takes it with log-probability 0,
       which the masked log-softmax gives for any finite logits, and leaves
-      the pass. A step where every candidate is forced runs no pass.
+      the pass; the forced close does not count toward the cell's score. A
+      step where every candidate is forced runs no pass.
 
     The layout is built once per inner loop with every open slot live: a
     query at slot position t sees its own cell up to t and no other open
@@ -280,10 +273,9 @@ class ModelCellSource:
         grown: dict[Coord, Candidate] = {c: Candidate([], []) for c in cells}
         active = list(cells)
         with no_grad():
-            inst = instance_for_decoding(tpl, model.vocab, committed, {})
-            ctx_rows = np.flatnonzero(inst.is_ctx & ~inst.is_pad)
-            inst.is_pad &= inst.is_ctx  # every open slot position live
-            layout = collate_instances([inst], model.cfg, np.arange(tpl.length))
+            inst = instance_for_decoding(tpl, model.vocab, committed)
+            ctx_rows = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
+            layout = collate_instances([inst], np.arange(tpl.length))
             rows = np.concatenate([ctx_rows, [tpl.slot_start[c] for c in active]]).astype(np.int64)
             while active:
                 self.passes += 1
@@ -309,6 +301,7 @@ class ModelCellSource:
                         # only end-of-cell is legal next, and its masked
                         # log-probability is exactly 0 for any finite logits
                         cand.token_logprobs.append(0.0)
+                        cand.forced_close = True
                         self.forced += 1
                         # a close at the final slot position was forced by the
                         # grammar, not chosen: flag it for diagnostics

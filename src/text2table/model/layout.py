@@ -15,6 +15,15 @@ end-of-cell mark). A NULL cell is the single NULL token plus end-of-cell.
 Coordinates follow the 1-based cell convention with 0 reserved for the header
 row/column: header tokens sit at (0, col), row markers at (row, 0), cell
 tokens at (row, col).
+
+Visibility follows one rule over a per-position ``stage`` (see
+:func:`visibility_mask`). Stage 0 is context: headers, row markers and the
+filled or committed cells; stage-0 positions see each other. A position at
+stage s >= 1 sees every lower stage and its own cell up to itself. Padding
+sees nothing and is seen by nothing. Layouts differ only in the stage each
+cell gets: a permuted training pass puts its filled cells at 0 and its open
+cells at 1, the fixed-causal pass puts cell i of the row-major order at
+i + 1, and a decode layout puts committed cells at 0 and open cells at 1.
 """
 
 from __future__ import annotations
@@ -69,7 +78,6 @@ class TableTemplate:
     cols: np.ndarray  # [T] 0 for row markers
     within: np.ndarray  # [T] token index inside its block
     cell_id: np.ndarray  # [T] one id per block (header blocks included)
-    is_struct: np.ndarray  # [T] header tokens and row markers
     slot_start: dict[Coord, int]
     cell_flat: dict[Coord, int]  # (r,c) -> 0-based row-major cell index
     # [4, T, T] index maps, stacked: into the R table (-1 -> header bucket),
@@ -105,7 +113,6 @@ def make_template(
     cols = np.zeros(length, dtype=np.int64)
     within = np.zeros(length, dtype=np.int64)
     cell_id = np.zeros(length, dtype=np.int64)
-    struct = np.zeros(length, dtype=bool)
     slot_start: dict[Coord, int] = {}
 
     pos = 0
@@ -117,14 +124,12 @@ def make_template(
             cols[pos] = j
             within[pos] = t
             cell_id[pos] = block
-            struct[pos] = True
             pos += 1
         block += 1
     for i in range(1, n_rows + 1):
         base[pos] = vocab.row_marker_id(i)
         rows[pos], cols[pos], within[pos] = i, 0, 0
         cell_id[pos] = block
-        struct[pos] = True
         block += 1
         pos += 1
         for j in range(1, m + 1):
@@ -147,7 +152,6 @@ def make_template(
         cols=cols,
         within=within,
         cell_id=cell_id,
-        is_struct=struct,
         slot_start=slot_start,
         cell_flat={(r, c): (r - 1) * m + (c - 1) for r in range(1, n_rows + 1) for c in range(1, m + 1)},
         header_tokens_dropped=dropped,
@@ -167,25 +171,23 @@ def make_template(
 
 def visibility_mask(
     is_pad: np.ndarray,
-    is_ctx: np.ndarray,
-    rank: np.ndarray,
+    stage: np.ndarray,
     cell_id: np.ndarray,
     within: np.ndarray,
     rows: np.ndarray,
 ) -> np.ndarray:
     """allow[n, j]: may query position rows[n] attend key position j.
 
-    Context positions (headers, row markers, filled cells) see each other and
-    are visible to everyone; a non-context position additionally sees lower
-    ranks and its own cell causally, and never another open cell. Padding
-    sees and is seen by nothing.
+    Stage-0 positions (context) see each other. A position at stage s >= 1
+    sees every position at a lower stage and its own cell up to itself, so
+    open cells at the same stage never see each other. Padding sees and is
+    seen by nothing.
     """
     live = ~is_pad
-    ctx_i = is_ctx[rows][:, None]
-    ctx_j = is_ctx[None, :]
-    lower = rank[None, :] < rank[rows][:, None]
+    stage_i = stage[rows][:, None]
+    stage_j = stage[None, :]
     own = (cell_id[rows][:, None] == cell_id[None, :]) & (within[None, :] <= within[rows][:, None])
-    allow = np.where(ctx_i, ctx_j, ctx_j | lower | own)
+    allow = np.where(stage_i == 0, stage_j == 0, (stage_j < stage_i) | own)
     return allow & live[rows][:, None] & live[None, :]
 
 
@@ -221,13 +223,12 @@ class GrammarMasks:
 
 @dataclass
 class LayoutInstance:
-    """One concrete decoder sequence: a template plus cell contents and roles."""
+    """One concrete decoder sequence: a template plus cell contents and stages."""
 
     template: TableTemplate
     input_ids: np.ndarray  # [T]
     is_pad: np.ndarray  # [T]
-    is_ctx: np.ndarray  # [T] structural tokens and filled cells
-    rank: np.ndarray  # [T] visibility stage for staircase (fixed-order) masks
+    stage: np.ndarray  # [T] visibility stage; 0 for context (see visibility_mask)
     # loss surface (teacher-forced instances only)
     loss_pos: np.ndarray | None = None  # [P] positions
     loss_targets: np.ndarray | None = None  # [P]
@@ -241,9 +242,7 @@ class LayoutInstance:
     def visibility(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Visibility mask [T, T], or its query rows ``rows`` alone [R, T]."""
         rows = np.arange(self.length) if rows is None else np.asarray(rows, dtype=np.int64)
-        return visibility_mask(
-            self.is_pad, self.is_ctx, self.rank, self.template.cell_id, self.template.within, rows
-        )
+        return visibility_mask(self.is_pad, self.stage, self.template.cell_id, self.template.within, rows)
 
 
 def content_token_ids(vocab: Vocabulary, cell: str | None) -> list[int]:
@@ -270,24 +269,15 @@ def instance_for_pass(
     vocab: Vocabulary,
     grammar: GrammarMasks,
     cell_contents: dict[Coord, list[int]],
-    filled: set[Coord],
-    *,
-    staircase: bool = False,
+    stage: dict[Coord, int],
 ) -> LayoutInstance:
-    """Teacher-forced layout: `filled` cells are context, the rest carry loss.
-
-    With ``staircase=True`` every cell carries loss and sees exactly the cells
-    before it in row-major order (the fixed-order training variant); `filled`
-    must then be empty.
-    """
-    t_len = template.length
+    """Teacher-forced layout: every cell holds its content at its ``stage``;
+    stage-0 cells are context and every other cell carries loss."""
+    if set(stage) != set(template.cells()):
+        raise LayoutError(f"stage keys are not the template's {len(template.cell_flat)} cells: {sorted(stage)}")
     inputs = template.base_inputs.copy()
-    pad = np.zeros(t_len, dtype=bool)
-    ctx = template.is_struct.copy()
-    rank = np.zeros(t_len, dtype=np.int64)
-
-    if staircase and filled:
-        raise LayoutError("staircase mode fills no cells")
+    pad = np.zeros(template.length, dtype=bool)
+    stages = np.zeros(template.length, dtype=np.int64)
 
     loss_pos: list[int] = []
     loss_tgt: list[int] = []
@@ -298,10 +288,8 @@ def instance_for_pass(
         content = cell_contents[coord]
         _place(template, inputs, pad, coord, content)
         p0 = template.slot_start[coord]
-        if staircase:
-            rank[p0 : p0 + template.slot_len] = template.cell_flat[coord] + 1
-        if coord in filled and not staircase:
-            ctx[p0 : p0 + template.slot_len] = True
+        stages[p0 : p0 + template.slot_len] = stage[coord]
+        if stage[coord] == 0:
             continue
         targets = content + [EOC]
         prev = BOS
@@ -316,8 +304,7 @@ def instance_for_pass(
         template=template,
         input_ids=inputs,
         is_pad=pad,
-        is_ctx=ctx,
-        rank=rank,
+        stage=stages,
         loss_pos=np.asarray(loss_pos, dtype=np.int64),
         loss_targets=np.asarray(loss_tgt, dtype=np.int64),
         loss_cell=np.asarray(loss_cell, dtype=np.int64),
@@ -326,30 +313,20 @@ def instance_for_pass(
 
 
 def instance_for_decoding(
-    template: TableTemplate,
-    vocab: Vocabulary,
-    committed: dict[Coord, list[int]],
-    candidates: dict[Coord, list[int]],
+    template: TableTemplate, vocab: Vocabulary, committed: dict[Coord, list[int]]
 ) -> LayoutInstance:
-    """Decode-time layout: committed cells are context, candidates are open
-    prefixes placed in their own slots (mutually invisible)."""
+    """Decode-time layout: committed cells are context at stage 0; every other
+    cell is open at stage 1, its whole slot live, BOS then PAD inputs for the
+    decoder to write its prefix into."""
     inputs = template.base_inputs.copy()
     pad = np.zeros(template.length, dtype=bool)
-    ctx = template.is_struct.copy()
-    rank = np.zeros(template.length, dtype=np.int64)
+    stage = np.zeros(template.length, dtype=np.int64)
 
     for coord in template.cells():
+        p0 = template.slot_start[coord]
         if coord in committed:
             _place(template, inputs, pad, coord, committed[coord])
-            p0 = template.slot_start[coord]
-            ctx[p0 : p0 + template.slot_len] = True
         else:
-            _place(template, inputs, pad, coord, candidates.get(coord, []))
+            stage[p0 : p0 + template.slot_len] = 1
 
-    return LayoutInstance(
-        template=template,
-        input_ids=inputs,
-        is_pad=pad,
-        is_ctx=ctx,
-        rank=rank,
-    )
+    return LayoutInstance(template=template, input_ids=inputs, is_pad=pad, stage=stage)

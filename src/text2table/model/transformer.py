@@ -108,9 +108,7 @@ class DecoderBatch:
         )
 
 
-def collate_instances(
-    instances: list[LayoutInstance], cfg: ModelConfig, rows: np.ndarray | None = None
-) -> DecoderBatch:
+def collate_instances(instances: list[LayoutInstance], rows: np.ndarray | None = None) -> DecoderBatch:
     """Pack each instance to its live positions (slot padding dropped) and cut
     its visibility and bias-index blocks there; with ``rows``, the query batch
     of those positions of a single instance (see :class:`DecoderBatch`)."""
@@ -124,9 +122,9 @@ def collate_instances(
     for k, (inst, r) in enumerate(zip(instances, live)):
         tpl, n = inst.template, len(r)
         ids[k, :n] = inst.input_ids[r]
-        allow.append(visibility_mask(
-            inst.is_pad[r], inst.is_ctx[r], inst.rank[r], tpl.cell_id[r], tpl.within[r], np.arange(n)
-        ).reshape(-1))
+        allow.append(
+            visibility_mask(inst.is_pad[r], inst.stage[r], tpl.cell_id[r], tpl.within[r], np.arange(n)).reshape(-1)
+        )
         bias_idx.append(tpl.bias_idx[:, r[:, None], r].reshape(4, -1))
     return DecoderBatch(ids, np.concatenate(allow), live, list(instances), np.concatenate(bias_idx, axis=1))
 

@@ -9,12 +9,11 @@ from .loop import (
 from .passes import (
     TRAINING_MODES,
     TrainingExample,
-    build_fixed_causal_pass,
     build_semi_templated_corpus_variant,
     build_training_pass,
     prepare_example,
 )
-from .permutation import PermutationPlan, row_major_order, sample_permutation
+from .permutation import PermutationPlan, causal_stages, row_major_order, sample_permutation
 
 __all__ = [
     "PermutationPlan",
@@ -24,10 +23,10 @@ __all__ = [
     "TrainingConfig",
     "TrainingDiverged",
     "TrainingExample",
-    "build_fixed_causal_pass",
     "build_semi_templated_corpus_variant",
     "build_source_batch",
     "build_training_pass",
+    "causal_stages",
     "prepare_example",
     "row_major_order",
     "sample_permutation",

@@ -21,8 +21,8 @@ from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
 from ..model import TextToTableModel, collate_instances, save_checkpoint
 from ..numerics import AdamW, Tensor, backward, clip_grad_norm, no_grad, ops
-from .passes import TRAINING_MODES, TrainingExample, build_fixed_causal_pass, build_training_pass
-from .permutation import sample_permutation
+from .passes import TRAINING_MODES, TrainingExample, build_training_pass
+from .permutation import causal_stages, row_major_order, sample_permutation
 
 STREAM_BATCH, STREAM_PLAN, STREAM_DROPOUT, STREAM_EVAL = 0, 1, 2, 3
 
@@ -124,12 +124,11 @@ class Trainer:
             if ex.n_rows == 0:
                 continue  # empty tables train only the count head
             if self.cfg.mode == "fixed-causal":
-                inst = build_fixed_causal_pass(ex, self.model)
+                stage = causal_stages(row_major_order(ex.n_rows, ex.n_cols))
             else:
                 rng = step_rng(self.cfg.seed, step, STREAM_PLAN, (slot,))
-                plan = sample_permutation(ex.n_rows, ex.n_cols, rng)
-                inst = build_training_pass(ex, plan, self.model)
-            insts.append(inst)
+                stage = sample_permutation(ex.n_rows, ex.n_cols, rng).stages
+            insts.append(build_training_pass(ex, stage, self.model))
             owners.append(slot)
         return insts, owners
 
@@ -147,7 +146,7 @@ class Trainer:
 
         insts, owners = self._instances_for(batch, step)
         if insts:
-            dec_batch = collate_instances(insts, self.model.cfg)
+            dec_batch = collate_instances(insts)
             if len(owners) < len(batch):  # the decoder reads the memory rows of its examples only
                 owned = np.zeros(len(batch), dtype=bool)
                 owned[owners] = True

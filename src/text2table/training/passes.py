@@ -10,7 +10,7 @@ from ..model.config import ModelConfig
 from ..model.layout import content_token_ids, header_tokens_cut
 from ..table import Table
 from ..vocab import Vocabulary, tokenize
-from .permutation import Coord, PermutationPlan
+from .permutation import Coord
 
 TRAINING_MODES = ("permuted", "fixed-causal", "semi-templated")
 
@@ -77,23 +77,10 @@ def prepare_example(
 
 
 def build_training_pass(
-    example: TrainingExample, plan: PermutationPlan, model: TextToTableModel
+    example: TrainingExample, stage: dict[Coord, int], model: TextToTableModel
 ) -> LayoutInstance:
-    """Layout for one permuted pass: plan.filled as context, rest with loss."""
-    if len(plan.order) != example.n_rows * example.n_cols:
-        raise LayoutError(
-            f"plan covers {len(plan.order)} cells, table has {example.n_rows * example.n_cols}"
-        )
+    """Teacher-forced layout of one training pass: stage-0 cells are context,
+    every other cell carries loss and sees the lower stages (see
+    :func:`~text2table.model.layout.visibility_mask`)."""
     tpl = model.template_for(example.header_ids, example.n_rows)
-    return instance_for_pass(
-        tpl, model.vocab, model.grammar, example.cell_ids, set(plan.filled)
-    )
-
-
-def build_fixed_causal_pass(example: TrainingExample, model: TextToTableModel) -> LayoutInstance:
-    """Row-major staircase: every cell carries loss and sees strictly earlier
-    cells (plus headers and markers), the fixed-order training variant."""
-    tpl = model.template_for(example.header_ids, example.n_rows)
-    return instance_for_pass(
-        tpl, model.vocab, model.grammar, example.cell_ids, set(), staircase=True
-    )
+    return instance_for_pass(tpl, model.vocab, model.grammar, example.cell_ids, stage)

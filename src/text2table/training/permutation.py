@@ -1,4 +1,4 @@
-"""Cell-order permutations and the filled/open split for one training pass."""
+"""Cell-order permutations and the visibility stages of one training pass."""
 
 from __future__ import annotations
 
@@ -36,9 +36,18 @@ class PermutationPlan:
     def open(self) -> tuple[Coord, ...]:
         return self.order[self.cut - 1 :]
 
-    def position_of(self, coord: Coord) -> int:
-        """1-based position of a cell in the ordering (sigma inverse)."""
-        return self.order.index(coord) + 1
+    @property
+    def stages(self) -> dict[Coord, int]:
+        """Visibility stage per cell: filled cells are context (0), open cells
+        share stage 1 and so never see each other."""
+        filled = self.filled
+        return {c: int(c not in filled) for c in self.order}
+
+
+def causal_stages(order: tuple[Coord, ...]) -> dict[Coord, int]:
+    """Staircase stages: cell ``order[i]`` at stage i + 1 sees exactly the
+    cells before it in ``order`` (the fixed-order training variant)."""
+    return {c: i + 1 for i, c in enumerate(order)}
 
 
 def row_major_order(n_rows: int, n_cols: int) -> tuple[Coord, ...]:

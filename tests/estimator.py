@@ -23,6 +23,7 @@ from text2table.model import TextToTableModel, collate_instances, instance_for_p
 from text2table.numerics import no_grad
 from text2table.training import PermutationPlan, TrainingExample, row_major_order, sample_permutation
 from text2table.training.permutation import Coord
+from util import filled_stages
 
 
 def masked_nll_rows(logits: np.ndarray, targets: np.ndarray, legal: np.ndarray) -> np.ndarray:
@@ -38,7 +39,7 @@ def instance_cell_nll(model: TextToTableModel, example: TrainingExample, inst) -
     """Token NLL summed per loss-carrying cell of a teacher-forced instance."""
     with no_grad():
         memory, real = model.encode_source(example.source_ids)
-        batch = collate_instances([inst], model.cfg)
+        batch = collate_instances([inst])
         hidden = model.decoder_hidden(memory, real, batch)
         pos, tgt, cell, legal, _ = batch.flat_loss_arrays()
         nll = masked_nll_rows(model.logits_at(hidden, pos).data, tgt, legal)
@@ -54,7 +55,7 @@ def pass_cell_nll(
 ) -> dict[Coord, float]:
     """Token NLL summed per open cell, conditioned on the filled set."""
     tpl = model.template_for(example.header_ids, example.n_rows)
-    inst = instance_for_pass(tpl, model.vocab, model.grammar, example.cell_ids, set(filled))
+    inst = instance_for_pass(tpl, model.vocab, model.grammar, example.cell_ids, filled_stages(tpl, filled))
     return instance_cell_nll(model, example, inst)
 
 

@@ -69,7 +69,7 @@ def scatter_bucket_bias_grad(g_table, grad, idx):
             g_table[h, flat[e]] += grad[h, e]
 
 
-def visibility_mask(is_pad, is_ctx, rank, cell_id, within, rows):
+def visibility_mask(is_pad, stage, cell_id, within, rows):
     n = rows.shape[0]
     t = is_pad.shape[0]
     allow = np.empty((n, t), dtype=np.bool_)
@@ -78,9 +78,9 @@ def visibility_mask(is_pad, is_ctx, rank, cell_id, within, rows):
         for j in range(t):
             if is_pad[i] or is_pad[j]:
                 allow[q, j] = False
-            elif is_ctx[i]:
-                allow[q, j] = is_ctx[j]
-            elif is_ctx[j] or rank[j] < rank[i]:
+            elif stage[i] == 0:
+                allow[q, j] = stage[j] == 0
+            elif stage[j] < stage[i]:
                 allow[q, j] = True
             else:
                 allow[q, j] = cell_id[i] == cell_id[j] and within[j] <= within[i]

@@ -74,3 +74,29 @@ def test_ablate_result_is_the_evaluate_record_train_writes(lineitems_records, tm
     assert main(["train", str(config)]) == 0
     (record,) = [json.loads(line) for line in (tmp_path / "ckpt" / "metrics.jsonl").read_text().splitlines()]
     assert row["result"] == record and record["step"] == 12
+
+
+def test_ablate_reruns_a_run_whose_config_or_data_changed(lineitems_records, tmp_path, monkeypatch):
+    cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 1, "grid": {"decoding.stopping": ["predicted-count"]}}
+    cfg["training"]["steps"] = 2
+    grid, out = tmp_path / "grid.json", tmp_path / "out"
+    grid.write_text(json.dumps(cfg))
+    runs = []
+    single_run = ablate._single_run
+    monkeypatch.setattr(ablate, "_single_run", lambda run_cfg: runs.append(run_cfg) or single_run(run_cfg))
+    assert main(["ablate", str(grid), str(out)]) == 0
+    assert main(["ablate", str(grid), str(out)]) == 0  # unchanged: nothing runs
+    assert len(runs) == 1
+
+    # an edited base config runs again, with the same seed
+    cfg["training"]["steps"] = 3
+    grid.write_text(json.dumps(cfg))
+    assert main(["ablate", str(grid), str(out)]) == 0
+    assert [r["training"]["steps"] for r in runs] == [2, 3]
+    first, second = _ledger(out)
+    assert first["run_id"] != second["run_id"] and first["seed"] == second["seed"]
+
+    # so does a run whose training data changed under the same path
+    write_jsonl(lineitems_records[1:7], cfg["paths"]["dataset"])
+    assert main(["ablate", str(grid), str(out)]) == 0
+    assert len(runs) == 3 and len({r["run_id"] for r in _ledger(out)}) == 3

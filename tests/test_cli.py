@@ -146,9 +146,12 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
         ("paths.val_datset=val.jsonl", "unknown paths key(s) 'val_datset'"),
         ("training.seed=4", "training.seed is not a run config key"),
         ("seed=x", "seed must be an integer, got 'x'"),
+        ("training.steps=x", "bad training config: steps must be int, got 'x'"),
+        ('training.lr="a"', "bad training config: lr must be float, got 'a'"),
+        ("model.d_model=16.0", "bad model config: d_model must be int, got 16.0"),
     ],
     ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key", "section", "paths_key",
-         "training_seed", "seed"],
+         "training_seed", "seed", "steps_type", "lr_type", "d_model_type"],
 )
 def test_train_bad_run_config_exits_2(lineitems_records, tmp_path, capsys, override, message):
     assert main(["train", _train_config(tmp_path, lineitems_records[:3]), "--set", override]) == 2

@@ -23,6 +23,7 @@ from text2table.decoding import (
 from text2table.model import ModelConfig, TextToTableModel, collate_instances, instance_for_decoding
 from text2table.numerics import no_grad
 from text2table.vocab import EOC, NULL, tokenize
+from util import structure, write_prefixes
 
 HEADERS = ["item", "qty", "price"]
 N_ROWS = 3
@@ -51,8 +52,8 @@ class FullRecomputeSource:
         with no_grad():
             while active:
                 partial = {c: grown[c].tokens for c in cells}
-                inst = instance_for_decoding(tpl, model.vocab, committed, partial)
-                batch = collate_instances([inst], model.cfg)
+                inst = write_prefixes(instance_for_decoding(tpl, model.vocab, committed), partial)
+                batch = collate_instances([inst])
                 hidden = model.decoder_hidden(self.memory, self.mem_real, batch)
                 positions = np.array(
                     [tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64
@@ -259,14 +260,14 @@ class LayoutCheck:
         got = rec.run(self.cached, committed, cells)
         for j, batch in enumerate(rec.batches):
             partial = {c: got[c].tokens[:j] for c in cells}  # every prefix as it was at step j
-            inst = instance_for_decoding(tpl, model.vocab, committed, partial)
+            inst = write_prefixes(instance_for_decoding(tpl, model.vocab, committed), partial)
             rows = batch.rows[0]
             if j == 0:  # the context and every open cell's first position
-                ctx = np.flatnonzero(inst.is_ctx & ~inst.is_pad)
+                ctx = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
                 assert np.array_equal(rows, np.concatenate([ctx, [tpl.slot_start[c] for c in cells]]))
             else:  # step j of cells grown to j tokens
                 assert {rec.steps[int(p)] for p in rows} <= {(c, j) for c in cells if len(got[c].tokens) >= j}
-            want = collate_instances([inst], model.cfg, rows)
+            want = collate_instances([inst], rows)
             assert batch.input_ids.dtype == want.input_ids.dtype and batch.allow.dtype == want.allow.dtype
             assert np.array_equal(batch.input_ids, want.input_ids)
             assert np.array_equal(batch.allow, want.allow)
@@ -310,14 +311,14 @@ def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny
     committed = {(1, 2): [tiny_vocab.encode("pens")[0]], (3, 1): [2], (2, 3): tiny_vocab.encode("4 dollars")}
     with no_grad():
         memory, real = model.encode_source(ids)
-        inst = instance_for_decoding(tpl, tiny_vocab, committed, {})
-        batch = collate_instances([inst], model.cfg)
+        inst = instance_for_decoding(tpl, tiny_vocab, committed)
+        batch = collate_instances([inst])
         full = model.decoder_hidden(memory, real, batch).data
-        ctx = np.flatnonzero(inst.is_ctx & ~inst.is_pad)
-        assert len(ctx) == tpl.is_struct.sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
+        ctx = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
+        assert len(ctx) == structure(tpl).sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
         heads = [tpl.slot_start[c] for c in tpl.cells() if c not in committed]
         rows = np.concatenate([ctx, heads])
         cache = model.decoder_cache(memory, tpl)
-        first = model.decoder_hidden(memory, real, collate_instances([inst], model.cfg, rows), cache=cache)
+        first = model.decoder_hidden(memory, real, collate_instances([inst], rows), cache=cache)
     assert first.shape == (len(rows), model.cfg.d_model)
     assert np.abs(first.data - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12

@@ -26,7 +26,7 @@ from text2table.decoding import (
 from text2table.decoding.engine import _masked_log_softmax
 from text2table.model import LayoutError, instance_for_decoding, instance_for_pass
 from text2table.vocab import EOC, NULL, tokenize
-from util import MockCellSource
+from util import MockCellSource, filled_stages, structure
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +39,49 @@ def test_inner_criterion_aggregations():
     assert cand.score("max") == -0.1
     assert cand.score("min") == -0.9
     assert abs(cand.score("mean") - (-0.4)) < 1e-12
+
+
+class _FixedSource:
+    """Candidate source that gives every cell the same candidate each time."""
+
+    def __init__(self, cands):
+        self.cands = cands
+
+    def candidates(self, committed, cells):
+        return {c: self.cands[c] for c in cells}
+
+
+@pytest.mark.parametrize("criterion", ["max", "min", "mean"])
+def test_forced_close_is_not_confidence(criterion):
+    # a NULL cell whose NULL the model gave little probability, closed by the
+    # grammar at log-probability 0, ranks below a confident free close
+    null_cell = Candidate([NULL], [-2.5, 0.0], forced_close=True)
+    free = Candidate([10], [-0.2, -0.1])
+    assert null_cell.score(criterion) == -2.5
+    state, trace = _state(1, 2), []
+    source = _FixedSource({(1, 1): null_cell, (1, 2): free})
+    run_outer_loop(source, state, DecodingConfig(k=1, inner_criterion=criterion), trace=trace)
+    assert [t.cell for t in trace] == [(1, 2), (1, 1)]
+    assert trace[1].score == -2.5
+
+
+@pytest.mark.parametrize("null_shift, forced_by", [(0.0, "slot width"), (0.1, "NULL")])
+def test_decoded_scores_leave_out_forced_closes(tiny_model, null_shift, forced_by):
+    # cells cut at the slot width, or NULL cells once the NULL logit is
+    # shifted up, end with a forced close; each cell's max score is then its
+    # best chosen token, below 0 for finite logits, where the forced close
+    # would score exactly 0
+    rng = np.random.default_rng(21)
+    random_bias_tables(tiny_model, rng)
+    shift = tiny_model.params["dec.ln_f.b"].data
+    shift[...] = rng.normal(size=shift.shape)
+    tiny_model.params["lm_head"].data[:, NULL] += null_shift * np.sign(shift)
+    tiny_model.params["count.b"].data[...] = [3.0]
+    res = decode_table("pens and mugs for 3 dollars .", tiny_model, DecodingConfig(k=2), ["item", "qty", "price"],
+                       keep_trace=True)
+    forced = [t for t in res.trace if (t.tokens == [NULL] if forced_by == "NULL" else t.truncated)]
+    assert len(forced) == len(res.trace) == 9
+    assert all(t.score < 0.0 for t in res.trace)
 
 
 def test_outer_criterion_sorting_and_ties():
@@ -357,27 +400,27 @@ def test_decode_states_reachable_as_training_plans(tiny_model, tiny_vocab):
     tpl = tiny_model.template_for(headers_ids, n)
     committed: dict = {}
     for entry in res.trace:
-        dec_inst = instance_for_decoding(tpl, tiny_vocab, committed, {})
+        dec_inst = instance_for_decoding(tpl, tiny_vocab, committed)
         all_cells = {c: committed.get(c, [NULL]) for c in tpl.cells()}
         train_inst = instance_for_pass(
-            tpl, tiny_vocab, tiny_model.grammar, all_cells, set(committed)
+            tpl, tiny_vocab, tiny_model.grammar, all_cells, filled_stages(tpl, committed)
         )
-        ctx_cells = tpl.is_struct.copy()
+        ctx_cells = structure(tpl)
         for coord in committed:
             s = tpl.slot_start[coord]
             ctx_cells[s : s + tpl.slot_len] = True
-        assert np.array_equal(dec_inst.is_ctx, train_inst.is_ctx)
-        assert np.array_equal(dec_inst.is_ctx, ctx_cells)
+        assert np.array_equal(dec_inst.stage == 0, train_inst.stage == 0)
+        assert np.array_equal(dec_inst.stage == 0, ctx_cells)
         # context region of inputs and visibility agree between both worlds
         # (rows restricted to positions live in both: open slots hold gold
         # tokens when teacher forcing but grow token by token when decoding)
         vis_dec = dec_inst.visibility()
         vis_train = train_inst.visibility()
-        ctx_pos = np.where(dec_inst.is_ctx & ~dec_inst.is_pad)[0]
+        ctx_pos = np.where((dec_inst.stage == 0) & ~dec_inst.is_pad)[0]
         both = np.where(~dec_inst.is_pad & ~train_inst.is_pad)[0]
         assert np.array_equal(vis_dec[np.ix_(both, ctx_pos)], vis_train[np.ix_(both, ctx_pos)])
         assert np.array_equal(
-            dec_inst.input_ids[dec_inst.is_ctx], train_inst.input_ids[train_inst.is_ctx]
+            dec_inst.input_ids[dec_inst.stage == 0], train_inst.input_ids[train_inst.stage == 0]
         )
         committed[entry.cell] = entry.tokens
 

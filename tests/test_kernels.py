@@ -65,8 +65,8 @@ def batch_maps(lineitems_records, tiny_vocab):
     insts = []
     for rec in lineitems_records[:4]:
         ex = prepare_example(rec, tiny_vocab, cfg)
-        insts.append(build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng), model))
-    maps = collate_instances(insts, cfg).bias_idx
+        insts.append(build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng).stages, model))
+    maps = collate_instances(insts).bias_idx
     assert maps.shape == (4, sum(int((~inst.is_pad).sum()) ** 2 for inst in insts))
     assert (maps[0] < 0).any() and (maps[2] < 0).any()  # header bucket and cross-cell pairs
     return maps, cfg
@@ -128,11 +128,10 @@ def test_visibility_mask_bitwise():
     rng = np.random.default_rng(4)
     t = 41
     is_pad = rng.random(t) < 0.15
-    is_ctx = rng.random(t) < 0.4
-    rank = rng.integers(0, 5, size=t)
+    stage = rng.integers(0, 5, size=t)  # about one position in five is context
     cell_id = rng.integers(0, 9, size=t)
     within = rng.integers(0, 6, size=t)
-    args = (is_pad, is_ctx, rank, cell_id, within)
+    args = (is_pad, stage, cell_id, within)
     full = visibility_mask(*args, np.arange(t))
     assert full.shape == (t, t)
     assert np.array_equal(full, ref.visibility_mask(*args, np.arange(t)))

@@ -12,7 +12,7 @@ from text2table.model.layout import sequence_bucket_matrix
 from text2table.numerics import ops
 from text2table.table import Table
 from text2table.vocab import BOS, EOC, NULL
-from util import cell_logits
+from util import cell_logits, filled_stages
 
 
 def _demo_table():
@@ -28,7 +28,7 @@ def _full_open_instance(model, table=None, filled=frozenset()):
     table = table or _demo_table()
     tpl = _template(model, table)
     cells = encode_cells(model.vocab, table)
-    return tpl, instance_for_pass(tpl, model.vocab, model.grammar, cells, set(filled))
+    return tpl, instance_for_pass(tpl, model.vocab, model.grammar, cells, filled_stages(tpl, filled))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_visibility_contract(tiny_model):
     tpl, inst = _full_open_instance(tiny_model, table, filled={(1, 1), (2, 2)})
     allow = inst.visibility()
     live = ~inst.is_pad
-    ctx = inst.is_ctx
+    ctx = inst.stage == 0
     open_mask = live & ~ctx
     for i in np.where(live)[0]:
         for j in np.where(live)[0]:
@@ -225,10 +225,11 @@ def test_open_cell_logits_independent_of_sibling_content(tiny_model, tiny_vocab)
     memory, real = tiny_model.encode_source(tiny_vocab.encode("pens and mugs ."))
 
     target = (2, 2)
-    inst_a = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, cells, {(1, 1)})
+    stage = filled_stages(tpl, {(1, 1)})
+    inst_a = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, cells, stage)
     mutated = dict(cells)
     mutated[(1, 2)] = [NULL]  # zero out a sibling open cell's gold content
-    inst_b = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, mutated, {(1, 1)})
+    inst_b = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, mutated, stage)
 
     _, la = cell_logits(tiny_model, memory, real, inst_a, cells=[target])
     _, lb = cell_logits(tiny_model, memory, real, inst_b, cells=[target])
@@ -239,7 +240,7 @@ def test_null_cell_targets_null_then_eoc(tiny_model, tiny_vocab):
     table = Table(["item", "qty"], [["pens", None]])
     tpl = _template(tiny_model, table)
     cells = encode_cells(tiny_vocab, table)
-    inst = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, cells, set())
+    inst = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, cells, filled_stages(tpl, set()))
     flat = tpl.cell_flat[(1, 2)]
     rows = inst.loss_cell == flat
     assert inst.loss_targets[rows].tolist() == [NULL, EOC]
@@ -259,7 +260,7 @@ def test_decoder_eval_deterministic(tiny_model, tiny_vocab):
     table = _demo_table()
     tpl, inst = _full_open_instance(tiny_model, table)
     memory, real = tiny_model.encode_source(tiny_vocab.encode("pens and mugs ."))
-    batch = collate_instances([inst], tiny_model.cfg)
+    batch = collate_instances([inst])
     h1 = tiny_model.decoder_hidden(memory, real, batch)
     h2 = tiny_model.decoder_hidden(memory, real, batch)
     assert np.array_equal(h1.data, h2.data)

@@ -21,15 +21,15 @@ from text2table.training import (
     PermutationPlan,
     Trainer,
     TrainingConfig,
-    build_fixed_causal_pass,
     build_source_batch,
     build_training_pass,
+    causal_stages,
     prepare_example,
     row_major_order,
     sample_permutation,
 )
 from text2table.vocab import NULL, PAD
-from util import cell_logits
+from util import cell_logits, structure
 
 REL = {64: 1e-12, 32: 1e-4}
 
@@ -64,13 +64,13 @@ def _mixed(model, records):
 
     def half_filled(ex):  # the first half of the row-major order is context
         order = row_major_order(ex.n_rows, ex.n_cols)
-        return build_training_pass(ex, PermutationPlan(order, 1 + len(order) // 2), model)
+        return build_training_pass(ex, PermutationPlan(order, 1 + len(order) // 2).stages, model)
 
     def sampled(ex):
-        return build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng), model)
+        return build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng).stages, model)
 
     def staircase(ex):
-        return build_fixed_causal_pass(ex, model)
+        return build_training_pass(ex, causal_stages(row_major_order(ex.n_rows, ex.n_cols)), model)
 
     plan = [(by_rows[n], "permuted", half_filled) for n in (1, 2, 3, 4)] + [
         (with_null, "permuted", sampled),
@@ -82,8 +82,8 @@ def _mixed(model, records):
     examples = [prepare_example(rec, model.vocab, model.cfg, mode) for rec, mode, _ in plan]
     insts = [build(ex) for ex, (_, _, build) in zip(examples, plan)]
     assert any(NULL in inst.input_ids for inst in insts)
-    assert any(inst.rank.any() for inst in insts)
-    assert any(inst.is_ctx[~inst.template.is_struct].any() for inst in insts)
+    assert any((inst.stage > 1).any() for inst in insts)
+    assert any((inst.stage[~structure(inst.template)] == 0).any() for inst in insts)
     assert len({len(ex.source_ids) for ex in examples}) > 1  # the source texts are ragged too
     return examples, insts
 
@@ -97,7 +97,7 @@ def _packed(model, examples, insts):
     """Token loss, memory rows and hidden rows of the packed stacks."""
     ids, real = build_source_batch(examples)
     memory = model.encode(ids, real)
-    batch = collate_instances(insts, model.cfg)
+    batch = collate_instances(insts)
     hidden = model.decoder_hidden(memory, real, batch)
     return _loss(lambda pos: model.logits_at(hidden, pos), batch), memory.data, hidden.data, batch
 
@@ -154,7 +154,7 @@ def test_packed_batch_keeps_only_live_positions(corpus):
     records, vocab = corpus
     model = _model(vocab)
     _, insts = _mixed(model, records)
-    batch = collate_instances(insts, model.cfg)
+    batch = collate_instances(insts)
     live = [int((~inst.is_pad).sum()) for inst in insts]
     assert batch.length == max(live) < max(inst.length for inst in insts)
     assert batch.input_ids.shape == (len(insts), max(live))
@@ -171,7 +171,7 @@ def test_packed_blocks_hold_each_example_at_its_live_rows(corpus):
     records, vocab = corpus
     model = _model(vocab)
     _, insts = _mixed(model, records)
-    batch = collate_instances(insts, model.cfg)
+    batch = collate_instances(insts)
     sizes = [len(rows) ** 2 for rows in batch.rows]
     assert len(set(sizes)) > 1  # ragged, so padding to the longest would show in the sizes
     assert batch.allow.dtype == bool and batch.allow.size == batch.bias_idx.shape[1] == sum(sizes)
@@ -188,7 +188,7 @@ def test_packed_loss_positions_carry_their_template_token_and_target(corpus):
     records, vocab = corpus
     model = _model(vocab)
     _, insts = _mixed(model, records)
-    batch = collate_instances(insts, model.cfg)
+    batch = collate_instances(insts)
     pos, tgt, cell, _, example = batch.flat_loss_arrays()
     assert len(pos) == sum(len(inst.loss_pos) for inst in insts)
     offsets = np.cumsum([0] + [len(r) for r in batch.rows])

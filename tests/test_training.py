@@ -21,9 +21,9 @@ from text2table.training import (
     Trainer,
     TrainingConfig,
     TrainingDiverged,
-    build_fixed_causal_pass,
     build_semi_templated_corpus_variant,
     build_training_pass,
+    causal_stages,
     prepare_example,
     row_major_order,
     sample_permutation,
@@ -31,6 +31,7 @@ from text2table.training import (
 )
 from text2table.numerics import backward
 from text2table.vocab import BOS, EOC, NULL, PAD
+from util import structure
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +58,12 @@ def test_two_cell_orderings_uniform():
 
 
 def test_plan_inverse_roundtrip():
+    # the causal stage of a cell is its 1-based position in the order (sigma inverse)
     rng = np.random.default_rng(2)
     plan = sample_permutation(3, 2, rng)
+    stage = causal_stages(plan.order)
     for coord in row_major_order(3, 2):
-        assert plan.order[plan.position_of(coord) - 1] == coord
+        assert plan.order[stage[coord] - 1] == coord
 
 
 def test_cut_bounds_enforced():
@@ -78,18 +81,26 @@ def _example(model, rows):
     return prepare_example(rec, model.vocab, model.cfg)
 
 
+def test_stages_must_cover_exactly_the_template_cells(tiny_model):
+    ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
+    stage = causal_stages(row_major_order(2, 2))
+    for bad in (causal_stages(row_major_order(1, 2)), {**stage, (3, 1): 5}):
+        with pytest.raises(LayoutError, match="stage keys"):
+            build_training_pass(ex, bad, tiny_model)
+
+
 def test_cut_one_means_no_context(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
     plan = PermutationPlan(row_major_order(2, 2), 1)
-    inst = build_training_pass(ex, plan, tiny_model)
-    assert not inst.is_ctx[~inst.template.is_struct & ~inst.is_pad].any()
+    inst = build_training_pass(ex, plan.stages, tiny_model)
+    assert not (inst.stage[~structure(inst.template) & ~inst.is_pad] == 0).any()
     assert set(inst.loss_cell.tolist()) == {0, 1, 2, 3}
 
 
 def test_cut_c_means_single_open_cell(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
     plan = PermutationPlan(row_major_order(2, 2), 4)
-    inst = build_training_pass(ex, plan, tiny_model)
+    inst = build_training_pass(ex, plan.stages, tiny_model)
     assert set(inst.loss_cell.tolist()) == {inst.template.cell_flat[(2, 2)]}
 
 
@@ -97,7 +108,7 @@ def test_loss_mask_soundness(tiny_model):
     # loss positions are exactly the content+EOC span of every open cell
     ex = _example(tiny_model, [["pens", "3"], [None, "7"]])
     plan = PermutationPlan(((1, 1), (1, 2), (2, 1), (2, 2)), 2)  # (1,1) filled
-    inst = build_training_pass(ex, plan, tiny_model)
+    inst = build_training_pass(ex, plan.stages, tiny_model)
     tpl = inst.template
     expected = []
     for coord in tpl.cells():
@@ -106,23 +117,23 @@ def test_loss_mask_soundness(tiny_model):
         start = tpl.slot_start[coord]
         expected.extend(range(start, start + len(ex.cell_ids[coord]) + 1))
     assert sorted(inst.loss_pos.tolist()) == sorted(expected)
-    assert not tpl.is_struct[inst.loss_pos].any()
+    assert not structure(tpl)[inst.loss_pos].any()
 
 
 def test_header_tokens_visible_in_both_modes(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
-    perm = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 2), tiny_model)
-    fixed = build_fixed_causal_pass(ex, tiny_model)
+    perm = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 2).stages, tiny_model)
+    fixed = build_training_pass(ex, causal_stages(row_major_order(2, 2)), tiny_model)
     for inst in (perm, fixed):
         allow = inst.visibility()
-        hdr = inst.template.is_struct & (inst.template.rows == 0)
+        hdr = structure(inst.template) & (inst.template.rows == 0)
         live = ~inst.is_pad
         assert allow[np.ix_(live, hdr)].all()
 
 
 def test_fixed_causal_visibility_is_row_major(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
-    inst = build_fixed_causal_pass(ex, tiny_model)
+    inst = build_training_pass(ex, causal_stages(row_major_order(2, 2)), tiny_model)
     tpl = inst.template
     allow = inst.visibility()
     order = row_major_order(2, 2)
@@ -142,7 +153,7 @@ def test_fixed_causal_equals_summed_per_cut_losses(tiny_model):
     random_bias_tables(tiny_model, rng)
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
     order = row_major_order(2, 2)
-    fixed = instance_cell_nll(tiny_model, ex, build_fixed_causal_pass(ex, tiny_model))
+    fixed = instance_cell_nll(tiny_model, ex, build_training_pass(ex, causal_stages(order), tiny_model))
     for n in range(1, 5):
         per_cell = pass_cell_nll(tiny_model, ex, frozenset(order[: n - 1]))
         assert abs(per_cell[order[n - 1]] - fixed[order[n - 1]]) < 1e-9
@@ -218,7 +229,7 @@ def test_sentinel_row_serializes_as_null_eoc(tiny_model):
         "e", "pens .", build_semi_templated_corpus_variant(Table(["item", "qty"], [["pens", "3"]]), 4)
     )
     ex = prepare_example(rec, tiny_model.vocab, tiny_model.cfg)
-    inst = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 1), tiny_model)
+    inst = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 1).stages, tiny_model)
     flat = inst.template.cell_flat[(2, 1)]
     rows = inst.loss_cell == flat
     assert inst.loss_targets[rows].tolist() == [NULL, EOC]
@@ -317,6 +328,15 @@ def test_evaluate_loss_records_no_tape_and_keeps_its_value(tiny_model, lineitems
 def test_training_config_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown training mode 'bogus'"):
         TrainingConfig(mode="bogus")
+
+
+def test_config_values_are_type_checked():
+    assert TrainingConfig.from_json({"lr": 1}).lr == 1  # an int fits a float field
+    assert TrainingConfig.from_json({"checkpoint_dir": None}).checkpoint_dir is None
+    for bad in ({"steps": True}, {"steps": 2.0}, {"lr": "a"}, {"checkpoint_dir": 3}):
+        (key,) = bad
+        with pytest.raises(TypeError, match=f"^{key} must be "):
+            TrainingConfig.from_json(bad)
 
 
 def test_smoothed_loss_floor_on_single_cell_corpus(tiny_vocab):

@@ -1,6 +1,6 @@
 """Shared test helpers: the ``mul`` and ``sum_all`` ops only tests use,
-finite differences, gradient comparison, teacher-forced cell logits and a
-mock candidate source."""
+finite differences, gradient comparison, teacher-forced cell logits, layout
+stages and prefixes, and a mock candidate source."""
 
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ def cell_logits(model, memory, mem_real, instance, cells=None):
     entries set to -inf. ``cells`` defaults to every open cell that carries
     loss positions in the instance.
     """
-    batch = collate_instances([instance], model.cfg)
+    batch = collate_instances([instance])
     hidden = model.decoder_hidden(memory, mem_real, batch, train=False)
     pos, _, cell_ids, legal, _ = batch.flat_loss_arrays()
     keep = np.ones(len(pos), dtype=bool)
@@ -70,6 +70,27 @@ def cell_logits(model, memory, mem_real, instance, cells=None):
         keep = np.array([c in wanted for c in cell_ids], dtype=bool)
     logits = model.logits_at(hidden, pos[keep]).data
     return batch.rows[0][pos[keep]], np.where(legal[keep], logits, -np.inf)
+
+
+def structure(template):
+    """[T] mask of the template's header tokens and row markers."""
+    return (template.rows == 0) | (template.cols == 0)
+
+
+def filled_stages(template, filled):
+    """Stages of a permuted pass: the ``filled`` cells are context (0), every
+    other cell of the template is open (1)."""
+    return {c: int(c not in filled) for c in template.cells()}
+
+
+def write_prefixes(instance, prefixes):
+    """Write each open cell's partial token prefix into a decode layout's
+    input ids, after its BOS, as the decoder does step by step; returns the
+    instance."""
+    for coord, tokens in prefixes.items():
+        p0 = instance.template.slot_start[coord] + 1
+        instance.input_ids[p0 : p0 + len(tokens)] = tokens
+    return instance
 
 
 class MockCellSource:
