@@ -23,10 +23,11 @@ the record ``train`` writes to ``metrics.jsonl``. It decodes the first
 else the first 32 training records).
 
 ``out_dir/done.jsonl`` holds one row per finished run, keyed by a hash of
-what the run is: its whole run config, derived seed included, and the
-contents of its datasets. A run whose base config or data changed therefore
-runs again. ``out_dir/summary.json`` holds the mean and standard deviation of
-cell F1 and count accuracy per point.
+what the run is: its whole run config with every default filled in, derived
+seed included, and the contents of its datasets. A run whose base config,
+data or a library default it relies on changed therefore runs again; a
+default written out runs nothing new. ``out_dir/summary.json`` holds the mean
+and standard deviation of cell F1 and count accuracy per point.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ def derived_seed(base_seed: int, combo: dict, seed_index: int) -> int:
 
 
 def run_id(cfg: dict) -> str:
-    """Ledger key of a run: a hash of its run config and of the contents of
-    its ``paths.dataset`` and ``paths.val_dataset``."""
+    """Ledger key of a run: a hash of its resolved run config (see
+    :meth:`Run.resolved`) and of the contents of its ``paths.dataset`` and
+    ``paths.val_dataset``."""
     data = [file_sha256(cfg["paths"][k]) if cfg["paths"].get(k) else None for k in PATH_KEYS]
-    return config_hash({"config": cfg, "data_sha256": data})[:16]
+    return config_hash({"config": prepare_run(cfg).resolved(), "data_sha256": data})[:16]
 
 
 def _single_run(cfg: dict) -> dict:

@@ -37,6 +37,7 @@ from ..numerics import AdamW
 from ..training import Trainer, TrainingConfig, TrainingExample, prepare_example
 from ..vocab import Vocabulary
 from .runconfig import (
+    PATH_KEYS,
     ConfigError,
     apply_overrides,
     check_run_config,
@@ -111,6 +112,21 @@ class Run(NamedTuple):
     model: ModelConfig
     training: TrainingConfig
     decoding: DecodingConfig
+    paths: dict
+
+    def resolved(self) -> dict:
+        """The run config with every section's defaults filled in, so a key
+        left at its default and the same value written out resolve alike, and
+        a changed library default changes the result. It is itself a valid run
+        config."""
+        training = self.training.to_json()
+        return {
+            "seed": training.pop("seed"),
+            "model": self.model.to_json(),
+            "training": training,
+            "decoding": self.decoding.to_json(),
+            "paths": {k: self.paths.get(k) for k in PATH_KEYS},
+        }
 
     def build(self) -> tuple[TextToTableModel, list[TrainingExample]]:
         """A freshly initialised model and its training examples."""
@@ -148,18 +164,28 @@ def prepare_run(cfg: dict) -> Run:
         _parse_config("model", ModelConfig, model_cfg),
         _parse_config("training", TrainingConfig, {"seed": cfg["seed"], **cfg["training"]}),
         _parse_config("decoding", DecodingConfig, cfg["decoding"]),
+        paths,
     )
+
+
+def _resume_hash(resolved: dict) -> str:
+    """Hash of what a resumed run must share with its checkpoint: the whole
+    resolved run config but ``training.steps``, the step target, so a run can
+    be resumed to train longer (no part of a step depends on the target)."""
+    training = {k: v for k, v in resolved.get("training", {}).items() if k != "steps"}
+    return config_hash({**resolved, "training": training})
 
 
 def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> int:
     cfg = apply_overrides(merged_run_config(load_json_config(config_path)), overrides)
     run = prepare_run(cfg)
     tcfg = run.training
-    chash = config_hash(cfg)
+    resolved = run.resolved()
+    chash = config_hash(resolved)
     if tcfg.checkpoint_dir:
         os.makedirs(tcfg.checkpoint_dir, exist_ok=True)
     metrics_path = os.path.join(tcfg.checkpoint_dir, "metrics.jsonl") if tcfg.checkpoint_dir else None
-    run_config = {"config": cfg, "config_hash": chash, "dataset_sha256": file_sha256(cfg["paths"]["dataset"])}
+    run_config = {"config": resolved, "config_hash": chash, "dataset_sha256": file_sha256(cfg["paths"]["dataset"])}
 
     latest = os.path.join(tcfg.checkpoint_dir, "latest.npz") if tcfg.checkpoint_dir else None
     start_step = 0
@@ -169,10 +195,15 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
             model, meta = load_checkpoint(latest)
         except CheckpointError as exc:
             raise ModelError(str(exc)) from None
-        stored = (meta.get("run_config") or {}).get("config_hash")
-        if stored != chash:
+        stored = meta.get("run_config") or {}
+        if (
+            not isinstance(stored.get("config"), dict)
+            or _resume_hash(stored["config"]) != _resume_hash(resolved)
+            or stored.get("dataset_sha256") != run_config["dataset_sha256"]
+        ):
             raise ModelError(
-                f"refusing to resume: checkpoint config hash {str(stored)[:12]} != current {chash[:12]}"
+                f"refusing to resume from {latest}: it was trained under another run config or dataset "
+                "(only training.steps may change)"
             )
         examples = _prepare_examples(run.records, model, tcfg.mode)
         if not meta.get("optimizer"):

@@ -30,7 +30,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument(
-        "--resume", action="store_true", help="continue from the checkpoint directory's latest.npz"
+        "--resume",
+        action="store_true",
+        help="continue from the checkpoint directory's latest.npz, under the same run config but for training.steps",
     )
     p.set_defaults(run=lambda a: cmd_train(a.config, a.overrides, resume=a.resume))
 

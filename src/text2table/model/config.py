@@ -24,7 +24,9 @@ class ModelConfig:
     relative_buckets: int = 32
     relative_max_distance: int = 128
     max_input_len: int = 256
-    float_width: int = 64
+    # 32 runs training and decoding in float32; 64 is for gradient checks and
+    # exact-equivalence tests
+    float_width: int = 32
 
     def __post_init__(self):
         sizes = ("d_model", "n_heads", "d_ff", "max_rows", "max_cols", "relative_buckets", "max_input_len")

@@ -302,8 +302,7 @@ def cross_entropy(
     logp = xm - mx - np.log(z)
     probs = e / z
 
-    k = legal.sum(axis=-1)
-    eps_k = smoothing / k
+    eps_k = (smoothing / legal.sum(axis=-1)).astype(x.dtype, copy=False)  # smoothing mass per legal entry
     r = np.arange(rows)
     target_lp = logp[r, targets]
     if smoothing > 0.0:
@@ -349,13 +348,13 @@ def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _scatter(g_table: np.ndarray, grad: np.ndarray, idx: np.ndarray) -> None:
     """Reverse of :func:`_gather`: add grad[h, ...] into g_table[h, idx[...]].
 
-    One ``np.add.at`` over the flattened table, with index -1 mapped to the
-    last column of its own head. Each table entry sums its contributions in
-    the row-major order of the index map.
+    One ``np.add.at`` per head over that head's own row, so index -1 selects
+    its last column and no flattened index is built. Each table entry sums its
+    contributions in the row-major order of the index map.
     """
-    n_heads, width = g_table.shape
-    flat = (idx % width).reshape(1, -1) + (width * np.arange(n_heads))[:, None]
-    np.add.at(g_table.reshape(-1), flat.reshape(-1), grad.reshape(-1))
+    flat = idx.reshape(-1)
+    for row, g in zip(g_table, grad.reshape(len(g_table), -1)):
+        np.add.at(row, flat, g)
 
 
 def bucket_bias(table: Tensor, idx: np.ndarray) -> Tensor:

@@ -16,10 +16,9 @@ def tiny_vocab(lineitems_records):
     return build_vocab(lineitems_records, n_max_rows=4)
 
 
-@pytest.fixture()
-def tiny_model(tiny_vocab):
+def _tiny_model(vocab, **over):
     cfg = ModelConfig(
-        vocab_size=len(tiny_vocab),
+        vocab_size=len(vocab),
         d_model=16,
         n_heads=2,
         n_enc_layers=1,
@@ -30,8 +29,21 @@ def tiny_model(tiny_vocab):
         max_rows=4,
         max_cols=4,
         max_input_len=128,
+        **over,
     )
-    return TextToTableModel(cfg, tiny_vocab, seed=1)
+    return TextToTableModel(cfg, vocab, seed=1)
+
+
+@pytest.fixture()
+def tiny_model(tiny_vocab):
+    """A tiny model at the library's default precision."""
+    return _tiny_model(tiny_vocab)
+
+
+@pytest.fixture()
+def tiny_model64(tiny_vocab):
+    """The tiny model in float64, for tests that assert float64 exactness."""
+    return _tiny_model(tiny_vocab, float_width=64)
 
 
 def random_bias_tables(model, rng):

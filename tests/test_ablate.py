@@ -100,3 +100,21 @@ def test_ablate_reruns_a_run_whose_config_or_data_changed(lineitems_records, tmp
     write_jsonl(lineitems_records[1:7], cfg["paths"]["dataset"])
     assert main(["ablate", str(grid), str(out)]) == 0
     assert len(runs) == 3 and len({r["run_id"] for r in _ledger(out)}) == 3
+
+
+def test_ablate_keys_runs_by_the_resolved_config(lineitems_records, tmp_path, monkeypatch):
+    # float32 is the default: writing it out is the same run, float64 is another
+    cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 1}
+    cfg["training"]["steps"] = 2
+    grid, out = tmp_path / "grid.json", tmp_path / "out"
+    runs = []
+    single_run = ablate._single_run
+    monkeypatch.setattr(ablate, "_single_run", lambda run_cfg: runs.append(run_cfg) or single_run(run_cfg))
+    for float_width in (None, 32, 64):
+        if float_width is not None:
+            cfg["model"]["float_width"] = float_width
+        grid.write_text(json.dumps(cfg))
+        assert main(["ablate", str(grid), str(out)]) == 0
+    assert [r["model"].get("float_width") for r in runs] == [None, 64]
+    omitted, f64 = _ledger(out)
+    assert omitted["run_id"] != f64["run_id"] and omitted["seed"] == f64["seed"]

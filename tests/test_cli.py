@@ -10,6 +10,7 @@ from text2table.corpus import DatasetRecord, build_vocab, write_jsonl
 from text2table.model import load_checkpoint, save_checkpoint
 from text2table.table import Table
 from text2table.vocab import NULL
+from util import record_op_dtypes
 
 
 def test_help_exits_zero(capsys):
@@ -257,12 +258,77 @@ def test_ablate_bad_grid_file_exits_2_before_any_run(lineitems_records, tmp_path
     assert not (tmp_path / "out").exists()
 
 
-def _trained_checkpoint(tmp_path, records):
-    """Train one step into a checkpoint directory; returns (train argv, latest.npz)."""
+def _trained_checkpoint(tmp_path, records, *overrides):
+    """Train one step, or as ``--set`` ``overrides`` say, into a checkpoint
+    directory; returns (train argv, latest.npz)."""
     ckpt_dir = tmp_path / "ckpt"
     argv = ["train", _train_config(tmp_path, records), "--set", f"training.checkpoint_dir={ckpt_dir}"]
+    for item in overrides:
+        argv += ["--set", item]
     assert main(argv) == 0
     return argv, str(ckpt_dir / "latest.npz")
+
+
+def _arrays(path):
+    with np.load(path) as data:
+        return {k: data[k] for k in data.files if k != "__meta__"}
+
+
+def test_train_resumed_after_two_steps_equals_four_straight_steps(lineitems_records, tmp_path, capsys):
+    # dropout on: every draw re-derives from (seed, step), so 2 + 2 steps are 4
+    records = lineitems_records[:6]
+    for name in ("straight", "resumed"):
+        (tmp_path / name).mkdir()
+    _, straight = _trained_checkpoint(tmp_path / "straight", records, "training.steps=4")
+    argv, resumed = _trained_checkpoint(tmp_path / "resumed", records, "training.steps=2")
+    assert load_checkpoint(resumed)[1]["step"] == 2
+    capsys.readouterr()
+    assert main(argv + ["--set", "training.steps=4", "--resume"]) == 0
+    assert "resuming from step 2" in capsys.readouterr().out
+    want, got = _arrays(straight), _arrays(resumed)
+    assert want.keys() == got.keys() and any(k.startswith("opt::") for k in want)
+    for name in want:
+        assert np.array_equal(want[name], got[name]), name
+    (_, want_meta), (_, got_meta) = load_checkpoint(straight), load_checkpoint(resumed)
+    assert got_meta["step"] == want_meta["step"] == 4
+    assert got_meta["optimizer"] == want_meta["optimizer"] == {"step_count": 4}
+
+
+def test_resume_under_another_run_config_or_dataset_exits_3(lineitems_records, tmp_path, capsys):
+    argv, _ = _trained_checkpoint(tmp_path, lineitems_records[:3])
+    capsys.readouterr()
+    assert main(argv + ["--set", "model.float_width=64", "--resume"]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "refusing to resume" in err and "only training.steps may change" in err
+    # the default written out is the same run config
+    assert main(argv + ["--set", "model.float_width=32", "--set", "training.steps=2", "--resume"]) == 0
+    # the same config over changed training data is not
+    write_jsonl(lineitems_records[2::-1], str(tmp_path / "data.jsonl"))  # same records and vocabulary, reordered
+    capsys.readouterr()
+    assert main(argv + ["--set", "training.steps=3", "--resume"]) == 3
+    assert "refusing to resume" in capsys.readouterr().err
+
+
+def test_train_writes_float32_by_default_and_a_float64_checkpoint_decodes_in_float64(
+    lineitems_records, tmp_path, monkeypatch
+):
+    _, latest = _trained_checkpoint(tmp_path, lineitems_records[:3])  # no model.float_width in the file
+    model, meta = load_checkpoint(latest)
+    assert model.cfg.float_width == 32 and meta["run_config"]["config"]["model"]["float_width"] == 32
+    assert {a.dtype for a in _arrays(latest).values()} == {np.dtype(np.float32)}
+
+    (tmp_path / "f64").mkdir()
+    _, latest = _trained_checkpoint(tmp_path / "f64", lineitems_records[:3], "model.float_width=64")
+    model, meta = load_checkpoint(latest)
+    assert {a.dtype for a in _arrays(latest).values()} == {np.dtype(np.float64)}
+    model.params["count.b"].data[...] = [2.0]  # so the decoder runs
+    save_checkpoint(latest, model, step=meta["step"])
+    data = str(tmp_path / "decode.jsonl")
+    write_jsonl(lineitems_records[:2], data)
+    seen = record_op_dtypes(monkeypatch)
+    assert main(["decode", latest, data, str(tmp_path / "out.jsonl")]) == 0
+    assert "attention" in {op for _, op, _ in seen}
+    assert {dtype for _, _, dtype in seen} == {np.dtype(np.float64)}
 
 
 def test_resume_without_optimizer_state_exits_3(lineitems_records, tmp_path, capsys):

@@ -146,16 +146,16 @@ def test_fixed_causal_visibility_is_row_major(tiny_model):
         assert allow[pa, pb] == (b < a)
 
 
-def test_fixed_causal_equals_summed_per_cut_losses(tiny_model):
+def test_fixed_causal_equals_summed_per_cut_losses(tiny_model64):
     # staircase per-cell NLL == NLL of cell sigma(n) in the pass with
     # filled = first n-1 row-major cells, for every n
     rng = np.random.default_rng(7)
-    random_bias_tables(tiny_model, rng)
-    ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
+    random_bias_tables(tiny_model64, rng)
+    ex = _example(tiny_model64, [["pens", "3"], ["mugs", "7"]])
     order = row_major_order(2, 2)
-    fixed = instance_cell_nll(tiny_model, ex, build_training_pass(ex, causal_stages(order), tiny_model))
+    fixed = instance_cell_nll(tiny_model64, ex, build_training_pass(ex, causal_stages(order), tiny_model64))
     for n in range(1, 5):
-        per_cell = pass_cell_nll(tiny_model, ex, frozenset(order[: n - 1]))
+        per_cell = pass_cell_nll(tiny_model64, ex, frozenset(order[: n - 1]))
         assert abs(per_cell[order[n - 1]] - fixed[order[n - 1]]) < 1e-9
 
 
@@ -177,15 +177,15 @@ def test_open_cell_loss_invariant_to_sibling_gold(tiny_model):
 # ---------------------------------------------------------------------------
 
 
-def test_two_by_one_enumeration_identity(tiny_model):
+def test_two_by_one_enumeration_identity(tiny_model64):
     # cells of different token lengths guard the cell-mean aggregation
     rng = np.random.default_rng(9)
-    random_bias_tables(tiny_model, rng)
+    random_bias_tables(tiny_model64, rng)
     rec = DatasetRecord("e", "pens and 3 red pens .", Table(["item"], [["red pens"], ["3"]]))
-    ex = prepare_example(rec, tiny_model.vocab, tiny_model.cfg)
-    lhs = mean_pass_loss_over_all_pairs(tiny_model, ex)
-    rhs = exact_expected_nll_by_orderings(tiny_model, ex)
-    fast = exact_expected_nll(tiny_model, ex)
+    ex = prepare_example(rec, tiny_model64.vocab, tiny_model64.cfg)
+    lhs = mean_pass_loss_over_all_pairs(tiny_model64, ex)
+    rhs = exact_expected_nll_by_orderings(tiny_model64, ex)
+    fast = exact_expected_nll(tiny_model64, ex)
     assert abs(lhs - rhs) < 1e-10
     assert abs(fast - rhs) < 1e-10
 
@@ -409,18 +409,18 @@ def test_resume_from_checkpoint_is_bit_identical(tiny_vocab, lineitems_records, 
         assert np.array_equal(want[name], got[name]), name
 
 
-def test_step_stats_grad_norm_is_norm_before_clipping(tiny_model, lineitems_records):
+def test_step_stats_grad_norm_is_norm_before_clipping(tiny_model64, lineitems_records):
     from text2table.numerics import backward
     from text2table.training.loop import STREAM_BATCH
 
-    tr = _trainer(tiny_model, lineitems_records[:8], clip_norm=1e-3)
+    tr = _trainer(tiny_model64, lineitems_records[:8], clip_norm=1e-3)
     idx = step_rng(5, 1, STREAM_BATCH).integers(0, len(tr.examples), size=4)
-    tiny_model.params.zero_grad()
+    tiny_model64.params.zero_grad()
     total, _, _ = tr._batch_loss([tr.examples[int(i)] for i in idx], 1, train=True)
     backward(total)
 
     def grad_norm():
-        return math.sqrt(sum(float((t.grad * t.grad).sum()) for _, t in tiny_model.params.items()))
+        return math.sqrt(sum(float((t.grad * t.grad).sum()) for _, t in tiny_model64.params.items()))
 
     want = grad_norm()
     assert want > 1e-3  # the step below clips

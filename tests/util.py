@@ -1,6 +1,7 @@
-"""Shared test helpers: the ``mul`` and ``sum_all`` ops only tests use,
-finite differences, gradient comparison, teacher-forced cell logits, layout
-stages and prefixes, and a mock candidate source."""
+"""Shared test helpers: the ``mul`` and ``sum_all`` ops only tests use, a
+recorder of op result dtypes, finite differences, gradient comparison,
+teacher-forced cell logits, layout stages and prefixes, and a mock candidate
+source."""
 
 from __future__ import annotations
 
@@ -29,6 +30,28 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(a.shape, g, dtype=a.dtype),)
 
     return make_result(np.asarray(a.data.sum()), (a,), vjp)
+
+
+def record_op_dtypes(monkeypatch) -> list[tuple[str, str, np.dtype]]:
+    """Hook ``ops.make_result``: every forward result and every vjp gradient
+    made afterwards lands in the returned list as (kind, op name, dtype)."""
+    from text2table.numerics import ops
+
+    seen = []
+
+    def hooked(data, parents, vjp):
+        op = vjp.__qualname__.split(".")[0]
+        seen.append(("forward", op, np.asarray(data).dtype))
+
+        def recorded(g):
+            grads = vjp(g)
+            seen.extend(("vjp", op, x.dtype) for x in grads if x is not None)
+            return grads
+
+        return make_result(data, parents, recorded)
+
+    monkeypatch.setattr(ops, "make_result", hooked)
+    return seen
 
 
 def finite_diff_grad(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
