@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -154,14 +155,14 @@ def prepare_run(cfg: dict) -> Run:
     for path, recs in ((paths["dataset"], records), (paths.get("val_dataset"), val_records)):
         if not recs:
             raise DataError(f"dataset has no records: {path}")
-    model_cfg = dict(cfg["model"])
-    vocab = build_vocab(records, n_max_rows=model_cfg.get("max_rows", 5))
-    model_cfg["vocab_size"] = len(vocab)
+    # the vocabulary holds a row marker per row the model allows, and sets vocab_size
+    model = _parse_config("model", ModelConfig, {**cfg["model"], "vocab_size": 0})
+    vocab = build_vocab(records, n_max_rows=model.max_rows)
     return Run(
         records,
         val_records,
         vocab,
-        _parse_config("model", ModelConfig, model_cfg),
+        dataclasses.replace(model, vocab_size=len(vocab)),
         _parse_config("training", TrainingConfig, {"seed": cfg["seed"], **cfg["training"]}),
         _parse_config("decoding", DecodingConfig, cfg["decoding"]),
         paths,

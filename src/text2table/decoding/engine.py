@@ -135,7 +135,7 @@ class CellCandidateSource(Protocol):
 class DecodingState:
     n_rows: int
     n_cols: int
-    committed: dict[Coord, list[int]] = field(default_factory=dict)
+    committed: dict[Coord, list[int]] = field(default_factory=dict)  # in commit order
 
     def undecoded(self) -> list[Coord]:
         return [
@@ -168,18 +168,18 @@ def rows_from_count(pred: float, max_rows: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def apply_constraint(state: DecodingState, cfg: DecodingConfig, commit_order: list[Coord]) -> list[Coord]:
+def apply_constraint(state: DecodingState, cfg: DecodingConfig) -> list[Coord]:
     """Eligible undecoded cells under the active decoding-order constraint.
 
-    commit_order is the history of committed cells (first to last), needed by
-    the row-by-row and column-by-column rules, whose active line is seeded by
-    the first commit and then moves to the lowest unfinished line.
+    The row-by-row and column-by-column rules seed their active line with the
+    first commit (``state.committed`` keeps commit order) and then move to the
+    lowest unfinished line.
     """
     undecoded = state.undecoded()
     if cfg.constraint == "none":
         return undecoded
     if cfg.constraint in _LINE_AXIS:
-        return _line_cells(undecoded, commit_order, _LINE_AXIS[cfg.constraint])
+        return _line_cells(undecoded, next(iter(state.committed), None), _LINE_AXIS[cfg.constraint])
     if cfg.constraint == "left-right-top-bottom":
         return [min(undecoded, key=lambda rc: (rc[0], rc[1]))] if undecoded else []
     if cfg.constraint == "no-distant-rows":
@@ -195,14 +195,14 @@ def apply_constraint(state: DecodingState, cfg: DecodingConfig, commit_order: li
 _LINE_AXIS = {"row-by-row": 0, "column-by-column": 1}  # coordinate that names a cell's line
 
 
-def _line_cells(undecoded: list[Coord], commit_order: list[Coord], axis: int) -> list[Coord]:
+def _line_cells(undecoded: list[Coord], first: Coord | None, axis: int) -> list[Coord]:
     """Undecoded cells of the active line (a row for axis 0, a column for
     axis 1): every cell before the first commit, then the first commit's line
     while it has undecoded cells, then the lowest unfinished line."""
-    if not commit_order:
+    if first is None:
         return undecoded
     lines = {rc[axis] for rc in undecoded}
-    line = commit_order[0][axis]
+    line = first[axis]
     if line not in lines:
         line = min(lines, default=None)
     return [rc for rc in undecoded if rc[axis] == line]
@@ -256,10 +256,10 @@ class ModelCellSource:
     and ``forced`` the end-of-cell marks committed without one.
     """
 
-    def __init__(self, model: TextToTableModel, memory, mem_real, template: TableTemplate, cache: DecoderCache):
+    def __init__(self, model: TextToTableModel, memory, mem_len, template: TableTemplate, cache: DecoderCache):
         self.model = model
         self.memory = memory
-        self.mem_real = mem_real
+        self.mem_len = mem_len
         self.template = template
         self.cache = cache.prefix(template.length)
         self.passes = 0
@@ -279,7 +279,7 @@ class ModelCellSource:
             rows = np.concatenate([ctx_rows, [tpl.slot_start[c] for c in active]]).astype(np.int64)
             while active:
                 self.passes += 1
-                hidden = model.decoder_hidden(self.memory, self.mem_real, layout.query(rows), cache=self.cache)
+                hidden = model.decoder_hidden(self.memory, self.mem_len, layout.query(rows), cache=self.cache)
                 logits = model.logits_at(hidden, np.arange(len(rows) - len(active), len(rows))).data
                 bad = ~np.isfinite(logits).all(axis=-1)
                 if bad.any():
@@ -335,10 +335,9 @@ def inner_loop(
     source: CellCandidateSource,
     state: DecodingState,
     cfg: DecodingConfig,
-    commit_order: list[Coord] | None = None,
 ) -> tuple[dict[Coord, Candidate], dict[Coord, float]]:
     """Complete greedy candidates plus aggregated scores for eligible cells."""
-    eligible = apply_constraint(state, cfg, commit_order or [])
+    eligible = apply_constraint(state, cfg)
     if not eligible:
         raise InnerLoopError("no undecoded cell is eligible under the active constraint")
     cands = source.candidates(dict(state.committed), eligible)
@@ -355,15 +354,14 @@ def run_outer_loop(
     iteration_offset: int = 0,
 ) -> int:
     """Fill every undecoded cell; returns outer iteration count."""
-    commit_order: list[Coord] = list(state.committed)
     iteration = 0
     while not state.done():
         iteration += 1
-        cands, scores = inner_loop(source, state, cfg, commit_order)
+        cands, scores = inner_loop(source, state, cfg)
         ranked = outer_criterion(scores, cfg)
         committed_now = 0
         while committed_now < cfg.k:
-            eligible_now = set(apply_constraint(state, cfg, commit_order))
+            eligible_now = set(apply_constraint(state, cfg))
             pick = next(
                 (c for c in ranked if c not in state.committed and c in eligible_now), None
             )
@@ -371,7 +369,6 @@ def run_outer_loop(
                 break
             cand = cands[pick]
             state.committed[pick] = list(cand.tokens)
-            commit_order.append(pick)
             committed_now += 1
             if trace is not None:
                 trace.append(
@@ -447,8 +444,9 @@ def decode_table(
     dropped = max(0, len(ids) - model.cfg.max_input_len)
     ids = ids[: model.cfg.max_input_len]
     with no_grad():
-        memory, real = model.encode_source(ids)
-        count = model.predict_group_count(memory)
+        mem_len = [len(ids)]
+        memory = model.encode(ids, mem_len)
+        count = float(model.count_pred(memory, mem_len).data[0])
     max_rows = model.cfg.max_rows if cfg.max_rows_override is None else cfg.max_rows_override
     trace: list[TraceEntry] | None = [] if keep_trace else None
 
@@ -477,7 +475,7 @@ def decode_table(
         tpl = model.template_for(header_ids, n_rows)
         if cache is None:
             cache = model.decoder_cache(memory, model.template_for(header_ids, cache_rows))
-        source = ModelCellSource(model, memory, real, tpl, cache)
+        source = ModelCellSource(model, memory, mem_len, tpl, cache)
         iters += run_outer_loop(source, state, cfg, trace=trace, iteration_offset=iters)
         passes += source.passes
         forced += source.forced

@@ -79,7 +79,6 @@ class TableTemplate:
     within: np.ndarray  # [T] token index inside its block
     cell_id: np.ndarray  # [T] one id per block (header blocks included)
     slot_start: dict[Coord, int]
-    cell_flat: dict[Coord, int]  # (r,c) -> 0-based row-major cell index
     # [4, T, T] index maps, stacked: into the R table (-1 -> header bucket),
     # the C table, the L table (-1 -> cross-cell) and the decoder bucket table
     bias_idx: np.ndarray = field(repr=False, default=None)
@@ -153,7 +152,6 @@ def make_template(
         within=within,
         cell_id=cell_id,
         slot_start=slot_start,
-        cell_flat={(r, c): (r - 1) * m + (c - 1) for r in range(1, n_rows + 1) for c in range(1, m + 1)},
         header_tokens_dropped=dropped,
     )
 
@@ -232,7 +230,6 @@ class LayoutInstance:
     # loss surface (teacher-forced instances only)
     loss_pos: np.ndarray | None = None  # [P] positions
     loss_targets: np.ndarray | None = None  # [P]
-    loss_cell: np.ndarray | None = None  # [P] row-major flat cell index
     legal: np.ndarray | None = None  # [P, V]
 
     @property
@@ -274,14 +271,13 @@ def instance_for_pass(
     """Teacher-forced layout: every cell holds its content at its ``stage``;
     stage-0 cells are context and every other cell carries loss."""
     if set(stage) != set(template.cells()):
-        raise LayoutError(f"stage keys are not the template's {len(template.cell_flat)} cells: {sorted(stage)}")
+        raise LayoutError(f"stage keys are not the template's {len(template.cells())} cells: {sorted(stage)}")
     inputs = template.base_inputs.copy()
     pad = np.zeros(template.length, dtype=bool)
     stages = np.zeros(template.length, dtype=np.int64)
 
     loss_pos: list[int] = []
     loss_tgt: list[int] = []
-    loss_cell: list[int] = []
     legal_rows: list[np.ndarray] = []
 
     for coord in template.cells():
@@ -296,7 +292,6 @@ def instance_for_pass(
         for t, tok in enumerate(targets):
             loss_pos.append(p0 + t)
             loss_tgt.append(tok)
-            loss_cell.append(template.cell_flat[coord])
             legal_rows.append(grammar.legal_row(t, prev))
             prev = tok
 
@@ -307,7 +302,6 @@ def instance_for_pass(
         stage=stages,
         loss_pos=np.asarray(loss_pos, dtype=np.int64),
         loss_targets=np.asarray(loss_tgt, dtype=np.int64),
-        loss_cell=np.asarray(loss_cell, dtype=np.int64),
         legal=np.stack(legal_rows) if legal_rows else np.zeros((0, len(vocab)), dtype=bool),
     )
 

@@ -8,15 +8,15 @@ position bias. A linear head on the first encoder position regresses the
 number of table rows.
 
 Both stacks hold the residual stream as packed rows: the encoder one row
-[d] per source token, example after example ([N_src, d], laid out by a
-[B, S] mask), the decoder one row per live position of each instance
-([N, d], laid out by a :class:`DecoderBatch`). Every weight product is a
-single [N, d] gemm and every row-wise layer runs on live tokens only. The
-attention op takes each example's row count and scores every example at its
-own length, so no layer sees batch padding. The decoder's self-attention bias
-and visibility mask are packed the same way, one [n, m] block per example
-back to back, and one method gathers that bias for a training batch and for
-a decode cache alike.
+[d] per source token, example after example ([N_src, d], laid out by the
+examples' lengths [B]), the decoder one row per live position of each
+instance ([N, d], laid out by a :class:`DecoderBatch`). Every weight product
+is a single [N, d] gemm and every row-wise layer runs on live tokens only.
+The attention op takes each example's row count and scores every example at
+its own length, so no layer sees batch padding. Both self-attention biases,
+and the decoder's visibility mask, are packed the same way, one [n, n] block
+per example back to back; the decoder gathers its bias with one method for a
+training batch and for a decode cache alike.
 """
 
 from __future__ import annotations
@@ -84,28 +84,20 @@ class DecoderBatch:
         return DecoderBatch(self.input_ids[:, rows], allow, [rows], [])
 
     def flat_loss_arrays(self):
-        """Concatenate loss surfaces across the batch; positions index the
-        packed decoder rows."""
-        pos, tgt, cell, legal, example = [], [], [], [], []
+        """Concatenate loss surfaces across the batch: (positions, targets,
+        legal masks), whose positions index the packed decoder rows."""
+        pos, tgt, legal = [], [], []
         offset = 0
         for b, inst in enumerate(self.instances):
             if inst.loss_pos is not None and len(inst.loss_pos):
                 pos.append(np.searchsorted(self.rows[b], inst.loss_pos) + offset)
                 tgt.append(inst.loss_targets)
-                cell.append(inst.loss_cell)
                 legal.append(inst.legal)
-                example.append(np.full(len(inst.loss_pos), b, dtype=np.int64))
             offset += len(self.rows[b])
         if not pos:
             v = self.instances[0].legal.shape[1] if self.instances else 0
-            return (np.zeros(0, np.int64),) * 3 + (np.zeros((0, v), bool), np.zeros(0, np.int64))
-        return (
-            np.concatenate(pos),
-            np.concatenate(tgt),
-            np.concatenate(cell),
-            np.concatenate(legal),
-            np.concatenate(example),
-        )
+            return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, v), bool)
+        return np.concatenate(pos), np.concatenate(tgt), np.concatenate(legal)
 
 
 def collate_instances(instances: list[LayoutInstance], rows: np.ndarray | None = None) -> DecoderBatch:
@@ -273,32 +265,30 @@ class TextToTableModel:
     def _ln(self, x, name):
         return ops.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def encode(self, ids: np.ndarray, real: np.ndarray, train: bool = False, rng=None) -> Tensor:
+    def encode(self, ids: np.ndarray, lens: np.ndarray, train: bool = False, rng=None) -> Tensor:
         """Packed source token ids [N] -> memory rows [N, d], in the same order.
 
-        ``real`` [B, S] lays the batch out: example ``b`` owns the prefix of
-        its positions where ``real[b]`` is True, and ``ids`` lists the tokens
-        at all such positions in row-major order (as :func:`numpy.flatnonzero`
-        visits them). Every example needs at least one token.
+        ``lens`` [B] lays the batch out: example ``b`` owns the ``lens[b]`` ids
+        after those of the examples before it. Every example needs between 1
+        and ``max_input_len`` tokens.
         """
         cfg, p = self.cfg, self.params
         ids = np.asarray(ids, dtype=np.int64)
-        real = np.asarray(real, dtype=bool)
-        if real.ndim != 2 or real.shape[1] > cfg.max_input_len:
-            raise ValueError(f"encoder layout {real.shape} exceeds max_input_len {cfg.max_input_len}")
-        if ids.shape != (int(real.sum()),):
-            raise ValueError(f"encoder input shape {ids.shape} does not fit a layout of {int(real.sum())} tokens")
-        lens = real.sum(axis=1)
+        lens = np.asarray(lens, dtype=np.int64)
+        if lens.ndim != 1 or ids.shape != (int(lens.sum()),):
+            raise ValueError(f"encoder input shape {ids.shape} does not fit source lengths {lens.tolist()}")
         if not lens.all():
             raise ValueError("empty source text in encoder input")
-        if not (real == (np.arange(real.shape[1]) < lens[:, None])).all():
-            raise ValueError("encoder layout is not a prefix of each example's positions")
+        if lens.max(initial=0) > cfg.max_input_len:
+            raise ValueError(f"source length {int(lens.max())} exceeds max_input_len {cfg.max_input_len}")
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= cfg.vocab_size:
             raise ValueError("unknown token id in encoder input")
         x = ops.embedding(p["embed"], ids)
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
-        bias = ops.bucket_bias(p["enc_beta"], self._buckets(real.shape[1]))
+        # one [n, n] block of bucket indices per example, packed as the attention reads them
+        buckets = np.concatenate([self._buckets(n).reshape(-1) for n in lens.tolist()])
+        bias = ops.bucket_bias(p["enc_beta"], buckets)
         for i in range(cfg.n_enc_layers):
             xn = self._ln(x, f"enc{i}.ln1")
             k, v = ops.matmul(xn, p[f"enc{i}.attn.wk"]), ops.matmul(xn, p[f"enc{i}.attn.wv"])
@@ -319,7 +309,7 @@ class TextToTableModel:
     def decoder_hidden(
         self,
         memory: Tensor,
-        mem_real: np.ndarray,
+        mem_len: np.ndarray,
         batch: DecoderBatch,
         train: bool = False,
         rng=None,
@@ -329,11 +319,11 @@ class TextToTableModel:
         its packed rows [N, d] (see :class:`DecoderBatch`).
 
         ``memory`` holds the packed memory rows of the batch's examples, laid
-        out by ``mem_real`` [B, S] as in :meth:`encode`. With a ``cache``
-        (from :meth:`decoder_cache`, inference only) ``batch`` is a query
-        batch: the stack runs for its R query rows alone, each layer stores
-        their self-attention keys and values in the cache and attends over
-        the cached ones, and the result is [R, d].
+        out by their lengths ``mem_len`` [B] as in :meth:`encode`. With a
+        ``cache`` (from :meth:`decoder_cache`, inference only) ``batch`` is a
+        query batch: the stack runs for its R query rows alone, each layer
+        stores their self-attention keys and values in the cache and attends
+        over the cached ones, and the result is [R, d].
         """
         cfg, p = self.cfg, self.params
         real = batch.real
@@ -349,7 +339,6 @@ class TextToTableModel:
             rows = batch.rows[0]
             bias = Tensor(cache.bias[:, rows].reshape(cfg.n_heads, -1))
             k_len = [len(cache.keys[0])]
-        mem_len = mem_real.sum(axis=1)
         for i in range(cfg.n_dec_layers):
             xs = self._ln(x, f"dec{i}.ln1")
             k, v = ops.matmul(xs, p[f"dec{i}.self.wk"]), ops.matmul(xs, p[f"dec{i}.self.wv"])
@@ -389,22 +378,9 @@ class TextToTableModel:
         """Select packed decoder rows and project to vocabulary logits."""
         return ops.matmul(ops.take_rows(hidden, positions), self.params["lm_head"])
 
-    def count_pred(self, memory: Tensor, mem_real: np.ndarray) -> Tensor:
-        """Row-count regression from each example's first memory row [B]."""
-        n = mem_real.sum(axis=1)
-        out = ops.matmul(ops.take_rows(memory, np.cumsum(n) - n), self.params["count.w"])
-        return ops.add(ops.reshape(out, (len(n),)), self.params["count.b"])
-
-    # ------------------------------------------------------------------
-    # inference helpers
-    # ------------------------------------------------------------------
-
-    def encode_source(self, text_ids: list[int], train: bool = False, rng=None):
-        """Memory rows [S, d] of one source text, with its layout mask [1, S]."""
-        ids = np.asarray(text_ids, dtype=np.int64)
-        real = np.ones((1, len(ids)), dtype=bool)
-        return self.encode(ids, real, train=train, rng=rng), real
-
-    def predict_group_count(self, memory: Tensor) -> float:
-        """Unbounded row-count estimate for a single-example memory."""
-        return float(self.count_pred(memory, np.ones((1, memory.shape[0]), dtype=bool)).data[0])
+    def count_pred(self, memory: Tensor, lens: np.ndarray) -> Tensor:
+        """Row-count regression from each example's first memory row [B]
+        (``lens`` lays the memory out as in :meth:`encode`)."""
+        lens = np.asarray(lens, dtype=np.int64)
+        out = ops.matmul(ops.take_rows(memory, np.cumsum(lens) - lens), self.params["count.w"])
+        return ops.add(ops.reshape(out, (len(lens),)), self.params["count.b"])

@@ -168,15 +168,14 @@ def attention(
 
     q [Nq, d] holds example after example, ``q_len[b]`` rows each; k and v
     [Nk, d] hold ``k_len[b]`` rows each. Example b scores its n = q_len[b]
-    queries against its m = k_len[b] keys in [H, n, m]. ``bias`` is either
-    [H, sum n*m] per example, or [H, Lq, Lk] shared by the batch, of which
-    example b reads the top-left [n, m] block, or None. ``allow`` is a bool
-    [sum n*m] mask, or None when every key of an example is visible to all its
-    queries. A per-example bias and the mask are packed blocks: example b's
-    [n, m] block, in row-major order, starts at the offset sum over c < b of
-    q_len[c] * k_len[c] in both. Per head, the result is softmax(scale *
-    q k^T + bias, where allowed) v, with heads joined back to rows [Nq, d]. A
-    query that may see no key gets zero output and zero gradient.
+    queries against its m = k_len[b] keys in [H, n, m]. ``bias`` is a
+    [H, sum n*m] float array, or None. ``allow`` is a bool [sum n*m] mask, or
+    None when every key of an example is visible to all its queries. Both are
+    packed blocks: example b's [n, m] block, in row-major order, starts at the
+    offset sum over c < b of q_len[c] * k_len[c]. Per head, the result is
+    softmax(scale * q k^T + bias, where allowed) v, with heads joined back to
+    rows [Nq, d]. A query that may see no key gets zero output and zero
+    gradient.
     """
     nq, d = q.shape
     dh = d // n_heads
@@ -192,14 +191,8 @@ def attention(
         or min(q_len + k_len, default=0) < 0
     ):
         raise ShapeMismatchError("attention", q.shape, k.shape)
-    lq, lk = max(q_len, default=0), max(k_len, default=0)
     packed = sum(n * m for n, m in zip(q_len, k_len))
-    per_example = bias is not None and bias.data.ndim == 2
-    if bias is not None and (
-        bias.shape[0] != n_heads
-        or (per_example and bias.shape[1] != packed)
-        or (not per_example and (bias.data.ndim != 3 or bias.shape[1] < lq or bias.shape[2] < lk))
-    ):
+    if bias is not None and bias.shape != (n_heads, packed):
         raise ShapeMismatchError("attention", (n_heads, packed), bias.shape)
     if allow is not None and allow.shape != (packed,):
         raise ShapeMismatchError("attention", (packed,), allow.shape)
@@ -223,7 +216,7 @@ def attention(
         p = np.matmul(qh, kh.swapaxes(-1, -2))  # scores, turned into probabilities in place
         p *= scale
         if bias is not None:
-            p += bias.data[:, ps].reshape(n_heads, n, m) if per_example else bias.data[:, :n, :m]
+            p += bias.data[:, ps].reshape(n_heads, n, m)
         if allow is None:
             p -= np.maximum.reduce(p, axis=-1, keepdims=True)
             np.exp(p, out=p)
@@ -247,10 +240,8 @@ def attention(
             gv[ks] = join(np.matmul(p.swapaxes(-1, -2), gctx), m)
             gs = gp - (gp * p).sum(axis=-1, keepdims=True)
             gs *= p  # zero wherever p is
-            if per_example:
+            if gb is not None:
                 gb[:, ps] = gs.reshape(n_heads, n * m)
-            elif gb is not None:
-                gb[:, :n, :m] += gs
             gs *= scale
             gq[qs] = join(np.matmul(gs, kh), n)
             gk[ks] = join(np.matmul(gs.swapaxes(-1, -2), qh), m)

@@ -70,11 +70,10 @@ class TrainingDiverged(RuntimeError):
 
 def build_source_batch(examples: list[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
     """Packed source ids [N], the examples' texts back to back, and their
-    layout mask [B, S] (see ``TextToTableModel.encode``)."""
+    lengths [B] (see ``TextToTableModel.encode``)."""
     lens = np.array([len(e.source_ids) for e in examples], dtype=np.int64)
     ids = np.fromiter((t for e in examples for t in e.source_ids), dtype=np.int64, count=int(lens.sum()))
-    real = np.arange(max(lens.max(initial=0), 1)) < lens[:, None]
-    return ids, real
+    return ids, lens
 
 
 @dataclass
@@ -138,11 +137,11 @@ class Trainer:
         """(total, nll, mse) tensors for one example batch."""
         cfg = self.cfg
         rng = step_rng(cfg.seed, step, STREAM_DROPOUT) if train else None
-        ids, real = build_source_batch(batch)
-        memory = self.model.encode(ids, real, train=train, rng=rng)
+        ids, lens = build_source_batch(batch)
+        memory = self.model.encode(ids, lens, train=train, rng=rng)
 
         counts = np.array([ex.count_target for ex in batch], dtype=self.model.cfg.dtype)
-        mse = ops.mse(self.model.count_pred(memory, real), counts)
+        mse = ops.mse(self.model.count_pred(memory, lens), counts)
 
         insts, owners = self._instances_for(batch, step)
         if insts:
@@ -150,11 +149,9 @@ class Trainer:
             if len(owners) < len(batch):  # the decoder reads the memory rows of its examples only
                 owned = np.zeros(len(batch), dtype=bool)
                 owned[owners] = True
-                memory = ops.take_rows(memory, np.flatnonzero(np.repeat(owned, real.sum(axis=1))))
-            hidden = self.model.decoder_hidden(
-                memory, real[owners], dec_batch, train=train, rng=rng
-            )
-            pos, tgt, _, legal, _ = dec_batch.flat_loss_arrays()
+                memory = ops.take_rows(memory, np.flatnonzero(np.repeat(owned, lens)))
+            hidden = self.model.decoder_hidden(memory, lens[owners], dec_batch, train=train, rng=rng)
+            pos, tgt, legal = dec_batch.flat_loss_arrays()
             logits = self.model.logits_at(hidden, pos)
             weights = np.full(len(pos), 1.0 / max(len(pos), 1), dtype=self.model.cfg.dtype)
             nll = ops.cross_entropy(

@@ -23,7 +23,7 @@ from text2table.model import TextToTableModel, collate_instances, instance_for_p
 from text2table.numerics import no_grad
 from text2table.training import PermutationPlan, TrainingExample, row_major_order, sample_permutation
 from text2table.training.permutation import Coord
-from util import filled_stages
+from util import encode_one, filled_stages, loss_cells, slot_cell_id
 
 
 def masked_nll_rows(logits: np.ndarray, targets: np.ndarray, legal: np.ndarray) -> np.ndarray:
@@ -38,16 +38,14 @@ def masked_nll_rows(logits: np.ndarray, targets: np.ndarray, legal: np.ndarray) 
 def instance_cell_nll(model: TextToTableModel, example: TrainingExample, inst) -> dict[Coord, float]:
     """Token NLL summed per loss-carrying cell of a teacher-forced instance."""
     with no_grad():
-        memory, real = model.encode_source(example.source_ids)
+        memory, mem_len = encode_one(model, example.source_ids)
         batch = collate_instances([inst])
-        hidden = model.decoder_hidden(memory, real, batch)
-        pos, tgt, cell, legal, _ = batch.flat_loss_arrays()
+        hidden = model.decoder_hidden(memory, mem_len, batch)
+        pos, tgt, legal = batch.flat_loss_arrays()
         nll = masked_nll_rows(model.logits_at(hidden, pos).data, tgt, legal)
-    flat_to_coord = {v: k for k, v in inst.template.cell_flat.items()}
-    out: dict[Coord, float] = {}
-    for flat in np.unique(cell):
-        out[flat_to_coord[int(flat)]] = float(nll[cell == flat].sum())
-    return out
+    cell = loss_cells(inst)
+    coord_of = {slot_cell_id(inst.template, c): c for c in inst.template.cells()}
+    return {coord_of[int(i)]: float(nll[cell == i].sum()) for i in np.unique(cell)}
 
 
 def pass_cell_nll(

@@ -194,7 +194,7 @@ def batch_loss(trainer, batch, step, train):
         flat = ops.reshape(memory, (memory.shape[0] * s, memory.shape[2]))
         sub_memory = ops.reshape(ops.take_rows(flat, gather), (len(owners), s, memory.shape[2]))
         hidden = decoder_hidden(model, sub_memory, real[owners], dec_batch, train=train, rng=rng)
-        pos, tgt, _, legal, _ = dec_batch.flat_loss_arrays()
+        pos, tgt, legal = dec_batch.flat_loss_arrays()
         logits = model.logits_at(live_rows(hidden, dec_batch), pos)
         weights = np.full(len(pos), 1.0 / max(len(pos), 1), dtype=model.cfg.dtype)
         nll = ops.cross_entropy(logits, tgt, smoothing=cfg.label_smoothing, legal=legal, weights=weights)

@@ -1,8 +1,8 @@
 """The ragged attention op: gradients by finite differences, masked rows, and
 agreement with the padded op chain it replaced (``padded_model``).
 
-The per-example bias and the mask are packed: each example's [n, m] block,
-row-major, after the blocks of the examples before it."""
+The bias and the mask are packed: each example's [n, m] block, row-major,
+after the blocks of the examples before it."""
 
 import math
 
@@ -20,7 +20,7 @@ LENGTHS = {
     "ragged": ([2, 1, 3], [3, 1, 4]),
     "equal": ([3, 3, 3], [4, 4, 4]),
 }
-BIAS_KINDS = ["none", "per-example", "shared"]
+BIAS_KINDS = ["none", "per-example"]
 
 
 def _block_index(q_len, k_len):
@@ -40,7 +40,6 @@ def _case(rng, lengths, bias_kind, masked, dtype=np.float64):
     The mask, when there is one, holds each example's [n, m] block; every
     query sees its example's first key."""
     q_len, k_len = (np.array(x) for x in LENGTHS[lengths])
-    lq, lk = q_len.max(), k_len.max()
     packed = int((q_len * k_len).sum())
     tensors = [
         Tensor(rng.normal(size=(int(n), D)).astype(dtype), requires_grad=True)
@@ -48,8 +47,7 @@ def _case(rng, lengths, bias_kind, masked, dtype=np.float64):
     ]
     bias = None
     if bias_kind != "none":
-        shape = (H, lq, lk) if bias_kind == "shared" else (H, packed)
-        bias = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        bias = Tensor(rng.normal(size=(H, packed)).astype(dtype), requires_grad=True)
     allow = None
     if masked:
         allow = rng.random(packed) < 0.7
@@ -101,9 +99,7 @@ def _chain(q, k, v, q_len, k_len, bias, allow):
 
     qh, kh, vh = heads(q, q_at, lq), heads(k, k_at, lk), heads(v, k_at, lk)
     scores = ops.scale(ops.matmul(qh, transpose(kh, (0, 1, 3, 2))), SCALE)
-    if bias is not None and bias.data.ndim == 3:
-        scores = ops.add(scores, bias)
-    elif bias is not None:  # packed [H, P] -> [P, H] rows -> [B, Lq, Lk, H] -> [B, H, Lq, Lk]
+    if bias is not None:  # packed [H, P] -> [P, H] rows -> [B, Lq, Lk, H] -> [B, H, Lq, Lk]
         rows = lift(transpose(bias, (1, 0)), np.flatnonzero(block >= 0), lq * lk)
         scores = ops.add(scores, transpose(ops.reshape(rows, (b, lq, lk, H)), (0, 3, 1, 2)))
     probs = softmax(masked_fill(scores, ~allow[:, None], -np.inf))
@@ -190,7 +186,7 @@ def test_attention_rejects_lengths_and_bias_that_do_not_fit():
         return ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
 
     call()  # the case itself fits
-    call(bias=Tensor(np.zeros((H, packed))))  # so does a per-example bias
+    call(bias=Tensor(np.zeros((H, packed))))  # so does a packed bias
     with pytest.raises(ShapeMismatchError):
         call(q_len=q_len + [1, 0, 0])  # one query row more than q holds
     with pytest.raises(ShapeMismatchError):
@@ -198,13 +194,13 @@ def test_attention_rejects_lengths_and_bias_that_do_not_fit():
     with pytest.raises(ShapeMismatchError):
         call(k_len=k_len[:2])  # lengths of a different batch size
     with pytest.raises(ShapeMismatchError):
-        call(bias=Tensor(np.zeros((H, packed + 1))))  # per-example blocks of another batch
+        call(bias=Tensor(np.zeros((H, packed + 1))))  # the blocks of another batch
     with pytest.raises(ShapeMismatchError):
         call(bias=Tensor(np.zeros((H, b, lq, lk))))  # the padded per-example layout
     with pytest.raises(ShapeMismatchError):
-        call(bias=Tensor(np.zeros((H, lq, lk - 1))))  # too few bias columns for the longest example
+        call(bias=Tensor(np.zeros((H, lq, lk))))  # one [Lq, Lk] bias shared by every example
     with pytest.raises(ShapeMismatchError):
-        call(bias=Tensor(np.zeros((H + 1, lq, lk))))  # bias of another head count
+        call(bias=Tensor(np.zeros((H + 1, packed))))  # bias of another head count
     with pytest.raises(ShapeMismatchError):
         call(allow=allow[:-1])  # a mask one entry short
     with pytest.raises(ShapeMismatchError):

@@ -150,9 +150,13 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
         ("training.steps=x", "bad training config: steps must be int, got 'x'"),
         ('training.lr="a"', "bad training config: lr must be float, got 'a'"),
         ("model.d_model=16.0", "bad model config: d_model must be int, got 16.0"),
+        ("model.max_rows=abc", "bad model config: max_rows must be int, got 'abc'"),
+        ("model.max_rows=null", "bad model config: max_rows must be int, got None"),
+        ("model.max_rows=[1]", "bad model config: max_rows must be int, got [1]"),
     ],
     ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key", "section", "paths_key",
-         "training_seed", "seed", "steps_type", "lr_type", "d_model_type"],
+         "training_seed", "seed", "steps_type", "lr_type", "d_model_type", "max_rows_str", "max_rows_null",
+         "max_rows_list"],
 )
 def test_train_bad_run_config_exits_2(lineitems_records, tmp_path, capsys, override, message):
     assert main(["train", _train_config(tmp_path, lineitems_records[:3]), "--set", override]) == 2
@@ -225,6 +229,14 @@ def test_ablate_unknown_training_mode_exits_2(lineitems_records, tmp_path, capsy
     assert main(["ablate", grid, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "unknown training mode 'bogus'" in err
+
+
+@pytest.mark.parametrize("max_rows", ["abc", None, [1]], ids=["str", "null", "list"])
+def test_ablate_non_integer_max_rows_exits_2(lineitems_records, tmp_path, capsys, max_rows):
+    grid = _grid_file(tmp_path, lineitems_records[:3], grid={"model.max_rows": [max_rows]})
+    assert main(["ablate", grid, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"bad model config: max_rows must be int, got {max_rows!r}" in err
 
 
 def test_ablate_misspelt_grid_axis_exits_2(lineitems_records, tmp_path, capsys):

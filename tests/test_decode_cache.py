@@ -23,7 +23,7 @@ from text2table.decoding import (
 from text2table.model import ModelConfig, TextToTableModel, collate_instances, instance_for_decoding
 from text2table.numerics import no_grad
 from text2table.vocab import EOC, NULL, tokenize
-from util import structure, write_prefixes
+from util import encode_one, structure, write_prefixes
 
 HEADERS = ["item", "qty", "price"]
 N_ROWS = 3
@@ -38,10 +38,10 @@ TOLERANCE = {64: (1e-12, 1e-9), 32: (1e-4, 1e-3)}
 class FullRecomputeSource:
     """Greedy per-cell candidates from one full decoder pass per token step."""
 
-    def __init__(self, model, memory, mem_real, template):
+    def __init__(self, model, memory, mem_len, template):
         self.model = model
         self.memory = memory
-        self.mem_real = mem_real
+        self.mem_len = mem_len
         self.template = template
 
     def candidates(self, committed, cells):
@@ -54,7 +54,7 @@ class FullRecomputeSource:
                 partial = {c: grown[c].tokens for c in cells}
                 inst = write_prefixes(instance_for_decoding(tpl, model.vocab, committed), partial)
                 batch = collate_instances([inst])
-                hidden = model.decoder_hidden(self.memory, self.mem_real, batch)
+                hidden = model.decoder_hidden(self.memory, self.mem_len, batch)
                 positions = np.array(
                     [tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64
                 )
@@ -115,9 +115,9 @@ class Recording:
         self.batches, self.logits = [], {}
         hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
 
-        def hidden(memory, mem_real, batch, **kw):
+        def hidden(memory, mem_len, batch, **kw):
             self.batches.append(batch)
-            return hidden_fn(memory, mem_real, batch, **kw)
+            return hidden_fn(memory, mem_len, batch, **kw)
 
         def logits(hidden, positions):
             out = logits_fn(hidden, positions)
@@ -146,10 +146,10 @@ class Lockstep:
         self.skipped = 0  # steps it committed without a pass
         self.null_closes = 0  # skipped steps that closed a NULL cell
 
-    def __call__(self, model, memory, mem_real, template, cache):
+    def __call__(self, model, memory, mem_len, template, cache):
         self.model = model
-        self.cached = ModelCellSource(model, memory, mem_real, template, cache)
-        self.full = FullRecomputeSource(model, memory, mem_real, template)
+        self.cached = ModelCellSource(model, memory, mem_len, template, cache)
+        self.full = FullRecomputeSource(model, memory, mem_len, template)
         self.recording = Recording(model, template)
         return self
 
@@ -241,9 +241,9 @@ class LayoutCheck:
     def __init__(self):
         self.checked = 0
 
-    def __call__(self, model, memory, mem_real, template, cache):
+    def __call__(self, model, memory, mem_len, template, cache):
         self.model, self.template = model, template
-        self.cached = ModelCellSource(model, memory, mem_real, template, cache)
+        self.cached = ModelCellSource(model, memory, mem_len, template, cache)
         self.recording = Recording(model, template)
         return self
 
@@ -291,7 +291,7 @@ def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab):
     model = _random_model(tiny_vocab, 64, seed=2)
     header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
     with no_grad():
-        memory, _ = model.encode_source(tiny_vocab.encode(TEXT))
+        memory, _ = encode_one(model, tiny_vocab.encode(TEXT))
         largest = model.decoder_cache(memory, model.template_for(header_ids, model.cfg.max_rows))
         for r in range(1, model.cfg.max_rows + 1):
             tpl = model.template_for(header_ids, r)
@@ -310,15 +310,15 @@ def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny
     tpl = model.template_for(header_ids, N_ROWS)
     committed = {(1, 2): [tiny_vocab.encode("pens")[0]], (3, 1): [2], (2, 3): tiny_vocab.encode("4 dollars")}
     with no_grad():
-        memory, real = model.encode_source(ids)
+        memory, lens = encode_one(model, ids)
         inst = instance_for_decoding(tpl, tiny_vocab, committed)
         batch = collate_instances([inst])
-        full = model.decoder_hidden(memory, real, batch).data
+        full = model.decoder_hidden(memory, lens, batch).data
         ctx = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
         assert len(ctx) == structure(tpl).sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
         heads = [tpl.slot_start[c] for c in tpl.cells() if c not in committed]
         rows = np.concatenate([ctx, heads])
         cache = model.decoder_cache(memory, tpl)
-        first = model.decoder_hidden(memory, real, collate_instances([inst], rows), cache=cache)
+        first = model.decoder_hidden(memory, lens, collate_instances([inst], rows), cache=cache)
     assert first.shape == (len(rows), model.cfg.d_model)
     assert np.abs(first.data - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12

@@ -135,34 +135,34 @@ def _state(n, m, committed=()):
 def test_column_by_column_follows_first_commit():
     st = _state(2, 2, [(1, 1)])
     cfg = DecodingConfig(constraint="column-by-column")
-    assert apply_constraint(st, cfg, [(1, 1)]) == [(2, 1)]
+    assert apply_constraint(st, cfg) == [(2, 1)]
     st.committed[(2, 1)] = [10]
     # active column finished: next unfinished column opens
-    assert sorted(apply_constraint(st, cfg, [(1, 1), (2, 1)])) == [(1, 2), (2, 2)]
+    assert sorted(apply_constraint(st, cfg)) == [(1, 2), (2, 2)]
 
 
 def test_column_by_column_first_iteration_scores_all():
     st = _state(2, 2)
     cfg = DecodingConfig(constraint="column-by-column")
-    assert len(apply_constraint(st, cfg, [])) == 4
+    assert len(apply_constraint(st, cfg)) == 4
 
 
 def test_row_by_row_symmetric():
     st = _state(2, 2, [(2, 2)])
     cfg = DecodingConfig(constraint="row-by-row")
-    assert apply_constraint(st, cfg, [(2, 2)]) == [(2, 1)]
+    assert apply_constraint(st, cfg) == [(2, 1)]
 
 
 def test_left_right_top_bottom_single_next_cell():
     st = _state(2, 2, [(1, 1), (1, 2)])
     cfg = DecodingConfig(constraint="left-right-top-bottom")
-    assert apply_constraint(st, cfg, [(1, 1), (1, 2)]) == [(2, 1)]
+    assert apply_constraint(st, cfg) == [(2, 1)]
 
 
 def test_no_distant_rows_bottom_of_column_rule():
     st = _state(2, 2, [(1, 2)])
     cfg = DecodingConfig(constraint="no-distant-rows")
-    assert sorted(apply_constraint(st, cfg, [(1, 2)])) == [(1, 1), (2, 2)]
+    assert sorted(apply_constraint(st, cfg)) == [(1, 1), (2, 2)]
 
 
 def test_no_distant_rows_brute_force_all_states_2x2():
@@ -172,7 +172,7 @@ def test_no_distant_rows_brute_force_all_states_2x2():
     for bits in range(16):
         committed = [c for i, c in enumerate(cells) if bits >> i & 1]
         st = _state(2, 2, committed)
-        got = set(apply_constraint(st, cfg, committed))
+        got = set(apply_constraint(st, cfg))
         want = set()
         for r, c in cells:
             if (r, c) in st.committed:
@@ -192,6 +192,15 @@ def test_inner_loop_requires_eligible_cell():
     st = _state(1, 1, [(1, 1)])
     with pytest.raises(InnerLoopError):
         inner_loop(src, st, DecodingConfig())
+
+
+@pytest.mark.parametrize(
+    "constraint, want", [("row-by-row", [(2, 2)]), ("column-by-column", [(1, 1)])]
+)
+def test_inner_loop_scores_the_line_of_the_states_first_commit(constraint, want):
+    src = MockCellSource(2, 2, seed=1)
+    _, scores = inner_loop(src, _state(2, 2, [(2, 1)]), DecodingConfig(constraint=constraint))
+    assert list(scores) == want
 
 
 def test_inner_loop_pure_given_context():
@@ -251,12 +260,10 @@ def test_constraint_soundness_by_replay():
             run_outer_loop(src, st, cfg, trace=trace)
             # replay: every committed cell was eligible at its commit time
             replay = _state(2, 3)
-            order = []
             for entry in trace:
-                eligible = apply_constraint(replay, cfg, order)
+                eligible = apply_constraint(replay, cfg)
                 assert entry.cell in eligible, (constraint, k, entry)
                 replay.committed[entry.cell] = entry.tokens
-                order.append(entry.cell)
             assert replay.done()
 
 
@@ -503,7 +510,7 @@ def test_empty_source_text_raises_named_error_before_encoding(tiny_model, monkey
     def no_encode(*args, **kwargs):
         raise AssertionError("encode reached")
 
-    monkeypatch.setattr(tiny_model, "encode_source", no_encode)
+    monkeypatch.setattr(tiny_model, "encode", no_encode)
     with pytest.raises(EmptySourceTextError) as ei:
         decode_table(text, tiny_model, DecodingConfig(), ["item", "qty"])
     assert not isinstance(ei.value, LayoutError)  # LayoutError means a model problem to the CLI

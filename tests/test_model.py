@@ -12,7 +12,7 @@ from text2table.model.layout import sequence_bucket_matrix
 from text2table.numerics import ops
 from text2table.table import Table
 from text2table.vocab import BOS, EOC, NULL
-from util import cell_logits, filled_stages
+from util import cell_logits, encode_one, filled_stages, loss_cells, slot_cell_id
 
 
 def _demo_table():
@@ -37,20 +37,25 @@ def _full_open_instance(model, table=None, filled=frozenset()):
 
 
 def test_encode_single_bos_shape(tiny_model):
-    memory, _ = tiny_model.encode_source([BOS])
+    memory = tiny_model.encode([BOS], [1])
     assert memory.shape == (1, tiny_model.cfg.d_model)
 
 
 def test_encode_rejects_unknown_token_id(tiny_model):
     with pytest.raises(ValueError):
-        tiny_model.encode(np.array([10**6]), np.ones((1, 1), dtype=bool))
+        tiny_model.encode(np.array([10**6]), [1])
 
 
-def test_encode_rejects_a_layout_with_gaps(tiny_model):
-    # the attention reads each example's tokens as a prefix of its positions
-    real = np.array([[True, False, True], [True, True, True]])
-    with pytest.raises(ValueError, match="prefix"):
-        tiny_model.encode(np.full(5, BOS), real)
+def test_encode_rejects_lengths_that_do_not_fit_the_ids(tiny_model):
+    too_long = tiny_model.cfg.max_input_len + 1
+    for n_ids, lens, message in [
+        (5, [2, 0, 3], "empty source text"),
+        (too_long, [too_long], "exceeds max_input_len"),
+        (5, [2, 2], "does not fit"),  # ids left over
+        (5, [3, 3], "does not fit"),  # ids missing
+    ]:
+        with pytest.raises(ValueError, match=message):
+            tiny_model.encode(np.full(n_ids, BOS), lens)
 
 
 def test_beta_zero_offset_bucket_on_diagonal(tiny_model):
@@ -66,8 +71,8 @@ def test_beta_zero_offset_bucket_on_diagonal(tiny_model):
 
 def test_encode_eval_deterministic(tiny_model, tiny_vocab):
     ids = tiny_vocab.encode("the customer bought 3 pens for 7 dollars .")
-    a, _ = tiny_model.encode_source(ids)
-    b, _ = tiny_model.encode_source(ids)
+    a, _ = encode_one(tiny_model, ids)
+    b, _ = encode_one(tiny_model, ids)
     assert np.array_equal(a.data, b.data)
 
 
@@ -200,8 +205,8 @@ def test_visibility_open_cells_mutually_blind(tiny_model):
 def test_eoc_logit_minus_inf_before_any_cell_content(tiny_model, tiny_vocab):
     table = _demo_table()
     tpl, inst = _full_open_instance(tiny_model, table)
-    memory, real = tiny_model.encode_source(tiny_vocab.encode("pens and mugs ."))
-    pos, logits = cell_logits(tiny_model, memory, real, inst)
+    memory, lens = encode_one(tiny_model, tiny_vocab.encode("pens and mugs ."))
+    pos, logits = cell_logits(tiny_model, memory, lens, inst)
     first = inst.template.within[pos % inst.template.length] == 0
     assert np.isneginf(logits[first][:, EOC]).all()
     # structural ids are never legal inside cells
@@ -212,17 +217,17 @@ def test_eoc_logit_minus_inf_before_any_cell_content(tiny_model, tiny_vocab):
 def test_filled_cells_carry_no_loss_positions(tiny_model):
     table = _demo_table()
     tpl, inst = _full_open_instance(tiny_model, table, filled={(1, 1)})
-    filled_flat = tpl.cell_flat[(1, 1)]
-    assert filled_flat not in set(inst.loss_cell.tolist())
-    open_flats = {tpl.cell_flat[c] for c in tpl.cells()} - {filled_flat}
-    assert set(inst.loss_cell.tolist()) == open_flats
+    filled = slot_cell_id(tpl, (1, 1))
+    assert filled not in set(loss_cells(inst).tolist())
+    open_cells = {slot_cell_id(tpl, c) for c in tpl.cells()} - {filled}
+    assert set(loss_cells(inst).tolist()) == open_cells
 
 
 def test_open_cell_logits_independent_of_sibling_content(tiny_model, tiny_vocab):
     table = _demo_table()
     tpl = _template(tiny_model, table)
     cells = encode_cells(tiny_vocab, table)
-    memory, real = tiny_model.encode_source(tiny_vocab.encode("pens and mugs ."))
+    memory, lens = encode_one(tiny_model, tiny_vocab.encode("pens and mugs ."))
 
     target = (2, 2)
     stage = filled_stages(tpl, {(1, 1)})
@@ -231,8 +236,8 @@ def test_open_cell_logits_independent_of_sibling_content(tiny_model, tiny_vocab)
     mutated[(1, 2)] = [NULL]  # zero out a sibling open cell's gold content
     inst_b = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, mutated, stage)
 
-    _, la = cell_logits(tiny_model, memory, real, inst_a, cells=[target])
-    _, lb = cell_logits(tiny_model, memory, real, inst_b, cells=[target])
+    _, la = cell_logits(tiny_model, memory, lens, inst_a, cells=[target])
+    _, lb = cell_logits(tiny_model, memory, lens, inst_b, cells=[target])
     assert np.array_equal(la, lb)
 
 
@@ -241,8 +246,7 @@ def test_null_cell_targets_null_then_eoc(tiny_model, tiny_vocab):
     tpl = _template(tiny_model, table)
     cells = encode_cells(tiny_vocab, table)
     inst = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, cells, filled_stages(tpl, set()))
-    flat = tpl.cell_flat[(1, 2)]
-    rows = inst.loss_cell == flat
+    rows = loss_cells(inst) == slot_cell_id(tpl, (1, 2))
     assert inst.loss_targets[rows].tolist() == [NULL, EOC]
 
 
@@ -252,17 +256,17 @@ def test_null_cell_targets_null_then_eoc(tiny_model, tiny_vocab):
 
 
 def test_zero_initialized_count_head_predicts_zero(tiny_model, tiny_vocab):
-    memory, _ = tiny_model.encode_source(tiny_vocab.encode("anything at all ."))
-    assert tiny_model.predict_group_count(memory) == 0.0
+    memory, lens = encode_one(tiny_model, tiny_vocab.encode("anything at all ."))
+    assert tiny_model.count_pred(memory, lens).data.tolist() == [0.0]
 
 
 def test_decoder_eval_deterministic(tiny_model, tiny_vocab):
     table = _demo_table()
     tpl, inst = _full_open_instance(tiny_model, table)
-    memory, real = tiny_model.encode_source(tiny_vocab.encode("pens and mugs ."))
+    memory, lens = encode_one(tiny_model, tiny_vocab.encode("pens and mugs ."))
     batch = collate_instances([inst])
-    h1 = tiny_model.decoder_hidden(memory, real, batch)
-    h2 = tiny_model.decoder_hidden(memory, real, batch)
+    h1 = tiny_model.decoder_hidden(memory, lens, batch)
+    h2 = tiny_model.decoder_hidden(memory, lens, batch)
     assert np.array_equal(h1.data, h2.data)
 
 

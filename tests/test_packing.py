@@ -29,7 +29,7 @@ from text2table.training import (
     sample_permutation,
 )
 from text2table.vocab import NULL, PAD
-from util import cell_logits, structure
+from util import cell_logits, encode_one, structure
 
 REL = {64: 1e-12, 32: 1e-4}
 
@@ -89,16 +89,16 @@ def _mixed(model, records):
 
 
 def _loss(logits, batch):
-    pos, tgt, _, legal, _ = batch.flat_loss_arrays()
+    pos, tgt, legal = batch.flat_loss_arrays()
     return ops.cross_entropy(logits(pos), tgt, smoothing=0.1, legal=legal)
 
 
 def _packed(model, examples, insts):
     """Token loss, memory rows and hidden rows of the packed stacks."""
-    ids, real = build_source_batch(examples)
-    memory = model.encode(ids, real)
+    ids, lens = build_source_batch(examples)
+    memory = model.encode(ids, lens)
     batch = collate_instances(insts)
-    hidden = model.decoder_hidden(memory, real, batch)
+    hidden = model.decoder_hidden(memory, lens, batch)
     return _loss(lambda pos: model.logits_at(hidden, pos), batch), memory.data, hidden.data, batch
 
 
@@ -189,11 +189,12 @@ def test_packed_loss_positions_carry_their_template_token_and_target(corpus):
     model = _model(vocab)
     _, insts = _mixed(model, records)
     batch = collate_instances(insts)
-    pos, tgt, cell, _, example = batch.flat_loss_arrays()
-    assert len(pos) == sum(len(inst.loss_pos) for inst in insts)
+    pos, tgt, _ = batch.flat_loss_arrays()
+    n_loss = [len(inst.loss_pos) for inst in insts]
+    assert len(pos) == sum(n_loss)
     offsets = np.cumsum([0] + [len(r) for r in batch.rows])
     b = np.searchsorted(offsets, pos, side="right") - 1
-    assert np.array_equal(b, example)
+    assert np.array_equal(b, np.repeat(np.arange(len(insts)), n_loss))  # each in its own example's rows
     j = pos - offsets[b]
     start = 0
     for k, inst in enumerate(insts):
@@ -203,7 +204,6 @@ def test_packed_loss_positions_carry_their_template_token_and_target(corpus):
         assert np.array_equal(batch.rows[k][j[sel]], inst.loss_pos)
         assert np.array_equal(batch.input_ids[k, j[sel]], inst.input_ids[inst.loss_pos])
         assert np.array_equal(tgt[sel], inst.loss_targets)
-        assert np.array_equal(cell[sel], inst.loss_cell)
         start += n
 
 
@@ -212,8 +212,8 @@ def test_cell_logits_report_template_positions(corpus):
     model = _model(vocab)
     examples, insts = _mixed(model, records)
     ex, inst = examples[2], insts[2]
-    memory, real = model.encode_source(ex.source_ids)
-    pos, logits = cell_logits(model, memory, real, inst)
+    memory, lens = encode_one(model, ex.source_ids)
+    pos, logits = cell_logits(model, memory, lens, inst)
     assert np.array_equal(pos, inst.loss_pos)
     ids, real = padded_model.padded_source_batch([ex])
     memory = padded_model.encode(model, ids, real)

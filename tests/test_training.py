@@ -31,7 +31,7 @@ from text2table.training import (
 )
 from text2table.numerics import backward
 from text2table.vocab import BOS, EOC, NULL, PAD
-from util import structure
+from util import loss_cells, slot_cell_id, structure
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +94,14 @@ def test_cut_one_means_no_context(tiny_model):
     plan = PermutationPlan(row_major_order(2, 2), 1)
     inst = build_training_pass(ex, plan.stages, tiny_model)
     assert not (inst.stage[~structure(inst.template) & ~inst.is_pad] == 0).any()
-    assert set(inst.loss_cell.tolist()) == {0, 1, 2, 3}
+    assert set(loss_cells(inst).tolist()) == {slot_cell_id(inst.template, c) for c in inst.template.cells()}
 
 
 def test_cut_c_means_single_open_cell(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
     plan = PermutationPlan(row_major_order(2, 2), 4)
     inst = build_training_pass(ex, plan.stages, tiny_model)
-    assert set(inst.loss_cell.tolist()) == {inst.template.cell_flat[(2, 2)]}
+    assert set(loss_cells(inst).tolist()) == {slot_cell_id(inst.template, (2, 2))}
 
 
 def test_loss_mask_soundness(tiny_model):
@@ -230,8 +230,7 @@ def test_sentinel_row_serializes_as_null_eoc(tiny_model):
     )
     ex = prepare_example(rec, tiny_model.vocab, tiny_model.cfg)
     inst = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 1).stages, tiny_model)
-    flat = inst.template.cell_flat[(2, 1)]
-    rows = inst.loss_cell == flat
+    rows = loss_cells(inst) == slot_cell_id(inst.template, (2, 1))
     assert inst.loss_targets[rows].tolist() == [NULL, EOC]
 
 
@@ -281,8 +280,8 @@ def test_count_head_fits_constant_target(tiny_vocab):
     from text2table.training import build_source_batch
 
     with no_grad():
-        ids, real = build_source_batch(held_out)
-        preds = model.count_pred(model.encode(ids, real), real).data
+        ids, lens = build_source_batch(held_out)
+        preds = model.count_pred(model.encode(ids, lens), lens).data
     assert (np.abs(preds - 3.0) < 0.5).all()
 
 

@@ -1,7 +1,7 @@
 """Shared test helpers: the ``mul`` and ``sum_all`` ops only tests use, a
 recorder of op result dtypes, finite differences, gradient comparison,
-teacher-forced cell logits, layout stages and prefixes, and a mock candidate
-source."""
+teacher-forced cell logits, the cell of a loss position, layout stages and
+prefixes, and a mock candidate source."""
 
 from __future__ import annotations
 
@@ -76,7 +76,23 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
-def cell_logits(model, memory, mem_real, instance, cells=None):
+def encode_one(model, ids):
+    """Memory rows of one source text, with its lengths [1]."""
+    lens = [len(ids)]
+    return model.encode(ids, lens), lens
+
+
+def slot_cell_id(template, coord):
+    """The ``cell_id`` of a table cell's slot positions."""
+    return int(template.cell_id[template.slot_start[coord]])
+
+
+def loss_cells(instance):
+    """[P] ``cell_id`` at each loss position of a teacher-forced instance."""
+    return instance.template.cell_id[instance.loss_pos]
+
+
+def cell_logits(model, memory, mem_len, instance, cells=None):
     """Per-position vocabulary logits for the open content positions of a
     teacher-forced instance.
 
@@ -85,12 +101,11 @@ def cell_logits(model, memory, mem_real, instance, cells=None):
     loss positions in the instance.
     """
     batch = collate_instances([instance])
-    hidden = model.decoder_hidden(memory, mem_real, batch, train=False)
-    pos, _, cell_ids, legal, _ = batch.flat_loss_arrays()
+    hidden = model.decoder_hidden(memory, mem_len, batch, train=False)
+    pos, _, legal = batch.flat_loss_arrays()
     keep = np.ones(len(pos), dtype=bool)
     if cells is not None:
-        wanted = {instance.template.cell_flat[c] for c in cells}
-        keep = np.array([c in wanted for c in cell_ids], dtype=bool)
+        keep = np.isin(loss_cells(instance), [slot_cell_id(instance.template, c) for c in cells])
     logits = model.logits_at(hidden, pos[keep]).data
     return batch.rows[0][pos[keep]], np.where(legal[keep], logits, -np.inf)
 
