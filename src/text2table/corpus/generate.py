@@ -109,7 +109,9 @@ def _with_noise(rng: np.random.Generator, sentences: list[str], rate: float) -> 
         if rng.random() < rate:
             out.append(NOISE[int(rng.integers(len(NOISE)))])
         out.append(s)
-    if rng.random() < rate:
+    # a record with no sentence (a table with no rows) still gets one, drawn
+    # last so that every other record keeps its text
+    if rng.random() < rate or not out:
         out.append(NOISE[int(rng.integers(len(NOISE)))])
     return out
 

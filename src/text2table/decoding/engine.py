@@ -250,15 +250,17 @@ class ModelCellSource:
     slot, so its visibility row is the one the grown layout would give. A
     step writes its input ids into the layout and slices its rows.
 
-    ``cache`` holds the template's pair and bucket bias and the memory's
-    cross-attention keys and values; it may be built for a template with more
-    rows (see :meth:`DecoderCache.prefix`). ``passes`` counts decoder calls
-    and ``forced`` the end-of-cell marks committed without one.
+    ``memory_kv`` holds the source text's cross-attention keys and values per
+    layer (:meth:`TextToTableModel.memory_kv`), built once per table.
+    ``cache`` holds the template's pair and bucket bias and its self-attention
+    keys and values; it may be built for a template with more rows (see
+    :meth:`DecoderCache.prefix`). ``passes`` counts decoder calls and
+    ``forced`` the end-of-cell marks committed without one.
     """
 
-    def __init__(self, model: TextToTableModel, memory, mem_len, template: TableTemplate, cache: DecoderCache):
+    def __init__(self, model: TextToTableModel, memory_kv, mem_len, template: TableTemplate, cache: DecoderCache):
         self.model = model
-        self.memory = memory
+        self.memory_kv = memory_kv
         self.mem_len = mem_len
         self.template = template
         self.cache = cache.prefix(template.length)
@@ -279,7 +281,7 @@ class ModelCellSource:
             rows = np.concatenate([ctx_rows, [tpl.slot_start[c] for c in active]]).astype(np.int64)
             while active:
                 self.passes += 1
-                hidden = model.decoder_hidden(self.memory, self.mem_len, layout.query(rows), cache=self.cache)
+                hidden = model.decoder_hidden(self.memory_kv, self.mem_len, layout.query(rows), cache=self.cache)
                 logits = model.logits_at(hidden, np.arange(len(rows) - len(active), len(rows))).data
                 bad = ~np.isfinite(logits).all(axis=-1)
                 if bad.any():
@@ -405,7 +407,7 @@ class DecodeResult:
     decoder_passes: int = 0  # decoder calls: one per inner-loop token step that some cell's grammar leaves open
     forced_tokens: int = 0  # end-of-cell marks the grammar forced, committed with no decoder pass
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
-    header_tokens_dropped: int = 0  # header token ids cut at max_cell_len (0 when no row is decoded)
+    header_tokens_dropped: int = 0  # header token ids cut at max_cell_len
 
     @property
     def truncated_cells(self) -> list[Coord]:
@@ -447,16 +449,18 @@ def decode_table(
         mem_len = [len(ids)]
         memory = model.encode(ids, mem_len)
         count = float(model.count_pred(memory, mem_len).data[0])
+        memory_kv = model.memory_kv(memory)
     max_rows = model.cfg.max_rows if cfg.max_rows_override is None else cfg.max_rows_override
     trace: list[TraceEntry] | None = [] if keep_trace else None
 
-    # Predicted-count stopping decodes one block of n rows. Semi-templated
-    # stopping grows the template one row per block until the sentinel row;
-    # when a block starts, every earlier row is committed, so its undecoded
-    # cells are exactly the new row. Each template is a prefix of the largest
-    # one, so one cache, built for the largest template the model allows,
-    # serves every block; a row past that cap still fails in template_for
-    # when decoding reaches it.
+    # Predicted-count stopping decodes one block of n rows, n = 0 included:
+    # its template holds the headers alone and the outer loop ends at once.
+    # Semi-templated stopping grows the template one row per block until the
+    # sentinel row; when a block starts, every earlier row is committed, so
+    # its undecoded cells are exactly the new row. Each template is a prefix
+    # of the largest one, so one cache, built for the largest template the
+    # model allows, serves every block; a row past that cap still fails in
+    # template_for when decoding reaches it.
     semi = cfg.stopping == "semi-templated"
     if semi:
         blocks = range(1, max_rows + 1)
@@ -465,21 +469,18 @@ def decode_table(
         if not np.isfinite(count):
             raise NonFiniteCountError(count)
         cache_rows = rows_from_count(count, max_rows)
-        blocks = [cache_rows] if cache_rows else []
+        blocks = [cache_rows]
+    largest = model.template_for(header_ids, cache_rows)
+    cache = model.decoder_cache(largest)
     state = DecodingState(0, m)
-    iters = passes = forced = header_dropped = 0
+    iters = passes = forced = 0
     hit_cap = semi
-    cache = None
     for n_rows in blocks:
         state.n_rows = n_rows
-        tpl = model.template_for(header_ids, n_rows)
-        if cache is None:
-            cache = model.decoder_cache(memory, model.template_for(header_ids, cache_rows))
-        source = ModelCellSource(model, memory, mem_len, tpl, cache)
+        source = ModelCellSource(model, memory_kv, mem_len, model.template_for(header_ids, n_rows), cache)
         iters += run_outer_loop(source, state, cfg, trace=trace, iteration_offset=iters)
         passes += source.passes
         forced += source.forced
-        header_dropped = tpl.header_tokens_dropped
         if semi and semi_templated_stop(state, n_rows):
             state.n_rows -= 1  # the sentinel row is decoded but not kept
             hit_cap = False
@@ -487,5 +488,5 @@ def decode_table(
     return DecodeResult(
         _state_to_table(vocab, state, headers, state.n_rows), trace or [], iters, count, hit_row_cap=hit_cap,
         decoder_passes=passes, forced_tokens=forced, input_tokens_dropped=dropped,
-        header_tokens_dropped=header_dropped,
+        header_tokens_dropped=largest.header_tokens_dropped,
     )

@@ -86,18 +86,10 @@ class DecoderBatch:
     def flat_loss_arrays(self):
         """Concatenate loss surfaces across the batch: (positions, targets,
         legal masks), whose positions index the packed decoder rows."""
-        pos, tgt, legal = [], [], []
-        offset = 0
-        for b, inst in enumerate(self.instances):
-            if inst.loss_pos is not None and len(inst.loss_pos):
-                pos.append(np.searchsorted(self.rows[b], inst.loss_pos) + offset)
-                tgt.append(inst.loss_targets)
-                legal.append(inst.legal)
-            offset += len(self.rows[b])
-        if not pos:
-            v = self.instances[0].legal.shape[1] if self.instances else 0
-            return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, v), bool)
-        return np.concatenate(pos), np.concatenate(tgt), np.concatenate(legal)
+        offsets = np.cumsum([0] + [len(r) for r in self.rows])
+        pos = [np.searchsorted(r, inst.loss_pos) + o for r, inst, o in zip(self.rows, self.instances, offsets)]
+        tgt = [inst.loss_targets for inst in self.instances]
+        return np.concatenate(pos), np.concatenate(tgt), np.concatenate([inst.legal for inst in self.instances])
 
 
 def collate_instances(instances: list[LayoutInstance], rows: np.ndarray | None = None) -> DecoderBatch:
@@ -123,21 +115,21 @@ def collate_instances(instances: list[LayoutInstance], rows: np.ndarray | None =
 
 @dataclass
 class DecoderCache:
-    """Decoder state kept across the passes that decode one source text
+    """Self-attention state kept across the passes that decode one template
     (inference only; valid while the parameters stay unchanged).
 
-    ``bias`` and ``cross`` are fixed for the table; a cached pass reads the
-    bias rows of its query positions, flattened into one example's packed
-    block. ``keys`` and ``values`` hold each layer's self-attention key and
-    value rows at every template position; a cached pass writes its query
-    rows there before it attends, and
-    the visibility rows keep every query from seeing a position not written
-    for its own context. A template with fewer rows is a prefix of this one
-    (:meth:`prefix`).
+    ``bias`` is fixed for the template; a cached pass reads the bias rows of
+    its query positions, flattened into one example's packed block. ``keys``
+    and ``values`` hold each layer's self-attention key and value rows at
+    every template position; a cached pass writes its query rows there before
+    it attends, and the visibility rows keep every query from seeing a
+    position not written for its own context. A template with fewer rows is
+    a prefix of this one (:meth:`prefix`). The cross-attention keys and
+    values of the source text are not part of it: they come from
+    :meth:`TextToTableModel.memory_kv`.
     """
 
     bias: np.ndarray  # [H, T, T] pair + bucket bias of the template
-    cross: list[tuple[Tensor, Tensor]]  # per layer: memory key and value rows [S, d]
     keys: list[np.ndarray]  # per layer [T, d]
     values: list[np.ndarray]
 
@@ -155,7 +147,6 @@ class DecoderCache:
             raise ValueError(f"template length {length} exceeds the cached {len(self.keys[0])}")
         return DecoderCache(
             self.bias[:, :length, :length],
-            self.cross,
             [k[:length] for k in self.keys],
             [v[:length] for v in self.values],
         )
@@ -306,9 +297,18 @@ class TextToTableModel:
             ops.bucket_bias(p["dec_beta"], bucket),
         )
 
+    def memory_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Every decoder layer's cross-attention key and value rows [N, d] of
+        the packed memory rows [N, d]."""
+        p = self.params
+        return [
+            (ops.matmul(memory, p[f"dec{i}.cross.wk"]), ops.matmul(memory, p[f"dec{i}.cross.wv"]))
+            for i in range(self.cfg.n_dec_layers)
+        ]
+
     def decoder_hidden(
         self,
-        memory: Tensor,
+        memory_kv: list[tuple[Tensor, Tensor]],
         mem_len: np.ndarray,
         batch: DecoderBatch,
         train: bool = False,
@@ -318,8 +318,9 @@ class TextToTableModel:
         """Decoder stack over a collated batch; returns the hidden states of
         its packed rows [N, d] (see :class:`DecoderBatch`).
 
-        ``memory`` holds the packed memory rows of the batch's examples, laid
-        out by their lengths ``mem_len`` [B] as in :meth:`encode`. With a
+        ``memory_kv`` holds each layer's cross-attention keys and values of
+        the batch's examples (:meth:`memory_kv`), laid out by their source
+        lengths ``mem_len`` [B] as the memory rows of :meth:`encode`. With a
         ``cache`` (from :meth:`decoder_cache`, inference only) ``batch`` is a
         query batch: the stack runs for its R query rows alone, each layer
         stores their self-attention keys and values in the cache and attends
@@ -345,31 +346,20 @@ class TextToTableModel:
             if cache is not None:
                 k, v = cache.store(i, rows, k, v)
             x = ops.add(x, self._attention(xs, k, v, q_len, k_len, f"dec{i}.self", bias, batch.allow, train, rng))
-            xc = self._ln(x, f"dec{i}.ln2")
-            if cache is None:
-                k, v = ops.matmul(memory, p[f"dec{i}.cross.wk"]), ops.matmul(memory, p[f"dec{i}.cross.wv"])
-            else:
-                k, v = cache.cross[i]
+            xc, (k, v) = self._ln(x, f"dec{i}.ln2"), memory_kv[i]
             x = ops.add(x, self._attention(xc, k, v, q_len, mem_len, f"dec{i}.cross", None, None, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"dec{i}.ln3"), f"dec{i}.ffn", train, rng))
         return self._ln(x, "dec.ln_f")
 
-    def decoder_cache(self, memory: Tensor, template: TableTemplate) -> DecoderCache:
-        """Cache for decoding ``template`` against one source text's memory
-        rows [S, d]: the template's attention bias and every layer's memory
-        keys and values, built once, plus empty self-attention key/value
-        stores."""
-        cfg, p = self.cfg, self.params
+    def decoder_cache(self, template: TableTemplate) -> DecoderCache:
+        """Cache for decoding ``template``: its attention bias, built once,
+        and empty self-attention key/value stores."""
+        cfg = self.cfg
         shape = (template.length, cfg.d_model)
         with no_grad():
             bias = self._decoder_bias(template.bias_idx)
-            cross = [
-                (ops.matmul(memory, p[f"dec{i}.cross.wk"]), ops.matmul(memory, p[f"dec{i}.cross.wv"]))
-                for i in range(cfg.n_dec_layers)
-            ]
         return DecoderCache(
             bias=bias.data,
-            cross=cross,
             keys=[np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)],
             values=[np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)],
         )

@@ -103,7 +103,7 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        np.add.at(out.reshape(out.shape[0], -1), idx, g.reshape(g.shape[0], -1))
+        np.add.at(out, idx, g)
         return (out,)
 
     return make_result(a.data[idx], (a,), vjp)
@@ -118,7 +118,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def vjp(g):
         out = np.zeros_like(table.data)
-        np.add.at(out, flat, g.reshape(flat.shape[0], -1))
+        np.add.at(out, flat, g.reshape(flat.shape[0], table.shape[1]))
         return (out,)
 
     return make_result(table.data[ids], (table,), vjp)

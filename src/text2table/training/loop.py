@@ -118,47 +118,32 @@ class Trainer:
     # ------------------------------------------------------------------
 
     def _instances_for(self, batch: list[TrainingExample], step: int):
-        insts, owners = [], []
+        insts = []
         for slot, ex in enumerate(batch):
-            if ex.n_rows == 0:
-                continue  # empty tables train only the count head
             if self.cfg.mode == "fixed-causal":
                 stage = causal_stages(row_major_order(ex.n_rows, ex.n_cols))
             else:
                 rng = step_rng(self.cfg.seed, step, STREAM_PLAN, (slot,))
                 stage = sample_permutation(ex.n_rows, ex.n_cols, rng).stages
             insts.append(build_training_pass(ex, stage, self.model))
-            owners.append(slot)
-        return insts, owners
+        return insts
 
     def _batch_loss(
         self, batch: list[TrainingExample], step: int, train: bool
     ) -> tuple[Tensor, Tensor, Tensor]:
         """(total, nll, mse) tensors for one example batch."""
-        cfg = self.cfg
+        cfg, model = self.cfg, self.model
         rng = step_rng(cfg.seed, step, STREAM_DROPOUT) if train else None
         ids, lens = build_source_batch(batch)
-        memory = self.model.encode(ids, lens, train=train, rng=rng)
+        memory = model.encode(ids, lens, train=train, rng=rng)
 
-        counts = np.array([ex.count_target for ex in batch], dtype=self.model.cfg.dtype)
-        mse = ops.mse(self.model.count_pred(memory, lens), counts)
+        counts = np.array([ex.count_target for ex in batch], dtype=model.cfg.dtype)
+        mse = ops.mse(model.count_pred(memory, lens), counts)
 
-        insts, owners = self._instances_for(batch, step)
-        if insts:
-            dec_batch = collate_instances(insts)
-            if len(owners) < len(batch):  # the decoder reads the memory rows of its examples only
-                owned = np.zeros(len(batch), dtype=bool)
-                owned[owners] = True
-                memory = ops.take_rows(memory, np.flatnonzero(np.repeat(owned, lens)))
-            hidden = self.model.decoder_hidden(memory, lens[owners], dec_batch, train=train, rng=rng)
-            pos, tgt, legal = dec_batch.flat_loss_arrays()
-            logits = self.model.logits_at(hidden, pos)
-            weights = np.full(len(pos), 1.0 / max(len(pos), 1), dtype=self.model.cfg.dtype)
-            nll = ops.cross_entropy(
-                logits, tgt, smoothing=cfg.label_smoothing, legal=legal, weights=weights
-            )
-        else:
-            nll = Tensor(np.asarray(0.0, dtype=self.model.cfg.dtype))
+        dec_batch = collate_instances(self._instances_for(batch, step))
+        hidden = model.decoder_hidden(model.memory_kv(memory), lens, dec_batch, train=train, rng=rng)
+        pos, tgt, legal = dec_batch.flat_loss_arrays()
+        nll = ops.cross_entropy(model.logits_at(hidden, pos), tgt, smoothing=cfg.label_smoothing, legal=legal)
         total = ops.add(nll, ops.scale(mse, cfg.count_loss_weight))
         return total, nll, mse
 

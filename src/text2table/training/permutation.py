@@ -14,8 +14,8 @@ class PermutationPlan:
     """A linear order over all n*m cells plus a cut point.
 
     Cells strictly before the cut are filled context; the rest are open
-    prediction targets. cut ranges over [1, C], so cut=1 fills nothing and
-    cut=C leaves exactly one open cell.
+    prediction targets. cut=1 fills nothing and cut=C leaves exactly one open
+    cell; a table with no cells (C = 0) has the one plan with cut 1.
     """
 
     order: tuple[Coord, ...]
@@ -23,8 +23,8 @@ class PermutationPlan:
 
     def __post_init__(self):
         c = len(self.order)
-        if not 1 <= self.cut <= c:
-            raise ValueError(f"cut {self.cut} outside 1..{c}")
+        if not 1 <= self.cut <= max(c, 1):
+            raise ValueError(f"cut {self.cut} outside 1..{max(c, 1)}")
         if len(set(self.order)) != c:
             raise ValueError("order is not a bijection")
 
@@ -55,10 +55,13 @@ def row_major_order(n_rows: int, n_cols: int) -> tuple[Coord, ...]:
 
 
 def sample_permutation(n_rows: int, n_cols: int, rng: np.random.Generator) -> PermutationPlan:
-    """Uniform order over all C! arrangements, uniform cut over [1, C]."""
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError("table must have at least one row and one column")
+    """Uniform order over all C! arrangements, uniform cut over [1, C]; a
+    table with no rows gets the empty plan and draws nothing."""
+    if n_rows < 0 or n_cols < 1:
+        raise ValueError(f"table shape {n_rows}x{n_cols}: need n_rows >= 0 and n_cols >= 1")
     coords = row_major_order(n_rows, n_cols)
+    if not coords:
+        return PermutationPlan((), 1)
     perm = rng.permutation(len(coords))
     cut = int(rng.integers(1, len(coords) + 1))
     return PermutationPlan(tuple(coords[i] for i in perm), cut)

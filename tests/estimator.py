@@ -40,7 +40,7 @@ def instance_cell_nll(model: TextToTableModel, example: TrainingExample, inst) -
     with no_grad():
         memory, mem_len = encode_one(model, example.source_ids)
         batch = collate_instances([inst])
-        hidden = model.decoder_hidden(memory, mem_len, batch)
+        hidden = model.decoder_hidden(model.memory_kv(memory), mem_len, batch)
         pos, tgt, legal = batch.flat_loss_arrays()
         nll = masked_nll_rows(model.logits_at(hidden, pos).data, tgt, legal)
     cell = loss_cells(inst)

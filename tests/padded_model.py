@@ -186,19 +186,10 @@ def batch_loss(trainer, batch, step, train):
     memory = encode(model, ids, real, train=train, rng=rng)
     counts = np.array([ex.count_target for ex in batch], dtype=model.cfg.dtype)
     mse = ops.mse(count_pred(model, memory), counts)
-    insts, owners = trainer._instances_for(batch, step)
-    if insts:
-        dec_batch = padded_batch(insts)
-        s = memory.shape[1]
-        gather = np.concatenate([np.arange(s, dtype=np.int64) + o * s for o in owners])
-        flat = ops.reshape(memory, (memory.shape[0] * s, memory.shape[2]))
-        sub_memory = ops.reshape(ops.take_rows(flat, gather), (len(owners), s, memory.shape[2]))
-        hidden = decoder_hidden(model, sub_memory, real[owners], dec_batch, train=train, rng=rng)
-        pos, tgt, legal = dec_batch.flat_loss_arrays()
-        logits = model.logits_at(live_rows(hidden, dec_batch), pos)
-        weights = np.full(len(pos), 1.0 / max(len(pos), 1), dtype=model.cfg.dtype)
-        nll = ops.cross_entropy(logits, tgt, smoothing=cfg.label_smoothing, legal=legal, weights=weights)
-    else:
-        nll = Tensor(np.asarray(0.0, dtype=model.cfg.dtype))
+    dec_batch = padded_batch(trainer._instances_for(batch, step))
+    hidden = decoder_hidden(model, memory, real, dec_batch, train=train, rng=rng)
+    pos, tgt, legal = dec_batch.flat_loss_arrays()
+    logits = model.logits_at(live_rows(hidden, dec_batch), pos)
+    nll = ops.cross_entropy(logits, tgt, smoothing=cfg.label_smoothing, legal=legal)
     total = ops.add(nll, ops.scale(mse, cfg.count_loss_weight))
     return total, nll, mse

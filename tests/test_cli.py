@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from text2table.cli.main import main
-from text2table.corpus import DatasetRecord, build_vocab, write_jsonl
+from text2table.corpus import DatasetRecord, build_vocab, read_jsonl, write_jsonl
 from text2table.model import load_checkpoint, save_checkpoint
 from text2table.table import Table
 from text2table.vocab import NULL
@@ -405,6 +405,25 @@ def test_eval_lets_a_bug_in_scoring_propagate(tmp_path, monkeypatch):
 
 
 EVAL_KEYS = {"step", "nll", "mse", "cell_precision", "cell_recall", "cell_f1", "per_column_f1", "count_accuracy"}
+
+
+def test_train_on_zero_row_tables_exits_0(tmp_path, capsys):
+    # batches of one example, so some steps train on a table with no rows alone
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"task": "lineitems", "n_examples": 16, "rows_min": 0, "rows_max": 2, "noise_rate": 1.0, "seed": 3}
+    ))
+    data = str(tmp_path / "data.jsonl")
+    assert main(["gen-data", str(spec), data]) == 0
+    assert any(rec.table.n_rows == 0 for rec in read_jsonl(data))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
+        "training": {"steps": 10, "batch_size": 1},
+        "paths": {"dataset": data},
+    }))
+    assert main(["train", str(config)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_gen_data_train_decode_eval_end_to_end(tmp_path):

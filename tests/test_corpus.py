@@ -62,6 +62,14 @@ def test_every_generated_example_is_solvable_by_oracle():
             assert extracted.to_dict() == rec.table.to_dict(), (task, rec.id)
 
 
+def test_zero_row_records_have_text_and_stay_solvable():
+    # without noise a table with no rows states no sentence of its own
+    spec = CorpusSpec(task="lineitems", n_examples=20, rows_min=0, rows_max=0, noise_rate=0.0, seed=4)
+    for rec in generate(spec):
+        assert rec.text.strip() and rec.table.n_rows == 0, rec.id
+        assert oracle_extract(spec, rec.text).to_dict() == rec.table.to_dict(), rec.id
+
+
 def test_no_reserved_surface_in_cells():
     vocab = Vocabulary([], n_max_rows=6)
     reserved = {vocab.surface(i) for i in range(len(vocab))}

@@ -38,9 +38,9 @@ TOLERANCE = {64: (1e-12, 1e-9), 32: (1e-4, 1e-3)}
 class FullRecomputeSource:
     """Greedy per-cell candidates from one full decoder pass per token step."""
 
-    def __init__(self, model, memory, mem_len, template):
+    def __init__(self, model, memory_kv, mem_len, template):
         self.model = model
-        self.memory = memory
+        self.memory_kv = memory_kv
         self.mem_len = mem_len
         self.template = template
 
@@ -54,7 +54,7 @@ class FullRecomputeSource:
                 partial = {c: grown[c].tokens for c in cells}
                 inst = write_prefixes(instance_for_decoding(tpl, model.vocab, committed), partial)
                 batch = collate_instances([inst])
-                hidden = model.decoder_hidden(self.memory, self.mem_len, batch)
+                hidden = model.decoder_hidden(self.memory_kv, self.mem_len, batch)
                 positions = np.array(
                     [tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64
                 )
@@ -115,9 +115,9 @@ class Recording:
         self.batches, self.logits = [], {}
         hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
 
-        def hidden(memory, mem_len, batch, **kw):
+        def hidden(memory_kv, mem_len, batch, **kw):
             self.batches.append(batch)
-            return hidden_fn(memory, mem_len, batch, **kw)
+            return hidden_fn(memory_kv, mem_len, batch, **kw)
 
         def logits(hidden, positions):
             out = logits_fn(hidden, positions)
@@ -146,10 +146,10 @@ class Lockstep:
         self.skipped = 0  # steps it committed without a pass
         self.null_closes = 0  # skipped steps that closed a NULL cell
 
-    def __call__(self, model, memory, mem_len, template, cache):
+    def __call__(self, model, memory_kv, mem_len, template, cache):
         self.model = model
-        self.cached = ModelCellSource(model, memory, mem_len, template, cache)
-        self.full = FullRecomputeSource(model, memory, mem_len, template)
+        self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
+        self.full = FullRecomputeSource(model, memory_kv, mem_len, template)
         self.recording = Recording(model, template)
         return self
 
@@ -241,9 +241,9 @@ class LayoutCheck:
     def __init__(self):
         self.checked = 0
 
-    def __call__(self, model, memory, mem_len, template, cache):
+    def __call__(self, model, memory_kv, mem_len, template, cache):
         self.model, self.template = model, template
-        self.cached = ModelCellSource(model, memory, mem_len, template, cache)
+        self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
         self.recording = Recording(model, template)
         return self
 
@@ -290,17 +290,14 @@ def test_step_layout_equals_per_step_rebuild(tiny_vocab, monkeypatch, constraint
 def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab):
     model = _random_model(tiny_vocab, 64, seed=2)
     header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
-    with no_grad():
-        memory, _ = encode_one(model, tiny_vocab.encode(TEXT))
-        largest = model.decoder_cache(memory, model.template_for(header_ids, model.cfg.max_rows))
-        for r in range(1, model.cfg.max_rows + 1):
-            tpl = model.template_for(header_ids, r)
-            own, view = model.decoder_cache(memory, tpl), largest.prefix(tpl.length)
-            assert np.array_equal(view.bias, own.bias)
-            assert [k.shape for k in view.keys + view.values] == [k.shape for k in own.keys + own.values]
-            assert view.cross is largest.cross
-        with pytest.raises(ValueError):
-            largest.prefix(len(largest.keys[0]) + 1)
+    largest = model.decoder_cache(model.template_for(header_ids, model.cfg.max_rows))
+    for r in range(model.cfg.max_rows + 1):
+        tpl = model.template_for(header_ids, r)
+        own, view = model.decoder_cache(tpl), largest.prefix(tpl.length)
+        assert np.array_equal(view.bias, own.bias)
+        assert [k.shape for k in view.keys + view.values] == [k.shape for k in own.keys + own.values]
+    with pytest.raises(ValueError):
+        largest.prefix(len(largest.keys[0]) + 1)
 
 
 def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny_vocab):
@@ -313,12 +310,13 @@ def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny
         memory, lens = encode_one(model, ids)
         inst = instance_for_decoding(tpl, tiny_vocab, committed)
         batch = collate_instances([inst])
-        full = model.decoder_hidden(memory, lens, batch).data
+        memory_kv = model.memory_kv(memory)
+        full = model.decoder_hidden(memory_kv, lens, batch).data
         ctx = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
         assert len(ctx) == structure(tpl).sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
         heads = [tpl.slot_start[c] for c in tpl.cells() if c not in committed]
         rows = np.concatenate([ctx, heads])
-        cache = model.decoder_cache(memory, tpl)
-        first = model.decoder_hidden(memory, lens, collate_instances([inst], rows), cache=cache)
+        cache = model.decoder_cache(tpl)
+        first = model.decoder_hidden(memory_kv, lens, collate_instances([inst], rows), cache=cache)
     assert first.shape == (len(rows), model.cfg.d_model)
     assert np.abs(first.data - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12

@@ -326,11 +326,15 @@ def _assert_structurally_valid(model, table, headers, n_rows):
 
 
 def test_decode_with_zero_predicted_rows_returns_empty_table(tiny_model):
-    # zero-initialized count head predicts 0.0 -> empty table, no decoder pass
-    res = decode_table("pens and mugs .", tiny_model, DecodingConfig(), ["item", "qty"])
+    # the zero-initialized count head predicts 0.0: the header-only template,
+    # whose outer loop ends at once with no decoder pass; a header cut at the
+    # slot width is still reported
+    long_header = " ".join(["price"] * (tiny_model.cfg.max_cell_len + 2))
+    res = decode_table("pens and mugs .", tiny_model, DecodingConfig(), ["item", long_header])
     assert res.table.n_rows == 0
-    assert res.outer_iterations == 0
-    assert res.table.headers == ["item", "qty"]
+    assert res.outer_iterations == 0 and res.decoder_passes == 0 and res.forced_tokens == 0
+    assert res.table.headers == ["item", long_header]
+    assert res.header_tokens_dropped == 2
 
 
 def test_decode_structural_validity_random_model(tiny_model):

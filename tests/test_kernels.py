@@ -161,6 +161,13 @@ def test_embedding_and_take_rows_vjp_bitwise(dtype):
     ref.scatter_add_rows(want, idx, grad.reshape(20, 6))
     assert np.array_equal(g, want.reshape(6, 2, 3))
 
+    # an empty index (a batch with no loss position or no decoder row)
+    # selects nothing and sends back zeros
+    _, (g,) = _vjp(lambda t: ops.take_rows(t, idx[:0]), [x], grad[:0])
+    assert g.dtype == dtype and np.array_equal(g, np.zeros((6, 2, 3), dtype=dtype))
+    _, (g,) = _vjp(lambda t: ops.embedding(t, ids[:0]), [table], np.zeros((0, 10, 7), dtype=dtype))
+    assert g.dtype == dtype and np.array_equal(g, np.zeros((10, 7), dtype=dtype))
+
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_adamw_step_bitwise(dtype):

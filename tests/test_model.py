@@ -265,8 +265,8 @@ def test_decoder_eval_deterministic(tiny_model, tiny_vocab):
     tpl, inst = _full_open_instance(tiny_model, table)
     memory, lens = encode_one(tiny_model, tiny_vocab.encode("pens and mugs ."))
     batch = collate_instances([inst])
-    h1 = tiny_model.decoder_hidden(memory, lens, batch)
-    h2 = tiny_model.decoder_hidden(memory, lens, batch)
+    h1 = tiny_model.decoder_hidden(tiny_model.memory_kv(memory), lens, batch)
+    h2 = tiny_model.decoder_hidden(tiny_model.memory_kv(memory), lens, batch)
     assert np.array_equal(h1.data, h2.data)
 
 

@@ -98,7 +98,7 @@ def _packed(model, examples, insts):
     ids, lens = build_source_batch(examples)
     memory = model.encode(ids, lens)
     batch = collate_instances(insts)
-    hidden = model.decoder_hidden(memory, lens, batch)
+    hidden = model.decoder_hidden(model.memory_kv(memory), lens, batch)
     return _loss(lambda pos: model.logits_at(hidden, pos), batch), memory.data, hidden.data, batch
 
 
@@ -231,7 +231,7 @@ def test_training_step_loss_matches_padded_oracle(corpus, mode, float_width):
     model = _model(vocab, float_width=float_width)
     rel = REL[float_width]
     examples = [prepare_example(r, vocab, model.cfg, mode) for r in records[:12]]
-    # an empty table trains only the count head, so the decoder reads a subset of the memory rows
+    # an empty table runs the decoder as a header-only layout that carries no loss position
     empty = DatasetRecord("empty", "nothing was bought today .", Table(list(records[0].table.headers), []))
     batch = examples[:3] + [prepare_example(empty, vocab, model.cfg, "permuted")] + examples[3:7]
     assert batch[3].n_rows == 0

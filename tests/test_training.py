@@ -69,6 +69,17 @@ def test_plan_inverse_roundtrip():
 def test_cut_bounds_enforced():
     with pytest.raises(ValueError):
         PermutationPlan(((1, 1),), 2)
+    with pytest.raises(ValueError):
+        PermutationPlan((), 2)
+
+
+def test_zero_row_table_gets_the_empty_plan_and_draws_nothing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    plan = sample_permutation(0, 3, rng)
+    assert plan == PermutationPlan((), 1)
+    assert plan.stages == {} and plan.open == () and plan.filled == frozenset()
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +294,44 @@ def test_count_head_fits_constant_target(tiny_vocab):
         ids, lens = build_source_batch(held_out)
         preds = model.count_pred(model.encode(ids, lens), lens).data
     assert (np.abs(preds - 3.0) < 0.5).all()
+
+
+def _zero_row_examples(model, mode, n=3, headers=("item", "qty")):
+    texts = ["nothing was bought today .", "the store was busy today .", "thanks for the visit ."]
+    records = [DatasetRecord(f"empty{i}", texts[i % 3], Table(list(headers), [])) for i in range(n)]
+    return [prepare_example(r, model.vocab, model.cfg, mode) for r in records]
+
+
+@pytest.mark.parametrize("mode", ["permuted", "fixed-causal", "semi-templated"])
+def test_instances_for_builds_one_instance_per_example(tiny_model, lineitems_records, mode):
+    # a table with no rows trains as the header-only layout of its template
+    empty = _zero_row_examples(tiny_model, mode, n=1)
+    examples = [prepare_example(r, tiny_model.vocab, tiny_model.cfg, mode) for r in lineitems_records[:3]]
+    batch = examples[:1] + empty + examples[1:]
+    tr = Trainer(tiny_model, batch, TrainingConfig(seed=2, batch_size=4, mode=mode))
+    insts = tr._instances_for(batch, 1)
+    assert [inst.template for inst in insts] == [
+        tiny_model.template_for(ex.header_ids, ex.n_rows) for ex in batch
+    ]
+    header_only = insts[1]
+    assert header_only.template.n_rows == (mode == "semi-templated")  # its sentinel row
+    if mode != "semi-templated":
+        assert len(header_only.loss_pos) == 0 and header_only.legal.shape == (0, len(tiny_model.vocab))
+        assert structure(header_only.template).all()
+
+
+@pytest.mark.parametrize("headers", [("item", "qty"), (" ",)], ids=["headers", "blank_header"])
+@pytest.mark.parametrize("mode", ["permuted", "fixed-causal"])
+def test_step_on_zero_row_tables_gives_every_parameter_a_gradient(tiny_model, mode, headers):
+    # a blank header has no token, so its header-only layout has no decoder row
+    examples = _zero_row_examples(tiny_model, mode, headers=headers)
+    tr = Trainer(tiny_model, examples, TrainingConfig(seed=1, batch_size=2, mode=mode))
+    stats = tr.training_step(1)
+    assert stats.nll == 0.0 and math.isfinite(stats.total)
+    missing = [name for name, t in tiny_model.params.items() if t.grad is None]
+    assert missing == []
+    # no decoder output carries loss, so the decoder's gradients are zero
+    assert not tiny_model.params["lm_head"].grad.any() and not tiny_model.params["dec0.self.wq"].grad.any()
 
 
 def test_divergence_aborts_with_diagnostics(tiny_model, lineitems_records, tmp_path):

@@ -101,7 +101,7 @@ def cell_logits(model, memory, mem_len, instance, cells=None):
     loss positions in the instance.
     """
     batch = collate_instances([instance])
-    hidden = model.decoder_hidden(memory, mem_len, batch, train=False)
+    hidden = model.decoder_hidden(model.memory_kv(memory), mem_len, batch, train=False)
     pos, _, legal = batch.flat_loss_arrays()
     keep = np.ones(len(pos), dtype=bool)
     if cells is not None:
