@@ -279,18 +279,17 @@ class ModelCellSource:
             ctx_rows = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
             layout = collate_instances([inst], np.arange(tpl.length))
             rows = np.concatenate([ctx_rows, [tpl.slot_start[c] for c in active]]).astype(np.int64)
+            legal = [grammar.row_index(0, -1)] * len(active)  # per active cell: its row of grammar.table
             while active:
                 self.passes += 1
                 hidden = model.decoder_hidden(self.memory_kv, self.mem_len, layout.query(rows), cache=self.cache)
                 logits = model.logits_at(hidden, np.arange(len(rows) - len(active), len(rows))).data
-                bad = ~np.isfinite(logits).all(axis=-1)
-                if bad.any():
-                    raise NonFiniteLogitsError([active[i] for i in np.flatnonzero(bad)])
-                tokens = [grown[c].tokens for c in active]
-                legal = np.stack([grammar.legal_row(len(t), t[-1] if t else -1) for t in tokens])
-                lp = _masked_log_softmax(logits, legal)
+                if not np.isfinite(logits).all():
+                    bad = np.flatnonzero(~np.isfinite(logits).all(axis=-1))
+                    raise NonFiniteLogitsError([active[i] for i in bad])
+                lp = _masked_log_softmax(logits, grammar.table[legal])
                 picks = lp.argmax(axis=-1)
-                still = []
+                still, legal = [], []
                 for row_i, coord in enumerate(active):
                     cand = grown[coord]
                     tok = int(picks[row_i])
@@ -299,7 +298,8 @@ class ModelCellSource:
                         continue
                     cand.tokens.append(tok)
                     t_rel = len(cand.tokens)
-                    if grammar.legal_row(t_rel, tok) is grammar.close_only:
+                    next_legal = grammar.row_index(t_rel, tok)
+                    if next_legal == grammar.CLOSE_ONLY:
                         # only end-of-cell is legal next, and its masked
                         # log-probability is exactly 0 for any finite logits
                         cand.token_logprobs.append(0.0)
@@ -311,6 +311,7 @@ class ModelCellSource:
                     else:
                         layout.input_ids[0, tpl.slot_start[coord] + t_rel] = tok
                         still.append(coord)
+                        legal.append(next_legal)
                 active = still
                 rows = np.array([tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64)
         return grown
@@ -319,9 +320,10 @@ class ModelCellSource:
 def _masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax over the legal entries; illegal ones get -inf."""
     x = np.where(legal, logits, -np.inf)
-    mx = x.max(axis=-1, keepdims=True)
-    z = np.where(legal, np.exp(x - mx), 0.0).sum(axis=-1, keepdims=True)
-    return x - mx - np.log(z)
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    z = np.add.reduce(np.exp(x), axis=-1, keepdims=True)  # an illegal entry adds exp(-inf) = 0
+    x -= np.log(z, out=z)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ class ModelConfig:
             raise ValueError("max_cell_len must be >= 2 (one content token plus end-of-cell)")
         if self.float_width not in (32, 64):
             raise ValueError("float_width must be 32 or 64")
+        if not 0.0 <= self.dropout < 1.0:  # NaN fails too
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def dtype(self):

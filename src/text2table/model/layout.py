@@ -195,28 +195,34 @@ class GrammarMasks:
     Position 0 admits content or NULL; after NULL only end-of-cell; the final
     slot position forces end-of-cell; otherwise content or end-of-cell.
     Structural ids are illegal everywhere inside a cell.
+
+    The three sets are the rows of ``table`` [3, V], in the order of
+    ``OPEN_FIRST``, ``MID`` and ``CLOSE_ONLY``; :meth:`row_index` names the row
+    of a position, so legal rows of many positions are one gather.
     """
 
+    OPEN_FIRST, MID, CLOSE_ONLY = range(3)
+
     def __init__(self, vocab: Vocabulary, slot_len: int):
-        v = len(vocab)
         self.slot_len = slot_len
-        content = np.zeros(v, dtype=bool)
-        content[vocab.content_ids()] = True
-        self.open_first = content.copy()
+        self.table = np.zeros((3, len(vocab)), dtype=bool)
+        self.open_first, self.mid, self.close_only = self._rows = tuple(self.table)
+        self.open_first[vocab.content_ids()] = True
         self.open_first[NULL] = True
-        self.mid = content.copy()
+        self.mid[vocab.content_ids()] = True
         self.mid[EOC] = True
-        self.close_only = np.zeros(v, dtype=bool)
         self.close_only[EOC] = True
 
-    def legal_row(self, t: int, prev_id: int) -> np.ndarray:
+    def row_index(self, t: int, prev_id: int) -> int:
+        """Row of ``table`` legal at slot position ``t`` after token ``prev_id``."""
         if t == 0:
-            return self.open_first
-        if prev_id == NULL:
-            return self.close_only
-        if t == self.slot_len - 1:
-            return self.close_only
-        return self.mid
+            return self.OPEN_FIRST
+        if prev_id == NULL or t == self.slot_len - 1:
+            return self.CLOSE_ONLY
+        return self.MID
+
+    def legal_row(self, t: int, prev_id: int) -> np.ndarray:
+        return self._rows[self.row_index(t, prev_id)]
 
 
 @dataclass

@@ -16,7 +16,8 @@ The attention op takes each example's row count and scores every example at
 its own length, so no layer sees batch padding. Both self-attention biases,
 and the decoder's visibility mask, are packed the same way, one [n, n] block
 per example back to back; the decoder gathers its bias with one method for a
-training batch and for a decode cache alike.
+training batch and for a decode cache alike, and folds the mask into it as
+-inf on every hidden pair, once per call, for every layer to share.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ class DecoderBatch:
     entries after those of the examples before it, its [n_b, n_b] block in
     row-major order. ``allow`` holds the instance's visibility submatrix at
     those rows and ``bias_idx`` the template's row, column, local and bucket
-    index maps there, stacked.
+    index maps there, stacked. The attention op takes no mask:
+    :meth:`TextToTableModel.decoder_hidden` turns ``allow`` into -inf on the
+    self-attention bias of every pair it hides.
 
     A query batch (``instances`` empty) serves a cached pass: it holds only
     the R query positions ``rows[0]`` of one layout, all of them live, so it
@@ -234,12 +237,12 @@ class TextToTableModel:
     # forward pieces
     # ------------------------------------------------------------------
 
-    def _attention(self, x_q, k, v, q_len, k_len, prefix, bias, allow, train, rng):
+    def _attention(self, x_q, k, v, q_len, k_len, prefix, bias, train, rng):
         """Attention of query rows x_q [N, d] over projected key and value rows
-        (see :func:`ops.attention` for the length arguments)."""
+        (see :func:`ops.attention` for the length arguments and the bias)."""
         cfg, p = self.cfg, self.params
         q = ops.matmul(x_q, p[f"{prefix}.wq"])
-        ctx = ops.attention(q, k, v, q_len, k_len, cfg.n_heads, bias, allow, 1.0 / math.sqrt(cfg.head_dim))
+        ctx = ops.attention(q, k, v, q_len, k_len, cfg.n_heads, bias, 1.0 / math.sqrt(cfg.head_dim))
         out = ops.matmul(ctx, p[f"{prefix}.wo"])
         if train and cfg.dropout > 0:
             out = ops.dropout(out, cfg.dropout, rng)
@@ -283,7 +286,7 @@ class TextToTableModel:
         for i in range(cfg.n_enc_layers):
             xn = self._ln(x, f"enc{i}.ln1")
             k, v = ops.matmul(xn, p[f"enc{i}.attn.wk"]), ops.matmul(xn, p[f"enc{i}.attn.wv"])
-            x = ops.add(x, self._attention(xn, k, v, lens, lens, f"enc{i}.attn", bias, None, train, rng))
+            x = ops.add(x, self._attention(xn, k, v, lens, lens, f"enc{i}.attn", bias, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn", train, rng))
         return self._ln(x, "enc.ln_f")
 
@@ -327,27 +330,31 @@ class TextToTableModel:
         over the cached ones, and the result is [R, d].
         """
         cfg, p = self.cfg, self.params
-        real = batch.real
-        x = ops.embedding(p["embed"], batch.input_ids[real])
-        if train and cfg.dropout > 0:
-            x = ops.dropout(x, cfg.dropout, rng)
-        q_len = real.sum(axis=1)
+        # Visibility joins the self-attention bias once, as -inf on every
+        # hidden pair, and every layer reads that one bias.
         if cache is None:
-            bias = self._decoder_bias(batch.bias_idx)
+            real = batch.real
+            ids, q_len = batch.input_ids[real], real.sum(axis=1)
+            hide = np.where(batch.allow, 0.0, -np.inf).astype(cfg.dtype)
+            bias = ops.add(self._decoder_bias(batch.bias_idx), Tensor(hide))
             k_len = q_len
         else:
             # one query example over the cached keys of every template position
-            rows = batch.rows[0]
-            bias = Tensor(cache.bias[:, rows].reshape(cfg.n_heads, -1))
-            k_len = [len(cache.keys[0])]
+            rows, ids = batch.rows[0], batch.input_ids[0]
+            q_len, k_len = [len(ids)], [len(cache.keys[0])]
+            allow = batch.allow.reshape(len(rows), -1)
+            bias = Tensor(np.where(allow, cache.bias[:, rows], -np.inf).reshape(cfg.n_heads, -1))
+        x = ops.embedding(p["embed"], ids)
+        if train and cfg.dropout > 0:
+            x = ops.dropout(x, cfg.dropout, rng)
         for i in range(cfg.n_dec_layers):
             xs = self._ln(x, f"dec{i}.ln1")
             k, v = ops.matmul(xs, p[f"dec{i}.self.wk"]), ops.matmul(xs, p[f"dec{i}.self.wv"])
             if cache is not None:
                 k, v = cache.store(i, rows, k, v)
-            x = ops.add(x, self._attention(xs, k, v, q_len, k_len, f"dec{i}.self", bias, batch.allow, train, rng))
+            x = ops.add(x, self._attention(xs, k, v, q_len, k_len, f"dec{i}.self", bias, train, rng))
             xc, (k, v) = self._ln(x, f"dec{i}.ln2"), memory_kv[i]
-            x = ops.add(x, self._attention(xc, k, v, q_len, mem_len, f"dec{i}.cross", None, None, train, rng))
+            x = ops.add(x, self._attention(xc, k, v, q_len, mem_len, f"dec{i}.cross", None, train, rng))
             x = ops.add(x, self._ffn(self._ln(x, f"dec{i}.ln3"), f"dec{i}.ffn", train, rng))
         return self._ln(x, "dec.ln_f")
 

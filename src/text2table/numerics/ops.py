@@ -51,38 +51,36 @@ def scale(a: Tensor, k: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    ad, bd = a.data, b.data
+    if ad.ndim < 1 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     try:
-        out = np.matmul(a.data, b.data)
+        out = np.matmul(ad, bd)
     except ValueError:
         raise ShapeMismatchError("matmul", a.shape, b.shape) from None
 
     def vjp(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
-        ga = _unbroadcast(np.matmul(g, bt), a.shape)
-        gb = _unbroadcast(np.matmul(at, g), b.shape)
+        ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
+        gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
         return ga, gb
 
     return make_result(out, (a, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
+    """max(a, 0); a -0.0 input gives +0.0 and a NaN input gives NaN."""
 
     def vjp(g):
-        return (g * keep,)
+        return (g * (a.data > 0),)
 
-    return make_result(np.where(keep, a.data, 0.0), (a,), vjp)
+    return make_result(np.maximum(a.data, 0), (a,), vjp)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; caller only invokes this in training mode."""
     if p <= 0.0:
         return a
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    keep = keep.astype(a.dtype)
+    keep = (rng.random(a.shape) >= p) * a.dtype.type(1.0 / (1.0 - p))
 
     def vjp(g):
         return (g * keep,)
@@ -130,12 +128,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatchError("layer_norm", x.shape, gain.shape)
     # add.reduce over the axis, then one division: what ndarray.mean computes, bit for bit
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gain.data * xhat + bias.data
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu  # centred here, normalized below
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def vjp(g):
         dxhat = g * gain.data
@@ -160,7 +162,6 @@ def attention(
     k_len: np.ndarray,
     n_heads: int,
     bias: Tensor | None,
-    allow: np.ndarray | None,
     scale: float,
 ) -> Tensor:
     """Multi-head attention of projected query rows over key and value rows,
@@ -169,13 +170,13 @@ def attention(
     q [Nq, d] holds example after example, ``q_len[b]`` rows each; k and v
     [Nk, d] hold ``k_len[b]`` rows each. Example b scores its n = q_len[b]
     queries against its m = k_len[b] keys in [H, n, m]. ``bias`` is a
-    [H, sum n*m] float array, or None. ``allow`` is a bool [sum n*m] mask, or
-    None when every key of an example is visible to all its queries. Both are
-    packed blocks: example b's [n, m] block, in row-major order, starts at the
-    offset sum over c < b of q_len[c] * k_len[c]. Per head, the result is
-    softmax(scale * q k^T + bias, where allowed) v, with heads joined back to
-    rows [Nq, d]. A query that may see no key gets zero output and zero
-    gradient.
+    [H, sum n*m] float array, or None when every key of an example is visible
+    to all its queries with no bias. It is packed in blocks: example b's
+    [n, m] block, in row-major order, starts at the offset sum over c < b of
+    q_len[c] * k_len[c]. The bias also carries visibility: -inf hides a key
+    from a query. Per head, the result is softmax(scale * q k^T + bias) v,
+    with heads joined back to rows [Nq, d]. A query that may see no key (a
+    row of -inf bias) gets zero output and zero gradient.
     """
     nq, d = q.shape
     dh = d // n_heads
@@ -194,8 +195,7 @@ def attention(
     packed = sum(n * m for n, m in zip(q_len, k_len))
     if bias is not None and bias.shape != (n_heads, packed):
         raise ShapeMismatchError("attention", (n_heads, packed), bias.shape)
-    if allow is not None and allow.shape != (packed,):
-        raise ShapeMismatchError("attention", (packed,), allow.shape)
+    limits = np.finfo(q.dtype)
 
     def heads(x, rows):  # rows [n, d] -> [H, n, dh]
         return x.reshape(rows, n_heads, dh).transpose(1, 0, 2)
@@ -205,30 +205,28 @@ def attention(
 
     # per example: (query slice, key slice, block slice, n, m, qh, kh, vh, probabilities)
     saved = []
-    out = np.zeros_like(q.data)
+    out = np.empty_like(q.data)
     qo = ko = po = 0
     for n, m in zip(q_len, k_len):
         qs, ks, ps = slice(qo, qo + n), slice(ko, ko + m), slice(po, po + n * m)
         qo, ko, po = qo + n, ko + m, po + n * m
         if not n or not m:
+            out[qs] = 0.0
             continue
         qh, kh, vh = heads(q.data[qs], n), heads(k.data[ks], m), heads(v.data[ks], m)
         p = np.matmul(qh, kh.swapaxes(-1, -2))  # scores, turned into probabilities in place
         p *= scale
         if bias is not None:
             p += bias.data[:, ps].reshape(n_heads, n, m)
-        if allow is None:
-            p -= np.maximum.reduce(p, axis=-1, keepdims=True)
-            np.exp(p, out=p)
-            p /= np.add.reduce(p, axis=-1, keepdims=True)
-        else:
-            p = np.where(allow[ps].reshape(n, m), p, -np.inf)
-            mx = np.maximum.reduce(p, axis=-1, keepdims=True)
-            p -= np.where(np.isfinite(mx), mx, 0.0)  # a fully masked row: exp gives zeros, not NaN
-            np.exp(p, out=p)
-            z = np.add.reduce(p, axis=-1, keepdims=True)
-            p /= np.where(z == 0.0, 1.0, z)
-        out[qs] = join(np.matmul(p, vh), n)
+        # The clamps change nothing on a row that sees a key: its max is finite
+        # and its sum at least exp(0) = 1. On a row of -inf they keep exp at
+        # zeros and the division finite, so the row's output is zero, not NaN.
+        mx = np.maximum.reduce(p, axis=-1, keepdims=True)
+        p -= np.maximum(mx, limits.min, out=mx)
+        np.exp(p, out=p)
+        z = np.add.reduce(p, axis=-1, keepdims=True)
+        p /= np.maximum(z, limits.tiny, out=z)
+        np.matmul(p, vh, out=heads(out[qs], n))  # heads joined in place
         saved.append((qs, ks, ps, n, m, qh, kh, vh, p))
 
     def vjp(g):

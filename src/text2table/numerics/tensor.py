@@ -96,12 +96,17 @@ def make_result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op result, recording the tape node when gradients are live.
 
     ``vjp(grad_out)`` must return one gradient array (or None) per parent.
+    ``data`` is the op's float result in its operands' dtype, so it is kept
+    as it is, without :class:`Tensor`'s conversions; a numpy scalar (an op on
+    a 0-d array gives one) becomes a 0-d array.
     """
-    req = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._parents = parents
-        out._vjp = vjp
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad, out._parents, out._vjp = True, parents, vjp
+    else:
+        out.requires_grad, out._parents, out._vjp = False, (), None
     return out
 
 

@@ -49,6 +49,10 @@ class TrainingConfig:
     def __post_init__(self):
         if self.mode not in TRAINING_MODES:
             raise ValueError(f"unknown training mode {self.mode!r} (expected one of {', '.join(TRAINING_MODES)})")
+        if not 0.0 <= self.label_smoothing < 1.0:  # NaN fails too
+            raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -2,7 +2,9 @@
 agreement with the padded op chain it replaced (``padded_model``).
 
 The bias and the mask are packed: each example's [n, m] block, row-major,
-after the blocks of the examples before it."""
+after the blocks of the examples before it. The op takes visibility in its
+bias, as -inf on every hidden pair, so a masked case folds its mask into the
+bias (:func:`_fold`); the padded op chain takes the bias and the mask apart."""
 
 import math
 
@@ -56,6 +58,17 @@ def _case(rng, lengths, bias_kind, masked, dtype=np.float64):
     return tensors, q_len, k_len, bias, allow
 
 
+def _fold(bias, allow):
+    """The attention bias of a case: ``bias`` (zeros when None) with -inf
+    added on every pair ``allow`` hides; ``bias`` itself when there is no mask.
+    The gradient of a folded bias flows to ``bias``."""
+    if allow is None:
+        return bias
+    dtype = np.float64 if bias is None else bias.dtype
+    hide = Tensor(np.where(allow, 0.0, -np.inf)[None].repeat(H, axis=0).astype(dtype))
+    return hide if bias is None else ops.add(bias, hide)
+
+
 def _scalarize(t):
     w = np.cos(np.arange(t.data.size)).reshape(t.shape).astype(t.dtype)
     return sum_all(mul(t, Tensor(w)))
@@ -69,7 +82,7 @@ def test_attention_gradients_vs_finite_differences(lengths, bias_kind, masked):
     (q, k, v), q_len, k_len, bias, allow = _case(rng, lengths, bias_kind, masked)
 
     def build():
-        return _scalarize(ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE))
+        return _scalarize(ops.attention(q, k, v, q_len, k_len, H, _fold(bias, allow), SCALE))
 
     backward(build())
     leaves = [q, k, v] + ([bias] if bias is not None else [])
@@ -114,7 +127,7 @@ def test_attention_matches_op_chain(lengths, bias_kind, masked):
     rng = np.random.default_rng(17)
     (q, k, v), q_len, k_len, bias, allow = _case(rng, lengths, bias_kind, masked)
     leaves = [q, k, v] + ([bias] if bias is not None else [])
-    out = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
+    out = ops.attention(q, k, v, q_len, k_len, H, _fold(bias, allow), SCALE)
     backward(_scalarize(out))
     got = [t.grad.copy() for t in leaves]
     for t in leaves:
@@ -135,7 +148,7 @@ def test_no_mask_equals_an_all_visible_mask(lengths):
     for allow in (None, all_visible):
         for t in (q, k, v, bias):
             t.zero_grad()
-        out = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
+        out = ops.attention(q, k, v, q_len, k_len, H, _fold(bias, allow), SCALE)
         backward(_scalarize(out))
         outs.append(out.data)
         grads.append([t.grad.copy() for t in (q, k, v, bias)])
@@ -151,7 +164,7 @@ def test_fully_masked_query_gets_zero_output_and_gradient(lengths):
     first = _block_index(q_len, k_len)[1, 0, : k_len[1]]  # the first query row of example 1
     allow[first] = False  # sees no key
     row = int(q_len[0])
-    out = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
+    out = ops.attention(q, k, v, q_len, k_len, H, _fold(bias, allow), SCALE)
     assert np.isfinite(out.data).all()
     assert (out.data[row] == 0.0).all()
     backward(_scalarize(out))
@@ -164,12 +177,12 @@ def test_fully_masked_query_gets_zero_output_and_gradient(lengths):
 def test_attention_float32_matches_float64(lengths):
     rng = np.random.default_rng(9)
     (q, k, v), q_len, k_len, bias, allow = _case(rng, lengths, "per-example", masked=True, dtype=np.float32)
-    out32 = ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
+    out32 = ops.attention(q, k, v, q_len, k_len, H, _fold(bias, allow), SCALE)
     assert out32.dtype == np.float32
     backward(_scalarize(out32))
     grads32 = [t.grad for t in (q, k, v, bias)]
     wide = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in (q, k, v, bias)]
-    out64 = ops.attention(*wide[:3], q_len, k_len, H, wide[3], allow, SCALE)
+    out64 = ops.attention(*wide[:3], q_len, k_len, H, _fold(wide[3], allow), SCALE)
     backward(_scalarize(out64))
     assert max_rel_err(out32.data, out64.data) < 1e-5
     for g32, t in zip(grads32, wide):
@@ -182,11 +195,12 @@ def test_attention_rejects_lengths_and_bias_that_do_not_fit():
     (q, k, v), q_len, k_len, _, allow = _case(rng, "ragged", "none", masked=True)
     b, lq, lk, packed = len(q_len), q_len.max(), k_len.max(), allow.size
 
-    def call(q_len=q_len, k_len=k_len, bias=None, allow=allow):
-        return ops.attention(q, k, v, q_len, k_len, H, bias, allow, SCALE)
+    def call(q_len=q_len, k_len=k_len, bias=None):
+        return ops.attention(q, k, v, q_len, k_len, H, bias, SCALE)
 
     call()  # the case itself fits
     call(bias=Tensor(np.zeros((H, packed))))  # so does a packed bias
+    call(bias=_fold(None, allow))  # and a packed mask, folded into the bias
     with pytest.raises(ShapeMismatchError):
         call(q_len=q_len + [1, 0, 0])  # one query row more than q holds
     with pytest.raises(ShapeMismatchError):
@@ -202,6 +216,4 @@ def test_attention_rejects_lengths_and_bias_that_do_not_fit():
     with pytest.raises(ShapeMismatchError):
         call(bias=Tensor(np.zeros((H + 1, packed))))  # bias of another head count
     with pytest.raises(ShapeMismatchError):
-        call(allow=allow[:-1])  # a mask one entry short
-    with pytest.raises(ShapeMismatchError):
-        call(allow=np.ones((b, lq, lk), dtype=bool))  # the padded mask layout
+        call(bias=Tensor(_fold(None, allow).data[:, :-1]))  # a folded mask one entry short

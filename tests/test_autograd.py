@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -97,14 +99,21 @@ OP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OP_CASES))
-def test_op_gradients_randomized(name):
-    # spec-level property: analytic vs central differences, rel err < 1e-4,
+# Inputs of an op with a kink at 0, where it has no derivative, are drawn at
+# least this far from 0, beyond the reach of the finite-difference stencil.
+KINK_GAP = {"relu": 1e-3}
+
+
+def _check_op_gradients(name, seed):
+    # spec-level property: analytic vs finite differences, rel err < 1e-4,
     # 100 randomized trials per op
-    rng = np.random.default_rng(abs(hash(name)) % 2**32)
+    rng = np.random.default_rng(seed)
     for trial in range(100):
         build, shapes = OP_CASES[name](rng)
         tensors = [Tensor(_rand(rng, *s), requires_grad=True) for s in shapes]
+        if name in KINK_GAP:
+            for t in tensors:
+                t.data += np.copysign(KINK_GAP[name], t.data)
         loss = _scalarize(build(*tensors))
         backward(loss)
 
@@ -112,8 +121,22 @@ def test_op_gradients_randomized(name):
             return _scalarize(build(*tensors)).item()
 
         for t in tensors:
-            fd = finite_diff_grad(run, t.data, h=1e-6)
+            fd = finite_diff_grad(run, t.data, h=1e-4, order=4)
             assert max_rel_err(t.grad, fd) < 1e-4, f"{name} trial {trial}"
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_gradients_randomized(name):
+    # crc32, not hash(): Python salts str hashes per process, and a seed that
+    # changes between runs makes a failure impossible to repeat
+    _check_op_gradients(name, zlib.crc32(name.encode()))
+
+
+@pytest.mark.parametrize("name, seed", [("layer_norm", 66), ("layer_norm", 269), ("relu", 271)])
+def test_op_gradients_at_seeds_a_second_order_difference_failed(name, seed):
+    # a central difference at h=1e-6 missed the bound here: layer_norm by
+    # roundoff (rel err about 3e-4), relu by an input within h of its kink
+    _check_op_gradients(name, seed)
 
 
 def test_cross_entropy_grad_with_smoothing_and_mask():

@@ -153,10 +153,17 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
         ("model.max_rows=abc", "bad model config: max_rows must be int, got 'abc'"),
         ("model.max_rows=null", "bad model config: max_rows must be int, got None"),
         ("model.max_rows=[1]", "bad model config: max_rows must be int, got [1]"),
+        ("model.dropout=1.0", "bad model config: dropout must be in [0, 1), got 1.0"),
+        ("model.dropout=-0.5", "bad model config: dropout must be in [0, 1), got -0.5"),
+        ("model.dropout=NaN", "bad model config: dropout must be in [0, 1), got nan"),
+        ("training.label_smoothing=1.5", "bad training config: label_smoothing must be in [0, 1), got 1.5"),
+        ("training.label_smoothing=NaN", "bad training config: label_smoothing must be in [0, 1), got nan"),
+        ("training.batch_size=0", "bad training config: batch_size must be >= 1, got 0"),
     ],
     ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key", "section", "paths_key",
          "training_seed", "seed", "steps_type", "lr_type", "d_model_type", "max_rows_str", "max_rows_null",
-         "max_rows_list"],
+         "max_rows_list", "dropout_one", "dropout_negative", "dropout_nan", "label_smoothing_above_one",
+         "label_smoothing_nan", "batch_size_zero"],
 )
 def test_train_bad_run_config_exits_2(lineitems_records, tmp_path, capsys, override, message):
     assert main(["train", _train_config(tmp_path, lineitems_records[:3]), "--set", override]) == 2
