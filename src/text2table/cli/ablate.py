@@ -26,8 +26,9 @@ else the first 32 training records).
 what the run is: its whole run config with every default filled in, derived
 seed included, and the contents of its datasets. A run whose base config,
 data or a library default it relies on changed therefore runs again; a
-default written out runs nothing new. ``out_dir/summary.json`` holds the mean
-and standard deviation of cell F1 and count accuracy per point.
+default written out runs nothing new. A last ledger line that an interrupted
+append cut short is dropped, and its run runs again. ``out_dir/summary.json``
+holds the mean and standard deviation of cell F1 and count accuracy per point.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import os
 
 import numpy as np
 
-from .commands import prepare_run
+from .commands import DataError, prepare_run
 from .runconfig import (
     PATH_KEYS, ConfigError, canonical_json, config_hash, file_sha256, load_json_config, merged_run_config, set_key
 )
@@ -116,6 +117,30 @@ def pretty_summary(summary: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def read_ledger(path: str) -> dict[str, dict]:
+    """Ledger rows by run id. A last line without its newline is an append
+    that was cut short: it is cut from the file, so its run runs again. Any
+    other line that is not a JSON object with a ``run_id`` is a
+    :class:`DataError`."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    whole = data[: data.rfind(b"\n") + 1]
+    if len(whole) < len(data):
+        os.truncate(path, len(whole))
+    done: dict[str, dict] = {}
+    for line_no, line in enumerate(whole.decode("utf-8").splitlines(), start=1):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            row = None
+        if not isinstance(row, dict) or "run_id" not in row:
+            raise DataError(f"{path}: line {line_no} is not a ledger row (a JSON object with a run_id)")
+        done[row["run_id"]] = row
+    return done
+
+
 def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
     cfg = load_json_config(grid_path)
     grid = cfg.pop("grid", {})
@@ -128,12 +153,7 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     ledger_path = os.path.join(out_dir, "done.jsonl")
-    done: dict[str, dict] = {}
-    if os.path.exists(ledger_path):
-        with open(ledger_path, encoding="utf-8") as fh:
-            for line in fh:
-                row = json.loads(line)
-                done[row["run_id"]] = row
+    done = read_ledger(ledger_path)
 
     print(f"{len(points)} configurations x {n_seeds} seeds = {len(points) * n_seeds} runs")
     rows: list[dict] = []

@@ -355,7 +355,12 @@ def cmd_eval(
     pred_meta = None
     if os.path.exists(meta_path):
         with open(meta_path, encoding="utf-8") as fh:
-            pred_meta = json.load(fh)
+            try:
+                pred_meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{meta_path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
+        if not isinstance(pred_meta, dict):
+            raise DataError(f"{meta_path}: top level must be an object")
         stored = pred_meta.get("dataset_sha256")
         if stored and stored != gold_hash and not force:
             raise DataError(

@@ -50,6 +50,8 @@ def _parse_record(obj: dict, line: int) -> DatasetRecord:
         table = Table.from_dict(tbl)
     except (TableFormatError, KeyError, TypeError) as exc:
         raise DataFormatError(f"bad table: {exc}", line=line, record_id=str(rid)) from None
+    if not all(isinstance(h, str) for h in table.headers):
+        raise DataFormatError("headers must be strings", line=line, record_id=rid)
     for row in table.rows:
         for cell in row:
             if cell is not None and not isinstance(cell, str):

@@ -12,20 +12,8 @@ an all-NULL sentinel row appears.
 
 The neural inner loop (:class:`ModelCellSource`) decodes all eligible cells
 in parallel, one decoder pass per token step, against a decoder cache built
-once per table:
-
-- The first pass runs the context positions (headers, row markers, committed
-  cells) together with the first position of every open cell; the context
-  keys and values it caches hold for the whole inner loop.
-- Each later pass runs the newest position of every candidate still growing.
-- A step at which the grammar allows only end-of-cell (after NULL, or at the
-  final slot position) needs no pass: the close is committed with its exact
-  log-probability 0.
-- The layout is built once per inner loop, with every open slot live; a
-  step writes its input ids in place and slices its visibility rows.
-
-The layout's visibility rules make this exact: context never attends to an
-open slot and open slots never attend to each other.
+once per table; its docstring says why that gives the same candidates as a
+full pass over the whole layout per step.
 """
 
 from __future__ import annotations
@@ -40,7 +28,7 @@ from ..model import TableTemplate, TextToTableModel, collate_instances, instance
 from ..model.transformer import DecoderCache
 from ..numerics import no_grad
 from ..table import Table
-from ..vocab import EOC, NULL, UNK, Vocabulary, tokenize
+from ..vocab import EOC, NULL, Vocabulary, tokenize
 
 Coord = tuple[int, int]
 
@@ -112,7 +100,7 @@ class DecodingConfig:
 class Candidate:
     tokens: list[int]  # content ids, end-of-cell excluded
     token_logprobs: list[float]  # every emitted token including end-of-cell
-    truncated: bool = False
+    truncated: bool = False  # the content fills the slot, so the grammar closed it
     forced_close: bool = False  # the grammar forced the end-of-cell (log-probability 0)
 
     def score(self, criterion: str) -> float:
@@ -245,10 +233,17 @@ class ModelCellSource:
       the pass; the forced close does not count toward the cell's score. A
       step where every candidate is forced runs no pass.
 
-    The layout is built once per inner loop with every open slot live: a
-    query at slot position t sees its own cell up to t and no other open
-    slot, so its visibility row is the one the grown layout would give. A
-    step writes its input ids into the layout and slices its rows.
+    Every open cell starts at BOS and each pass advances every live cell by
+    one, so all live cells stand at one slot position t. The state is arrays:
+    ``live`` indexes the cells still growing, and ``tokens`` and ``logprobs``
+    [n, l] hold what each cell emitted, filled with end-of-cell and 0 (what a
+    forced close emits). A pass scores its cells against one grammar row and
+    stores their tokens into the layout with one indexed write. The layout is
+    built once per inner loop with every open slot live: a query at slot
+    position t sees its own cell up to t and no other open slot, so its
+    visibility row is the one the grown layout would give. The candidates are
+    built when the loop ends; whether a close was forced follows from a
+    cell's tokens by :meth:`GrammarMasks.row_index`.
 
     ``memory_kv`` holds the source text's cross-attention keys and values per
     layer (:meth:`TextToTableModel.memory_kv`), built once per table.
@@ -272,49 +267,38 @@ class ModelCellSource:
     ) -> dict[Coord, Candidate]:
         model, tpl, grammar = self.model, self.template, self.model.grammar
         l = model.cfg.max_cell_len
-        grown: dict[Coord, Candidate] = {c: Candidate([], []) for c in cells}
-        active = list(cells)
+        starts = np.array([tpl.slot_start[c] for c in cells], dtype=np.int64)
+        tokens = np.full((len(cells), l), EOC, dtype=np.int64)
+        logprobs = np.zeros((len(cells), l))
+        live = np.arange(len(cells))  # the cells still growing, all at slot position t
         with no_grad():
             inst = instance_for_decoding(tpl, model.vocab, committed)
             ctx_rows = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
             layout = collate_instances([inst], np.arange(tpl.length))
-            rows = np.concatenate([ctx_rows, [tpl.slot_start[c] for c in active]]).astype(np.int64)
-            legal = [grammar.row_index(0, -1)] * len(active)  # per active cell: its row of grammar.table
-            while active:
+            rows = np.concatenate([ctx_rows, starts])
+            t = 0
+            while live.size:
                 self.passes += 1
                 hidden = model.decoder_hidden(self.memory_kv, self.mem_len, layout.query(rows), cache=self.cache)
-                logits = model.logits_at(hidden, np.arange(len(rows) - len(active), len(rows))).data
+                logits = model.logits_at(hidden, np.arange(len(rows) - live.size, len(rows))).data
                 if not np.isfinite(logits).all():
                     bad = np.flatnonzero(~np.isfinite(logits).all(axis=-1))
-                    raise NonFiniteLogitsError([active[i] for i in bad])
-                lp = _masked_log_softmax(logits, grammar.table[legal])
+                    raise NonFiniteLogitsError([cells[i] for i in live[bad]])
+                # a live cell is never at a close-only position: that close is forced, not run
+                lp = _masked_log_softmax(logits, grammar.table[grammar.OPEN_FIRST if t == 0 else grammar.MID])
                 picks = lp.argmax(axis=-1)
-                still, legal = [], []
-                for row_i, coord in enumerate(active):
-                    cand = grown[coord]
-                    tok = int(picks[row_i])
-                    cand.token_logprobs.append(float(lp[row_i, tok]))
-                    if tok == EOC:
-                        continue
-                    cand.tokens.append(tok)
-                    t_rel = len(cand.tokens)
-                    next_legal = grammar.row_index(t_rel, tok)
-                    if next_legal == grammar.CLOSE_ONLY:
-                        # only end-of-cell is legal next, and its masked
-                        # log-probability is exactly 0 for any finite logits
-                        cand.token_logprobs.append(0.0)
-                        cand.forced_close = True
-                        self.forced += 1
-                        # a close at the final slot position was forced by the
-                        # grammar, not chosen: flag it for diagnostics
-                        cand.truncated = t_rel == l - 1
-                    else:
-                        layout.input_ids[0, tpl.slot_start[coord] + t_rel] = tok
-                        still.append(coord)
-                        legal.append(next_legal)
-                active = still
-                rows = np.array([tpl.slot_start[c] + len(grown[c].tokens) for c in active], dtype=np.int64)
-        return grown
+                tokens[live, t] = picks
+                logprobs[live, t] = lp[np.arange(live.size), picks]
+                # a cell grows on unless it chose end-of-cell or the grammar forces its next
+                grows = (picks != EOC) & (grammar.row_index(t + 1, picks) == grammar.MID)
+                live, t = live[grows], t + 1
+                rows = starts[live] + t
+                layout.input_ids[0, rows] = picks[grows]
+        n_tok = (tokens != EOC).sum(axis=-1)  # content ends at a cell's first end-of-cell
+        forced = grammar.row_index(n_tok, tokens[np.arange(len(cells)), n_tok - 1]) == grammar.CLOSE_ONLY
+        self.forced += int(forced.sum())
+        per_cell = zip(cells, tokens.tolist(), logprobs.tolist(), n_tok.tolist(), forced.tolist())
+        return {c: Candidate(tok[:n], lps[: n + 1], n == l - 1, fc) for c, tok, lps, n, fc in per_cell}
 
 
 def _masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:

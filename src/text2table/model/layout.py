@@ -198,7 +198,7 @@ class GrammarMasks:
 
     The three sets are the rows of ``table`` [3, V], in the order of
     ``OPEN_FIRST``, ``MID`` and ``CLOSE_ONLY``; :meth:`row_index` names the row
-    of a position, so legal rows of many positions are one gather.
+    of each position, so legal rows of many positions are one gather.
     """
 
     OPEN_FIRST, MID, CLOSE_ONLY = range(3)
@@ -206,23 +206,17 @@ class GrammarMasks:
     def __init__(self, vocab: Vocabulary, slot_len: int):
         self.slot_len = slot_len
         self.table = np.zeros((3, len(vocab)), dtype=bool)
-        self.open_first, self.mid, self.close_only = self._rows = tuple(self.table)
-        self.open_first[vocab.content_ids()] = True
-        self.open_first[NULL] = True
-        self.mid[vocab.content_ids()] = True
-        self.mid[EOC] = True
-        self.close_only[EOC] = True
+        self.table[self.OPEN_FIRST, vocab.content_ids()] = True
+        self.table[self.OPEN_FIRST, NULL] = True
+        self.table[self.MID, vocab.content_ids()] = True
+        self.table[self.MID, EOC] = True
+        self.table[self.CLOSE_ONLY, EOC] = True
 
-    def row_index(self, t: int, prev_id: int) -> int:
-        """Row of ``table`` legal at slot position ``t`` after token ``prev_id``."""
-        if t == 0:
-            return self.OPEN_FIRST
-        if prev_id == NULL or t == self.slot_len - 1:
-            return self.CLOSE_ONLY
-        return self.MID
-
-    def legal_row(self, t: int, prev_id: int) -> np.ndarray:
-        return self._rows[self.row_index(t, prev_id)]
+    def row_index(self, t: int | np.ndarray, prev_id: int | np.ndarray) -> np.ndarray:
+        """Row of ``table`` legal at slot position ``t`` after token
+        ``prev_id``, elementwise over arrays of both."""
+        close = (prev_id == NULL) | (t == self.slot_len - 1)
+        return np.where(t == 0, self.OPEN_FIRST, np.where(close, self.CLOSE_ONLY, self.MID))
 
 
 @dataclass
@@ -269,7 +263,6 @@ def _place(template: TableTemplate, inputs: np.ndarray, pad: np.ndarray, coord: 
 
 def instance_for_pass(
     template: TableTemplate,
-    vocab: Vocabulary,
     grammar: GrammarMasks,
     cell_contents: dict[Coord, list[int]],
     stage: dict[Coord, int],
@@ -282,33 +275,26 @@ def instance_for_pass(
     pad = np.zeros(template.length, dtype=bool)
     stages = np.zeros(template.length, dtype=np.int64)
 
-    loss_pos: list[int] = []
     loss_tgt: list[int] = []
-    legal_rows: list[np.ndarray] = []
-
     for coord in template.cells():
         content = cell_contents[coord]
         _place(template, inputs, pad, coord, content)
         p0 = template.slot_start[coord]
         stages[p0 : p0 + template.slot_len] = stage[coord]
-        if stage[coord] == 0:
-            continue
-        targets = content + [EOC]
-        prev = BOS
-        for t, tok in enumerate(targets):
-            loss_pos.append(p0 + t)
-            loss_tgt.append(tok)
-            legal_rows.append(grammar.legal_row(t, prev))
-            prev = tok
+        if stage[coord]:
+            loss_tgt += content + [EOC]
 
+    # the loss positions are the open cells' live positions, in cell order;
+    # the input at each is the token before its target (BOS at slot position 0)
+    loss_pos = np.flatnonzero((stages > 0) & ~pad)
     return LayoutInstance(
         template=template,
         input_ids=inputs,
         is_pad=pad,
         stage=stages,
-        loss_pos=np.asarray(loss_pos, dtype=np.int64),
+        loss_pos=loss_pos,
         loss_targets=np.asarray(loss_tgt, dtype=np.int64),
-        legal=np.stack(legal_rows) if legal_rows else np.zeros((0, len(vocab)), dtype=bool),
+        legal=grammar.table[grammar.row_index(template.within[loss_pos], inputs[loss_pos])],
     )
 
 

@@ -83,4 +83,4 @@ def build_training_pass(
     every other cell carries loss and sees the lower stages (see
     :func:`~text2table.model.layout.visibility_mask`)."""
     tpl = model.template_for(example.header_ids, example.n_rows)
-    return instance_for_pass(tpl, model.vocab, model.grammar, example.cell_ids, stage)
+    return instance_for_pass(tpl, model.grammar, example.cell_ids, stage)

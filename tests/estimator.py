@@ -53,7 +53,7 @@ def pass_cell_nll(
 ) -> dict[Coord, float]:
     """Token NLL summed per open cell, conditioned on the filled set."""
     tpl = model.template_for(example.header_ids, example.n_rows)
-    inst = instance_for_pass(tpl, model.vocab, model.grammar, example.cell_ids, filled_stages(tpl, filled))
+    inst = instance_for_pass(tpl, model.grammar, example.cell_ids, filled_stages(tpl, filled))
     return instance_cell_nll(model, example, inst)
 
 

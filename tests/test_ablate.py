@@ -118,3 +118,37 @@ def test_ablate_keys_runs_by_the_resolved_config(lineitems_records, tmp_path, mo
     assert [r["model"].get("float_width") for r in runs] == [None, 64]
     omitted, f64 = _ledger(out)
     assert omitted["run_id"] != f64["run_id"] and omitted["seed"] == f64["seed"]
+
+
+def test_ablate_drops_a_torn_last_ledger_line_and_reruns_its_run(lineitems_records, tmp_path, monkeypatch):
+    cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 1, "grid": {"decoding.stopping": ["predicted-count"]}}
+    cfg["training"]["steps"] = 2
+    grid, out = tmp_path / "grid.json", tmp_path / "out"
+    grid.write_text(json.dumps(cfg))
+    assert main(["ablate", str(grid), str(out)]) == 0
+    (row,) = _ledger(out)
+    ledger = out / "done.jsonl"
+    whole = ledger.read_text()
+    ledger.write_text(whole + '{"run_id": "abc", "comb')  # an append cut off before its newline
+    runs = []
+    monkeypatch.setattr(ablate, "_single_run", lambda run_cfg: runs.append(run_cfg) or row["result"])
+    assert main(["ablate", str(grid), str(out)]) == 0
+    assert runs == []  # the finished run before the torn line stays finished
+    assert ledger.read_text() == whole
+
+    # a whole row cut off before its newline is dropped too, and its run runs again
+    ledger.write_text(whole.rstrip("\n"))
+    assert main(["ablate", str(grid), str(out)]) == 0
+    assert len(runs) == 1
+    assert _ledger(out) == [row]
+
+
+def test_ablate_ledger_line_that_is_not_a_row_exits_2(lineitems_records, tmp_path, capsys):
+    grid, out = _grid(tmp_path, lineitems_records, ["predicted-count"]), tmp_path / "out"
+    out.mkdir()
+    for bad in ['{"run_id": "abc", "comb\n', "[1, 2]\n", '{"combo": {}}\n']:
+        (out / "done.jsonl").write_text('{"run_id": "abc"}\n' + bad + '{"run_id": "def"}\n')
+        assert main(["ablate", grid, str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "done.jsonl" in err and "line 2" in err

@@ -411,6 +411,26 @@ def test_eval_lets_a_bug_in_scoring_propagate(tmp_path, monkeypatch):
         main(["eval", pred, gold])
 
 
+
+@pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+def test_eval_bad_prediction_sidecar_exits_2(tmp_path, capsys, sidecar):
+    pred, gold = _eval_files(tmp_path, ["item", "qty"])
+    with open(pred + ".meta.json", "w", encoding="utf-8") as fh:
+        fh.write(sidecar)
+    assert main(["eval", pred, gold]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "pred.jsonl.meta.json" in err
+
+
+def test_eval_non_string_header_exits_2(tmp_path, capsys):
+    pred, gold = _eval_files(tmp_path, ["item", "qty"])
+    with open(gold, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "r", "text": "text", "table": {"headers": ["item", 1], "rows": [["1", "2"]]}}) + "\n")
+    assert main(["eval", pred, gold]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "headers must be strings (line 1) (record r)" in err
+
+
 EVAL_KEYS = {"step", "nll", "mse", "cell_precision", "cell_recall", "cell_f1", "per_column_f1", "count_accuracy"}
 
 

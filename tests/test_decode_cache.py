@@ -17,6 +17,7 @@ from text2table.decoding import (
     Candidate,
     DecodingConfig,
     ModelCellSource,
+    NonFiniteLogitsError,
     decode_table,
     engine,
 )
@@ -64,11 +65,13 @@ class FullRecomputeSource:
                     cand = grown[coord]
                     t_rel = len(cand.tokens)
                     prev = cand.tokens[-1] if cand.tokens else -1
-                    lp = _log_softmax(logits[row_i], model.grammar.legal_row(t_rel, prev))
+                    legal = model.grammar.table[model.grammar.row_index(t_rel, prev)]
+                    lp = _log_softmax(logits[row_i], legal)
                     tok = int(np.argmax(lp))
                     cand.token_logprobs.append(float(lp[tok]))
                     if tok == EOC:
                         cand.truncated = t_rel == l - 1
+                        cand.forced_close = np.flatnonzero(legal).tolist() == [EOC]
                     else:
                         cand.tokens.append(tok)
                         still.append(coord)
@@ -173,12 +176,13 @@ class Lockstep:
         grammar = self.model.grammar
         for c in cells:
             tokens = want[c].tokens
+            assert len(got[c].token_logprobs) == len(got[c].tokens) + 1, (committed, c)
             for t, lp_got in enumerate(got[c].token_logprobs):
-                legal = grammar.legal_row(t, tokens[t - 1] if t else -1)
+                legal = grammar.table[grammar.row_index(t, tokens[t - 1] if t else -1)]
                 if (c, t) not in got_logits:
                     # a skipped step: the oracle saw only end-of-cell legal
                     # there, and its log-probability is +0.0, bitwise, on both paths
-                    assert legal is grammar.close_only, (committed, c, t)
+                    assert np.array_equal(legal, grammar.table[grammar.CLOSE_ONLY]), (committed, c, t)
                     assert t == len(got[c].tokens) == len(tokens), (committed, c, t)
                     assert lp_got.hex() == want[c].token_logprobs[t].hex() == (0.0).hex()
                     self.skipped += 1
@@ -195,6 +199,8 @@ class Lockstep:
             else:
                 assert got[c].tokens == tokens
                 assert got[c].truncated == want[c].truncated
+                # forced exactly when the oracle's last step allowed end-of-cell alone
+                assert got[c].forced_close == want[c].forced_close, (committed, c)
                 assert np.abs(np.subtract(got[c].token_logprobs, want[c].token_logprobs)).max() <= self.tol
         return got
 
@@ -320,3 +326,43 @@ def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny
         first = model.decoder_hidden(memory_kv, lens, collate_instances([inst], rows), cache=cache)
     assert first.shape == (len(rows), model.cfg.d_model)
     assert np.abs(first.data - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12
+
+
+def test_nonfinite_logits_on_a_later_pass_name_the_cell_of_their_row(tiny_vocab):
+    # a NULL logit shifted up, as above, so that the first pass closes some
+    # cells by NULL: the second pass then runs only the cells still growing,
+    # and its rows are no longer the cells' own order
+    model = _random_model(tiny_vocab, 64, seed=5)
+    model.params["lm_head"].data[:, NULL] += 6.0 * np.sign(model.params["dec.ln_f.b"].data)
+    header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
+    tpl = model.template_for(header_ids, N_ROWS)
+    steps = _slot_steps(tpl)
+    with no_grad():
+        memory, lens = encode_one(model, tiny_vocab.encode(TEXT))
+        source = ModelCellSource(model, model.memory_kv(memory), lens, tpl, model.decoder_cache(tpl))
+    batches, poisoned = [], []
+    hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
+
+    def hidden(memory_kv, mem_len, batch, **kw):
+        batches.append(batch)
+        return hidden_fn(memory_kv, mem_len, batch, **kw)
+
+    def logits(hidden, positions):
+        out = logits_fn(hidden, positions)
+        if len(batches) == 2:
+            at = batches[-1].rows[0][positions]
+            assert 1 < len(at) < len(tpl.cells())  # some cells closed on the first pass
+            bad = len(at) // 2
+            out.data[bad, 3] = np.nan
+            poisoned.append(steps[int(at[bad])])
+        return out
+
+    model.decoder_hidden, model.logits_at = hidden, logits
+    try:
+        with pytest.raises(NonFiniteLogitsError) as ei:
+            source.candidates({}, tpl.cells())
+    finally:
+        del model.decoder_hidden, model.logits_at
+    [(cell, t)] = poisoned
+    assert t == 1
+    assert ei.value.cells == [cell]

@@ -414,7 +414,7 @@ def test_decode_states_reachable_as_training_plans(tiny_model, tiny_vocab):
         dec_inst = instance_for_decoding(tpl, tiny_vocab, committed)
         all_cells = {c: committed.get(c, [NULL]) for c in tpl.cells()}
         train_inst = instance_for_pass(
-            tpl, tiny_vocab, tiny_model.grammar, all_cells, filled_stages(tpl, committed)
+            tpl, tiny_model.grammar, all_cells, filled_stages(tpl, committed)
         )
         ctx_cells = structure(tpl)
         for coord in committed:
@@ -483,7 +483,7 @@ def test_forced_close_has_log_prob_exactly_zero(tiny_model, dtype):
     magnitude = 10.0 ** rng.uniform(-30, 30, size=shape)
     logits = (magnitude * rng.choice([-1.0, 1.0], size=shape)).astype(dtype)
     assert np.isfinite(logits).all()
-    lp = _masked_log_softmax(logits, tiny_model.grammar.close_only)
+    lp = _masked_log_softmax(logits, tiny_model.grammar.table[tiny_model.grammar.CLOSE_ONLY])
     assert lp.dtype == dtype
     assert (lp[:, EOC] == 0.0).all()
     assert (lp.argmax(axis=-1) == EOC).all()

@@ -28,7 +28,7 @@ def _full_open_instance(model, table=None, filled=frozenset()):
     table = table or _demo_table()
     tpl = _template(model, table)
     cells = encode_cells(model.vocab, table)
-    return tpl, instance_for_pass(tpl, model.vocab, model.grammar, cells, filled_stages(tpl, filled))
+    return tpl, instance_for_pass(tpl, model.grammar, cells, filled_stages(tpl, filled))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +231,10 @@ def test_open_cell_logits_independent_of_sibling_content(tiny_model, tiny_vocab)
 
     target = (2, 2)
     stage = filled_stages(tpl, {(1, 1)})
-    inst_a = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, cells, stage)
+    inst_a = instance_for_pass(tpl, tiny_model.grammar, cells, stage)
     mutated = dict(cells)
     mutated[(1, 2)] = [NULL]  # zero out a sibling open cell's gold content
-    inst_b = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, mutated, stage)
+    inst_b = instance_for_pass(tpl, tiny_model.grammar, mutated, stage)
 
     _, la = cell_logits(tiny_model, memory, lens, inst_a, cells=[target])
     _, lb = cell_logits(tiny_model, memory, lens, inst_b, cells=[target])
@@ -245,7 +245,7 @@ def test_null_cell_targets_null_then_eoc(tiny_model, tiny_vocab):
     table = Table(["item", "qty"], [["pens", None]])
     tpl = _template(tiny_model, table)
     cells = encode_cells(tiny_vocab, table)
-    inst = instance_for_pass(tpl, tiny_vocab, tiny_model.grammar, cells, filled_stages(tpl, set()))
+    inst = instance_for_pass(tpl, tiny_model.grammar, cells, filled_stages(tpl, set()))
     rows = loss_cells(inst) == slot_cell_id(tpl, (1, 2))
     assert inst.loss_targets[rows].tolist() == [NULL, EOC]
 

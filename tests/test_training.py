@@ -411,8 +411,8 @@ def test_smoothed_loss_floor_on_single_cell_corpus(tiny_vocab):
         qo = eps / k
         return -(qt * math.log(qt) + (k - 1) * qo * math.log(qo))
 
-    k_first = int(model.grammar.open_first.sum())
-    k_mid = int(model.grammar.mid.sum())
+    k_first = int(model.grammar.table[model.grammar.OPEN_FIRST].sum())
+    k_mid = int(model.grammar.table[model.grammar.MID].sum())
     expect = (floor(k_first) + floor(k_mid)) / 2
     assert expect > 0.5  # the floor is far from zero
     assert stats.nll > expect - 1e-6
