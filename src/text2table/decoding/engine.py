@@ -241,9 +241,11 @@ class ModelCellSource:
     stores their tokens into the layout with one indexed write. The layout is
     built once per inner loop with every open slot live: a query at slot
     position t sees its own cell up to t and no other open slot, so its
-    visibility row is the one the grown layout would give. The candidates are
-    built when the loop ends; whether a close was forced follows from a
-    cell's tokens by :meth:`GrammarMasks.row_index`.
+    visibility row is the one the grown layout would give; its mask is
+    folded into the cache's bias once (:meth:`DecoderCache.visible`), so a
+    pass sends only its rows and their input ids. The candidates are built
+    when the loop ends; whether a close was forced follows from a cell's
+    tokens by :meth:`GrammarMasks.row_index`.
 
     ``memory_kv`` holds the source text's cross-attention keys and values per
     layer (:meth:`TextToTableModel.memory_kv`), built once per table.
@@ -272,14 +274,14 @@ class ModelCellSource:
         logprobs = np.zeros((len(cells), l))
         live = np.arange(len(cells))  # the cells still growing, all at slot position t
         with no_grad():
-            inst = instance_for_decoding(tpl, model.vocab, committed)
-            ctx_rows = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
-            layout = collate_instances([inst], np.arange(tpl.length))
-            rows = np.concatenate([ctx_rows, starts])
+            inst = instance_for_decoding(tpl, committed)
+            cache = self.cache.visible(inst.visibility())
+            rows = np.concatenate([np.flatnonzero((inst.stage == 0) & ~inst.is_pad), starts])
             t = 0
             while live.size:
                 self.passes += 1
-                hidden = model.decoder_hidden(self.memory_kv, self.mem_len, layout.query(rows), cache=self.cache)
+                batch = collate_instances([inst], rows)
+                hidden = model.decoder_hidden(self.memory_kv, self.mem_len, batch, cache=cache)
                 logits = model.logits_at(hidden, np.arange(len(rows) - live.size, len(rows))).data
                 if not np.isfinite(logits).all():
                     bad = np.flatnonzero(~np.isfinite(logits).all(axis=-1))
@@ -293,7 +295,7 @@ class ModelCellSource:
                 grows = (picks != EOC) & (grammar.row_index(t + 1, picks) == grammar.MID)
                 live, t = live[grows], t + 1
                 rows = starts[live] + t
-                layout.input_ids[0, rows] = picks[grows]
+                inst.input_ids[rows] = picks[grows]
         n_tok = (tokens != EOC).sum(axis=-1)  # content ends at a cell's first end-of-cell
         forced = grammar.row_index(n_tok, tokens[np.arange(len(cells)), n_tok - 1]) == grammar.CLOSE_ONLY
         self.forced += int(forced.sum())

@@ -24,6 +24,9 @@ sees nothing and is seen by nothing. Layouts differ only in the stage each
 cell gets: a permuted training pass puts its filled cells at 0 and its open
 cells at 1, the fixed-causal pass puts cell i of the row-major order at
 i + 1, and a decode layout puts committed cells at 0 and open cells at 1.
+The mask is square over the positions it is given: a training batch's live
+positions, or all T of a decode layout, once per inner loop, for the
+decoder cache to fold into its bias.
 """
 
 from __future__ import annotations
@@ -167,14 +170,8 @@ def make_template(
     return tpl
 
 
-def visibility_mask(
-    is_pad: np.ndarray,
-    stage: np.ndarray,
-    cell_id: np.ndarray,
-    within: np.ndarray,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """allow[n, j]: may query position rows[n] attend key position j.
+def visibility_mask(is_pad: np.ndarray, stage: np.ndarray, cell_id: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """allow[i, j]: may query position i attend key position j.
 
     Stage-0 positions (context) see each other. A position at stage s >= 1
     sees every position at a lower stage and its own cell up to itself, so
@@ -182,11 +179,10 @@ def visibility_mask(
     seen by nothing.
     """
     live = ~is_pad
-    stage_i = stage[rows][:, None]
-    stage_j = stage[None, :]
-    own = (cell_id[rows][:, None] == cell_id[None, :]) & (within[None, :] <= within[rows][:, None])
+    stage_i, stage_j = stage[:, None], stage[None, :]
+    own = (cell_id[:, None] == cell_id[None, :]) & (within[None, :] <= within[:, None])
     allow = np.where(stage_i == 0, stage_j == 0, (stage_j < stage_i) | own)
-    return allow & live[rows][:, None] & live[None, :]
+    return allow & live[:, None] & live[None, :]
 
 
 class GrammarMasks:
@@ -236,10 +232,9 @@ class LayoutInstance:
     def length(self) -> int:
         return self.template.length
 
-    def visibility(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Visibility mask [T, T], or its query rows ``rows`` alone [R, T]."""
-        rows = np.arange(self.length) if rows is None else np.asarray(rows, dtype=np.int64)
-        return visibility_mask(self.is_pad, self.stage, self.template.cell_id, self.template.within, rows)
+    def visibility(self) -> np.ndarray:
+        """Visibility mask [T, T] (see :func:`visibility_mask`)."""
+        return visibility_mask(self.is_pad, self.stage, self.template.cell_id, self.template.within)
 
 
 def content_token_ids(vocab: Vocabulary, cell: str | None) -> list[int]:
@@ -298,9 +293,7 @@ def instance_for_pass(
     )
 
 
-def instance_for_decoding(
-    template: TableTemplate, vocab: Vocabulary, committed: dict[Coord, list[int]]
-) -> LayoutInstance:
+def instance_for_decoding(template: TableTemplate, committed: dict[Coord, list[int]]) -> LayoutInstance:
     """Decode-time layout: committed cells are context at stage 0; every other
     cell is open at stage 1, its whole slot live, BOS then PAD inputs for the
     decoder to write its prefix into."""

@@ -14,10 +14,11 @@ instance ([N, d], laid out by a :class:`DecoderBatch`). Every weight product
 is a single [N, d] gemm and every row-wise layer runs on live tokens only.
 The attention op takes each example's row count and scores every example at
 its own length, so no layer sees batch padding. Both self-attention biases,
-and the decoder's visibility mask, are packed the same way, one [n, n] block
-per example back to back; the decoder gathers its bias with one method for a
-training batch and for a decode cache alike, and folds the mask into it as
--inf on every hidden pair, once per call, for every layer to share.
+and a training batch's visibility mask, are packed the same way, one [n, n]
+block per example back to back. The decoder gathers its bias with one method
+for a training batch and for a decode cache alike; visibility joins it as
+-inf on every hidden pair, for every layer to share, once per call in
+training and once per inner loop in decoding (:meth:`DecoderCache.visible`).
 """
 
 from __future__ import annotations
@@ -58,16 +59,14 @@ class DecoderBatch:
     self-attention bias of every pair it hides.
 
     A query batch (``instances`` empty) serves a cached pass: it holds only
-    the R query positions ``rows[0]`` of one layout, all of them live, so it
-    carries no batch padding, no loss surface and no bias maps; its ``allow``
-    is the [R, T] visibility rows of those positions over all the template's
-    key positions, flattened.
+    the input ids of the R query positions ``rows[0]`` of one layout, all of
+    them live, and no padding, loss surface, bias maps or mask.
     """
 
     input_ids: np.ndarray  # [B, L], PAD where batch padding; [1, R] for a query batch
-    allow: np.ndarray  # [sum n_b^2] per-example blocks; [R*T] for a query batch
     rows: list[np.ndarray]  # per example: the template positions of its rows
     instances: list[LayoutInstance]
+    allow: np.ndarray | None = None  # [sum n_b^2] per-example blocks
     bias_idx: np.ndarray | None = None  # [4, sum n_b^2] (row, col, loc, bucket) blocks
 
     @property
@@ -79,12 +78,6 @@ class DecoderBatch:
         """[B, L] mask of the live rows: the first ``len(rows[b])`` positions
         of example b."""
         return np.arange(self.length) < np.array([len(r) for r in self.rows])[:, None]
-
-    def query(self, rows: np.ndarray) -> "DecoderBatch":
-        """The query batch of template positions ``rows``, sliced from a query
-        batch over every position of its layout (nothing is rebuilt)."""
-        allow = self.allow.reshape(self.length, -1)[rows].reshape(-1)
-        return DecoderBatch(self.input_ids[:, rows], allow, [rows], [])
 
     def flat_loss_arrays(self):
         """Concatenate loss surfaces across the batch: (positions, targets,
@@ -102,18 +95,16 @@ def collate_instances(instances: list[LayoutInstance], rows: np.ndarray | None =
     if rows is not None:
         (inst,) = instances
         rows = np.asarray(rows, dtype=np.int64)
-        return DecoderBatch(inst.input_ids[rows][None], inst.visibility(rows).reshape(-1), [rows], [])
+        return DecoderBatch(inst.input_ids[rows][None], [rows], [])
     live = [np.flatnonzero(~inst.is_pad) for inst in instances]
     ids = np.full((len(instances), max(len(r) for r in live)), PAD, dtype=np.int64)
     allow, bias_idx = [], []
     for k, (inst, r) in enumerate(zip(instances, live)):
         tpl, n = inst.template, len(r)
         ids[k, :n] = inst.input_ids[r]
-        allow.append(
-            visibility_mask(inst.is_pad[r], inst.stage[r], tpl.cell_id[r], tpl.within[r], np.arange(n)).reshape(-1)
-        )
+        allow.append(visibility_mask(inst.is_pad[r], inst.stage[r], tpl.cell_id[r], tpl.within[r]).reshape(-1))
         bias_idx.append(tpl.bias_idx[:, r[:, None], r].reshape(4, -1))
-    return DecoderBatch(ids, np.concatenate(allow), live, list(instances), np.concatenate(bias_idx, axis=1))
+    return DecoderBatch(ids, live, list(instances), np.concatenate(allow), np.concatenate(bias_idx, axis=1))
 
 
 @dataclass
@@ -121,18 +112,18 @@ class DecoderCache:
     """Self-attention state kept across the passes that decode one template
     (inference only; valid while the parameters stay unchanged).
 
-    ``bias`` is fixed for the template; a cached pass reads the bias rows of
-    its query positions, flattened into one example's packed block. ``keys``
-    and ``values`` hold each layer's self-attention key and value rows at
-    every template position; a cached pass writes its query rows there before
-    it attends, and the visibility rows keep every query from seeing a
-    position not written for its own context. A template with fewer rows is
-    a prefix of this one (:meth:`prefix`). The cross-attention keys and
-    values of the source text are not part of it: they come from
-    :meth:`TextToTableModel.memory_kv`.
+    ``bias`` is fixed for the template, and :meth:`visible` folds a decode
+    layout's visibility into it once per inner loop; a cached pass reads the
+    bias rows of its query positions, flattened into one example's packed
+    block. ``keys`` and ``values`` hold each layer's self-attention key and
+    value rows at every template position; a cached pass writes its query
+    rows there before it attends, and the folded -inf keeps every query from
+    seeing a position not written for its own context. A template with fewer
+    rows is a prefix of this one (:meth:`prefix`). The cross-attention keys
+    and values of the source text come from :meth:`TextToTableModel.memory_kv`.
     """
 
-    bias: np.ndarray  # [H, T, T] pair + bucket bias of the template
+    bias: np.ndarray  # [H, T, T] pair + bucket bias of the template, -inf where hidden
     keys: list[np.ndarray]  # per layer [T, d]
     values: list[np.ndarray]
 
@@ -153,6 +144,10 @@ class DecoderCache:
             [k[:length] for k in self.keys],
             [v[:length] for v in self.values],
         )
+
+    def visible(self, allow: np.ndarray) -> "DecoderCache":
+        """The cache, same key and value stores, with -inf on each pair ``allow`` [T, T] hides."""
+        return DecoderCache(np.where(allow, self.bias, -np.inf), self.keys, self.values)
 
 
 class TextToTableModel:
@@ -324,7 +319,7 @@ class TextToTableModel:
         ``memory_kv`` holds each layer's cross-attention keys and values of
         the batch's examples (:meth:`memory_kv`), laid out by their source
         lengths ``mem_len`` [B] as the memory rows of :meth:`encode`. With a
-        ``cache`` (from :meth:`decoder_cache`, inference only) ``batch`` is a
+        ``cache`` (:meth:`DecoderCache.visible`, inference only) ``batch`` is a
         query batch: the stack runs for its R query rows alone, each layer
         stores their self-attention keys and values in the cache and attends
         over the cached ones, and the result is [R, d].
@@ -339,11 +334,10 @@ class TextToTableModel:
             bias = ops.add(self._decoder_bias(batch.bias_idx), Tensor(hide))
             k_len = q_len
         else:
-            # one query example over the cached keys of every template position
+            # one query example over every cached position, visibility folded into cache.bias
             rows, ids = batch.rows[0], batch.input_ids[0]
             q_len, k_len = [len(ids)], [len(cache.keys[0])]
-            allow = batch.allow.reshape(len(rows), -1)
-            bias = Tensor(np.where(allow, cache.bias[:, rows], -np.inf).reshape(cfg.n_heads, -1))
+            bias = Tensor(cache.bias[:, rows].reshape(cfg.n_heads, -1))
         x = ops.embedding(p["embed"], ids)
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)

@@ -49,4 +49,9 @@ class Table:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Table":
-        return cls(list(d["headers"]), [list(r) for r in d["rows"]]).validate()
+        """Table from its JSON form; a string as headers, rows or a row is refused, not split."""
+        headers, rows = d["headers"], d["rows"]
+        for what, value in [("headers", headers), ("rows", rows)] + [(f"row {i}", r) for i, r in enumerate(rows)]:
+            if not isinstance(value, list):  # rows are checked before any row
+                raise TableFormatError(f"{what} must be a list, got {type(value).__name__}")
+        return cls(list(headers), [list(r) for r in rows]).validate()

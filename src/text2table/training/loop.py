@@ -53,6 +53,11 @@ class TrainingConfig:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("steps", "eval_every", "eval_decode_examples", "lr", "weight_decay", "clip_norm",
+                     "count_loss_weight"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -69,21 +69,19 @@ def scatter_bucket_bias_grad(g_table, grad, idx):
             g_table[h, flat[e]] += grad[h, e]
 
 
-def visibility_mask(is_pad, stage, cell_id, within, rows):
-    n = rows.shape[0]
+def visibility_mask(is_pad, stage, cell_id, within):
     t = is_pad.shape[0]
-    allow = np.empty((n, t), dtype=np.bool_)
-    for q in range(n):
-        i = rows[q]
+    allow = np.empty((t, t), dtype=np.bool_)
+    for i in range(t):
         for j in range(t):
             if is_pad[i] or is_pad[j]:
-                allow[q, j] = False
+                allow[i, j] = False
             elif stage[i] == 0:
-                allow[q, j] = stage[j] == 0
+                allow[i, j] = stage[j] == 0
             elif stage[j] < stage[i]:
-                allow[q, j] = True
+                allow[i, j] = True
             else:
-                allow[q, j] = cell_id[i] == cell_id[j] and within[j] <= within[i]
+                allow[i, j] = cell_id[i] == cell_id[j] and within[j] <= within[i]
     return allow
 
 

@@ -83,7 +83,7 @@ def padded_batch(instances) -> DecoderBatch:
         allow[k, :t, :t] = inst.visibility()
         maps[:, k, :t, :t] = inst.template.bias_idx
     rows = [np.arange(inst.length, dtype=np.int64) for inst in instances]
-    return DecoderBatch(ids, allow, rows, list(instances), maps)
+    return DecoderBatch(ids, rows, list(instances), allow, maps)
 
 
 def padded_source_batch(examples) -> tuple[np.ndarray, np.ndarray]:

@@ -159,11 +159,24 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
         ("training.label_smoothing=1.5", "bad training config: label_smoothing must be in [0, 1), got 1.5"),
         ("training.label_smoothing=NaN", "bad training config: label_smoothing must be in [0, 1), got nan"),
         ("training.batch_size=0", "bad training config: batch_size must be >= 1, got 0"),
+        ("training.steps=-1", "bad training config: steps must be >= 0, got -1"),
+        ("training.eval_every=-5", "bad training config: eval_every must be >= 0, got -5"),
+        ("training.eval_decode_examples=-1", "bad training config: eval_decode_examples must be >= 0, got -1"),
+        ("training.lr=-0.001", "bad training config: lr must be >= 0, got -0.001"),
+        ("training.lr=NaN", "bad training config: lr must be >= 0, got nan"),
+        ("training.weight_decay=-1e-05", "bad training config: weight_decay must be >= 0, got -1e-05"),
+        ("training.weight_decay=NaN", "bad training config: weight_decay must be >= 0, got nan"),
+        ("training.clip_norm=-1", "bad training config: clip_norm must be >= 0, got -1"),
+        ("training.clip_norm=NaN", "bad training config: clip_norm must be >= 0, got nan"),
+        ("training.count_loss_weight=-0.5", "bad training config: count_loss_weight must be >= 0, got -0.5"),
+        ("training.count_loss_weight=NaN", "bad training config: count_loss_weight must be >= 0, got nan"),
     ],
     ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key", "section", "paths_key",
          "training_seed", "seed", "steps_type", "lr_type", "d_model_type", "max_rows_str", "max_rows_null",
          "max_rows_list", "dropout_one", "dropout_negative", "dropout_nan", "label_smoothing_above_one",
-         "label_smoothing_nan", "batch_size_zero"],
+         "label_smoothing_nan", "batch_size_zero", "steps_negative", "eval_every_negative",
+         "eval_decode_examples_negative", "lr_negative", "lr_nan", "weight_decay_negative", "weight_decay_nan",
+         "clip_norm_negative", "clip_norm_nan", "count_loss_weight_negative", "count_loss_weight_nan"],
 )
 def test_train_bad_run_config_exits_2(lineitems_records, tmp_path, capsys, override, message):
     assert main(["train", _train_config(tmp_path, lineitems_records[:3]), "--set", override]) == 2
@@ -429,6 +442,18 @@ def test_eval_non_string_header_exits_2(tmp_path, capsys):
     assert main(["eval", pred, gold]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "headers must be strings (line 1) (record r)" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_string_where_a_list_belongs_in_a_dataset_exits_2(lineitems_records, tmp_path, capsys, command):
+    config = _train_config(tmp_path, lineitems_records[:2])
+    data = tmp_path / "data.jsonl"
+    bad = {"id": "s", "text": "text", "table": {"headers": ["item", "qty"], "rows": ["xy"]}}
+    data.write_text(data.read_text() + json.dumps(bad) + "\n")
+    args = ["train", config] if command == "train" else ["eval", str(data), str(data)]
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "row 0 must be a list, got str (line 3) (record s)" in err
 
 
 EVAL_KEYS = {"step", "nll", "mse", "cell_precision", "cell_recall", "cell_f1", "per_column_f1", "count_accuracy"}

@@ -117,6 +117,24 @@ def test_malformed_line_reports_line_number(tmp_path):
     assert ei.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"headers": "ab", "rows": []}, "headers must be a list, got str"),
+        ({"headers": ["a", "b"], "rows": "xy"}, "rows must be a list, got str"),
+        ({"headers": ["a", "b"], "rows": [["1", "2"], "xy"]}, "row 1 must be a list, got str"),
+    ],
+    ids=["headers", "rows", "row"],
+)
+def test_string_where_a_list_belongs_reports_line(tmp_path, table, message):
+    path = tmp_path / "bad.jsonl"
+    good = {"id": "a", "text": "t", "table": {"headers": ["a", "b"], "rows": [["x", "y"]]}}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({"id": "b", "text": "t", "table": table}) + "\n")
+    with pytest.raises(DataFormatError, match=message) as ei:
+        list(read_jsonl(str(path)))
+    assert ei.value.line == 2 and ei.value.record_id == "b"
+
+
 def test_width_mismatch_reports_record_id(tmp_path):
     path = tmp_path / "bad.jsonl"
     obj = {"id": "r42", "text": "t", "table": {"headers": ["a", "b"], "rows": [["x"]]}}

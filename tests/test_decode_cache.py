@@ -22,7 +22,7 @@ from text2table.decoding import (
     engine,
 )
 from text2table.model import ModelConfig, TextToTableModel, collate_instances, instance_for_decoding
-from text2table.numerics import no_grad
+from text2table.numerics import Tensor, no_grad
 from text2table.vocab import EOC, NULL, tokenize
 from util import encode_one, structure, write_prefixes
 
@@ -53,7 +53,7 @@ class FullRecomputeSource:
         with no_grad():
             while active:
                 partial = {c: grown[c].tokens for c in cells}
-                inst = write_prefixes(instance_for_decoding(tpl, model.vocab, committed), partial)
+                inst = write_prefixes(instance_for_decoding(tpl, committed), partial)
                 batch = collate_instances([inst])
                 hidden = model.decoder_hidden(self.memory_kv, self.mem_len, batch)
                 positions = np.array(
@@ -107,7 +107,7 @@ def _slot_steps(tpl):
 
 class Recording:
     """Records, while a candidate source runs, every decoder pass's query
-    batch and the logits of each (cell, step) it scores."""
+    batch and cache and the logits of each (cell, step) it scores."""
 
     def __init__(self, model, template):
         self.model = model
@@ -115,11 +115,12 @@ class Recording:
 
     def run(self, source, committed, cells):
         model = self.model
-        self.batches, self.logits = [], {}
+        self.batches, self.caches, self.logits = [], [], {}
         hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
 
         def hidden(memory_kv, mem_len, batch, **kw):
             self.batches.append(batch)
+            self.caches.append(kw.get("cache"))
             return hidden_fn(memory_kv, mem_len, batch, **kw)
 
         def logits(hidden, positions):
@@ -241,14 +242,16 @@ def test_null_closes_skip_their_pass_and_match_full_recompute(tiny_vocab, monkey
 
 class LayoutCheck:
     """Candidate source that runs the cached path and checks each of its
-    passes' input ids and visibility rows, bitwise, against the query batch
-    of a layout rebuilt from that step's grown prefixes."""
+    passes, bitwise, against a layout rebuilt from that step's grown
+    prefixes: the query batch's input ids against the rebuild's at the query
+    rows, and the finite entries of the cache's bias rows there against the
+    rebuild's visibility rows."""
 
     def __init__(self):
         self.checked = 0
 
     def __call__(self, model, memory_kv, mem_len, template, cache):
-        self.model, self.template = model, template
+        self.template = template
         self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
         self.recording = Recording(model, template)
         return self
@@ -262,21 +265,21 @@ class LayoutCheck:
         return self.cached.forced
 
     def candidates(self, committed, cells):
-        rec, tpl, model = self.recording, self.template, self.model
+        rec, tpl = self.recording, self.template
         got = rec.run(self.cached, committed, cells)
-        for j, batch in enumerate(rec.batches):
+        for j, (batch, cache) in enumerate(zip(rec.batches, rec.caches)):
             partial = {c: got[c].tokens[:j] for c in cells}  # every prefix as it was at step j
-            inst = write_prefixes(instance_for_decoding(tpl, model.vocab, committed), partial)
+            inst = write_prefixes(instance_for_decoding(tpl, committed), partial)
             rows = batch.rows[0]
             if j == 0:  # the context and every open cell's first position
                 ctx = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
                 assert np.array_equal(rows, np.concatenate([ctx, [tpl.slot_start[c] for c in cells]]))
             else:  # step j of cells grown to j tokens
                 assert {rec.steps[int(p)] for p in rows} <= {(c, j) for c in cells if len(got[c].tokens) >= j}
-            want = collate_instances([inst], rows)
-            assert batch.input_ids.dtype == want.input_ids.dtype and batch.allow.dtype == want.allow.dtype
-            assert np.array_equal(batch.input_ids, want.input_ids)
-            assert np.array_equal(batch.allow, want.allow)
+            assert batch.input_ids.dtype == inst.input_ids.dtype
+            assert np.array_equal(batch.input_ids, inst.input_ids[rows][None])
+            seen = np.isfinite(cache.bias[:, rows])
+            assert np.array_equal(seen, np.broadcast_to(inst.visibility()[rows], seen.shape))
             self.checked += 1
         return got
 
@@ -306,6 +309,32 @@ def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab):
         largest.prefix(len(largest.keys[0]) + 1)
 
 
+@pytest.mark.parametrize("float_width", [64, 32])
+def test_visible_cache_hides_the_layout_pairs_and_shares_the_table_stores(tiny_vocab, float_width):
+    model = _random_model(tiny_vocab, float_width, seed=4)
+    header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
+    largest = model.decoder_cache(model.template_for(header_ids, model.cfg.max_rows))
+    tpl = model.template_for(header_ids, N_ROWS)
+    inst = instance_for_decoding(tpl, {(1, 2): tiny_vocab.encode("pens"), (3, 1): [NULL]})
+    allow = inst.visibility()
+    assert allow.any() and not allow.all()
+    table = largest.prefix(tpl.length)
+    folded = table.visible(allow)
+    assert folded.bias.dtype == table.bias.dtype
+    assert np.array_equal(np.isfinite(folded.bias), np.broadcast_to(allow, folded.bias.shape))
+    assert np.array_equal(folded.bias[:, allow], table.bias[:, allow])
+    assert (folded.bias[:, ~allow] == -np.inf).all()
+    rng = np.random.default_rng(0)
+    rows = np.array([tpl.slot_start[(2, 2)], tpl.slot_start[(3, 3)] + 1])
+    for layer in range(model.cfg.n_dec_layers):
+        k, v = (rng.normal(size=(len(rows), model.cfg.d_model)).astype(model.cfg.dtype) for _ in "kv")
+        keys, values = folded.store(layer, rows, Tensor(k), Tensor(v))
+        for stored, want in ((keys.data, k), (values.data, v)):
+            assert np.array_equal(stored[rows], want)
+        for cache in (table, largest):
+            assert np.array_equal(cache.keys[layer][rows], k) and np.array_equal(cache.values[layer][rows], v)
+
+
 def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny_vocab):
     model = _random_model(tiny_vocab, 64, seed=1)
     ids = tiny_vocab.encode(TEXT)
@@ -314,7 +343,7 @@ def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny
     committed = {(1, 2): [tiny_vocab.encode("pens")[0]], (3, 1): [2], (2, 3): tiny_vocab.encode("4 dollars")}
     with no_grad():
         memory, lens = encode_one(model, ids)
-        inst = instance_for_decoding(tpl, tiny_vocab, committed)
+        inst = instance_for_decoding(tpl, committed)
         batch = collate_instances([inst])
         memory_kv = model.memory_kv(memory)
         full = model.decoder_hidden(memory_kv, lens, batch).data
@@ -322,7 +351,7 @@ def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny
         assert len(ctx) == structure(tpl).sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
         heads = [tpl.slot_start[c] for c in tpl.cells() if c not in committed]
         rows = np.concatenate([ctx, heads])
-        cache = model.decoder_cache(tpl)
+        cache = model.decoder_cache(tpl).visible(inst.visibility())
         first = model.decoder_hidden(memory_kv, lens, collate_instances([inst], rows), cache=cache)
     assert first.shape == (len(rows), model.cfg.d_model)
     assert np.abs(first.data - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12

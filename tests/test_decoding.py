@@ -411,7 +411,7 @@ def test_decode_states_reachable_as_training_plans(tiny_model, tiny_vocab):
     tpl = tiny_model.template_for(headers_ids, n)
     committed: dict = {}
     for entry in res.trace:
-        dec_inst = instance_for_decoding(tpl, tiny_vocab, committed)
+        dec_inst = instance_for_decoding(tpl, committed)
         all_cells = {c: committed.get(c, [NULL]) for c in tpl.cells()}
         train_inst = instance_for_pass(
             tpl, tiny_model.grammar, all_cells, filled_stages(tpl, committed)
