@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import statistics
 import sys
 from typing import NamedTuple
 
@@ -266,6 +267,8 @@ def cmd_decode(
     records = _read_records(dataset_path)
     preds: list[DatasetRecord] = []
     traces: list[dict] = []
+    totals = dict.fromkeys(("outer_iterations", "decoder_passes", "forced_tokens"), 0)
+    passes: list[int] = []  # per table
     for rec in records:
         try:
             result = decode_table(rec.text, model, dcfg, rec.table.headers, keep_trace=bool(trace_path))
@@ -274,6 +277,8 @@ def cmd_decode(
         except (LayoutError, NonFiniteCountError, NonFiniteLogitsError) as exc:
             raise ModelError(f"{rec.id}: {exc}") from None
         preds.append(DatasetRecord(rec.id, rec.text, result.table))
+        totals = {key: n + getattr(result, key) for key, n in totals.items()}
+        passes.append(result.decoder_passes)
         if trace_path:
             traces.append(
                 {
@@ -302,6 +307,10 @@ def cmd_decode(
         "config_hash": (meta.get("run_config") or {}).get("config_hash"),
         "decoding": dcfg.to_json(),
         "dataset_sha256": file_sha256(dataset_path),
+        "tables": len(preds),
+        **totals,
+        "decoder_passes_p50": statistics.median(passes) if passes else None,
+        "decoder_passes_max": max(passes, default=None),
     }
     with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)

@@ -11,9 +11,11 @@ count or the semi-templated variant that grows the template row by row until
 an all-NULL sentinel row appears.
 
 The neural inner loop (:class:`ModelCellSource`) decodes all eligible cells
-in parallel, one decoder pass per token step, against a decoder cache built
-once per table; its docstring says why that gives the same candidates as a
-full pass over the whole layout per step.
+in parallel against a decoder cache built once per table: its first pass
+checks every cell's draft, the candidate the cell gave in the last inner
+loop, and each later pass moves every cell that left its draft on by one
+token step. Its docstring says why that gives the same candidates as a full
+pass over the whole layout per step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..model import TableTemplate, TextToTableModel, collate_instances, instance
 from ..model.transformer import DecoderCache
 from ..numerics import no_grad
 from ..table import Table
-from ..vocab import EOC, NULL, Vocabulary, tokenize
+from ..vocab import BOS, EOC, NULL, Vocabulary, tokenize
 
 Coord = tuple[int, int]
 
@@ -213,39 +215,50 @@ class ModelCellSource:
     """Greedy per-cell decoding with grammar-masked logits, all open cells in
     parallel, over a decoder cache shared by every template of one table.
 
-    Each :meth:`candidates` call is one inner loop, run as one decoder pass
-    per token step:
+    Each :meth:`candidates` call is one inner loop. A cell's draft is the
+    candidate it gave in the source's last inner loop (the first has none):
 
     - The first pass runs the context positions (headers, row markers,
-      committed cells) and the BOS position of every open cell, and caches
-      each layer's self-attention keys and values. Every layer stores its
-      keys and values before it attends, and context never attends to an
-      open slot, so the context entries are exact and stay fixed for the
-      whole inner loop. Logits are taken at the BOS rows only.
-    - Each later pass runs the newest position of every candidate still
-      growing. That position stores its keys and values in the cache, then
-      attends to the cached context and to its own cell's earlier positions.
-      Open slots are mutually invisible, so this gives the same hidden state
-      as a pass over the whole layout.
+      committed cells) and, per open cell, its BOS position and every slot
+      position the last inner loop scored for it, whose inputs are the
+      draft's tokens. Every layer stores its keys and values in the cache
+      before it attends, and context never attends to an open slot, so the
+      context entries are exact and stay fixed for the whole inner loop.
+    - A cell takes the picks of its first-pass rows while they repeat its
+      draft, up to and including its first pick that differs (or its last
+      row). A row sees its own cell up to itself and no other open slot, so
+      each row up to that pick reads the cell's true prefix and gives the
+      logits a pass per step would; the rows past it read stale draft
+      tokens, and what they scored is dropped.
+    - Each later pass runs the next position of every candidate still
+      growing, each at its own slot position. That position stores its keys
+      and values before it attends to the cached context and to its own
+      cell's earlier positions, so no query reads a stale draft entry before
+      it is rewritten, and the hidden state is that of a full pass.
     - A candidate whose next token the grammar forces to end-of-cell (after
       NULL, or at the final slot position) takes it with log-probability 0,
       which the masked log-softmax gives for any finite logits, and leaves
-      the pass; the forced close does not count toward the cell's score. A
-      step where every candidate is forced runs no pass.
+      the pass; the forced close does not count toward the cell's score, and
+      it is no draft row. A step where every candidate is forced runs no
+      pass. So no row is at a close-only position, and no later row at slot
+      position 0: the first pass scores against ``OPEN_FIRST`` at slot
+      position 0 and ``MID`` elsewhere, every later pass against ``MID``.
 
-    Every open cell starts at BOS and each pass advances every live cell by
-    one, so all live cells stand at one slot position t. The state is arrays:
-    ``live`` indexes the cells still growing, and ``tokens`` and ``logprobs``
-    [n, l] hold what each cell emitted, filled with end-of-cell and 0 (what a
-    forced close emits). A pass scores its cells against one grammar row and
-    stores their tokens into the layout with one indexed write. The layout is
-    built once per inner loop with every open slot live: a query at slot
-    position t sees its own cell up to t and no other open slot, so its
-    visibility row is the one the grown layout would give; its mask is
-    folded into the cache's bias once (:meth:`DecoderCache.visible`), so a
-    pass sends only its rows and their input ids. The candidates are built
-    when the loop ends; whether a close was forced follows from a cell's
-    tokens by :meth:`GrammarMasks.row_index`.
+    The state is arrays: ``at`` and ``ts`` hold the cell and slot position
+    of each open row of a pass, and ``tokens`` and ``logprobs`` [n, l] what
+    each cell emitted, filled with end-of-cell and 0 (what a forced close
+    emits; the first pass resets there what it scored past a cell's end). A
+    pass looks up which cells grow in ``grows``, built once from
+    :meth:`GrammarMasks.row_index`, and stores their tokens into the layout
+    with one indexed write. The layout is built
+    once per inner loop with every open slot live, so a query's visibility
+    row is the one the grown layout would give; its mask is folded into the
+    cache's bias once (:meth:`DecoderCache.visible`), so a pass sends only
+    its rows and their input ids. The candidates are built when the loop
+    ends; whether a close was forced follows from a cell's tokens by
+    :meth:`GrammarMasks.row_index`. A row with non-finite logits gets NaN
+    log-probabilities and picks PAD, which repeats no draft; the loop names
+    every cell that took one (:class:`NonFiniteLogitsError`).
 
     ``memory_kv`` holds the source text's cross-attention keys and values per
     layer (:meth:`TextToTableModel.memory_kv`), built once per table.
@@ -263,6 +276,11 @@ class ModelCellSource:
         self.cache = cache.prefix(template.length)
         self.passes = 0
         self.forced = 0
+        t, tok = np.arange(model.cfg.max_cell_len)[:, None], np.arange(len(model.vocab))
+        # grows[t, tok]: a cell that picks tok at slot position t goes on, unless it chose
+        # end-of-cell or the grammar forces its next token
+        self.grows = (tok != EOC) & (model.grammar.row_index(t + 1, tok) == model.grammar.MID)
+        self.drafts: dict[Coord, list[int]] = {}  # per cell: its first-pass row inputs (BOS, draft), -1 past them
 
     def candidates(
         self, committed: dict[Coord, list[int]], cells: list[Coord]
@@ -270,36 +288,48 @@ class ModelCellSource:
         model, tpl, grammar = self.model, self.template, self.model.grammar
         l = model.cfg.max_cell_len
         starts = np.array([tpl.slot_start[c] for c in cells], dtype=np.int64)
+        slots = np.array([self.drafts.get(c, [BOS] + [-1] * (l - 1)) for c in cells])
+        at, ts = np.nonzero(slots >= 0)  # the cell and slot position of each open row of a pass
+        first = ts == 0
+        heads = np.flatnonzero(first)  # each cell's first open row on the first pass
+        expect = slots[at, ts + 1]  # the pick that moves a row's cell on to its next draft row, else -1
+        legal = grammar.table[np.where(first, grammar.OPEN_FIRST, grammar.MID)]
         tokens = np.full((len(cells), l), EOC, dtype=np.int64)
         logprobs = np.zeros((len(cells), l))
-        live = np.arange(len(cells))  # the cells still growing, all at slot position t
         with no_grad():
             inst = instance_for_decoding(tpl, committed)
             cache = self.cache.visible(inst.visibility())
-            rows = np.concatenate([np.flatnonzero((inst.stage == 0) & ~inst.is_pad), starts])
-            t = 0
-            while live.size:
+            rows = starts[at] + ts
+            inst.input_ids[rows] = slots[at, ts]
+            rows = np.concatenate([np.flatnonzero((inst.stage == 0) & ~inst.is_pad), rows])
+            while at.size:
                 self.passes += 1
                 batch = collate_instances([inst], rows)
                 hidden = model.decoder_hidden(self.memory_kv, self.mem_len, batch, cache=cache)
-                logits = model.logits_at(hidden, np.arange(len(rows) - live.size, len(rows))).data
-                if not np.isfinite(logits).all():
-                    bad = np.flatnonzero(~np.isfinite(logits).all(axis=-1))
-                    raise NonFiniteLogitsError([cells[i] for i in live[bad]])
-                # a live cell is never at a close-only position: that close is forced, not run
-                lp = _masked_log_softmax(logits, grammar.table[grammar.OPEN_FIRST if t == 0 else grammar.MID])
+                logits = model.logits_at(hidden, np.arange(len(rows) - at.size, len(rows))).data
+                if not np.isfinite(logits).all():  # a NaN row's log-probabilities are NaN, which names its cell
+                    logits[~np.isfinite(logits).all(axis=-1)] = np.nan
+                lp = _masked_log_softmax(logits, legal)
                 picks = lp.argmax(axis=-1)
-                tokens[live, t] = picks
-                logprobs[live, t] = lp[np.arange(live.size), picks]
-                # a cell grows on unless it chose end-of-cell or the grammar forces its next
-                grows = (picks != EOC) & (grammar.row_index(t + 1, picks) == grammar.MID)
-                live, t = live[grows], t + 1
-                rows = starts[live] + t
+                tokens[at, ts] = picks
+                logprobs[at, ts] = lp[np.arange(at.size), picks]
+                if at.size > heads.size:  # drafts: a cell goes up to its first row whose pick leaves its draft
+                    end = np.minimum.reduceat(np.where(picks == expect, at.size, np.arange(at.size)), heads)
+                    past = np.arange(at.size) > end[at]  # rows that read a stale draft token
+                    tokens[at[past], ts[past]], logprobs[at[past], ts[past]] = EOC, 0.0
+                    at, ts, picks = at[end], ts[end], picks[end]
+                grows = self.grows[ts, picks]
+                at, ts = at[grows], ts[grows] + 1
+                rows = starts[at] + ts
                 inst.input_ids[rows] = picks[grows]
+                legal = grammar.table[grammar.MID]  # a live cell is never at slot position 0 or close-only
+        if np.isnan(logprobs).any():
+            raise NonFiniteLogitsError([c for c, bad in zip(cells, np.isnan(logprobs).any(axis=-1)) if bad])
         n_tok = (tokens != EOC).sum(axis=-1)  # content ends at a cell's first end-of-cell
         forced = grammar.row_index(n_tok, tokens[np.arange(len(cells)), n_tok - 1]) == grammar.CLOSE_ONLY
         self.forced += int(forced.sum())
-        per_cell = zip(cells, tokens.tolist(), logprobs.tolist(), n_tok.tolist(), forced.tolist())
+        per_cell = list(zip(cells, tokens.tolist(), logprobs.tolist(), n_tok.tolist(), forced.tolist()))
+        self.drafts.update((c, [BOS] + tok[: n - fc] + [-1] * (l - 1 - n + fc)) for c, tok, _, n, fc in per_cell)
         return {c: Candidate(tok[:n], lps[: n + 1], n == l - 1, fc) for c, tok, lps, n, fc in per_cell}
 
 
@@ -392,7 +422,7 @@ class DecodeResult:
     outer_iterations: int
     predicted_count: float | None
     hit_row_cap: bool = False
-    decoder_passes: int = 0  # decoder calls: one per inner-loop token step that some cell's grammar leaves open
+    decoder_passes: int = 0  # decoder calls: per inner loop, one for its drafts, one per later step some cell takes
     forced_tokens: int = 0  # end-of-cell marks the grammar forced, committed with no decoder pass
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
     header_tokens_dropped: int = 0  # header token ids cut at max_cell_len

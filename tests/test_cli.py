@@ -94,6 +94,31 @@ def test_decode_trace_records_per_table_counters(tiny_model, lineitems_records, 
         assert rec["header_tokens_dropped"] == 0
 
 
+def test_decode_meta_holds_the_totals_of_the_trace(tiny_model, lineitems_records, tmp_path):
+    tiny_model.params["count.b"].data[...] = [2.0]
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:3], data)
+    assert main(["decode", ckpt, data, str(tmp_path / "out.jsonl")]) == 0
+    meta = json.loads((tmp_path / "out.jsonl.meta.json").read_text())
+    trace = tmp_path / "trace.jsonl"
+    assert main(["decode", ckpt, data, str(tmp_path / "traced.jsonl"), "--trace", str(trace)]) == 0
+    assert json.loads((tmp_path / "traced.jsonl.meta.json").read_text()) == meta
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert meta["tables"] == len(records) == 3
+    for key in ("outer_iterations", "decoder_passes", "forced_tokens"):
+        assert meta[key] == sum(rec[key] for rec in records) > 0
+    passes = sorted(rec["decoder_passes"] for rec in records)
+    assert meta["decoder_passes_p50"] == passes[1]
+    assert meta["decoder_passes_max"] == passes[2]
+    write_jsonl([], data)
+    assert main(["decode", ckpt, data, str(tmp_path / "none.jsonl")]) == 0
+    meta = json.loads((tmp_path / "none.jsonl.meta.json").read_text())
+    assert meta["tables"] == meta["decoder_passes"] == 0
+    assert meta["decoder_passes_p50"] is None and meta["decoder_passes_max"] is None
+
+
 def _train_config(tmp_path, records, **model):
     data = str(tmp_path / "data.jsonl")
     write_jsonl(records, data)

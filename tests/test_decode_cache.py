@@ -4,8 +4,9 @@
 over the whole layout once per token step, as the decoder did before it had
 a cache. Every test drives both on the same decoding states and compares the
 logits of every token step, keyed by (cell, step): the cached path runs fewer
-passes, because its first pass also computes the context and it runs none for
-a step whose end-of-cell the grammar forces.
+passes, because its first pass also computes the context and checks each
+cell's draft (its candidate from the last inner loop), and it runs none for a
+step whose end-of-cell the grammar forces.
 """
 
 import numpy as np
@@ -105,9 +106,28 @@ def _slot_steps(tpl):
     return {tpl.slot_start[c] + t: (c, t) for c in tpl.cells() for t in range(tpl.slot_len)}
 
 
+def _scored(cand):
+    """Slot positions a pass scored for a candidate: every emitted token but
+    a forced close."""
+    return len(cand.token_logprobs) - cand.forced_close
+
+
+def _verify_end(cand, draft):
+    """Slot position where the first pass of an inner loop leaves a cell: at
+    its first pick that differs from its draft, else at the draft's last
+    scored position; at 0 without a draft."""
+    if draft is None:
+        return 0
+    now, was = cand.tokens + [EOC], draft.tokens + [EOC]
+    differs = next((t for t, (a, b) in enumerate(zip(now, was)) if a != b), len(was))
+    return min(differs, _scored(draft) - 1)
+
+
 class Recording:
     """Records, while a candidate source runs, every decoder pass's query
-    batch and cache and the logits of each (cell, step) it scores."""
+    batch and cache and the logits of each (cell, step) it scores. A first
+    pass that checks a draft may score a step that a later pass scores again,
+    after the cell left its draft; the later score is kept."""
 
     def __init__(self, model, template):
         self.model = model
@@ -127,7 +147,6 @@ class Recording:
             out = logits_fn(hidden, positions)
             at = self.batches[-1].rows[0][positions]
             for row, pos in enumerate(at):
-                assert self.steps[int(pos)] not in self.logits  # one score per step
                 self.logits[self.steps[int(pos)]] = out.data[row].copy()
             return out
 
@@ -149,12 +168,15 @@ class Lockstep:
         self.runs = 0  # decoder passes of the cached path, summed over the run
         self.skipped = 0  # steps it committed without a pass
         self.null_closes = 0  # skipped steps that closed a NULL cell
+        self.left = 0  # cells that left their draft before its last row
+        self.outgrew = 0  # cells scored past their draft's rows
 
     def __call__(self, model, memory_kv, mem_len, template, cache):
         self.model = model
         self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
         self.full = FullRecomputeSource(model, memory_kv, mem_len, template)
         self.recording = Recording(model, template)
+        self.drafts = {}  # each cell's last cached candidate, as the cached path keeps it per template
         return self
 
     @property
@@ -169,8 +191,15 @@ class Lockstep:
         rec = self.recording
         got = rec.run(self.cached, committed, cells)
         got_logits = rec.logits
-        # one pass per step that scores some cell: the steps run in lockstep
-        assert len(rec.batches) == 1 + max(t for _, t in got_logits)
+        # the first pass checks every draft; each later pass moves every cell
+        # still growing on by one step past where it left its draft
+        ends = {c: _verify_end(got[c], self.drafts.get(c)) for c in cells}
+        assert len(rec.batches) == 1 + max(_scored(got[c]) - 1 - ends[c] for c in cells)
+        for c, draft in self.drafts.items():
+            if c in cells:
+                self.left += ends[c] < _scored(draft) - 1
+                self.outgrew += _scored(got[c]) > _scored(draft)
+        self.drafts.update(got)
         self.runs += len(rec.batches)
         want = rec.run(self.full, committed, cells)
         want_logits = rec.logits
@@ -180,7 +209,7 @@ class Lockstep:
             assert len(got[c].token_logprobs) == len(got[c].tokens) + 1, (committed, c)
             for t, lp_got in enumerate(got[c].token_logprobs):
                 legal = grammar.table[grammar.row_index(t, tokens[t - 1] if t else -1)]
-                if (c, t) not in got_logits:
+                if t == _scored(got[c]):
                     # a skipped step: the oracle saw only end-of-cell legal
                     # there, and its log-probability is +0.0, bitwise, on both paths
                     assert np.array_equal(legal, grammar.table[grammar.CLOSE_ONLY]), (committed, c, t)
@@ -240,12 +269,31 @@ def test_null_closes_skip_their_pass_and_match_full_recompute(tiny_vocab, monkey
         assert lockstep.skipped == res.forced_tokens
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_chosen_closes_check_their_drafts_and_match_full_recompute(tiny_vocab, monkeypatch, k):
+    # an end-of-cell logit shifted up, so that some cells choose to close
+    # before the slot width: their drafts end in a scored close, and a cell
+    # that leaves its draft may then grow past the draft's rows
+    left = outgrew = 0
+    for stopping in STOPPING:
+        for constraint in ("none", "row-by-row", "no-distant-rows"):
+            model = _random_model(tiny_vocab, 64, seed=CONSTRAINTS.index(constraint) + 11)
+            model.params["lm_head"].data[:, EOC] += np.sign(model.params["dec.ln_f.b"].data)
+            lockstep = Lockstep(*TOLERANCE[64])
+            monkeypatch.setattr(engine, "ModelCellSource", lockstep)
+            res = decode_table(TEXT, model, DecodingConfig(k=k, constraint=constraint, stopping=stopping), HEADERS)
+            assert lockstep.runs == res.decoder_passes
+            assert lockstep.skipped == res.forced_tokens
+            left, outgrew = left + lockstep.left, outgrew + lockstep.outgrew
+    assert left > 0 and outgrew > 0
+
+
 class LayoutCheck:
     """Candidate source that runs the cached path and checks each of its
     passes, bitwise, against a layout rebuilt from that step's grown
-    prefixes: the query batch's input ids against the rebuild's at the query
-    rows, and the finite entries of the cache's bias rows there against the
-    rebuild's visibility rows."""
+    prefixes (each cell's draft prefix on the first pass): the query batch's
+    input ids against the rebuild's at the query rows, and the finite entries
+    of the cache's bias rows there against the rebuild's visibility rows."""
 
     def __init__(self):
         self.checked = 0
@@ -254,6 +302,7 @@ class LayoutCheck:
         self.template = template
         self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
         self.recording = Recording(model, template)
+        self.drafts = {}
         return self
 
     @property
@@ -267,20 +316,28 @@ class LayoutCheck:
     def candidates(self, committed, cells):
         rec, tpl = self.recording, self.template
         got = rec.run(self.cached, committed, cells)
+        ends = {c: _verify_end(got[c], self.drafts.get(c)) for c in cells}
+        runs = {c: _scored(self.drafts[c]) if c in self.drafts else 1 for c in cells}
         for j, (batch, cache) in enumerate(zip(rec.batches, rec.caches)):
-            partial = {c: got[c].tokens[:j] for c in cells}  # every prefix as it was at step j
+            if j == 0:  # every draft prefix a draft row reads
+                partial = {c: self.drafts[c].tokens[: runs[c] - 1] for c in cells if c in self.drafts}
+            else:  # every prefix as it was j steps past where its cell left its draft
+                partial = {c: got[c].tokens[: ends[c] + j] for c in cells}
             inst = write_prefixes(instance_for_decoding(tpl, committed), partial)
             rows = batch.rows[0]
-            if j == 0:  # the context and every open cell's first position
+            if j == 0:  # the context, then every open cell's first position and draft rows
                 ctx = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
-                assert np.array_equal(rows, np.concatenate([ctx, [tpl.slot_start[c] for c in cells]]))
-            else:  # step j of cells grown to j tokens
-                assert {rec.steps[int(p)] for p in rows} <= {(c, j) for c in cells if len(got[c].tokens) >= j}
+                own = [tpl.slot_start[c] + np.arange(runs[c]) for c in cells]
+                assert np.array_equal(rows, np.concatenate([ctx, *own]))
+            else:  # step ends + j of every cell grown that far
+                want = {(c, ends[c] + j) for c in cells if _scored(got[c]) > ends[c] + j}
+                assert {rec.steps[int(p)] for p in rows} == want
             assert batch.input_ids.dtype == inst.input_ids.dtype
             assert np.array_equal(batch.input_ids, inst.input_ids[rows][None])
             seen = np.isfinite(cache.bias[:, rows])
             assert np.array_equal(seen, np.broadcast_to(inst.visibility()[rows], seen.shape))
             self.checked += 1
+        self.drafts.update(got)
         return got
 
 
@@ -395,3 +452,126 @@ def test_nonfinite_logits_on_a_later_pass_name_the_cell_of_their_row(tiny_vocab)
     [(cell, t)] = poisoned
     assert t == 1
     assert ei.value.cells == [cell]
+
+
+def test_nonfinite_logits_on_a_verify_pass_name_the_cells_that_reach_them(tiny_vocab):
+    # the second inner loop's first pass checks each open cell's draft: a NaN
+    # row at or before a cell's first pick that leaves its draft names that
+    # cell, and a NaN row past that pick is never read
+    model = _random_model(tiny_vocab, 64, seed=2)
+    header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
+    tpl = model.template_for(header_ids, N_ROWS)
+    steps = _slot_steps(tpl)
+    with no_grad():
+        memory, lens = encode_one(model, tiny_vocab.encode(TEXT))
+        memory_kv = model.memory_kv(memory)
+
+    def both_loops(nan_at):
+        """Both inner loops of a fresh source, the second after its best cell
+        is committed, with NaN logits on the second's first pass at the rows
+        of the (cell, step)s ``nan_at``."""
+        source = ModelCellSource(model, memory_kv, lens, tpl, model.decoder_cache(tpl))
+        first = source.candidates({}, tpl.cells())
+        best = max(tpl.cells(), key=lambda c: first[c].score("max"))
+        rows, passes = [], source.passes
+        hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
+
+        def hidden(memory_kv, mem_len, batch, **kw):
+            rows.append(batch.rows[0])
+            return hidden_fn(memory_kv, mem_len, batch, **kw)
+
+        def logits(hidden, positions):
+            out = logits_fn(hidden, positions)
+            if source.passes == passes + 1:
+                at = [steps.get(int(p)) for p in rows[-1][positions]]
+                out.data[[i for i, step in enumerate(at) if step in nan_at], 3] = np.nan
+            return out
+
+        model.decoder_hidden, model.logits_at = hidden, logits
+        try:
+            return first, source.candidates({best: first[best].tokens}, [c for c in tpl.cells() if c != best])
+        finally:
+            del model.decoder_hidden, model.logits_at
+
+    first, clean = both_loops(set())
+    ends = {c: _verify_end(clean[c], first[c]) for c in clean}
+    reached = next(c for c in clean if ends[c] >= 1)
+    past = next(c for c in clean if c != reached and ends[c] < _scored(first[c]) - 1)
+    with pytest.raises(NonFiniteLogitsError) as ei:
+        both_loops({(reached, 1), (past, ends[past] + 1)})
+    assert ei.value.cells == [reached]
+    assert both_loops({(past, ends[past] + 1)})[1] == clean
+
+
+class Poisoned:
+    """Candidate source that runs the cached path and, before each of its
+    passes, fills with 1e4 the cached keys and values of every open slot
+    position past its cell's accepted prefix: every one before the first
+    pass, which checks the drafts, and from then on each position past the
+    step where its cell left its draft, one more per pass. ``loops`` holds
+    each inner loop's candidates from an unpoisoned run, which say where
+    every cell left its draft."""
+
+    def __init__(self, loops):
+        self.loops = iter(loops)
+
+    def __call__(self, model, memory_kv, mem_len, template, cache):
+        self.model, self.template = model, template
+        self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
+        self.drafts = {}
+        self.poisoned = 0
+        return self
+
+    @property
+    def passes(self):
+        return self.cached.passes
+
+    @property
+    def forced(self):
+        return self.cached.forced
+
+    def candidates(self, committed, cells):
+        model, tpl, want = self.model, self.template, next(self.loops)
+        ends = {c: _verify_end(want[c], self.drafts.get(c)) for c in cells}
+        hidden_fn, before = model.decoder_hidden, self.cached.passes
+
+        def hidden(memory_kv, mem_len, batch, cache):
+            j = self.cached.passes - 1 - before  # this pass's index in the inner loop
+            prefix = {c: ends[c] + j if j else 0 for c in cells}
+            stale = [tpl.slot_start[c] + t for c in cells for t in range(prefix[c], tpl.slot_len)]
+            for store in cache.keys + cache.values:
+                store[stale] = 1e4
+            self.poisoned += len(stale)
+            return hidden_fn(memory_kv, mem_len, batch, cache=cache)
+
+        model.decoder_hidden = hidden
+        try:
+            got = self.cached.candidates(committed, cells)
+        finally:
+            del model.decoder_hidden
+        self.drafts.update(got)
+        return got
+
+
+@pytest.mark.parametrize("eoc_shift", [0.0, 1.0])  # 1 makes some cells choose an early close
+@pytest.mark.parametrize("stopping", STOPPING)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("constraint", ["none", "row-by-row", "no-distant-rows"])
+def test_stale_cache_entries_are_never_read(tiny_vocab, monkeypatch, constraint, k, stopping, eoc_shift):
+    model = _random_model(tiny_vocab, 64, seed=CONSTRAINTS.index(constraint) + 11)
+    model.params["lm_head"].data[:, EOC] += eoc_shift * np.sign(model.params["dec.ln_f.b"].data)
+    cfg = DecodingConfig(k=k, constraint=constraint, stopping=stopping)
+
+    def run():
+        res = decode_table(TEXT, model, cfg, HEADERS, keep_trace=True)
+        trace = [(t.iteration, t.cell, t.score.hex(), t.tokens, t.truncated) for t in res.trace]
+        return res.table, trace, res.decoder_passes, res.forced_tokens
+
+    loops, candidates = [], ModelCellSource.candidates
+    with monkeypatch.context() as m:
+        m.setattr(ModelCellSource, "candidates", lambda self, *a: loops.append(candidates(self, *a)) or loops[-1])
+        clean = run()
+    poison = Poisoned(loops)
+    monkeypatch.setattr(engine, "ModelCellSource", poison)
+    assert run() == clean
+    assert poison.poisoned > 0

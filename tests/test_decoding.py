@@ -454,9 +454,10 @@ def test_nan_decoder_logits_raise_named_error(tiny_model, stopping):
 
 def test_decoder_passes_are_unforced_token_steps(tiny_model):
     # every position gets the same hidden state, whose logits favour one
-    # content token: each cell then runs to the full slot width, so each inner
-    # loop is one pass per token step but the last, whose close the grammar
-    # forces (the first pass also computes the context)
+    # content token: each cell then runs to the full slot width. The first
+    # inner loop is one pass per token step but the last, whose close the
+    # grammar forces (the first pass also computes the context); every later
+    # one is a single pass, since each open cell repeats its draft
     p = tiny_model.params
     tok = tiny_model.vocab.content_ids()[1]
     p["dec.ln_f.g"].data[...] = 0.0
@@ -469,7 +470,7 @@ def test_decoder_passes_are_unforced_token_steps(tiny_model):
     l = tiny_model.cfg.max_cell_len
     assert res.table.n_rows == 3 and res.outer_iterations == 12
     assert all(t.truncated and t.tokens == [tok] * (l - 1) for t in res.trace)
-    assert res.decoder_passes == res.outer_iterations * (l - 1)
+    assert res.decoder_passes == (l - 1) + (res.outer_iterations - 1)
     # iteration i re-decodes the 13 - i cells still open, each closing by force
     assert res.forced_tokens == sum(range(1, 13))
 
