@@ -144,6 +144,14 @@ class Run(NamedTuple):
         )
 
 
+def _parse_decoding(d: dict, model: ModelConfig) -> DecodingConfig:
+    """The decoding config ``d``, refused when its row cap exceeds the rows ``model`` allows."""
+    dcfg = _parse_config("decoding", DecodingConfig, d)
+    if (dcfg.max_rows_override or 0) > model.max_rows:
+        raise ConfigError(f"decoding.max_rows_override {dcfg.max_rows_override} exceeds max_rows {model.max_rows}")
+    return dcfg
+
+
 def prepare_run(cfg: dict) -> Run:
     """Check a merged run config, read its datasets and parse its sections.
     Without ``paths.val_dataset`` the first 32 training records validate."""
@@ -165,7 +173,7 @@ def prepare_run(cfg: dict) -> Run:
         vocab,
         dataclasses.replace(model, vocab_size=len(vocab)),
         _parse_config("training", TrainingConfig, {"seed": cfg["seed"], **cfg["training"]}),
-        _parse_config("decoding", DecodingConfig, cfg["decoding"]),
+        _parse_decoding(cfg["decoding"], model),
         paths,
     )
 
@@ -262,7 +270,7 @@ def cmd_decode(
     except CheckpointError as exc:
         raise ModelError(str(exc)) from None
     dcfg_dict = load_json_config(config_path) if config_path else {}
-    dcfg = _parse_config("decoding", DecodingConfig, apply_overrides(dcfg_dict, overrides or []))
+    dcfg = _parse_decoding(apply_overrides(dcfg_dict, overrides or []), model.cfg)
 
     records = _read_records(dataset_path)
     preds: list[DatasetRecord] = []

@@ -248,14 +248,15 @@ class ModelCellSource:
     of each open row of a pass, and ``tokens`` and ``logprobs`` [n, l] what
     each cell emitted, filled with end-of-cell and 0 (what a forced close
     emits; the first pass resets there what it scored past a cell's end). A
-    pass looks up which cells grow in ``grows``, built once from
-    :meth:`GrammarMasks.row_index`, and stores their tokens into the layout
-    with one indexed write. The layout is built
-    once per inner loop with every open slot live, so a query's visibility
-    row is the one the grown layout would give; its mask is folded into the
-    cache's bias once (:meth:`DecoderCache.visible`), so a pass sends only
-    its rows and their input ids. The candidates are built when the loop
-    ends; whether a close was forced follows from a cell's tokens by
+    pass looks up which cells grow in :attr:`GrammarMasks.grows` and stores
+    their tokens into the layout with one indexed write. The layout is built
+    once per inner loop with every open slot live. Visibility is lower stage
+    or own prefix over live positions, so every row a pass queries sees the
+    live stage-0 positions (the context) and its own prefix, as in the grown
+    layout; the context is folded into the cache's bias once per inner loop
+    (:meth:`DecoderCache.visible`), so a pass sends only its rows and their
+    input ids. The candidates are built when the loop ends; whether a close
+    was forced follows from a cell's tokens by
     :meth:`GrammarMasks.row_index`. A row with non-finite logits gets NaN
     log-probabilities and picks PAD, which repeats no draft; the loop names
     every cell that took one (:class:`NonFiniteLogitsError`).
@@ -276,10 +277,6 @@ class ModelCellSource:
         self.cache = cache.prefix(template.length)
         self.passes = 0
         self.forced = 0
-        t, tok = np.arange(model.cfg.max_cell_len)[:, None], np.arange(len(model.vocab))
-        # grows[t, tok]: a cell that picks tok at slot position t goes on, unless it chose
-        # end-of-cell or the grammar forces its next token
-        self.grows = (tok != EOC) & (model.grammar.row_index(t + 1, tok) == model.grammar.MID)
         self.drafts: dict[Coord, list[int]] = {}  # per cell: its first-pass row inputs (BOS, draft), -1 past them
 
     def candidates(
@@ -298,10 +295,11 @@ class ModelCellSource:
         logprobs = np.zeros((len(cells), l))
         with no_grad():
             inst = instance_for_decoding(tpl, committed)
-            cache = self.cache.visible(inst.visibility())
+            context = (inst.stage == 0) & ~inst.is_pad
+            cache = self.cache.visible(context)
             rows = starts[at] + ts
             inst.input_ids[rows] = slots[at, ts]
-            rows = np.concatenate([np.flatnonzero((inst.stage == 0) & ~inst.is_pad), rows])
+            rows = np.concatenate([np.flatnonzero(context), rows])
             while at.size:
                 self.passes += 1
                 batch = collate_instances([inst], rows)
@@ -318,7 +316,7 @@ class ModelCellSource:
                     past = np.arange(at.size) > end[at]  # rows that read a stale draft token
                     tokens[at[past], ts[past]], logprobs[at[past], ts[past]] = EOC, 0.0
                     at, ts, picks = at[end], ts[end], picks[end]
-                grows = self.grows[ts, picks]
+                grows = grammar.grows[ts, picks]
                 at, ts = at[grows], ts[grows] + 1
                 rows = starts[at] + ts
                 inst.input_ids[rows] = picks[grows]
@@ -476,19 +474,16 @@ def decode_table(
     # Semi-templated stopping grows the template one row per block until the
     # sentinel row; when a block starts, every earlier row is committed, so
     # its undecoded cells are exactly the new row. Each template is a prefix
-    # of the largest one, so one cache, built for the largest template the
-    # model allows, serves every block; a row past that cap still fails in
-    # template_for when decoding reaches it.
+    # of the largest one, so one cache, built for the last block's template,
+    # serves every block.
     semi = cfg.stopping == "semi-templated"
     if semi:
         blocks = range(1, max_rows + 1)
-        cache_rows = min(max_rows, model.cfg.max_rows)
+    elif not np.isfinite(count):
+        raise NonFiniteCountError(count)
     else:
-        if not np.isfinite(count):
-            raise NonFiniteCountError(count)
-        cache_rows = rows_from_count(count, max_rows)
-        blocks = [cache_rows]
-    largest = model.template_for(header_ids, cache_rows)
+        blocks = [rows_from_count(count, max_rows)]
+    largest = model.template_for(header_ids, blocks[-1])
     cache = model.decoder_cache(largest)
     state = DecodingState(0, m)
     iters = passes = forced = 0

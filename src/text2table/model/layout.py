@@ -16,17 +16,15 @@ Coordinates follow the 1-based cell convention with 0 reserved for the header
 row/column: header tokens sit at (0, col), row markers at (row, 0), cell
 tokens at (row, col).
 
-Visibility follows one rule over a per-position ``stage`` (see
-:func:`visibility_mask`). Stage 0 is context: headers, row markers and the
-filled or committed cells; stage-0 positions see each other. A position at
-stage s >= 1 sees every lower stage and its own cell up to itself. Padding
-sees nothing and is seen by nothing. Layouts differ only in the stage each
-cell gets: a permuted training pass puts its filled cells at 0 and its open
-cells at 1, the fixed-causal pass puts cell i of the row-major order at
-i + 1, and a decode layout puts committed cells at 0 and open cells at 1.
-The mask is square over the positions it is given: a training batch's live
-positions, or all T of a decode layout, once per inner loop, for the
-decoder cache to fold into its bias.
+Visibility is one rule over live positions (see :func:`visibility_mask`): a
+position sees every lower stage and its own cell up to itself, and stage-0
+positions (context: headers, row markers and the filled or committed cells)
+see each other. Layouts differ only in the stage each cell gets: a permuted
+training pass puts its filled cells at 0 and its open cells at 1, the
+fixed-causal pass puts cell i of the row-major order at i + 1, and a decode
+layout puts committed cells at 0 and open cells at 1. Padding is left out
+where positions are chosen: a training batch packs live positions only, and
+a decode cache folds in the live context once per inner loop.
 """
 
 from __future__ import annotations
@@ -170,19 +168,15 @@ def make_template(
     return tpl
 
 
-def visibility_mask(is_pad: np.ndarray, stage: np.ndarray, cell_id: np.ndarray, within: np.ndarray) -> np.ndarray:
-    """allow[i, j]: may query position i attend key position j.
+def visibility_mask(stage: np.ndarray, local: np.ndarray, slot_len: int) -> np.ndarray:
+    """seen[i, j]: may live position i attend live position j, from their
+    stages [n] and the template's local index map [n, n] (``bias_idx[2]``,
+    at least ``slot_len`` exactly where j is in i's cell at or before i).
 
-    Stage-0 positions (context) see each other. A position at stage s >= 1
-    sees every position at a lower stage and its own cell up to itself, so
-    open cells at the same stage never see each other. Padding sees and is
-    seen by nothing.
+    A position sees every lower stage and its own prefix, and stage-0
+    positions (context) see each other, so open cells at one stage never do.
     """
-    live = ~is_pad
-    stage_i, stage_j = stage[:, None], stage[None, :]
-    own = (cell_id[:, None] == cell_id[None, :]) & (within[None, :] <= within[:, None])
-    allow = np.where(stage_i == 0, stage_j == 0, (stage_j < stage_i) | own)
-    return allow & live[:, None] & live[None, :]
+    return (stage[None, :] < np.maximum(stage[:, None], 1)) | (local >= slot_len)
 
 
 class GrammarMasks:
@@ -195,6 +189,8 @@ class GrammarMasks:
     The three sets are the rows of ``table`` [3, V], in the order of
     ``OPEN_FIRST``, ``MID`` and ``CLOSE_ONLY``; :meth:`row_index` names the row
     of each position, so legal rows of many positions are one gather.
+    ``grows[t, tok]`` [l, V]: a cell that picks ``tok`` at slot position ``t``
+    goes on, unless it chose end-of-cell or the grammar forces its next token.
     """
 
     OPEN_FIRST, MID, CLOSE_ONLY = range(3)
@@ -207,6 +203,8 @@ class GrammarMasks:
         self.table[self.MID, vocab.content_ids()] = True
         self.table[self.MID, EOC] = True
         self.table[self.CLOSE_ONLY, EOC] = True
+        t, tok = np.arange(slot_len)[:, None], np.arange(len(vocab))
+        self.grows = (tok != EOC) & (self.row_index(t + 1, tok) == self.MID)
 
     def row_index(self, t: int | np.ndarray, prev_id: int | np.ndarray) -> np.ndarray:
         """Row of ``table`` legal at slot position ``t`` after token
@@ -231,10 +229,6 @@ class LayoutInstance:
     @property
     def length(self) -> int:
         return self.template.length
-
-    def visibility(self) -> np.ndarray:
-        """Visibility mask [T, T] (see :func:`visibility_mask`)."""
-        return visibility_mask(self.is_pad, self.stage, self.template.cell_id, self.template.within)
 
 
 def content_token_ids(vocab: Vocabulary, cell: str | None) -> list[int]:

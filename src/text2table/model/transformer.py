@@ -16,9 +16,10 @@ The attention op takes each example's row count and scores every example at
 its own length, so no layer sees batch padding. Both self-attention biases,
 and a training batch's visibility mask, are packed the same way, one [n, n]
 block per example back to back. The decoder gathers its bias with one method
-for a training batch and for a decode cache alike; visibility joins it as
--inf on every hidden pair, for every layer to share, once per call in
-training and once per inner loop in decoding (:meth:`DecoderCache.visible`).
+for a training batch and for a decode cache alike. Visibility (lower stage
+or own prefix, over live positions) joins it as -inf on every hidden pair,
+for every layer to share: once per call in training, and in decoding once
+per inner loop from the context (:meth:`DecoderCache.visible`).
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ def collate_instances(instances: list[LayoutInstance], rows: np.ndarray | None =
     for k, (inst, r) in enumerate(zip(instances, live)):
         tpl, n = inst.template, len(r)
         ids[k, :n] = inst.input_ids[r]
-        allow.append(visibility_mask(inst.is_pad[r], inst.stage[r], tpl.cell_id[r], tpl.within[r]).reshape(-1))
-        bias_idx.append(tpl.bias_idx[:, r[:, None], r].reshape(4, -1))
+        idx = tpl.bias_idx[:, r[:, None], r]
+        allow.append(visibility_mask(inst.stage[r], idx[2], tpl.slot_len).reshape(-1))
+        bias_idx.append(idx.reshape(4, -1))
     return DecoderBatch(ids, live, list(instances), np.concatenate(allow), np.concatenate(bias_idx, axis=1))
 
 
@@ -112,18 +114,21 @@ class DecoderCache:
     """Self-attention state kept across the passes that decode one template
     (inference only; valid while the parameters stay unchanged).
 
-    ``bias`` is fixed for the template, and :meth:`visible` folds a decode
-    layout's visibility into it once per inner loop; a cached pass reads the
-    bias rows of its query positions, flattened into one example's packed
-    block. ``keys`` and ``values`` hold each layer's self-attention key and
-    value rows at every template position; a cached pass writes its query
-    rows there before it attends, and the folded -inf keeps every query from
-    seeing a position not written for its own context. A template with fewer
-    rows is a prefix of this one (:meth:`prefix`). The cross-attention keys
-    and values of the source text come from :meth:`TextToTableModel.memory_kv`.
+    ``bias`` is fixed for the template and ``own`` keeps it on each
+    position's own-cell prefix alone. :meth:`visible` folds a decode layout's
+    visibility in once per inner loop from its context (live stage-0
+    positions); a cached pass reads the bias rows of its query positions,
+    flattened into one example's packed block. ``keys`` and ``values`` hold
+    each layer's self-attention key and value rows at every template
+    position; a cached pass writes its query rows there before it attends,
+    and the folded -inf keeps every query from seeing a position not written
+    for its own context. A template with fewer rows is a prefix of this one
+    (:meth:`prefix`). The cross-attention keys and values of the source text
+    come from :meth:`TextToTableModel.memory_kv`.
     """
 
     bias: np.ndarray  # [H, T, T] pair + bucket bias of the template, -inf where hidden
+    own: np.ndarray  # [H, T, T] the template's bias on each own-cell prefix, -inf elsewhere
     keys: list[np.ndarray]  # per layer [T, d]
     values: list[np.ndarray]
 
@@ -141,13 +146,15 @@ class DecoderCache:
             raise ValueError(f"template length {length} exceeds the cached {len(self.keys[0])}")
         return DecoderCache(
             self.bias[:, :length, :length],
+            self.own[:, :length, :length],
             [k[:length] for k in self.keys],
             [v[:length] for v in self.values],
         )
 
-    def visible(self, allow: np.ndarray) -> "DecoderCache":
-        """The cache, same key and value stores, with -inf on each pair ``allow`` [T, T] hides."""
-        return DecoderCache(np.where(allow, self.bias, -np.inf), self.keys, self.values)
+    def visible(self, context: np.ndarray) -> "DecoderCache":
+        """The cache, same key and value stores, whose bias hides every key
+        outside the ``context`` [T] positions and the query's own prefix."""
+        return DecoderCache(np.where(context, self.bias, self.own), self.own, self.keys, self.values)
 
 
 class TextToTableModel:
@@ -353,17 +360,15 @@ class TextToTableModel:
         return self._ln(x, "dec.ln_f")
 
     def decoder_cache(self, template: TableTemplate) -> DecoderCache:
-        """Cache for decoding ``template``: its attention bias, built once,
-        and empty self-attention key/value stores."""
-        cfg = self.cfg
-        shape = (template.length, cfg.d_model)
+        """Cache for decoding ``template``: its attention bias and own-prefix
+        bias, built once, and empty self-attention key/value stores."""
+        cfg, shape = self.cfg, (template.length, self.cfg.d_model)
         with no_grad():
-            bias = self._decoder_bias(template.bias_idx)
-        return DecoderCache(
-            bias=bias.data,
-            keys=[np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)],
-            values=[np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)],
-        )
+            bias = self._decoder_bias(template.bias_idx).data
+        # with every position open at stage 1, a position sees its own prefix alone
+        own = visibility_mask(np.ones(template.length, dtype=np.int64), template.bias_idx[2], template.slot_len)
+        keys, values = ([np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)] for _ in "kv")
+        return DecoderCache(bias, np.where(own, bias, -np.inf), keys, values)
 
     def logits_at(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
         """Select packed decoder rows and project to vocabulary logits."""

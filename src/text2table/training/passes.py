@@ -50,6 +50,8 @@ def prepare_example(
         table = build_semi_templated_corpus_variant(table, cfg.max_rows)
     if table.n_rows > cfg.max_rows:
         raise LayoutError(f"{record.id}: {table.n_rows} rows exceed max_rows {cfg.max_rows}")
+    if table.n_cols > cfg.max_cols:
+        raise LayoutError(f"{record.id}: {table.n_cols} columns exceed max_cols {cfg.max_cols}")
     cells: dict[Coord, list[int]] = {}
     for i, row in enumerate(table.rows, start=1):
         for j, cell in enumerate(row, start=1):

@@ -22,6 +22,7 @@ from text2table.numerics import Tensor, ops
 from text2table.numerics.tensor import make_result
 from text2table.training.loop import STREAM_DROPOUT, step_rng
 from text2table.vocab import PAD
+from util import visibility
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -80,7 +81,7 @@ def padded_batch(instances) -> DecoderBatch:
     for k, inst in enumerate(instances):
         t = inst.length
         ids[k, :t] = inst.input_ids
-        allow[k, :t, :t] = inst.visibility()
+        allow[k, :t, :t] = visibility(inst)
         maps[:, k, :t, :t] = inst.template.bias_idx
     rows = [np.arange(inst.length, dtype=np.int64) for inst in instances]
     return DecoderBatch(ids, rows, list(instances), allow, maps)

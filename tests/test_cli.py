@@ -195,13 +195,16 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
         ("training.clip_norm=NaN", "bad training config: clip_norm must be >= 0, got nan"),
         ("training.count_loss_weight=-0.5", "bad training config: count_loss_weight must be >= 0, got -0.5"),
         ("training.count_loss_weight=NaN", "bad training config: count_loss_weight must be >= 0, got nan"),
+        ("model.max_cols=3", "lineitems-000000: 4 columns exceed max_cols 3"),
+        ("decoding.max_rows_override=6", "decoding.max_rows_override 6 exceeds max_rows 5"),
     ],
     ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key", "section", "paths_key",
          "training_seed", "seed", "steps_type", "lr_type", "d_model_type", "max_rows_str", "max_rows_null",
          "max_rows_list", "dropout_one", "dropout_negative", "dropout_nan", "label_smoothing_above_one",
          "label_smoothing_nan", "batch_size_zero", "steps_negative", "eval_every_negative",
          "eval_decode_examples_negative", "lr_negative", "lr_nan", "weight_decay_negative", "weight_decay_nan",
-         "clip_norm_negative", "clip_norm_nan", "count_loss_weight_negative", "count_loss_weight_nan"],
+         "clip_norm_negative", "clip_norm_nan", "count_loss_weight_negative", "count_loss_weight_nan",
+         "too_many_columns", "row_cap_above_max_rows"],
 )
 def test_train_bad_run_config_exits_2(lineitems_records, tmp_path, capsys, override, message):
     assert main(["train", _train_config(tmp_path, lineitems_records[:3]), "--set", override]) == 2
@@ -229,6 +232,21 @@ def test_decode_max_rows_override_below_one_exits_2(tiny_model, lineitems_record
     assert main(["decode", ckpt, data, out, "--set", "max_rows_override=0"]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "max_rows_override must be >= 1" in err
+
+
+def test_decode_max_rows_override_above_max_rows_exits_2(tiny_model, lineitems_records, tmp_path, capsys):
+    # refused before any table: the largest template the cap asks for cannot be built
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:1], data)
+    out = str(tmp_path / "out.jsonl")
+    argv = ["decode", ckpt, data, out, "--set", "stopping=semi-templated", "--set", "max_rows_override=5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "decoding.max_rows_override 5 exceeds max_rows 4" in err
+    assert not (tmp_path / "out.jsonl").exists()
+    assert main(argv[:-1] + ["max_rows_override=4"]) == 0
 
 
 def test_train_misspelt_config_section_exits_2(lineitems_records, tmp_path, capsys):
@@ -274,6 +292,14 @@ def test_ablate_unknown_training_mode_exits_2(lineitems_records, tmp_path, capsy
     assert main(["ablate", grid, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "unknown training mode 'bogus'" in err
+
+
+def test_ablate_max_rows_override_above_max_rows_exits_2_before_any_run(lineitems_records, tmp_path, capsys):
+    grid = _grid_file(tmp_path, lineitems_records[:3], grid={"decoding.max_rows_override": [5, 6]})
+    assert main(["ablate", grid, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "decoding.max_rows_override 6 exceeds max_rows 5" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("max_rows", ["abc", None, [1]], ids=["str", "null", "list"])

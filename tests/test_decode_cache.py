@@ -25,7 +25,7 @@ from text2table.decoding import (
 from text2table.model import ModelConfig, TextToTableModel, collate_instances, instance_for_decoding
 from text2table.numerics import Tensor, no_grad
 from text2table.vocab import EOC, NULL, tokenize
-from util import encode_one, structure, write_prefixes
+from util import encode_one, structure, visibility, write_prefixes
 
 HEADERS = ["item", "qty", "price"]
 N_ROWS = 3
@@ -335,7 +335,7 @@ class LayoutCheck:
             assert batch.input_ids.dtype == inst.input_ids.dtype
             assert np.array_equal(batch.input_ids, inst.input_ids[rows][None])
             seen = np.isfinite(cache.bias[:, rows])
-            assert np.array_equal(seen, np.broadcast_to(inst.visibility()[rows], seen.shape))
+            assert np.array_equal(seen, np.broadcast_to(visibility(inst)[rows], seen.shape))
             self.checked += 1
         self.drafts.update(got)
         return got
@@ -360,7 +360,7 @@ def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab):
     for r in range(model.cfg.max_rows + 1):
         tpl = model.template_for(header_ids, r)
         own, view = model.decoder_cache(tpl), largest.prefix(tpl.length)
-        assert np.array_equal(view.bias, own.bias)
+        assert np.array_equal(view.bias, own.bias) and np.array_equal(view.own, own.own)
         assert [k.shape for k in view.keys + view.values] == [k.shape for k in own.keys + own.values]
     with pytest.raises(ValueError):
         largest.prefix(len(largest.keys[0]) + 1)
@@ -373,14 +373,17 @@ def test_visible_cache_hides_the_layout_pairs_and_shares_the_table_stores(tiny_v
     largest = model.decoder_cache(model.template_for(header_ids, model.cfg.max_rows))
     tpl = model.template_for(header_ids, N_ROWS)
     inst = instance_for_decoding(tpl, {(1, 2): tiny_vocab.encode("pens"), (3, 1): [NULL]})
-    allow = inst.visibility()
+    live = ~inst.is_pad
+    assert not live.all()  # the committed cells leave padding, which no live row may see
+    allow = visibility(inst)[live]  # the oracle's rows at every live query
     assert allow.any() and not allow.all()
     table = largest.prefix(tpl.length)
-    folded = table.visible(allow)
+    folded = table.visible((inst.stage == 0) & live)
     assert folded.bias.dtype == table.bias.dtype
-    assert np.array_equal(np.isfinite(folded.bias), np.broadcast_to(allow, folded.bias.shape))
-    assert np.array_equal(folded.bias[:, allow], table.bias[:, allow])
-    assert (folded.bias[:, ~allow] == -np.inf).all()
+    rows, kept = folded.bias[:, live], table.bias[:, live]
+    assert np.array_equal(np.isfinite(rows), np.broadcast_to(allow, rows.shape))
+    assert np.array_equal(rows[:, allow], kept[:, allow])
+    assert (rows[:, ~allow] == -np.inf).all()
     rng = np.random.default_rng(0)
     rows = np.array([tpl.slot_start[(2, 2)], tpl.slot_start[(3, 3)] + 1])
     for layer in range(model.cfg.n_dec_layers):
@@ -404,11 +407,12 @@ def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny
         batch = collate_instances([inst])
         memory_kv = model.memory_kv(memory)
         full = model.decoder_hidden(memory_kv, lens, batch).data
-        ctx = np.flatnonzero((inst.stage == 0) & ~inst.is_pad)
+        context = (inst.stage == 0) & ~inst.is_pad
+        ctx = np.flatnonzero(context)
         assert len(ctx) == structure(tpl).sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
         heads = [tpl.slot_start[c] for c in tpl.cells() if c not in committed]
         rows = np.concatenate([ctx, heads])
-        cache = model.decoder_cache(tpl).visible(inst.visibility())
+        cache = model.decoder_cache(tpl).visible(context)
         first = model.decoder_hidden(memory_kv, lens, collate_instances([inst], rows), cache=cache)
     assert first.shape == (len(rows), model.cfg.d_model)
     assert np.abs(first.data - full[np.searchsorted(batch.rows[0], rows)]).max() <= 1e-12

@@ -23,10 +23,11 @@ from text2table.decoding import (
     run_outer_loop,
     semi_templated_stop,
 )
+from text2table.decoding import engine
 from text2table.decoding.engine import _masked_log_softmax
 from text2table.model import LayoutError, instance_for_decoding, instance_for_pass
 from text2table.vocab import EOC, NULL, tokenize
-from util import MockCellSource, filled_stages, structure
+from util import MockCellSource, filled_stages, structure, visibility
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +394,15 @@ def test_max_rows_override_caps_the_decoded_rows(tiny_model, stopping):
         assert res.table.n_rows == 2
 
 
+def test_row_cap_above_max_rows_fails_before_any_cell_is_decoded(tiny_model, monkeypatch):
+    sources = []
+    monkeypatch.setattr(engine, "ModelCellSource", lambda *args: sources.append(args))
+    cfg = DecodingConfig(stopping="semi-templated", max_rows_override=tiny_model.cfg.max_rows + 1)
+    with pytest.raises(LayoutError, match="n_rows 5 exceeds max_rows 4"):
+        decode_table("pens mugs .", tiny_model, cfg, ["item", "qty"])
+    assert sources == []
+
+
 def test_decode_states_reachable_as_training_plans(tiny_model, tiny_vocab):
     # every intermediate (T, C) state must be expressible as a permutation
     # plan: the decode-time instance equals the teacher-forced instance built
@@ -425,8 +435,8 @@ def test_decode_states_reachable_as_training_plans(tiny_model, tiny_vocab):
         # context region of inputs and visibility agree between both worlds
         # (rows restricted to positions live in both: open slots hold gold
         # tokens when teacher forcing but grow token by token when decoding)
-        vis_dec = dec_inst.visibility()
-        vis_train = train_inst.visibility()
+        vis_dec = visibility(dec_inst)
+        vis_train = visibility(train_inst)
         ctx_pos = np.where((dec_inst.stage == 0) & ~dec_inst.is_pad)[0]
         both = np.where(~dec_inst.is_pad & ~train_inst.is_pad)[0]
         assert np.array_equal(vis_dec[np.ix_(both, ctx_pos)], vis_train[np.ix_(both, ctx_pos)])

@@ -2,13 +2,14 @@
 ``loop_kernels``, bitwise.
 
 Covered: ``ops.pair_bias`` and ``ops.bucket_bias`` forward and vjp, the
-visibility mask, the ``ops.embedding`` and ``ops.take_rows`` vjps and
-``AdamW.step``. The bias inputs are random [T, T] maps, as a decode cache
-passes a template's, and packed per-example blocks, random and those of a
-real collated training batch, as the decoder passes a batch's. They run in
-float64 and float32, with more than one head and with -1 in both the row and
-the local map: a sentinel index that wrapped into another head's part of a
-table would show as a wrong gradient.
+visibility mask over live positions (random and real layouts), the
+``ops.embedding`` and ``ops.take_rows`` vjps and ``AdamW.step``. The bias
+inputs are random [T, T] maps, as a decode cache passes a template's, and
+packed per-example blocks, random and those of a real collated training
+batch, as the decoder passes a batch's. They run in float64 and float32,
+with more than one head and with -1 in both the row and the local map: a
+sentinel index that wrapped into another head's part of a table would show
+as a wrong gradient.
 """
 
 import math
@@ -17,10 +18,16 @@ import numpy as np
 import pytest
 
 import loop_kernels as ref
-from text2table.model import collate_instances
+from text2table.model import collate_instances, instance_for_decoding, instance_for_pass
 from text2table.model.layout import visibility_mask
 from text2table.numerics import AdamW, ParameterStore, Tensor, backward, ops
-from text2table.training import build_training_pass, prepare_example, sample_permutation
+from text2table.training import (
+    build_training_pass,
+    causal_stages,
+    prepare_example,
+    row_major_order,
+    sample_permutation,
+)
 from util import mul, sum_all
 
 DTYPES = [np.float64, np.float32]
@@ -124,17 +131,67 @@ def test_bucket_bias_bitwise(dtype, batch_maps):
     _check_bucket_bias(table, buckets, rng)
 
 
-def test_visibility_mask_bitwise():
+def _random_layout(rng, scheme, l):
+    """(stage, is_pad, cell_id, within, local) of a random layout: context
+    blocks (a header or a row marker: stage 0, 1..l positions, all live)
+    between cell slots of l positions. A slot's padding is a suffix after
+    its 2..l live positions (BOS, content, end-of-cell), except an open slot
+    of a decode layout, which is live throughout. Slot i gets stage i + 1
+    under "fixed-causal", and 0 or 1 at random otherwise. ``local`` is built
+    as the template's local index map: key minus query offset plus l inside
+    one block, -1 across blocks."""
+    stage, pad, cell_id, within = [], [], [], []
+    n_slots = 0
+    for block in range(int(rng.integers(4, 12))):
+        if rng.random() < 0.3:
+            s, n = 0, int(rng.integers(1, l + 1))
+            live = n
+        else:
+            n_slots += 1
+            s = n_slots if scheme == "fixed-causal" else int(rng.integers(0, 2))
+            n = l
+            live = l if scheme == "decode" and s else int(rng.integers(2, l + 1))
+        stage += [s] * n
+        pad += [t >= live for t in range(n)]
+        cell_id += [block] * n
+        within += list(range(n))
+    serial, cell_id = np.arange(len(stage)), np.array(cell_id)
+    local = np.where(cell_id[:, None] == cell_id[None, :], serial[:, None] - serial[None, :] + l, -1)
+    return np.array(stage), np.array(pad), cell_id, np.array(within), local
+
+
+@pytest.mark.parametrize("scheme", ["permuted", "fixed-causal", "decode"])
+def test_visibility_mask_equals_the_naive_rule_on_live_positions(scheme):
+    # the library rule takes live positions only; the naive rule sees the
+    # whole layout and hides padding itself
     rng = np.random.default_rng(4)
-    t = 41
-    is_pad = rng.random(t) < 0.15
-    stage = rng.integers(0, 5, size=t)  # about one position in five is context
-    cell_id = rng.integers(0, 9, size=t)
-    within = rng.integers(0, 6, size=t)
-    args = (is_pad, stage, cell_id, within)
-    full = visibility_mask(*args)
-    assert full.shape == (t, t)
-    assert np.array_equal(full, ref.visibility_mask(*args))
+    l, hidden, padded = 5, 0, 0
+    for _ in range(30):
+        stage, is_pad, cell_id, within, local = _random_layout(rng, scheme, l)
+        live = np.flatnonzero(~is_pad)
+        got = visibility_mask(stage[live], local[np.ix_(live, live)], l)
+        want = ref.visibility_mask(is_pad, stage, cell_id, within)[np.ix_(live, live)]
+        assert got.dtype == bool and np.array_equal(got, want)
+        hidden, padded = hidden + int((~want).sum()), padded + int(is_pad.any())
+    assert hidden > 0 and padded > 0
+
+
+def test_visibility_mask_on_real_layouts_equals_the_naive_rule(lineitems_records, tiny_model):
+    model, rng = tiny_model, np.random.default_rng(9)
+    for rec in lineitems_records[:12]:
+        ex = prepare_example(rec, model.vocab, model.cfg)
+        tpl = model.template_for(ex.header_ids, ex.n_rows)
+        plan = sample_permutation(ex.n_rows, ex.n_cols, rng)
+        causal = causal_stages(row_major_order(ex.n_rows, ex.n_cols))
+        for inst in (
+            instance_for_pass(tpl, model.grammar, ex.cell_ids, plan.stages),
+            instance_for_pass(tpl, model.grammar, ex.cell_ids, causal),
+            instance_for_decoding(tpl, {c: ex.cell_ids[c] for c in plan.filled}),
+        ):
+            live = np.flatnonzero(~inst.is_pad)
+            got = visibility_mask(inst.stage[live], tpl.bias_idx[2][np.ix_(live, live)], tpl.slot_len)
+            want = ref.visibility_mask(inst.is_pad, inst.stage, tpl.cell_id, tpl.within)[np.ix_(live, live)]
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

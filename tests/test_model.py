@@ -12,7 +12,7 @@ from text2table.model.layout import sequence_bucket_matrix
 from text2table.numerics import ops
 from text2table.table import Table
 from text2table.vocab import BOS, EOC, NULL
-from util import cell_logits, encode_one, filled_stages, loss_cells, slot_cell_id
+from util import cell_logits, encode_one, filled_stages, loss_cells, slot_cell_id, visibility
 
 
 def _demo_table():
@@ -168,7 +168,7 @@ def test_template_rejects_out_of_range_rows(tiny_model):
 def test_visibility_contract(tiny_model):
     table = _demo_table()
     tpl, inst = _full_open_instance(tiny_model, table, filled={(1, 1), (2, 2)})
-    allow = inst.visibility()
+    allow = visibility(inst)
     live = ~inst.is_pad
     ctx = inst.stage == 0
     open_mask = live & ~ctx
@@ -188,7 +188,7 @@ def test_visibility_contract(tiny_model):
 
 def test_visibility_open_cells_mutually_blind(tiny_model):
     tpl, inst = _full_open_instance(tiny_model)
-    allow = inst.visibility()
+    allow = visibility(inst)
     s1 = tpl.slot_start[(1, 1)]
     s2 = tpl.slot_start[(1, 2)]
     block1 = slice(s1, s1 + tpl.slot_len)
@@ -212,6 +212,16 @@ def test_eoc_logit_minus_inf_before_any_cell_content(tiny_model, tiny_vocab):
     # structural ids are never legal inside cells
     assert np.isneginf(logits[:, BOS]).all()
     assert np.isneginf(logits[:, tiny_vocab.row_marker_id(1)]).all()
+
+
+def test_grows_marks_the_picks_after_which_a_cell_goes_on(tiny_model, tiny_vocab):
+    grammar, l = tiny_model.grammar, tiny_model.cfg.max_cell_len
+    assert grammar.grows.shape == (l, len(tiny_vocab))
+    # content before the next-to-last slot position leaves room for more
+    assert grammar.grows[: l - 2][:, tiny_vocab.content_ids()].all()
+    # at the next-to-last position, after NULL and after a chosen end-of-cell
+    # the cell ends: the grammar forces its close or it took one
+    assert not grammar.grows[l - 2].any() and not grammar.grows[:, [NULL, EOC]].any()
 
 
 def test_filled_cells_carry_no_loss_positions(tiny_model):

@@ -29,7 +29,7 @@ from text2table.training import (
     sample_permutation,
 )
 from text2table.vocab import NULL, PAD
-from util import cell_logits, encode_one, structure
+from util import cell_logits, encode_one, structure, visibility
 
 REL = {64: 1e-12, 32: 1e-4}
 
@@ -179,7 +179,7 @@ def test_packed_blocks_hold_each_example_at_its_live_rows(corpus):
     offsets = np.cumsum([0] + sizes)
     for k, (inst, rows) in enumerate(zip(insts, batch.rows)):
         n, block = len(rows), slice(offsets[k], offsets[k + 1])
-        assert np.array_equal(batch.allow[block].reshape(n, n), inst.visibility()[np.ix_(rows, rows)])
+        assert np.array_equal(batch.allow[block].reshape(n, n), visibility(inst)[np.ix_(rows, rows)])
         want = inst.template.bias_idx[:, rows[:, None], rows]
         assert np.array_equal(batch.bias_idx[:, block].reshape(4, n, n), want)
 

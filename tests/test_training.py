@@ -31,7 +31,7 @@ from text2table.training import (
 )
 from text2table.numerics import backward
 from text2table.vocab import BOS, EOC, NULL, PAD
-from util import loss_cells, slot_cell_id, structure
+from util import loss_cells, slot_cell_id, structure, visibility
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_header_tokens_visible_in_both_modes(tiny_model):
     perm = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 2).stages, tiny_model)
     fixed = build_training_pass(ex, causal_stages(row_major_order(2, 2)), tiny_model)
     for inst in (perm, fixed):
-        allow = inst.visibility()
+        allow = visibility(inst)
         hdr = structure(inst.template) & (inst.template.rows == 0)
         live = ~inst.is_pad
         assert allow[np.ix_(live, hdr)].all()
@@ -146,7 +146,7 @@ def test_fixed_causal_visibility_is_row_major(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
     inst = build_training_pass(ex, causal_stages(row_major_order(2, 2)), tiny_model)
     tpl = inst.template
-    allow = inst.visibility()
+    allow = visibility(inst)
     order = row_major_order(2, 2)
     for a, b in itertools.product(range(4), range(4)):
         pa = tpl.slot_start[order[a]]

@@ -1,12 +1,13 @@
 """Shared test helpers: the ``mul`` and ``sum_all`` ops only tests use, a
 recorder of op result dtypes, finite differences, gradient comparison,
-teacher-forced cell logits, the cell of a loss position, layout stages and
-prefixes, and a mock candidate source."""
+teacher-forced cell logits, the cell of a loss position, layout stages,
+prefixes and visibility, and a mock candidate source."""
 
 from __future__ import annotations
 
 import numpy as np
 
+import loop_kernels
 from text2table.model import collate_instances
 from text2table.numerics import Tensor
 from text2table.numerics.ops import _check_broadcast, _unbroadcast
@@ -126,6 +127,13 @@ def filled_stages(template, filled):
     """Stages of a permuted pass: the ``filled`` cells are context (0), every
     other cell of the template is open (1)."""
     return {c: int(c not in filled) for c in template.cells()}
+
+
+def visibility(instance):
+    """[T, T] visibility of a whole layout, padding included, by the naive
+    rule of ``loop_kernels``: padding sees nothing and is seen by nothing."""
+    tpl = instance.template
+    return loop_kernels.visibility_mask(instance.is_pad, instance.stage, tpl.cell_id, tpl.within)
 
 
 def write_prefixes(instance, prefixes):
