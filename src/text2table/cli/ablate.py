@@ -16,9 +16,11 @@ A grid file is a run config, the file ``text2table train`` reads (``seed``,
 
 Before the first run, every point is checked and parsed as ``train`` checks
 its run config, so a misspelt key or a bad value exits 2 before ``out_dir``
-is made. Each run trains as ``train`` does and then evaluates
-once; the ledger row's ``result`` is that :meth:`Trainer.evaluate` record,
-the record ``train`` writes to ``metrics.jsonl``. It decodes the first
+is made. Each run trains as ``train`` does, its checkpoints under
+``<training.checkpoint_dir>/<run_id>/`` when that key is set, and is
+evaluated once at its last step; the ledger row's ``result`` is that
+:meth:`Trainer.evaluate` record, the record ``train`` writes to
+``metrics.jsonl``. It decodes the first
 ``training.eval_decode_examples`` validation records (``paths.val_dataset``,
 else the first 32 training records).
 
@@ -80,11 +82,12 @@ def run_id(cfg: dict) -> str:
 
 
 def _single_run(cfg: dict) -> dict:
-    """Train one run config as ``train`` does; returns its evaluation record."""
+    """Train one run config as ``train`` does; returns its evaluation record
+    at its last step."""
     run = prepare_run(cfg)
     trainer = run.trainer(*run.build())
-    trainer.run()
-    return trainer.evaluate(trainer.step)
+    history = trainer.run()
+    return history[-1] if history and history[-1]["step"] == trainer.step else trainer.evaluate(trainer.step)
 
 
 def summarize(rows: list[dict]) -> list[dict]:
@@ -166,6 +169,9 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
                 if rid in done:
                     rows.append(done[rid])
                     continue
+                ckpt = run_cfg["training"].get("checkpoint_dir")
+                if ckpt:  # each run checkpoints apart; its id comes from the config as given
+                    run_cfg["training"] = {**run_cfg["training"], "checkpoint_dir": os.path.join(ckpt, rid)}
                 result = _single_run(run_cfg)
                 row = {"run_id": rid, "combo": combo, "seed_index": si, "seed": seed, "result": result}
                 ledger.write(json.dumps(row, sort_keys=True) + "\n")

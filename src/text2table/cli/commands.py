@@ -20,13 +20,8 @@ from ..corpus import (
     record_to_line,
     write_jsonl,
 )
-from ..decoding import (
-    DecodingConfig,
-    EmptySourceTextError,
-    NonFiniteCountError,
-    NonFiniteLogitsError,
-    decode_table,
-)
+from ..decoding import DecodingConfig, NonFiniteCountError, NonFiniteLogitsError, decode_table
+from ..decoding.engine import DECODE_COUNTS
 from ..metrics import AlignmentMode, score_corpus
 from ..model import (
     CheckpointError,
@@ -275,27 +270,24 @@ def cmd_decode(
     records = _read_records(dataset_path)
     preds: list[DatasetRecord] = []
     traces: list[dict] = []
-    totals = dict.fromkeys(("outer_iterations", "decoder_passes", "forced_tokens"), 0)
+    totals = dict.fromkeys(DECODE_COUNTS, 0)
     passes: list[int] = []  # per table
     for rec in records:
         try:
             result = decode_table(rec.text, model, dcfg, rec.table.headers, keep_trace=bool(trace_path))
-        except EmptySourceTextError as exc:
+        except LayoutError as exc:  # the record, as train refuses it
             raise DataError(f"{rec.id}: {exc}") from None
-        except (LayoutError, NonFiniteCountError, NonFiniteLogitsError) as exc:
+        except (NonFiniteCountError, NonFiniteLogitsError) as exc:
             raise ModelError(f"{rec.id}: {exc}") from None
         preds.append(DatasetRecord(rec.id, rec.text, result.table))
-        totals = {key: n + getattr(result, key) for key, n in totals.items()}
+        counts = result.counts()
+        totals = {key: n + counts[key] for key, n in totals.items()}
         passes.append(result.decoder_passes)
         if trace_path:
             traces.append(
                 {
                     "id": rec.id,
-                    "outer_iterations": result.outer_iterations,
-                    "decoder_passes": result.decoder_passes,
-                    "forced_tokens": result.forced_tokens,
-                    "input_tokens_dropped": result.input_tokens_dropped,
-                    "header_tokens_dropped": result.header_tokens_dropped,
+                    **counts,
                     "predicted_count": result.predicted_count,
                     "trace": [
                         {

@@ -1,8 +1,12 @@
 """Command-line entry point: ``text2table <subcommand> ...``.
 
-Parses arguments and dispatches to the ``cmd_*`` functions. Dataset and
-configuration problems exit with code 2, model and checkpoint problems with
-code 3, each with a one-line message on stderr.
+Parses arguments and dispatches to the ``cmd_*`` functions. Each failure
+below exits with a one-line message on stderr:
+
+* code 2, the input: a bad config, spec, grid or dataset, or a record the
+  model cannot lay out (``train`` and ``decode`` refuse it alike, naming it);
+* code 3, the model: an unreadable or mismatched checkpoint, a training run
+  whose loss turns non-finite, or a row count or logits that do.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..decoding import NonFiniteCountError, NonFiniteLogitsError
+from ..training import TrainingDiverged
 from .ablate import cmd_ablate
 from .commands import DataError, ModelError, cmd_decode, cmd_eval, cmd_gen_data, cmd_train
 from .runconfig import ConfigError
@@ -71,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, ConfigError) as exc:
         print(f"text2table {args.command}: {exc}", file=sys.stderr)
         return 2
-    except ModelError as exc:
+    except (ModelError, TrainingDiverged, NonFiniteCountError, NonFiniteLogitsError) as exc:
         print(f"text2table {args.command}: {exc}", file=sys.stderr)
         return 3
 

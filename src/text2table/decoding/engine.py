@@ -27,10 +27,11 @@ import numpy as np
 
 from ..fields import from_fields
 from ..model import TableTemplate, TextToTableModel, collate_instances, instance_for_decoding
+from ..model.layout import encode_record
 from ..model.transformer import DecoderCache
 from ..numerics import no_grad
 from ..table import Table
-from ..vocab import BOS, EOC, NULL, Vocabulary, tokenize
+from ..vocab import BOS, EOC, NULL, Vocabulary
 
 Coord = tuple[int, int]
 
@@ -42,13 +43,6 @@ STOPPING = ("predicted-count", "semi-templated")
 
 class DecodingConfigError(ValueError):
     pass
-
-
-class EmptySourceTextError(ValueError):
-    """The source text has no token, so the encoder has no row to read."""
-
-    def __init__(self):
-        super().__init__("empty source text")
 
 
 class NonFiniteCountError(ValueError):
@@ -413,6 +407,10 @@ def semi_templated_stop(state: DecodingState, row: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+DECODE_COUNTS = ("outer_iterations", "decoder_passes", "forced_tokens", "truncated_cells", "row_cap_hits",
+                 "input_tokens_dropped", "header_tokens_dropped")
+
+
 @dataclass
 class DecodeResult:
     table: Table
@@ -424,10 +422,13 @@ class DecodeResult:
     forced_tokens: int = 0  # end-of-cell marks the grammar forced, committed with no decoder pass
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
     header_tokens_dropped: int = 0  # header token ids cut at max_cell_len
+    truncated_cells: list[Coord] = field(default_factory=list)  # in commit order, cut at the slot width
 
-    @property
-    def truncated_cells(self) -> list[Coord]:
-        return [t.cell for t in self.trace if t.truncated]
+    def counts(self) -> dict[str, int]:
+        """The table's decode counts, which ``decode`` totals in its ``.meta.json``."""
+        values = (self.outer_iterations, self.decoder_passes, self.forced_tokens, len(self.truncated_cells),
+                  int(self.hit_row_cap), self.input_tokens_dropped, self.header_tokens_dropped)
+        return dict(zip(DECODE_COUNTS, values))
 
 
 def _cell_to_value(vocab: Vocabulary, tokens: list[int]) -> str | None:
@@ -452,18 +453,13 @@ def decode_table(
     *,
     keep_trace: bool = False,
 ) -> DecodeResult:
-    """Decode one table from raw text with the configured strategy."""
+    """Decode one table from raw text with the configured strategy; a record
+    the model cannot lay out is a ``LayoutError`` before the encoder runs."""
     vocab = model.vocab
-    header_ids = [vocab.encode_tokens(tokenize(h)) for h in headers]
-    m = len(headers)
-    ids = vocab.encode(text)
-    if not ids:
-        raise EmptySourceTextError()
-    dropped = max(0, len(ids) - model.cfg.max_input_len)
-    ids = ids[: model.cfg.max_input_len]
+    enc = encode_record(vocab, model.cfg, text, headers)
     with no_grad():
-        mem_len = [len(ids)]
-        memory = model.encode(ids, mem_len)
+        mem_len = [len(enc.source_ids)]
+        memory = model.encode(enc.source_ids, mem_len)
         count = float(model.count_pred(memory, mem_len).data[0])
         memory_kv = model.memory_kv(memory)
     max_rows = model.cfg.max_rows if cfg.max_rows_override is None else cfg.max_rows_override
@@ -483,14 +479,13 @@ def decode_table(
         raise NonFiniteCountError(count)
     else:
         blocks = [rows_from_count(count, max_rows)]
-    largest = model.template_for(header_ids, blocks[-1])
-    cache = model.decoder_cache(largest)
-    state = DecodingState(0, m)
+    cache = model.decoder_cache(model.template_for(enc.header_ids, blocks[-1]))
+    state = DecodingState(0, len(headers))
     iters = passes = forced = 0
     hit_cap = semi
     for n_rows in blocks:
         state.n_rows = n_rows
-        source = ModelCellSource(model, memory_kv, mem_len, model.template_for(header_ids, n_rows), cache)
+        source = ModelCellSource(model, memory_kv, mem_len, model.template_for(enc.header_ids, n_rows), cache)
         iters += run_outer_loop(source, state, cfg, trace=trace, iteration_offset=iters)
         passes += source.passes
         forced += source.forced
@@ -500,6 +495,7 @@ def decode_table(
             break
     return DecodeResult(
         _state_to_table(vocab, state, headers, state.n_rows), trace or [], iters, count, hit_row_cap=hit_cap,
-        decoder_passes=passes, forced_tokens=forced, input_tokens_dropped=dropped,
-        header_tokens_dropped=largest.header_tokens_dropped,
+        decoder_passes=passes, forced_tokens=forced, input_tokens_dropped=enc.input_tokens_dropped,
+        header_tokens_dropped=enc.header_tokens_dropped,
+        truncated_cells=[c for c, tok in state.committed.items() if len(tok) == model.cfg.max_cell_len - 1],
     )

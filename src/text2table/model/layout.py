@@ -25,11 +25,19 @@ fixed-causal pass puts cell i of the row-major order at i + 1, and a decode
 layout puts committed cells at 0 and open cells at 1. Padding is left out
 where positions are chosen: a training batch packs live positions only, and
 a decode cache folds in the live context once per inner loop.
+
+Input contract: training and decoding read a record through one encoder,
+:func:`encode_record`. The text must hold a token and is cut at
+``max_input_len``; the template cuts each header at ``max_cell_len``; both
+cuts are counted. :func:`check_shape` states the shape limits once: at most
+``max_rows`` rows (a semi-templated sentinel row counts) and ``1..max_cols``
+columns. Every refusal is a :class:`LayoutError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +49,43 @@ Coord = tuple[int, int]
 
 class LayoutError(ValueError):
     pass
+
+
+class EmptySourceTextError(LayoutError):
+    """The source text has no token, so the encoder has no row to read."""
+
+
+def check_shape(cfg: ModelConfig, n_rows: int, n_cols: int) -> None:
+    """Refuse a table the model cannot lay out: more than ``max_rows`` rows,
+    or a column count outside ``1..max_cols``."""
+    if n_rows > cfg.max_rows:
+        raise LayoutError(f"{n_rows} rows exceed max_rows {cfg.max_rows}")
+    if not 0 < n_cols <= cfg.max_cols:
+        raise LayoutError(f"{n_cols} columns exceed max_cols {cfg.max_cols}" if n_cols else "no columns")
+
+
+class EncodedRecord(NamedTuple):
+    source_ids: list[int]  # cut at max_input_len
+    header_ids: list[list[int]]  # whole; the template cuts each at max_cell_len
+    input_tokens_dropped: int  # source token ids cut off at max_input_len
+    header_tokens_dropped: int  # header token ids past max_cell_len
+
+
+def encode_record(vocab: Vocabulary, cfg: ModelConfig, text: str, headers: list[str]) -> EncodedRecord:
+    """A record's text and headers as the decoder reads them, in training and
+    in decoding alike; a header count outside ``1..max_cols`` or an empty text
+    is a :class:`LayoutError`."""
+    check_shape(cfg, 0, len(headers))
+    source_ids = vocab.encode(text)
+    if not source_ids:
+        raise EmptySourceTextError("empty source text")
+    header_ids = [vocab.encode(h) for h in headers]
+    return EncodedRecord(
+        source_ids[: cfg.max_input_len],
+        header_ids,
+        max(0, len(source_ids) - cfg.max_input_len),
+        sum(max(0, len(h) - cfg.max_cell_len) for h in header_ids),
+    )
 
 
 def relative_bucket(rel: np.ndarray, num_buckets: int, max_distance: int) -> np.ndarray:
@@ -83,16 +128,9 @@ class TableTemplate:
     # [4, T, T] index maps, stacked: into the R table (-1 -> header bucket),
     # the C table, the L table (-1 -> cross-cell) and the decoder bucket table
     bias_idx: np.ndarray = field(repr=False, default=None)
-    header_tokens_dropped: int = 0  # header token ids cut at max_cell_len
 
     def cells(self) -> list[Coord]:
         return [(r, c) for r in range(1, self.n_rows + 1) for c in range(1, self.n_cols + 1)]
-
-
-def header_tokens_cut(header_ids: list[list[int]], max_cell_len: int) -> int:
-    """Header token ids beyond ``max_cell_len`` per header, which
-    :func:`make_template` cuts."""
-    return sum(max(0, len(h) - max_cell_len) for h in header_ids)
 
 
 def make_template(
@@ -100,12 +138,7 @@ def make_template(
 ) -> TableTemplate:
     m = len(header_ids)
     l = cfg.max_cell_len
-    if n_rows > cfg.max_rows:
-        raise LayoutError(f"n_rows {n_rows} exceeds max_rows {cfg.max_rows}")
-    if m > cfg.max_cols or m == 0:
-        raise LayoutError(f"n_cols {m} outside 1..{cfg.max_cols}")
-
-    dropped = header_tokens_cut(header_ids, l)
+    check_shape(cfg, n_rows, m)
     header_ids = [h[:l] for h in header_ids]  # keep local offsets within the L table range
     length = sum(len(h) for h in header_ids) + n_rows * (1 + m * l)
     base = np.full(length, PAD, dtype=np.int64)
@@ -153,7 +186,6 @@ def make_template(
         within=within,
         cell_id=cell_id,
         slot_start=slot_start,
-        header_tokens_dropped=dropped,
     )
 
     hdr_key = rows[None, :] == 0
@@ -238,16 +270,25 @@ def content_token_ids(vocab: Vocabulary, cell: str | None) -> list[int]:
     return vocab.encode(cell)
 
 
-def _place(template: TableTemplate, inputs: np.ndarray, pad: np.ndarray, coord: Coord, content: list[int]) -> None:
+def _instance(template: TableTemplate, contents: dict[Coord, list[int]], stage: dict[Coord, int]) -> LayoutInstance:
+    """The layout both builders share: every cell at its ``stage``; a cell in
+    ``contents`` holds its content behind BOS and the rest of its slot is
+    padding, any other cell keeps its whole slot live (BOS, then PAD)."""
     l = template.slot_len
-    if len(content) > l - 1:
-        raise LayoutError(f"cell {coord} content length {len(content)} exceeds {l - 1}")
-    p0 = template.slot_start[coord]
-    inputs[p0] = BOS
-    for t, tok in enumerate(content):
-        inputs[p0 + 1 + t] = tok
-    pad[p0 : p0 + len(content) + 1] = False
-    pad[p0 + len(content) + 1 : p0 + l] = True
+    inputs = template.base_inputs.copy()
+    pad = np.zeros(template.length, dtype=bool)
+    stages = np.zeros(template.length, dtype=np.int64)
+    for coord in template.cells():
+        p0 = template.slot_start[coord]
+        if stage[coord]:
+            stages[p0 : p0 + l] = stage[coord]
+        if coord in contents:
+            n = len(contents[coord])
+            if n > l - 1:
+                raise LayoutError(f"cell {coord} content length {n} exceeds {l - 1}")
+            inputs[p0 + 1 : p0 + 1 + n] = contents[coord]
+            pad[p0 + 1 + n : p0 + l] = True
+    return LayoutInstance(template=template, input_ids=inputs, is_pad=pad, stage=stages)
 
 
 def instance_for_pass(
@@ -260,46 +301,19 @@ def instance_for_pass(
     stage-0 cells are context and every other cell carries loss."""
     if set(stage) != set(template.cells()):
         raise LayoutError(f"stage keys are not the template's {len(template.cells())} cells: {sorted(stage)}")
-    inputs = template.base_inputs.copy()
-    pad = np.zeros(template.length, dtype=bool)
-    stages = np.zeros(template.length, dtype=np.int64)
-
-    loss_tgt: list[int] = []
-    for coord in template.cells():
-        content = cell_contents[coord]
-        _place(template, inputs, pad, coord, content)
-        p0 = template.slot_start[coord]
-        stages[p0 : p0 + template.slot_len] = stage[coord]
-        if stage[coord]:
-            loss_tgt += content + [EOC]
-
+    inst = _instance(template, cell_contents, stage)
     # the loss positions are the open cells' live positions, in cell order;
     # the input at each is the token before its target (BOS at slot position 0)
-    loss_pos = np.flatnonzero((stages > 0) & ~pad)
-    return LayoutInstance(
-        template=template,
-        input_ids=inputs,
-        is_pad=pad,
-        stage=stages,
-        loss_pos=loss_pos,
-        loss_targets=np.asarray(loss_tgt, dtype=np.int64),
-        legal=grammar.table[grammar.row_index(template.within[loss_pos], inputs[loss_pos])],
+    inst.loss_pos = np.flatnonzero((inst.stage > 0) & ~inst.is_pad)
+    inst.loss_targets = np.array(
+        [tok for c in template.cells() if stage[c] for tok in cell_contents[c] + [EOC]], dtype=np.int64
     )
+    inst.legal = grammar.table[grammar.row_index(template.within[inst.loss_pos], inst.input_ids[inst.loss_pos])]
+    return inst
 
 
 def instance_for_decoding(template: TableTemplate, committed: dict[Coord, list[int]]) -> LayoutInstance:
     """Decode-time layout: committed cells are context at stage 0; every other
     cell is open at stage 1, its whole slot live, BOS then PAD inputs for the
     decoder to write its prefix into."""
-    inputs = template.base_inputs.copy()
-    pad = np.zeros(template.length, dtype=bool)
-    stage = np.zeros(template.length, dtype=np.int64)
-
-    for coord in template.cells():
-        p0 = template.slot_start[coord]
-        if coord in committed:
-            _place(template, inputs, pad, coord, committed[coord])
-        else:
-            stage[p0 : p0 + template.slot_len] = 1
-
-    return LayoutInstance(template=template, input_ids=inputs, is_pad=pad, stage=stage)
+    return _instance(template, committed, {**dict.fromkeys(template.cells(), 1), **dict.fromkeys(committed, 0)})

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from ..corpus import DatasetRecord
 from ..model import LayoutError, LayoutInstance, TextToTableModel, instance_for_pass
 from ..model.config import ModelConfig
-from ..model.layout import content_token_ids, header_tokens_cut
+from ..model.layout import check_shape, content_token_ids, encode_record
 from ..table import Table
-from ..vocab import Vocabulary, tokenize
+from ..vocab import Vocabulary
 from .permutation import Coord
 
 TRAINING_MODES = ("permuted", "fixed-causal", "semi-templated")
@@ -28,12 +28,8 @@ class TrainingExample:
     header_tokens_dropped: int = 0  # header token ids the template cuts at max_cell_len
 
 
-def build_semi_templated_corpus_variant(gold: Table, max_rows: int) -> Table:
+def build_semi_templated_corpus_variant(gold: Table) -> Table:
     """Gold table plus one all-NULL sentinel row at the bottom."""
-    if gold.n_rows + 1 > max_rows:
-        raise LayoutError(
-            f"cannot append sentinel row: {gold.n_rows}+1 exceeds max_rows {max_rows}"
-        )
     out = gold.copy()
     out.rows.append([None] * gold.n_cols)
     return out
@@ -42,39 +38,33 @@ def build_semi_templated_corpus_variant(gold: Table, max_rows: int) -> Table:
 def prepare_example(
     record: DatasetRecord, vocab: Vocabulary, cfg: ModelConfig, mode: str = "permuted"
 ) -> TrainingExample:
+    """The record through :func:`~text2table.model.layout.encode_record`, as
+    decoding reads it, plus its cells; a record the model cannot lay out is a
+    :class:`LayoutError` that names it."""
     if mode not in TRAINING_MODES:
         raise ValueError(f"unknown training mode {mode!r}")
     table = record.table
-    count = float(table.n_rows)
-    if mode == "semi-templated":
-        table = build_semi_templated_corpus_variant(table, cfg.max_rows)
-    if table.n_rows > cfg.max_rows:
-        raise LayoutError(f"{record.id}: {table.n_rows} rows exceed max_rows {cfg.max_rows}")
-    if table.n_cols > cfg.max_cols:
-        raise LayoutError(f"{record.id}: {table.n_cols} columns exceed max_cols {cfg.max_cols}")
-    cells: dict[Coord, list[int]] = {}
-    for i, row in enumerate(table.rows, start=1):
-        for j, cell in enumerate(row, start=1):
-            ids = content_token_ids(vocab, cell)
+    try:
+        enc = encode_record(vocab, cfg, record.text, table.headers)
+        check_shape(cfg, table.n_rows + (mode == "semi-templated"), table.n_cols)
+        if mode == "semi-templated":
+            table = build_semi_templated_corpus_variant(table)
+        cells = {(i, j): content_token_ids(vocab, v) for i, row in enumerate(table.rows, 1) for j, v in enumerate(row, 1)}
+        for (i, j), ids in cells.items():
             if len(ids) > cfg.max_cell_len - 1:
-                raise LayoutError(
-                    f"{record.id}: cell ({i},{j}) has {len(ids)} tokens, max {cfg.max_cell_len - 1}"
-                )
-            cells[(i, j)] = ids
-    source_ids = vocab.encode(record.text)
-    if not source_ids:
-        raise LayoutError(f"{record.id}: empty source text")
-    header_ids = [vocab.encode_tokens(tokenize(h)) for h in table.headers]
+                raise LayoutError(f"cell ({i},{j}) has {len(ids)} tokens, max {cfg.max_cell_len - 1}")
+    except LayoutError as exc:
+        raise LayoutError(f"{record.id}: {exc}") from None
     return TrainingExample(
         id=record.id,
-        source_ids=source_ids[: cfg.max_input_len],
-        header_ids=header_ids,
+        source_ids=enc.source_ids,
+        header_ids=enc.header_ids,
         cell_ids=cells,
         n_rows=table.n_rows,
         n_cols=table.n_cols,
-        count_target=count,
-        input_tokens_dropped=max(0, len(source_ids) - cfg.max_input_len),
-        header_tokens_dropped=header_tokens_cut(header_ids, cfg.max_cell_len),
+        count_target=float(record.table.n_rows),
+        input_tokens_dropped=enc.input_tokens_dropped,
+        header_tokens_dropped=enc.header_tokens_dropped,
     )
 
 

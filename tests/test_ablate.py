@@ -3,9 +3,14 @@ determinism per seed."""
 
 import json
 
+import numpy as np
+
 from text2table.cli import ablate
 from text2table.cli.main import main
+from text2table.cli.runconfig import merged_run_config
 from text2table.corpus import write_jsonl
+from text2table.model import load_checkpoint
+from text2table.training import Trainer
 
 
 def _base(tmp_path, records):
@@ -152,3 +157,36 @@ def test_ablate_ledger_line_that_is_not_a_row_exits_2(lineitems_records, tmp_pat
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "done.jsonl" in err and "line 2" in err
+
+
+def test_ablate_evaluates_each_run_once_at_its_last_step(lineitems_records, tmp_path, monkeypatch):
+    # eval_every 2 divides the 4 steps, so the run's last evaluation is its
+    # result; eval_every 3 does not, so the run is evaluated once more at 4
+    cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 1, "grid": {"training.eval_every": [2, 3]}}
+    cfg["training"]["steps"] = 4
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(cfg))
+    steps = []
+    evaluate = Trainer.evaluate
+    monkeypatch.setattr(Trainer, "evaluate", lambda self, step: steps.append(step) or evaluate(self, step))
+    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 0
+    assert steps == [2, 4, 3, 4]
+    assert [row["result"]["step"] for row in _ledger(tmp_path / "out")] == [4, 4]
+
+
+def test_ablate_keeps_each_runs_checkpoint_under_its_run_id(lineitems_records, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 2}
+    cfg["training"].update(steps=2, checkpoint_dir=str(ckpt))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(cfg))
+    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 0
+    rows = _ledger(tmp_path / "out")
+    base = merged_run_config({k: v for k, v in cfg.items() if k != "n_seeds"})
+    # the run id still hashes the config as given, checkpoint_dir included
+    assert [row["run_id"] for row in rows] == [ablate.run_id({**base, "seed": row["seed"]}) for row in rows]
+    assert sorted(p.name for p in ckpt.iterdir()) == sorted(row["run_id"] for row in rows)
+    models = [load_checkpoint(str(ckpt / row["run_id"] / "latest.npz")) for row in rows]
+    assert [meta["step"] for _, meta in models] == [2, 2]
+    a, b = (model.params["lm_head"].data for model, _ in models)
+    assert not np.array_equal(a, b)  # two seeds, two models

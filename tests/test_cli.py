@@ -119,6 +119,74 @@ def test_decode_meta_holds_the_totals_of_the_trace(tiny_model, lineitems_records
     assert meta["decoder_passes_p50"] is None and meta["decoder_passes_max"] is None
 
 
+def test_decode_meta_totals_cut_and_capped_tables_without_a_trace(tiny_model, lineitems_records, tmp_path):
+    # an untrained model fills its cells to the slot width and never writes the
+    # sentinel row, so every table hits the row cap; one record is cut twice
+    l = tiny_model.cfg.max_cell_len
+    first = lineitems_records[0]
+    headers = [first.table.headers[0], "quantity " * (l + 2), *first.table.headers[2:]]
+    long = DatasetRecord("long", " ".join([first.text] * 40), Table(headers, first.table.rows))
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl([long] + lineitems_records[1:3], data)
+    semi = ["--set", "stopping=semi-templated", "--set", "max_rows_override=2"]
+    assert main(["decode", ckpt, data, str(tmp_path / "out.jsonl"), *semi]) == 0
+    meta = json.loads((tmp_path / "out.jsonl.meta.json").read_text())
+    trace = tmp_path / "trace.jsonl"
+    assert main(["decode", ckpt, data, str(tmp_path / "traced.jsonl"), *semi, "--trace", str(trace)]) == 0
+    assert json.loads((tmp_path / "traced.jsonl.meta.json").read_text()) == meta
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    for rec in records:
+        assert rec["truncated_cells"] == sum(t["truncated"] for t in rec["trace"])
+    for key in ("truncated_cells", "row_cap_hits", "input_tokens_dropped", "header_tokens_dropped"):
+        assert meta[key] == sum(rec[key] for rec in records) > 0
+    assert meta["row_cap_hits"] == 3 and meta["header_tokens_dropped"] == 2
+    assert records[0]["input_tokens_dropped"] == meta["input_tokens_dropped"]
+
+
+def test_too_wide_record_exits_2_with_one_message_in_train_and_decode(tiny_model, lineitems_records, tmp_path, capsys):
+    # the tiny model allows 4 columns: both commands refuse a fifth alike
+    first = lineitems_records[0]
+    wide = DatasetRecord("wide-0", first.text, Table([*first.table.headers, "extra"], [[*r, "x"] for r in first.table.rows]))
+    assert main(["train", _train_config(tmp_path, [wide, *lineitems_records[1:3]], max_cols=4)]) == 2
+    assert capsys.readouterr().err.strip() == "text2table train: wide-0: 5 columns exceed max_cols 4"
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    assert main(["decode", ckpt, str(tmp_path / "data.jsonl"), str(tmp_path / "out.jsonl")]) == 2
+    assert capsys.readouterr().err.strip() == "text2table decode: wide-0: 5 columns exceed max_cols 4"
+
+
+# lr 1e30 without clipping: the first step's loss is finite, its update is not
+DIVERGING = {"steps": 4, "batch_size": 4, "lr": 1e30, "clip_norm": 0}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the subject
+@pytest.mark.parametrize(
+    "training, decoding, message",
+    [
+        ({}, {}, "non-finite loss at step 2: "),
+        ({"steps": 1, "eval_every": 1}, {}, "row-count head gave a non-finite value (nan)"),
+        ({"steps": 1, "eval_every": 1}, {"stopping": "semi-templated"}, "decoder gave non-finite logits for cells "),
+    ],
+    ids=["diverged", "non_finite_count", "non_finite_logits"],
+)
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_non_finite_training_or_evaluation_exits_3(lineitems_records, tmp_path, capsys, command, training, decoding, message):
+    config = tmp_path / "run.json"
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:12], data)
+    config.write_text(json.dumps({
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
+        "training": {**DIVERGING, **training}, "decoding": decoding, "paths": {"dataset": data},
+        **({"n_seeds": 1} if command == "ablate" else {}),
+    }))
+    argv = ["train", str(config)] if command == "train" else ["ablate", str(config), str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"text2table {command}: {message}")
+
+
 def _train_config(tmp_path, records, **model):
     data = str(tmp_path / "data.jsonl")
     write_jsonl(records, data)

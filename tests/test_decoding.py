@@ -398,7 +398,7 @@ def test_row_cap_above_max_rows_fails_before_any_cell_is_decoded(tiny_model, mon
     sources = []
     monkeypatch.setattr(engine, "ModelCellSource", lambda *args: sources.append(args))
     cfg = DecodingConfig(stopping="semi-templated", max_rows_override=tiny_model.cfg.max_rows + 1)
-    with pytest.raises(LayoutError, match="n_rows 5 exceeds max_rows 4"):
+    with pytest.raises(LayoutError, match="5 rows exceed max_rows 4"):
         decode_table("pens mugs .", tiny_model, cfg, ["item", "qty"])
     assert sources == []
 
@@ -500,6 +500,18 @@ def test_forced_close_has_log_prob_exactly_zero(tiny_model, dtype):
     assert (lp.argmax(axis=-1) == EOC).all()
 
 
+@pytest.mark.parametrize("stopping", ["predicted-count", "semi-templated"])
+def test_truncated_cells_are_counted_without_a_trace(tiny_model, stopping):
+    rng = np.random.default_rng(21)
+    random_bias_tables(tiny_model, rng)
+    tiny_model.params["count.b"].data[...] = [2.0]
+    cfg = DecodingConfig(stopping=stopping, max_rows_override=3)
+    traced = decode_table("pens and mugs .", tiny_model, cfg, ["item", "qty"], keep_trace=True)
+    plain = decode_table("pens and mugs .", tiny_model, cfg, ["item", "qty"])
+    assert plain.trace == [] and traced.truncated_cells
+    assert plain.truncated_cells == traced.truncated_cells == [t.cell for t in traced.trace if t.truncated]
+
+
 def test_input_tokens_dropped_counts_truncated_source(tiny_model, tiny_vocab):
     limit = tiny_model.cfg.max_input_len
     long_text = " ".join(["pens"] * (limit + 17))
@@ -526,6 +538,6 @@ def test_empty_source_text_raises_named_error_before_encoding(tiny_model, monkey
         raise AssertionError("encode reached")
 
     monkeypatch.setattr(tiny_model, "encode", no_encode)
-    with pytest.raises(EmptySourceTextError) as ei:
+    with pytest.raises(EmptySourceTextError, match="^empty source text$") as ei:
         decode_table(text, tiny_model, DecodingConfig(), ["item", "qty"])
-    assert not isinstance(ei.value, LayoutError)  # LayoutError means a model problem to the CLI
+    assert isinstance(ei.value, LayoutError)  # a record the model cannot lay out: exit 2, as train refuses it

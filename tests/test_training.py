@@ -218,26 +218,30 @@ def test_mc_estimator_converges_2x2(tiny_model):
 
 def test_semi_templated_appends_null_row():
     gold = Table(["a", "b", "c"], [["1", "2", "3"], ["4", "5", "6"]])
-    out = build_semi_templated_corpus_variant(gold, max_rows=4)
+    out = build_semi_templated_corpus_variant(gold)
     assert out.n_rows == 3
     assert out.rows[2] == [None, None, None]
     assert gold.n_rows == 2  # input untouched
 
 
 def test_semi_templated_zero_rows():
-    out = build_semi_templated_corpus_variant(Table(["a", "b"], []), max_rows=3)
+    out = build_semi_templated_corpus_variant(Table(["a", "b"], []))
     assert out.n_rows == 1
     assert out.rows[0] == [None, None]
 
 
-def test_semi_templated_overflow_rejected():
-    with pytest.raises(LayoutError):
-        build_semi_templated_corpus_variant(Table(["a"], [["1"]]), max_rows=1)
+def test_semi_templated_overflow_rejected(tiny_model):
+    # the sentinel row counts toward max_rows: a full table has no room for it
+    n = tiny_model.cfg.max_rows
+    rec = DatasetRecord("full", "pens .", Table(["item"], [["pens"]] * n))
+    assert prepare_example(rec, tiny_model.vocab, tiny_model.cfg).n_rows == n
+    with pytest.raises(LayoutError, match=f"^full: {n + 1} rows exceed max_rows {n}$"):
+        prepare_example(rec, tiny_model.vocab, tiny_model.cfg, "semi-templated")
 
 
 def test_sentinel_row_serializes_as_null_eoc(tiny_model):
     rec = DatasetRecord(
-        "e", "pens .", build_semi_templated_corpus_variant(Table(["item", "qty"], [["pens", "3"]]), 4)
+        "e", "pens .", build_semi_templated_corpus_variant(Table(["item", "qty"], [["pens", "3"]]))
     )
     ex = prepare_example(rec, tiny_model.vocab, tiny_model.cfg)
     inst = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 1).stages, tiny_model)
@@ -494,6 +498,7 @@ def test_prepare_example_counts_header_ids_the_template_cuts(tiny_model):
     table = Table(["item", long_header], [["pens", "2"]])
     ex = prepare_example(DatasetRecord("long", "pens for 2 .", table), tiny_model.vocab, tiny_model.cfg)
     assert ex.header_tokens_dropped == 3
-    assert ex.header_tokens_dropped == tiny_model.template_for(ex.header_ids, ex.n_rows).header_tokens_dropped
+    tpl = tiny_model.template_for(ex.header_ids, ex.n_rows)
+    assert ex.header_tokens_dropped == sum(map(len, ex.header_ids)) - int((tpl.rows == 0).sum())
     short = Table(["item", "price"], [["pens", "2"]])
     assert prepare_example(DatasetRecord("short", "pens .", short), tiny_model.vocab, tiny_model.cfg).header_tokens_dropped == 0
