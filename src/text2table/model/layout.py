@@ -136,65 +136,31 @@ class TableTemplate:
 def make_template(
     vocab: Vocabulary, cfg: ModelConfig, header_ids: list[list[int]], n_rows: int
 ) -> TableTemplate:
-    m = len(header_ids)
-    l = cfg.max_cell_len
+    """The layout of ``n_rows`` rows under ``header_ids``. Its one statement is
+    the block table: one entry per header, row marker and cell slot, in layout
+    order, holding the block's fixed inputs (PAD fills the rest), its length,
+    row and column. Every per-position map is derived from that table."""
+    m, l = len(header_ids), cfg.max_cell_len
     check_shape(cfg, n_rows, m)
-    header_ids = [h[:l] for h in header_ids]  # keep local offsets within the L table range
-    length = sum(len(h) for h in header_ids) + n_rows * (1 + m * l)
-    base = np.full(length, PAD, dtype=np.int64)
-    rows = np.zeros(length, dtype=np.int64)
-    cols = np.zeros(length, dtype=np.int64)
-    within = np.zeros(length, dtype=np.int64)
-    cell_id = np.zeros(length, dtype=np.int64)
-    slot_start: dict[Coord, int] = {}
-
-    pos = 0
-    block = 0
-    for j, h in enumerate(header_ids, start=1):
-        for t, tok in enumerate(h):
-            base[pos] = tok
-            rows[pos] = 0
-            cols[pos] = j
-            within[pos] = t
-            cell_id[pos] = block
-            pos += 1
-        block += 1
+    # the block table; a header is cut at l tokens, which keeps local offsets within the L table range
+    blocks = [(h[:l], min(len(h), l), 0, j) for j, h in enumerate(header_ids, start=1)]
     for i in range(1, n_rows + 1):
-        base[pos] = vocab.row_marker_id(i)
-        rows[pos], cols[pos], within[pos] = i, 0, 0
-        cell_id[pos] = block
-        block += 1
-        pos += 1
-        for j in range(1, m + 1):
-            slot_start[(i, j)] = pos
-            for t in range(l):
-                base[pos] = BOS if t == 0 else PAD
-                rows[pos], cols[pos], within[pos] = i, j, t
-                cell_id[pos] = block
-                pos += 1
-            block += 1
-    assert pos == length
-
-    tpl = TableTemplate(
-        n_rows=n_rows,
-        n_cols=m,
-        slot_len=l,
-        length=length,
-        base_inputs=base,
-        rows=rows,
-        cols=cols,
-        within=within,
-        cell_id=cell_id,
-        slot_start=slot_start,
-    )
-
-    hdr_key = rows[None, :] == 0
-    serial = np.arange(length, dtype=np.int64)
-    same_cell = cell_id[:, None] == cell_id[None, :]
+        blocks += [([vocab.row_marker_id(i)], 1, i, 0)] + [([BOS], l, i, j) for j in range(1, m + 1)]
+    fixed, size, row, col = zip(*blocks)
+    cell_id = np.repeat(np.arange(len(blocks)), size)  # the block index of each position
+    start = np.cumsum(size) - size
+    length = len(cell_id)
+    serial = np.arange(length)
+    within = serial - start[cell_id]
+    base = np.full(length, PAD, dtype=np.int64)
+    base[within < np.array([len(f) for f in fixed])[cell_id]] = [tok for f in fixed for tok in f]
+    rows, cols = np.array(row)[cell_id], np.array(col)[cell_id]
+    slot_start = {(i, j): int(p0) for p0, i, j in zip(start, row, col) if i and j}
+    tpl = TableTemplate(n_rows, m, l, length, base, rows, cols, within, cell_id, slot_start)
     tpl.bias_idx = np.stack([
-        np.where(hdr_key, -1, rows[:, None] - rows[None, :] + cfg.max_rows),
+        np.where(rows[None, :] == 0, -1, rows[:, None] - rows[None, :] + cfg.max_rows),
         cols[:, None] - cols[None, :] + cfg.max_cols,
-        np.where(same_cell, serial[:, None] - serial[None, :] + l, -1),
+        np.where(cell_id[:, None] == cell_id[None, :], serial[:, None] - serial[None, :] + l, -1),
         sequence_bucket_matrix(length, cfg),
     ])
     return tpl

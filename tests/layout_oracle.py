@@ -1,12 +1,79 @@
-"""The two layout builders written apart, each cell placed token by token: the
-oracle that :func:`text2table.model.layout.instance_for_pass` and
-:func:`~text2table.model.layout.instance_for_decoding`, which share one body,
-must equal bitwise."""
+"""Layout oracles written position by position, which the array code of
+:mod:`text2table.model.layout` must equal bitwise: the template filled one
+position at a time (:func:`make_template`), and the two layout builders
+written apart, each cell placed token by token
+(:func:`~text2table.model.layout.instance_for_pass` and
+:func:`~text2table.model.layout.instance_for_decoding` share one body)."""
 
 import numpy as np
 
-from text2table.model import LayoutError, LayoutInstance
-from text2table.vocab import BOS, EOC
+from text2table.model import LayoutError, LayoutInstance, TableTemplate
+from text2table.model.layout import check_shape, sequence_bucket_matrix
+from text2table.vocab import BOS, EOC, PAD
+
+
+def make_template(vocab, cfg, header_ids, n_rows):
+    m = len(header_ids)
+    l = cfg.max_cell_len
+    check_shape(cfg, n_rows, m)
+    header_ids = [h[:l] for h in header_ids]
+    length = sum(len(h) for h in header_ids) + n_rows * (1 + m * l)
+    base = np.full(length, PAD, dtype=np.int64)
+    rows = np.zeros(length, dtype=np.int64)
+    cols = np.zeros(length, dtype=np.int64)
+    within = np.zeros(length, dtype=np.int64)
+    cell_id = np.zeros(length, dtype=np.int64)
+    slot_start = {}
+
+    pos = 0
+    block = 0
+    for j, h in enumerate(header_ids, start=1):
+        for t, tok in enumerate(h):
+            base[pos] = tok
+            rows[pos] = 0
+            cols[pos] = j
+            within[pos] = t
+            cell_id[pos] = block
+            pos += 1
+        block += 1
+    for i in range(1, n_rows + 1):
+        base[pos] = vocab.row_marker_id(i)
+        rows[pos], cols[pos], within[pos] = i, 0, 0
+        cell_id[pos] = block
+        block += 1
+        pos += 1
+        for j in range(1, m + 1):
+            slot_start[(i, j)] = pos
+            for t in range(l):
+                base[pos] = BOS if t == 0 else PAD
+                rows[pos], cols[pos], within[pos] = i, j, t
+                cell_id[pos] = block
+                pos += 1
+            block += 1
+    assert pos == length
+
+    tpl = TableTemplate(
+        n_rows=n_rows,
+        n_cols=m,
+        slot_len=l,
+        length=length,
+        base_inputs=base,
+        rows=rows,
+        cols=cols,
+        within=within,
+        cell_id=cell_id,
+        slot_start=slot_start,
+    )
+    hdr_key = rows[None, :] == 0
+    serial = np.arange(length, dtype=np.int64)
+    same_cell = cell_id[:, None] == cell_id[None, :]
+    tpl.bias_idx = np.stack([
+        np.where(hdr_key, -1, rows[:, None] - rows[None, :] + cfg.max_rows),
+        cols[:, None] - cols[None, :] + cfg.max_cols,
+        np.where(same_cell, serial[:, None] - serial[None, :] + l, -1),
+        sequence_bucket_matrix(length, cfg),
+    ])
+    return tpl
 
 
 def _place(template, inputs, pad, coord, content):

@@ -7,12 +7,13 @@ import pytest
 import layout_oracle
 from text2table.corpus import DatasetRecord
 from text2table.decoding import DecodingConfig, EmptySourceTextError, decode_table
-from text2table.model import LayoutError, instance_for_decoding, instance_for_pass, make_template
+from text2table.model import LayoutError, ModelConfig, instance_for_decoding, instance_for_pass, make_template
 from text2table.model.layout import encode_record
 from text2table.table import Table
 from text2table.training import prepare_example
 from text2table.vocab import NULL
 
+TEMPLATE_FIELDS = ("base_inputs", "rows", "cols", "within", "cell_id", "bias_idx")
 FIELDS = ("input_ids", "is_pad", "stage", "loss_pos", "loss_targets", "legal")
 
 
@@ -29,6 +30,27 @@ def _random_content(rng, content_ids, l):
     if rng.random() < 0.2:
         return [NULL]
     return rng.choice(content_ids, size=int(rng.integers(1, l))).tolist()  # 1..l-1 tokens: padding after most
+
+
+def test_block_table_template_equals_the_position_by_position_oracle_bitwise(tiny_vocab):
+    header_lens = set()
+    for max_cols in range(1, 7):
+        for l in range(2, 7):
+            cfg = ModelConfig(vocab_size=len(tiny_vocab), max_rows=4, max_cols=max_cols, max_cell_len=l)
+            for n_cols in range(1, max_cols + 1):
+                for n_rows in range(cfg.max_rows + 1):
+                    lens = [(j + n_rows) % (l + 2) for j in range(n_cols)]  # 0 to past the slot width
+                    header_lens.update((l, n) for n in lens)
+                    headers = [list(range(10, 10 + n)) for n in lens]
+                    got = make_template(tiny_vocab, cfg, headers, n_rows)
+                    want = layout_oracle.make_template(tiny_vocab, cfg, headers, n_rows)
+                    for name in ("n_rows", "n_cols", "slot_len", "length", "slot_start"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a == b and repr(a) == repr(b), name  # repr tells a numpy int from an int
+                    for name in TEMPLATE_FIELDS:
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    assert all({(l, 0), (l, l + 1)} <= header_lens for l in range(2, 7))  # an empty header and a cut one
 
 
 def test_shared_layout_body_equals_the_token_by_token_builders_bitwise(tiny_model):
