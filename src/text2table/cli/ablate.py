@@ -14,9 +14,10 @@ A grid file is a run config, the file ``text2table train`` reads (``seed``,
   point takes as its ``seed`` a hash of the point's ``seed``, its grid values
   and ``i``; that one seed sets the initial weights and the training draws.
 
-Before the first run, every point is checked and parsed as ``train`` checks
-its run config, so a misspelt key or a bad value exits 2 before ``out_dir``
-is made. Each run trains as ``train`` does, its checkpoints under
+Before the first run, every point is checked and parsed once, as ``train``
+checks its run config, so a misspelt key or a bad value exits 2 before
+``out_dir`` is made; each run is its point with its own seed. Each run
+trains as ``train`` does, its checkpoints under
 ``<training.checkpoint_dir>/<run_id>/`` when that key is set, and is
 evaluated once at its last step; the ledger row's ``result`` is that
 :meth:`Trainer.evaluate` record, the record ``train`` writes to
@@ -36,6 +37,7 @@ holds the mean and standard deviation of cell F1 and count accuracy per point.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -43,7 +45,7 @@ import os
 
 import numpy as np
 
-from .commands import DataError, prepare_run
+from .commands import DataError, Run, prepare_run
 from .runconfig import (
     PATH_KEYS, ConfigError, canonical_json, config_hash, file_sha256, load_json_config, merged_run_config, set_key
 )
@@ -73,18 +75,16 @@ def derived_seed(base_seed: int, combo: dict, seed_index: int) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def run_id(cfg: dict) -> str:
+def run_id(run: Run, data_sha256: list[str | None]) -> str:
     """Ledger key of a run: a hash of its resolved run config (see
-    :meth:`Run.resolved`) and of the contents of its ``paths.dataset`` and
-    ``paths.val_dataset``."""
-    data = [file_sha256(cfg["paths"][k]) if cfg["paths"].get(k) else None for k in PATH_KEYS]
-    return config_hash({"config": prepare_run(cfg).resolved(), "data_sha256": data})[:16]
+    :meth:`Run.resolved`) and of the contents of its datasets, ``data_sha256``
+    holding one digest (or None) per key of ``PATH_KEYS``."""
+    return config_hash({"config": run.resolved(), "data_sha256": data_sha256})[:16]
 
 
-def _single_run(cfg: dict) -> dict:
-    """Train one run config as ``train`` does; returns its evaluation record
-    at its last step."""
-    run = prepare_run(cfg)
+def _single_run(run: Run) -> dict:
+    """Train one run as ``train`` does; returns its evaluation record at its
+    last step."""
     trainer = run.trainer(*run.build())
     history = trainer.run()
     return history[-1] if history and history[-1]["step"] == trainer.step else trainer.evaluate(trainer.step)
@@ -127,13 +127,17 @@ def read_ledger(path: str) -> dict[str, dict]:
     :class:`DataError`."""
     if not os.path.exists(path):
         return {}
-    with open(path, "rb") as fh:
-        data = fh.read()
-    whole = data[: data.rfind(b"\n") + 1]
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        whole = data[: data.rfind(b"\n") + 1]
+        lines = whole.decode("utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not readable as UTF-8 text ({type(exc).__name__})") from None
     if len(whole) < len(data):
         os.truncate(path, len(whole))
     done: dict[str, dict] = {}
-    for line_no, line in enumerate(whole.decode("utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         try:
             row = json.loads(line)
         except json.JSONDecodeError:
@@ -150,9 +154,8 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
     n_seeds = cfg.pop("n_seeds", 3)
     if not isinstance(n_seeds, int) or n_seeds < 1:
         raise ConfigError(f"n_seeds must be a positive integer, got {n_seeds!r}")
-    points = expand_grid(merged_run_config(cfg), grid)
-    for _, point in points:
-        prepare_run(point)  # every point fails here, before any run, or not at all
+    # every point fails here, before any run, or not at all
+    points = [(combo, prepare_run(point)) for combo, point in expand_grid(merged_run_config(cfg), grid)]
 
     os.makedirs(out_dir, exist_ok=True)
     ledger_path = os.path.join(out_dir, "done.jsonl")
@@ -162,17 +165,18 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
     rows: list[dict] = []
     with open(ledger_path, "a", encoding="utf-8") as ledger:
         for combo, point in points:
+            data = [file_sha256(point.paths[k]) if point.paths.get(k) else None for k in PATH_KEYS]
             for si in range(n_seeds):
-                seed = derived_seed(point["seed"], combo, si)
-                run_cfg = {**point, "seed": seed}
-                rid = run_id(run_cfg)
+                seed = derived_seed(point.training.seed, combo, si)
+                run = point._replace(training=dataclasses.replace(point.training, seed=seed))
+                rid = run_id(run, data)
                 if rid in done:
                     rows.append(done[rid])
                     continue
-                ckpt = run_cfg["training"].get("checkpoint_dir")
-                if ckpt:  # each run checkpoints apart; its id comes from the config as given
-                    run_cfg["training"] = {**run_cfg["training"], "checkpoint_dir": os.path.join(ckpt, rid)}
-                result = _single_run(run_cfg)
+                if run.training.checkpoint_dir:  # each run checkpoints apart; its id comes from the config as given
+                    ckpt = os.path.join(run.training.checkpoint_dir, rid)
+                    run = run._replace(training=dataclasses.replace(run.training, checkpoint_dir=ckpt))
+                result = _single_run(run)
                 row = {"run_id": rid, "combo": combo, "seed_index": si, "seed": seed, "result": result}
                 ledger.write(json.dumps(row, sort_keys=True) + "\n")
                 ledger.flush()

@@ -162,6 +162,8 @@ def prepare_run(cfg: dict) -> Run:
     # the vocabulary holds a row marker per row the model allows, and sets vocab_size
     model = _parse_config("model", ModelConfig, {**cfg["model"], "vocab_size": 0})
     vocab = build_vocab(records, n_max_rows=model.max_rows)
+    if cfg["model"].get("vocab_size", len(vocab)) != len(vocab):
+        raise ConfigError(f"model.vocab_size {cfg['model']['vocab_size']!r} is not the vocabulary's size {len(vocab)}")
     return Run(
         records,
         val_records,
@@ -363,11 +365,13 @@ def cmd_eval(
     gold_hash = file_sha256(gold_path)
     pred_meta = None
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(meta_path, encoding="utf-8") as fh:
                 pred_meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{meta_path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{meta_path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{meta_path}: not readable as UTF-8 text ({type(exc).__name__})") from None
         if not isinstance(pred_meta, dict):
             raise DataError(f"{meta_path}: top level must be an object")
         stored = pred_meta.get("dataset_sha256")

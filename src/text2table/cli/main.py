@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from ..decoding import NonFiniteCountError, NonFiniteLogitsError
 from ..training import TrainingDiverged
@@ -72,14 +73,21 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # the command's warnings are held back, under the filters as they are, and shown once it
+    # ends, unless it exits 3: then the error line stands alone, not behind numpy's overflows
     try:
-        return args.run(args)
+        with warnings.catch_warnings(record=True) as caught:
+            return args.run(args)
     except (DataError, ConfigError) as exc:
         print(f"text2table {args.command}: {exc}", file=sys.stderr)
         return 2
     except (ModelError, TrainingDiverged, NonFiniteCountError, NonFiniteLogitsError) as exc:
         print(f"text2table {args.command}: {exc}", file=sys.stderr)
+        caught.clear()
         return 3
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
 
 if __name__ == "__main__":

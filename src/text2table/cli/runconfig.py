@@ -28,6 +28,8 @@ def load_json_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or another encoding
+        raise ConfigError(f"{path}: not readable as UTF-8 text ({type(exc).__name__})") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return obj

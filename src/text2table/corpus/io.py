@@ -60,17 +60,21 @@ def _parse_record(obj: dict, line: int) -> DatasetRecord:
 
 
 def read_jsonl(path: str) -> Iterator[DatasetRecord]:
-    """Stream records; raises DataFormatError with the offending line/record."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
-            yield _parse_record(obj, line_no)
+    """Stream records; raises DataFormatError with the offending line/record,
+    or with the path of a file that is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
+                yield _parse_record(obj, line_no)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or another encoding
+        raise DataFormatError(f"{path}: not readable as UTF-8 text ({type(exc).__name__})") from None
 
 
 def record_to_line(rec: DatasetRecord) -> str:

@@ -51,6 +51,8 @@ def prepare_example(
             table = build_semi_templated_corpus_variant(table)
         cells = {(i, j): content_token_ids(vocab, v) for i, row in enumerate(table.rows, 1) for j, v in enumerate(row, 1)}
         for (i, j), ids in cells.items():
+            if not ids:  # its first target would be end-of-cell, which no cell may start with
+                raise LayoutError(f"cell ({i},{j}) is blank: write a cell without a value as null")
             if len(ids) > cfg.max_cell_len - 1:
                 raise LayoutError(f"cell ({i},{j}) has {len(ids)} tokens, max {cfg.max_cell_len - 1}")
     except LayoutError as exc:

@@ -5,9 +5,10 @@ import json
 
 import numpy as np
 
-from text2table.cli import ablate
+from text2table.cli import ablate, commands
 from text2table.cli.main import main
-from text2table.cli.runconfig import merged_run_config
+from text2table.cli.commands import prepare_run
+from text2table.cli.runconfig import PATH_KEYS, file_sha256, merged_run_config
 from text2table.corpus import write_jsonl
 from text2table.model import load_checkpoint
 from text2table.training import Trainer
@@ -88,7 +89,7 @@ def test_ablate_reruns_a_run_whose_config_or_data_changed(lineitems_records, tmp
     grid.write_text(json.dumps(cfg))
     runs = []
     single_run = ablate._single_run
-    monkeypatch.setattr(ablate, "_single_run", lambda run_cfg: runs.append(run_cfg) or single_run(run_cfg))
+    monkeypatch.setattr(ablate, "_single_run", lambda run: runs.append(run) or single_run(run))
     assert main(["ablate", str(grid), str(out)]) == 0
     assert main(["ablate", str(grid), str(out)]) == 0  # unchanged: nothing runs
     assert len(runs) == 1
@@ -97,7 +98,7 @@ def test_ablate_reruns_a_run_whose_config_or_data_changed(lineitems_records, tmp
     cfg["training"]["steps"] = 3
     grid.write_text(json.dumps(cfg))
     assert main(["ablate", str(grid), str(out)]) == 0
-    assert [r["training"]["steps"] for r in runs] == [2, 3]
+    assert [r.training.steps for r in runs] == [2, 3]
     first, second = _ledger(out)
     assert first["run_id"] != second["run_id"] and first["seed"] == second["seed"]
 
@@ -114,13 +115,13 @@ def test_ablate_keys_runs_by_the_resolved_config(lineitems_records, tmp_path, mo
     grid, out = tmp_path / "grid.json", tmp_path / "out"
     runs = []
     single_run = ablate._single_run
-    monkeypatch.setattr(ablate, "_single_run", lambda run_cfg: runs.append(run_cfg) or single_run(run_cfg))
+    monkeypatch.setattr(ablate, "_single_run", lambda run: runs.append(run) or single_run(run))
     for float_width in (None, 32, 64):
         if float_width is not None:
             cfg["model"]["float_width"] = float_width
         grid.write_text(json.dumps(cfg))
         assert main(["ablate", str(grid), str(out)]) == 0
-    assert [r["model"].get("float_width") for r in runs] == [None, 64]
+    assert [r.model.float_width for r in runs] == [32, 64]
     omitted, f64 = _ledger(out)
     assert omitted["run_id"] != f64["run_id"] and omitted["seed"] == f64["seed"]
 
@@ -136,7 +137,7 @@ def test_ablate_drops_a_torn_last_ledger_line_and_reruns_its_run(lineitems_recor
     whole = ledger.read_text()
     ledger.write_text(whole + '{"run_id": "abc", "comb')  # an append cut off before its newline
     runs = []
-    monkeypatch.setattr(ablate, "_single_run", lambda run_cfg: runs.append(run_cfg) or row["result"])
+    monkeypatch.setattr(ablate, "_single_run", lambda run: runs.append(run) or row["result"])
     assert main(["ablate", str(grid), str(out)]) == 0
     assert runs == []  # the finished run before the torn line stays finished
     assert ledger.read_text() == whole
@@ -183,10 +184,32 @@ def test_ablate_keeps_each_runs_checkpoint_under_its_run_id(lineitems_records, t
     assert main(["ablate", str(grid), str(tmp_path / "out")]) == 0
     rows = _ledger(tmp_path / "out")
     base = merged_run_config({k: v for k, v in cfg.items() if k != "n_seeds"})
+    data = [file_sha256(cfg["paths"][k]) for k in PATH_KEYS]
     # the run id still hashes the config as given, checkpoint_dir included
-    assert [row["run_id"] for row in rows] == [ablate.run_id({**base, "seed": row["seed"]}) for row in rows]
+    want = [ablate.run_id(prepare_run({**base, "seed": row["seed"]}), data) for row in rows]
+    assert [row["run_id"] for row in rows] == want
     assert sorted(p.name for p in ckpt.iterdir()) == sorted(row["run_id"] for row in rows)
     models = [load_checkpoint(str(ckpt / row["run_id"] / "latest.npz")) for row in rows]
     assert [meta["step"] for _, meta in models] == [2, 2]
     a, b = (model.params["lm_head"].data for model, _ in models)
     assert not np.array_equal(a, b)  # two seeds, two models
+
+
+def test_ablate_parses_each_grid_point_once(lineitems_records, tmp_path, monkeypatch):
+    # 2 points x 2 seeds: one parse per point, which reads its two datasets; one digest per file and point
+    cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 2, "grid": {"training.mode": ["permuted", "fixed-causal"]}}
+    cfg["training"]["steps"] = 1
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(cfg))
+    calls = {"prepare_run": 0, "read_jsonl": 0, "file_sha256": 0}
+
+    def counted(module, name):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update({name: calls[name] + 1}) or f(*a))
+
+    counted(ablate, "prepare_run")
+    counted(commands, "read_jsonl")
+    counted(ablate, "file_sha256")
+    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 0
+    assert len(_ledger(tmp_path / "out")) == 4
+    assert calls == {"prepare_run": 2, "read_jsonl": 4, "file_sha256": 4}

@@ -1,14 +1,24 @@
 """Exit codes of the ``text2table`` command line."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import text2table
+from text2table.cli.commands import DataError, ModelError, prepare_run
 from text2table.cli.main import main
+from text2table.cli.runconfig import merged_run_config
 from text2table.corpus import DatasetRecord, build_vocab, read_jsonl, write_jsonl
 from text2table.model import load_checkpoint, save_checkpoint
 from text2table.table import Table
+from text2table.training import Trainer
 from text2table.vocab import NULL
 from util import record_op_dtypes
 
@@ -185,6 +195,43 @@ def test_non_finite_training_or_evaluation_exits_3(lineitems_records, tmp_path, 
     assert main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"text2table {command}: {message}")
+
+
+def test_diverging_run_in_a_fresh_interpreter_prints_its_error_line_alone(lineitems_records, tmp_path):
+    # in a fresh interpreter numpy's overflow warnings reach stderr unless main holds them back
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:12], data)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
+        "training": DIVERGING, "paths": {"dataset": data},
+    }))
+    env = {**os.environ, "PYTHONPATH": str(Path(text2table.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "text2table.cli.main", "train", str(config)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("text2table train: non-finite loss at step 2: "), proc.stderr
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_command_warnings_are_shown_after_it_unless_it_exits_3(monkeypatch, code):
+    def command(*args):
+        warnings.warn("held back", UserWarning)
+        if code:
+            raise (DataError if code == 2 else ModelError)("failed")
+        return 0
+
+    monkeypatch.setattr(importlib.import_module("text2table.cli.main"), "cmd_eval", command)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["eval", "pred.jsonl", "gold.jsonl"]) == code
+    assert [str(w.message) for w in shown] == ([] if code == 3 else ["held back"])
+    with warnings.catch_warnings(), pytest.raises(UserWarning):
+        warnings.simplefilter("error")  # the filters stay in force while the command runs
+        main(["eval", "pred.jsonl", "gold.jsonl"])
 
 
 def _train_config(tmp_path, records, **model):
@@ -573,6 +620,69 @@ def test_string_where_a_list_belongs_in_a_dataset_exits_2(lineitems_records, tmp
     assert main(args) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "row 0 must be a list, got str (line 3) (record s)" in err
+
+
+@pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_blank_gold_cell_exits_2_before_any_step(lineitems_records, tmp_path, capsys, monkeypatch, command, blank):
+    records = [
+        DatasetRecord(r.id, r.text, Table(r.table.headers, [[blank, *r.table.rows[0][1:]], *r.table.rows[1:]]))
+        for r in lineitems_records[:2]
+    ]
+    config = _train_config(tmp_path, records)
+    monkeypatch.setattr(Trainer, "training_step", lambda *a: pytest.fail("a step ran"))
+    argv = ["train", config] if command == "train" else ["ablate", config, str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"text2table {command}: {records[0].id}: cell (1,1) is blank: write a cell without a value as null"
+
+
+NOT_UTF8 = '{"id": "café"}\n'.encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "command, target, kind",
+    [
+        ("eval", "dataset", "latin-1"),
+        ("train", "config", "latin-1"),
+        ("ablate", "ledger", "latin-1"),
+        ("eval", "sidecar", "latin-1"),
+        ("train", "config", "directory"),
+        ("eval", "dataset", "directory"),
+    ],
+    ids=["eval_dataset", "train_config", "ablate_ledger", "eval_sidecar", "train_config_dir", "eval_dataset_dir"],
+)
+def test_unreadable_input_file_exits_2_naming_it(lineitems_records, tmp_path, capsys, command, target, kind):
+    config = _train_config(tmp_path, lineitems_records[:2])
+    data, out = str(tmp_path / "data.jsonl"), tmp_path / "out"
+    path = {
+        "dataset": tmp_path / "gold.jsonl", "config": tmp_path / "other.json",
+        "ledger": out / "done.jsonl", "sidecar": Path(data + ".meta.json"),
+    }[target]
+    path.parent.mkdir(exist_ok=True)
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(NOT_UTF8)
+    argv = {
+        "train": ["train", str(path)],
+        "eval": ["eval", data, str(path) if target == "dataset" else data],
+        "ablate": ["ablate", config, str(out)],
+    }[command]
+    assert main(argv) == 2
+    error = "IsADirectoryError" if kind == "directory" else "UnicodeDecodeError"
+    assert capsys.readouterr().err.strip() == f"text2table {command}: {path}: not readable as UTF-8 text ({error})"
+
+
+def test_model_vocab_size_other_than_the_vocabularys_exits_2(lineitems_records, tmp_path, capsys):
+    config = _train_config(tmp_path, lineitems_records[:3])
+    run = prepare_run(merged_run_config(json.loads(Path(config).read_text())))
+    n = run.model.vocab_size
+    assert main(["train", config, "--set", "model.vocab_size=7"]) == 2
+    assert capsys.readouterr().err.strip() == f"text2table train: model.vocab_size 7 is not the vocabulary's size {n}"
+    # the resolved run config writes vocab_size out, and reads back as itself
+    assert prepare_run(run.resolved()).resolved() == run.resolved()
+    assert main(["train", config, "--set", f"model.vocab_size={n}"]) == 0
 
 
 EVAL_KEYS = {"step", "nll", "mse", "cell_precision", "cell_recall", "cell_f1", "per_column_f1", "count_accuracy"}
