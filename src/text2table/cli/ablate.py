@@ -152,7 +152,7 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
     cfg = load_json_config(grid_path)
     grid = cfg.pop("grid", {})
     n_seeds = cfg.pop("n_seeds", 3)
-    if not isinstance(n_seeds, int) or n_seeds < 1:
+    if type(n_seeds) is not int or n_seeds < 1:  # a bool is no count
         raise ConfigError(f"n_seeds must be a positive integer, got {n_seeds!r}")
     # every point fails here, before any run, or not at all
     points = [(combo, prepare_run(point)) for combo, point in expand_grid(merged_run_config(cfg), grid)]

@@ -17,7 +17,6 @@ from ..corpus import (
     build_vocab,
     generate,
     read_jsonl,
-    record_to_line,
     write_jsonl,
 )
 from ..decoding import DecodingConfig, NonFiniteCountError, NonFiniteLogitsError, decode_table
@@ -226,6 +225,12 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
         model, examples = run.build()
         if metrics_path and os.path.exists(metrics_path):
             os.unlink(metrics_path)
+
+    trainer = run.trainer(
+        model, examples, metrics_path=metrics_path, run_config=run_config, start_step=start_step, optimizer=optimizer
+    )
+    history = trainer.run()
+    # the notice follows a run that ends: on exit 3 the error line stands alone
     for attr, what, limit, unit in (
         ("input_tokens_dropped", "source", "max_input_len", "texts"),
         ("header_tokens_dropped", "header", "max_cell_len", "tables"),
@@ -237,11 +242,6 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
                 f"{getattr(model.cfg, limit)} dropped from {len(cut)} of {len(examples)} training {unit}",
                 file=sys.stderr,
             )
-
-    trainer = run.trainer(
-        model, examples, metrics_path=metrics_path, run_config=run_config, start_step=start_step, optimizer=optimizer
-    )
-    history = trainer.run()
     if history:
         last = history[-1]
         print(f"final eval: {json.dumps(last, sort_keys=True)}")
@@ -380,10 +380,11 @@ def cmd_eval(
                 f"prediction corpus hash {str(stored)[:12]} != gold {gold_hash[:12]} (use --force to override)"
             )
 
+    for p, g in zip(preds, golds):
+        if p.id != g.id:
+            raise DataError(f"prediction id {p.id!r} does not match gold id {g.id!r}")
     try:
-        score = score_corpus(
-            [(p.id, p.table, g.id, g.table) for p, g in zip(preds, golds)], mode
-        )
+        score = score_corpus([(p.table, g.table) for p, g in zip(preds, golds)], mode)
     except ValueError as exc:  # AlignmentError, HeaderMismatchError
         raise DataError(str(exc)) from None
     report = score.report()

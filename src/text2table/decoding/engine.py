@@ -27,13 +27,11 @@ import numpy as np
 
 from ..fields import from_fields
 from ..model import TableTemplate, TextToTableModel, collate_instances, instance_for_decoding
-from ..model.layout import encode_record
+from ..model.layout import Coord, encode_record, row_major_order
 from ..model.transformer import DecoderCache
 from ..numerics import no_grad
 from ..table import Table
 from ..vocab import BOS, EOC, NULL, Vocabulary
-
-Coord = tuple[int, int]
 
 INNER_CRITERIA = ("min", "max", "mean")
 OUTER_CRITERIA = ("max-first", "min-first")
@@ -122,12 +120,7 @@ class DecodingState:
     committed: dict[Coord, list[int]] = field(default_factory=dict)  # in commit order
 
     def undecoded(self) -> list[Coord]:
-        return [
-            (r, c)
-            for r in range(1, self.n_rows + 1)
-            for c in range(1, self.n_cols + 1)
-            if (r, c) not in self.committed
-        ]
+        return [c for c in row_major_order(self.n_rows, self.n_cols) if c not in self.committed]
 
     def done(self) -> bool:
         return len(self.committed) == self.n_rows * self.n_cols

@@ -1,10 +1,9 @@
 from .scoring import (
     AlignmentError,
     AlignmentMode,
-    CorpusScore,
     Counts,
     HeaderMismatchError,
-    TableScore,
+    Score,
     score_corpus,
     score_tables,
 )
@@ -12,10 +11,9 @@ from .scoring import (
 __all__ = [
     "AlignmentError",
     "AlignmentMode",
-    "CorpusScore",
     "Counts",
     "HeaderMismatchError",
-    "TableScore",
+    "Score",
     "score_corpus",
     "score_tables",
 ]

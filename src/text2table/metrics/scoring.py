@@ -64,10 +64,8 @@ class Counts:
     predicted: int = 0
     gold: int = 0
 
-    def add(self, other: "Counts") -> None:
-        self.correct += other.correct
-        self.predicted += other.predicted
-        self.gold += other.gold
+    def __add__(self, other: "Counts") -> "Counts":
+        return Counts(self.correct + other.correct, self.predicted + other.predicted, self.gold + other.gold)
 
     @property
     def precision(self) -> float:
@@ -93,26 +91,32 @@ class Counts:
 
 
 @dataclass
-class TableScore:
-    counts: Counts
-    per_column: dict[str, Counts]
-    row_count_exact: bool
+class Score:
+    """The counts of one table or of a corpus, overall and per column, and how
+    many of its tables have the gold row count; two scores add up."""
+
+    counts: Counts = field(default_factory=Counts)
+    per_column: dict[str, Counts] = field(default_factory=dict)
+    n_tables: int = 0
+    n_row_count_exact: int = 0
+
+    def __add__(self, other: "Score") -> "Score":
+        columns = {**self.per_column, **other.per_column}
+        return Score(
+            self.counts + other.counts,
+            {h: self.per_column.get(h, Counts()) + other.per_column.get(h, Counts()) for h in columns},
+            self.n_tables + other.n_tables,
+            self.n_row_count_exact + other.n_row_count_exact,
+        )
 
     @property
-    def precision(self) -> float:
-        return self.counts.precision
-
-    @property
-    def recall(self) -> float:
-        return self.counts.recall
-
-    @property
-    def f1(self) -> float:
-        return self.counts.f1
+    def count_accuracy(self) -> float:
+        return self.n_row_count_exact / self.n_tables if self.n_tables else 0.0
 
     def report(self) -> dict:
         out = self.counts.report()
-        out["row_count_exact"] = self.row_count_exact
+        out["count_accuracy"] = self.count_accuracy
+        out["n_tables"] = self.n_tables
         out["per_column"] = {k: v.report() for k, v in self.per_column.items()}
         return out
 
@@ -162,7 +166,7 @@ def _align_rows(
     raise AlignmentError(f"unknown alignment mode {mode.mode!r}")
 
 
-def score_tables(pred: Table, gold: Table, mode: AlignmentMode) -> TableScore:
+def score_tables(pred: Table, gold: Table, mode: AlignmentMode) -> Score:
     """Score one predicted table against gold (headers must match as sets)."""
     pset, gset = set(pred.headers), set(gold.headers)
     if pset != gset:
@@ -185,55 +189,9 @@ def score_tables(pred: Table, gold: Table, mode: AlignmentMode) -> TableScore:
             if p is not None and g is not None and p == g:
                 per_column[h].correct += 1
 
-    total = Counts()
-    for c in per_column.values():
-        total.add(c)
-    return TableScore(total, per_column, pred.n_rows == gold.n_rows)
+    return Score(sum(per_column.values(), Counts()), per_column, 1, int(pred.n_rows == gold.n_rows))
 
 
-@dataclass
-class CorpusScore:
-    counts: Counts
-    per_column: dict[str, Counts]
-    n_tables: int
-    n_row_count_exact: int
-
-    @property
-    def count_accuracy(self) -> float:
-        return self.n_row_count_exact / self.n_tables if self.n_tables else 0.0
-
-    def report(self) -> dict:
-        out = self.counts.report()
-        out["count_accuracy"] = self.count_accuracy
-        out["n_tables"] = self.n_tables
-        out["per_column"] = {k: v.report() for k, v in self.per_column.items()}
-        return out
-
-
-def score_corpus(
-    pairs: Iterable[tuple[str, Table, str, Table]] | Iterable[tuple[Table, Table]],
-    mode: AlignmentMode,
-) -> CorpusScore:
-    """Micro-averaged score over (pred, gold) pairs.
-
-    Pairs may be (pred_id, pred, gold_id, gold) tuples, in which case ids must
-    match pairwise, or bare (pred, gold) tuples.
-    """
-    total = Counts()
-    per_column: dict[str, Counts] = {}
-    n_tables = 0
-    n_exact = 0
-    for pair in pairs:
-        if len(pair) == 4:
-            pid, pred, gid, gold = pair
-            if pid != gid:
-                raise AlignmentError(f"prediction id {pid!r} does not match gold id {gid!r}")
-        else:
-            pred, gold = pair
-        score = score_tables(pred, gold, mode)
-        total.add(score.counts)
-        for h, c in score.per_column.items():
-            per_column.setdefault(h, Counts()).add(c)
-        n_tables += 1
-        n_exact += int(score.row_count_exact)
-    return CorpusScore(total, per_column, n_tables, n_exact)
+def score_corpus(pairs: Iterable[tuple[Table, Table]], mode: AlignmentMode) -> Score:
+    """Micro-averaged score over (pred, gold) pairs: the sum of their table scores."""
+    return sum((score_tables(pred, gold, mode) for pred, gold in pairs), Score())

@@ -47,6 +47,11 @@ from .config import ModelConfig
 Coord = tuple[int, int]
 
 
+def row_major_order(n_rows: int, n_cols: int) -> list[Coord]:
+    """Every cell of an ``n_rows`` x ``n_cols`` table, row by row: the one cell order."""
+    return [(r, c) for r in range(1, n_rows + 1) for c in range(1, n_cols + 1)]
+
+
 class LayoutError(ValueError):
     pass
 
@@ -130,7 +135,7 @@ class TableTemplate:
     bias_idx: np.ndarray = field(repr=False, default=None)
 
     def cells(self) -> list[Coord]:
-        return [(r, c) for r in range(1, self.n_rows + 1) for c in range(1, self.n_cols + 1)]
+        return row_major_order(self.n_rows, self.n_cols)
 
 
 def make_template(

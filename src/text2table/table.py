@@ -38,9 +38,6 @@ class Table:
         j = self.headers.index(name)
         return [row[j] for row in self.rows]
 
-    def cell(self, i: int, name: str) -> str | None:
-        return self.rows[i][self.headers.index(name)]
-
     def copy(self) -> "Table":
         return Table(list(self.headers), [list(r) for r in self.rows])
 

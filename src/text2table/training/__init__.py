@@ -11,12 +11,12 @@ from .passes import (
     TrainingExample,
     build_semi_templated_corpus_variant,
     build_training_pass,
+    causal_stages,
     prepare_example,
+    sample_permutation,
 )
-from .permutation import PermutationPlan, causal_stages, row_major_order, sample_permutation
 
 __all__ = [
-    "PermutationPlan",
     "StepStats",
     "TRAINING_MODES",
     "Trainer",
@@ -28,7 +28,6 @@ __all__ = [
     "build_training_pass",
     "causal_stages",
     "prepare_example",
-    "row_major_order",
     "sample_permutation",
     "step_rng",
 ]

@@ -20,9 +20,9 @@ from ..decoding import DecodingConfig, decode_table
 from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
 from ..model import TextToTableModel, collate_instances, save_checkpoint
+from ..model.layout import row_major_order
 from ..numerics import AdamW, Tensor, backward, clip_grad_norm, no_grad, ops
-from .passes import TRAINING_MODES, TrainingExample, build_training_pass
-from .permutation import causal_stages, row_major_order, sample_permutation
+from .passes import TRAINING_MODES, TrainingExample, build_training_pass, causal_stages, sample_permutation
 
 STREAM_BATCH, STREAM_PLAN, STREAM_DROPOUT, STREAM_EVAL = 0, 1, 2, 3
 
@@ -133,7 +133,7 @@ class Trainer:
                 stage = causal_stages(row_major_order(ex.n_rows, ex.n_cols))
             else:
                 rng = step_rng(self.cfg.seed, step, STREAM_PLAN, (slot,))
-                stage = sample_permutation(ex.n_rows, ex.n_cols, rng).stages
+                stage = sample_permutation(ex.n_rows, ex.n_cols, rng)
             insts.append(build_training_pass(ex, stage, self.model))
         return insts
 

@@ -1,16 +1,18 @@
-"""Training examples and teacher-forced pass construction."""
+"""Training examples, the stage map ``{cell: stage}`` that states a training
+pass, and its teacher-forced layout."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..corpus import DatasetRecord
 from ..model import LayoutError, LayoutInstance, TextToTableModel, instance_for_pass
 from ..model.config import ModelConfig
-from ..model.layout import check_shape, content_token_ids, encode_record
+from ..model.layout import Coord, check_shape, content_token_ids, encode_record, row_major_order
 from ..table import Table
 from ..vocab import Vocabulary
-from .permutation import Coord
 
 TRAINING_MODES = ("permuted", "fixed-causal", "semi-templated")
 
@@ -78,3 +80,23 @@ def build_training_pass(
     :func:`~text2table.model.layout.visibility_mask`)."""
     tpl = model.template_for(example.header_ids, example.n_rows)
     return instance_for_pass(tpl, model.grammar, example.cell_ids, stage)
+
+
+def sample_permutation(n_rows: int, n_cols: int, rng: np.random.Generator) -> dict[Coord, int]:
+    """Stages of one permuted pass: a uniform order over the C cells and a uniform cut
+    in [1, C]; the cells before the cut are context (0), the rest are open (1). A
+    table with no rows gets the empty map and draws nothing."""
+    if n_rows < 0 or n_cols < 1:
+        raise ValueError(f"table shape {n_rows}x{n_cols}: need n_rows >= 0 and n_cols >= 1")
+    cells = row_major_order(n_rows, n_cols)
+    if not cells:
+        return {}
+    perm = rng.permutation(len(cells))
+    cut = int(rng.integers(1, len(cells) + 1))
+    return {cells[i]: int(n >= cut - 1) for n, i in enumerate(perm)}
+
+
+def causal_stages(order: list[Coord]) -> dict[Coord, int]:
+    """Staircase stages: cell ``order[i]`` at stage i + 1 sees exactly the
+    cells before it in ``order`` (the fixed-order training variant)."""
+    return {c: i + 1 for i, c in enumerate(order)}

@@ -21,9 +21,9 @@ import numpy as np
 
 from text2table.model import TextToTableModel, collate_instances, instance_for_pass
 from text2table.numerics import no_grad
-from text2table.training import PermutationPlan, TrainingExample, row_major_order, sample_permutation
-from text2table.training.permutation import Coord
-from util import encode_one, filled_stages, loss_cells, slot_cell_id
+from text2table.model.layout import Coord, row_major_order
+from text2table.training import TrainingExample, sample_permutation
+from util import cut_stages, encode_one, filled_stages, loss_cells, slot_cell_id
 
 
 def masked_nll_rows(logits: np.ndarray, targets: np.ndarray, legal: np.ndarray) -> np.ndarray:
@@ -72,9 +72,10 @@ class _PassCache:
             self._cache[filled] = hit
         return hit
 
-    def pass_loss(self, plan: PermutationPlan) -> float:
-        per_cell = self.cell_nll(plan.filled)
-        return float(np.mean([per_cell[c] for c in plan.open]))
+    def pass_loss(self, stage: dict[Coord, int]) -> float:
+        """Mean NLL over the open cells of a permuted pass's stage map."""
+        per_cell = self.cell_nll(frozenset(c for c, s in stage.items() if not s))
+        return float(np.mean([per_cell[c] for c, s in stage.items() if s]))
 
 
 def exact_expected_nll(model: TextToTableModel, example: TrainingExample) -> float:
@@ -127,7 +128,7 @@ def mean_pass_loss_over_all_pairs(model: TextToTableModel, example: TrainingExam
         raise ValueError("full (ordering, cut) enumeration only for tiny tables")
     cache = _PassCache(model, example)
     losses = [
-        cache.pass_loss(PermutationPlan(order, cut))
+        cache.pass_loss(cut_stages(order, cut))
         for order in permutations(coords)
         for cut in range(1, c + 1)
     ]
@@ -144,7 +145,6 @@ def mc_expected_nll(
     cache = _PassCache(model, example)
     samples = np.empty(n_samples)
     for k in range(n_samples):
-        plan = sample_permutation(example.n_rows, example.n_cols, rng)
-        samples[k] = cache.pass_loss(plan)
+        samples[k] = cache.pass_loss(sample_permutation(example.n_rows, example.n_cols, rng))
     se = float(samples.std(ddof=1) / math.sqrt(n_samples))
     return float(samples.mean()), se

@@ -187,7 +187,8 @@ def test_non_finite_training_or_evaluation_exits_3(lineitems_records, tmp_path, 
     data = str(tmp_path / "data.jsonl")
     write_jsonl(lineitems_records[:12], data)
     config.write_text(json.dumps({
-        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32},
+        # texts cut at max_input_len: the notice of the cut belongs to a run that ends, not to exit 3
+        "model": {"d_model": 16, "n_heads": 2, "n_enc_layers": 1, "n_dec_layers": 1, "d_ff": 32, "max_input_len": 8},
         "training": {**DIVERGING, **training}, "decoding": decoding, "paths": {"dataset": data},
         **({"n_seeds": 1} if command == "ablate" else {}),
     }))
@@ -445,9 +446,10 @@ def test_ablate_misspelt_grid_axis_exits_2(lineitems_records, tmp_path, capsys):
         ({"grid": {"trainig.steps": [2]}}, "unknown run config key(s) 'trainig'"),
         ({"grid": {"decoding.k": []}}, "grid key 'decoding.k' must map to a non-empty list"),
         ({"n_seeds": 0}, "n_seeds must be a positive integer"),
+        ({"n_seeds": True}, "n_seeds must be a positive integer, got True"),
     ],
     ids=["grid_file_key", "base_section_key", "paths_key", "training_seed", "axis_value", "axis_section",
-         "empty_axis", "n_seeds"],
+         "empty_axis", "n_seeds", "n_seeds_bool"],
 )
 def test_ablate_bad_grid_file_exits_2_before_any_run(lineitems_records, tmp_path, capsys, keys, message):
     grid = _grid_file(tmp_path, lineitems_records[:3], **keys)
@@ -577,6 +579,39 @@ def test_eval_header_mismatch_exits_2(tmp_path, capsys):
     assert main(["eval", pred, gold]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "header sets differ" in err
+
+
+def test_eval_id_mismatch_exits_2(tmp_path, capsys):
+    pred, gold = str(tmp_path / "pred.jsonl"), str(tmp_path / "gold.jsonl")
+    table = Table(["item"], [["1"]])
+    write_jsonl([DatasetRecord("p0", "text", table), DatasetRecord("p1", "text", table)], pred)
+    write_jsonl([DatasetRecord("p0", "text", table), DatasetRecord("g2", "text", table)], gold)
+    assert main(["eval", pred, gold]) == 2
+    assert capsys.readouterr().err == "text2table eval: prediction id 'p1' does not match gold id 'g2'\n"
+
+
+def test_eval_report_sums_the_table_scores(tmp_path, capsys):
+    pred, gold = str(tmp_path / "pred.jsonl"), str(tmp_path / "gold.jsonl")
+    write_jsonl([
+        DatasetRecord("a", "t", Table(["qty", "item"], [["3", "pens"]])),
+        DatasetRecord("b", "t", Table(["item", "qty"], [["cups", "5"], [None, "1"]])),
+    ], pred)
+    write_jsonl([
+        DatasetRecord("a", "t", Table(["item", "qty"], [["pens", "3"], ["mugs", None]])),
+        DatasetRecord("b", "t", Table(["item", "qty"], [["cups", "2"]])),
+    ], gold)
+    assert main(["eval", pred, gold]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("alignment", "gold_sha256", "pred_sha256"):
+        report.pop(key)
+    assert report == {
+        "correct": 3, "predicted": 5, "gold": 5, "precision": 0.6, "recall": 0.6, "f1": 0.6,
+        "count_accuracy": 0.0, "n_tables": 2,
+        "per_column": {
+            "item": {"correct": 2, "predicted": 2, "gold": 3, "precision": 1.0, "recall": 2 / 3, "f1": 0.8},
+            "qty": {"correct": 1, "predicted": 3, "gold": 2, "precision": 1 / 3, "recall": 0.5, "f1": 0.4},
+        },
+    }
 
 
 def test_eval_lets_a_bug_in_scoring_propagate(tmp_path, monkeypatch):

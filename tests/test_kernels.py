@@ -19,13 +19,12 @@ import pytest
 
 import loop_kernels as ref
 from text2table.model import collate_instances, instance_for_decoding, instance_for_pass
-from text2table.model.layout import visibility_mask
+from text2table.model.layout import row_major_order, visibility_mask
 from text2table.numerics import AdamW, ParameterStore, Tensor, backward, ops
 from text2table.training import (
     build_training_pass,
     causal_stages,
     prepare_example,
-    row_major_order,
     sample_permutation,
 )
 from util import mul, sum_all
@@ -72,7 +71,7 @@ def batch_maps(lineitems_records, tiny_vocab):
     insts = []
     for rec in lineitems_records[:4]:
         ex = prepare_example(rec, tiny_vocab, cfg)
-        insts.append(build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng).stages, model))
+        insts.append(build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng), model))
     maps = collate_instances(insts).bias_idx
     assert maps.shape == (4, sum(int((~inst.is_pad).sum()) ** 2 for inst in insts))
     assert (maps[0] < 0).any() and (maps[2] < 0).any()  # header bucket and cross-cell pairs
@@ -181,12 +180,12 @@ def test_visibility_mask_on_real_layouts_equals_the_naive_rule(lineitems_records
     for rec in lineitems_records[:12]:
         ex = prepare_example(rec, model.vocab, model.cfg)
         tpl = model.template_for(ex.header_ids, ex.n_rows)
-        plan = sample_permutation(ex.n_rows, ex.n_cols, rng)
+        stage = sample_permutation(ex.n_rows, ex.n_cols, rng)
         causal = causal_stages(row_major_order(ex.n_rows, ex.n_cols))
         for inst in (
-            instance_for_pass(tpl, model.grammar, ex.cell_ids, plan.stages),
+            instance_for_pass(tpl, model.grammar, ex.cell_ids, stage),
             instance_for_pass(tpl, model.grammar, ex.cell_ids, causal),
-            instance_for_decoding(tpl, {c: ex.cell_ids[c] for c in plan.filled}),
+            instance_for_decoding(tpl, {c: ex.cell_ids[c] for c, s in stage.items() if not s}),
         ):
             live = np.flatnonzero(~inst.is_pad)
             got = visibility_mask(inst.stage[live], tpl.bias_idx[2][np.ix_(live, live)], tpl.slot_len)

@@ -15,21 +15,20 @@ import padded_model
 from conftest import random_bias_tables
 from text2table.corpus import CorpusSpec, DatasetRecord, build_vocab, generate
 from text2table.model import ModelConfig, TextToTableModel, collate_instances
+from text2table.model.layout import row_major_order
 from text2table.numerics import backward, ops
 from text2table.table import Table
 from text2table.training import (
-    PermutationPlan,
     Trainer,
     TrainingConfig,
     build_source_batch,
     build_training_pass,
     causal_stages,
     prepare_example,
-    row_major_order,
     sample_permutation,
 )
 from text2table.vocab import NULL, PAD
-from util import cell_logits, encode_one, structure, visibility
+from util import cell_logits, cut_stages, encode_one, structure, visibility
 
 REL = {64: 1e-12, 32: 1e-4}
 
@@ -64,10 +63,10 @@ def _mixed(model, records):
 
     def half_filled(ex):  # the first half of the row-major order is context
         order = row_major_order(ex.n_rows, ex.n_cols)
-        return build_training_pass(ex, PermutationPlan(order, 1 + len(order) // 2).stages, model)
+        return build_training_pass(ex, cut_stages(order, 1 + len(order) // 2), model)
 
     def sampled(ex):
-        return build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng).stages, model)
+        return build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng), model)
 
     def staircase(ex):
         return build_training_pass(ex, causal_stages(row_major_order(ex.n_rows, ex.n_cols)), model)

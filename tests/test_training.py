@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -15,9 +16,9 @@ from estimator import (
 )
 from text2table.corpus import CorpusSpec, DatasetRecord, generate
 from text2table.model import LayoutError
+from text2table.model.layout import row_major_order
 from text2table.table import Table
 from text2table.training import (
-    PermutationPlan,
     Trainer,
     TrainingConfig,
     TrainingDiverged,
@@ -25,60 +26,68 @@ from text2table.training import (
     build_training_pass,
     causal_stages,
     prepare_example,
-    row_major_order,
     sample_permutation,
     step_rng,
 )
 from text2table.numerics import backward
 from text2table.vocab import BOS, EOC, NULL, PAD
-from util import loss_cells, slot_cell_id, structure, visibility
+from util import cut_stages, loss_cells, slot_cell_id, structure, visibility
 
 
 # ---------------------------------------------------------------------------
-# permutation sampling
+# stage maps
 # ---------------------------------------------------------------------------
 
 
-def test_one_by_one_plan_is_trivial():
-    rng = np.random.default_rng(0)
-    plan = sample_permutation(1, 1, rng)
-    assert plan.order == ((1, 1),)
-    assert plan.cut == 1
-    assert plan.filled == frozenset()
+def test_one_by_one_map_is_one_open_cell():
+    assert sample_permutation(1, 1, np.random.default_rng(0)) == {(1, 1): 1}
 
 
-def test_two_cell_orderings_uniform():
+def test_sampled_stages_are_pinned():
+    # the draws, and their order, decide every permuted training pass
+    assert sample_permutation(2, 2, np.random.default_rng(0)) == {(2, 1): 0, (1, 1): 1, (1, 2): 1, (2, 2): 1}
+    stage = sample_permutation(3, 4, np.random.default_rng(1))
+    assert {c for c, s in stage.items() if not s} == {(3, 1), (3, 4), (2, 1)}
+    assert sorted(stage) == row_major_order(3, 4) and set(stage.values()) == {0, 1}
+
+
+def test_sampled_stages_cut_the_drawn_order():
+    # an order over the row-major cells, then a cut in [1, C], from the same generator
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        cells = row_major_order(2, 3)
+        order = [cells[i] for i in rng.permutation(6)]
+        cut = int(rng.integers(1, 7))
+        assert sample_permutation(2, 3, np.random.default_rng(seed)) == cut_stages(order, cut)
+
+
+def test_two_cell_stage_maps_follow_the_uniform_order_and_cut():
+    # cut 1 leaves both cells open (1/2); cut 2 fills the first cell of a uniform order (1/4 each)
     rng = np.random.default_rng(1)
-    hits = {((1, 1), (2, 1)): 0, ((2, 1), (1, 1)): 0}
     n = 10_000
-    for _ in range(n):
-        hits[sample_permutation(2, 1, rng).order] += 1
-    for count in hits.values():
-        assert abs(count / n - 0.5) < 0.02
+    hits = collections.Counter(
+        tuple(sorted(sample_permutation(2, 1, rng).items())) for _ in range(n)
+    )
+    want = {(((1, 1), 1), ((2, 1), 1)): 0.5, (((1, 1), 0), ((2, 1), 1)): 0.25, (((1, 1), 1), ((2, 1), 0)): 0.25}
+    assert set(hits) == set(want)
+    for key, p in want.items():
+        assert abs(hits[key] / n - p) < 0.02
 
 
-def test_plan_inverse_roundtrip():
+def test_causal_stages_invert_the_order():
     # the causal stage of a cell is its 1-based position in the order (sigma inverse)
     rng = np.random.default_rng(2)
-    plan = sample_permutation(3, 2, rng)
-    stage = causal_stages(plan.order)
-    for coord in row_major_order(3, 2):
-        assert plan.order[stage[coord] - 1] == coord
+    cells = row_major_order(3, 2)
+    order = [cells[i] for i in rng.permutation(6)]
+    stage = causal_stages(order)
+    for coord in cells:
+        assert order[stage[coord] - 1] == coord
 
 
-def test_cut_bounds_enforced():
-    with pytest.raises(ValueError):
-        PermutationPlan(((1, 1),), 2)
-    with pytest.raises(ValueError):
-        PermutationPlan((), 2)
-
-
-def test_zero_row_table_gets_the_empty_plan_and_draws_nothing():
+def test_zero_row_table_gets_the_empty_map_and_draws_nothing():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    plan = sample_permutation(0, 3, rng)
-    assert plan == PermutationPlan((), 1)
-    assert plan.stages == {} and plan.open == () and plan.filled == frozenset()
+    assert sample_permutation(0, 3, rng) == {}
     assert rng.bit_generator.state == state
 
 
@@ -102,24 +111,21 @@ def test_stages_must_cover_exactly_the_template_cells(tiny_model):
 
 def test_cut_one_means_no_context(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
-    plan = PermutationPlan(row_major_order(2, 2), 1)
-    inst = build_training_pass(ex, plan.stages, tiny_model)
+    inst = build_training_pass(ex, cut_stages(row_major_order(2, 2), 1), tiny_model)
     assert not (inst.stage[~structure(inst.template) & ~inst.is_pad] == 0).any()
     assert set(loss_cells(inst).tolist()) == {slot_cell_id(inst.template, c) for c in inst.template.cells()}
 
 
 def test_cut_c_means_single_open_cell(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
-    plan = PermutationPlan(row_major_order(2, 2), 4)
-    inst = build_training_pass(ex, plan.stages, tiny_model)
+    inst = build_training_pass(ex, cut_stages(row_major_order(2, 2), 4), tiny_model)
     assert set(loss_cells(inst).tolist()) == {slot_cell_id(inst.template, (2, 2))}
 
 
 def test_loss_mask_soundness(tiny_model):
     # loss positions are exactly the content+EOC span of every open cell
     ex = _example(tiny_model, [["pens", "3"], [None, "7"]])
-    plan = PermutationPlan(((1, 1), (1, 2), (2, 1), (2, 2)), 2)  # (1,1) filled
-    inst = build_training_pass(ex, plan.stages, tiny_model)
+    inst = build_training_pass(ex, cut_stages([(1, 1), (1, 2), (2, 1), (2, 2)], 2), tiny_model)  # (1,1) filled
     tpl = inst.template
     expected = []
     for coord in tpl.cells():
@@ -133,7 +139,7 @@ def test_loss_mask_soundness(tiny_model):
 
 def test_header_tokens_visible_in_both_modes(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
-    perm = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 2).stages, tiny_model)
+    perm = build_training_pass(ex, cut_stages(row_major_order(2, 2), 2), tiny_model)
     fixed = build_training_pass(ex, causal_stages(row_major_order(2, 2)), tiny_model)
     for inst in (perm, fixed):
         allow = visibility(inst)
@@ -244,7 +250,7 @@ def test_sentinel_row_serializes_as_null_eoc(tiny_model):
         "e", "pens .", build_semi_templated_corpus_variant(Table(["item", "qty"], [["pens", "3"]]))
     )
     ex = prepare_example(rec, tiny_model.vocab, tiny_model.cfg)
-    inst = build_training_pass(ex, PermutationPlan(row_major_order(2, 2), 1).stages, tiny_model)
+    inst = build_training_pass(ex, cut_stages(row_major_order(2, 2), 1), tiny_model)
     rows = loss_cells(inst) == slot_cell_id(inst.template, (2, 1))
     assert inst.loss_targets[rows].tolist() == [NULL, EOC]
 

@@ -123,6 +123,12 @@ def structure(template):
     return (template.rows == 0) | (template.cols == 0)
 
 
+def cut_stages(order, cut):
+    """Stages of the permuted pass with cell ``order`` and ``cut``: the cells
+    before the cut are context (0), the rest are open (1)."""
+    return {c: int(n >= cut - 1) for n, c in enumerate(order)}
+
+
 def filled_stages(template, filled):
     """Stages of a permuted pass: the ``filled`` cells are context (0), every
     other cell of the template is open (1)."""
