@@ -32,6 +32,9 @@ data or a library default it relies on changed therefore runs again; a
 default written out runs nothing new. A last ledger line that an interrupted
 append cut short is dropped, and its run runs again. ``out_dir/summary.json``
 holds the mean and standard deviation of cell F1 and count accuracy per point.
+After the last run, each point whose training texts or headers were cut at
+``model.max_input_len`` or ``model.max_cell_len`` gets the notice ``train``
+prints, once, named by its grid values.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import os
 
 import numpy as np
 
-from .commands import DataError, Run, prepare_run
+from .commands import DataError, Run, prepare_run, warn_cut_ids
 from .runconfig import (
     PATH_KEYS, ConfigError, canonical_json, config_hash, file_sha256, load_json_config, merged_run_config, set_key
 )
@@ -182,6 +185,8 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
                 ledger.flush()
                 rows.append(row)
                 print(f"  run {rid} f1={result['cell_f1']:.4f}")
+    for combo, point in points:  # after every run, as train does
+        warn_cut_ids("ablate", point.examples(), point.model, combo)
 
     summary = summarize(rows)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:

@@ -7,7 +7,10 @@ import json
 import os
 import statistics
 import sys
+from time import perf_counter
 from typing import NamedTuple
+
+import numpy as np
 
 from ..corpus import (
     CorpusError,
@@ -36,6 +39,7 @@ from .runconfig import (
     PATH_KEYS,
     ConfigError,
     apply_overrides,
+    canonical_json,
     check_run_config,
     config_hash,
     file_sha256,
@@ -92,11 +96,30 @@ def cmd_gen_data(spec_path: str, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_examples(records, model: TextToTableModel, mode: str) -> list[TrainingExample]:
+def _prepare_examples(records, vocab: Vocabulary, cfg: ModelConfig, mode: str) -> list[TrainingExample]:
     try:
-        return [prepare_example(r, model.vocab, model.cfg, mode) for r in records]
+        return [prepare_example(r, vocab, cfg, mode) for r in records]
     except LayoutError as exc:
         raise DataError(str(exc)) from None
+
+
+def warn_cut_ids(command: str, examples: list[TrainingExample], cfg: ModelConfig, point: dict | None = None) -> None:
+    """Print to stderr, one line per kind, the source and header token ids
+    the training examples lost at ``max_input_len`` and ``max_cell_len``;
+    ``point`` names the ablation grid point they belong to. A command calls
+    this once its runs end, so that on exit 3 its error line stands alone."""
+    where = "" if point is None else f"grid point {canonical_json(point)}: "
+    for attr, what, limit, unit in (
+        ("input_tokens_dropped", "source", "max_input_len", "texts"),
+        ("header_tokens_dropped", "header", "max_cell_len", "tables"),
+    ):
+        cut = [getattr(ex, attr) for ex in examples if getattr(ex, attr)]
+        if cut:
+            print(
+                f"text2table {command}: warning: {where}{sum(cut)} {what} token ids beyond {limit} "
+                f"{getattr(cfg, limit)} dropped from {len(cut)} of {len(examples)} training {unit}",
+                file=sys.stderr,
+            )
 
 
 class Run(NamedTuple):
@@ -124,14 +147,17 @@ class Run(NamedTuple):
             "paths": {k: self.paths.get(k) for k in PATH_KEYS},
         }
 
+    def examples(self) -> list[TrainingExample]:
+        """The run's training examples."""
+        return _prepare_examples(self.records, self.vocab, self.model, self.training.mode)
+
     def build(self) -> tuple[TextToTableModel, list[TrainingExample]]:
         """A freshly initialised model and its training examples."""
-        model = TextToTableModel(self.model, self.vocab, seed=self.training.seed)
-        return model, _prepare_examples(self.records, model, self.training.mode)
+        return TextToTableModel(self.model, self.vocab, seed=self.training.seed), self.examples()
 
     def trainer(self, model: TextToTableModel, examples: list[TrainingExample], **kwargs) -> Trainer:
         """A :class:`Trainer` that evaluates on the run's validation records."""
-        val_examples = _prepare_examples(self.val_records, model, "permuted")
+        val_examples = _prepare_examples(self.val_records, model.vocab, model.cfg, "permuted")
         return Trainer(
             model, examples, self.training, val_records=self.val_records, val_examples=val_examples,
             eval_decoding=self.decoding, **kwargs
@@ -211,7 +237,7 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
                 f"refusing to resume from {latest}: it was trained under another run config or dataset "
                 "(only training.steps may change)"
             )
-        examples = _prepare_examples(run.records, model, tcfg.mode)
+        examples = _prepare_examples(run.records, model.vocab, model.cfg, tcfg.mode)
         if not meta.get("optimizer"):
             raise ModelError(f"cannot resume from {latest}: it holds no optimizer state")
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
@@ -230,18 +256,7 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
         model, examples, metrics_path=metrics_path, run_config=run_config, start_step=start_step, optimizer=optimizer
     )
     history = trainer.run()
-    # the notice follows a run that ends: on exit 3 the error line stands alone
-    for attr, what, limit, unit in (
-        ("input_tokens_dropped", "source", "max_input_len", "texts"),
-        ("header_tokens_dropped", "header", "max_cell_len", "tables"),
-    ):
-        cut = [getattr(ex, attr) for ex in examples if getattr(ex, attr)]
-        if cut:
-            print(
-                f"text2table train: warning: {sum(cut)} {what} token ids beyond {limit} "
-                f"{getattr(model.cfg, limit)} dropped from {len(cut)} of {len(examples)} training {unit}",
-                file=sys.stderr,
-            )
+    warn_cut_ids("train", examples, model.cfg)
     if history:
         last = history[-1]
         print(f"final eval: {json.dumps(last, sort_keys=True)}")
@@ -274,13 +289,16 @@ def cmd_decode(
     traces: list[dict] = []
     totals = dict.fromkeys(DECODE_COUNTS, 0)
     passes: list[int] = []  # per table
+    ms: list[float] = []  # per table
     for rec in records:
+        start = perf_counter()
         try:
             result = decode_table(rec.text, model, dcfg, rec.table.headers, keep_trace=bool(trace_path))
         except LayoutError as exc:  # the record, as train refuses it
             raise DataError(f"{rec.id}: {exc}") from None
         except (NonFiniteCountError, NonFiniteLogitsError) as exc:
             raise ModelError(f"{rec.id}: {exc}") from None
+        ms.append((perf_counter() - start) * 1e3)
         preds.append(DatasetRecord(rec.id, rec.text, result.table))
         counts = result.counts()
         totals = {key: n + counts[key] for key, n in totals.items()}
@@ -304,6 +322,7 @@ def cmd_decode(
                 }
             )
     write_jsonl(preds, out_path)
+    ms_p50, ms_p95 = np.percentile(ms, [50, 95]).tolist() if ms else (None, None)
     sidecar = {
         "checkpoint_step": meta.get("step"),
         "config_hash": (meta.get("run_config") or {}).get("config_hash"),
@@ -313,6 +332,9 @@ def cmd_decode(
         **totals,
         "decoder_passes_p50": statistics.median(passes) if passes else None,
         "decoder_passes_max": max(passes, default=None),
+        "tokens_per_table_mean": totals["tokens"] / len(preds) if preds else None,
+        "ms_per_table_p50": ms_p50,
+        "ms_per_table_p95": ms_p95,
     }
     with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)

@@ -210,7 +210,11 @@ class ModelCellSource:
       position the last inner loop scored for it, whose inputs are the
       draft's tokens. Every layer stores its keys and values in the cache
       before it attends, and context never attends to an open slot, so the
-      context entries are exact and stay fixed for the whole inner loop.
+      context entries are exact and stay fixed for the whole inner loop. A
+      context row serves only as a key and value, so it stops after the last
+      layer's key and value projections; only the open rows run the rest of
+      that layer (the ``read`` rows of
+      :meth:`TextToTableModel.decoder_hidden`).
     - A cell takes the picks of its first-pass rows while they repeat its
       draft, up to and including its first pick that differs (or its last
       row). A row sees its own cell up to itself and no other open slot, so
@@ -290,8 +294,9 @@ class ModelCellSource:
             while at.size:
                 self.passes += 1
                 batch = collate_instances([inst], rows)
-                hidden = model.decoder_hidden(self.memory_kv, self.mem_len, batch, cache=cache)
-                logits = model.logits_at(hidden, np.arange(len(rows) - at.size, len(rows))).data
+                read = np.arange(len(rows) - at.size, len(rows))  # the open rows, after any context
+                hidden = model.decoder_hidden(self.memory_kv, self.mem_len, batch, cache=cache, read=read)
+                logits = model.logits_at(hidden, np.arange(at.size)).data
                 if not np.isfinite(logits).all():  # a NaN row's log-probabilities are NaN, which names its cell
                     logits[~np.isfinite(logits).all(axis=-1)] = np.nan
                 lp = _masked_log_softmax(logits, legal)
@@ -400,8 +405,8 @@ def semi_templated_stop(state: DecodingState, row: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-DECODE_COUNTS = ("outer_iterations", "decoder_passes", "forced_tokens", "truncated_cells", "row_cap_hits",
-                 "input_tokens_dropped", "header_tokens_dropped")
+DECODE_COUNTS = ("outer_iterations", "decoder_passes", "tokens", "forced_tokens", "truncated_cells",
+                 "row_cap_hits", "input_tokens_dropped", "header_tokens_dropped")
 
 
 @dataclass
@@ -412,6 +417,7 @@ class DecodeResult:
     predicted_count: float | None
     hit_row_cap: bool = False
     decoder_passes: int = 0  # decoder calls: per inner loop, one for its drafts, one per later step some cell takes
+    tokens: int = 0  # table tokens produced: each committed cell's tokens and its end-of-cell
     forced_tokens: int = 0  # end-of-cell marks the grammar forced, committed with no decoder pass
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
     header_tokens_dropped: int = 0  # header token ids cut at max_cell_len
@@ -419,8 +425,9 @@ class DecodeResult:
 
     def counts(self) -> dict[str, int]:
         """The table's decode counts, which ``decode`` totals in its ``.meta.json``."""
-        values = (self.outer_iterations, self.decoder_passes, self.forced_tokens, len(self.truncated_cells),
-                  int(self.hit_row_cap), self.input_tokens_dropped, self.header_tokens_dropped)
+        values = (self.outer_iterations, self.decoder_passes, self.tokens, self.forced_tokens,
+                  len(self.truncated_cells), int(self.hit_row_cap), self.input_tokens_dropped,
+                  self.header_tokens_dropped)
         return dict(zip(DECODE_COUNTS, values))
 
 
@@ -488,7 +495,7 @@ def decode_table(
             break
     return DecodeResult(
         _state_to_table(vocab, state, headers, state.n_rows), trace or [], iters, count, hit_row_cap=hit_cap,
-        decoder_passes=passes, forced_tokens=forced, input_tokens_dropped=enc.input_tokens_dropped,
-        header_tokens_dropped=enc.header_tokens_dropped,
+        decoder_passes=passes, tokens=sum(len(tok) + 1 for tok in state.committed.values()), forced_tokens=forced,
+        input_tokens_dropped=enc.input_tokens_dropped, header_tokens_dropped=enc.header_tokens_dropped,
         truncated_cells=[c for c, tok in state.committed.items() if len(tok) == model.cfg.max_cell_len - 1],
     )

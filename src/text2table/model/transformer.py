@@ -20,6 +20,14 @@ for a training batch and for a decode cache alike. Visibility (lower stage
 or own prefix, over live positions) joins it as -inf on every hidden pair,
 for every layer to share: once per call in training, and in decoding once
 per inner loop from the context (:meth:`DecoderCache.visible`).
+
+Only some decoder rows are read: a training batch's loss positions and a
+decode pass's open-cell rows. Every other row (headers, row markers, context
+cells) serves only as a key and value. So the last decoder layer computes its
+norm and key and value projections for every row, then runs its queries,
+attention, cross-attention and feed-forward on the read rows alone (the
+``read`` argument of :meth:`TextToTableModel.decoder_hidden`), as XLNet's
+query stream runs only where it predicts.
 """
 
 from __future__ import annotations
@@ -62,6 +70,10 @@ class DecoderBatch:
     A query batch (``instances`` empty) serves a cached pass: it holds only
     the input ids of the R query positions ``rows[0]`` of one layout, all of
     them live, and no padding, loss surface, bias maps or mask.
+
+    The loss positions of :meth:`flat_loss_arrays` ascend, so they are the
+    ``read`` rows that :meth:`TextToTableModel.decoder_hidden` takes: the
+    hidden state it returns holds those rows alone, in that order.
     """
 
     input_ids: np.ndarray  # [B, L], PAD where batch padding; [1, R] for a query batch
@@ -155,6 +167,19 @@ class DecoderCache:
         """The cache, same key and value stores, whose bias hides every key
         outside the ``context`` [T] positions and the query's own prefix."""
         return DecoderCache(np.where(context, self.bias, self.own), self.own, self.keys, self.values)
+
+
+def _read_blocks(lens: np.ndarray, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example counts of the ascending ``read`` rows of a training batch
+    whose examples hold ``lens`` [B] rows, and the columns of the packed
+    [H, sum n_b^2] bias that their queries keep: example b's [r_b, n_b]
+    block of its [n_b, n_b] one."""
+    starts = np.cumsum(lens) - lens
+    ex = np.searchsorted(starts, read, side="right") - 1  # each read row's example
+    n = lens[ex]
+    first = np.cumsum(lens * lens)[ex] - n * n + (read - starts[ex]) * n  # each read row's first column
+    cols = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    return np.bincount(ex, minlength=len(lens)), cols
 
 
 class TextToTableModel:
@@ -319,9 +344,11 @@ class TextToTableModel:
         train: bool = False,
         rng=None,
         cache: DecoderCache | None = None,
+        read: np.ndarray | None = None,
     ) -> Tensor:
         """Decoder stack over a collated batch; returns the hidden states of
-        its packed rows [N, d] (see :class:`DecoderBatch`).
+        its packed rows [N, d] (see :class:`DecoderBatch`), or with ``read``
+        of those rows alone [len(read), d], in the order of ``read``.
 
         ``memory_kv`` holds each layer's cross-attention keys and values of
         the batch's examples (:meth:`memory_kv`), laid out by their source
@@ -330,6 +357,16 @@ class TextToTableModel:
         query batch: the stack runs for its R query rows alone, each layer
         stores their self-attention keys and values in the cache and attends
         over the cached ones, and the result is [R, d].
+
+        ``read`` (ascending indices of the N packed rows, or of the R query
+        rows) names the rows whose hidden states the caller reads: a training
+        batch's loss positions (:meth:`DecoderBatch.flat_loss_arrays`), a
+        cached pass's open-cell rows. Every other row matters only as a key
+        and value. So every layer below the last runs every row, and the last
+        runs ``ln1`` and its key and value projections on every row (and
+        stores them in the cache), then its queries, attention, ``wo``,
+        cross-attention, feed-forward, dropout and the final norm on the read
+        rows alone. An example with no read row gives no output row.
         """
         cfg, p = self.cfg, self.params
         # Visibility joins the self-attention bias once, as -inf on every
@@ -345,6 +382,12 @@ class TextToTableModel:
             rows, ids = batch.rows[0], batch.input_ids[0]
             q_len, k_len = [len(ids)], [len(cache.keys[0])]
             bias = Tensor(cache.bias[:, rows].reshape(cfg.n_heads, -1))
+        if read is not None:
+            read = np.asarray(read, dtype=np.int64)
+            if read.ndim != 1 or read.size and (read[0] < 0 or read[-1] >= len(ids) or (read[1:] <= read[:-1]).any()):
+                raise ValueError(f"read rows must ascend within the {len(ids)} decoder rows")
+            if len(read) == len(ids):  # every row is read: nothing to gather
+                read = None
         x = ops.embedding(p["embed"], ids)
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)
@@ -353,6 +396,14 @@ class TextToTableModel:
             k, v = ops.matmul(xs, p[f"dec{i}.self.wk"]), ops.matmul(xs, p[f"dec{i}.self.wv"])
             if cache is not None:
                 k, v = cache.store(i, rows, k, v)
+            if i == cfg.n_dec_layers - 1 and read is not None:
+                # every row is a key; from here on only the read rows are queries
+                x, xs = ops.take_rows(x, read), ops.take_rows(xs, read)
+                if cache is None:
+                    q_len, cols = _read_blocks(q_len, read)
+                    bias = ops.take_cols(bias, cols)
+                else:
+                    q_len, bias = [len(read)], Tensor(cache.bias[:, rows[read]].reshape(cfg.n_heads, -1))
             x = ops.add(x, self._attention(xs, k, v, q_len, k_len, f"dec{i}.self", bias, train, rng))
             xc, (k, v) = self._ln(x, f"dec{i}.ln2"), memory_kv[i]
             x = ops.add(x, self._attention(xc, k, v, q_len, mem_len, f"dec{i}.cross", None, train, rng))

@@ -107,6 +107,18 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return make_result(a.data[idx], (a,), vjp)
 
 
+def take_cols(a: Tensor, idx: np.ndarray) -> Tensor:
+    """Gather distinct columns along axis 1: out[:, k] = a[:, idx[k]]."""
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        out[:, idx] = g  # distinct columns: no entry is written twice
+        return (out,)
+
+    return make_result(a.data[:, idx], (a,), vjp)
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Lookup rows of `table` (vocab, d) by an integer id array of any shape."""
     ids = np.asarray(ids, dtype=np.int64)

@@ -150,9 +150,10 @@ class Trainer:
         mse = ops.mse(model.count_pred(memory, lens), counts)
 
         dec_batch = collate_instances(self._instances_for(batch, step))
-        hidden = model.decoder_hidden(model.memory_kv(memory), lens, dec_batch, train=train, rng=rng)
         pos, tgt, legal = dec_batch.flat_loss_arrays()
-        nll = ops.cross_entropy(model.logits_at(hidden, pos), tgt, smoothing=cfg.label_smoothing, legal=legal)
+        hidden = model.decoder_hidden(model.memory_kv(memory), lens, dec_batch, train=train, rng=rng, read=pos)
+        logits = model.logits_at(hidden, np.arange(len(pos)))
+        nll = ops.cross_entropy(logits, tgt, smoothing=cfg.label_smoothing, legal=legal)
         total = ops.add(nll, ops.scale(mse, cfg.count_loss_weight))
         return total, nll, mse
 

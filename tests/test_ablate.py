@@ -82,6 +82,23 @@ def test_ablate_result_is_the_evaluate_record_train_writes(lineitems_records, tm
     assert row["result"] == record and record["step"] == 12
 
 
+def test_ablate_reports_cut_token_ids_once_per_grid_point(lineitems_records, tmp_path, capsys):
+    # every text of the 6 training records is longer than model.max_input_len 8
+    cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 1, "grid": {"training.mode": ["permuted", "fixed-causal"]}}
+    cfg["model"]["max_input_len"] = 8
+    cfg["training"]["steps"] = 1
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(cfg))
+    assert main(["ablate", str(grid), str(tmp_path / "out")]) == 0
+    vocab = prepare_run(merged_run_config(_base(tmp_path, lineitems_records))).vocab
+    cut = sum(len(vocab.encode(r.text)) - 8 for r in lineitems_records[:6])
+    notice = f"{cut} source token ids beyond max_input_len 8 dropped from 6 of 6 training texts"
+    assert capsys.readouterr().err.splitlines() == [
+        f'text2table ablate: warning: grid point {{"training.mode":"{mode}"}}: {notice}'
+        for mode in ("permuted", "fixed-causal")
+    ]
+
+
 def test_ablate_reruns_a_run_whose_config_or_data_changed(lineitems_records, tmp_path, monkeypatch):
     cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 1, "grid": {"decoding.stopping": ["predicted-count"]}}
     cfg["training"]["steps"] = 2

@@ -1,6 +1,7 @@
 """Exit codes of the ``text2table`` command line."""
 
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import text2table
+from text2table.cli import commands
 from text2table.cli.commands import DataError, ModelError, prepare_run
 from text2table.cli.main import main
 from text2table.cli.runconfig import merged_run_config
@@ -104,7 +106,14 @@ def test_decode_trace_records_per_table_counters(tiny_model, lineitems_records, 
         assert rec["header_tokens_dropped"] == 0
 
 
-def test_decode_meta_holds_the_totals_of_the_trace(tiny_model, lineitems_records, tmp_path):
+@pytest.fixture()
+def steady_clock(monkeypatch):
+    """``decode``'s clock ticks one second per reading, so every table takes
+    1000 ms and a sidecar's timings repeat from run to run."""
+    monkeypatch.setattr(commands, "perf_counter", itertools.count().__next__)
+
+
+def test_decode_meta_holds_the_totals_of_the_trace(tiny_model, lineitems_records, tmp_path, steady_clock):
     tiny_model.params["count.b"].data[...] = [2.0]
     ckpt = str(tmp_path / "model.npz")
     save_checkpoint(ckpt, tiny_model)
@@ -117,8 +126,11 @@ def test_decode_meta_holds_the_totals_of_the_trace(tiny_model, lineitems_records
     assert json.loads((tmp_path / "traced.jsonl.meta.json").read_text()) == meta
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert meta["tables"] == len(records) == 3
-    for key in ("outer_iterations", "decoder_passes", "forced_tokens"):
+    for key in ("outer_iterations", "decoder_passes", "tokens", "forced_tokens"):
         assert meta[key] == sum(rec[key] for rec in records) > 0
+    for rec in records:  # each committed cell's tokens and its end-of-cell
+        assert rec["tokens"] == sum(len(t["tokens"]) + 1 for t in rec["trace"])
+    assert meta["tokens_per_table_mean"] == pytest.approx(np.mean([rec["tokens"] for rec in records]), rel=1e-15)
     passes = sorted(rec["decoder_passes"] for rec in records)
     assert meta["decoder_passes_p50"] == passes[1]
     assert meta["decoder_passes_max"] == passes[2]
@@ -127,9 +139,10 @@ def test_decode_meta_holds_the_totals_of_the_trace(tiny_model, lineitems_records
     meta = json.loads((tmp_path / "none.jsonl.meta.json").read_text())
     assert meta["tables"] == meta["decoder_passes"] == 0
     assert meta["decoder_passes_p50"] is None and meta["decoder_passes_max"] is None
+    assert meta["tokens_per_table_mean"] is meta["ms_per_table_p50"] is meta["ms_per_table_p95"] is None
 
 
-def test_decode_meta_totals_cut_and_capped_tables_without_a_trace(tiny_model, lineitems_records, tmp_path):
+def test_decode_meta_totals_cut_and_capped_tables_without_a_trace(tiny_model, lineitems_records, tmp_path, steady_clock):
     # an untrained model fills its cells to the slot width and never writes the
     # sentinel row, so every table hits the row cap; one record is cut twice
     l = tiny_model.cfg.max_cell_len
@@ -153,6 +166,19 @@ def test_decode_meta_totals_cut_and_capped_tables_without_a_trace(tiny_model, li
         assert meta[key] == sum(rec[key] for rec in records) > 0
     assert meta["row_cap_hits"] == 3 and meta["header_tokens_dropped"] == 2
     assert records[0]["input_tokens_dropped"] == meta["input_tokens_dropped"]
+
+
+def test_decode_meta_gives_ms_per_table_percentiles(tiny_model, lineitems_records, tmp_path, monkeypatch):
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:3], data)
+    readings = iter([0, 1, 10, 12, 20, 23])  # the three tables take 1, 2 and 3 s
+    monkeypatch.setattr(commands, "perf_counter", lambda: next(readings))
+    assert main(["decode", ckpt, data, str(tmp_path / "out.jsonl")]) == 0
+    meta = json.loads((tmp_path / "out.jsonl.meta.json").read_text())
+    assert meta["ms_per_table_p50"] == 2000.0
+    assert meta["ms_per_table_p95"] == pytest.approx(2900.0, rel=1e-15)  # linear between the two longest
 
 
 def test_too_wide_record_exits_2_with_one_message_in_train_and_decode(tiny_model, lineitems_records, tmp_path, capsys):

@@ -101,6 +101,13 @@ def _random_model(vocab, float_width, seed):
     return model
 
 
+def _hidden_rows(batch, kw):
+    """Template positions of the rows a ``decoder_hidden`` call with keyword
+    arguments ``kw`` returns: its batch's rows, or the ``read`` ones."""
+    rows, read = batch.rows[0], kw.get("read")
+    return rows if read is None else rows[read]
+
+
 def _slot_steps(tpl):
     """Template position -> (cell, slot position) for every cell slot."""
     return {tpl.slot_start[c] + t: (c, t) for c in tpl.cells() for t in range(tpl.slot_len)}
@@ -135,17 +142,18 @@ class Recording:
 
     def run(self, source, committed, cells):
         model = self.model
-        self.batches, self.caches, self.logits = [], [], {}
+        self.batches, self.caches, self.logits, self.rows = [], [], {}, []
         hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
 
         def hidden(memory_kv, mem_len, batch, **kw):
             self.batches.append(batch)
             self.caches.append(kw.get("cache"))
+            self.rows.append(_hidden_rows(batch, kw))
             return hidden_fn(memory_kv, mem_len, batch, **kw)
 
         def logits(hidden, positions):
             out = logits_fn(hidden, positions)
-            at = self.batches[-1].rows[0][positions]
+            at = self.rows[-1][positions]
             for row, pos in enumerate(at):
                 self.logits[self.steps[int(pos)]] = out.data[row].copy()
             return out
@@ -430,17 +438,17 @@ def test_nonfinite_logits_on_a_later_pass_name_the_cell_of_their_row(tiny_vocab)
     with no_grad():
         memory, lens = encode_one(model, tiny_vocab.encode(TEXT))
         source = ModelCellSource(model, model.memory_kv(memory), lens, tpl, model.decoder_cache(tpl))
-    batches, poisoned = [], []
+    rows, poisoned = [], []
     hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
 
     def hidden(memory_kv, mem_len, batch, **kw):
-        batches.append(batch)
+        rows.append(_hidden_rows(batch, kw))
         return hidden_fn(memory_kv, mem_len, batch, **kw)
 
     def logits(hidden, positions):
         out = logits_fn(hidden, positions)
-        if len(batches) == 2:
-            at = batches[-1].rows[0][positions]
+        if len(rows) == 2:
+            at = rows[-1][positions]
             assert 1 < len(at) < len(tpl.cells())  # some cells closed on the first pass
             bad = len(at) // 2
             out.data[bad, 3] = np.nan
@@ -481,7 +489,7 @@ def test_nonfinite_logits_on_a_verify_pass_name_the_cells_that_reach_them(tiny_v
         hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
 
         def hidden(memory_kv, mem_len, batch, **kw):
-            rows.append(batch.rows[0])
+            rows.append(_hidden_rows(batch, kw))
             return hidden_fn(memory_kv, mem_len, batch, **kw)
 
         def logits(hidden, positions):
@@ -539,14 +547,14 @@ class Poisoned:
         ends = {c: _verify_end(want[c], self.drafts.get(c)) for c in cells}
         hidden_fn, before = model.decoder_hidden, self.cached.passes
 
-        def hidden(memory_kv, mem_len, batch, cache):
+        def hidden(memory_kv, mem_len, batch, cache, read):
             j = self.cached.passes - 1 - before  # this pass's index in the inner loop
             prefix = {c: ends[c] + j if j else 0 for c in cells}
             stale = [tpl.slot_start[c] + t for c in cells for t in range(prefix[c], tpl.slot_len)]
             for store in cache.keys + cache.values:
                 store[stale] = 1e4
             self.poisoned += len(stale)
-            return hidden_fn(memory_kv, mem_len, batch, cache=cache)
+            return hidden_fn(memory_kv, mem_len, batch, cache=cache, read=read)
 
         model.decoder_hidden = hidden
         try:

@@ -3,9 +3,9 @@ fill their tables well. Every equivalence test compares the code with an
 oracle written beside it, so a shift both share (in a target or a visibility
 rule) passes them all; this test does not.
 
-Each floor sits about 0.1 below the lowest train-set cell F1 of run seeds 0-4
-(permuted 0.956-0.989, fixed-causal 0.667-0.814; an untrained model scores
-0). The test runs seed 0. The semi-templated mode trains the permuted
+Each floor sits at least 0.1 below the lowest train-set cell F1 of run seeds
+0-4 (permuted 0.967-0.989, fixed-causal 0.748-0.813; an untrained model
+scores 0). The test runs seed 0. The semi-templated mode trains the permuted
 objective on each table plus an all-NULL row, so the permuted run stands for
 it too."""
 

@@ -237,6 +237,7 @@ def _every_op(dtype):
         ("dropout", ops.dropout(x, 0.2, rng)),
         ("reshape", ops.reshape(x, (4, 3))),
         ("take_rows", ops.take_rows(x, np.array([2, 0]))),
+        ("take_cols", ops.take_cols(x, np.array([3, 0]))),
         ("embedding", ops.embedding(w, np.array([[0, 3]]))),
         ("layer_norm", ops.layer_norm(x, t(4), t(4))),
         ("attention", ops.attention(x, w, w, [3], [4], 2, t(2, 12), 0.5)),
