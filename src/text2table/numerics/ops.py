@@ -7,6 +7,8 @@ and layer norm act over the last axis unless stated otherwise.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .tensor import ShapeMismatchError, Tensor, make_result
@@ -96,12 +98,20 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows along axis 0: out[k] = a[idx[k]]."""
+    """Gather distinct rows along axis 0: out[k] = a[idx[k]].
+
+    The vjp writes each row's gradient once, so it raises ValueError on a
+    repeated row; :func:`embedding` gathers with repeats and accumulates.
+    """
     idx = np.asarray(idx, dtype=np.int64)
 
     def vjp(g):
+        seen = np.zeros(len(a.data), dtype=bool)
+        seen[idx] = True
+        if np.count_nonzero(seen) != idx.size:
+            raise ValueError("take_rows: a row is gathered more than once")
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        out[idx] = g  # distinct rows: no entry is written twice
         return (out,)
 
     return make_result(a.data[idx], (a,), vjp)
@@ -152,18 +162,73 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     out += bias.data
 
     def vjp(g):
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place,
+        # each mean taken as the forward takes its own
         dxhat = g * gain.data
-        gx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+        m1 /= d
+        scratch = np.multiply(dxhat, xhat)
+        m2 = np.add.reduce(scratch, axis=-1, keepdims=True)
+        m2 /= d
+        dxhat -= m1
+        dxhat -= np.multiply(xhat, m2, out=scratch)
+        dxhat *= inv
         flat = (-1, d)
-        ggain = (g * xhat).reshape(flat).sum(axis=0)
+        ggain = np.multiply(g, xhat, out=scratch).reshape(flat).sum(axis=0)
         gbias = g.reshape(flat).sum(axis=0)
-        return gx, ggain, gbias
+        return dxhat, ggain, gbias
 
     return make_result(out, (x, gain, bias), vjp)
+
+
+class _LastAxis:
+    """The query rows of an attention buffer in which every example has one
+    key count m: the rows of a [H, rows, m] buffer. A row's max or sum keeps
+    its axis, so it broadcasts over the row, as in a single example's softmax."""
+
+    @staticmethod
+    def max(x, floor):
+        mx = np.maximum.reduce(x, axis=-1, keepdims=True)
+        return np.maximum(mx, floor, out=mx)
+
+    @staticmethod
+    def sum(x, floor=None):
+        z = np.add.reduce(x, axis=-1, keepdims=True)
+        return z if floor is None else np.maximum(z, floor, out=z)
+
+
+class _Segments:
+    """The query rows of a packed [H, sum n*m] attention buffer with mixed key
+    counts: each row of an example with m keys is a segment of width m. A
+    row's max or sum is repeated over its segment."""
+
+    def __init__(self, n_heads: int, blocks: list):
+        self.n_heads = n_heads
+        self.blocks = [b[2:5] for b in blocks]  # (block slice, n, m)
+        self.widths = np.repeat([b[4] for b in blocks], [b[3] for b in blocks])
+        self.starts = np.add.accumulate(self.widths) - self.widths
+
+    def max(self, x, floor):
+        # max returns one of its inputs, so any order of reduction gives the
+        # row's max, up to the sign of a zero, which the exp after it ignores
+        mx = np.maximum.reduceat(x, self.starts, axis=1)
+        return np.repeat(np.maximum(mx, floor, out=mx), self.widths, axis=1)
+
+    def sum(self, x, floor=None):
+        # One reduce per example: np.add.reduce sums a row pairwise, where
+        # np.add.reduceat over the buffer would sum in sequence, to other bits.
+        z = np.empty((self.n_heads, len(self.widths)), dtype=x.dtype)
+        r = 0
+        for bs, n, m in self.blocks:
+            np.add.reduce(x[:, bs].reshape(self.n_heads, n, m), axis=-1, out=z[:, r : r + n])
+            r += n
+        if floor is not None:
+            np.maximum(z, floor, out=z)
+        return np.repeat(z, self.widths, axis=1)
+
+
+# np.finfo takes about a µs a call, a share of a single-example attention call
+_FLOAT_LIMITS = {np.dtype(t): np.finfo(t) for t in (np.float32, np.float64)}
 
 
 def attention(
@@ -177,84 +242,106 @@ def attention(
     scale: float,
 ) -> Tensor:
     """Multi-head attention of projected query rows over key and value rows,
-    scored example by example at each example's own length.
+    each example scored at its own length, all scores in one packed buffer.
 
     q [Nq, d] holds example after example, ``q_len[b]`` rows each; k and v
     [Nk, d] hold ``k_len[b]`` rows each. Example b scores its n = q_len[b]
-    queries against its m = k_len[b] keys in [H, n, m]. ``bias`` is a
-    [H, sum n*m] float array, or None when every key of an example is visible
-    to all its queries with no bias. It is packed in blocks: example b's
-    [n, m] block, in row-major order, starts at the offset sum over c < b of
-    q_len[c] * k_len[c]. The bias also carries visibility: -inf hides a key
-    from a query. Per head, the result is softmax(scale * q k^T + bias) v,
-    with heads joined back to rows [Nq, d]. A query that may see no key (a
-    row of -inf bias) gets zero output and zero gradient.
+    queries against its m = k_len[b] keys. The scores of every example share
+    one [H, sum n*m] buffer, packed in blocks: example b's [n, m] block, in
+    row-major order, starts at the offset sum over c < b of
+    q_len[c] * k_len[c]. ``bias`` has that packed shape, or is None when every
+    key of an example is visible to all its queries with no bias. The bias
+    also carries visibility: -inf hides a key from a query. Per head, the
+    result is softmax(scale * q k^T + bias) v, with heads joined back to rows
+    [Nq, d]. A query that may see no key (a row of -inf bias) gets zero output
+    and zero gradient.
+
+    Only the products (q k^T and p v, and the four of the vjp) and, with mixed
+    key counts, the row sums run example by example. Scale, bias, the softmax
+    and its vjp each run once over the buffer, and the bias gradient is the
+    buffer itself. When every example has one key count m, the buffer is
+    [H, Nq, m] (the same entries in the same order) and its rows are its last
+    axis (:class:`_LastAxis`); otherwise rows are segments (:class:`_Segments`).
     """
-    nq, d = q.shape
+    qd, kd, vd = q.data, k.data, v.data
+    nq, d = qd.shape
     dh = d // n_heads
     q_len, k_len = np.asarray(q_len).tolist(), np.asarray(k_len).tolist()
-    b = len(q_len)
     if (
         d % n_heads
-        or k.shape != v.shape
-        or k.shape[-1] != d
-        or len(k_len) != b
+        or kd.shape != vd.shape
+        or kd.shape[-1] != d
+        or len(k_len) != len(q_len)
         or sum(q_len) != nq
-        or sum(k_len) != k.shape[0]
+        or sum(k_len) != kd.shape[0]
         or min(q_len + k_len, default=0) < 0
     ):
         raise ShapeMismatchError("attention", q.shape, k.shape)
-    packed = sum(n * m for n, m in zip(q_len, k_len))
+    packed = sum(map(operator.mul, q_len, k_len))
     if bias is not None and bias.shape != (n_heads, packed):
         raise ShapeMismatchError("attention", (n_heads, packed), bias.shape)
-    limits = np.finfo(q.dtype)
+    widths = set(k_len)
+    uniform = len(widths) == 1
+    shape = (n_heads, nq, widths.pop()) if uniform else (n_heads, packed)
 
     def heads(x, rows):  # rows [n, d] -> [H, n, dh]
         return x.reshape(rows, n_heads, dh).transpose(1, 0, 2)
 
-    def join(x, rows):  # [H, n, dh] -> rows [n, d]
-        return x.transpose(1, 0, 2).reshape(rows, d)
+    def block(buf, bs, n, m):  # an example's [H, n, m] view of a buffer
+        return buf[:, bs] if uniform else buf[:, bs].reshape(n_heads, n, m)
 
-    # per example: (query slice, key slice, block slice, n, m, qh, kh, vh, probabilities)
-    saved = []
-    out = np.empty_like(q.data)
+    # per example with queries and keys: (query slice, key slice, slice of its
+    # block along the buffer's axis 1, n, m, qh, kh, vh, its probabilities)
+    blocks = []
+    out = np.empty_like(qd)
+    p = np.empty(shape, dtype=qd.dtype)  # scores, turned into probabilities in place
     qo = ko = po = 0
     for n, m in zip(q_len, k_len):
-        qs, ks, ps = slice(qo, qo + n), slice(ko, ko + m), slice(po, po + n * m)
+        qs, ks = slice(qo, qo + n), slice(ko, ko + m)
+        bs = qs if uniform else slice(po, po + n * m)
         qo, ko, po = qo + n, ko + m, po + n * m
         if not n or not m:
             out[qs] = 0.0
             continue
-        qh, kh, vh = heads(q.data[qs], n), heads(k.data[ks], m), heads(v.data[ks], m)
-        p = np.matmul(qh, kh.swapaxes(-1, -2))  # scores, turned into probabilities in place
+        qh, kh, vh = heads(qd[qs], n), heads(kd[ks], m), heads(vd[ks], m)
+        pb = block(p, bs, n, m)
+        np.matmul(qh, kh.swapaxes(-1, -2), out=pb)
+        blocks.append((qs, ks, bs, n, m, qh, kh, vh, pb))
+    if blocks:
+        rows = _LastAxis if uniform else _Segments(n_heads, blocks)
+        limits = _FLOAT_LIMITS.get(p.dtype) or np.finfo(p.dtype)
         p *= scale
         if bias is not None:
-            p += bias.data[:, ps].reshape(n_heads, n, m)
-        # The clamps change nothing on a row that sees a key: its max is finite
+            p += bias.data.reshape(shape)
+        # The floors change nothing on a row that sees a key: its max is finite
         # and its sum at least exp(0) = 1. On a row of -inf they keep exp at
         # zeros and the division finite, so the row's output is zero, not NaN.
-        mx = np.maximum.reduce(p, axis=-1, keepdims=True)
-        p -= np.maximum(mx, limits.min, out=mx)
+        p -= rows.max(p, limits.min)
         np.exp(p, out=p)
-        z = np.add.reduce(p, axis=-1, keepdims=True)
-        p /= np.maximum(z, limits.tiny, out=z)
-        np.matmul(p, vh, out=heads(out[qs], n))  # heads joined in place
-        saved.append((qs, ks, ps, n, m, qh, kh, vh, p))
+        p /= rows.sum(p, limits.tiny)
+    for qs, ks, bs, n, m, qh, kh, vh, pb in blocks:
+        np.matmul(pb, vh, out=heads(out[qs], n))  # heads joined in place
 
     def vjp(g):
-        gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
-        gb = None if bias is None else np.zeros_like(bias.data)
-        for qs, ks, ps, n, m, qh, kh, vh, p in saved:
-            gctx = heads(g[qs], n)
-            gp = np.matmul(gctx, vh.swapaxes(-1, -2))
-            gv[ks] = join(np.matmul(p.swapaxes(-1, -2), gctx), m)
-            gs = gp - (gp * p).sum(axis=-1, keepdims=True)
+        gq, gk, gv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        gh, gqh, gkh, gvh = heads(g, nq), heads(gq, nq), heads(gk, len(kd)), heads(gv, len(kd))
+        gs = np.empty_like(p)  # the gradient of p, then of the scores, in place
+        for qs, ks, bs, n, m, qh, kh, vh, pb in blocks:
+            gctx = gh[:, qs]
+            np.matmul(gctx, vh.swapaxes(-1, -2), out=block(gs, bs, n, m))
+            np.matmul(pb.swapaxes(-1, -2), gctx, out=gvh[:, ks])
+        if blocks:
+            gs -= rows.sum(gs * p)
             gs *= p  # zero wherever p is
-            if gb is not None:
-                gb[:, ps] = gs.reshape(n_heads, n * m)
+        gb = None if bias is None else gs.reshape(bias.shape)
+        if bias is None:
             gs *= scale
-            gq[qs] = join(np.matmul(gs, kh), n)
-            gk[ks] = join(np.matmul(gs.swapaxes(-1, -2), qh), m)
+        else:
+            gs = np.multiply(gs, scale, out=np.empty_like(gs))  # as gs *= scale would
+        for qs, ks, bs, n, m, qh, kh, vh, pb in blocks:
+            gsb = block(gs, bs, n, m)
+            np.matmul(gsb, kh, out=gqh[:, qs])
+            np.matmul(gsb.swapaxes(-1, -2), qh, out=gkh[:, ks])
         return gq, gk, gv, gb
 
     parents = (q, k, v) if bias is None else (q, k, v, bias)

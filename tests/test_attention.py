@@ -100,12 +100,12 @@ def _chain(q, k, v, q_len, k_len, bias, allow):
     block = _block_index(q_len, k_len)
     allow = block >= 0 if allow is None else (block >= 0) & allow[block]
 
-    def lift(x, at, length):  # rows -> [B, L, ...] as a differentiable gather
+    def lift(x, at, length):  # rows [n, k] -> [B, L, k] as a differentiable gather
         n = len(x.data)
         with_zero = ops.matmul(Tensor(np.eye(n + 1)[:, :n]), x)  # x plus a zero row last
-        idx = np.full(b * length, n)  # empty positions read the zero row
+        idx = np.full(b * length, n)  # empty positions read the zero row, more than once
         idx[at] = np.arange(n)
-        return ops.reshape(ops.take_rows(with_zero, idx), (b, length) + x.shape[1:])
+        return ops.reshape(ops.embedding(with_zero, idx), (b, length) + x.shape[1:])
 
     def heads(x, at, length):  # rows -> [B, H, L, dh]
         return transpose(ops.reshape(lift(x, at, length), (b, length, H, d // H)), (0, 2, 1, 3))

@@ -205,12 +205,16 @@ def test_embedding_and_take_rows_vjp_bitwise(dtype):
     assert np.array_equal(g, want)
 
     x = Tensor(rng.normal(size=(6, 2, 3)).astype(dtype), requires_grad=True)
-    idx = rng.integers(0, 6, size=20)
-    grad = rng.normal(size=(20, 2, 3)).astype(dtype)
+    idx = rng.permutation(6)[:4]  # take_rows gathers distinct rows
+    grad = rng.normal(size=(4, 2, 3)).astype(dtype)
     _, (g,) = _vjp(lambda t: ops.take_rows(t, idx), [x], grad)
     want = np.zeros((6, 6), dtype=dtype)
-    ref.scatter_add_rows(want, idx, grad.reshape(20, 6))
+    ref.scatter_add_rows(want, idx, grad.reshape(4, 6))
     assert np.array_equal(g, want.reshape(6, 2, 3))
+    # a row gathered twice, also as a negative index, is refused by the vjp
+    for repeated in ([1, 4, 1], [5, 0, -1]):
+        with pytest.raises(ValueError, match="more than once"):
+            _vjp(lambda t: ops.take_rows(t, np.array(repeated)), [x], grad[:3])
 
     # an empty index (a batch with no loss position or no decoder row)
     # selects nothing and sends back zeros

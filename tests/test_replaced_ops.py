@@ -1,10 +1,12 @@
 """Ops made leaner against the formulas they replaced, bit for bit.
 
-- ``layer_norm`` now works in place.
+- ``layer_norm`` now works in place, in its forward and its vjp.
 - ``relu`` is ``np.maximum`` and builds its mask only in the vjp.
 - The ``dropout`` mask is scaled in the input dtype, with no float64 array.
 - ``attention`` takes visibility folded into its bias, as -inf on every
   hidden pair, where it took a separate ``allow`` mask.
+- ``attention`` runs scale, bias, softmax and the softmax vjp once over one
+  packed score buffer, where it ran them example by example.
 
 The replaced formulas are kept here as references. Each case runs in float32
 and float64 and compares the forward result and the vjp, bit for bit.
@@ -13,7 +15,12 @@ and float64 and compares the forward result and the vjp, bit for bit.
 import numpy as np
 import pytest
 
+from conftest import random_bias_tables
+from text2table.corpus import DatasetRecord
+from text2table.model import ModelConfig, TextToTableModel
 from text2table.numerics import Tensor, ops
+from text2table.table import Table
+from text2table.training import Trainer, TrainingConfig, prepare_example
 
 DTYPES = [np.float32, np.float64]
 
@@ -124,13 +131,68 @@ def old_attention(q, k, v, q_len, k_len, n_heads, bias, allow, scale):
     return out, vjp
 
 
+def loop_attention(q, k, v, q_len, k_len, n_heads, bias, scale):
+    """The attention op example by example, softmax and all, on arrays:
+    (out, vjp)."""
+    nq, d = q.shape
+    dh = d // n_heads
+    q_len, k_len = list(q_len), list(k_len)
+    limits = np.finfo(q.dtype)
+
+    def heads(x, rows):
+        return x.reshape(rows, n_heads, dh).transpose(1, 0, 2)
+
+    def join(x, rows):
+        return x.transpose(1, 0, 2).reshape(rows, d)
+
+    saved = []
+    out = np.empty_like(q)
+    qo = ko = po = 0
+    for n, m in zip(q_len, k_len):
+        qs, ks, ps = slice(qo, qo + n), slice(ko, ko + m), slice(po, po + n * m)
+        qo, ko, po = qo + n, ko + m, po + n * m
+        if not n or not m:
+            out[qs] = 0.0
+            continue
+        qh, kh, vh = heads(q[qs], n), heads(k[ks], m), heads(v[ks], m)
+        p = np.matmul(qh, kh.swapaxes(-1, -2))
+        p *= scale
+        if bias is not None:
+            p += bias[:, ps].reshape(n_heads, n, m)
+        mx = np.maximum.reduce(p, axis=-1, keepdims=True)
+        p -= np.maximum(mx, limits.min, out=mx)
+        np.exp(p, out=p)
+        z = np.add.reduce(p, axis=-1, keepdims=True)
+        p /= np.maximum(z, limits.tiny, out=z)
+        np.matmul(p, vh, out=heads(out[qs], n))
+        saved.append((qs, ks, ps, n, m, qh, kh, vh, p))
+
+    def vjp(g):
+        gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        gb = None if bias is None else np.zeros_like(bias)
+        for qs, ks, ps, n, m, qh, kh, vh, p in saved:
+            gctx = heads(g[qs], n)
+            gp = np.matmul(gctx, vh.swapaxes(-1, -2))
+            gv[ks] = join(np.matmul(p.swapaxes(-1, -2), gctx), m)
+            gs = gp - (gp * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            if gb is not None:
+                gb[:, ps] = gs.reshape(n_heads, n * m)
+            gs *= scale
+            gq[qs] = join(np.matmul(gs, kh), n)
+            gk[ks] = join(np.matmul(gs.swapaxes(-1, -2), qh), m)
+        return gq, gk, gv, gb
+
+    return out, vjp
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("shape", [(1, 8), (14, 64), (3, 5, 16)])
+@pytest.mark.parametrize("shape", [(1, 8), (14, 64), (3, 5, 16), (450, 64)])
 def test_layer_norm_matches_replaced_formula(dtype, shape):
     rng = np.random.default_rng(sum(shape))
     x, grad = (rng.normal(size=shape).astype(dtype) * 3.0 + 1.0 for _ in range(2))
@@ -215,6 +277,95 @@ def test_folded_bias_attention_matches_allow_path(dtype, lengths, kind):
         assert (got is None and w is None) or _same_bits(got, w)
     if kind == "fully-masked-row":
         assert (out[0] == 0.0).all() and (grads[0][0] == 0.0).all()
+
+
+def _check_against_loop(q, k, v, q_len, k_len, n_heads, bias, scale, seed):
+    """The op's forward and its four gradients against ``loop_attention``, bit for bit."""
+    grad = np.random.default_rng(seed).normal(size=q.shape).astype(q.dtype)
+    tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    b = None if bias is None else Tensor(bias, requires_grad=True)
+    out, grads = _forward_and_vjp(ops.attention(*tensors, q_len, k_len, n_heads, b, scale), grad)
+    want, want_vjp = loop_attention(q, k, v, q_len, k_len, n_heads, bias, scale)
+    assert _same_bits(out, want)
+    for got, w in zip(grads, want_vjp(grad)):
+        assert (got is None and w is None) or _same_bits(got, w)
+    return out, grads
+
+
+LOOP_CASES = {
+    # name: (q_len, k_len, bias)
+    "zero rows and keys mid-batch": ([2, 0, 3, 4, 1, 2], [3, 2, 0, 6, 4, 5], True),
+    "one key count": ([3, 1, 2, 4], [5, 5, 5, 5], True),
+    "one key count, no bias": ([3, 0, 2], [5, 5, 5], False),
+    "decode self R x T": ([12], [79], True),
+    "decode cross R x S": ([12], [40], False),
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+def test_packed_attention_matches_per_example_loop(dtype, case):
+    q_len, k_len, with_bias = LOOP_CASES[case]
+    rng = np.random.default_rng(len(case))
+    packed = sum(n * m for n, m in zip(q_len, k_len))
+    q = rng.normal(size=(sum(q_len), D)).astype(dtype)
+    k, v = (rng.normal(size=(sum(k_len), D)).astype(dtype) for _ in range(2))
+    bias = rng.normal(size=(H, packed)).astype(dtype) if with_bias else None
+    hidden = None
+    if with_bias:
+        bias[:, rng.random(packed) < 0.3] = -np.inf  # hidden pairs
+        # one query row that sees no key, in the last example with rows and keys
+        b = max(i for i, (n, m) in enumerate(zip(q_len, k_len)) if n and m)
+        start = sum(n * m for n, m in zip(q_len[:b], k_len[:b])) + k_len[b] * (q_len[b] - 1)
+        bias[:, start : start + k_len[b]] = -np.inf
+        hidden = sum(q_len[:b]) + q_len[b] - 1
+    out, grads = _check_against_loop(q, k, v, np.array(q_len), np.array(k_len), H, bias, 1.0 / np.sqrt(D // H), 9)
+    if hidden is not None:
+        assert (out[hidden] == 0.0).all() and (grads[0][hidden] == 0.0).all()
+
+
+@pytest.fixture(scope="module")
+def batch_attention_calls(lineitems_records, tiny_vocab):
+    """The arguments of every attention call of one training batch's loss, on
+    collated ``lineitems`` tables: encoder, decoder self-attention and
+    cross-attention in each of two decoder layers, the last on the read rows.
+    The 3rd of 7 tables is empty, so it has no read row."""
+    cfg = ModelConfig(
+        vocab_size=len(tiny_vocab), d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=2, d_ff=32,
+        max_cell_len=4, max_rows=4, max_cols=4, max_input_len=128, float_width=64,
+    )
+    model = TextToTableModel(cfg, tiny_vocab, seed=2)
+    random_bias_tables(model, np.random.default_rng(2))
+    records = lineitems_records[:6]
+    empty = DatasetRecord("empty", "nothing was bought today .", Table(list(records[0].table.headers), []))
+    batch = [prepare_example(r, tiny_vocab, cfg) for r in records[:2] + [empty] + records[2:]]
+    calls, attention = [], ops.attention
+
+    def recording(*args):
+        calls.append(args)
+        return attention(*args)
+
+    ops.attention = recording
+    try:
+        Trainer(model, batch, TrainingConfig(seed=0))._batch_loss(batch, 1, train=True)
+    finally:
+        ops.attention = attention
+    return calls
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_packed_attention_matches_per_example_loop_on_a_training_batch(dtype, batch_attention_calls):
+    kinds = set()
+    for i, (q, k, v, q_len, k_len, n_heads, bias, scale) in enumerate(batch_attention_calls):
+        q_len, k_len = np.asarray(q_len), np.asarray(k_len)
+        arrays = [t.data.astype(dtype) for t in (q, k, v)]
+        bias = None if bias is None else bias.data.astype(dtype)
+        _check_against_loop(*arrays, q_len, k_len, n_heads, bias, scale, i)
+        same = q.shape == k.shape and np.array_equal(q_len, k_len)
+        kinds.add("cross" if bias is None else "self" if same else "read rows")
+        assert len(set(k_len.tolist())) > 1  # mixed key counts: rows are segments
+    assert kinds == {"self", "cross", "read rows"} and len(batch_attention_calls) == 5
+    assert (np.asarray(batch_attention_calls[-1][3]) == 0).sum() == 1  # the empty table reads no row
 
 
 def _every_op(dtype):
