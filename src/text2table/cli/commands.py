@@ -245,6 +245,8 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
             optimizer.load_state_arrays(meta["opt_arrays"], meta["optimizer"]["step_count"])
         except KeyError as exc:
             raise ModelError(f"cannot resume from {latest}: optimizer state lacks {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ModelError(f"cannot resume from {latest}: {exc}") from None
         start_step = meta["step"]
         print(f"resuming from step {start_step}")
     else:

@@ -4,10 +4,11 @@ from .layout import (
     GrammarMasks,
     LayoutError,
     LayoutInstance,
+    LiveBlocks,
+    PassLayout,
     TableTemplate,
     content_token_ids,
     instance_for_decoding,
-    instance_for_pass,
     make_template,
 )
 from .transformer import DecoderBatch, TextToTableModel, collate_instances
@@ -18,13 +19,14 @@ __all__ = [
     "GrammarMasks",
     "LayoutError",
     "LayoutInstance",
+    "LiveBlocks",
     "ModelConfig",
+    "PassLayout",
     "TableTemplate",
     "TextToTableModel",
     "collate_instances",
     "content_token_ids",
     "instance_for_decoding",
-    "instance_for_pass",
     "load_checkpoint",
     "make_template",
     "save_checkpoint",

@@ -102,9 +102,10 @@ def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
         key = f"param::{name}"
         if key not in arrays:
             raise CheckpointError(f"{path}: missing parameter {name}")
-        if arrays[key].shape != t.data.shape:
+        if arrays[key].shape != t.data.shape or arrays[key].dtype != t.data.dtype:
             raise CheckpointError(
-                f"{path}: parameter {name} shape {arrays[key].shape} != {t.data.shape}"
+                f"{path}: parameter {name} is {arrays[key].dtype} {arrays[key].shape}, "
+                f"the model's {t.data.dtype} {t.data.shape}"
             )
         t.data[...] = arrays[key]
     meta["opt_arrays"] = {

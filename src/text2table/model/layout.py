@@ -37,6 +37,7 @@ columns. Every refusal is a :class:`LayoutError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -171,15 +172,16 @@ def make_template(
     return tpl
 
 
-def visibility_mask(stage: np.ndarray, local: np.ndarray, slot_len: int) -> np.ndarray:
+def visibility_mask(stage: np.ndarray, own: np.ndarray) -> np.ndarray:
     """seen[i, j]: may live position i attend live position j, from their
-    stages [n] and the template's local index map [n, n] (``bias_idx[2]``,
-    at least ``slot_len`` exactly where j is in i's cell at or before i).
+    stages [n] and their own-prefix pairs ``own`` [n, n]: j is in i's cell at
+    or before i, which is where the template's local index map
+    (``bias_idx[2]``) is at least ``slot_len``.
 
     A position sees every lower stage and its own prefix, and stage-0
     positions (context) see each other, so open cells at one stage never do.
     """
-    return (stage[None, :] < np.maximum(stage[:, None], 1)) | (local >= slot_len)
+    return (stage[None, :] < np.maximum(stage[:, None], 1)) | own
 
 
 class GrammarMasks:
@@ -216,6 +218,31 @@ class GrammarMasks:
         return np.where(t == 0, self.OPEN_FIRST, np.where(close, self.CLOSE_ONLY, self.MID))
 
 
+class LiveBlocks(NamedTuple):
+    """What a collated batch takes from one layout, none of which depends on
+    its stages: the live positions and the pair blocks between them."""
+
+    rows: np.ndarray  # [n] live template positions, ascending
+    input_ids: np.ndarray  # [n] the layout's input ids at those rows
+    bias_idx: np.ndarray  # [4, n * n] the template's index maps at those rows, narrowest integer type
+    own: np.ndarray  # [n, n] own-prefix pairs (see visibility_mask)
+
+
+def _narrowest(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest signed integer type that holds its values."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    fits = (t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).min <= lo <= hi <= np.iinfo(t).max)
+    return a.astype(next(fits, np.int64))
+
+
+def live_blocks(template: TableTemplate, input_ids: np.ndarray, is_pad: np.ndarray) -> LiveBlocks:
+    """The live rows of a layout (slot padding dropped) and its bias-index
+    and own-prefix blocks there."""
+    rows = np.flatnonzero(~is_pad)
+    idx = template.bias_idx[:, rows[:, None], rows]
+    return LiveBlocks(rows, input_ids[rows], _narrowest(idx.reshape(4, -1)), idx[2] >= template.slot_len)
+
+
 @dataclass
 class LayoutInstance:
     """One concrete decoder sequence: a template plus cell contents and stages."""
@@ -228,6 +255,8 @@ class LayoutInstance:
     loss_pos: np.ndarray | None = None  # [P] positions
     loss_targets: np.ndarray | None = None  # [P]
     legal: np.ndarray | None = None  # [P, V]
+    # the live_blocks of input_ids and is_pad, when built ahead: a training pass shares its example's
+    live: LiveBlocks | None = field(default=None, repr=False)
 
     @property
     def length(self) -> int:
@@ -262,25 +291,74 @@ def _instance(template: TableTemplate, contents: dict[Coord, list[int]], stage: 
     return LayoutInstance(template=template, input_ids=inputs, is_pad=pad, stage=stages)
 
 
-def instance_for_pass(
-    template: TableTemplate,
-    grammar: GrammarMasks,
-    cell_contents: dict[Coord, list[int]],
-    stage: dict[Coord, int],
-) -> LayoutInstance:
-    """Teacher-forced layout: every cell holds its content at its ``stage``;
-    stage-0 cells are context and every other cell carries loss."""
-    if set(stage) != set(template.cells()):
-        raise LayoutError(f"stage keys are not the template's {len(template.cells())} cells: {sorted(stage)}")
-    inst = _instance(template, cell_contents, stage)
-    # the loss positions are the open cells' live positions, in cell order;
-    # the input at each is the token before its target (BOS at slot position 0)
-    inst.loss_pos = np.flatnonzero((inst.stage > 0) & ~inst.is_pad)
-    inst.loss_targets = np.array(
-        [tok for c in template.cells() if stage[c] for tok in cell_contents[c] + [EOC]], dtype=np.int64
-    )
-    inst.legal = grammar.table[grammar.row_index(template.within[inst.loss_pos], inst.input_ids[inst.loss_pos])]
-    return inst
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(eq=False)
+class PassLayout:
+    """The part of a teacher-forced layout that no stage changes, built once
+    for an example's cell contents under one template (:meth:`build`).
+
+    Every cell holds its content behind BOS, then padding. At each live row it
+    keeps the input id, the next-token target (the cell's content, then
+    end-of-cell) and the grammar row that the target is legal under, and the
+    batch blocks of :func:`live_blocks`. :meth:`instance` lays out one pass from
+    a stage map with array operations alone: stage-0 cells are context and
+    every other cell carries loss. The arrays are read-only, since every pass
+    shares them.
+    """
+
+    template: TableTemplate
+    grammar: GrammarMasks
+    cells: list[Coord]  # the template's cells, row-major
+    cell_set: frozenset[Coord]
+    input_ids: np.ndarray  # [T]
+    is_pad: np.ndarray  # [T]
+    cell: np.ndarray  # [T] index of each position's cell in ``cells``; len(cells) for headers and row markers
+    live: LiveBlocks
+    targets: np.ndarray  # [n] next token at each live row (PAD at headers and row markers)
+    grammar_rows: np.ndarray  # [n] row of grammar.table at each live row
+
+    @classmethod
+    def build(cls, template: TableTemplate, grammar: GrammarMasks, contents: dict[Coord, list[int]]) -> "PassLayout":
+        cells = template.cells()
+        inst = _instance(template, contents, dict.fromkeys(cells, 0))
+        is_cell = (template.rows > 0) & (template.cols > 0)
+        cell = np.where(is_cell, (template.rows - 1) * template.n_cols + template.cols - 1, len(cells))
+        targets = np.full(template.length, PAD, dtype=np.int64)
+        for coord in cells:
+            p0 = template.slot_start[coord]
+            targets[p0 : p0 + len(contents[coord]) + 1] = contents[coord] + [EOC]
+        live = live_blocks(template, inst.input_ids, inst.is_pad)
+        grammar_rows = grammar.row_index(template.within[live.rows], live.input_ids)
+        layout = cls(
+            template, grammar, cells, frozenset(cells), inst.input_ids, inst.is_pad, cell, live, targets[live.rows],
+            grammar_rows,
+        )
+        _read_only(layout.input_ids, layout.is_pad, layout.cell, *live, layout.targets, layout.grammar_rows)
+        return layout
+
+    def instance(self, stage: dict[Coord, int]) -> LayoutInstance:
+        """The layout of the pass with cell stages ``stage`` over every cell
+        of the template: one gather gives each position its cell's stage; the
+        loss positions are the live rows of open cells, in position order."""
+        if stage.keys() != self.cell_set:
+            raise LayoutError(f"stage keys are not the template's {len(self.cells)} cells: {sorted(stage)}")
+        cell_stage = np.fromiter(chain(map(stage.__getitem__, self.cells), (0,)), np.int64, len(self.cells) + 1)
+        stages = cell_stage[self.cell]
+        loss = stages[self.live.rows] > 0
+        return LayoutInstance(
+            self.template,
+            self.input_ids,
+            self.is_pad,
+            stages,
+            loss_pos=self.live.rows[loss],
+            loss_targets=self.targets[loss],
+            legal=self.grammar.table[self.grammar_rows[loss]],
+            live=self.live,
+        )
 
 
 def instance_for_decoding(template: TableTemplate, committed: dict[Coord, list[int]]) -> LayoutInstance:

@@ -44,6 +44,7 @@ from .layout import (
     GrammarMasks,
     LayoutInstance,
     TableTemplate,
+    live_blocks,
     make_template,
     sequence_bucket_matrix,
     visibility_mask,
@@ -63,7 +64,12 @@ class DecoderBatch:
     entries after those of the examples before it, its [n_b, n_b] block in
     row-major order. ``allow`` holds the instance's visibility submatrix at
     those rows and ``bias_idx`` the template's row, column, local and bucket
-    index maps there, stacked. The attention op takes no mask:
+    index maps there, stacked, in the narrowest integer type that holds them.
+    Only ``allow`` depends on the stages: the rows, their input ids and the
+    bias-index and own-prefix blocks are an instance's
+    :class:`~text2table.model.layout.LiveBlocks`, which a training example
+    builds once (:class:`~text2table.model.layout.PassLayout`) and every one
+    of its passes reuses. The attention op takes no mask:
     :meth:`TextToTableModel.decoder_hidden` turns ``allow`` into -inf on the
     self-attention bias of every pair it hides.
 
@@ -80,7 +86,7 @@ class DecoderBatch:
     rows: list[np.ndarray]  # per example: the template positions of its rows
     instances: list[LayoutInstance]
     allow: np.ndarray | None = None  # [sum n_b^2] per-example blocks
-    bias_idx: np.ndarray | None = None  # [4, sum n_b^2] (row, col, loc, bucket) blocks
+    bias_idx: np.ndarray | None = None  # [4, sum n_b^2] (row, col, loc, bucket) blocks, narrow integers
 
     @property
     def length(self) -> int:
@@ -102,23 +108,27 @@ class DecoderBatch:
 
 
 def collate_instances(instances: list[LayoutInstance], rows: np.ndarray | None = None) -> DecoderBatch:
-    """Pack each instance to its live positions (slot padding dropped) and cut
-    its visibility and bias-index blocks there; with ``rows``, the query batch
-    of those positions of a single instance (see :class:`DecoderBatch`)."""
+    """Pack each instance to its live positions (slot padding dropped) with
+    its bias-index block, and its visibility block from its stages there; with
+    ``rows``, the query batch of those positions of a single instance (see
+    :class:`DecoderBatch`). The live rows and blocks are the instance's
+    ``live`` when it has them (a training pass carries its example's, built
+    once) and :func:`~text2table.model.layout.live_blocks` otherwise."""
     if rows is not None:
         (inst,) = instances
         rows = np.asarray(rows, dtype=np.int64)
         return DecoderBatch(inst.input_ids[rows][None], [rows], [])
-    live = [np.flatnonzero(~inst.is_pad) for inst in instances]
-    ids = np.full((len(instances), max(len(r) for r in live)), PAD, dtype=np.int64)
-    allow, bias_idx = [], []
-    for k, (inst, r) in enumerate(zip(instances, live)):
-        tpl, n = inst.template, len(r)
-        ids[k, :n] = inst.input_ids[r]
-        idx = tpl.bias_idx[:, r[:, None], r]
-        allow.append(visibility_mask(inst.stage[r], idx[2], tpl.slot_len).reshape(-1))
-        bias_idx.append(idx.reshape(4, -1))
-    return DecoderBatch(ids, live, list(instances), np.concatenate(allow), np.concatenate(bias_idx, axis=1))
+    live = [
+        inst.live if inst.live is not None else live_blocks(inst.template, inst.input_ids, inst.is_pad)
+        for inst in instances
+    ]
+    ids = np.full((len(instances), max(len(b.rows) for b in live)), PAD, dtype=np.int64)
+    allow = []
+    for k, (inst, b) in enumerate(zip(instances, live)):
+        ids[k, : len(b.rows)] = b.input_ids
+        allow.append(visibility_mask(inst.stage[b.rows], b.own).reshape(-1))
+    bias_idx = np.concatenate([b.bias_idx for b in live], axis=1)
+    return DecoderBatch(ids, [b.rows for b in live], list(instances), np.concatenate(allow), bias_idx)
 
 
 @dataclass
@@ -417,13 +427,19 @@ class TextToTableModel:
         with no_grad():
             bias = self._decoder_bias(template.bias_idx).data
         # with every position open at stage 1, a position sees its own prefix alone
-        own = visibility_mask(np.ones(template.length, dtype=np.int64), template.bias_idx[2], template.slot_len)
+        own = template.bias_idx[2] >= template.slot_len
         keys, values = ([np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)] for _ in "kv")
         return DecoderCache(bias, np.where(own, bias, -np.inf), keys, values)
 
     def logits_at(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
-        """Select packed decoder rows and project to vocabulary logits."""
-        return ops.matmul(ops.take_rows(hidden, positions), self.params["lm_head"])
+        """Select packed decoder rows and project to vocabulary logits; rows
+        0..n-1 in order, every row of an [n, d] ``hidden``, are taken as they
+        are, with no copy."""
+        positions = np.asarray(positions, dtype=np.int64)
+        n = len(hidden.data)
+        if not (len(positions) == n and (positions == np.arange(n)).all()):
+            hidden = ops.take_rows(hidden, positions)
+        return ops.matmul(hidden, self.params["lm_head"])
 
     def count_pred(self, memory: Tensor, lens: np.ndarray) -> Tensor:
         """Row-count regression from each example's first memory row [B]

@@ -1,14 +1,29 @@
-"""AdamW with decoupled weight decay, plus global-norm gradient clipping.
+"""AdamW with decoupled weight decay, plus global-norm gradient clipping, over
+flat buffers.
 
-Update rule (per parameter, after t steps):
+A :class:`ParameterStore` packs its parameters into one contiguous buffer
+when it is first used as a whole (by an optimizer, clipping or
+``zero_grad``): each parameter's ``data`` becomes a view of its slot, in the
+order the parameters were added. Gradients get a second buffer of the same
+layout. The first gradient a parameter receives is written into its slot and
+its ``grad`` becomes that view, so a backward pass leaves every gradient
+packed without a copy; ``zero_grad`` only sets each ``grad`` to None. A
+``grad`` set by hand is copied into its slot when the buffer is read
+(:meth:`ParameterStore.grads`). AdamW keeps its moments ``m`` and ``v`` in two
+more buffers of that layout (``AdamW.m[name]`` is a view), and clipping
+scales the gradient buffer in one call.
+
+Update rule (elementwise, after t steps):
 
     p -= lr * wd * p                                  (decoupled decay)
     m  = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
     p -= lr * sqrt(1-b2^t)/(1-b1^t) * m / (sqrt(v) + eps)
 
-The bias correction is folded into the step size (the "efficient" form), so
-with zero gradient and fresh moments the adaptive term is exactly zero and
-decay alone shrinks p by lr*wd*p.
+Every operation is elementwise, so running it once over the flat buffers
+gives each parameter the bits a loop over the parameters gives. The bias
+correction is folded into the step size (the "efficient" form), so with zero
+gradient and fresh moments the adaptive term is exactly zero and decay alone
+shrinks p by lr*wd*p.
 """
 
 from __future__ import annotations
@@ -26,16 +41,39 @@ class MissingGradError(NumericsError):
         super().__init__(f"parameters missing gradients: {', '.join(names)}")
 
 
+class Parameter(Tensor):
+    """A tensor held by a :class:`ParameterStore`: once the store is packed,
+    ``grad_slot`` is its view of the store's flat gradient buffer."""
+
+    __slots__ = ("grad_slot",)
+
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
+        self.grad_slot: np.ndarray | None = None
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None and self.grad_slot is not None:
+            # g + 0 into the slot: the bits of a zeroed buffer's first +=, where -0.0 becomes 0.0
+            self.grad = np.add(g, 0, out=self.grad_slot)
+        else:
+            super().accumulate_grad(g)
+
+
 class ParameterStore:
-    """Ordered named parameter tensors with grad bookkeeping."""
+    """Ordered named parameters, packed into one flat buffer on first use."""
 
     def __init__(self):
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, Parameter] = {}
+        self._data: np.ndarray | None = None  # flat parameters, once packed
+        self._grad: np.ndarray | None = None  # flat gradients, same layout
+        self._spans: list[tuple[int, int]] = []  # (offset, size) of each parameter's slot
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name}")
-        t = Tensor(data, requires_grad=True)
+        if self._data is not None:
+            raise ValueError(f"cannot add parameter {name}: the store is already packed")
+        t = Parameter(data)
         self._params[name] = t
         return t
 
@@ -51,23 +89,65 @@ class ParameterStore:
     def names(self) -> list[str]:
         return list(self._params)
 
+    def _pack(self) -> None:
+        if self._data is not None:
+            return
+        params = list(self._params.values())
+        dtypes = {t.dtype for t in params}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters of one store share a dtype, got {sorted(map(str, dtypes))}")
+        sizes = [t.data.size for t in params]
+        offsets = np.cumsum([0] + sizes).tolist()
+        self._spans = list(zip(offsets, sizes))
+        self._data = np.empty(offsets[-1], dtype=dtypes.pop() if dtypes else np.float64)
+        self._grad = np.zeros_like(self._data)
+        for t, (o, n) in zip(params, self._spans):
+            self._data[o : o + n] = t.data.reshape(-1)
+            t.data = self._data[o : o + n].reshape(t.shape)
+            t.grad_slot = self._grad[o : o + n].reshape(t.shape)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The flat parameter buffer; every parameter's ``data`` is a view of it."""
+        self._pack()
+        return self._data
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slot of a buffer laid out as :attr:`data`, in its shape."""
+        self._pack()
+        return {name: flat[o : o + n].reshape(t.shape) for (name, t), (o, n) in zip(self.items(), self._spans)}
+
+    def grads(self) -> np.ndarray:
+        """The flat gradient buffer with every ``grad`` in its slot: a grad set
+        by hand is copied in, and ``grad`` becomes the slot. The slot of a
+        parameter whose ``grad`` is None holds no gradient."""
+        self._pack()
+        for t in self._params.values():
+            if t.grad is not None and t.grad is not t.grad_slot:
+                t.grad_slot[...] = t.grad
+                t.grad = t.grad_slot
+        return self._grad
+
     def zero_grad(self) -> None:
+        self._pack()
         for t in self._params.values():
             t.grad = None
 
 
 def clip_grad_norm(store: ParameterStore, max_norm: float) -> float:
-    """Scale all grads so their global L2 norm is at most max_norm."""
+    """Scale all grads so their global L2 norm is at most max_norm.
+
+    The squares are summed per parameter, in store order, as numpy sums one
+    parameter's array; a parameter without a grad adds nothing."""
+    flat = store.grads()
+    sq = flat * flat
     total = 0.0
-    for _, t in store.items():
+    for (_, t), (o, n) in zip(store.items(), store._spans):
         if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
+            total += float(sq[o : o + n].sum())
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
-        factor = max_norm / norm
-        for _, t in store.items():
-            if t.grad is not None:
-                t.grad *= factor
+        flat *= max_norm / norm
     return norm
 
 
@@ -86,12 +166,9 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {
-            name: np.zeros_like(t.data) for name, t in store.items()
-        }
-        self.v: dict[str, np.ndarray] = {
-            name: np.zeros_like(t.data) for name, t in store.items()
-        }
+        self._m, self._v = np.zeros_like(store.data), np.zeros_like(store.data)
+        self.m: dict[str, np.ndarray] = store.views(self._m)
+        self.v: dict[str, np.ndarray] = store.views(self._v)
 
     def step(self) -> None:
         """One in-place update of every parameter and its moments; grads are
@@ -99,23 +176,27 @@ class AdamW:
         missing = [name for name, t in self.store.items() if t.grad is None]
         if missing:
             raise MissingGradError(missing)
+        g = self.store.grads()
         self.step_count += 1
         t = self.step_count
         step_size = self.lr * math.sqrt(1.0 - self.beta2**t) / (1.0 - self.beta1**t)
         decay = self.lr * self.weight_decay
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.store.items():
-            w, g, m, v = p.data, p.grad, self.m[name], self.v[name]  # updated in place
-            if decay != 0.0:
-                w -= decay * w
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            w -= step_size * (m / (np.sqrt(v) + self.eps))
+        w, m, v = self.store.data, self._m, self._v  # updated in place
+        tmp = np.empty_like(w)  # made per step: a buffer kept between steps would add to the peak memory
+        if decay != 0.0:
+            w -= np.multiply(decay, w, out=tmp)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=tmp)
+        v *= b2
+        v += np.multiply(1.0 - b2, np.multiply(g, g, out=tmp), out=tmp)
+        np.sqrt(v, out=tmp)
+        tmp += self.eps
+        np.divide(m, tmp, out=tmp)
+        w -= np.multiply(step_size, tmp, out=tmp)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Flat view of optimizer state for checkpointing."""
+        """Per-parameter view of optimizer state for checkpointing."""
         out: dict[str, np.ndarray] = {}
         for name in self.store.names():
             out[f"m::{name}"] = self.m[name]
@@ -123,6 +204,16 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
+        """Load the arrays :meth:`state_arrays` names. A missing array is a
+        KeyError of its name; one whose shape or dtype is not its parameter's
+        is a ValueError that names it. Either leaves the state as it was."""
+        for name, t in self.store.items():
+            for key in (f"m::{name}", f"v::{name}"):
+                arr = arrays[key]
+                if arr.shape != t.shape or arr.dtype != t.dtype:
+                    raise ValueError(
+                        f"optimizer array {key} is {arr.dtype} {arr.shape}, its parameter {t.dtype} {t.shape}"
+                    )
         for name in self.store.names():
             self.m[name][...] = arrays[f"m::{name}"]
             self.v[name][...] = arrays[f"v::{name}"]

@@ -3,12 +3,12 @@ pass, and its teacher-forced layout."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..corpus import DatasetRecord
-from ..model import LayoutError, LayoutInstance, TextToTableModel, instance_for_pass
+from ..model import LayoutError, LayoutInstance, PassLayout, TextToTableModel
 from ..model.config import ModelConfig
 from ..model.layout import Coord, check_shape, content_token_ids, encode_record, row_major_order
 from ..table import Table
@@ -28,6 +28,8 @@ class TrainingExample:
     count_target: float  # true group count (before any sentinel row)
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
     header_tokens_dropped: int = 0  # header token ids the template cuts at max_cell_len
+    # the stage-free part of its training layout, for the template it was last built under
+    layout: PassLayout | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_semi_templated_corpus_variant(gold: Table) -> Table:
@@ -77,9 +79,14 @@ def build_training_pass(
 ) -> LayoutInstance:
     """Teacher-forced layout of one training pass: stage-0 cells are context,
     every other cell carries loss and sees the lower stages (see
-    :func:`~text2table.model.layout.visibility_mask`)."""
+    :func:`~text2table.model.layout.visibility_mask`). The example's
+    :class:`~text2table.model.PassLayout` is built on its first pass under the
+    model's template and reused while that template is the one it was built
+    for, so an example shared by two models never reads the other's."""
     tpl = model.template_for(example.header_ids, example.n_rows)
-    return instance_for_pass(tpl, model.grammar, example.cell_ids, stage)
+    if example.layout is None or example.layout.template is not tpl:
+        example.layout = PassLayout.build(tpl, model.grammar, example.cell_ids)
+    return example.layout.instance(stage)
 
 
 def sample_permutation(n_rows: int, n_cols: int, rng: np.random.Generator) -> dict[Coord, int]:

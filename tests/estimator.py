@@ -19,11 +19,11 @@ from itertools import permutations
 
 import numpy as np
 
-from text2table.model import TextToTableModel, collate_instances, instance_for_pass
+from text2table.model import TextToTableModel, collate_instances
 from text2table.numerics import no_grad
 from text2table.model.layout import Coord, row_major_order
 from text2table.training import TrainingExample, sample_permutation
-from util import cut_stages, encode_one, filled_stages, loss_cells, slot_cell_id
+from util import cut_stages, encode_one, filled_stages, instance_for_pass, loss_cells, slot_cell_id
 
 
 def masked_nll_rows(logits: np.ndarray, targets: np.ndarray, legal: np.ndarray) -> np.ndarray:

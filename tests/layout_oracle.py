@@ -1,9 +1,11 @@
 """Layout oracles written position by position, which the array code of
 :mod:`text2table.model.layout` must equal bitwise: the template filled one
-position at a time (:func:`make_template`), and the two layout builders
-written apart, each cell placed token by token
-(:func:`~text2table.model.layout.instance_for_pass` and
-:func:`~text2table.model.layout.instance_for_decoding` share one body)."""
+position at a time (:func:`make_template`), the two layout builders written
+apart, each cell placed token by token (the teacher-forced
+:func:`instance_for_pass`, which training now derives from a
+:class:`~text2table.model.layout.PassLayout` built once per example, and
+:func:`instance_for_decoding`), and a training batch collated from whole
+layouts at every step (:func:`collate`)."""
 
 import numpy as np
 
@@ -125,3 +127,31 @@ def instance_for_decoding(template, committed):
         else:
             stage[p0 : p0 + template.slot_len] = 1
     return LayoutInstance(template=template, input_ids=inputs, is_pad=pad, stage=stage)
+
+
+def collate(instances):
+    """A training batch as it was built from whole layouts at every step:
+    (input ids [B, L], live rows per example, visibility blocks, int64
+    bias-index blocks [4, sum n_b^2], loss positions in the packed rows,
+    targets, legal rows)."""
+    live = [np.flatnonzero(~inst.is_pad) for inst in instances]
+    ids = np.full((len(instances), max(len(r) for r in live)), PAD, dtype=np.int64)
+    allow, bias_idx = [], []
+    for k, (inst, r) in enumerate(zip(instances, live)):
+        tpl = inst.template
+        ids[k, : len(r)] = inst.input_ids[r]
+        idx = tpl.bias_idx[:, r[:, None], r]
+        s = inst.stage[r]
+        allow.append(((s[None, :] < np.maximum(s[:, None], 1)) | (idx[2] >= tpl.slot_len)).reshape(-1))
+        bias_idx.append(idx.reshape(4, -1))
+    offsets = np.cumsum([0] + [len(r) for r in live])
+    pos = [np.searchsorted(r, inst.loss_pos) + o for r, inst, o in zip(live, instances, offsets)]
+    return (
+        ids,
+        live,
+        np.concatenate(allow),
+        np.concatenate(bias_idx, axis=1),
+        np.concatenate(pos),
+        np.concatenate([inst.loss_targets for inst in instances]),
+        np.concatenate([inst.legal for inst in instances]),
+    )

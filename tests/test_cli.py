@@ -1,5 +1,6 @@
 """Exit codes of the ``text2table`` command line."""
 
+import hashlib
 import importlib
 import itertools
 import json
@@ -581,6 +582,34 @@ def test_resume_with_missing_optimizer_array_exits_3(lineitems_records, tmp_path
     assert main(argv + ["--resume"]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "optimizer state lacks v::embed" in err
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("opt::m::embed", lambda a: a[0].astype(np.float64)),
+        ("opt::v::embed", lambda a: np.zeros((3, 3), a.dtype)),
+        ("opt::m::lm_head", lambda a: a.astype(np.float64)),
+    ],
+    ids=["float64-row", "3x3", "float64"],
+)
+def test_resume_with_misshaped_optimizer_array_exits_3(lineitems_records, tmp_path, capsys, key, bad):
+    # a float64 row once broadcast into the moment in silence, a 3x3 array escaped as a bare
+    # traceback and a float64 array of the right shape was cast in silence
+    argv, latest = _trained_checkpoint(tmp_path, lineitems_records[:3])
+    with np.load(latest) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+    arrays[key] = bad(arrays[key])
+    meta["manifest"][key] = hashlib.sha256(np.ascontiguousarray(arrays[key]).tobytes()).hexdigest()
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(latest, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 3
+    err = capsys.readouterr().err.strip()
+    name = key.removeprefix("opt::")
+    assert len(err.splitlines()) == 1 and f"optimizer array {name} is {arrays[key].dtype} {arrays[key].shape}" in err
 
 
 def test_ablate_empty_validation_set_exits_2_before_any_run(lineitems_records, tmp_path, capsys):

@@ -25,9 +25,9 @@ from text2table.decoding import (
 )
 from text2table.decoding import engine
 from text2table.decoding.engine import _masked_log_softmax
-from text2table.model import LayoutError, instance_for_decoding, instance_for_pass
+from text2table.model import LayoutError, instance_for_decoding
 from text2table.vocab import EOC, NULL, tokenize
-from util import MockCellSource, filled_stages, structure, visibility
+from util import MockCellSource, filled_stages, instance_for_pass, structure, visibility
 
 
 # ---------------------------------------------------------------------------

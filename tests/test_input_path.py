@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import layout_oracle
+from util import instance_for_pass
 from text2table.corpus import DatasetRecord
 from text2table.decoding import DecodingConfig, EmptySourceTextError, decode_table
-from text2table.model import LayoutError, ModelConfig, instance_for_decoding, instance_for_pass, make_template
+from text2table.model import LayoutError, ModelConfig, instance_for_decoding, make_template
 from text2table.model.layout import encode_record
 from text2table.table import Table
 from text2table.training import prepare_example

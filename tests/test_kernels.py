@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import loop_kernels as ref
-from text2table.model import collate_instances, instance_for_decoding, instance_for_pass
+from text2table.model import collate_instances, instance_for_decoding
 from text2table.model.layout import row_major_order, visibility_mask
 from text2table.numerics import AdamW, ParameterStore, Tensor, backward, ops
 from text2table.training import (
@@ -27,7 +27,7 @@ from text2table.training import (
     prepare_example,
     sample_permutation,
 )
-from util import mul, sum_all
+from util import instance_for_pass, mul, sum_all
 
 DTYPES = [np.float64, np.float32]
 
@@ -168,7 +168,7 @@ def test_visibility_mask_equals_the_naive_rule_on_live_positions(scheme):
     for _ in range(30):
         stage, is_pad, cell_id, within, local = _random_layout(rng, scheme, l)
         live = np.flatnonzero(~is_pad)
-        got = visibility_mask(stage[live], local[np.ix_(live, live)], l)
+        got = visibility_mask(stage[live], local[np.ix_(live, live)] >= l)
         want = ref.visibility_mask(is_pad, stage, cell_id, within)[np.ix_(live, live)]
         assert got.dtype == bool and np.array_equal(got, want)
         hidden, padded = hidden + int((~want).sum()), padded + int(is_pad.any())
@@ -188,7 +188,7 @@ def test_visibility_mask_on_real_layouts_equals_the_naive_rule(lineitems_records
             instance_for_decoding(tpl, {c: ex.cell_ids[c] for c, s in stage.items() if not s}),
         ):
             live = np.flatnonzero(~inst.is_pad)
-            got = visibility_mask(inst.stage[live], tpl.bias_idx[2][np.ix_(live, live)], tpl.slot_len)
+            got = visibility_mask(inst.stage[live], tpl.bias_idx[2][np.ix_(live, live)] >= tpl.slot_len)
             want = ref.visibility_mask(inst.is_pad, inst.stage, tpl.cell_id, tpl.within)[np.ix_(live, live)]
             assert np.array_equal(got, want)
 

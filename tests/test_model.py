@@ -5,14 +5,13 @@ from conftest import encode_cells, header_ids, random_bias_tables
 from text2table.model import (
     LayoutError,
     collate_instances,
-    instance_for_pass,
     make_template,
 )
 from text2table.model.layout import sequence_bucket_matrix
 from text2table.numerics import ops
 from text2table.table import Table
 from text2table.vocab import BOS, EOC, NULL
-from util import cell_logits, encode_one, filled_stages, loss_cells, slot_cell_id, visibility
+from util import cell_logits, encode_one, filled_stages, instance_for_pass, loss_cells, slot_cell_id, visibility
 
 
 def _demo_table():
@@ -354,3 +353,52 @@ def test_checkpoint_with_invalid_model_config_raises_named_error(tiny_model, tmp
     with pytest.raises(CheckpointError) as ei:
         load_checkpoint(str(path))
     assert "invalid model config" in str(ei.value) and "not divisible" in str(ei.value)
+
+
+def _rewrite_array(path, key, arr):
+    """Replace one array of a checkpoint and its manifest digest, so the file stays consistent."""
+    import hashlib
+    import json
+
+    with np.load(str(path)) as data:
+        arrays = {k: data[k].copy() for k in data.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode("utf-8"))
+    arrays[key] = arr
+    meta["manifest"][key] = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_checkpoint_of_flat_buffers_holds_the_per_parameter_arrays(tiny_vocab, lineitems_records, tmp_path):
+    # parameters and optimizer moments live in flat buffers; the file keeps
+    # one array per parameter and moment, as when each had its own array
+    from conftest import _tiny_model
+    from text2table.model import save_checkpoint
+    from text2table.training import Trainer, TrainingConfig, prepare_example
+
+    model = _tiny_model(tiny_vocab)
+    examples = [prepare_example(r, tiny_vocab, model.cfg) for r in lineitems_records[:4]]
+    tr = Trainer(model, examples, TrainingConfig(seed=1, steps=2, batch_size=4))
+    tr.run()
+    want = {f"param::{name}": np.array(t.data) for name, t in model.params.items()}
+    for name in model.params.names():
+        want[f"opt::m::{name}"] = np.array(tr.opt.m[name])
+        want[f"opt::v::{name}"] = np.array(tr.opt.v[name])
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(str(path), model, step=2, optimizer=tr.opt)
+    with np.load(str(path)) as data:
+        got = {k: data[k] for k in data.files if k != "__meta__"}
+    assert list(got) == list(want)
+    for key, arr in want.items():
+        assert (got[key].shape, got[key].dtype, got[key].tobytes()) == (arr.shape, arr.dtype, arr.tobytes()), key
+
+
+def test_checkpoint_parameter_of_another_dtype_raises_named_error(tiny_model, tmp_path):
+    from text2table.model import CheckpointError, load_checkpoint, save_checkpoint
+
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(str(path), tiny_model, step=1)
+    _rewrite_array(path, "param::embed", tiny_model.params["embed"].data.astype(np.float64))
+    with pytest.raises(CheckpointError, match=r"parameter embed is float64 \(\d+, 16\), the model's float32"):
+        load_checkpoint(str(path))

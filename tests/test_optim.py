@@ -1,8 +1,10 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
+import loop_kernels as ref
 from text2table.numerics import AdamW, MissingGradError, ParameterStore
 
 
@@ -99,3 +101,66 @@ def test_state_roundtrip_via_arrays():
         q.grad = np.array([0.3])
         o.step()
     assert np.array_equal(p.data, p2.data)
+
+
+def _oracle_clip(grads: dict, max_norm: float) -> float:
+    """Global-norm clipping as a loop over the parameters, in store order."""
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if max_norm > 0 and norm > max_norm:
+        for g in grads.values():
+            g *= max_norm / norm
+    return norm
+
+
+@pytest.mark.parametrize("float_width", [32, 64])
+@pytest.mark.parametrize("clip_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
+def test_flat_steps_equal_the_per_parameter_oracle_on_model_gradients(
+    tiny_vocab, lineitems_records, float_width, clip_norm
+):
+    from conftest import _tiny_model
+    from text2table.numerics import backward, clip_grad_norm
+    from text2table.training import Trainer, TrainingConfig, prepare_example
+
+    model = _tiny_model(tiny_vocab, float_width=float_width)
+    examples = [prepare_example(r, tiny_vocab, model.cfg) for r in lineitems_records[:6]]
+    tr = Trainer(model, examples, TrainingConfig(seed=2, batch_size=4, lr=3e-3, weight_decay=1e-2))
+    opt, store = tr.opt, model.params
+    want = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)) for name, t in store.items()}
+    for step in range(1, 4):
+        store.zero_grad()
+        total, _, _ = tr._batch_loss(examples[step : step + 4], step, train=True)
+        backward(total)
+        grads = {name: t.grad.copy() for name, t in store.items()}
+        norm = _oracle_clip(grads, clip_norm)
+        assert clip_grad_norm(store, clip_norm) == norm
+        assert (norm > clip_norm) == (clip_norm == 1e-3)
+        opt.step()
+        step_size = opt.lr * math.sqrt(1.0 - opt.beta2**step) / (1.0 - opt.beta1**step)
+        for name, t in store.items():
+            assert np.array_equal(t.grad, grads[name]), name  # clipped as the oracle clips, then left alone
+            p, m, v = (a.reshape(-1) for a in want[name])
+            ref.adamw_update(
+                p, grads[name].reshape(-1), m, v, step_size, opt.lr * opt.weight_decay, opt.beta1, opt.beta2, opt.eps
+            )
+    for name, t in store.items():
+        p, m, v = want[name]
+        assert t.data.dtype == model.cfg.dtype
+        assert np.array_equal(t.data, p) and np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v), name
+
+
+def test_gradients_accumulate_in_the_flat_buffer_with_the_bits_of_a_fresh_array():
+    # a packed parameter's first gradient is written into its slot: the bits
+    # of zeros + g, so -0.0 becomes 0.0 as it did in a fresh zeroed array
+    store = ParameterStore()
+    store.add("a", np.ones(3))
+    t = store.add("b", np.ones((2, 2)))
+    store.zero_grad()
+    g = np.array([[-0.0, 1.5], [-2.0, 0.0]])
+    t.accumulate_grad(g)
+    want = np.zeros_like(t.data) + g
+    assert t.grad.tobytes() == want.tobytes() and np.shares_memory(t.grad, store.grads())
+    t.accumulate_grad(g)
+    assert t.grad.tobytes() == (want + g).tobytes()
+    assert store["a"].grad is None and store.grads()[3:].tobytes() == t.grad.tobytes()
+    with pytest.raises(ValueError, match="already packed"):
+        store.add("c", np.ones(1))

@@ -193,3 +193,35 @@ def test_a_trimmed_first_pass_matches_the_untrimmed_one_and_stores_the_same_keys
     assert np.abs(got - full[read]).max() <= REL * np.abs(full).max()
     for a, b in zip(got_cache.keys + got_cache.values, full_cache.keys + full_cache.values):
         assert np.array_equal(a, b)
+
+
+def test_logits_at_every_row_in_order_gathers_nothing(corpus, monkeypatch):
+    # the training loss reads its hidden state as it is: the read rows already
+    # are the loss rows, in order; any other selection still gathers
+    records, vocab = corpus
+    model = _model(vocab)
+    trainer, batch = _trainer_batch(model, records, "permuted")
+    ids, lens, dec = _collated(trainer, batch)
+    pos = dec.flat_loss_arrays()[0]
+    hidden = model.decoder_hidden(model.memory_kv(model.encode(ids, lens)), lens, dec, read=pos)
+    gathered, take_rows = [], ops.take_rows
+    monkeypatch.setattr(ops, "take_rows", lambda a, idx: gathered.append(len(idx)) or take_rows(a, idx))
+    every = model.logits_at(hidden, np.arange(len(pos)))
+    assert gathered == []
+    assert np.array_equal(every.data, ops.matmul(hidden, model.params["lm_head"]).data)
+    some = model.logits_at(hidden, np.arange(1, len(pos)))
+    assert gathered == [len(pos) - 1] and np.array_equal(some.data, every.data[1:])
+    swapped = np.r_[1, 0, 2 : len(pos)]
+    assert np.array_equal(model.logits_at(hidden, swapped).data, every.data[swapped])
+    assert gathered == [len(pos) - 1, len(pos)]
+    calls, logits_at = [], model.logits_at
+
+    def spy(h, positions):  # gathers made inside logits_at
+        before = len(gathered)
+        out = logits_at(h, positions)
+        calls.append(gathered[before:])
+        return out
+
+    monkeypatch.setattr(model, "logits_at", spy)
+    trainer._batch_loss(batch, 1, train=True)
+    assert calls == [[]]

@@ -1,6 +1,6 @@
 """Shared test helpers: the ``mul`` and ``sum_all`` ops only tests use, a
 recorder of op result dtypes, finite differences, gradient comparison,
-teacher-forced cell logits, the cell of a loss position, layout stages,
+teacher-forced layouts and cell logits, the cell of a loss position, layout stages,
 prefixes and visibility, and a mock candidate source."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 import loop_kernels
-from text2table.model import collate_instances
+from text2table.model import PassLayout, collate_instances
 from text2table.numerics import Tensor
 from text2table.numerics.ops import _check_broadcast, _unbroadcast
 from text2table.numerics.tensor import make_result
@@ -116,6 +116,12 @@ def cell_logits(model, memory, mem_len, instance, cells=None):
         keep = np.isin(loss_cells(instance), [slot_cell_id(instance.template, c) for c in cells])
     logits = model.logits_at(hidden, pos[keep]).data
     return batch.rows[0][pos[keep]], np.where(legal[keep], logits, -np.inf)
+
+
+def instance_for_pass(template, grammar, cell_contents, stage):
+    """Teacher-forced layout of one pass as training builds it: the
+    :class:`PassLayout` of ``cell_contents``, laid out at ``stage``."""
+    return PassLayout.build(template, grammar, cell_contents).instance(stage)
 
 
 def structure(template):
