@@ -6,6 +6,11 @@ matching cells. Cells compare byte-identical after trimming outer
 whitespace; NULL cells are abstentions and appear in no numerator or
 denominator. Precision counts predicted non-NULL cells, recall counts gold
 non-NULL cells; per-column breakdowns use the same convention.
+
+scipy's ``linear_sum_assignment`` solves the assignment; its tie-breaking
+sets which rows pair and so the per-column F1. scipy is loaded on the first
+assignment alignment, not when this module is imported, so a process that
+never aligns by assignment never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..table import Table
 
@@ -157,6 +161,8 @@ def _align_rows(
     if mode.mode == "assignment":
         if not pred or not gold:
             return []
+        from scipy.optimize import linear_sum_assignment
+
         gain = np.zeros((len(pred), len(gold)), dtype=np.int64)
         for i, prow in enumerate(pred):
             for j, grow in enumerate(gold):

@@ -5,9 +5,16 @@ rule) passes them all; this test does not.
 
 Each floor sits at least 0.1 below the lowest train-set cell F1 of run seeds
 0-4 (permuted 0.967-0.989, fixed-causal 0.748-0.813; an untrained model
-scores 0). The test runs seed 0. The semi-templated mode trains the permuted
-objective on each table plus an all-NULL row, so the permuted run stands for
-it too."""
+scores 0). The test runs seed 0.
+
+Semi-templated training is not covered, and the permuted run does not stand
+for it. That mode lays out each table's gold rows plus the all-NULL sentinel
+row, and every cell sees every row marker, so the model learns that the
+template's last row is the sentinel. Its decoder grows the template one row
+at a time, so the row it decodes is always the last: it comes out all-NULL
+and ends every table at 0 rows, a cell F1 of 0 at every seed tried. No floor
+holds for the mode until its training passes match the template its decoder
+sees."""
 
 import dataclasses
 
