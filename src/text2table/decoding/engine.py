@@ -415,7 +415,7 @@ class DecodeResult:
     trace: list[TraceEntry]
     outer_iterations: int
     predicted_count: float | None
-    hit_row_cap: bool = False
+    hit_row_cap: bool = False  # no sentinel row before the cap (semi-templated), or the predicted count clamped at it
     decoder_passes: int = 0  # decoder calls: per inner loop, one for its drafts, one per later step some cell takes
     tokens: int = 0  # table tokens produced: each committed cell's tokens and its end-of-cell
     forced_tokens: int = 0  # end-of-cell marks the grammar forced, committed with no decoder pass
@@ -482,7 +482,7 @@ def decode_table(
     cache = model.decoder_cache(model.template_for(enc.header_ids, blocks[-1]))
     state = DecodingState(0, len(headers))
     iters = passes = forced = 0
-    hit_cap = semi
+    hit_cap = semi or count + 0.5 >= max_rows + 1  # predicted-count: the rounded count exceeds the cap
     for n_rows in blocks:
         state.n_rows = n_rows
         source = ModelCellSource(model, memory_kv, mem_len, model.template_for(enc.header_ids, n_rows), cache)

@@ -66,12 +66,18 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
     """Rebuild the model; returns (model, meta). Meta carries step/run_config
-    and, when present, raw optimizer arrays under "opt_arrays"."""
+    and, when present, raw optimizer arrays under "opt_arrays". A file that
+    is not a whole, matching checkpoint is a :class:`CheckpointError`."""
     try:
-        with np.load(path) as data:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"{path}: not a checkpoint (a single array, not an npz archive)")
+        with data:
             if "__meta__" not in data:
                 raise CheckpointError(f"{path}: not a checkpoint (missing metadata)")
             meta = json.loads(bytes(data["__meta__"].tobytes()).decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise CheckpointError(f"{path}: not a checkpoint (metadata is not a JSON object)")
             if meta.get("format_version") != FORMAT_VERSION:
                 raise CheckpointError(
                     f"{path}: format version {meta.get('format_version')} != {FORMAT_VERSION}"
@@ -84,6 +90,8 @@ def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
         raise CheckpointError(f"{path}: metadata lacks {', '.join(missing)}")
 
     manifest = meta["manifest"]
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: not a checkpoint (manifest is not a JSON object)")
     for name, arr in arrays.items():
         want = manifest.get(name)
         got = _digest(arr)
@@ -96,7 +104,7 @@ def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
         cfg = ModelConfig.from_json(meta["model_config"])
         vocab = Vocabulary.from_json(meta["vocab"])
         model = TextToTableModel(cfg, vocab, seed=0)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CheckpointError(f"{path}: invalid model config or vocabulary ({exc})") from None
     for name, t in model.params.items():
         key = f"param::{name}"

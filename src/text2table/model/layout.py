@@ -119,7 +119,11 @@ def sequence_bucket_matrix(length: int, cfg: ModelConfig) -> np.ndarray:
 
 @dataclass
 class TableTemplate:
-    """Static part of a decoder layout for one (headers, n_rows) shape."""
+    """Static part of a decoder layout for one (headers, n_rows) shape, with
+    the cell maps every layout on it shares: ``cells``, the table's cells in
+    row-major order, and ``cell``, the index into ``cells`` of each position's
+    cell, ``C = len(cells)`` at headers and row markers. A stage map over the
+    cells reaches the positions through them (:func:`stage_at`)."""
 
     n_rows: int
     n_cols: int
@@ -129,14 +133,12 @@ class TableTemplate:
     rows: np.ndarray  # [T] 0 for header tokens
     cols: np.ndarray  # [T] 0 for row markers
     within: np.ndarray  # [T] token index inside its block
-    cell_id: np.ndarray  # [T] one id per block (header blocks included)
-    slot_start: dict[Coord, int]
+    cells: list[Coord]  # row-major
+    cell: np.ndarray  # [T] index into cells; len(cells) at headers and row markers
+    slot_start: dict[Coord, int]  # keyed by every cell, row-major
     # [4, T, T] index maps, stacked: into the R table (-1 -> header bucket),
     # the C table, the L table (-1 -> cross-cell) and the decoder bucket table
     bias_idx: np.ndarray = field(repr=False, default=None)
-
-    def cells(self) -> list[Coord]:
-        return row_major_order(self.n_rows, self.n_cols)
 
 
 def make_template(
@@ -153,20 +155,22 @@ def make_template(
     for i in range(1, n_rows + 1):
         blocks += [([vocab.row_marker_id(i)], 1, i, 0)] + [([BOS], l, i, j) for j in range(1, m + 1)]
     fixed, size, row, col = zip(*blocks)
-    cell_id = np.repeat(np.arange(len(blocks)), size)  # the block index of each position
+    block = np.repeat(np.arange(len(blocks)), size)  # the block index of each position
     start = np.cumsum(size) - size
-    length = len(cell_id)
+    length = len(block)
     serial = np.arange(length)
-    within = serial - start[cell_id]
+    within = serial - start[block]
     base = np.full(length, PAD, dtype=np.int64)
-    base[within < np.array([len(f) for f in fixed])[cell_id]] = [tok for f in fixed for tok in f]
-    rows, cols = np.array(row)[cell_id], np.array(col)[cell_id]
+    base[within < np.array([len(f) for f in fixed])[block]] = [tok for f in fixed for tok in f]
+    rows, cols = np.array(row)[block], np.array(col)[block]
+    cells = row_major_order(n_rows, m)
+    cell = np.where((rows > 0) & (cols > 0), (rows - 1) * m + cols - 1, len(cells))
     slot_start = {(i, j): int(p0) for p0, i, j in zip(start, row, col) if i and j}
-    tpl = TableTemplate(n_rows, m, l, length, base, rows, cols, within, cell_id, slot_start)
+    tpl = TableTemplate(n_rows, m, l, length, base, rows, cols, within, cells, cell, slot_start)
     tpl.bias_idx = np.stack([
         np.where(rows[None, :] == 0, -1, rows[:, None] - rows[None, :] + cfg.max_rows),
         cols[:, None] - cols[None, :] + cfg.max_cols,
-        np.where(cell_id[:, None] == cell_id[None, :], serial[:, None] - serial[None, :] + l, -1),
+        np.where(block[:, None] == block[None, :], serial[:, None] - serial[None, :] + l, -1),
         sequence_bucket_matrix(length, cfg),
     ])
     return tpl
@@ -270,24 +274,32 @@ def content_token_ids(vocab: Vocabulary, cell: str | None) -> list[int]:
     return vocab.encode(cell)
 
 
+def stage_at(template: TableTemplate, stage: dict[Coord, int]) -> np.ndarray:
+    """[T] the stage of each position's cell under ``stage``, a map over
+    every cell of ``template``; 0 at headers and row markers."""
+    cells = template.cells
+    if stage.keys() != template.slot_start.keys():
+        raise LayoutError(f"stage keys are not the template's {len(cells)} cells: {sorted(stage)}")
+    return np.fromiter(chain(map(stage.__getitem__, cells), (0,)), np.int64, len(cells) + 1)[template.cell]
+
+
 def _instance(template: TableTemplate, contents: dict[Coord, list[int]], stage: dict[Coord, int]) -> LayoutInstance:
-    """The layout both builders share: every cell at its ``stage``; a cell in
-    ``contents`` holds its content behind BOS and the rest of its slot is
-    padding, any other cell keeps its whole slot live (BOS, then PAD)."""
+    """The layout both builders share: every cell at its ``stage``, gathered
+    through the template's cell maps (:func:`stage_at`). Only the cells in
+    ``contents`` are written: each holds its content behind BOS and the rest
+    of its slot is padding. Every other cell keeps the template's inputs, its
+    whole slot live (BOS, then PAD)."""
     l = template.slot_len
+    stages = stage_at(template, stage)
     inputs = template.base_inputs.copy()
     pad = np.zeros(template.length, dtype=bool)
-    stages = np.zeros(template.length, dtype=np.int64)
-    for coord in template.cells():
+    for coord, ids in contents.items():
+        n = len(ids)
+        if n > l - 1:
+            raise LayoutError(f"cell {coord} content length {n} exceeds {l - 1}")
         p0 = template.slot_start[coord]
-        if stage[coord]:
-            stages[p0 : p0 + l] = stage[coord]
-        if coord in contents:
-            n = len(contents[coord])
-            if n > l - 1:
-                raise LayoutError(f"cell {coord} content length {n} exceeds {l - 1}")
-            inputs[p0 + 1 : p0 + 1 + n] = contents[coord]
-            pad[p0 + 1 + n : p0 + l] = True
+        inputs[p0 + 1 : p0 + 1 + n] = ids
+        pad[p0 + 1 + n : p0 + l] = True
     return LayoutInstance(template=template, input_ids=inputs, is_pad=pad, stage=stages)
 
 
@@ -305,49 +317,37 @@ class PassLayout:
     keeps the input id, the next-token target (the cell's content, then
     end-of-cell) and the grammar row that the target is legal under, and the
     batch blocks of :func:`live_blocks`. :meth:`instance` lays out one pass from
-    a stage map with array operations alone: stage-0 cells are context and
-    every other cell carries loss. The arrays are read-only, since every pass
-    shares them.
+    a stage map through the template's cell maps (:func:`stage_at`): stage-0
+    cells are context and every other cell carries loss. The arrays are
+    read-only, since every pass shares them.
     """
 
     template: TableTemplate
     grammar: GrammarMasks
-    cells: list[Coord]  # the template's cells, row-major
-    cell_set: frozenset[Coord]
     input_ids: np.ndarray  # [T]
     is_pad: np.ndarray  # [T]
-    cell: np.ndarray  # [T] index of each position's cell in ``cells``; len(cells) for headers and row markers
     live: LiveBlocks
     targets: np.ndarray  # [n] next token at each live row (PAD at headers and row markers)
     grammar_rows: np.ndarray  # [n] row of grammar.table at each live row
 
     @classmethod
     def build(cls, template: TableTemplate, grammar: GrammarMasks, contents: dict[Coord, list[int]]) -> "PassLayout":
-        cells = template.cells()
-        inst = _instance(template, contents, dict.fromkeys(cells, 0))
-        is_cell = (template.rows > 0) & (template.cols > 0)
-        cell = np.where(is_cell, (template.rows - 1) * template.n_cols + template.cols - 1, len(cells))
+        inst = _instance(template, contents, dict.fromkeys(template.cells, 0))
         targets = np.full(template.length, PAD, dtype=np.int64)
-        for coord in cells:
+        for coord in template.cells:
             p0 = template.slot_start[coord]
             targets[p0 : p0 + len(contents[coord]) + 1] = contents[coord] + [EOC]
         live = live_blocks(template, inst.input_ids, inst.is_pad)
         grammar_rows = grammar.row_index(template.within[live.rows], live.input_ids)
-        layout = cls(
-            template, grammar, cells, frozenset(cells), inst.input_ids, inst.is_pad, cell, live, targets[live.rows],
-            grammar_rows,
-        )
-        _read_only(layout.input_ids, layout.is_pad, layout.cell, *live, layout.targets, layout.grammar_rows)
+        layout = cls(template, grammar, inst.input_ids, inst.is_pad, live, targets[live.rows], grammar_rows)
+        _read_only(layout.input_ids, layout.is_pad, *live, layout.targets, layout.grammar_rows)
         return layout
 
     def instance(self, stage: dict[Coord, int]) -> LayoutInstance:
         """The layout of the pass with cell stages ``stage`` over every cell
-        of the template: one gather gives each position its cell's stage; the
-        loss positions are the live rows of open cells, in position order."""
-        if stage.keys() != self.cell_set:
-            raise LayoutError(f"stage keys are not the template's {len(self.cells)} cells: {sorted(stage)}")
-        cell_stage = np.fromiter(chain(map(stage.__getitem__, self.cells), (0,)), np.int64, len(self.cells) + 1)
-        stages = cell_stage[self.cell]
+        of the template (:func:`stage_at`); the loss positions are the live
+        rows of open cells, in position order."""
+        stages = stage_at(self.template, stage)
         loss = stages[self.live.rows] > 0
         return LayoutInstance(
             self.template,
@@ -362,7 +362,7 @@ class PassLayout:
 
 
 def instance_for_decoding(template: TableTemplate, committed: dict[Coord, list[int]]) -> LayoutInstance:
-    """Decode-time layout: committed cells are context at stage 0; every other
-    cell is open at stage 1, its whole slot live, BOS then PAD inputs for the
-    decoder to write its prefix into."""
-    return _instance(template, committed, {**dict.fromkeys(template.cells(), 1), **dict.fromkeys(committed, 0)})
+    """Decode-time layout: committed cells, in any order, are context at
+    stage 0; every other cell is open at stage 1, its whole slot live, BOS
+    then PAD inputs for the decoder to write its prefix into."""
+    return _instance(template, committed, {**dict.fromkeys(template.cells, 1), **dict.fromkeys(committed, 0)})

@@ -199,19 +199,22 @@ class TextToTableModel:
         self.cfg = cfg
         self.vocab = vocab
         self.grammar = GrammarMasks(vocab, cfg.max_cell_len)
-        self.params = ParameterStore()
+        self.params = ParameterStore(self._init_params(np.random.default_rng(np.random.SeedSequence([seed, 0x7ab]))))
         self._template_cache: dict = {}
         self._bucket_cache: dict[int, np.ndarray] = {}
-        self._init_params(np.random.default_rng(np.random.SeedSequence([seed, 0x7ab])))
 
     # ------------------------------------------------------------------
     # parameters
     # ------------------------------------------------------------------
 
-    def _init_params(self, rng: np.random.Generator) -> None:
+    def _init_params(self, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
+        """Every parameter's name and initial array, in store order."""
         cfg = self.cfg
         dt = cfg.dtype
-        add = self.params.add
+        arrays: list[tuple[str, np.ndarray]] = []
+
+        def add(name, data):
+            arrays.append((name, data))
 
         def linear(name, fan_in, fan_out):
             add(name, (rng.normal(size=(fan_in, fan_out)) / math.sqrt(fan_in)).astype(dt))
@@ -250,6 +253,7 @@ class TextToTableModel:
         linear("lm_head", d, cfg.vocab_size)
         add("count.w", np.zeros((d, 1), dtype=dt))
         add("count.b", np.zeros(1, dtype=dt))
+        return arrays
 
     # ------------------------------------------------------------------
     # template/bucket caches

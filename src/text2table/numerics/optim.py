@@ -1,17 +1,15 @@
 """AdamW with decoupled weight decay, plus global-norm gradient clipping, over
 flat buffers.
 
-A :class:`ParameterStore` packs its parameters into one contiguous buffer
-when it is first used as a whole (by an optimizer, clipping or
-``zero_grad``): each parameter's ``data`` becomes a view of its slot, in the
-order the parameters were added. Gradients get a second buffer of the same
-layout. The first gradient a parameter receives is written into its slot and
-its ``grad`` becomes that view, so a backward pass leaves every gradient
-packed without a copy; ``zero_grad`` only sets each ``grad`` to None. A
-``grad`` set by hand is copied into its slot when the buffer is read
-(:meth:`ParameterStore.grads`). AdamW keeps its moments ``m`` and ``v`` in two
-more buffers of that layout (``AdamW.m[name]`` is a view), and clipping
-scales the gradient buffer in one call.
+A :class:`ParameterStore` packs the parameters it is made with into one
+contiguous buffer, ``data``: each parameter's ``data`` is a view of its slot,
+in the order given. Gradients get a second buffer of the same layout,
+``grad``. The first gradient a parameter receives is written into its slot
+and its ``grad`` becomes that view, so a backward pass leaves every gradient
+packed without a copy; ``zero_grad`` only sets each ``grad`` to None. AdamW
+keeps its moments ``m`` and ``v`` in two more buffers of that layout
+(``AdamW.m[name]`` is a view), and clipping scales the gradient buffer in one
+call.
 
 Update rule (elementwise, after t steps):
 
@@ -29,6 +27,7 @@ shrinks p by lr*wd*p.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -42,17 +41,18 @@ class MissingGradError(NumericsError):
 
 
 class Parameter(Tensor):
-    """A tensor held by a :class:`ParameterStore`: once the store is packed,
-    ``grad_slot`` is its view of the store's flat gradient buffer."""
+    """A tensor held by a :class:`ParameterStore`: its ``data`` and
+    ``grad_slot`` are views of the store's flat parameter and gradient
+    buffers."""
 
     __slots__ = ("grad_slot",)
 
-    def __init__(self, data):
+    def __init__(self, data: np.ndarray, grad_slot: np.ndarray):
         super().__init__(data, requires_grad=True)
-        self.grad_slot: np.ndarray | None = None
+        self.grad_slot = grad_slot
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None and self.grad_slot is not None:
+        if self.grad is None:
             # g + 0 into the slot: the bits of a zeroed buffer's first +=, where -0.0 becomes 0.0
             self.grad = np.add(g, 0, out=self.grad_slot)
         else:
@@ -60,28 +60,28 @@ class Parameter(Tensor):
 
 
 class ParameterStore:
-    """Ordered named parameters, packed into one flat buffer on first use."""
+    """Named parameters, packed in the order given into the flat buffers
+    ``data`` and ``grad`` when the store is made. The parameters share one
+    dtype and each name is given once. The slot of ``grad`` of a parameter
+    whose ``grad`` is None holds no gradient."""
 
-    def __init__(self):
+    def __init__(self, arrays: Iterable[tuple[str, np.ndarray]]):
+        arrays = list(arrays)
+        dtypes = {a.dtype for _, a in arrays}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters of one store share a dtype, got {sorted(map(str, dtypes))}")
+        offsets = np.cumsum([0] + [a.size for _, a in arrays]).tolist()
+        self.data = np.empty(offsets[-1], dtype=dtypes.pop() if dtypes else np.float64)
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
         self._params: dict[str, Parameter] = {}
-        self._data: np.ndarray | None = None  # flat parameters, once packed
-        self._grad: np.ndarray | None = None  # flat gradients, same layout
-        self._spans: list[tuple[int, int]] = []  # (offset, size) of each parameter's slot
+        for (name, a), o, end in zip(arrays, offsets, offsets[1:]):
+            if name in self._params:
+                raise ValueError(f"duplicate parameter {name}")
+            self.data[o:end] = a.reshape(-1)
+            self._params[name] = Parameter(self.data[o:end].reshape(a.shape), self.grad[o:end].reshape(a.shape))
 
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter {name}")
-        if self._data is not None:
-            raise ValueError(f"cannot add parameter {name}: the store is already packed")
-        t = Parameter(data)
-        self._params[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def items(self):
         return self._params.items()
@@ -89,47 +89,12 @@ class ParameterStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def _pack(self) -> None:
-        if self._data is not None:
-            return
-        params = list(self._params.values())
-        dtypes = {t.dtype for t in params}
-        if len(dtypes) > 1:
-            raise ValueError(f"parameters of one store share a dtype, got {sorted(map(str, dtypes))}")
-        sizes = [t.data.size for t in params]
-        offsets = np.cumsum([0] + sizes).tolist()
-        self._spans = list(zip(offsets, sizes))
-        self._data = np.empty(offsets[-1], dtype=dtypes.pop() if dtypes else np.float64)
-        self._grad = np.zeros_like(self._data)
-        for t, (o, n) in zip(params, self._spans):
-            self._data[o : o + n] = t.data.reshape(-1)
-            t.data = self._data[o : o + n].reshape(t.shape)
-            t.grad_slot = self._grad[o : o + n].reshape(t.shape)
-
-    @property
-    def data(self) -> np.ndarray:
-        """The flat parameter buffer; every parameter's ``data`` is a view of it."""
-        self._pack()
-        return self._data
-
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's slot of a buffer laid out as :attr:`data`, in its shape."""
-        self._pack()
-        return {name: flat[o : o + n].reshape(t.shape) for (name, t), (o, n) in zip(self.items(), self._spans)}
-
-    def grads(self) -> np.ndarray:
-        """The flat gradient buffer with every ``grad`` in its slot: a grad set
-        by hand is copied in, and ``grad`` becomes the slot. The slot of a
-        parameter whose ``grad`` is None holds no gradient."""
-        self._pack()
-        for t in self._params.values():
-            if t.grad is not None and t.grad is not t.grad_slot:
-                t.grad_slot[...] = t.grad
-                t.grad = t.grad_slot
-        return self._grad
+        offsets = np.cumsum([0] + [t.data.size for t in self._params.values()]).tolist()
+        return {name: flat[o : o + t.data.size].reshape(t.shape) for (name, t), o in zip(self.items(), offsets)}
 
     def zero_grad(self) -> None:
-        self._pack()
         for t in self._params.values():
             t.grad = None
 
@@ -139,13 +104,9 @@ def clip_grad_norm(store: ParameterStore, max_norm: float) -> float:
 
     The squares are summed per parameter, in store order, as numpy sums one
     parameter's array; a parameter without a grad adds nothing."""
-    flat = store.grads()
-    sq = flat * flat
-    total = 0.0
-    for (_, t), (o, n) in zip(store.items(), store._spans):
-        if t.grad is not None:
-            total += float(sq[o : o + n].sum())
-    norm = math.sqrt(total)
+    flat = store.grad
+    sq = store.views(flat * flat)
+    norm = math.sqrt(sum(float(sq[name].sum()) for name, t in store.items() if t.grad is not None))
     if max_norm > 0 and norm > max_norm:
         flat *= max_norm / norm
     return norm
@@ -176,7 +137,7 @@ class AdamW:
         missing = [name for name, t in self.store.items() if t.grad is None]
         if missing:
             raise MissingGradError(missing)
-        g = self.store.grads()
+        g = self.store.grad
         self.step_count += 1
         t = self.step_count
         step_size = self.lr * math.sqrt(1.0 - self.beta2**t) / (1.0 - self.beta1**t)

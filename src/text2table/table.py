@@ -34,10 +34,6 @@ class Table:
                 )
         return self
 
-    def column(self, name: str) -> list[str | None]:
-        j = self.headers.index(name)
-        return [row[j] for row in self.rows]
-
     def copy(self) -> "Table":
         return Table(list(self.headers), [list(r) for r in self.rows])
 

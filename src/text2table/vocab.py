@@ -63,9 +63,6 @@ class Vocabulary:
     def encode(self, text: str) -> list[int]:
         return [self.id_of(t) for t in tokenize(text)]
 
-    def encode_tokens(self, tokens: list[str]) -> list[int]:
-        return [self.id_of(t) for t in tokens]
-
     def decode_content(self, ids: list[int]) -> str:
         return detokenize([self._surfaces[i] for i in ids])
 

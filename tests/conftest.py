@@ -65,6 +65,4 @@ def encode_cells(vocab, table):
 
 
 def header_ids(vocab, table):
-    from text2table.vocab import tokenize
-
-    return [vocab.encode_tokens(tokenize(h)) for h in table.headers]
+    return [vocab.encode(h) for h in table.headers]

@@ -44,7 +44,7 @@ def instance_cell_nll(model: TextToTableModel, example: TrainingExample, inst) -
         pos, tgt, legal = batch.flat_loss_arrays()
         nll = masked_nll_rows(model.logits_at(hidden, pos).data, tgt, legal)
     cell = loss_cells(inst)
-    coord_of = {slot_cell_id(inst.template, c): c for c in inst.template.cells()}
+    coord_of = {slot_cell_id(inst.template, c): c for c in inst.template.cells}
     return {coord_of[int(i)]: float(nll[cell == i].sum()) for i in np.unique(cell)}
 
 

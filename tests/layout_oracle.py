@@ -24,7 +24,9 @@ def make_template(vocab, cfg, header_ids, n_rows):
     rows = np.zeros(length, dtype=np.int64)
     cols = np.zeros(length, dtype=np.int64)
     within = np.zeros(length, dtype=np.int64)
-    cell_id = np.zeros(length, dtype=np.int64)
+    block_id = np.zeros(length, dtype=np.int64)
+    cells = []
+    cell = np.full(length, n_rows * m, dtype=np.int64)
     slot_start = {}
 
     pos = 0
@@ -35,13 +37,13 @@ def make_template(vocab, cfg, header_ids, n_rows):
             rows[pos] = 0
             cols[pos] = j
             within[pos] = t
-            cell_id[pos] = block
+            block_id[pos] = block
             pos += 1
         block += 1
     for i in range(1, n_rows + 1):
         base[pos] = vocab.row_marker_id(i)
         rows[pos], cols[pos], within[pos] = i, 0, 0
-        cell_id[pos] = block
+        block_id[pos] = block
         block += 1
         pos += 1
         for j in range(1, m + 1):
@@ -49,9 +51,11 @@ def make_template(vocab, cfg, header_ids, n_rows):
             for t in range(l):
                 base[pos] = BOS if t == 0 else PAD
                 rows[pos], cols[pos], within[pos] = i, j, t
-                cell_id[pos] = block
+                block_id[pos] = block
+                cell[pos] = len(cells)
                 pos += 1
             block += 1
+            cells.append((i, j))
     assert pos == length
 
     tpl = TableTemplate(
@@ -63,12 +67,13 @@ def make_template(vocab, cfg, header_ids, n_rows):
         rows=rows,
         cols=cols,
         within=within,
-        cell_id=cell_id,
+        cells=cells,
+        cell=cell,
         slot_start=slot_start,
     )
     hdr_key = rows[None, :] == 0
     serial = np.arange(length, dtype=np.int64)
-    same_cell = cell_id[:, None] == cell_id[None, :]
+    same_cell = block_id[:, None] == block_id[None, :]
     tpl.bias_idx = np.stack([
         np.where(hdr_key, -1, rows[:, None] - rows[None, :] + cfg.max_rows),
         cols[:, None] - cols[None, :] + cfg.max_cols,
@@ -91,13 +96,13 @@ def _place(template, inputs, pad, coord, content):
 
 
 def instance_for_pass(template, grammar, cell_contents, stage):
-    if set(stage) != set(template.cells()):
-        raise LayoutError(f"stage keys are not the template's {len(template.cells())} cells: {sorted(stage)}")
+    if set(stage) != set(template.cells):
+        raise LayoutError(f"stage keys are not the template's {len(template.cells)} cells: {sorted(stage)}")
     inputs = template.base_inputs.copy()
     pad = np.zeros(template.length, dtype=bool)
     stages = np.zeros(template.length, dtype=np.int64)
     loss_tgt = []
-    for coord in template.cells():
+    for coord in template.cells:
         content = cell_contents[coord]
         _place(template, inputs, pad, coord, content)
         p0 = template.slot_start[coord]
@@ -120,7 +125,7 @@ def instance_for_decoding(template, committed):
     inputs = template.base_inputs.copy()
     pad = np.zeros(template.length, dtype=bool)
     stage = np.zeros(template.length, dtype=np.int64)
-    for coord in template.cells():
+    for coord in template.cells:
         p0 = template.slot_start[coord]
         if coord in committed:
             _place(template, inputs, pad, coord, committed[coord])

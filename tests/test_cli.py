@@ -52,6 +52,42 @@ def test_decode_empty_checkpoint_file_exits_3(lineitems_records, tmp_path, capsy
     assert len(err.splitlines()) == 1 and "unreadable checkpoint" in err
 
 
+EMBED = np.zeros(2)  # the one array of the files below, which names it in its manifest
+CHECKPOINT_META = {
+    "format_version": 1,
+    "manifest": {"param::embed": hashlib.sha256(EMBED.tobytes()).hexdigest()},
+    "model_config": {},
+    "vocab": {},
+}
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        (None, "not a checkpoint (a single array, not an npz archive)"),
+        ([1, 2], "not a checkpoint (metadata is not a JSON object)"),
+        ({**CHECKPOINT_META, "manifest": ["param::embed"]}, "not a checkpoint (manifest is not a JSON object)"),
+        (
+            {**CHECKPOINT_META, "model_config": []},
+            "invalid model config or vocabulary ('list' object has no attribute 'items')",
+        ),
+    ],
+    ids=["npy", "meta-list", "manifest-list", "model-config-list"],
+)
+def test_decode_a_file_that_is_no_checkpoint_exits_3_with_one_line(lineitems_records, tmp_path, capsys, meta, message):
+    ckpt = tmp_path / "model.npy"
+    with open(ckpt, "wb") as fh:
+        if meta is None:
+            np.save(fh, np.zeros(3))
+        else:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), np.uint8), **{"param::embed": EMBED})
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:1], data)
+    assert main(["decode", str(ckpt), data, str(tmp_path / "out.jsonl")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == f"text2table decode: {ckpt}: {message}"
+
+
 def test_decode_empty_source_text_exits_2(tiny_model, tmp_path, capsys):
     ckpt = str(tmp_path / "model.npz")
     save_checkpoint(ckpt, tiny_model)

@@ -44,7 +44,7 @@ def test_dependent_cue_position_is_non_row_major():
     spec = CorpusSpec(task="dependent", n_examples=20, rows_min=2, rows_max=4, seed=2)
     for rec in generate(spec):
         words = rec.text.split()
-        items = rec.table.column("item")
+        items = [row[rec.table.headers.index("item")] for row in rec.table.rows]
         late = 0
         for i, item in enumerate(items):
             cue = words.index(item, words.index(item) + 1) if items else None

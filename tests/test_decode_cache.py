@@ -24,7 +24,7 @@ from text2table.decoding import (
 )
 from text2table.model import ModelConfig, TextToTableModel, collate_instances, instance_for_decoding
 from text2table.numerics import Tensor, no_grad
-from text2table.vocab import EOC, NULL, tokenize
+from text2table.vocab import EOC, NULL
 from util import encode_one, structure, visibility, write_prefixes
 
 HEADERS = ["item", "qty", "price"]
@@ -110,7 +110,7 @@ def _hidden_rows(batch, kw):
 
 def _slot_steps(tpl):
     """Template position -> (cell, slot position) for every cell slot."""
-    return {tpl.slot_start[c] + t: (c, t) for c in tpl.cells() for t in range(tpl.slot_len)}
+    return {tpl.slot_start[c] + t: (c, t) for c in tpl.cells for t in range(tpl.slot_len)}
 
 
 def _scored(cand):
@@ -363,7 +363,7 @@ def test_step_layout_equals_per_step_rebuild(tiny_vocab, monkeypatch, constraint
 
 def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab):
     model = _random_model(tiny_vocab, 64, seed=2)
-    header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
+    header_ids = [tiny_vocab.encode(h) for h in HEADERS]
     largest = model.decoder_cache(model.template_for(header_ids, model.cfg.max_rows))
     for r in range(model.cfg.max_rows + 1):
         tpl = model.template_for(header_ids, r)
@@ -377,7 +377,7 @@ def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab):
 @pytest.mark.parametrize("float_width", [64, 32])
 def test_visible_cache_hides_the_layout_pairs_and_shares_the_table_stores(tiny_vocab, float_width):
     model = _random_model(tiny_vocab, float_width, seed=4)
-    header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
+    header_ids = [tiny_vocab.encode(h) for h in HEADERS]
     largest = model.decoder_cache(model.template_for(header_ids, model.cfg.max_rows))
     tpl = model.template_for(header_ids, N_ROWS)
     inst = instance_for_decoding(tpl, {(1, 2): tiny_vocab.encode("pens"), (3, 1): [NULL]})
@@ -406,7 +406,7 @@ def test_visible_cache_hides_the_layout_pairs_and_shares_the_table_stores(tiny_v
 def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny_vocab):
     model = _random_model(tiny_vocab, 64, seed=1)
     ids = tiny_vocab.encode(TEXT)
-    header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
+    header_ids = [tiny_vocab.encode(h) for h in HEADERS]
     tpl = model.template_for(header_ids, N_ROWS)
     committed = {(1, 2): [tiny_vocab.encode("pens")[0]], (3, 1): [2], (2, 3): tiny_vocab.encode("4 dollars")}
     with no_grad():
@@ -418,7 +418,7 @@ def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny
         context = (inst.stage == 0) & ~inst.is_pad
         ctx = np.flatnonzero(context)
         assert len(ctx) == structure(tpl).sum() + 2 + 2 + 3  # each committed cell: BOS plus its tokens
-        heads = [tpl.slot_start[c] for c in tpl.cells() if c not in committed]
+        heads = [tpl.slot_start[c] for c in tpl.cells if c not in committed]
         rows = np.concatenate([ctx, heads])
         cache = model.decoder_cache(tpl).visible(context)
         first = model.decoder_hidden(memory_kv, lens, collate_instances([inst], rows), cache=cache)
@@ -432,7 +432,7 @@ def test_nonfinite_logits_on_a_later_pass_name_the_cell_of_their_row(tiny_vocab)
     # and its rows are no longer the cells' own order
     model = _random_model(tiny_vocab, 64, seed=5)
     model.params["lm_head"].data[:, NULL] += 6.0 * np.sign(model.params["dec.ln_f.b"].data)
-    header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
+    header_ids = [tiny_vocab.encode(h) for h in HEADERS]
     tpl = model.template_for(header_ids, N_ROWS)
     steps = _slot_steps(tpl)
     with no_grad():
@@ -449,7 +449,7 @@ def test_nonfinite_logits_on_a_later_pass_name_the_cell_of_their_row(tiny_vocab)
         out = logits_fn(hidden, positions)
         if len(rows) == 2:
             at = rows[-1][positions]
-            assert 1 < len(at) < len(tpl.cells())  # some cells closed on the first pass
+            assert 1 < len(at) < len(tpl.cells)  # some cells closed on the first pass
             bad = len(at) // 2
             out.data[bad, 3] = np.nan
             poisoned.append(steps[int(at[bad])])
@@ -458,7 +458,7 @@ def test_nonfinite_logits_on_a_later_pass_name_the_cell_of_their_row(tiny_vocab)
     model.decoder_hidden, model.logits_at = hidden, logits
     try:
         with pytest.raises(NonFiniteLogitsError) as ei:
-            source.candidates({}, tpl.cells())
+            source.candidates({}, tpl.cells)
     finally:
         del model.decoder_hidden, model.logits_at
     [(cell, t)] = poisoned
@@ -471,7 +471,7 @@ def test_nonfinite_logits_on_a_verify_pass_name_the_cells_that_reach_them(tiny_v
     # row at or before a cell's first pick that leaves its draft names that
     # cell, and a NaN row past that pick is never read
     model = _random_model(tiny_vocab, 64, seed=2)
-    header_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in HEADERS]
+    header_ids = [tiny_vocab.encode(h) for h in HEADERS]
     tpl = model.template_for(header_ids, N_ROWS)
     steps = _slot_steps(tpl)
     with no_grad():
@@ -483,8 +483,8 @@ def test_nonfinite_logits_on_a_verify_pass_name_the_cells_that_reach_them(tiny_v
         is committed, with NaN logits on the second's first pass at the rows
         of the (cell, step)s ``nan_at``."""
         source = ModelCellSource(model, memory_kv, lens, tpl, model.decoder_cache(tpl))
-        first = source.candidates({}, tpl.cells())
-        best = max(tpl.cells(), key=lambda c: first[c].score("max"))
+        first = source.candidates({}, tpl.cells)
+        best = max(tpl.cells, key=lambda c: first[c].score("max"))
         rows, passes = [], source.passes
         hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
 
@@ -501,7 +501,7 @@ def test_nonfinite_logits_on_a_verify_pass_name_the_cells_that_reach_them(tiny_v
 
         model.decoder_hidden, model.logits_at = hidden, logits
         try:
-            return first, source.candidates({best: first[best].tokens}, [c for c in tpl.cells() if c != best])
+            return first, source.candidates({best: first[best].tokens}, [c for c in tpl.cells if c != best])
         finally:
             del model.decoder_hidden, model.logits_at
 

@@ -394,6 +394,17 @@ def test_max_rows_override_caps_the_decoded_rows(tiny_model, stopping):
         assert res.table.n_rows == 2
 
 
+@pytest.mark.parametrize("override", [None, 2])
+@pytest.mark.parametrize("offset, clamped", [(-1.0, False), (0.4, False), (0.5, True), (2.0, True)])
+def test_predicted_count_reports_hitting_the_row_cap(tiny_model, override, offset, clamped):
+    # the count one row below the cap, rounding to the cap, and clamped to it from above
+    cap = tiny_model.cfg.max_rows if override is None else override
+    tiny_model.params["count.b"].data[...] = [cap + offset]
+    res = decode_table("pens mugs .", tiny_model, DecodingConfig(max_rows_override=override), ["item", "qty"])
+    assert res.hit_row_cap is clamped
+    assert res.table.n_rows == (cap - 1 if offset < 0 else cap)
+
+
 def test_row_cap_above_max_rows_fails_before_any_cell_is_decoded(tiny_model, monkeypatch):
     sources = []
     monkeypatch.setattr(engine, "ModelCellSource", lambda *args: sources.append(args))
@@ -417,12 +428,12 @@ def test_decode_states_reachable_as_training_plans(tiny_model, tiny_vocab):
     n = res.table.n_rows
     if n == 0:
         pytest.skip("count head rounded to zero rows")
-    headers_ids = [tiny_vocab.encode_tokens(tokenize(h)) for h in ["item", "qty"]]
+    headers_ids = [tiny_vocab.encode(h) for h in ["item", "qty"]]
     tpl = tiny_model.template_for(headers_ids, n)
     committed: dict = {}
     for entry in res.trace:
         dec_inst = instance_for_decoding(tpl, committed)
-        all_cells = {c: committed.get(c, [NULL]) for c in tpl.cells()}
+        all_cells = {c: committed.get(c, [NULL]) for c in tpl.cells}
         train_inst = instance_for_pass(
             tpl, tiny_model.grammar, all_cells, filled_stages(tpl, committed)
         )

@@ -1,6 +1,8 @@
 """One input path: a record reaches the decoder through one encoder and one
 layout body, in training and decoding alike."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from text2table.table import Table
 from text2table.training import prepare_example
 from text2table.vocab import NULL
 
-TEMPLATE_FIELDS = ("base_inputs", "rows", "cols", "within", "cell_id", "bias_idx")
+TEMPLATE_FIELDS = ("base_inputs", "rows", "cols", "within", "cell", "bias_idx")
 FIELDS = ("input_ids", "is_pad", "stage", "loss_pos", "loss_targets", "legal")
 
 
@@ -45,7 +47,7 @@ def test_block_table_template_equals_the_position_by_position_oracle_bitwise(tin
                     headers = [list(range(10, 10 + n)) for n in lens]
                     got = make_template(tiny_vocab, cfg, headers, n_rows)
                     want = layout_oracle.make_template(tiny_vocab, cfg, headers, n_rows)
-                    for name in ("n_rows", "n_cols", "slot_len", "length", "slot_start"):
+                    for name in ("n_rows", "n_cols", "slot_len", "length", "cells", "slot_start"):
                         a, b = getattr(got, name), getattr(want, name)
                         assert a == b and repr(a) == repr(b), name  # repr tells a numpy int from an int
                     for name in TEMPLATE_FIELDS:
@@ -66,8 +68,8 @@ def test_shared_layout_body_equals_the_token_by_token_builders_bitwise(tiny_mode
         seen_zero_rows |= n_rows == 0
         headers = [rng.choice(content_ids, size=int(rng.integers(1, l + 3))).tolist() for _ in range(n_cols)]
         tpl = make_template(vocab, cfg, headers, n_rows)
-        contents = {c: _random_content(rng, content_ids, l) for c in tpl.cells()}
-        stage = {c: int(rng.integers(0, 4)) for c in tpl.cells()}
+        contents = {c: _random_content(rng, content_ids, l) for c in tpl.cells}
+        stage = {c: int(rng.integers(0, 4)) for c in tpl.cells}
         _assert_same(
             instance_for_pass(tpl, tiny_model.grammar, contents, stage),
             layout_oracle.instance_for_pass(tpl, tiny_model.grammar, contents, stage),
@@ -75,6 +77,19 @@ def test_shared_layout_body_equals_the_token_by_token_builders_bitwise(tiny_mode
         committed = {c: v for c, v in contents.items() if rng.random() < 0.5}
         _assert_same(instance_for_decoding(tpl, committed), layout_oracle.instance_for_decoding(tpl, committed))
     assert seen_zero_rows
+
+
+def test_decode_layout_equals_the_oracle_for_every_committed_subset_in_any_commit_order(tiny_model):
+    rng = np.random.default_rng(21)
+    cfg, vocab = tiny_model.cfg, tiny_model.vocab
+    content_ids = np.array(vocab.content_ids())
+    for n_rows, n_cols in ((0, 1), (1, 1), (2, 2), (1, 4), (3, 3)):
+        tpl = make_template(vocab, cfg, [[NULL]] * n_cols, n_rows)
+        contents = {c: _random_content(rng, content_ids, cfg.max_cell_len) for c in tpl.cells}
+        for keep in itertools.product((False, True), repeat=len(tpl.cells)):
+            order = rng.permutation(len(tpl.cells))  # the engine commits cells in score order, not row-major
+            committed = {tpl.cells[i]: contents[tpl.cells[i]] for i in order if keep[i]}
+            _assert_same(instance_for_decoding(tpl, committed), layout_oracle.instance_for_decoding(tpl, committed))
 
 
 def test_shared_layout_body_refuses_content_past_the_slot_as_the_oracle_does(tiny_model):

@@ -189,7 +189,7 @@ def test_visibility_mask_on_real_layouts_equals_the_naive_rule(lineitems_records
         ):
             live = np.flatnonzero(~inst.is_pad)
             got = visibility_mask(inst.stage[live], tpl.bias_idx[2][np.ix_(live, live)] >= tpl.slot_len)
-            want = ref.visibility_mask(inst.is_pad, inst.stage, tpl.cell_id, tpl.within)[np.ix_(live, live)]
+            want = ref.visibility_mask(inst.is_pad, inst.stage, tpl.cell, tpl.within)[np.ix_(live, live)]
             assert np.array_equal(got, want)
 
 
@@ -227,14 +227,14 @@ def test_embedding_and_take_rows_vjp_bitwise(dtype):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_adamw_step_bitwise(dtype):
     rng = np.random.default_rng(6)
-    store = ParameterStore()
-    for name, shape in (("w", (7, 5)), ("b", (5,))):
-        store.add(name, rng.normal(size=shape).astype(dtype))
+    shapes = (("w", (7, 5)), ("b", (5,)))
+    store = ParameterStore((name, rng.normal(size=shape).astype(dtype)) for name, shape in shapes)
     opt = AdamW(store, lr=3e-3, weight_decay=1e-2)
     want = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)) for name, t in store.items()}
     for step in range(1, 4):
+        store.zero_grad()
         for name, t in store.items():
-            t.grad = rng.normal(size=t.shape).astype(dtype)
+            t.accumulate_grad(rng.normal(size=t.shape).astype(dtype))
         opt.step()
         step_size = opt.lr * math.sqrt(1.0 - opt.beta2**step) / (1.0 - opt.beta1**step)
         for name, t in store.items():

@@ -150,7 +150,8 @@ def test_lambda_zero_across_cells_randomized(tiny_model):
     for n_rows in (1, 2, 3):
         tpl = _template(tiny_model, n_rows=n_rows)
         bias = _pair_bias_matrix(tiny_model, tpl)
-        cross = tpl.cell_id[:, None] != tpl.cell_id[None, :]
+        # a block (header, row marker or cell slot) is its (row, column) pair
+        cross = (tpl.rows[:, None] != tpl.rows[None, :]) | (tpl.cols[:, None] != tpl.cols[None, :])
         assert (bias[:, cross] == 0.0).all()
 
 
@@ -178,7 +179,7 @@ def test_visibility_contract(tiny_model):
             if ctx[i]:
                 assert allow[i, j] == ctx[j]  # context sees only context
             if open_mask[i] and open_mask[j]:
-                same = tpl.cell_id[i] == tpl.cell_id[j]
+                same = tpl.cell[i] == tpl.cell[j]
                 causal = tpl.within[j] <= tpl.within[i]
                 assert allow[i, j] == (same and causal)
     assert not allow[:, inst.is_pad].any()
@@ -228,7 +229,7 @@ def test_filled_cells_carry_no_loss_positions(tiny_model):
     tpl, inst = _full_open_instance(tiny_model, table, filled={(1, 1)})
     filled = slot_cell_id(tpl, (1, 1))
     assert filled not in set(loss_cells(inst).tolist())
-    open_cells = {slot_cell_id(tpl, c) for c in tpl.cells()} - {filled}
+    open_cells = {slot_cell_id(tpl, c) for c in tpl.cells} - {filled}
     assert set(loss_cells(inst).tolist()) == open_cells
 
 

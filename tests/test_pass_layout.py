@@ -90,7 +90,7 @@ def test_pass_layout_refuses_bad_stage_maps_and_keeps_its_arrays_read_only(tiny_
     ex = prepare_example(lineitems_records[0], tiny_model.vocab, tiny_model.cfg)
     tpl = tiny_model.template_for(ex.header_ids, ex.n_rows)
     layout = PassLayout.build(tpl, tiny_model.grammar, ex.cell_ids)
-    stage = causal_stages(tpl.cells())
+    stage = causal_stages(tpl.cells)
     extra, short = {**stage, (9, 9): 1}, dict(list(stage.items())[1:])
     swapped = {**short, (9, 9): 1}  # as many keys as cells, one of them foreign
     for bad in (extra, short, swapped):

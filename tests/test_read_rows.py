@@ -151,7 +151,7 @@ def test_a_first_decode_pass_runs_the_last_layer_ffn_on_the_open_rows_alone(corp
     ex = prepare_example(records[5], vocab, model.cfg)
     tpl = model.template_for(ex.header_ids, ex.n_rows)
     committed = {(1, 1): vocab.encode("pens")}
-    cells = [c for c in tpl.cells() if c not in committed]
+    cells = [c for c in tpl.cells if c not in committed]
     with no_grad():
         memory, lens = encode_one(model, ex.source_ids)
         source = ModelCellSource(model, model.memory_kv(memory), lens, tpl, model.decoder_cache(tpl))
@@ -177,7 +177,7 @@ def test_a_trimmed_first_pass_matches_the_untrimmed_one_and_stores_the_same_keys
     committed = {(1, 1): vocab.encode("pens"), (ex.n_rows, 2): vocab.encode("2")}
     inst = instance_for_decoding(tpl, committed)
     context = (inst.stage == 0) & ~inst.is_pad
-    heads = np.array([tpl.slot_start[c] for c in tpl.cells() if c not in committed])
+    heads = np.array([tpl.slot_start[c] for c in tpl.cells if c not in committed])
     rows = np.concatenate([np.flatnonzero(context), heads])
     read = np.arange(len(rows) - len(heads), len(rows))
     with no_grad():

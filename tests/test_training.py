@@ -113,7 +113,7 @@ def test_cut_one_means_no_context(tiny_model):
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
     inst = build_training_pass(ex, cut_stages(row_major_order(2, 2), 1), tiny_model)
     assert not (inst.stage[~structure(inst.template) & ~inst.is_pad] == 0).any()
-    assert set(loss_cells(inst).tolist()) == {slot_cell_id(inst.template, c) for c in inst.template.cells()}
+    assert set(loss_cells(inst).tolist()) == {slot_cell_id(inst.template, c) for c in inst.template.cells}
 
 
 def test_cut_c_means_single_open_cell(tiny_model):
@@ -128,7 +128,7 @@ def test_loss_mask_soundness(tiny_model):
     inst = build_training_pass(ex, cut_stages([(1, 1), (1, 2), (2, 1), (2, 2)], 2), tiny_model)  # (1,1) filled
     tpl = inst.template
     expected = []
-    for coord in tpl.cells():
+    for coord in tpl.cells:
         if coord == (1, 1):
             continue
         start = tpl.slot_start[coord]

@@ -91,13 +91,13 @@ def encode_one(model, ids):
 
 
 def slot_cell_id(template, coord):
-    """The ``cell_id`` of a table cell's slot positions."""
-    return int(template.cell_id[template.slot_start[coord]])
+    """The template's ``cell`` index of a table cell's slot positions."""
+    return int(template.cell[template.slot_start[coord]])
 
 
 def loss_cells(instance):
-    """[P] ``cell_id`` at each loss position of a teacher-forced instance."""
-    return instance.template.cell_id[instance.loss_pos]
+    """[P] the template's ``cell`` index at each loss position of a teacher-forced instance."""
+    return instance.template.cell[instance.loss_pos]
 
 
 def cell_logits(model, memory, mem_len, instance, cells=None):
@@ -138,14 +138,16 @@ def cut_stages(order, cut):
 def filled_stages(template, filled):
     """Stages of a permuted pass: the ``filled`` cells are context (0), every
     other cell of the template is open (1)."""
-    return {c: int(c not in filled) for c in template.cells()}
+    return {c: int(c not in filled) for c in template.cells}
 
 
 def visibility(instance):
     """[T, T] visibility of a whole layout, padding included, by the naive
-    rule of ``loop_kernels``: padding sees nothing and is seen by nothing."""
+    rule of ``loop_kernels``: padding sees nothing and is seen by nothing.
+    The rule compares cells only where the query is open, so it reads the
+    template's ``cell`` index, which headers and row markers share."""
     tpl = instance.template
-    return loop_kernels.visibility_mask(instance.is_pad, instance.stage, tpl.cell_id, tpl.within)
+    return loop_kernels.visibility_mask(instance.is_pad, instance.stage, tpl.cell, tpl.within)
 
 
 def write_prefixes(instance, prefixes):
