@@ -96,9 +96,9 @@ def cmd_gen_data(spec_path: str, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_examples(records, vocab: Vocabulary, cfg: ModelConfig, mode: str) -> list[TrainingExample]:
+def _prepare_examples(records, vocab: Vocabulary, cfg: ModelConfig) -> list[TrainingExample]:
     try:
-        return [prepare_example(r, vocab, cfg, mode) for r in records]
+        return [prepare_example(r, vocab, cfg) for r in records]
     except LayoutError as exc:
         raise DataError(str(exc)) from None
 
@@ -149,19 +149,23 @@ class Run(NamedTuple):
 
     def examples(self) -> list[TrainingExample]:
         """The run's training examples."""
-        return _prepare_examples(self.records, self.vocab, self.model, self.training.mode)
+        return _prepare_examples(self.records, self.vocab, self.model)
 
     def build(self) -> tuple[TextToTableModel, list[TrainingExample]]:
         """A freshly initialised model and its training examples."""
         return TextToTableModel(self.model, self.vocab, seed=self.training.seed), self.examples()
 
     def trainer(self, model: TextToTableModel, examples: list[TrainingExample], **kwargs) -> Trainer:
-        """A :class:`Trainer` that evaluates on the run's validation records."""
-        val_examples = _prepare_examples(self.val_records, model.vocab, model.cfg, "permuted")
-        return Trainer(
-            model, examples, self.training, val_records=self.val_records, val_examples=val_examples,
-            eval_decoding=self.decoding, **kwargs
-        )
+        """A :class:`Trainer` that evaluates on the run's validation records;
+        an example whose passes do not fit the model is a :class:`DataError`."""
+        val_examples = _prepare_examples(self.val_records, model.vocab, model.cfg)
+        try:
+            return Trainer(
+                model, examples, self.training, val_records=self.val_records, val_examples=val_examples,
+                eval_decoding=self.decoding, **kwargs
+            )
+        except LayoutError as exc:
+            raise DataError(str(exc)) from None
 
 
 def _parse_decoding(d: dict, model: ModelConfig) -> DecodingConfig:
@@ -222,7 +226,8 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     latest = os.path.join(tcfg.checkpoint_dir, "latest.npz") if tcfg.checkpoint_dir else None
     start_step = 0
     optimizer = None
-    if resume and latest and os.path.exists(latest):
+    resuming = bool(resume and latest and os.path.exists(latest))
+    if resuming:
         try:
             model, meta = load_checkpoint(latest)
         except CheckpointError as exc:
@@ -237,7 +242,7 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
                 f"refusing to resume from {latest}: it was trained under another run config or dataset "
                 "(only training.steps may change)"
             )
-        examples = _prepare_examples(run.records, model.vocab, model.cfg, tcfg.mode)
+        examples = _prepare_examples(run.records, model.vocab, model.cfg)
         if not meta.get("optimizer"):
             raise ModelError(f"cannot resume from {latest}: it holds no optimizer state")
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
@@ -251,12 +256,12 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
         print(f"resuming from step {start_step}")
     else:
         model, examples = run.build()
-        if metrics_path and os.path.exists(metrics_path):
-            os.unlink(metrics_path)
 
     trainer = run.trainer(
         model, examples, metrics_path=metrics_path, run_config=run_config, start_step=start_step, optimizer=optimizer
     )
+    if not resuming and metrics_path and os.path.exists(metrics_path):
+        os.unlink(metrics_path)
     history = trainer.run()
     warn_cut_ids("train", examples, model.cfg)
     if history:

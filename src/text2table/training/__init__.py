@@ -1,4 +1,5 @@
 from .loop import (
+    TRAINING_MODES,
     StepStats,
     Trainer,
     TrainingConfig,
@@ -7,9 +8,7 @@ from .loop import (
     step_rng,
 )
 from .passes import (
-    TRAINING_MODES,
     TrainingExample,
-    build_semi_templated_corpus_variant,
     build_training_pass,
     causal_stages,
     prepare_example,
@@ -23,7 +22,6 @@ __all__ = [
     "TrainingConfig",
     "TrainingDiverged",
     "TrainingExample",
-    "build_semi_templated_corpus_variant",
     "build_source_batch",
     "build_training_pass",
     "causal_stages",

@@ -19,16 +19,19 @@ from ..corpus import DatasetRecord
 from ..decoding import DecodingConfig, decode_table
 from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
-from ..model import TextToTableModel, collate_instances, save_checkpoint
-from ..model.layout import row_major_order
+from ..model import LayoutError, TextToTableModel, collate_instances, save_checkpoint
+from ..model.layout import check_shape, row_major_order
 from ..numerics import AdamW, Tensor, backward, clip_grad_norm, no_grad, ops
-from .passes import TRAINING_MODES, TrainingExample, build_training_pass, causal_stages, sample_permutation
+from .passes import TrainingExample, build_training_pass, causal_stages, sample_permutation
 
 STREAM_BATCH, STREAM_PLAN, STREAM_DROPOUT, STREAM_EVAL = 0, 1, 2, 3
 
 
 def step_rng(seed: int, step: int, stream: int, extra: tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, step, stream, *extra]))
+
+
+TRAINING_MODES = ("permuted", "fixed-causal", "semi-templated")
 
 
 @dataclass
@@ -116,6 +119,11 @@ class Trainer:
         self.cfg = cfg
         self.val_records = val_records or []
         self.val_examples = val_examples or []
+        for ex in train_examples + self.val_examples:  # the largest template the mode draws must fit
+            try:
+                check_shape(model.cfg, ex.n_rows + (cfg.mode == "semi-templated"), ex.n_cols)
+            except LayoutError as exc:
+                raise LayoutError(f"{ex.id}: {exc}") from None
         self.eval_decoding = eval_decoding or DecodingConfig()
         self.metrics_path = metrics_path
         self.run_config = run_config
@@ -127,13 +135,23 @@ class Trainer:
     # ------------------------------------------------------------------
 
     def _instances_for(self, batch: list[TrainingExample], step: int):
+        """One training pass per example of ``batch`` at ``step``, its stage
+        map drawn by the mode from the generator of (seed, step, batch slot):
+
+        - ``permuted``: a uniform order over the n x m gold cells, then a
+          uniform cut (:func:`sample_permutation`);
+        - ``fixed-causal``: no draw; the row-major staircase (:func:`causal_stages`);
+        - ``semi-templated``: as ``permuted``, over n + 1 rows, the last the
+          all-NULL sentinel row.
+        """
+        mode = self.cfg.mode
         insts = []
         for slot, ex in enumerate(batch):
-            if self.cfg.mode == "fixed-causal":
+            if mode == "fixed-causal":
                 stage = causal_stages(row_major_order(ex.n_rows, ex.n_cols))
             else:
                 rng = step_rng(self.cfg.seed, step, STREAM_PLAN, (slot,))
-                stage = sample_permutation(ex.n_rows, ex.n_cols, rng)
+                stage = sample_permutation(ex.n_rows + (mode == "semi-templated"), ex.n_cols, rng)
             insts.append(build_training_pass(ex, stage, self.model))
         return insts
 
@@ -146,7 +164,7 @@ class Trainer:
         ids, lens = build_source_batch(batch)
         memory = model.encode(ids, lens, train=train, rng=rng)
 
-        counts = np.array([ex.count_target for ex in batch], dtype=model.cfg.dtype)
+        counts = np.array([ex.n_rows for ex in batch], dtype=model.cfg.dtype)
         mse = ops.mse(model.count_pred(memory, lens), counts)
 
         dec_batch = collate_instances(self._instances_for(batch, step))

@@ -1,5 +1,7 @@
 """Training examples, the stage map ``{cell: stage}`` that states a training
-pass, and its teacher-forced layout."""
+pass, and its teacher-forced layout. An example is its gold table; the cells
+of a stage map name the template a pass lays out, and a row past the gold
+rows is all-NULL."""
 
 from __future__ import annotations
 
@@ -10,49 +12,34 @@ import numpy as np
 from ..corpus import DatasetRecord
 from ..model import LayoutError, LayoutInstance, PassLayout, TextToTableModel
 from ..model.config import ModelConfig
-from ..model.layout import Coord, check_shape, content_token_ids, encode_record, row_major_order
-from ..table import Table
-from ..vocab import Vocabulary
-
-TRAINING_MODES = ("permuted", "fixed-causal", "semi-templated")
+from ..model.layout import Coord, content_token_ids, encode_record, row_major_order
+from ..vocab import NULL, Vocabulary
 
 
 @dataclass
 class TrainingExample:
+    """A record's gold table as a training pass reads it."""
+
     id: str
-    source_ids: list[int]
-    header_ids: list[list[int]]
-    cell_ids: dict[Coord, list[int]]
-    n_rows: int
+    source_ids: list[int]  # the text's token ids, cut at max_input_len
+    header_ids: list[list[int]]  # each header's token ids, whole
+    cell_ids: dict[Coord, list[int]]  # every gold cell's content ids, [NULL] for a NULL cell
+    n_rows: int  # gold rows: also the count head's target
     n_cols: int
-    count_target: float  # true group count (before any sentinel row)
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
     header_tokens_dropped: int = 0  # header token ids the template cuts at max_cell_len
-    # the stage-free part of its training layout, for the template it was last built under
-    layout: PassLayout | None = field(default=None, init=False, repr=False, compare=False)
+    # the stage-free part of its training layouts, by template row count, each for the template it was last built under
+    layouts: dict[int, PassLayout] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def build_semi_templated_corpus_variant(gold: Table) -> Table:
-    """Gold table plus one all-NULL sentinel row at the bottom."""
-    out = gold.copy()
-    out.rows.append([None] * gold.n_cols)
-    return out
-
-
-def prepare_example(
-    record: DatasetRecord, vocab: Vocabulary, cfg: ModelConfig, mode: str = "permuted"
-) -> TrainingExample:
-    """The record through :func:`~text2table.model.layout.encode_record`, as
-    decoding reads it, plus its cells; a record the model cannot lay out is a
-    :class:`LayoutError` that names it."""
-    if mode not in TRAINING_MODES:
-        raise ValueError(f"unknown training mode {mode!r}")
+def prepare_example(record: DatasetRecord, vocab: Vocabulary, cfg: ModelConfig) -> TrainingExample:
+    """The record's gold table through :func:`~text2table.model.layout.encode_record`,
+    as decoding reads it, plus its cells; a record whose columns or cells the
+    model cannot lay out is a :class:`LayoutError` that names it. How many rows
+    a pass lays out is the trainer's to check."""
     table = record.table
     try:
         enc = encode_record(vocab, cfg, record.text, table.headers)
-        check_shape(cfg, table.n_rows + (mode == "semi-templated"), table.n_cols)
-        if mode == "semi-templated":
-            table = build_semi_templated_corpus_variant(table)
         cells = {(i, j): content_token_ids(vocab, v) for i, row in enumerate(table.rows, 1) for j, v in enumerate(row, 1)}
         for (i, j), ids in cells.items():
             if not ids:  # its first target would be end-of-cell, which no cell may start with
@@ -68,7 +55,6 @@ def prepare_example(
         cell_ids=cells,
         n_rows=table.n_rows,
         n_cols=table.n_cols,
-        count_target=float(record.table.n_rows),
         input_tokens_dropped=enc.input_tokens_dropped,
         header_tokens_dropped=enc.header_tokens_dropped,
     )
@@ -77,16 +63,22 @@ def prepare_example(
 def build_training_pass(
     example: TrainingExample, stage: dict[Coord, int], model: TextToTableModel
 ) -> LayoutInstance:
-    """Teacher-forced layout of one training pass: stage-0 cells are context,
-    every other cell carries loss and sees the lower stages (see
-    :func:`~text2table.model.layout.visibility_mask`). The example's
-    :class:`~text2table.model.PassLayout` is built on its first pass under the
-    model's template and reused while that template is the one it was built
-    for, so an example shared by two models never reads the other's."""
-    tpl = model.template_for(example.header_ids, example.n_rows)
-    if example.layout is None or example.layout.template is not tpl:
-        example.layout = PassLayout.build(tpl, model.grammar, example.cell_ids)
-    return example.layout.instance(stage)
+    """Teacher-forced layout of one training pass over the template whose rows
+    are those of the cells in ``stage``: stage-0 cells are context, every other
+    cell carries loss and sees the lower stages (see
+    :func:`~text2table.model.layout.visibility_mask`). A row past the
+    example's gold rows is laid out all-NULL. The example keeps one
+    :class:`~text2table.model.PassLayout` per template row count, built on its
+    first pass under the model's template and reused while that template is
+    the one it was built for, so an example shared by two models never reads
+    the other's."""
+    n_rows = max((i for i, _ in stage), default=0)
+    tpl = model.template_for(example.header_ids, n_rows)
+    layout = example.layouts.get(n_rows)
+    if layout is None or layout.template is not tpl:
+        contents = {c: example.cell_ids.get(c, [NULL]) for c in tpl.cells}
+        layout = example.layouts[n_rows] = PassLayout.build(tpl, model.grammar, contents)
+    return layout.instance(stage)
 
 
 def sample_permutation(n_rows: int, n_cols: int, rng: np.random.Generator) -> dict[Coord, int]:

@@ -185,7 +185,7 @@ def batch_loss(trainer, batch, step, train):
     rng = step_rng(cfg.seed, step, STREAM_DROPOUT) if train else None
     ids, real = padded_source_batch(batch)
     memory = encode(model, ids, real, train=train, rng=rng)
-    counts = np.array([ex.count_target for ex in batch], dtype=model.cfg.dtype)
+    counts = np.array([ex.n_rows for ex in batch], dtype=model.cfg.dtype)
     mse = ops.mse(count_pred(model, memory), counts)
     dec_batch = padded_batch(trainer._instances_for(batch, step))
     hidden = decoder_hidden(model, memory, real, dec_batch, train=train, rng=rng)

@@ -310,6 +310,25 @@ def _train_config(tmp_path, records, **model):
     return str(config)
 
 
+@pytest.mark.parametrize("where", ["dataset", "val_dataset"])
+def test_semi_templated_train_refuses_a_full_table_and_keeps_earlier_metrics(lineitems_records, tmp_path, capsys, where):
+    # the sentinel row counts toward max_rows 5: a 5-row table has no room for it,
+    # in the training records or the validation records alike
+    first = lineitems_records[0]
+    full = DatasetRecord("full-0", first.text, Table(first.table.headers, [first.table.rows[0]] * 5))
+    config = _train_config(tmp_path, [full, *lineitems_records[1:3]] if where == "dataset" else lineitems_records[:3])
+    val = str(tmp_path / "val.jsonl")
+    write_jsonl([full, lineitems_records[3]], val)
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / "metrics.jsonl").write_text("{}\n")
+    argv = ["train", config, "--set", f"training.checkpoint_dir={ckpt}", "--set", f"paths.val_dataset={val}"]
+    assert main([*argv, "--set", "training.mode=semi-templated"]) == 2
+    assert capsys.readouterr().err.strip() == "text2table train: full-0: 6 rows exceed max_rows 5"
+    assert (ckpt / "metrics.jsonl").read_text() == "{}\n" and sorted(os.listdir(ckpt)) == ["metrics.jsonl"]
+    assert main(argv) == 0  # a permuted pass lays out the 5 gold rows alone
+
+
 def test_train_warns_once_about_dropped_source_ids(lineitems_records, tmp_path, capsys):
     first = lineitems_records[0]
     long_text = " ".join([first.text] * 40)

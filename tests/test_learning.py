@@ -34,7 +34,7 @@ def test_tiny_model_learns_its_training_tables(mode, floor):
     vocab = build_vocab(records, n_max_rows=cfg.max_rows)
     cfg = dataclasses.replace(cfg, vocab_size=len(vocab))
     model = TextToTableModel(cfg, vocab, seed=0)
-    examples = [prepare_example(r, vocab, cfg, mode) for r in records]
+    examples = [prepare_example(r, vocab, cfg) for r in records]
     tcfg = TrainingConfig(seed=0, steps=STEPS, batch_size=8, lr=3e-3, mode=mode, eval_decode_examples=len(records))
     trainer = Trainer(model, examples, tcfg, val_records=records)
     trainer.run()

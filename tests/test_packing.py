@@ -53,7 +53,7 @@ def _model(vocab, seed=3, float_width=64):
 def _mixed(model, records):
     """Examples and instances of one batch: 1-4-row tables with NULL cells,
     permuted passes with and without filled cells, fixed-causal staircases and
-    semi-templated tables with their all-NULL sentinel row."""
+    passes with an all-NULL sentinel row below the gold rows."""
     by_rows = {}
     for rec in records:
         by_rows.setdefault(rec.table.n_rows, rec)
@@ -61,25 +61,25 @@ def _mixed(model, records):
     with_null = next(r for r in records if any(c is None for row in r.table.rows for c in row))
     rng = np.random.default_rng(11)
 
-    def half_filled(ex):  # the first half of the row-major order is context
-        order = row_major_order(ex.n_rows, ex.n_cols)
+    def half_filled(ex, extra):  # the first half of the row-major order is context
+        order = row_major_order(ex.n_rows + extra, ex.n_cols)
         return build_training_pass(ex, cut_stages(order, 1 + len(order) // 2), model)
 
-    def sampled(ex):
-        return build_training_pass(ex, sample_permutation(ex.n_rows, ex.n_cols, rng), model)
+    def sampled(ex, extra):
+        return build_training_pass(ex, sample_permutation(ex.n_rows + extra, ex.n_cols, rng), model)
 
-    def staircase(ex):
-        return build_training_pass(ex, causal_stages(row_major_order(ex.n_rows, ex.n_cols)), model)
+    def staircase(ex, extra):
+        return build_training_pass(ex, causal_stages(row_major_order(ex.n_rows + extra, ex.n_cols)), model)
 
-    plan = [(by_rows[n], "permuted", half_filled) for n in (1, 2, 3, 4)] + [
-        (with_null, "permuted", sampled),
-        (by_rows[3], "permuted", staircase),
-        (with_null, "permuted", staircase),
-        (by_rows[2], "semi-templated", sampled),
-        (by_rows[4], "semi-templated", staircase),
+    plan = [(by_rows[n], half_filled, 0) for n in (1, 2, 3, 4)] + [
+        (with_null, sampled, 0),
+        (by_rows[3], staircase, 0),
+        (with_null, staircase, 0),
+        (by_rows[2], sampled, 1),  # the sentinel row below the gold rows
+        (by_rows[4], staircase, 1),
     ]
-    examples = [prepare_example(rec, model.vocab, model.cfg, mode) for rec, mode, _ in plan]
-    insts = [build(ex) for ex, (_, _, build) in zip(examples, plan)]
+    examples = [prepare_example(rec, model.vocab, model.cfg) for rec, _, _ in plan]
+    insts = [build(ex, extra) for ex, (_, build, extra) in zip(examples, plan)]
     assert any(NULL in inst.input_ids for inst in insts)
     assert any((inst.stage > 1).any() for inst in insts)
     assert any((inst.stage[~structure(inst.template)] == 0).any() for inst in insts)
@@ -229,10 +229,11 @@ def test_training_step_loss_matches_padded_oracle(corpus, mode, float_width):
     records, vocab = corpus
     model = _model(vocab, float_width=float_width)
     rel = REL[float_width]
-    examples = [prepare_example(r, vocab, model.cfg, mode) for r in records[:12]]
-    # an empty table runs the decoder as a header-only layout that carries no loss position
+    examples = [prepare_example(r, vocab, model.cfg) for r in records[:12]]
+    # an empty table runs the decoder as a header-only layout that carries no loss position,
+    # or as its sentinel row alone
     empty = DatasetRecord("empty", "nothing was bought today .", Table(list(records[0].table.headers), []))
-    batch = examples[:3] + [prepare_example(empty, vocab, model.cfg, "permuted")] + examples[3:7]
+    batch = examples[:3] + [prepare_example(empty, vocab, model.cfg)] + examples[3:7]
     assert batch[3].n_rows == 0
     trainer = Trainer(model, examples, TrainingConfig(seed=4, batch_size=8, mode=mode))
     out = {}

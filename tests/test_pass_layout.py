@@ -16,25 +16,31 @@ from text2table.table import Table
 from text2table.training import Trainer, TrainingConfig, build_training_pass, causal_stages, prepare_example
 from text2table.training.loop import STREAM_PLAN, step_rng
 from text2table.training.passes import sample_permutation
+from text2table.vocab import NULL
 
 
 def _stages(mode, seed, step, batch):
-    """The stage maps ``Trainer._instances_for`` draws for ``batch`` at ``step``."""
+    """The stage maps ``Trainer._instances_for`` draws for ``batch`` at
+    ``step``; a semi-templated map also covers the sentinel row n + 1."""
     if mode == "fixed-causal":
         return [causal_stages(row_major_order(ex.n_rows, ex.n_cols)) for ex in batch]
+    extra = mode == "semi-templated"
     return [
-        sample_permutation(ex.n_rows, ex.n_cols, step_rng(seed, step, STREAM_PLAN, (slot,)))
+        sample_permutation(ex.n_rows + extra, ex.n_cols, step_rng(seed, step, STREAM_PLAN, (slot,)))
         for slot, ex in enumerate(batch)
     ]
 
 
+def _oracle_pass(model, ex, stage):
+    """The oracle's pass over the rows of ``stage``'s cells, every cell past
+    the gold rows NULL."""
+    tpl = model.template_for(ex.header_ids, max((i for i, _ in stage), default=0))
+    contents = {c: ex.cell_ids.get(c, [NULL]) for c in tpl.cells}
+    return layout_oracle.instance_for_pass(tpl, model.grammar, contents, stage)
+
+
 def _assert_batch_equals_oracle(model, batch, stages, insts):
-    oracle = [
-        layout_oracle.instance_for_pass(
-            model.template_for(ex.header_ids, ex.n_rows), model.grammar, ex.cell_ids, stage
-        )
-        for ex, stage in zip(batch, stages)
-    ]
+    oracle = [_oracle_pass(model, ex, stage) for ex, stage in zip(batch, stages)]
     for got, want in zip(insts, oracle):
         for name in ("input_ids", "is_pad", "stage", "loss_pos", "loss_targets", "legal"):
             a, b = getattr(got, name), getattr(want, name)
@@ -51,23 +57,22 @@ def _assert_batch_equals_oracle(model, batch, stages, insts):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def _empty(model, mode, rid="empty"):
+def _empty(model, rid="empty"):
     rec = DatasetRecord(rid, "nothing was bought today .", Table(["item", "qty"], []))
-    return prepare_example(rec, model.vocab, model.cfg, mode)
+    return prepare_example(rec, model.vocab, model.cfg)
 
 
 @pytest.mark.parametrize("mode", ["permuted", "fixed-causal", "semi-templated"])
 def test_cached_passes_equal_the_per_step_builders_bitwise(tiny_vocab, lineitems_records, mode):
     model = _tiny_model(tiny_vocab)
-    examples = [prepare_example(r, tiny_vocab, model.cfg, mode) for r in lineitems_records[:12]]
-    examples.insert(3, _empty(model, mode))  # no rows: headers only, or the sentinel row alone
+    examples = [prepare_example(r, tiny_vocab, model.cfg) for r in lineitems_records[:12]]
+    examples.insert(3, _empty(model))  # no rows: headers only, or the sentinel row alone
     tr = Trainer(model, examples, TrainingConfig(seed=4, batch_size=len(examples), mode=mode))
-    if mode == "semi-templated":
-        assert all(ex.n_rows == len(r.table.rows) + 1 for ex, r in zip(examples[4:], lineitems_records[3:12]))
+    assert all(ex.n_rows == len(r.table.rows) for ex, r in zip(examples[4:], lineitems_records[3:12]))
     for step in (1, 2, 3):  # the layouts built at step 1 serve steps 2 and 3
         insts = tr._instances_for(examples, step)
         _assert_batch_equals_oracle(model, examples, _stages(mode, 4, step, examples), insts)
-    assert all(inst.live is ex.layout.live for inst, ex in zip(insts, examples))
+    assert all(inst.live is ex.layouts[inst.template.n_rows].live for inst, ex in zip(insts, examples))
     assert (len(insts[3].loss_pos) == 0) == (mode != "semi-templated")
 
 
@@ -78,11 +83,11 @@ def test_an_example_shared_by_two_models_reads_only_its_own_templates_layout(tin
     rng = np.random.default_rng(3)
     for model in (narrow, wide, narrow, narrow, wide):
         stage = sample_permutation(ex.n_rows, ex.n_cols, rng)
-        layout = ex.layout
+        layout = ex.layouts.get(ex.n_rows)
         inst = build_training_pass(ex, stage, model)
         tpl = model.template_for(ex.header_ids, ex.n_rows)
-        assert ex.layout.template is tpl and inst.template is tpl
-        assert (ex.layout is layout) == (layout is not None and layout.template is tpl)  # rebuilt only on a switch
+        assert ex.layouts[ex.n_rows].template is tpl and inst.template is tpl
+        assert (ex.layouts[ex.n_rows] is layout) == (layout is not None and layout.template is tpl)  # rebuilt only on a switch
         _assert_batch_equals_oracle(model, [ex], [stage], [inst])
 
 

@@ -42,11 +42,12 @@ def _model(vocab, seed=3):
 
 def _trainer_batch(model, records, mode):
     """A trainer in ``mode`` and a batch of 7 examples, the 4th an empty table
-    whose header-only layout carries no loss position, so no read row."""
+    whose header-only layout carries no loss position, so no read row (but
+    for its sentinel row in semi-templated mode)."""
     vocab, cfg = model.vocab, model.cfg
-    examples = [prepare_example(r, vocab, cfg, mode) for r in records[:6]]
+    examples = [prepare_example(r, vocab, cfg) for r in records[:6]]
     empty = DatasetRecord("empty", "nothing was bought today .", Table(list(records[0].table.headers), []))
-    batch = examples[:3] + [prepare_example(empty, vocab, cfg, "permuted")] + examples[3:]
+    batch = examples[:3] + [prepare_example(empty, vocab, cfg)] + examples[3:]
     return Trainer(model, examples, TrainingConfig(seed=4, mode=mode)), batch
 
 

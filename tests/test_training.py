@@ -22,7 +22,6 @@ from text2table.training import (
     Trainer,
     TrainingConfig,
     TrainingDiverged,
-    build_semi_templated_corpus_variant,
     build_training_pass,
     causal_stages,
     prepare_example,
@@ -102,9 +101,10 @@ def _example(model, rows):
 
 
 def test_stages_must_cover_exactly_the_template_cells(tiny_model):
+    # the rows a map's cells name are the template's; it must hold each of their cells
     ex = _example(tiny_model, [["pens", "3"], ["mugs", "7"]])
     stage = causal_stages(row_major_order(2, 2))
-    for bad in (causal_stages(row_major_order(1, 2)), {**stage, (3, 1): 5}):
+    for bad in ({(1, 1): 1}, {**stage, (3, 1): 5}, {(2, 1): 1, (2, 2): 2}, {**stage, (1, 3): 5}):
         with pytest.raises(LayoutError, match="stage keys"):
             build_training_pass(ex, bad, tiny_model)
 
@@ -222,35 +222,53 @@ def test_mc_estimator_converges_2x2(tiny_model):
 # ---------------------------------------------------------------------------
 
 
-def test_semi_templated_appends_null_row():
-    gold = Table(["a", "b", "c"], [["1", "2", "3"], ["4", "5", "6"]])
-    out = build_semi_templated_corpus_variant(gold)
-    assert out.n_rows == 3
-    assert out.rows[2] == [None, None, None]
-    assert gold.n_rows == 2  # input untouched
+def _with_sentinel(rec):
+    """The record with one all-NULL row below its gold rows."""
+    table = Table(list(rec.table.headers), [list(row) for row in rec.table.rows] + [[None] * rec.table.n_cols])
+    return DatasetRecord(rec.id, rec.text, table)
 
 
-def test_semi_templated_zero_rows():
-    out = build_semi_templated_corpus_variant(Table(["a", "b"], []))
-    assert out.n_rows == 1
-    assert out.rows[0] == [None, None]
+PASS_ARRAYS = ("input_ids", "is_pad", "stage", "loss_pos", "loss_targets", "legal")
 
 
-def test_semi_templated_overflow_rejected(tiny_model):
+def test_semi_templated_pass_equals_the_pass_of_gold_rows_plus_a_null_row(tiny_model, lineitems_records):
+    # a semi-templated pass of the gold example lays out what a permuted pass
+    # of the example with its sentinel row written in does, under the same draws
+    records = lineitems_records[:6] + [DatasetRecord("empty", "pens .", Table(["item", "qty"], []))]
+    vocab, cfg = tiny_model.vocab, tiny_model.cfg
+    gold = [prepare_example(r, vocab, cfg) for r in records]
+    by_hand = [prepare_example(_with_sentinel(r), vocab, cfg) for r in records]
+    assert [ex.n_rows + 1 for ex in gold] == [ex.n_rows for ex in by_hand]
+    semi = Trainer(tiny_model, gold, TrainingConfig(seed=5, mode="semi-templated"))
+    permuted = Trainer(tiny_model, by_hand, TrainingConfig(seed=5))
+    for step in (1, 2, 3):
+        for got, want in zip(semi._instances_for(gold, step), permuted._instances_for(by_hand, step), strict=True):
+            assert got.template is want.template
+            for name in PASS_ARRAYS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("which", ["train", "val"])
+def test_semi_templated_trainer_refuses_a_table_with_no_room_for_its_sentinel(tiny_model, which):
     # the sentinel row counts toward max_rows: a full table has no room for it
     n = tiny_model.cfg.max_rows
-    rec = DatasetRecord("full", "pens .", Table(["item"], [["pens"]] * n))
-    assert prepare_example(rec, tiny_model.vocab, tiny_model.cfg).n_rows == n
+    full = prepare_example(DatasetRecord("full", "pens .", Table(["item"], [["pens"]] * n)), tiny_model.vocab,
+                           tiny_model.cfg)
+    assert full.n_rows == n
+    ok = prepare_example(DatasetRecord("ok", "pens .", Table(["item"], [["pens"]])), tiny_model.vocab, tiny_model.cfg)
+    train, val = ([full], [ok]) if which == "train" else ([ok], [full])
+    for mode in ("permuted", "fixed-causal"):
+        Trainer(tiny_model, train, TrainingConfig(mode=mode), val_examples=val)
     with pytest.raises(LayoutError, match=f"^full: {n + 1} rows exceed max_rows {n}$"):
-        prepare_example(rec, tiny_model.vocab, tiny_model.cfg, "semi-templated")
+        Trainer(tiny_model, train, TrainingConfig(mode="semi-templated"), val_examples=val)
 
 
 def test_sentinel_row_serializes_as_null_eoc(tiny_model):
-    rec = DatasetRecord(
-        "e", "pens .", build_semi_templated_corpus_variant(Table(["item", "qty"], [["pens", "3"]]))
-    )
+    rec = DatasetRecord("e", "pens .", Table(["item", "qty"], [["pens", "3"]]))
     ex = prepare_example(rec, tiny_model.vocab, tiny_model.cfg)
     inst = build_training_pass(ex, cut_stages(row_major_order(2, 2), 1), tiny_model)
+    assert inst.template.n_rows == 2 and ex.n_rows == 1
     rows = loss_cells(inst) == slot_cell_id(inst.template, (2, 1))
     assert inst.loss_targets[rows].tolist() == [NULL, EOC]
 
@@ -306,22 +324,22 @@ def test_count_head_fits_constant_target(tiny_vocab):
     assert (np.abs(preds - 3.0) < 0.5).all()
 
 
-def _zero_row_examples(model, mode, n=3, headers=("item", "qty")):
+def _zero_row_examples(model, n=3, headers=("item", "qty")):
     texts = ["nothing was bought today .", "the store was busy today .", "thanks for the visit ."]
     records = [DatasetRecord(f"empty{i}", texts[i % 3], Table(list(headers), [])) for i in range(n)]
-    return [prepare_example(r, model.vocab, model.cfg, mode) for r in records]
+    return [prepare_example(r, model.vocab, model.cfg) for r in records]
 
 
 @pytest.mark.parametrize("mode", ["permuted", "fixed-causal", "semi-templated"])
 def test_instances_for_builds_one_instance_per_example(tiny_model, lineitems_records, mode):
     # a table with no rows trains as the header-only layout of its template
-    empty = _zero_row_examples(tiny_model, mode, n=1)
-    examples = [prepare_example(r, tiny_model.vocab, tiny_model.cfg, mode) for r in lineitems_records[:3]]
+    empty = _zero_row_examples(tiny_model, n=1)
+    examples = [prepare_example(r, tiny_model.vocab, tiny_model.cfg) for r in lineitems_records[:3]]
     batch = examples[:1] + empty + examples[1:]
     tr = Trainer(tiny_model, batch, TrainingConfig(seed=2, batch_size=4, mode=mode))
     insts = tr._instances_for(batch, 1)
     assert [inst.template for inst in insts] == [
-        tiny_model.template_for(ex.header_ids, ex.n_rows) for ex in batch
+        tiny_model.template_for(ex.header_ids, ex.n_rows + (mode == "semi-templated")) for ex in batch
     ]
     header_only = insts[1]
     assert header_only.template.n_rows == (mode == "semi-templated")  # its sentinel row
@@ -334,7 +352,7 @@ def test_instances_for_builds_one_instance_per_example(tiny_model, lineitems_rec
 @pytest.mark.parametrize("mode", ["permuted", "fixed-causal"])
 def test_step_on_zero_row_tables_gives_every_parameter_a_gradient(tiny_model, mode, headers):
     # a blank header has no token, so its header-only layout has no decoder row
-    examples = _zero_row_examples(tiny_model, mode, headers=headers)
+    examples = _zero_row_examples(tiny_model, headers=headers)
     tr = Trainer(tiny_model, examples, TrainingConfig(seed=1, batch_size=2, mode=mode))
     stats = tr.training_step(1)
     assert stats.nll == 0.0 and math.isfinite(stats.total)
