@@ -136,13 +136,17 @@ class Trainer:
 
     def _instances_for(self, batch: list[TrainingExample], step: int):
         """One training pass per example of ``batch`` at ``step``, its stage
-        map drawn by the mode from the generator of (seed, step, batch slot):
+        map drawn by the mode from the generator of (seed, step, batch slot),
+        for an example of n gold rows and m columns:
 
-        - ``permuted``: a uniform order over the n x m gold cells, then a
-          uniform cut (:func:`sample_permutation`);
+        - ``permuted``: a uniform order over the n x m cells, then a uniform
+          cut (:func:`sample_permutation`);
         - ``fixed-causal``: no draw; the row-major staircase (:func:`causal_stages`);
-        - ``semi-templated``: as ``permuted``, over n + 1 rows, the last the
-          all-NULL sentinel row.
+        - ``semi-templated``: the open row r, uniform in 1..n + 1, then row r's
+          order and cut, as :func:`sample_permutation` draws them for one row.
+          The map covers rows 1..r, the template the decoder grows when it
+          opens row r: rows 1..r - 1 are context, and row r is gold row r, or
+          the all-NULL sentinel row when r = n + 1.
         """
         mode = self.cfg.mode
         insts = []
@@ -151,7 +155,12 @@ class Trainer:
                 stage = causal_stages(row_major_order(ex.n_rows, ex.n_cols))
             else:
                 rng = step_rng(self.cfg.seed, step, STREAM_PLAN, (slot,))
-                stage = sample_permutation(ex.n_rows + (mode == "semi-templated"), ex.n_cols, rng)
+                if mode == "permuted":
+                    stage = sample_permutation(ex.n_rows, ex.n_cols, rng)
+                else:
+                    r = int(rng.integers(1, ex.n_rows + 2))
+                    stage = dict.fromkeys(row_major_order(r - 1, ex.n_cols), 0)
+                    stage.update({(r, j): s for (_, j), s in sample_permutation(1, ex.n_cols, rng).items()})
             insts.append(build_training_pass(ex, stage, self.model))
         return insts
 

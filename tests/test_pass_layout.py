@@ -17,18 +17,26 @@ from text2table.training import Trainer, TrainingConfig, build_training_pass, ca
 from text2table.training.loop import STREAM_PLAN, step_rng
 from text2table.training.passes import sample_permutation
 from text2table.vocab import NULL
+from util import cut_stages
+
+
+def _semi_templated_stages(ex, rng):
+    """Rows 1..r - 1 in context, then row r's order and cut: the draws of r,
+    the order and the cut, in that order."""
+    r = int(rng.integers(1, ex.n_rows + 2))
+    order = [(r, 1 + int(j)) for j in rng.permutation(ex.n_cols)]
+    cut = int(rng.integers(1, ex.n_cols + 1))
+    return {**dict.fromkeys(row_major_order(r - 1, ex.n_cols), 0), **cut_stages(order, cut)}
 
 
 def _stages(mode, seed, step, batch):
-    """The stage maps ``Trainer._instances_for`` draws for ``batch`` at
-    ``step``; a semi-templated map also covers the sentinel row n + 1."""
+    """The stage maps ``Trainer._instances_for`` draws for ``batch`` at ``step``."""
     if mode == "fixed-causal":
         return [causal_stages(row_major_order(ex.n_rows, ex.n_cols)) for ex in batch]
-    extra = mode == "semi-templated"
-    return [
-        sample_permutation(ex.n_rows + extra, ex.n_cols, step_rng(seed, step, STREAM_PLAN, (slot,)))
-        for slot, ex in enumerate(batch)
-    ]
+    rngs = [step_rng(seed, step, STREAM_PLAN, (slot,)) for slot in range(len(batch))]
+    if mode == "semi-templated":
+        return [_semi_templated_stages(ex, rng) for ex, rng in zip(batch, rngs)]
+    return [sample_permutation(ex.n_rows, ex.n_cols, rng) for ex, rng in zip(batch, rngs)]
 
 
 def _oracle_pass(model, ex, stage):

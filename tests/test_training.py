@@ -231,22 +231,41 @@ def _with_sentinel(rec):
 PASS_ARRAYS = ("input_ids", "is_pad", "stage", "loss_pos", "loss_targets", "legal")
 
 
-def test_semi_templated_pass_equals_the_pass_of_gold_rows_plus_a_null_row(tiny_model, lineitems_records):
-    # a semi-templated pass of the gold example lays out what a permuted pass
-    # of the example with its sentinel row written in does, under the same draws
+def test_a_pass_over_the_sentinel_row_equals_the_pass_of_gold_rows_plus_a_null_row(tiny_model, lineitems_records):
+    # a map over n + 1 rows lays out the gold example as it does the example
+    # with its sentinel row written in
     records = lineitems_records[:6] + [DatasetRecord("empty", "pens .", Table(["item", "qty"], []))]
     vocab, cfg = tiny_model.vocab, tiny_model.cfg
-    gold = [prepare_example(r, vocab, cfg) for r in records]
-    by_hand = [prepare_example(_with_sentinel(r), vocab, cfg) for r in records]
-    assert [ex.n_rows + 1 for ex in gold] == [ex.n_rows for ex in by_hand]
-    semi = Trainer(tiny_model, gold, TrainingConfig(seed=5, mode="semi-templated"))
-    permuted = Trainer(tiny_model, by_hand, TrainingConfig(seed=5))
-    for step in (1, 2, 3):
-        for got, want in zip(semi._instances_for(gold, step), permuted._instances_for(by_hand, step), strict=True):
+    rng = np.random.default_rng(5)
+    for rec in records:
+        gold, by_hand = prepare_example(rec, vocab, cfg), prepare_example(_with_sentinel(rec), vocab, cfg)
+        assert gold.n_rows + 1 == by_hand.n_rows
+        for stage in [sample_permutation(by_hand.n_rows, by_hand.n_cols, rng) for _ in range(3)]:
+            got, want = build_training_pass(gold, stage, tiny_model), build_training_pass(by_hand, stage, tiny_model)
             assert got.template is want.template
             for name in PASS_ARRAYS:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_semi_templated_passes_open_one_row_of_a_template_that_ends_there(tiny_model, lineitems_records):
+    # the decoder reads row r with rows 1..r-1 committed and no row below r
+    records = lineitems_records[:6] + [DatasetRecord("empty", "pens .", Table(list(lineitems_records[0].table.headers), []))]
+    examples = [prepare_example(r, tiny_model.vocab, tiny_model.cfg) for r in records]
+    tr = Trainer(tiny_model, examples, TrainingConfig(seed=6, mode="semi-templated"))
+    opened = collections.defaultdict(set)
+    for step in range(1, 41):
+        for ex, inst in zip(examples, tr._instances_for(examples, step)):
+            tpl, r = inst.template, inst.template.n_rows
+            opened[ex.id].add(r)
+            assert tpl is tiny_model.template_for(ex.header_ids, r)
+            assert set(tpl.rows[inst.stage > 0].tolist()) == {r}  # open cells lie in row r alone
+            assert not inst.stage[tpl.rows < r].any()  # every earlier row is context
+            for j in range(1, ex.n_cols + 1):  # row r is gold row r, or the sentinel when r = n + 1
+                p0 = tpl.slot_start[(r, j)]
+                want = ex.cell_ids[(r, j)] if r <= ex.n_rows else [NULL]
+                assert inst.input_ids[p0 + 1 : p0 + 1 + len(want)].tolist() == want
+    assert all(opened[ex.id] == set(range(1, ex.n_rows + 2)) for ex in examples)  # every r in 1..n+1 occurs
 
 
 @pytest.mark.parametrize("which", ["train", "val"])
@@ -338,9 +357,12 @@ def test_instances_for_builds_one_instance_per_example(tiny_model, lineitems_rec
     batch = examples[:1] + empty + examples[1:]
     tr = Trainer(tiny_model, batch, TrainingConfig(seed=2, batch_size=4, mode=mode))
     insts = tr._instances_for(batch, 1)
-    assert [inst.template for inst in insts] == [
-        tiny_model.template_for(ex.header_ids, ex.n_rows + (mode == "semi-templated")) for ex in batch
-    ]
+    rows = [inst.template.n_rows for inst in insts]
+    if mode == "semi-templated":  # the rows up to the open one
+        assert all(1 <= r <= ex.n_rows + 1 for r, ex in zip(rows, batch))
+    else:
+        assert rows == [ex.n_rows for ex in batch]
+    assert [inst.template for inst in insts] == [tiny_model.template_for(ex.header_ids, r) for ex, r in zip(batch, rows)]
     header_only = insts[1]
     assert header_only.template.n_rows == (mode == "semi-templated")  # its sentinel row
     if mode != "semi-templated":
