@@ -24,6 +24,7 @@ from ..corpus import (
 )
 from ..decoding import DecodingConfig, NonFiniteCountError, NonFiniteLogitsError, decode_table
 from ..decoding.engine import DECODE_COUNTS
+from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
 from ..model import (
     CheckpointError,
@@ -57,9 +58,9 @@ class ModelError(RuntimeError):
 
 
 def _parse_config(kind: str, cls, d: dict):
-    """``cls.from_json(d)``, with a bad or unknown key as a :class:`ConfigError`."""
+    """``from_fields(cls, d)``, with a bad or unknown key as a :class:`ConfigError`."""
     try:
-        return cls.from_json(d)
+        return from_fields(cls, d)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad {kind} config: {exc}") from None
 
@@ -80,7 +81,7 @@ def _read_records(path: str) -> list[DatasetRecord]:
 
 def cmd_gen_data(spec_path: str, out_path: str) -> int:
     try:
-        spec = CorpusSpec.from_json(load_json_config(spec_path))
+        spec = from_fields(CorpusSpec, load_json_config(spec_path))
     except (ValueError, TypeError) as exc:  # CorpusError, or an unknown key
         raise DataError(f"bad corpus spec: {exc}") from None
     try:
@@ -138,12 +139,12 @@ class Run(NamedTuple):
         left at its default and the same value written out resolve alike, and
         a changed library default changes the result. It is itself a valid run
         config."""
-        training = self.training.to_json()
+        training = dataclasses.asdict(self.training)
         return {
             "seed": training.pop("seed"),
-            "model": self.model.to_json(),
+            "model": dataclasses.asdict(self.model),
             "training": training,
-            "decoding": self.decoding.to_json(),
+            "decoding": dataclasses.asdict(self.decoding),
             "paths": {k: self.paths.get(k) for k in PATH_KEYS},
         }
 
@@ -333,7 +334,7 @@ def cmd_decode(
     sidecar = {
         "checkpoint_step": meta.get("step"),
         "config_hash": (meta.get("run_config") or {}).get("config_hash"),
-        "decoding": dcfg.to_json(),
+        "decoding": dataclasses.asdict(dcfg),
         "dataset_sha256": file_sha256(dataset_path),
         "tables": len(preds),
         **totals,

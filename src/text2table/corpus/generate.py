@@ -15,12 +15,11 @@ independent and the stream can be produced in any order or in parallel.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ..fields import from_fields
 from ..table import Table
 from ..vocab import tokenize
 from .io import DatasetRecord
@@ -57,7 +56,6 @@ class CorpusSpec:
     null_rate: float = 0.2
     max_cell_tokens: int = 5
     seed: int = 0
-    columns: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -68,27 +66,11 @@ class CorpusSpec:
             # the non-row-major guarantee needs at least two rows
             self.rows_min = 2
             self.rows_max = max(self.rows_max, 2)
-        if not self.columns:
-            self.columns = list(_DEFAULT_COLUMNS[self.task])
-        else:
-            known = set(_DEFAULT_COLUMNS[self.task])
-            bad = [c for c in self.columns if c not in known]
-            if bad or len(set(self.columns)) != len(self.columns):
-                raise CorpusError(
-                    f"columns for {self.task} must be distinct members of {sorted(known)}, got {self.columns}"
-                )
         if self.rows_max > len(ITEMS) and self.task in ("lineitems", "dependent"):
             raise CorpusError(f"rows_max {self.rows_max} exceeds distinct item pool {len(ITEMS)}")
 
-    def to_json(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_json(cls, d: dict) -> "CorpusSpec":
-        return from_fields(cls, d)
-
-
-_DEFAULT_COLUMNS = {
+_COLUMNS = {  # each task's table columns, in order
     "keyvalue": ["name", "city", "age", "plan"],
     "lineitems": ["item", "qty", "price", "color"],
     "dependent": ["total", "item", "qty", "unit"],
@@ -116,7 +98,7 @@ def _with_noise(rng: np.random.Generator, sentences: list[str], rate: float) -> 
     return out
 
 
-def _gen_keyvalue(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, Table]:
+def _gen_keyvalue(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, list[dict]]:
     name = NAMES[int(rng.integers(len(NAMES)))]
     city = CITIES[int(rng.integers(len(CITIES)))]
     age = str(int(rng.integers(18, 90)))
@@ -125,16 +107,14 @@ def _gen_keyvalue(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, Tabl
     sentences = [f"the {k} is {v} ." for k, v in values.items() if v is not None]
     order = rng.permutation(len(sentences))
     sentences = [sentences[i] for i in order]
-    text = " ".join(_with_noise(rng, sentences, spec.noise_rate))
-    row = [_check_cell(spec, c, values.get(c)) for c in spec.columns]
-    return text, Table(list(spec.columns), [row])
+    return " ".join(_with_noise(rng, sentences, spec.noise_rate)), [values]
 
 
-def _gen_lineitems(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, Table]:
+def _gen_lineitems(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, list[dict]]:
     n = int(rng.integers(spec.rows_min, spec.rows_max + 1))
     items = list(rng.choice(len(ITEMS), size=n, replace=False))
     sentences: list[str] = []
-    rows: list[list[str | None]] = []
+    rows: list[dict] = []
     for idx in items:
         item = ITEMS[int(idx)]
         qty = str(int(rng.integers(1, 10)))
@@ -145,18 +125,16 @@ def _gen_lineitems(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, Tab
             sentences.append(f"the customer {verb} {qty} {item} for {price} dollars .")
         else:
             sentences.append(f"the customer {verb} {qty} {color} {item} for {price} dollars .")
-        cells = {"item": item, "qty": qty, "price": price, "color": color}
-        rows.append([_check_cell(spec, c, cells.get(c)) for c in spec.columns])
-    text = " ".join(_with_noise(rng, sentences, spec.noise_rate))
-    return text, Table(list(spec.columns), rows)
+        rows.append({"item": item, "qty": qty, "price": price, "color": color})
+    return " ".join(_with_noise(rng, sentences, spec.noise_rate)), rows
 
 
-def _gen_dependent(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, Table]:
+def _gen_dependent(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, list[dict]]:
     n = int(rng.integers(spec.rows_min, spec.rows_max + 1))
     items = list(rng.choice(len(ITEMS), size=n, replace=False))
     base: list[str] = []
     cues: list[str] = []
-    rows: list[list[str | None]] = []
+    rows: list[dict] = []
     for idx in items:
         item = ITEMS[int(idx)]
         qty = int(rng.integers(1, 10))
@@ -164,13 +142,11 @@ def _gen_dependent(spec: CorpusSpec, rng: np.random.Generator) -> tuple[str, Tab
         total = qty * unit
         base.append(f"they bought {qty} {item} at {unit} each .")
         cues.append(f"the {item} order came to {total} in total .")
-        cells = {"total": str(total), "item": item, "qty": str(qty), "unit": str(unit)}
-        rows.append([_check_cell(spec, c, cells.get(c)) for c in spec.columns])
+        rows.append({"total": str(total), "item": item, "qty": str(qty), "unit": str(unit)})
     # cue sentences follow every base sentence, in reversed row order: the
     # dependent column's evidence for row i comes after rows i+1.. are stated
     sentences = base + cues[::-1]
-    text = " ".join(_with_noise(rng, sentences, spec.noise_rate))
-    return text, Table(list(spec.columns), rows)
+    return " ".join(_with_noise(rng, sentences, spec.noise_rate)), rows
 
 
 _GENERATORS = {
@@ -182,8 +158,9 @@ _GENERATORS = {
 
 def generate(spec: CorpusSpec) -> Iterator[DatasetRecord]:
     """Yield n_examples records, deterministic in (seed, index)."""
-    gen = _GENERATORS[spec.task]
+    gen, columns = _GENERATORS[spec.task], _COLUMNS[spec.task]
     for idx in range(spec.n_examples):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, idx]))
-        text, table = gen(spec, rng)
+        text, rows = gen(spec, rng)
+        table = Table(list(columns), [[_check_cell(spec, c, cells[c]) for c in columns] for cells in rows])
         yield DatasetRecord(f"{spec.task}-{idx:06d}", text, table.validate())

@@ -20,12 +20,11 @@ pass over the whole layout per step.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
-from ..fields import from_fields
 from ..model import TableTemplate, TextToTableModel, collate_instances, instance_for_decoding
 from ..model.layout import Coord, encode_record, row_major_order
 from ..model.transformer import DecoderCache
@@ -81,13 +80,6 @@ class DecodingConfig:
             raise DecodingConfigError(f"stopping must be one of {STOPPING}")
         if self.max_rows_override is not None and self.max_rows_override < 1:
             raise DecodingConfigError("max_rows_override must be >= 1")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "DecodingConfig":
-        return from_fields(cls, d)
 
 
 @dataclass

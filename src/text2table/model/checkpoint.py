@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 
+from ..fields import from_fields
 from ..vocab import Vocabulary
 from .config import ModelConfig
 from .transformer import TextToTableModel
@@ -50,7 +52,7 @@ def save_checkpoint(
         opt_meta = {"step_count": optimizer.step_count}
     meta = {
         "format_version": FORMAT_VERSION,
-        "model_config": model.cfg.to_json(),
+        "model_config": asdict(model.cfg),
         "vocab": model.vocab.to_json(),
         "step": step,
         "run_config": run_config,
@@ -101,7 +103,7 @@ def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
         raise CheckpointError(f"{path}: manifest does not match stored arrays")
 
     try:
-        cfg = ModelConfig.from_json(meta["model_config"])
+        cfg = from_fields(ModelConfig, meta["model_config"])
         vocab = Vocabulary.from_json(meta["vocab"])
         model = TextToTableModel(cfg, vocab, seed=0)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:

@@ -77,16 +77,10 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def is_leaf(self) -> bool:
-        return self._vjp is None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -113,7 +107,7 @@ def make_result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 def backward(root: Tensor) -> None:
     """Populate ``grad`` on every reachable leaf that requires gradients.
 
-    Repeated calls (on fresh graphs) accumulate; call ``zero_grad`` between
+    Repeated calls (on fresh graphs) accumulate; clear ``grad`` between
     steps. The traversed tape is freed afterwards.
     """
     if root.data.size != 1:

@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..corpus import DatasetRecord
 from ..decoding import DecodingConfig, decode_table
-from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
 from ..model import LayoutError, TextToTableModel, collate_instances, save_checkpoint
 from ..model.layout import check_shape, row_major_order
@@ -61,13 +60,6 @@ class TrainingConfig:
             value = getattr(self, name)
             if not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be >= 0, got {value}")
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "TrainingConfig":
-        return from_fields(cls, d)
 
 
 class TrainingDiverged(RuntimeError):

@@ -5,18 +5,25 @@ every gold table exactly)."""
 from text2table.corpus import CorpusError, CorpusSpec
 from text2table.table import Table
 
+COLUMNS = {
+    "keyvalue": ["name", "city", "age", "plan"],
+    "lineitems": ["item", "qty", "price", "color"],
+    "dependent": ["total", "item", "qty", "unit"],
+}
+
 
 def oracle_extract(spec: CorpusSpec, text: str) -> Table:
     """Reconstruct the gold table from generated text via the templates."""
     sentences = [s.strip() for s in text.split(" . ") if s.strip()]
     sentences = [s[:-2] if s.endswith(" .") else s for s in sentences]
+    columns = COLUMNS.get(spec.task)
     if spec.task == "keyvalue":
-        values: dict[str, str | None] = {c: None for c in spec.columns}
+        values: dict[str, str | None] = {c: None for c in columns}
         for s in sentences:
             w = s.split()
             if len(w) >= 4 and w[0] == "the" and w[2] == "is" and w[1] in values:
                 values[w[1]] = " ".join(w[3:])
-        return Table(list(spec.columns), [[values[c] for c in spec.columns]])
+        return Table(list(columns), [[values[c] for c in columns]])
 
     if spec.task == "lineitems":
         rows = []
@@ -31,8 +38,8 @@ def oracle_extract(spec: CorpusSpec, text: str) -> Table:
                 color = pre[0] if len(pre) == 2 else None
                 item = pre[-1]
                 cells = {"item": item, "qty": qty, "price": price, "color": color}
-                rows.append([cells.get(c) for c in spec.columns])
-        return Table(list(spec.columns), rows)
+                rows.append([cells.get(c) for c in columns])
+        return Table(list(columns), rows)
 
     if spec.task == "dependent":
         rows = []
@@ -49,7 +56,7 @@ def oracle_extract(spec: CorpusSpec, text: str) -> Table:
         out = []
         for cells in rows:
             cells = dict(cells, total=totals.get(cells["item"]))
-            out.append([cells.get(c) for c in spec.columns])
-        return Table(list(spec.columns), out)
+            out.append([cells.get(c) for c in columns])
+        return Table(list(columns), out)
 
     raise CorpusError(f"no oracle for task {spec.task}")

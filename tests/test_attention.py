@@ -131,7 +131,7 @@ def test_attention_matches_op_chain(lengths, bias_kind, masked):
     backward(_scalarize(out))
     got = [t.grad.copy() for t in leaves]
     for t in leaves:
-        t.zero_grad()
+        t.grad = None
     want = _chain(q, k, v, q_len, k_len, bias, allow)
     backward(_scalarize(want))
     assert np.abs(out.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
@@ -147,7 +147,7 @@ def test_no_mask_equals_an_all_visible_mask(lengths):
     outs, grads = [], []
     for allow in (None, all_visible):
         for t in (q, k, v, bias):
-            t.zero_grad()
+            t.grad = None
         out = ops.attention(q, k, v, q_len, k_len, H, _fold(bias, allow), SCALE)
         backward(_scalarize(out))
         outs.append(out.data)

@@ -465,6 +465,15 @@ def test_gen_data_unknown_spec_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_gen_data_spec_naming_columns_exits_2(tmp_path, capsys):
+    # each task emits its fixed columns, so a spec names none
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"task": "lineitems", "n_examples": 2, "columns": ["item", "qty"]}))
+    assert main(["gen-data", str(spec), str(tmp_path / "out.jsonl")]) == 2
+    assert capsys.readouterr().err.strip() == "text2table gen-data: bad corpus spec: unknown CorpusSpec keys: columns"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def _grid_file(tmp_path, records, **keys):
     """A grid file over ``records`` with a tiny model, updated by ``keys``."""
     data = str(tmp_path / "data.jsonl")

@@ -15,6 +15,7 @@ from estimator import (
     pass_cell_nll,
 )
 from text2table.corpus import CorpusSpec, DatasetRecord, generate
+from text2table.fields import from_fields
 from text2table.model import LayoutError
 from text2table.model.layout import row_major_order
 from text2table.table import Table
@@ -429,12 +430,12 @@ def test_training_config_rejects_unknown_mode():
 
 
 def test_config_values_are_type_checked():
-    assert TrainingConfig.from_json({"lr": 1}).lr == 1  # an int fits a float field
-    assert TrainingConfig.from_json({"checkpoint_dir": None}).checkpoint_dir is None
+    assert from_fields(TrainingConfig, {"lr": 1}).lr == 1  # an int fits a float field
+    assert from_fields(TrainingConfig, {"checkpoint_dir": None}).checkpoint_dir is None
     for bad in ({"steps": True}, {"steps": 2.0}, {"lr": "a"}, {"checkpoint_dir": 3}):
         (key,) = bad
         with pytest.raises(TypeError, match=f"^{key} must be "):
-            TrainingConfig.from_json(bad)
+            from_fields(TrainingConfig, bad)
 
 
 def test_smoothed_loss_floor_on_single_cell_corpus(tiny_vocab):
