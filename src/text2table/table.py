@@ -34,9 +34,6 @@ class Table:
                 )
         return self
 
-    def copy(self) -> "Table":
-        return Table(list(self.headers), [list(r) for r in self.rows])
-
     def to_dict(self) -> dict:
         return {"headers": list(self.headers), "rows": [list(r) for r in self.rows]}
 

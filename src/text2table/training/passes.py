@@ -28,7 +28,7 @@ class TrainingExample:
     n_cols: int
     input_tokens_dropped: int = 0  # source token ids cut off at max_input_len
     header_tokens_dropped: int = 0  # header token ids the template cuts at max_cell_len
-    # the stage-free part of its training layouts, by template row count, each for the template it was last built under
+    # the stage-free parts of its training layouts by template row count, each for the template it was built under
     layouts: dict[int, PassLayout] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
