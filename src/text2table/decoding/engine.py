@@ -446,7 +446,17 @@ def decode_table(
     keep_trace: bool = False,
 ) -> DecodeResult:
     """Decode one table from raw text with the configured strategy; a record
-    the model cannot lay out is a ``LayoutError`` before the encoder runs."""
+    the model cannot lay out is a ``LayoutError`` before the encoder runs.
+
+    What one table leaves for the next is the model's decoder biases. The
+    model keeps the last template's self-attention bias and own-prefix bias
+    it built (:meth:`TextToTableModel.decoder_cache`). A table with the same
+    header set and at most as many rows reads views of them, as long as the
+    bias tables hold the same bytes; any other table builds its own, which
+    the model keeps instead. The encoder memory, its
+    cross-attention keys and values and the self-attention key and value
+    stores are the table's own, so the result does not depend on the tables
+    decoded before it."""
     vocab = model.vocab
     enc = encode_record(vocab, model.cfg, text, headers)
     with no_grad():

@@ -137,16 +137,19 @@ class DecoderCache:
     (inference only; valid while the parameters stay unchanged).
 
     ``bias`` is fixed for the template and ``own`` keeps it on each
-    position's own-cell prefix alone. :meth:`visible` folds a decode layout's
-    visibility in once per inner loop from its context (live stage-0
-    positions); a cached pass reads the bias rows of its query positions,
-    flattened into one example's packed block. ``keys`` and ``values`` hold
-    each layer's self-attention key and value rows at every template
-    position; a cached pass writes its query rows there before it attends,
-    and the folded -inf keeps every query from seeing a position not written
-    for its own context. A template with fewer rows is a prefix of this one
-    (:meth:`prefix`). The cross-attention keys and values of the source text
-    come from :meth:`TextToTableModel.memory_kv`.
+    position's own-cell prefix alone. Both are read-only: the model keeps
+    them from one table to the next and rebuilds them when the template or
+    the bias tables change (:meth:`TextToTableModel.decoder_cache`), while
+    the key and value stores belong to one table. :meth:`visible` folds a
+    decode layout's visibility in once per inner loop from its context (live
+    stage-0 positions); a cached pass reads the bias rows of its query
+    positions, flattened into one example's packed block. ``keys`` and
+    ``values`` hold each layer's self-attention key and value rows at every
+    template position; a cached pass writes its query rows there before it
+    attends, and the folded -inf keeps every query from seeing a position not
+    written for its own context. A template with fewer rows is a prefix of
+    this one (:meth:`prefix`). The cross-attention keys and values of the
+    source text come from :meth:`TextToTableModel.memory_kv`.
     """
 
     bias: np.ndarray  # [H, T, T] pair + bucket bias of the template, -inf where hidden
@@ -179,6 +182,21 @@ class DecoderCache:
         return DecoderCache(np.where(context, self.bias, self.own), self.own, self.keys, self.values)
 
 
+# the parameters the decoder self-attention bias is gathered from
+_BIAS_TABLES = ("tab_row", "tab_r0", "tab_col", "tab_loc", "dec_beta")
+
+
+def _leads(template: TableTemplate, kept: TableTemplate) -> bool:
+    """Whether ``template``'s bias indices are the leading block of
+    ``kept``'s, so its decoder biases are the leading block of ``kept``'s."""
+    n = template.length
+    return template is kept or (
+        n <= kept.length
+        and template.slot_len == kept.slot_len
+        and np.array_equal(template.bias_idx, kept.bias_idx[:, :n, :n])
+    )
+
+
 def _read_blocks(lens: np.ndarray, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-example counts of the ascending ``read`` rows of a training batch
     whose examples hold ``lens`` [B] rows, and the columns of the packed
@@ -202,6 +220,8 @@ class TextToTableModel:
         self.params = ParameterStore(self._init_params(np.random.default_rng(np.random.SeedSequence([seed, 0x7ab]))))
         self._template_cache: dict = {}
         self._bucket_cache: dict[int, np.ndarray] = {}
+        # (template, bytes of the bias tables, bias, own-prefix bias): see decoder_cache
+        self._decoder_bias_memo: tuple | None = None
 
     # ------------------------------------------------------------------
     # parameters
@@ -426,14 +446,30 @@ class TextToTableModel:
 
     def decoder_cache(self, template: TableTemplate) -> DecoderCache:
         """Cache for decoding ``template``: its attention bias and own-prefix
-        bias, built once, and empty self-attention key/value stores."""
-        cfg, shape = self.cfg, (template.length, self.cfg.d_model)
-        with no_grad():
-            bias = self._decoder_bias(template.bias_idx).data
-        # with every position open at stage 1, a position sees its own prefix alone
-        own = template.bias_idx[2] >= template.slot_len
-        keys, values = ([np.zeros(shape, dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)] for _ in "kv")
-        return DecoderCache(bias, np.where(own, bias, -np.inf), keys, values)
+        bias, and empty self-attention key/value stores.
+
+        The two biases are shared across tables. The model keeps the last
+        two it built, read-only, with the template they were built for and
+        the bytes of the five tables they were gathered from (``tab_row``,
+        ``tab_r0``, ``tab_col``, ``tab_loc``, ``dec_beta``). That template,
+        or one whose bias indices are its leading block (the same header set
+        with fewer rows, see :meth:`DecoderCache.prefix`), gets views of the
+        kept biases. Any other template, or any change to those bytes (a
+        training step, an in-place write), builds new ones, which replace
+        them. The key and value stores are new on every call.
+        """
+        cfg, n = self.cfg, template.length
+        stamp = b"".join(self.params[name].data.tobytes() for name in _BIAS_TABLES)
+        kept = self._decoder_bias_memo
+        if kept is None or kept[1] != stamp or not _leads(template, kept[0]):
+            with no_grad():
+                bias = self._decoder_bias(template.bias_idx).data
+            # with every position open at stage 1, a position sees its own prefix alone
+            own = np.where(template.bias_idx[2] >= template.slot_len, bias, -np.inf)
+            bias.flags.writeable = own.flags.writeable = False
+            kept = self._decoder_bias_memo = (template, stamp, bias, own)
+        keys, values = ([np.zeros((n, cfg.d_model), dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)] for _ in "kv")
+        return DecoderCache(kept[2][:, :n, :n], kept[3][:, :n, :n], keys, values)
 
     def logits_at(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
         """Select packed decoder rows and project to vocabulary logits; rows

@@ -7,8 +7,6 @@ and layer norm act over the last axis unless stated otherwise.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .tensor import ShapeMismatchError, Tensor, make_result
@@ -202,10 +200,10 @@ class _Segments:
     counts: each row of an example with m keys is a segment of width m. A
     row's max or sum is repeated over its segment."""
 
-    def __init__(self, n_heads: int, blocks: list):
+    def __init__(self, n_heads: int, spans: list):
         self.n_heads = n_heads
-        self.blocks = [b[2:5] for b in blocks]  # (block slice, n, m)
-        self.widths = np.repeat([b[4] for b in blocks], [b[3] for b in blocks])
+        self.blocks = [b[2:5] for b in spans]  # (block columns, n, m)
+        self.widths = np.repeat([b[4] for b in spans], [b[3] for b in spans])
         self.starts = np.add.accumulate(self.widths) - self.widths
 
     def max(self, x, floor):
@@ -256,59 +254,54 @@ def attention(
     [Nq, d]. A query that may see no key (a row of -inf bias) gets zero output
     and zero gradient.
 
-    Only the products (q k^T and p v, and the four of the vjp) and, with mixed
-    key counts, the row sums run example by example. Scale, bias, the softmax
-    and its vjp each run once over the buffer, and the bias gradient is the
-    buffer itself. When every example has one key count m, the buffer is
-    [H, Nq, m] (the same entries in the same order) and its rows are its last
-    axis (:class:`_LastAxis`); otherwise rows are segments (:class:`_Segments`).
+    The heads of q, k, v and the output (in the vjp, of the gradients too)
+    are views of their row arrays, taken once per call. Each example with
+    queries and keys keeps only its span: its query rows, key rows and block
+    columns. Only the products (q k^T and p v, and the four of the vjp) run
+    example by example, on the span's rows of those views and its [H, n, m]
+    block of the buffer. Scale, bias, the softmax and its vjp each run once
+    over the buffer, and the bias gradient is the buffer itself. When every
+    example has one key count m, the buffer is [H, Nq, m] (the same entries
+    in the same order) and a query row is its last axis (:class:`_LastAxis`);
+    otherwise rows are segments (:class:`_Segments`). So a one-example call,
+    as a decode pass makes, runs its two products and the softmax over a
+    single span, with no per-example array work besides.
     """
     qd, kd, vd = q.data, k.data, v.data
-    nq, d = qd.shape
+    (nq, d), nk = qd.shape, len(kd)
     dh = d // n_heads
-    q_len, k_len = np.asarray(q_len).tolist(), np.asarray(k_len).tolist()
+    q_len = q_len.tolist() if isinstance(q_len, np.ndarray) else q_len
+    k_len = k_len.tolist() if isinstance(k_len, np.ndarray) else k_len
+    spans = []  # (query rows, key rows, block columns, n, m) of each example with queries and keys
+    qo = ko = po = 0
+    for n, m in zip(q_len, k_len):
+        if n > 0 and m > 0:
+            spans.append((slice(qo, qo + n), slice(ko, ko + m), slice(po, po + n * m), n, m))
+        elif n < 0 or m < 0:
+            raise ShapeMismatchError("attention", q.shape, k.shape)
+        qo, ko, po = qo + n, ko + m, po + n * m
     if (
         d % n_heads
         or kd.shape != vd.shape
         or kd.shape[-1] != d
         or len(k_len) != len(q_len)
-        or sum(q_len) != nq
-        or sum(k_len) != kd.shape[0]
-        or min(q_len + k_len, default=0) < 0
+        or (qo, ko) != (nq, nk)
     ):
         raise ShapeMismatchError("attention", q.shape, k.shape)
-    packed = sum(map(operator.mul, q_len, k_len))
-    if bias is not None and bias.shape != (n_heads, packed):
-        raise ShapeMismatchError("attention", (n_heads, packed), bias.shape)
-    widths = set(k_len)
-    uniform = len(widths) == 1
-    shape = (n_heads, nq, widths.pop()) if uniform else (n_heads, packed)
-
-    def heads(x, rows):  # rows [n, d] -> [H, n, dh]
-        return x.reshape(rows, n_heads, dh).transpose(1, 0, 2)
-
-    def block(buf, bs, n, m):  # an example's [H, n, m] view of a buffer
-        return buf[:, bs] if uniform else buf[:, bs].reshape(n_heads, n, m)
-
-    # per example with queries and keys: (query slice, key slice, slice of its
-    # block along the buffer's axis 1, n, m, qh, kh, vh, its probabilities)
-    blocks = []
-    out = np.empty_like(qd)
+    if bias is not None and bias.shape != (n_heads, po):
+        raise ShapeMismatchError("attention", (n_heads, po), bias.shape)
+    uniform = len(set(k_len)) == 1
+    shape = (n_heads, nq, k_len[0]) if uniform else (n_heads, po)
+    qh = qd.reshape(nq, n_heads, dh).transpose(1, 0, 2)  # [H, Nq, dh]
+    kh = kd.reshape(nk, n_heads, dh).transpose(1, 0, 2)
+    vh = vd.reshape(nk, n_heads, dh).transpose(1, 0, 2)
+    out = np.zeros_like(qd) if 0 in k_len else np.empty_like(qd)  # a query with no key gives zeros
     p = np.empty(shape, dtype=qd.dtype)  # scores, turned into probabilities in place
-    qo = ko = po = 0
-    for n, m in zip(q_len, k_len):
-        qs, ks = slice(qo, qo + n), slice(ko, ko + m)
-        bs = qs if uniform else slice(po, po + n * m)
-        qo, ko, po = qo + n, ko + m, po + n * m
-        if not n or not m:
-            out[qs] = 0.0
-            continue
-        qh, kh, vh = heads(qd[qs], n), heads(kd[ks], m), heads(vd[ks], m)
-        pb = block(p, bs, n, m)
-        np.matmul(qh, kh.swapaxes(-1, -2), out=pb)
-        blocks.append((qs, ks, bs, n, m, qh, kh, vh, pb))
-    if blocks:
-        rows = _LastAxis if uniform else _Segments(n_heads, blocks)
+    blocks = p.reshape(n_heads, po)  # the same buffer, an example's block at its columns
+    for qs, ks, bs, n, m in spans:
+        np.matmul(qh[:, qs], kh[:, ks].swapaxes(-1, -2), out=blocks[:, bs].reshape(n_heads, n, m))
+    if spans:
+        rows = _LastAxis if uniform else _Segments(n_heads, spans)
         limits = _FLOAT_LIMITS.get(p.dtype) or np.finfo(p.dtype)
         p *= scale
         if bias is not None:
@@ -319,18 +312,23 @@ def attention(
         p -= rows.max(p, limits.min)
         np.exp(p, out=p)
         p /= rows.sum(p, limits.tiny)
-    for qs, ks, bs, n, m, qh, kh, vh, pb in blocks:
-        np.matmul(pb, vh, out=heads(out[qs], n))  # heads joined in place
+    oh = out.reshape(nq, n_heads, dh).transpose(1, 0, 2)  # heads joined in place
+    for qs, ks, bs, n, m in spans:
+        np.matmul(blocks[:, bs].reshape(n_heads, n, m), vh[:, ks], out=oh[:, qs])
 
     def vjp(g):
         gq, gk, gv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        gh, gqh, gkh, gvh = heads(g, nq), heads(gq, nq), heads(gk, len(kd)), heads(gv, len(kd))
+        gh = g.reshape(nq, n_heads, dh).transpose(1, 0, 2)
+        gqh = gq.reshape(nq, n_heads, dh).transpose(1, 0, 2)
+        gkh = gk.reshape(nk, n_heads, dh).transpose(1, 0, 2)
+        gvh = gv.reshape(nk, n_heads, dh).transpose(1, 0, 2)
         gs = np.empty_like(p)  # the gradient of p, then of the scores, in place
-        for qs, ks, bs, n, m, qh, kh, vh, pb in blocks:
+        gblocks = gs.reshape(n_heads, po)
+        for qs, ks, bs, n, m in spans:
             gctx = gh[:, qs]
-            np.matmul(gctx, vh.swapaxes(-1, -2), out=block(gs, bs, n, m))
-            np.matmul(pb.swapaxes(-1, -2), gctx, out=gvh[:, ks])
-        if blocks:
+            np.matmul(gctx, vh[:, ks].swapaxes(-1, -2), out=gblocks[:, bs].reshape(n_heads, n, m))
+            np.matmul(blocks[:, bs].reshape(n_heads, n, m).swapaxes(-1, -2), gctx, out=gvh[:, ks])
+        if spans:
             gs -= rows.sum(gs * p)
             gs *= p  # zero wherever p is
         gb = None if bias is None else gs.reshape(bias.shape)
@@ -338,10 +336,11 @@ def attention(
             gs *= scale
         else:
             gs = np.multiply(gs, scale, out=np.empty_like(gs))  # as gs *= scale would
-        for qs, ks, bs, n, m, qh, kh, vh, pb in blocks:
-            gsb = block(gs, bs, n, m)
-            np.matmul(gsb, kh, out=gqh[:, qs])
-            np.matmul(gsb.swapaxes(-1, -2), qh, out=gkh[:, ks])
+            gblocks = gs.reshape(n_heads, po)
+        for qs, ks, bs, n, m in spans:
+            gsb = gblocks[:, bs].reshape(n_heads, n, m)
+            np.matmul(gsb, kh[:, ks], out=gqh[:, qs])
+            np.matmul(gsb.swapaxes(-1, -2), qh[:, qs], out=gkh[:, ks])
         return gq, gk, gv, gb
 
     parents = (q, k, v) if bias is None else (q, k, v, bias)

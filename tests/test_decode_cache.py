@@ -7,6 +7,10 @@ logits of every token step, keyed by (cell, step): the cached path runs fewer
 passes, because its first pass also computes the context and checks each
 cell's draft (its candidate from the last inner loop), and it runs none for a
 step whose end-of-cell the grammar forces.
+
+The decoder biases a cache holds are kept by the model across tables; tests
+check that what it hands out equals a fresh build, that a weight change
+rebuilds it, and that a table decodes alike before and after others.
 """
 
 import numpy as np
@@ -24,6 +28,7 @@ from text2table.decoding import (
 )
 from text2table.model import ModelConfig, TextToTableModel, collate_instances, instance_for_decoding
 from text2table.numerics import Tensor, no_grad
+from text2table.training import Trainer, TrainingConfig, prepare_example
 from text2table.vocab import EOC, NULL
 from util import encode_one, structure, visibility, write_prefixes
 
@@ -99,6 +104,28 @@ def _random_model(vocab, float_width, seed):
     model.params["count.w"].data[...] = 0.0
     model.params["count.b"].data[...] = N_ROWS
     return model
+
+
+BIAS_TABLES = ("tab_row", "tab_r0", "tab_col", "tab_loc", "dec_beta")
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _decoded(model, text, headers, cfg):
+    """A decode's table and trace, scores as exact hex."""
+    res = decode_table(text, model, cfg, headers, keep_trace=True)
+    return res.table.to_dict(), [(t.iteration, t.cell, t.score.hex(), t.tokens, t.truncated) for t in res.trace]
+
+
+def _copy(model):
+    """A fresh model holding ``model``'s weights, with nothing kept."""
+    fresh = TextToTableModel(model.cfg, model.vocab)
+    for name, t in fresh.params.items():
+        t.data[...] = model.params[name].data
+    return fresh
 
 
 def _hidden_rows(batch, kw):
@@ -361,15 +388,29 @@ def test_step_layout_equals_per_step_rebuild(tiny_vocab, monkeypatch, constraint
     assert check.checked == res.decoder_passes > 0
 
 
-def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab):
-    model = _random_model(tiny_vocab, 64, seed=2)
+@pytest.mark.parametrize("float_width", [64, 32])
+def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab, float_width):
+    model = _random_model(tiny_vocab, float_width, seed=2)
     header_ids = [tiny_vocab.encode(h) for h in HEADERS]
-    largest = model.decoder_cache(model.template_for(header_ids, model.cfg.max_rows))
-    for r in range(model.cfg.max_rows + 1):
-        tpl = model.template_for(header_ids, r)
-        own, view = model.decoder_cache(tpl), largest.prefix(tpl.length)
-        assert np.array_equal(view.bias, own.bias) and np.array_equal(view.own, own.own)
-        assert [k.shape for k in view.keys + view.values] == [k.shape for k in own.keys + own.values]
+    templates = [model.template_for(header_ids, r) for r in range(model.cfg.max_rows + 1)]
+    largest = model.decoder_cache(templates[-1])
+    # largest first, so the model serves every smaller template from the biases
+    # it keeps; then a model with nothing kept, smallest first, so each larger
+    # template builds its own
+    for served, model in ((True, model), (False, _random_model(tiny_vocab, float_width, seed=2))):
+        for tpl in templates:
+            cache, view = model.decoder_cache(tpl), largest.prefix(tpl.length)
+            with no_grad():
+                bias = model._decoder_bias(tpl.bias_idx).data
+            own = np.where(tpl.bias_idx[2] >= tpl.slot_len, bias, -np.inf)
+            for c in (cache, view):
+                assert _same_bits(c.bias, bias) and _same_bits(c.own, own)
+                assert [k.shape for k in c.keys + c.values] == [(tpl.length, model.cfg.d_model)] * 4
+                for kept in (c.bias, c.own):
+                    with pytest.raises(ValueError):  # read-only
+                        kept[0, 0, 0] = 0.0
+            assert np.shares_memory(cache.bias, largest.bias) == served
+    assert np.shares_memory(model.decoder_cache(templates[2]).bias, cache.bias)
     with pytest.raises(ValueError):
         largest.prefix(len(largest.keys[0]) + 1)
 
@@ -587,3 +628,50 @@ def test_stale_cache_entries_are_never_read(tiny_vocab, monkeypatch, constraint,
     monkeypatch.setattr(engine, "ModelCellSource", poison)
     assert run() == clean
     assert poison.poisoned > 0
+
+
+@pytest.fixture(scope="module")
+def training_examples(lineitems_records, tiny_vocab):
+    cfg = _random_model(tiny_vocab, 64, seed=0).cfg
+    return [prepare_example(r, tiny_vocab, cfg) for r in lineitems_records[:8]]
+
+
+@pytest.mark.parametrize("change", [*BIAS_TABLES, "training step"])
+def test_a_weight_change_rebuilds_the_kept_decoder_bias(tiny_vocab, training_examples, change):
+    model = _random_model(tiny_vocab, 64, seed=5)
+    cfg = DecodingConfig(k=2)
+    before = _decoded(model, TEXT, HEADERS, cfg)  # keeps the biases of this model's template
+    tables = [model.params[name].data.copy() for name in BIAS_TABLES]
+    if change == "training step":
+        Trainer(model, training_examples, TrainingConfig(seed=3, batch_size=4)).training_step(1)
+    else:
+        t = model.params[change].data
+        t += np.random.default_rng(1).normal(scale=0.5, size=t.shape)  # in place: the same array
+    changed = [name for name, old in zip(BIAS_TABLES, tables) if not np.array_equal(model.params[name].data, old)]
+    assert changed == (list(BIAS_TABLES) if change == "training step" else [change])
+    after = _decoded(model, TEXT, HEADERS, cfg)
+    assert after == _decoded(_copy(model), TEXT, HEADERS, cfg)
+    # the change moves the decode, so biases kept from before it would show
+    assert after != before
+
+
+OTHER_TEXT = "the customer ordered 2 cups for 9 dollars ."
+OTHER_HEADERS = ["item", "qty"]
+
+
+@pytest.mark.parametrize("stopping", STOPPING)
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_table_decodes_alike_before_and_after_other_tables(tiny_vocab, monkeypatch, stopping, k):
+    model = _random_model(tiny_vocab, 64, seed=9)
+    cfg = DecodingConfig(k=k, stopping=stopping)
+    # A, then B with A's headers, C with other headers, and A again
+    tables = [(TEXT, HEADERS), (OTHER_TEXT, HEADERS), (OTHER_TEXT, OTHER_HEADERS), (TEXT, HEADERS)]
+    alone = [_decoded(_random_model(tiny_vocab, 64, seed=9), text, headers, cfg) for text, headers in tables]
+    caches, decoder_cache = [], model.decoder_cache
+    monkeypatch.setattr(model, "decoder_cache", lambda tpl: caches.append(decoder_cache(tpl)) or caches[-1])
+    assert [_decoded(model, text, headers, cfg) for text, headers in tables] == alone
+    assert alone[0] == alone[3] and alone[1] != alone[0] and alone[2] != alone[0]
+    a, b, c, again = (cache.bias for cache in caches)
+    # B is served A's biases; C misses, and so does A after it, which builds them anew
+    assert np.shares_memory(a, b) and not np.shares_memory(a, c) and not np.shares_memory(c, again)
+    assert not np.shares_memory(a, again) and _same_bits(a, again)

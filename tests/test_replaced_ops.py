@@ -299,6 +299,9 @@ LOOP_CASES = {
     "one key count, no bias": ([3, 0, 2], [5, 5, 5], False),
     "decode self R x T": ([12], [79], True),
     "decode cross R x S": ([12], [40], False),
+    # the test hides the last row of the last example, here the call's only row: no query sees a key
+    "decode self, one row that sees no key": ([1], [79], True),
+    "a query-less example beside a decode pass": ([0, 4], [79, 79], True),
 }
 
 
