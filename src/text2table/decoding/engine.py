@@ -250,6 +250,18 @@ class ModelCellSource:
     keys and values; it may be built for a template with more rows (see
     :meth:`DecoderCache.prefix`). ``passes`` counts decoder calls and
     ``forced`` the end-of-cell marks committed without one.
+
+    A pass is many small numpy calls, so what does not change from pass to
+    pass is built outside it. Once per source (one per template of a
+    table): the cache prefix and its key and value Tensors
+    (:meth:`DecoderCache.store`). Once per inner loop: the layout, the
+    visible cache with its own key and value Tensors, the draft arrays, and
+    the first pass's rows and read rows (its open rows, after the context).
+    Per pass, only what follows from its rows: the query batch of their
+    input ids, the bias rows of its queries (in
+    :meth:`TextToTableModel.decoder_hidden`), one index over its rows, and
+    its picks. A later pass runs no context row and reads every row it runs,
+    so it passes no ``read``.
     """
 
     def __init__(self, model: TextToTableModel, memory_kv, mem_len, template: TableTemplate, cache: DecoderCache):
@@ -283,27 +295,29 @@ class ModelCellSource:
             rows = starts[at] + ts
             inst.input_ids[rows] = slots[at, ts]
             rows = np.concatenate([np.flatnonzero(context), rows])
+            read = np.arange(len(rows) - at.size, len(rows))  # the first pass reads its open rows, after the context
             while at.size:
                 self.passes += 1
                 batch = collate_instances([inst], rows)
-                read = np.arange(len(rows) - at.size, len(rows))  # the open rows, after any context
                 hidden = model.decoder_hidden(self.memory_kv, self.mem_len, batch, cache=cache, read=read)
-                logits = model.logits_at(hidden, np.arange(at.size)).data
+                idx = np.arange(at.size)  # this pass's rows of hidden and logits
+                logits = model.logits_at(hidden, idx).data
                 if not np.isfinite(logits).all():  # a NaN row's log-probabilities are NaN, which names its cell
                     logits[~np.isfinite(logits).all(axis=-1)] = np.nan
                 lp = _masked_log_softmax(logits, legal)
                 picks = lp.argmax(axis=-1)
                 tokens[at, ts] = picks
-                logprobs[at, ts] = lp[np.arange(at.size), picks]
+                logprobs[at, ts] = lp[idx, picks]
                 if at.size > heads.size:  # drafts: a cell goes up to its first row whose pick leaves its draft
-                    end = np.minimum.reduceat(np.where(picks == expect, at.size, np.arange(at.size)), heads)
-                    past = np.arange(at.size) > end[at]  # rows that read a stale draft token
+                    end = np.minimum.reduceat(np.where(picks == expect, at.size, idx), heads)
+                    past = idx > end[at]  # rows that read a stale draft token
                     tokens[at[past], ts[past]], logprobs[at[past], ts[past]] = EOC, 0.0
                     at, ts, picks = at[end], ts[end], picks[end]
                 grows = grammar.grows[ts, picks]
                 at, ts = at[grows], ts[grows] + 1
                 rows = starts[at] + ts
                 inst.input_ids[rows] = picks[grows]
+                read = None  # a later pass runs no context row, so it reads every row it runs
                 legal = grammar.table[grammar.MID]  # a live cell is never at slot position 0 or close-only
         if np.isnan(logprobs).any():
             raise NonFiniteLogitsError([c for c, bad in zip(cells, np.isnan(logprobs).any(axis=-1)) if bad])

@@ -157,11 +157,22 @@ class DecoderCache:
     keys: list[np.ndarray]  # per layer [T, d]
     values: list[np.ndarray]
 
+    def __post_init__(self):
+        # per layer, the key and value Tensors that every pass attends over: they wrap the stores themselves
+        self._kv = [(Tensor(k), Tensor(v)) for k, v in zip(self.keys, self.values)]
+
     def store(self, layer: int, rows: np.ndarray, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Write the query rows' keys and values; return the whole layer's."""
+        """Write the query rows' keys and values; return the whole layer's.
+
+        A pass writes its rows into the layer's stores in place and gets back
+        the same two Tensors on every pass: they are made once per cache
+        (each :meth:`prefix` and :meth:`visible` cache makes its own) and wrap
+        the stores, so they hold every row written so far. Inference only: no
+        gradient flows into them.
+        """
         self.keys[layer][rows] = k.data
         self.values[layer][rows] = v.data
-        return Tensor(self.keys[layer]), Tensor(self.values[layer])
+        return self._kv[layer]
 
     def prefix(self, length: int) -> "DecoderCache":
         """View of the first ``length`` template positions: the cache of a

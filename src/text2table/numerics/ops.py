@@ -26,12 +26,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape:
+    a, b = a.data.shape, b.data.shape
+    if a == b:
         return
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        np.broadcast_shapes(a, b)
     except ValueError:
-        raise ShapeMismatchError(op, a.shape, b.shape) from None
+        raise ShapeMismatchError(op, a, b) from None
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -130,7 +131,7 @@ def take_cols(a: Tensor, idx: np.ndarray) -> Tensor:
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Lookup rows of `table` (vocab, d) by an integer id array of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+    if ids.size and (ids.min() < 0 or ids.max() >= len(table.data)):
         raise ShapeMismatchError("embedding", table.shape, ids.shape)
     flat = ids.reshape(-1)
 
@@ -144,13 +145,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatchError("layer_norm", x.shape, gain.shape)
+    xd = x.data
+    d = xd.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeMismatchError("layer_norm", xd.shape, gain.data.shape)
     # add.reduce over the axis, then one division: what ndarray.mean computes, bit for bit
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu = np.add.reduce(xd, axis=-1, keepdims=True)
     mu /= d
-    xhat = x.data - mu  # centred here, normalized below
+    xhat = xd - mu  # centred here, normalized below
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
     var /= d
     var += eps
@@ -229,6 +231,34 @@ class _Segments:
 _FLOAT_LIMITS = {np.dtype(t): np.finfo(t) for t in (np.float32, np.float64)}
 
 
+def _softmax(p: np.ndarray, rows, scale: float, bias: np.ndarray | None) -> None:
+    """Turn scores into probabilities in place: p = softmax(scale * p + bias)
+    over each query row (``rows``: :class:`_LastAxis` or :class:`_Segments`),
+    ``bias`` shaped as p or None."""
+    limits = _FLOAT_LIMITS.get(p.dtype) or np.finfo(p.dtype)
+    p *= scale
+    if bias is not None:
+        p += bias
+    # The floors change nothing on a row that sees a key: its max is finite
+    # and its sum at least exp(0) = 1. On a row of -inf they keep exp at
+    # zeros and the division finite, so the row's output is zero, not NaN.
+    p -= rows.max(p, limits.min)
+    np.exp(p, out=p)
+    p /= rows.sum(p, limits.tiny)
+
+
+def _softmax_vjp(gs: np.ndarray, p: np.ndarray, rows, scale: float, bias: Tensor | None):
+    """The vjp of :func:`_softmax` from gs, the gradient of its probabilities
+    p, which it overwrites: the gradient of the bias (None without one) and
+    that of the scores before scaling."""
+    gs -= rows.sum(gs * p)
+    gs *= p  # zero wherever p is
+    if bias is None:
+        gs *= scale
+        return None, gs
+    return gs.reshape(bias.data.shape), np.multiply(gs, scale, out=np.empty_like(gs))  # as gs *= scale would
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -255,31 +285,47 @@ def attention(
     and zero gradient.
 
     The heads of q, k, v and the output (in the vjp, of the gradients too)
-    are views of their row arrays, taken once per call. Each example with
-    queries and keys keeps only its span: its query rows, key rows and block
-    columns. Only the products (q k^T and p v, and the four of the vjp) run
-    example by example, on the span's rows of those views and its [H, n, m]
-    block of the buffer. Scale, bias, the softmax and its vjp each run once
-    over the buffer, and the bias gradient is the buffer itself. When every
-    example has one key count m, the buffer is [H, Nq, m] (the same entries
-    in the same order) and a query row is its last axis (:class:`_LastAxis`);
-    otherwise rows are segments (:class:`_Segments`). So a one-example call,
-    as a decode pass makes, runs its two products and the softmax over a
-    single span, with no per-example array work besides.
+    are views of their row arrays, taken once per call. The call's example
+    count picks one of two layouts of the work, which run the same ufuncs in
+    the same order on the same values, so their results are equal bit for bit:
+
+    - One example with queries and keys (every decode pass, a single-table
+      encode) is one span: each product takes the whole head views, q k^T
+      allocates the [H, n, m] scores, and p v writes the output heads in
+      place, with no span list, packed buffer or per-span slices.
+    - Any other call (a training batch, one example with no query or no key)
+      is packed. Each example with queries and keys keeps only its span: its
+      query rows, key rows and block columns. Only the products (q k^T and
+      p v, and the four of the vjp) run example by example, on the span's rows
+      of the head views and its [H, n, m] block of the buffer. When every
+      example has one key count m, the buffer is [H, Nq, m] (the same entries
+      in the same order) and a query row is its last axis
+      (:class:`_LastAxis`); otherwise rows are segments (:class:`_Segments`).
+
+    The choice is by example count because what the packed layout adds is
+    bookkeeping per example, a fixed cost that a decode pass, four calls on a
+    few rows each, pays in full and a 16-example training call spreads thin.
+    Both layouts run scale, bias and the softmax once over all their scores
+    (:func:`_softmax`) and its vjp once (:func:`_softmax_vjp`), and the bias
+    gradient is the score gradient itself.
     """
     qd, kd, vd = q.data, k.data, v.data
     (nq, d), nk = qd.shape, len(kd)
     dh = d // n_heads
     q_len = q_len.tolist() if isinstance(q_len, np.ndarray) else q_len
     k_len = k_len.tolist() if isinstance(k_len, np.ndarray) else k_len
-    spans = []  # (query rows, key rows, block columns, n, m) of each example with queries and keys
-    qo = ko = po = 0
-    for n, m in zip(q_len, k_len):
-        if n > 0 and m > 0:
-            spans.append((slice(qo, qo + n), slice(ko, ko + m), slice(po, po + n * m), n, m))
-        elif n < 0 or m < 0:
-            raise ShapeMismatchError("attention", q.shape, k.shape)
-        qo, ko, po = qo + n, ko + m, po + n * m
+    if len(q_len) == len(k_len) == 1 and q_len[0] > 0 and k_len[0] > 0:
+        spans, qo, ko = None, q_len[0], k_len[0]  # one example: its span is the whole call
+        po = qo * ko
+    else:
+        spans = []  # (query rows, key rows, block columns, n, m) of each example with queries and keys
+        qo = ko = po = 0
+        for n, m in zip(q_len, k_len):
+            if n > 0 and m > 0:
+                spans.append((slice(qo, qo + n), slice(ko, ko + m), slice(po, po + n * m), n, m))
+            elif n < 0 or m < 0:
+                raise ShapeMismatchError("attention", q.shape, k.shape)
+            qo, ko, po = qo + n, ko + m, po + n * m
     if (
         d % n_heads
         or kd.shape != vd.shape
@@ -288,13 +334,33 @@ def attention(
         or (qo, ko) != (nq, nk)
     ):
         raise ShapeMismatchError("attention", q.shape, k.shape)
-    if bias is not None and bias.shape != (n_heads, po):
+    if bias is not None and bias.data.shape != (n_heads, po):
         raise ShapeMismatchError("attention", (n_heads, po), bias.shape)
-    uniform = len(set(k_len)) == 1
-    shape = (n_heads, nq, k_len[0]) if uniform else (n_heads, po)
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
     qh = qd.reshape(nq, n_heads, dh).transpose(1, 0, 2)  # [H, Nq, dh]
     kh = kd.reshape(nk, n_heads, dh).transpose(1, 0, 2)
     vh = vd.reshape(nk, n_heads, dh).transpose(1, 0, 2)
+
+    if spans is None:
+        p = np.matmul(qh, kh.swapaxes(-1, -2))  # [H, n, m] scores, turned into probabilities in place
+        _softmax(p, _LastAxis, scale, None if bias is None else bias.data.reshape(p.shape))
+        out = np.empty_like(qd)
+        np.matmul(p, vh, out=out.reshape(nq, n_heads, dh).transpose(1, 0, 2))
+
+        def vjp_one(g):
+            gq, gk, gv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+            gh = g.reshape(nq, n_heads, dh).transpose(1, 0, 2)
+            gs = np.matmul(gh, vh.swapaxes(-1, -2))
+            np.matmul(p.swapaxes(-1, -2), gh, out=gv.reshape(nk, n_heads, dh).transpose(1, 0, 2))
+            gb, gs = _softmax_vjp(gs, p, _LastAxis, scale, bias)
+            np.matmul(gs, kh, out=gq.reshape(nq, n_heads, dh).transpose(1, 0, 2))
+            np.matmul(gs.swapaxes(-1, -2), qh, out=gk.reshape(nk, n_heads, dh).transpose(1, 0, 2))
+            return gq, gk, gv, gb
+
+        return make_result(out, parents, vjp_one)
+
+    uniform = len(set(k_len)) == 1
+    shape = (n_heads, nq, k_len[0]) if uniform else (n_heads, po)
     out = np.zeros_like(qd) if 0 in k_len else np.empty_like(qd)  # a query with no key gives zeros
     p = np.empty(shape, dtype=qd.dtype)  # scores, turned into probabilities in place
     blocks = p.reshape(n_heads, po)  # the same buffer, an example's block at its columns
@@ -302,22 +368,15 @@ def attention(
         np.matmul(qh[:, qs], kh[:, ks].swapaxes(-1, -2), out=blocks[:, bs].reshape(n_heads, n, m))
     if spans:
         rows = _LastAxis if uniform else _Segments(n_heads, spans)
-        limits = _FLOAT_LIMITS.get(p.dtype) or np.finfo(p.dtype)
-        p *= scale
-        if bias is not None:
-            p += bias.data.reshape(shape)
-        # The floors change nothing on a row that sees a key: its max is finite
-        # and its sum at least exp(0) = 1. On a row of -inf they keep exp at
-        # zeros and the division finite, so the row's output is zero, not NaN.
-        p -= rows.max(p, limits.min)
-        np.exp(p, out=p)
-        p /= rows.sum(p, limits.tiny)
+        _softmax(p, rows, scale, None if bias is None else bias.data.reshape(shape))
     oh = out.reshape(nq, n_heads, dh).transpose(1, 0, 2)  # heads joined in place
     for qs, ks, bs, n, m in spans:
         np.matmul(blocks[:, bs].reshape(n_heads, n, m), vh[:, ks], out=oh[:, qs])
 
     def vjp(g):
         gq, gk, gv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        if not spans:  # nothing was scored
+            return gq, gk, gv, None if bias is None else np.zeros_like(bias.data)
         gh = g.reshape(nq, n_heads, dh).transpose(1, 0, 2)
         gqh = gq.reshape(nq, n_heads, dh).transpose(1, 0, 2)
         gkh = gk.reshape(nk, n_heads, dh).transpose(1, 0, 2)
@@ -328,22 +387,14 @@ def attention(
             gctx = gh[:, qs]
             np.matmul(gctx, vh[:, ks].swapaxes(-1, -2), out=gblocks[:, bs].reshape(n_heads, n, m))
             np.matmul(blocks[:, bs].reshape(n_heads, n, m).swapaxes(-1, -2), gctx, out=gvh[:, ks])
-        if spans:
-            gs -= rows.sum(gs * p)
-            gs *= p  # zero wherever p is
-        gb = None if bias is None else gs.reshape(bias.shape)
-        if bias is None:
-            gs *= scale
-        else:
-            gs = np.multiply(gs, scale, out=np.empty_like(gs))  # as gs *= scale would
-            gblocks = gs.reshape(n_heads, po)
+        gb, gs = _softmax_vjp(gs, p, rows, scale, bias)
+        gblocks = gs.reshape(n_heads, po)
         for qs, ks, bs, n, m in spans:
             gsb = gblocks[:, bs].reshape(n_heads, n, m)
             np.matmul(gsb, kh[:, ks], out=gqh[:, qs])
             np.matmul(gsb.swapaxes(-1, -2), qh[:, qs], out=gkh[:, ks])
         return gq, gk, gv, gb
 
-    parents = (q, k, v) if bias is None else (q, k, v, bias)
     return make_result(out, parents, vjp)
 
 

@@ -7,6 +7,8 @@
   hidden pair, where it took a separate ``allow`` mask.
 - ``attention`` runs scale, bias, softmax and the softmax vjp once over one
   packed score buffer, where it ran them example by example.
+- A one-example ``attention`` call with queries and keys scores on whole head
+  views, where it went through the packed buffer's per-example bookkeeping.
 
 The replaced formulas are kept here as references. Each case runs in float32
 and float64 and compares the forward result and the vjp, bit for bit.
@@ -302,6 +304,11 @@ LOOP_CASES = {
     # the test hides the last row of the last example, here the call's only row: no query sees a key
     "decode self, one row that sees no key": ([1], [79], True),
     "a query-less example beside a decode pass": ([0, 4], [79, 79], True),
+    # one-example calls as the decode workloads make them
+    "single-table encode": ([28], [28], True),
+    "first pass's read rows": ([28], [79], True),
+    "later pass on the 5-row template": ([4], [129], True),
+    "one example with no queries": ([0], [79], False),  # stays on the packed layout
 }
 
 
