@@ -11,7 +11,7 @@ count or the semi-templated variant that grows the template row by row until
 an all-NULL sentinel row appears.
 
 The neural inner loop (:class:`ModelCellSource`) decodes all eligible cells
-in parallel against a decoder cache built once per table: its first pass
+in parallel against a decoder cache built once per template: its first pass
 checks every cell's draft, the candidate the cell gave in the last inner
 loop, and each later pass moves every cell that left its draft on by one
 token step. Its docstring says why that gives the same candidates as a full
@@ -26,8 +26,7 @@ from typing import Protocol
 import numpy as np
 
 from ..model import TableTemplate, TextToTableModel, collate_instances, instance_for_decoding
-from ..model.layout import Coord, encode_record, row_major_order
-from ..model.transformer import DecoderCache
+from ..model.layout import Coord, check_shape, encode_record, row_major_order
 from ..numerics import no_grad
 from ..table import Table
 from ..vocab import BOS, EOC, NULL, Vocabulary
@@ -192,7 +191,7 @@ def outer_criterion(scores: dict[Coord, float], cfg: DecodingConfig) -> list[Coo
 
 class ModelCellSource:
     """Greedy per-cell decoding with grammar-masked logits, all open cells in
-    parallel, over a decoder cache shared by every template of one table.
+    parallel, over the decoder cache of one template of one table.
 
     Each :meth:`candidates` call is one inner loop. A cell's draft is the
     candidate it gave in the source's last inner loop (the first has none):
@@ -246,17 +245,17 @@ class ModelCellSource:
 
     ``memory_kv`` holds the source text's cross-attention keys and values per
     layer (:meth:`TextToTableModel.memory_kv`), built once per table.
-    ``cache`` holds the template's pair and bucket bias and its self-attention
-    keys and values; it may be built for a template with more rows (see
-    :meth:`DecoderCache.prefix`). ``passes`` counts decoder calls and
-    ``forced`` the end-of-cell marks committed without one.
+    ``passes`` counts decoder calls and ``forced`` the end-of-cell marks
+    committed without one.
 
     A pass is many small numpy calls, so what does not change from pass to
-    pass is built outside it. Once per source (one per template of a
-    table): the cache prefix and its key and value Tensors
-    (:meth:`DecoderCache.store`). Once per inner loop: the layout, the
-    visible cache with its own key and value Tensors, the draft arrays, and
-    the first pass's rows and read rows (its open rows, after the context).
+    pass is built outside it. Once per source (one per template of a table):
+    the template's decoder cache (:meth:`TextToTableModel.decoder_cache`),
+    whose bias the model gathers once per template and keeps across tables,
+    and whose key and value stores are the source's own. Once per inner
+    loop: the layout, the visible cache with its own key and value Tensors,
+    the draft arrays, and the first pass's rows and read rows (its open rows,
+    after the context).
     Per pass, only what follows from its rows: the query batch of their
     input ids, the bias rows of its queries (in
     :meth:`TextToTableModel.decoder_hidden`), one index over its rows, and
@@ -264,12 +263,12 @@ class ModelCellSource:
     so it passes no ``read``.
     """
 
-    def __init__(self, model: TextToTableModel, memory_kv, mem_len, template: TableTemplate, cache: DecoderCache):
+    def __init__(self, model: TextToTableModel, memory_kv, mem_len, template: TableTemplate):
         self.model = model
         self.memory_kv = memory_kv
         self.mem_len = mem_len
         self.template = template
-        self.cache = cache.prefix(template.length)
+        self.cache = model.decoder_cache(template)
         self.passes = 0
         self.forced = 0
         self.drafts: dict[Coord, list[int]] = {}  # per cell: its first-pass row inputs (BOS, draft), -1 past them
@@ -462,21 +461,20 @@ def decode_table(
     """Decode one table from raw text with the configured strategy; a record
     the model cannot lay out is a ``LayoutError`` before the encoder runs.
 
-    What one table leaves for the next is the model's decoder biases. The
-    model keeps the last template's self-attention bias and own-prefix bias
-    it built (:meth:`TextToTableModel.decoder_cache`). A table with the same
-    header set and at most as many rows reads views of them, as long as the
-    bias tables hold the same bytes; any other table builds its own, which
-    the model keeps instead. The encoder memory, its
+    What one table leaves for the next is the model's decoder biases, one per
+    template, kept while the bias tables hold the same bytes
+    (:meth:`TextToTableModel.decoder_cache`). The encoder memory, its
     cross-attention keys and values and the self-attention key and value
     stores are the table's own, so the result does not depend on the tables
-    decoded before it."""
+    decoded before it. Semi-templated stopping never reads the row-count
+    head, so it does not run it and ``predicted_count`` is ``None``."""
     vocab = model.vocab
     enc = encode_record(vocab, model.cfg, text, headers)
+    semi = cfg.stopping == "semi-templated"
     with no_grad():
         mem_len = [len(enc.source_ids)]
         memory = model.encode(enc.source_ids, mem_len)
-        count = float(model.count_pred(memory, mem_len).data[0])
+        count = None if semi else float(model.count_pred(memory, mem_len).data[0])
         memory_kv = model.memory_kv(memory)
     max_rows = model.cfg.max_rows if cfg.max_rows_override is None else cfg.max_rows_override
     trace: list[TraceEntry] | None = [] if keep_trace else None
@@ -485,23 +483,21 @@ def decode_table(
     # its template holds the headers alone and the outer loop ends at once.
     # Semi-templated stopping grows the template one row per block until the
     # sentinel row; when a block starts, every earlier row is committed, so
-    # its undecoded cells are exactly the new row. Each template is a prefix
-    # of the largest one, so one cache, built for the last block's template,
-    # serves every block.
-    semi = cfg.stopping == "semi-templated"
+    # its undecoded cells are exactly the new row. The last block's shape is
+    # checked before any cell is decoded.
     if semi:
         blocks = range(1, max_rows + 1)
     elif not np.isfinite(count):
         raise NonFiniteCountError(count)
     else:
         blocks = [rows_from_count(count, max_rows)]
-    cache = model.decoder_cache(model.template_for(enc.header_ids, blocks[-1]))
+    check_shape(model.cfg, blocks[-1], len(headers))
     state = DecodingState(0, len(headers))
     iters = passes = forced = 0
     hit_cap = semi or count + 0.5 >= max_rows + 1  # predicted-count: the rounded count exceeds the cap
     for n_rows in blocks:
         state.n_rows = n_rows
-        source = ModelCellSource(model, memory_kv, mem_len, model.template_for(enc.header_ids, n_rows), cache)
+        source = ModelCellSource(model, memory_kv, mem_len, model.template_for(enc.header_ids, n_rows))
         iters += run_outer_loop(source, state, cfg, trace=trace, iteration_offset=iters)
         passes += source.passes
         forced += source.forced

@@ -27,10 +27,16 @@ class ModelConfig:
     float_width: int = 32
 
     def __post_init__(self):
-        sizes = ("d_model", "n_heads", "d_ff", "max_rows", "max_cols", "relative_buckets", "max_input_len")
+        sizes = ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "d_ff", "max_rows", "max_cols",
+                 "max_input_len")
         bad = [name for name in sizes if getattr(self, name) < 1]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be positive")
+        if self.relative_buckets < 4:
+            raise ValueError(f"relative_buckets must be >= 4, got {self.relative_buckets}")
+        exact = self.relative_buckets // 4  # offsets relative_bucket keeps exact; it log-spaces the rest up to the max
+        if self.relative_max_distance <= exact:
+            raise ValueError(f"relative_max_distance must exceed {exact}, got {self.relative_max_distance}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_cell_len < 2:

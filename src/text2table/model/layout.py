@@ -117,13 +117,15 @@ def sequence_bucket_matrix(length: int, cfg: ModelConfig) -> np.ndarray:
     return relative_bucket(rel, cfg.relative_buckets, cfg.relative_max_distance)
 
 
-@dataclass
+@dataclass(eq=False)
 class TableTemplate:
     """Static part of a decoder layout for one (headers, n_rows) shape, with
     the cell maps every layout on it shares: ``cells``, the table's cells in
     row-major order, and ``cell``, the index into ``cells`` of each position's
     cell, ``C = len(cells)`` at headers and row markers. A stage map over the
-    cells reaches the positions through them (:func:`stage_at`)."""
+    cells reaches the positions through them (:func:`stage_at`). Templates
+    compare and hash by identity: the model makes one per shape
+    (:meth:`~text2table.model.TextToTableModel.template_for`)."""
 
     n_rows: int
     n_cols: int
@@ -139,6 +141,8 @@ class TableTemplate:
     # [4, T, T] index maps, stacked: into the R table (-1 -> header bucket),
     # the C table, the L table (-1 -> cross-cell) and the decoder bucket table
     bias_idx: np.ndarray = field(repr=False, default=None)
+    # [T, T] own-prefix pairs: key j is in query i's block at or before i, where bias_idx[2] >= slot_len
+    own: np.ndarray = field(repr=False, default=None)
 
 
 def make_template(
@@ -173,14 +177,14 @@ def make_template(
         np.where(block[:, None] == block[None, :], serial[:, None] - serial[None, :] + l, -1),
         sequence_bucket_matrix(length, cfg),
     ])
+    tpl.own = tpl.bias_idx[2] >= l
     return tpl
 
 
 def visibility_mask(stage: np.ndarray, own: np.ndarray) -> np.ndarray:
     """seen[i, j]: may live position i attend live position j, from their
-    stages [n] and their own-prefix pairs ``own`` [n, n]: j is in i's cell at
-    or before i, which is where the template's local index map
-    (``bias_idx[2]``) is at least ``slot_len``.
+    stages [n] and their own-prefix pairs ``own`` [n, n], the template's
+    :attr:`TableTemplate.own` there.
 
     A position sees every lower stage and its own prefix, and stage-0
     positions (context) see each other, so open cells at one stage never do.
@@ -229,7 +233,7 @@ class LiveBlocks(NamedTuple):
     rows: np.ndarray  # [n] live template positions, ascending
     input_ids: np.ndarray  # [n] the layout's input ids at those rows
     bias_idx: np.ndarray  # [4, n * n] the template's index maps at those rows, narrowest integer type
-    own: np.ndarray  # [n, n] own-prefix pairs (see visibility_mask)
+    own: np.ndarray  # [n, n] the template's own-prefix pairs at those rows
 
 
 def _narrowest(a: np.ndarray) -> np.ndarray:
@@ -244,7 +248,7 @@ def live_blocks(template: TableTemplate, input_ids: np.ndarray, is_pad: np.ndarr
     and own-prefix blocks there."""
     rows = np.flatnonzero(~is_pad)
     idx = template.bias_idx[:, rows[:, None], rows]
-    return LiveBlocks(rows, input_ids[rows], _narrowest(idx.reshape(4, -1)), idx[2] >= template.slot_len)
+    return LiveBlocks(rows, input_ids[rows], _narrowest(idx.reshape(4, -1)), template.own[rows[:, None], rows])
 
 
 @dataclass

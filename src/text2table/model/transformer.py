@@ -16,7 +16,8 @@ The attention op takes each example's row count and scores every example at
 its own length, so no layer sees batch padding. Both self-attention biases,
 and a training batch's visibility mask, are packed the same way, one [n, n]
 block per example back to back. The decoder gathers its bias with one method
-for a training batch and for a decode cache alike. Visibility (lower stage
+for a training batch, once per call, and for a decode cache, once per
+template (:meth:`TextToTableModel.decoder_cache`). Visibility (lower stage
 or own prefix, over live positions) joins it as -inf on every hidden pair,
 for every layer to share: once per call in training, and in decoding once
 per inner loop from the context (:meth:`DecoderCache.visible`).
@@ -136,24 +137,24 @@ class DecoderCache:
     """Self-attention state kept across the passes that decode one template
     (inference only; valid while the parameters stay unchanged).
 
-    ``bias`` is fixed for the template and ``own`` keeps it on each
-    position's own-cell prefix alone. Both are read-only: the model keeps
-    them from one table to the next and rebuilds them when the template or
-    the bias tables change (:meth:`TextToTableModel.decoder_cache`), while
-    the key and value stores belong to one table. :meth:`visible` folds a
-    decode layout's visibility in once per inner loop from its context (live
-    stage-0 positions); a cached pass reads the bias rows of its query
-    positions, flattened into one example's packed block. ``keys`` and
-    ``values`` hold each layer's self-attention key and value rows at every
-    template position; a cached pass writes its query rows there before it
-    attends, and the folded -inf keeps every query from seeing a position not
-    written for its own context. A template with fewer rows is a prefix of
-    this one (:meth:`prefix`). The cross-attention keys and values of the
-    source text come from :meth:`TextToTableModel.memory_kv`.
+    ``bias`` is the template's pair and bucket bias, read-only, and ``own``
+    its own-prefix pairs (:attr:`~text2table.model.layout.TableTemplate.own`).
+    Both are shared by every cache of the template: the model gathers
+    ``bias`` once per template and keeps it across tables
+    (:meth:`TextToTableModel.decoder_cache`), while the key and value stores
+    belong to one cache. :meth:`visible` folds a decode layout's visibility
+    in once per inner loop from its context (live stage-0 positions); a
+    cached pass reads the bias rows of its query positions, flattened into
+    one example's packed block. ``keys`` and ``values`` hold each layer's
+    self-attention key and value rows at every template position; a cached
+    pass writes its query rows there before it attends, and the folded -inf
+    keeps every query from seeing a position not written for its own
+    context. The cross-attention keys and values of the source text come
+    from :meth:`TextToTableModel.memory_kv`.
     """
 
     bias: np.ndarray  # [H, T, T] pair + bucket bias of the template, -inf where hidden
-    own: np.ndarray  # [H, T, T] the template's bias on each own-cell prefix, -inf elsewhere
+    own: np.ndarray  # [T, T] bool, each position's own-cell prefix
     keys: list[np.ndarray]  # per layer [T, d]
     values: list[np.ndarray]
 
@@ -166,46 +167,22 @@ class DecoderCache:
 
         A pass writes its rows into the layer's stores in place and gets back
         the same two Tensors on every pass: they are made once per cache
-        (each :meth:`prefix` and :meth:`visible` cache makes its own) and wrap
-        the stores, so they hold every row written so far. Inference only: no
-        gradient flows into them.
+        (each :meth:`visible` cache makes its own) and wrap the stores, so
+        they hold every row written so far. Inference only: no gradient flows
+        into them.
         """
         self.keys[layer][rows] = k.data
         self.values[layer][rows] = v.data
         return self._kv[layer]
 
-    def prefix(self, length: int) -> "DecoderCache":
-        """View of the first ``length`` template positions: the cache of a
-        template with the same headers and fewer rows, whose positions, bias
-        indices and bucket offsets are the leading ones of this template's."""
-        if length > len(self.keys[0]):
-            raise ValueError(f"template length {length} exceeds the cached {len(self.keys[0])}")
-        return DecoderCache(
-            self.bias[:, :length, :length],
-            self.own[:, :length, :length],
-            [k[:length] for k in self.keys],
-            [v[:length] for v in self.values],
-        )
-
     def visible(self, context: np.ndarray) -> "DecoderCache":
         """The cache, same key and value stores, whose bias hides every key
         outside the ``context`` [T] positions and the query's own prefix."""
-        return DecoderCache(np.where(context, self.bias, self.own), self.own, self.keys, self.values)
+        return DecoderCache(np.where(context | self.own, self.bias, -np.inf), self.own, self.keys, self.values)
 
 
 # the parameters the decoder self-attention bias is gathered from
 _BIAS_TABLES = ("tab_row", "tab_r0", "tab_col", "tab_loc", "dec_beta")
-
-
-def _leads(template: TableTemplate, kept: TableTemplate) -> bool:
-    """Whether ``template``'s bias indices are the leading block of
-    ``kept``'s, so its decoder biases are the leading block of ``kept``'s."""
-    n = template.length
-    return template is kept or (
-        n <= kept.length
-        and template.slot_len == kept.slot_len
-        and np.array_equal(template.bias_idx, kept.bias_idx[:, :n, :n])
-    )
 
 
 def _read_blocks(lens: np.ndarray, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +208,9 @@ class TextToTableModel:
         self.params = ParameterStore(self._init_params(np.random.default_rng(np.random.SeedSequence([seed, 0x7ab]))))
         self._template_cache: dict = {}
         self._bucket_cache: dict[int, np.ndarray] = {}
-        # (template, bytes of the bias tables, bias, own-prefix bias): see decoder_cache
-        self._decoder_bias_memo: tuple | None = None
+        # the bytes of the bias tables, and each template's decoder bias gathered from them: see decoder_cache
+        self._bias_stamp = b""
+        self._decoder_biases: dict[TableTemplate, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # parameters
@@ -457,30 +435,29 @@ class TextToTableModel:
 
     def decoder_cache(self, template: TableTemplate) -> DecoderCache:
         """Cache for decoding ``template``: its attention bias and own-prefix
-        bias, and empty self-attention key/value stores.
+        pairs, and empty self-attention key/value stores.
 
-        The two biases are shared across tables. The model keeps the last
-        two it built, read-only, with the template they were built for and
-        the bytes of the five tables they were gathered from (``tab_row``,
-        ``tab_r0``, ``tab_col``, ``tab_loc``, ``dec_beta``). That template,
-        or one whose bias indices are its leading block (the same header set
-        with fewer rows, see :meth:`DecoderCache.prefix`), gets views of the
-        kept biases. Any other template, or any change to those bytes (a
-        training step, an in-place write), builds new ones, which replace
-        them. The key and value stores are new on every call.
+        The bias is gathered once per template and shared, read-only, by
+        every cache of that template, across tables. The model keeps one per
+        template it decoded, keyed by the template object (:meth:`template_for`
+        makes one per shape), with the bytes of the five tables they were
+        gathered from (``tab_row``, ``tab_r0``, ``tab_col``, ``tab_loc``,
+        ``dec_beta``). Any change to those bytes (a training step, an
+        in-place write) drops every kept bias. The key and value stores are
+        new on every call.
         """
         cfg, n = self.cfg, template.length
         stamp = b"".join(self.params[name].data.tobytes() for name in _BIAS_TABLES)
-        kept = self._decoder_bias_memo
-        if kept is None or kept[1] != stamp or not _leads(template, kept[0]):
+        if stamp != self._bias_stamp:
+            self._bias_stamp, self._decoder_biases = stamp, {}
+        bias = self._decoder_biases.get(template)
+        if bias is None:
             with no_grad():
                 bias = self._decoder_bias(template.bias_idx).data
-            # with every position open at stage 1, a position sees its own prefix alone
-            own = np.where(template.bias_idx[2] >= template.slot_len, bias, -np.inf)
-            bias.flags.writeable = own.flags.writeable = False
-            kept = self._decoder_bias_memo = (template, stamp, bias, own)
+            bias.flags.writeable = False
+            self._decoder_biases[template] = bias
         keys, values = ([np.zeros((n, cfg.d_model), dtype=cfg.dtype) for _ in range(cfg.n_dec_layers)] for _ in "kv")
-        return DecoderCache(kept[2][:, :n, :n], kept[3][:, :n, :n], keys, values)
+        return DecoderCache(bias, template.own, keys, values)
 
     def logits_at(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
         """Select packed decoder rows and project to vocabulary logits; rows

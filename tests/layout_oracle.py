@@ -80,6 +80,7 @@ def make_template(vocab, cfg, header_ids, n_rows):
         np.where(same_cell, serial[:, None] - serial[None, :] + l, -1),
         sequence_bucket_matrix(length, cfg),
     ])
+    tpl.own = same_cell & (serial[None, :] <= serial[:, None])  # a key in the query's block, at or before it
     return tpl
 
 

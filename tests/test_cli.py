@@ -143,6 +143,25 @@ def test_decode_trace_records_per_table_counters(tiny_model, lineitems_records, 
         assert rec["header_tokens_dropped"] == 0
 
 
+def test_semi_templated_decode_runs_no_count_head_and_writes_strict_json(tiny_model, lineitems_records, tmp_path):
+    # semi-templated stopping never reads the row count, so a non-finite one reaches neither the run nor the trace
+    tiny_model.params["count.b"].data[...] = [np.inf]
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, tiny_model)
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(lineitems_records[:2], data)
+    trace = tmp_path / "trace.jsonl"
+    semi = ["--set", "stopping=semi-templated", "--trace", str(trace)]
+    assert main(["decode", ckpt, data, str(tmp_path / "out.jsonl"), *semi]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    records = [json.loads(line, parse_constant=refuse) for line in trace.read_text().splitlines()]
+    assert len(records) == 2 and all(rec["predicted_count"] is None for rec in records)
+    assert main(["decode", ckpt, data, str(tmp_path / "count.jsonl")]) == 3  # predicted-count stopping reads it
+
+
 @pytest.fixture()
 def steady_clock(monkeypatch):
     """``decode``'s clock ticks one second per reading, so every table takes
@@ -362,6 +381,12 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
     [
         ("model.n_heads=3", "bad model config: d_model 16 not divisible by n_heads 3"),
         ("model.n_heads=0", "bad model config: n_heads must be positive"),
+        ("model.n_enc_layers=0", "bad model config: n_enc_layers must be positive"),
+        ("model.n_dec_layers=0", "bad model config: n_dec_layers must be positive"),
+        ("model.relative_buckets=2", "bad model config: relative_buckets must be >= 4, got 2"),
+        ("model.relative_max_distance=0", "bad model config: relative_max_distance must exceed 8, got 0"),
+        ("model.relative_max_distance=4", "bad model config: relative_max_distance must exceed 8, got 4"),
+        ("model.relative_max_distance=8", "bad model config: relative_max_distance must exceed 8, got 8"),
         ("training.mode=bogus", "unknown training mode 'bogus'"),
         ("training.stpes=500", "bad training config: unknown TrainingConfig keys: stpes"),
         ("model.d_modle=8", "bad model config: unknown ModelConfig keys: d_modle"),
@@ -397,7 +422,8 @@ def test_train_without_long_texts_prints_no_warning(lineitems_records, tmp_path,
         ("decoding.max_rows_override=6", "decoding.max_rows_override 6 exceeds max_rows 5"),
         ("model.vocab_size=7", "model.vocab_size 7 is not the vocabulary's size "),
     ],
-    ids=["n_heads", "zero_heads", "mode", "training_key", "model_key", "decoding_key", "section", "paths_key",
+    ids=["n_heads", "zero_heads", "zero_enc_layers", "zero_dec_layers", "two_buckets", "zero_distance",
+         "short_distance", "exact_distance", "mode", "training_key", "model_key", "decoding_key", "section", "paths_key",
          "training_seed", "seed", "steps_type", "lr_type", "d_model_type", "max_rows_str", "max_rows_null",
          "max_rows_list", "dropout_one", "dropout_negative", "dropout_nan", "label_smoothing_above_one",
          "label_smoothing_nan", "batch_size_zero", "steps_negative", "eval_every_negative",
@@ -500,6 +526,14 @@ def test_ablate_unknown_training_mode_exits_2(lineitems_records, tmp_path, capsy
     assert main(["ablate", grid, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "unknown training mode 'bogus'" in err
+
+
+def test_ablate_decoder_without_layers_exits_2_before_any_run(lineitems_records, tmp_path, capsys):
+    grid = _grid_file(tmp_path, lineitems_records[:3], grid={"model.n_dec_layers": [1, 0]})
+    assert main(["ablate", grid, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "bad model config: n_dec_layers must be positive" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ablate_max_rows_override_above_max_rows_exits_2_before_any_run(lineitems_records, tmp_path, capsys):

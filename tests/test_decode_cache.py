@@ -8,10 +8,12 @@ passes, because its first pass also computes the context and checks each
 cell's draft (its candidate from the last inner loop), and it runs none for a
 step whose end-of-cell the grammar forces.
 
-The decoder biases a cache holds are kept by the model across tables; tests
-check that what it hands out equals a fresh build, that a weight change
-rebuilds it, and that a table decodes alike before and after others.
+The model keeps one decoder bias per template across tables; tests check
+that what it hands out equals a fresh gather, that a weight change rebuilds
+it, and that a table decodes alike before and after others.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from util import encode_one, structure, visibility, write_prefixes
 HEADERS = ["item", "qty", "price"]
 N_ROWS = 3
 TEXT = "the customer bought 3 pens and 2 mugs for 4 dollars ."
+OTHER_TEXT = "the customer ordered 2 cups for 9 dollars ."
+OTHER_HEADERS = ["item", "qty"]
 # per float width: the max abs logit difference allowed between the cached and
 # the full pass, and the top-2 legal margin above which both must pick the same
 # token (float32 differences measured up to 1.3e-5 on these models, whose
@@ -206,9 +210,9 @@ class Lockstep:
         self.left = 0  # cells that left their draft before its last row
         self.outgrew = 0  # cells scored past their draft's rows
 
-    def __call__(self, model, memory_kv, mem_len, template, cache):
+    def __call__(self, model, memory_kv, mem_len, template):
         self.model = model
-        self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
+        self.cached = ModelCellSource(model, memory_kv, mem_len, template)
         self.full = FullRecomputeSource(model, memory_kv, mem_len, template)
         self.recording = Recording(model, template)
         self.drafts = {}  # each cell's last cached candidate, as the cached path keeps it per template
@@ -333,9 +337,9 @@ class LayoutCheck:
     def __init__(self):
         self.checked = 0
 
-    def __call__(self, model, memory_kv, mem_len, template, cache):
+    def __call__(self, model, memory_kv, mem_len, template):
         self.template = template
-        self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
+        self.cached = ModelCellSource(model, memory_kv, mem_len, template)
         self.recording = Recording(model, template)
         self.drafts = {}
         return self
@@ -389,44 +393,42 @@ def test_step_layout_equals_per_step_rebuild(tiny_vocab, monkeypatch, constraint
 
 
 @pytest.mark.parametrize("float_width", [64, 32])
-def test_cache_prefix_equals_the_cache_of_fewer_rows(tiny_vocab, float_width):
+def test_each_template_cache_holds_a_fresh_gather_of_its_bias(tiny_vocab, float_width):
     model = _random_model(tiny_vocab, float_width, seed=2)
-    header_ids = [tiny_vocab.encode(h) for h in HEADERS]
-    templates = [model.template_for(header_ids, r) for r in range(model.cfg.max_rows + 1)]
-    largest = model.decoder_cache(templates[-1])
-    # largest first, so the model serves every smaller template from the biases
-    # it keeps; then a model with nothing kept, smallest first, so each larger
-    # template builds its own
-    for served, model in ((True, model), (False, _random_model(tiny_vocab, float_width, seed=2))):
-        for tpl in templates:
-            cache, view = model.decoder_cache(tpl), largest.prefix(tpl.length)
-            with no_grad():
-                bias = model._decoder_bias(tpl.bias_idx).data
-            own = np.where(tpl.bias_idx[2] >= tpl.slot_len, bias, -np.inf)
-            for c in (cache, view):
-                assert _same_bits(c.bias, bias) and _same_bits(c.own, own)
-                assert [k.shape for k in c.keys + c.values] == [(tpl.length, model.cfg.d_model)] * 4
-                for kept in (c.bias, c.own):
-                    with pytest.raises(ValueError):  # read-only
-                        kept[0, 0, 0] = 0.0
-            assert np.shares_memory(cache.bias, largest.bias) == served
-    assert np.shares_memory(model.decoder_cache(templates[2]).bias, cache.bias)
-    with pytest.raises(ValueError):
-        largest.prefix(len(largest.keys[0]) + 1)
+    templates = [
+        model.template_for([tiny_vocab.encode(h) for h in headers], r)
+        for headers in (HEADERS, OTHER_HEADERS)
+        for r in range(model.cfg.max_rows + 1)
+    ]
+    # largest first: each template gets a gather of its own, not a view of a larger one's
+    caches = [model.decoder_cache(tpl) for tpl in templates[::-1]][::-1]
+    for tpl, cache in zip(templates, caches):
+        with no_grad():
+            bias = model._decoder_bias(tpl.bias_idx).data
+        assert _same_bits(cache.bias, bias)
+        with pytest.raises(ValueError):  # read-only
+            cache.bias[0, 0, 0] = 0.0
+        assert cache.own is tpl.own and np.array_equal(tpl.own, tpl.bias_idx[2] >= tpl.slot_len)
+        assert [k.shape for k in cache.keys + cache.values] == [(tpl.length, model.cfg.d_model)] * 4
+        assert not any(k.any() for k in cache.keys + cache.values)
+        # the same template again: the same bias, new stores
+        again = model.decoder_cache(tpl)
+        assert again.bias is cache.bias
+        assert not any(np.shares_memory(a, b) for a, b in zip(again.keys + again.values, cache.keys + cache.values))
+    for (i, a), (j, b) in itertools.combinations(enumerate(caches), 2):
+        assert not np.shares_memory(a.bias, b.bias), (templates[i].n_rows, templates[j].n_rows)
 
 
 @pytest.mark.parametrize("float_width", [64, 32])
 def test_visible_cache_hides_the_layout_pairs_and_shares_the_table_stores(tiny_vocab, float_width):
     model = _random_model(tiny_vocab, float_width, seed=4)
-    header_ids = [tiny_vocab.encode(h) for h in HEADERS]
-    largest = model.decoder_cache(model.template_for(header_ids, model.cfg.max_rows))
-    tpl = model.template_for(header_ids, N_ROWS)
+    tpl = model.template_for([tiny_vocab.encode(h) for h in HEADERS], N_ROWS)
     inst = instance_for_decoding(tpl, {(1, 2): tiny_vocab.encode("pens"), (3, 1): [NULL]})
     live = ~inst.is_pad
     assert not live.all()  # the committed cells leave padding, which no live row may see
     allow = visibility(inst)[live]  # the oracle's rows at every live query
     assert allow.any() and not allow.all()
-    table = largest.prefix(tpl.length)
+    table, other = model.decoder_cache(tpl), model.decoder_cache(tpl)
     folded = table.visible((inst.stage == 0) & live)
     assert folded.bias.dtype == table.bias.dtype
     rows, kept = folded.bias[:, live], table.bias[:, live]
@@ -440,8 +442,9 @@ def test_visible_cache_hides_the_layout_pairs_and_shares_the_table_stores(tiny_v
         keys, values = folded.store(layer, rows, Tensor(k), Tensor(v))
         for stored, want in ((keys.data, k), (values.data, v)):
             assert np.array_equal(stored[rows], want)
-        for cache in (table, largest):
-            assert np.array_equal(cache.keys[layer][rows], k) and np.array_equal(cache.values[layer][rows], v)
+        # the folded cache writes its table's stores, and no other cache's of the same template
+        assert np.array_equal(table.keys[layer][rows], k) and np.array_equal(table.values[layer][rows], v)
+        assert not other.keys[layer].any() and not other.values[layer].any()
 
 
 def test_first_pass_hidden_matches_full_pass_at_context_and_open_cell_heads(tiny_vocab):
@@ -478,7 +481,7 @@ def test_nonfinite_logits_on_a_later_pass_name_the_cell_of_their_row(tiny_vocab)
     steps = _slot_steps(tpl)
     with no_grad():
         memory, lens = encode_one(model, tiny_vocab.encode(TEXT))
-        source = ModelCellSource(model, model.memory_kv(memory), lens, tpl, model.decoder_cache(tpl))
+        source = ModelCellSource(model, model.memory_kv(memory), lens, tpl)
     rows, poisoned = [], []
     hidden_fn, logits_fn = model.decoder_hidden, model.logits_at
 
@@ -523,7 +526,7 @@ def test_nonfinite_logits_on_a_verify_pass_name_the_cells_that_reach_them(tiny_v
         """Both inner loops of a fresh source, the second after its best cell
         is committed, with NaN logits on the second's first pass at the rows
         of the (cell, step)s ``nan_at``."""
-        source = ModelCellSource(model, memory_kv, lens, tpl, model.decoder_cache(tpl))
+        source = ModelCellSource(model, memory_kv, lens, tpl)
         first = source.candidates({}, tpl.cells)
         best = max(tpl.cells, key=lambda c: first[c].score("max"))
         rows, passes = [], source.passes
@@ -568,9 +571,9 @@ class Poisoned:
     def __init__(self, loops):
         self.loops = iter(loops)
 
-    def __call__(self, model, memory_kv, mem_len, template, cache):
+    def __call__(self, model, memory_kv, mem_len, template):
         self.model, self.template = model, template
-        self.cached = ModelCellSource(model, memory_kv, mem_len, template, cache)
+        self.cached = ModelCellSource(model, memory_kv, mem_len, template)
         self.drafts = {}
         self.poisoned = 0
         return self
@@ -655,10 +658,6 @@ def test_a_weight_change_rebuilds_the_kept_decoder_bias(tiny_vocab, training_exa
     assert after != before
 
 
-OTHER_TEXT = "the customer ordered 2 cups for 9 dollars ."
-OTHER_HEADERS = ["item", "qty"]
-
-
 @pytest.mark.parametrize("stopping", STOPPING)
 @pytest.mark.parametrize("k", [1, 4])
 def test_a_table_decodes_alike_before_and_after_other_tables(tiny_vocab, monkeypatch, stopping, k):
@@ -668,10 +667,20 @@ def test_a_table_decodes_alike_before_and_after_other_tables(tiny_vocab, monkeyp
     tables = [(TEXT, HEADERS), (OTHER_TEXT, HEADERS), (OTHER_TEXT, OTHER_HEADERS), (TEXT, HEADERS)]
     alone = [_decoded(_random_model(tiny_vocab, 64, seed=9), text, headers, cfg) for text, headers in tables]
     caches, decoder_cache = [], model.decoder_cache
-    monkeypatch.setattr(model, "decoder_cache", lambda tpl: caches.append(decoder_cache(tpl)) or caches[-1])
-    assert [_decoded(model, text, headers, cfg) for text, headers in tables] == alone
+    monkeypatch.setattr(model, "decoder_cache", lambda tpl: caches.append((tpl, decoder_cache(tpl))) or caches[-1][1])
+    gathers, gather = [], model._decoder_bias
+    monkeypatch.setattr(model, "_decoder_bias", lambda idx: gathers.append(idx) or gather(idx))
+    decoded, used = [], []
+    for text, headers in tables:
+        n = len(caches)
+        decoded.append(_decoded(model, text, headers, cfg))
+        used.append(caches[n:])
+    assert decoded == alone
     assert alone[0] == alone[3] and alone[1] != alone[0] and alone[2] != alone[0]
-    a, b, c, again = (cache.bias for cache in caches)
-    # B is served A's biases; C misses, and so does A after it, which builds them anew
-    assert np.shares_memory(a, b) and not np.shares_memory(a, c) and not np.shares_memory(c, again)
-    assert not np.shares_memory(a, again) and _same_bits(a, again)
+    # one bias per template (by identity: the model makes one per shape), gathered once for every cache of it
+    kept = {}
+    for tpl, cache in caches:
+        assert cache.bias is kept.setdefault(id(tpl), cache.bias)
+    assert len(gathers) == len(kept)
+    a, c, again = ([id(tpl) for tpl, _ in u] for u in (used[0], used[2], used[3]))
+    assert again == a and not set(a) & set(c)  # the second A decodes on A's templates, with A's biases

@@ -16,7 +16,7 @@ from text2table.table import Table
 from text2table.training import prepare_example
 from text2table.vocab import NULL
 
-TEMPLATE_FIELDS = ("base_inputs", "rows", "cols", "within", "cell", "bias_idx")
+TEMPLATE_FIELDS = ("base_inputs", "rows", "cols", "within", "cell", "bias_idx", "own")
 FIELDS = ("input_ids", "is_pad", "stage", "loss_pos", "loss_targets", "legal")
 
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import encode_cells, header_ids, random_bias_tables
 from text2table.model import (
     LayoutError,
+    ModelConfig,
     collate_instances,
     make_template,
 )
@@ -28,6 +29,16 @@ def _full_open_instance(model, table=None, filled=frozenset()):
     tpl = _template(model, table)
     cells = encode_cells(model.vocab, table)
     return tpl, instance_for_pass(tpl, model.grammar, cells, filled_stages(tpl, filled))
+
+
+@pytest.mark.parametrize("buckets", [4, 5, 32])
+def test_the_least_bucket_room_a_config_accepts_gives_buckets_in_range(tiny_vocab, buckets):
+    # ModelConfig refuses fewer buckets, or a max distance at or below the exact offsets, buckets // 4
+    cfg = ModelConfig(vocab_size=len(tiny_vocab), relative_buckets=buckets, relative_max_distance=buckets // 4 + 1)
+    idx = sequence_bucket_matrix(300, cfg)
+    assert idx.min() == 0 and idx.max() == buckets - 1 - (buckets % 2)
+    with pytest.raises(ValueError, match="relative_max_distance must exceed"):
+        ModelConfig(vocab_size=len(tiny_vocab), relative_buckets=buckets, relative_max_distance=buckets // 4)
 
 
 # ---------------------------------------------------------------------------

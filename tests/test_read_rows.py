@@ -155,7 +155,7 @@ def test_a_first_decode_pass_runs_the_last_layer_ffn_on_the_open_rows_alone(corp
     cells = [c for c in tpl.cells if c not in committed]
     with no_grad():
         memory, lens = encode_one(model, ex.source_ids)
-        source = ModelCellSource(model, model.memory_kv(memory), lens, tpl, model.decoder_cache(tpl))
+        source = ModelCellSource(model, model.memory_kv(memory), lens, tpl)
     seen = _probe(monkeypatch, model)
     source.candidates(committed, cells)
     assert len(seen["first"]) == len(seen["last"]) == source.passes > 1
