@@ -86,7 +86,7 @@ def cmd_gen_data(spec_path: str, out_path: str) -> int:
         raise DataError(f"bad corpus spec: {exc}") from None
     try:
         n = write_jsonl(generate(spec), out_path)
-    except (CorpusError, OSError) as exc:
+    except CorpusError as exc:
         raise DataError(f"generation failed: {exc}") from None
     print(f"wrote {n} records to {out_path}")
     return 0
@@ -285,6 +285,9 @@ def cmd_decode(
     overrides: list[str] | None = None,
     trace_path: str | None = None,
 ) -> int:
+    for path in filter(None, (out_path, trace_path)):  # refused before the first table, not after the last
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise DataError(f"cannot write {path}: {os.path.dirname(path)} is not a directory")
     try:
         model, meta = load_checkpoint(checkpoint_path)
     except CheckpointError as exc:

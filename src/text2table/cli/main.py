@@ -3,8 +3,9 @@
 Parses arguments and dispatches to the ``cmd_*`` functions. Each failure
 below exits with a one-line message on stderr:
 
-* code 2, the input: a bad config, spec, grid or dataset, or a record the
-  model cannot lay out (``train`` and ``decode`` refuse it alike, naming it);
+* code 2, the input: a bad config, spec, grid or dataset, a record the
+  model cannot lay out (``train`` and ``decode`` refuse it alike, naming it),
+  or a file the command cannot read or write (any ``OSError``);
 * code 3, the model: an unreadable or mismatched checkpoint, a training run
   whose loss turns non-finite, or a row count or logits that do.
 """
@@ -78,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             return args.run(args)
-    except (DataError, ConfigError) as exc:
+    except (DataError, ConfigError, OSError) as exc:
         print(f"text2table {args.command}: {exc}", file=sys.stderr)
         return 2
     except (ModelError, TrainingDiverged, NonFiniteCountError, NonFiniteLogitsError) as exc:

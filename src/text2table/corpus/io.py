@@ -82,11 +82,15 @@ def record_to_line(rec: DatasetRecord) -> str:
 
 
 def write_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
-    """Write records atomically (no partial file on failure). Returns count."""
+    """Write records atomically (no partial file on failure), with the mode
+    ``open`` would give a new file under the umask. Returns count."""
     directory = os.path.dirname(os.path.abspath(path))
     n = 0
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
     try:
+        umask = os.umask(0)  # read by setting it, so it is set back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes it 0600
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for rec in records:
                 rec.table.validate()

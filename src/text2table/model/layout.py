@@ -138,11 +138,18 @@ class TableTemplate:
     cells: list[Coord]  # row-major
     cell: np.ndarray  # [T] index into cells; len(cells) at headers and row markers
     slot_start: dict[Coord, int]  # keyed by every cell, row-major
-    # [4, T, T] index maps, stacked: into the R table (-1 -> header bucket),
-    # the C table, the L table (-1 -> cross-cell) and the decoder bucket table
+    # [4, T, T] index maps, stacked, in the narrowest signed integer type that holds them: into the
+    # R table (-1 -> header bucket), the C table, the L table (-1 -> cross-cell) and the decoder bucket table
     bias_idx: np.ndarray = field(repr=False, default=None)
     # [T, T] own-prefix pairs: key j is in query i's block at or before i, where bias_idx[2] >= slot_len
     own: np.ndarray = field(repr=False, default=None)
+
+
+def _narrowest(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest signed integer type that holds its values."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    fits = (t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).min <= lo <= hi <= np.iinfo(t).max)
+    return a.astype(next(fits, np.int64))
 
 
 def make_template(
@@ -171,12 +178,12 @@ def make_template(
     cell = np.where((rows > 0) & (cols > 0), (rows - 1) * m + cols - 1, len(cells))
     slot_start = {(i, j): int(p0) for p0, i, j in zip(start, row, col) if i and j}
     tpl = TableTemplate(n_rows, m, l, length, base, rows, cols, within, cells, cell, slot_start)
-    tpl.bias_idx = np.stack([
+    tpl.bias_idx = _narrowest(np.stack([
         np.where(rows[None, :] == 0, -1, rows[:, None] - rows[None, :] + cfg.max_rows),
         cols[:, None] - cols[None, :] + cfg.max_cols,
         np.where(block[:, None] == block[None, :], serial[:, None] - serial[None, :] + l, -1),
         sequence_bucket_matrix(length, cfg),
-    ])
+    ]))
     tpl.own = tpl.bias_idx[2] >= l
     return tpl
 
@@ -232,23 +239,16 @@ class LiveBlocks(NamedTuple):
 
     rows: np.ndarray  # [n] live template positions, ascending
     input_ids: np.ndarray  # [n] the layout's input ids at those rows
-    bias_idx: np.ndarray  # [4, n * n] the template's index maps at those rows, narrowest integer type
+    bias_idx: np.ndarray  # [4, n * n] the template's index maps at those rows, in their integer type
     own: np.ndarray  # [n, n] the template's own-prefix pairs at those rows
-
-
-def _narrowest(a: np.ndarray) -> np.ndarray:
-    """``a`` in the narrowest signed integer type that holds its values."""
-    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
-    fits = (t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).min <= lo <= hi <= np.iinfo(t).max)
-    return a.astype(next(fits, np.int64))
 
 
 def live_blocks(template: TableTemplate, input_ids: np.ndarray, is_pad: np.ndarray) -> LiveBlocks:
     """The live rows of a layout (slot padding dropped) and its bias-index
     and own-prefix blocks there."""
     rows = np.flatnonzero(~is_pad)
-    idx = template.bias_idx[:, rows[:, None], rows]
-    return LiveBlocks(rows, input_ids[rows], _narrowest(idx.reshape(4, -1)), template.own[rows[:, None], rows])
+    idx = template.bias_idx[:, rows[:, None], rows].reshape(4, -1)
+    return LiveBlocks(rows, input_ids[rows], idx, template.own[rows[:, None], rows])
 
 
 @dataclass

@@ -65,7 +65,7 @@ class DecoderBatch:
     entries after those of the examples before it, its [n_b, n_b] block in
     row-major order. ``allow`` holds the instance's visibility submatrix at
     those rows and ``bias_idx`` the template's row, column, local and bucket
-    index maps there, stacked, in the narrowest integer type that holds them.
+    index maps there, stacked, in the narrow integer type the template keeps them in.
     Only ``allow`` depends on the stages: the rows, their input ids and the
     bias-index and own-prefix blocks are an instance's
     :class:`~text2table.model.layout.LiveBlocks`, which a training example
@@ -409,8 +409,6 @@ class TextToTableModel:
             read = np.asarray(read, dtype=np.int64)
             if read.ndim != 1 or read.size and (read[0] < 0 or read[-1] >= len(ids) or (read[1:] <= read[:-1]).any()):
                 raise ValueError(f"read rows must ascend within the {len(ids)} decoder rows")
-            if len(read) == len(ids):  # every row is read: nothing to gather
-                read = None
         x = ops.embedding(p["embed"], ids)
         if train and cfg.dropout > 0:
             x = ops.dropout(x, cfg.dropout, rng)

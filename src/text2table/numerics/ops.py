@@ -53,7 +53,7 @@ def scale(a: Tensor, k: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.ndim < 1 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
+    if bd.ndim < 2:  # numpy would take a 1-D b as a vector
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     try:
         out = np.matmul(ad, bd)
@@ -182,9 +182,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 
 class _LastAxis:
-    """The query rows of an attention buffer in which every example has one
-    key count m: the rows of a [H, rows, m] buffer. A row's max or sum keeps
-    its axis, so it broadcasts over the row, as in a single example's softmax."""
+    """The query rows of one example's [H, n, m] scores: a row is the last
+    axis. Its max or sum keeps that axis, so it broadcasts over the row."""
 
     @staticmethod
     def max(x, floor):
@@ -192,15 +191,15 @@ class _LastAxis:
         return np.maximum(mx, floor, out=mx)
 
     @staticmethod
-    def sum(x, floor=None):
+    def sum(x, floor):
         z = np.add.reduce(x, axis=-1, keepdims=True)
-        return z if floor is None else np.maximum(z, floor, out=z)
+        return np.maximum(z, floor, out=z)
 
 
 class _Segments:
-    """The query rows of a packed [H, sum n*m] attention buffer with mixed key
-    counts: each row of an example with m keys is a segment of width m. A
-    row's max or sum is repeated over its segment."""
+    """The query rows of a packed [H, sum n*m] attention buffer: each row of
+    an example with m keys is a segment of width m. A row's max or sum is
+    repeated over its segment."""
 
     def __init__(self, n_heads: int, spans: list):
         self.n_heads = n_heads
@@ -247,16 +246,16 @@ def _softmax(p: np.ndarray, rows, scale: float, bias: np.ndarray | None) -> None
     p /= rows.sum(p, limits.tiny)
 
 
-def _softmax_vjp(gs: np.ndarray, p: np.ndarray, rows, scale: float, bias: Tensor | None):
-    """The vjp of :func:`_softmax` from gs, the gradient of its probabilities
-    p, which it overwrites: the gradient of the bias (None without one) and
-    that of the scores before scaling."""
+def _softmax_vjp(gs: np.ndarray, p: np.ndarray, rows: _Segments, scale: float, bias: Tensor | None):
+    """The vjp of :func:`_softmax` over packed rows from gs, the gradient of
+    its probabilities p, which it overwrites: the gradient of the bias (None
+    without one) and that of the scores before scaling."""
     gs -= rows.sum(gs * p)
     gs *= p  # zero wherever p is
     if bias is None:
         gs *= scale
         return None, gs
-    return gs.reshape(bias.data.shape), np.multiply(gs, scale, out=np.empty_like(gs))  # as gs *= scale would
+    return gs, np.multiply(gs, scale, out=np.empty_like(gs))  # as gs *= scale would
 
 
 def attention(
@@ -285,37 +284,43 @@ def attention(
     and zero gradient.
 
     The heads of q, k, v and the output (in the vjp, of the gradients too)
-    are views of their row arrays, taken once per call. The call's example
-    count picks one of two layouts of the work, which run the same ufuncs in
-    the same order on the same values, so their results are equal bit for bit:
+    are views of their row arrays, taken once per call. Two layouts of the
+    work run the same ufuncs in the same order on the same values, so their
+    results are equal bit for bit:
 
-    - One example with queries and keys (every decode pass, a single-table
-      encode) is one span: each product takes the whole head views, q k^T
-      allocates the [H, n, m] scores, and p v writes the output heads in
-      place, with no span list, packed buffer or per-span slices.
-    - Any other call (a training batch, one example with no query or no key)
-      is packed. Each example with queries and keys keeps only its span: its
-      query rows, key rows and block columns. Only the products (q k^T and
-      p v, and the four of the vjp) run example by example, on the span's rows
-      of the head views and its [H, n, m] block of the buffer. When every
-      example has one key count m, the buffer is [H, Nq, m] (the same entries
-      in the same order) and a query row is its last axis
-      (:class:`_LastAxis`); otherwise rows are segments (:class:`_Segments`).
+    - One example with queries and keys, none of whose four inputs needs a
+      gradient (every decode pass, the decode-time encode), runs forward only
+      and records no tape. Its span is the whole call: each product takes the
+      whole head views, q k^T allocates the [H, n, m] scores, whose query rows
+      are their last axis (:class:`_LastAxis`), and p v writes the output
+      heads in place, with no span list or per-span slices.
+    - Every other call (a training batch, a call with an input that needs a
+      gradient, an example with no query or no key) is packed. Each example with queries
+      and keys keeps only its span: its query rows, key rows and block
+      columns. Only the products (q k^T and p v, and the four of the vjp) run
+      example by example, on the span's rows of the head views and its
+      [H, n, m] block of the buffer, and a query row is a segment of the
+      buffer (:class:`_Segments`).
 
-    The choice is by example count because what the packed layout adds is
-    bookkeeping per example, a fixed cost that a decode pass, four calls on a
-    few rows each, pays in full and a 16-example training call spreads thin.
-    Both layouts run scale, bias and the softmax once over all their scores
-    (:func:`_softmax`) and its vjp once (:func:`_softmax_vjp`), and the bias
-    gradient is the score gradient itself.
+    The packed layout adds bookkeeping per example, a fixed cost that a decode
+    pass, four calls on a few rows each, would pay in full and a 16-example
+    training call spreads thin. Both layouts run scale, bias and the softmax
+    once over all their scores (:func:`_softmax`); the packed one runs its vjp
+    once (:func:`_softmax_vjp`), and the bias gradient is the score gradient
+    itself.
     """
     qd, kd, vd = q.data, k.data, v.data
     (nq, d), nk = qd.shape, len(kd)
     dh = d // n_heads
     q_len = q_len.tolist() if isinstance(q_len, np.ndarray) else q_len
     k_len = k_len.tolist() if isinstance(k_len, np.ndarray) else k_len
-    if len(q_len) == len(k_len) == 1 and q_len[0] > 0 and k_len[0] > 0:
-        spans, qo, ko = None, q_len[0], k_len[0]  # one example: its span is the whole call
+    if (
+        len(q_len) == len(k_len) == 1
+        and q_len[0] > 0
+        and k_len[0] > 0
+        and not (q.requires_grad or k.requires_grad or v.requires_grad or bias is not None and bias.requires_grad)
+    ):
+        spans, qo, ko = None, q_len[0], k_len[0]  # one example, no tape: its span is the whole call
         po = qo * ko
     else:
         spans = []  # (query rows, key rows, block columns, n, m) of each example with queries and keys
@@ -346,32 +351,18 @@ def attention(
         _softmax(p, _LastAxis, scale, None if bias is None else bias.data.reshape(p.shape))
         out = np.empty_like(qd)
         np.matmul(p, vh, out=out.reshape(nq, n_heads, dh).transpose(1, 0, 2))
+        return make_result(out, parents, None)  # no parent needs a gradient, so no tape is recorded
 
-        def vjp_one(g):
-            gq, gk, gv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
-            gh = g.reshape(nq, n_heads, dh).transpose(1, 0, 2)
-            gs = np.matmul(gh, vh.swapaxes(-1, -2))
-            np.matmul(p.swapaxes(-1, -2), gh, out=gv.reshape(nk, n_heads, dh).transpose(1, 0, 2))
-            gb, gs = _softmax_vjp(gs, p, _LastAxis, scale, bias)
-            np.matmul(gs, kh, out=gq.reshape(nq, n_heads, dh).transpose(1, 0, 2))
-            np.matmul(gs.swapaxes(-1, -2), qh, out=gk.reshape(nk, n_heads, dh).transpose(1, 0, 2))
-            return gq, gk, gv, gb
-
-        return make_result(out, parents, vjp_one)
-
-    uniform = len(set(k_len)) == 1
-    shape = (n_heads, nq, k_len[0]) if uniform else (n_heads, po)
     out = np.zeros_like(qd) if 0 in k_len else np.empty_like(qd)  # a query with no key gives zeros
-    p = np.empty(shape, dtype=qd.dtype)  # scores, turned into probabilities in place
-    blocks = p.reshape(n_heads, po)  # the same buffer, an example's block at its columns
+    p = np.empty((n_heads, po), dtype=qd.dtype)  # scores, turned into probabilities in place
     for qs, ks, bs, n, m in spans:
-        np.matmul(qh[:, qs], kh[:, ks].swapaxes(-1, -2), out=blocks[:, bs].reshape(n_heads, n, m))
+        np.matmul(qh[:, qs], kh[:, ks].swapaxes(-1, -2), out=p[:, bs].reshape(n_heads, n, m))
     if spans:
-        rows = _LastAxis if uniform else _Segments(n_heads, spans)
-        _softmax(p, rows, scale, None if bias is None else bias.data.reshape(shape))
+        rows = _Segments(n_heads, spans)
+        _softmax(p, rows, scale, None if bias is None else bias.data)
     oh = out.reshape(nq, n_heads, dh).transpose(1, 0, 2)  # heads joined in place
     for qs, ks, bs, n, m in spans:
-        np.matmul(blocks[:, bs].reshape(n_heads, n, m), vh[:, ks], out=oh[:, qs])
+        np.matmul(p[:, bs].reshape(n_heads, n, m), vh[:, ks], out=oh[:, qs])
 
     def vjp(g):
         gq, gk, gv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
@@ -382,15 +373,13 @@ def attention(
         gkh = gk.reshape(nk, n_heads, dh).transpose(1, 0, 2)
         gvh = gv.reshape(nk, n_heads, dh).transpose(1, 0, 2)
         gs = np.empty_like(p)  # the gradient of p, then of the scores, in place
-        gblocks = gs.reshape(n_heads, po)
         for qs, ks, bs, n, m in spans:
             gctx = gh[:, qs]
-            np.matmul(gctx, vh[:, ks].swapaxes(-1, -2), out=gblocks[:, bs].reshape(n_heads, n, m))
-            np.matmul(blocks[:, bs].reshape(n_heads, n, m).swapaxes(-1, -2), gctx, out=gvh[:, ks])
+            np.matmul(gctx, vh[:, ks].swapaxes(-1, -2), out=gs[:, bs].reshape(n_heads, n, m))
+            np.matmul(p[:, bs].reshape(n_heads, n, m).swapaxes(-1, -2), gctx, out=gvh[:, ks])
         gb, gs = _softmax_vjp(gs, p, rows, scale, bias)
-        gblocks = gs.reshape(n_heads, po)
         for qs, ks, bs, n, m in spans:
-            gsb = gblocks[:, bs].reshape(n_heads, n, m)
+            gsb = gs[:, bs].reshape(n_heads, n, m)
             np.matmul(gsb, kh[:, ks], out=gqh[:, qs])
             np.matmul(gsb.swapaxes(-1, -2), qh[:, qs], out=gkh[:, ks])
         return gq, gk, gv, gb
@@ -442,21 +431,13 @@ def cross_entropy(
 
     eps_k = (smoothing / legal.sum(axis=-1)).astype(x.dtype, copy=False)  # smoothing mass per legal entry
     r = np.arange(rows)
-    target_lp = logp[r, targets]
-    if smoothing > 0.0:
-        legal_lp_sum = np.where(legal, logp, 0.0).sum(axis=-1)
-        per_row = -((1.0 - smoothing) * target_lp + eps_k * legal_lp_sum)
-    else:
-        per_row = -target_lp
+    legal_lp_sum = np.where(legal, logp, 0.0).sum(axis=-1)
+    per_row = -((1.0 - smoothing) * logp[r, targets] + eps_k * legal_lp_sum)
     loss = float((weights * per_row).sum())
 
     def vjp(g):
-        if smoothing > 0.0:
-            q = np.where(legal, eps_k[:, None], 0.0)
-            q[r, targets] += 1.0 - smoothing
-        else:
-            q = np.zeros_like(probs)
-            q[r, targets] = 1.0
+        q = np.where(legal, eps_k[:, None], 0.0)  # the target distribution
+        q[r, targets] += 1.0 - smoothing
         dx = (probs - q) * weights[:, None] * g
         return (dx,)
 

@@ -500,6 +500,39 @@ def test_gen_data_spec_naming_columns_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def _unwritable_output_argv(command, tmp_path, records, model, bad):
+    """The arguments of ``command`` with the output path ``bad``."""
+    data = str(tmp_path / "data.jsonl")
+    write_jsonl(records, data)
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, model)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"task": "lineitems", "n_examples": 2}))
+    return {
+        "gen-data": lambda: ["gen-data", str(spec), bad],
+        "train": lambda: ["train", _train_config(tmp_path, records), "--set", f"training.checkpoint_dir={bad}"],
+        "decode": lambda: ["decode", ckpt, data, bad],
+        "decode --trace": lambda: ["decode", ckpt, data, str(tmp_path / "pred.jsonl"), "--trace", bad],
+        "eval": lambda: ["eval", data, data, "--out", bad],
+        "ablate": lambda: ["ablate", _grid_file(tmp_path, records, n_seeds=1), bad],
+    }[command]()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "decode", "decode --trace", "eval", "ablate"])
+def test_an_output_path_under_a_regular_file_exits_2_with_one_line(
+    tiny_model, lineitems_records, tmp_path, capsys, monkeypatch, command
+):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = _unwritable_output_argv(command, tmp_path, lineitems_records[:4], tiny_model, str(afile / "out"))
+    capsys.readouterr()
+    monkeypatch.setattr(commands, "decode_table", lambda *a, **k: pytest.fail("decode refuses before its first table"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"text2table {argv[0]}: ") and "afile" in err
+    assert not (tmp_path / "pred.jsonl").exists() and not (tmp_path / "pred.jsonl.meta.json").exists()
+
+
 def _grid_file(tmp_path, records, **keys):
     """A grid file over ``records`` with a tiny model, updated by ``keys``."""
     data = str(tmp_path / "data.jsonl")

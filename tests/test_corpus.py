@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -151,6 +153,18 @@ def test_write_failure_leaves_no_partial_file(tmp_path):
         write_jsonl([bad], str(path))
     assert not path.exists()
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_dataset_takes_the_mode_of_a_new_file_under_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_jsonl(list(generate(CorpusSpec(task="lineitems", n_examples=2, seed=1))), str(tmp_path / "data.jsonl"))
+        (tmp_path / "plain.txt").write_text("")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "data.jsonl").st_mode)
+    assert mode == 0o666 & ~umask == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
 
 
 def test_vocab_reserved_ids_first_and_stable():

@@ -52,8 +52,18 @@ def test_block_table_template_equals_the_position_by_position_oracle_bitwise(tin
                         assert a == b and repr(a) == repr(b), name  # repr tells a numpy int from an int
                     for name in TEMPLATE_FIELDS:
                         a, b = getattr(got, name), getattr(want, name)
-                        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+                        # the index maps are held in their narrowest type: every map of these configs fits a byte
+                        dtype = np.int8 if name == "bias_idx" else b.dtype
+                        assert a.dtype == dtype and a.shape == b.shape and np.array_equal(a, b), name
     assert all({(l, 0), (l, l + 1)} <= header_lens for l in range(2, 7))  # an empty header and a cut one
+
+
+def test_template_index_maps_widen_to_two_bytes_when_one_cannot_hold_them(tiny_vocab):
+    # local offsets reach 2 * max_cell_len = 140, past int8
+    cfg = ModelConfig(vocab_size=len(tiny_vocab), max_cell_len=70)
+    got = make_template(tiny_vocab, cfg, [[10, 11], [12]], 3).bias_idx
+    want = layout_oracle.make_template(tiny_vocab, cfg, [[10, 11], [12]], 3).bias_idx
+    assert got.dtype == np.int16 and got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_shared_layout_body_equals_the_token_by_token_builders_bitwise(tiny_model):

@@ -7,8 +7,11 @@
   hidden pair, where it took a separate ``allow`` mask.
 - ``attention`` runs scale, bias, softmax and the softmax vjp once over one
   packed score buffer, where it ran them example by example.
-- A one-example ``attention`` call with queries and keys scores on whole head
-  views, where it went through the packed buffer's per-example bookkeeping.
+- A one-example ``attention`` call with queries and keys, none of whose
+  inputs needs a gradient, scores on whole head views, where it went through
+  the packed buffer's per-example bookkeeping; every other call is packed.
+- ``cross_entropy`` runs its smoothed formula at every ``smoothing``, where it
+  had a branch of its own for ``smoothing`` 0.
 
 The replaced formulas are kept here as references. Each case runs in float32
 and float64 and compares the forward result and the vjp, bit for bit.
@@ -20,7 +23,7 @@ import pytest
 from conftest import random_bias_tables
 from text2table.corpus import DatasetRecord
 from text2table.model import ModelConfig, TextToTableModel
-from text2table.numerics import Tensor, ops
+from text2table.numerics import Tensor, no_grad, ops
 from text2table.table import Table
 from text2table.training import Trainer, TrainingConfig, prepare_example
 
@@ -188,6 +191,29 @@ def loop_attention(q, k, v, q_len, k_len, n_heads, bias, scale):
     return out, vjp
 
 
+def unsmoothed_cross_entropy(x, targets, legal, weights):
+    """``cross_entropy``'s branch for ``smoothing`` 0, on arrays: (loss, vjp)."""
+    rows, vocab = x.shape
+    legal = np.ones((rows, vocab), dtype=bool) if legal is None else legal
+    weights = np.full(rows, 1.0 / max(rows, 1), dtype=x.dtype) if weights is None else weights.astype(x.dtype)
+    neg = np.array(-np.inf, dtype=x.dtype)
+    xm = np.where(legal, x, neg)
+    mx = xm.max(axis=-1, keepdims=True)
+    e = np.where(legal, np.exp(xm - mx), 0.0)
+    z = e.sum(axis=-1, keepdims=True)
+    logp = xm - mx - np.log(z)
+    probs = e / z
+    r = np.arange(rows)
+    loss = float((weights * -logp[r, targets]).sum())
+
+    def vjp(g):
+        q = np.zeros_like(probs)
+        q[r, targets] = 1.0
+        return ((probs - q) * weights[:, None] * g,)
+
+    return np.asarray(loss, dtype=x.dtype), vjp
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
@@ -332,6 +358,12 @@ def test_packed_attention_matches_per_example_loop(dtype, case):
     out, grads = _check_against_loop(q, k, v, np.array(q_len), np.array(k_len), H, bias, 1.0 / np.sqrt(D // H), 9)
     if hidden is not None:
         assert (out[hidden] == 0.0).all() and (grads[0][hidden] == 0.0).all()
+    # as a decode pass calls it: no input needs a gradient, so a one-example call takes its own layout
+    b = None if bias is None else Tensor(bias)
+    with no_grad():
+        fwd = ops.attention(Tensor(q), Tensor(k), Tensor(v), q_len, k_len, H, b, 1.0 / np.sqrt(D // H))
+    assert _same_bits(fwd.data, out)
+    assert not fwd.requires_grad and fwd._vjp is None and fwd._parents == ()
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +408,25 @@ def test_packed_attention_matches_per_example_loop_on_a_training_batch(dtype, ba
         assert len(set(k_len.tolist())) > 1  # mixed key counts: rows are segments
     assert kinds == {"self", "cross", "read rows"} and len(batch_attention_calls) == 5
     assert (np.asarray(batch_attention_calls[-1][3]) == 0).sum() == 1  # the empty table reads no row
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("with_legal", [False, True])
+def test_cross_entropy_at_no_smoothing_matches_the_unsmoothed_formula(dtype, with_legal):
+    rng = np.random.default_rng(int(with_legal) + np.dtype(dtype).itemsize)
+    for case in range(150):
+        rows, vocab = int(rng.integers(1, 9)), int(rng.integers(2, 13))
+        x = (rng.normal(size=(rows, vocab)) * rng.choice([0.1, 1.0, 30.0])).astype(dtype)
+        targets = rng.integers(0, vocab, size=rows)
+        legal = None
+        if with_legal:
+            legal = rng.random((rows, vocab)) < 0.5
+            legal[np.arange(rows), targets] = True
+        weights = None if case % 2 else rng.random(rows)
+        g = np.asarray(rng.choice([1.0, rng.normal()]), dtype=dtype)
+        out, (dx,) = _forward_and_vjp(ops.cross_entropy(Tensor(x, requires_grad=True), targets, 0.0, legal, weights), g)
+        want, want_vjp = unsmoothed_cross_entropy(x, targets, legal, weights)
+        assert _same_bits(out, want) and _same_bits(dx, want_vjp(g)[0]), case
 
 
 def _every_op(dtype):

@@ -63,6 +63,11 @@ def test_matmul_shape_error_names_op_and_shapes():
     assert ei.value.op == "matmul"
     assert ei.value.left == (2, 3)
     assert ei.value.right == (4, 5)
+    # a 1-D b, which numpy would take as a vector, and a 0-d a
+    for a_shape, b_shape in (((2, 3), (3,)), ((), (3, 3))):
+        with pytest.raises(ShapeMismatchError) as ei:
+            ops.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+        assert (ei.value.op, ei.value.left, ei.value.right) == ("matmul", a_shape, b_shape)
 
 
 def test_add_shape_error():

@@ -5,6 +5,8 @@ prefixes and visibility, and a mock candidate source."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 import loop_kernels
@@ -35,13 +37,15 @@ def sum_all(a: Tensor) -> Tensor:
 
 def record_op_dtypes(monkeypatch) -> list[tuple[str, str, np.dtype]]:
     """Hook ``ops.make_result``: every forward result and every vjp gradient
-    made afterwards lands in the returned list as (kind, op name, dtype)."""
+    made afterwards lands in the returned list as (kind, op name, dtype). An
+    op is named by its vjp, or by the function that called ``make_result``
+    when it passes none (a call that records no tape)."""
     from text2table.numerics import ops
 
     seen = []
 
     def hooked(data, parents, vjp):
-        op = vjp.__qualname__.split(".")[0]
+        op = sys._getframe(1).f_code.co_name if vjp is None else vjp.__qualname__.split(".")[0]
         seen.append(("forward", op, np.asarray(data).dtype))
 
         def recorded(g):
