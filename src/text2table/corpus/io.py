@@ -83,11 +83,13 @@ def record_to_line(rec: DatasetRecord) -> str:
 
 def write_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
     """Write records atomically (no partial file on failure), with the mode
-    ``open`` would give a new file under the umask. Returns count."""
+    ``open`` would give a new file under the umask. Returns count. An
+    ``OSError`` on a file names ``path``, not the temporary file beside it."""
     directory = os.path.dirname(os.path.abspath(path))
     n = 0
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
         umask = os.umask(0)  # read by setting it, so it is set back at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes it 0600
@@ -98,8 +100,10 @@ def write_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
                 fh.write("\n")
                 n += 1
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
     return n

@@ -2,7 +2,9 @@
 
 Shapes follow numpy broadcasting; every op validates operand shapes and
 raises :class:`ShapeMismatchError` naming the op on violation. Reductions
-and layer norm act over the last axis unless stated otherwise.
+and layer norm act over the last axis unless stated otherwise. Each vjp
+closes over only what it reads (arrays, shapes, flags), never an operand
+Tensor, so the tape keeps no array that backward does not read.
 """
 
 from __future__ import annotations
@@ -25,21 +27,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shapes of a and b, which must broadcast together."""
     a, b = a.data.shape, b.data.shape
     if a == b:
-        return
+        return a, b
     try:
         np.broadcast_shapes(a, b)
     except ValueError:
         raise ShapeMismatchError(op, a, b) from None
+    return a, b
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
+    sa, sb = _check_broadcast("add", a, b)
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return make_result(a.data + b.data, (a, b), vjp)
 
@@ -70,30 +74,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(a, 0); a -0.0 input gives +0.0 and a NaN input gives NaN."""
+    out = np.maximum(a.data, 0)
 
     def vjp(g):
-        return (g * (a.data > 0),)
+        return (g * (out > 0),)  # out > 0 exactly where a > 0, NaN and -0.0 included
 
-    return make_result(np.maximum(a.data, 0), (a,), vjp)
+    return make_result(out, (a,), vjp)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; caller only invokes this in training mode."""
     if p <= 0.0:
         return a
-    keep = (rng.random(a.shape) >= p) * a.dtype.type(1.0 / (1.0 - p))
+    mask = rng.random(a.shape) >= p
+    scale = a.dtype.type(1.0 / (1.0 - p))
 
     def vjp(g):
-        return (g * keep,)
+        return (g * (mask * scale),)  # the forward's multiplier, remade from the bool mask
 
-    return make_result(a.data * keep, (a,), vjp)
+    return make_result(a.data * (mask * scale), (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def vjp(g):
-        return (g.reshape(a.shape),)
+    ad = a.data
+    sa = ad.shape
 
-    return make_result(a.data.reshape(shape), (a,), vjp)
+    def vjp(g):
+        return (g.reshape(sa),)
+
+    return make_result(ad.reshape(shape), (a,), vjp)
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -103,52 +112,58 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     repeated row; :func:`embedding` gathers with repeats and accumulates.
     """
     idx = np.asarray(idx, dtype=np.int64)
+    ad = a.data
+    sa, dtype = ad.shape, ad.dtype
 
     def vjp(g):
-        seen = np.zeros(len(a.data), dtype=bool)
+        seen = np.zeros(sa[0], dtype=bool)
         seen[idx] = True
         if np.count_nonzero(seen) != idx.size:
             raise ValueError("take_rows: a row is gathered more than once")
-        out = np.zeros_like(a.data)
+        out = np.zeros(sa, dtype)
         out[idx] = g  # distinct rows: no entry is written twice
         return (out,)
 
-    return make_result(a.data[idx], (a,), vjp)
+    return make_result(ad[idx], (a,), vjp)
 
 
 def take_cols(a: Tensor, idx: np.ndarray) -> Tensor:
     """Gather distinct columns along axis 1: out[:, k] = a[:, idx[k]]."""
     idx = np.asarray(idx, dtype=np.int64)
+    ad = a.data
+    sa, dtype = ad.shape, ad.dtype
 
     def vjp(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(sa, dtype)
         out[:, idx] = g  # distinct columns: no entry is written twice
         return (out,)
 
-    return make_result(a.data[:, idx], (a,), vjp)
+    return make_result(ad[:, idx], (a,), vjp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Lookup rows of `table` (vocab, d) by an integer id array of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= len(table.data)):
-        raise ShapeMismatchError("embedding", table.shape, ids.shape)
+    td = table.data
+    st, dtype = td.shape, td.dtype
+    if ids.size and (ids.min() < 0 or ids.max() >= st[0]):
+        raise ShapeMismatchError("embedding", st, ids.shape)
     flat = ids.reshape(-1)
 
     def vjp(g):
-        out = np.zeros_like(table.data)
-        np.add.at(out, flat, g.reshape(flat.shape[0], table.shape[1]))
+        out = np.zeros(st, dtype)
+        np.add.at(out, flat, g.reshape(flat.shape[0], st[1]))
         return (out,)
 
-    return make_result(table.data[ids], (table,), vjp)
+    return make_result(td[ids], (table,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    xd = x.data
+    xd, gd = x.data, gain.data
     d = xd.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeMismatchError("layer_norm", xd.shape, gain.data.shape)
+    if gd.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeMismatchError("layer_norm", xd.shape, gd.shape)
     # add.reduce over the axis, then one division: what ndarray.mean computes, bit for bit
     mu = np.add.reduce(xd, axis=-1, keepdims=True)
     mu /= d
@@ -158,13 +173,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     var += eps
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv
-    out = xhat * gain.data
+    out = xhat * gd
     out += bias.data
 
     def vjp(g):
         # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place,
         # each mean taken as the forward takes its own
-        dxhat = g * gain.data
+        dxhat = g * gd
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
         m1 /= d
         scratch = np.multiply(dxhat, xhat)
@@ -246,13 +261,13 @@ def _softmax(p: np.ndarray, rows, scale: float, bias: np.ndarray | None) -> None
     p /= rows.sum(p, limits.tiny)
 
 
-def _softmax_vjp(gs: np.ndarray, p: np.ndarray, rows: _Segments, scale: float, bias: Tensor | None):
+def _softmax_vjp(gs: np.ndarray, p: np.ndarray, rows: _Segments, scale: float, has_bias: bool):
     """The vjp of :func:`_softmax` over packed rows from gs, the gradient of
     its probabilities p, which it overwrites: the gradient of the bias (None
     without one) and that of the scores before scaling."""
     gs -= rows.sum(gs * p)
     gs *= p  # zero wherever p is
-    if bias is None:
+    if not has_bias:
         gs *= scale
         return None, gs
     return gs, np.multiply(gs, scale, out=np.empty_like(gs))  # as gs *= scale would
@@ -363,11 +378,12 @@ def attention(
     oh = out.reshape(nq, n_heads, dh).transpose(1, 0, 2)  # heads joined in place
     for qs, ks, bs, n, m in spans:
         np.matmul(p[:, bs].reshape(n_heads, n, m), vh[:, ks], out=oh[:, qs])
+    has_bias = bias is not None
 
     def vjp(g):
         gq, gk, gv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        if not spans:  # nothing was scored
-            return gq, gk, gv, None if bias is None else np.zeros_like(bias.data)
+        if not spans:  # nothing was scored; the bias, like p, is [H, 0]
+            return gq, gk, gv, np.zeros_like(p) if has_bias else None
         gh = g.reshape(nq, n_heads, dh).transpose(1, 0, 2)
         gqh = gq.reshape(nq, n_heads, dh).transpose(1, 0, 2)
         gkh = gk.reshape(nk, n_heads, dh).transpose(1, 0, 2)
@@ -377,7 +393,7 @@ def attention(
             gctx = gh[:, qs]
             np.matmul(gctx, vh[:, ks].swapaxes(-1, -2), out=gs[:, bs].reshape(n_heads, n, m))
             np.matmul(p[:, bs].reshape(n_heads, n, m).swapaxes(-1, -2), gctx, out=gvh[:, ks])
-        gb, gs = _softmax_vjp(gs, p, rows, scale, bias)
+        gb, gs = _softmax_vjp(gs, p, rows, scale, has_bias)
         for qs, ks, bs, n, m in spans:
             gsb = gs[:, bs].reshape(n_heads, n, m)
             np.matmul(gsb, kh[:, ks], out=gqh[:, qs])
@@ -479,13 +495,15 @@ def _scatter(g_table: np.ndarray, grad: np.ndarray, idx: np.ndarray) -> None:
 def bucket_bias(table: Tensor, idx: np.ndarray) -> Tensor:
     """Per-head relative bias gather: out[h, ...] = table[h, idx[...]]."""
     idx = np.asarray(idx, dtype=np.int64)
+    td = table.data
+    st, dtype = td.shape, td.dtype
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(st, dtype)
         _scatter(gt, g, idx)
         return (gt,)
 
-    return make_result(_gather(table.data, idx), (table,), vjp)
+    return make_result(_gather(td, idx), (table,), vjp)
 
 
 def pair_bias(
@@ -513,12 +531,14 @@ def pair_bias(
     row_ext = np.concatenate([row_tab.data, r0.data[:, None]], axis=1)  # [R | r0]
     loc_ext = np.concatenate([loc_tab.data, np.zeros((n_heads, 1), loc_tab.dtype)], axis=1)  # [L | 0]
     out = _gather(row_ext, row_idx)
-    out += _gather(col_tab.data, col_idx)
+    cd = col_tab.data
+    out += _gather(cd, col_idx)
     out += _gather(loc_ext, loc_idx)
+    sc, dc = cd.shape, cd.dtype
 
     def vjp(g):
         g_row = np.zeros_like(row_ext)
-        g_col = np.zeros_like(col_tab.data)
+        g_col = np.zeros(sc, dc)
         g_loc = np.zeros_like(loc_ext)
         _scatter(g_row, g, row_idx)
         _scatter(g_col, g, col_idx)

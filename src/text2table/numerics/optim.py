@@ -127,7 +127,9 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m, self._v = np.zeros_like(store.data), np.zeros_like(store.data)
+        # np.zeros, not zeros_like, which writes its zeros: the pages stay untouched until a step
+        self._m = np.zeros(store.data.shape, store.data.dtype)
+        self._v = np.zeros(store.data.shape, store.data.dtype)
         self.m: dict[str, np.ndarray] = store.views(self._m)
         self.v: dict[str, np.ndarray] = store.views(self._v)
 

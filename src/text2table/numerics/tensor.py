@@ -1,10 +1,22 @@
 """Dense float tensors with tape-based reverse-mode differentiation.
 
-A Tensor wraps one ndarray. Operations (in :mod:`.ops`) record parent links
-and a vector-Jacobian callback when any operand requires gradients and
-recording is enabled; :func:`backward` replays the tape from a scalar root and
-accumulates into the ``grad`` buffers of leaf tensors. The tape is dropped
-after the sweep, so graphs are single-use.
+A Tensor wraps one ndarray. When recording is enabled and an operand of an
+op (in :mod:`.ops`) requires gradients, :func:`make_result` gives the op's
+result a :class:`Node`, the result's entry on the tape. A node holds two
+things:
+
+- ``parents``: one entry per operand. It is the operand's own node when the
+  operand is a recorded result, the operand Tensor itself when it is a leaf
+  that accumulates a gradient (a parameter), and None when the operand needs
+  no gradient.
+- ``vjp``: the op's vector-Jacobian callback, which closes over only the
+  arrays and shapes it reads (see :mod:`.ops`).
+
+So the tape refers to a Tensor only for a leaf. An intermediate Tensor and
+its array are freed as soon as the forward code drops them, unless some vjp
+saved that array. :func:`backward` replays the nodes from a scalar root,
+accumulates into the ``grad`` buffers of leaves, and frees each node's vjp,
+and with it the arrays it saved, once it has run. Graphs are single-use.
 
 Tensors are treated as immutable after creation, except for gradient
 accumulation. No higher-order derivatives.
@@ -51,8 +63,19 @@ def no_grad():
         _grad_enabled = prev
 
 
+class Node:
+    """One recorded op on the tape: an entry per operand (its node, the leaf
+    Tensor itself, or None when it needs no gradient) and the op's vjp."""
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents: tuple, vjp):
+        self.parents = parents
+        self.vjp = vjp
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -63,8 +86,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self.node: Node | None = None  # set only on a recorded op result
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,7 +109,7 @@ class Tensor:
 
 
 def make_result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Wrap an op result, recording the tape node when gradients are live.
+    """Wrap an op result, giving it a tape :class:`Node` when gradients are live.
 
     ``vjp(grad_out)`` must return one gradient array (or None) per parent.
     ``data`` is the op's float result in its operands' dtype, so it is kept
@@ -98,9 +120,10 @@ def make_result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     out.grad = None
     if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad, out._parents, out._vjp = True, parents, vjp
+        out.requires_grad = True
+        out.node = Node(tuple(p.node or (p if p.requires_grad else None) for p in parents), vjp)
     else:
-        out.requires_grad, out._parents, out._vjp = False, (), None
+        out.requires_grad, out.node = False, None
     return out
 
 
@@ -108,40 +131,43 @@ def backward(root: Tensor) -> None:
     """Populate ``grad`` on every reachable leaf that requires gradients.
 
     Repeated calls (on fresh graphs) accumulate; clear ``grad`` between
-    steps. The traversed tape is freed afterwards.
+    steps. Each node's vjp and parent links are dropped once it has run.
     """
     if root.data.size != 1:
         raise NonScalarRootError(root.shape)
     if not root.requires_grad:
         raise NumericsError("backward root does not require gradients")
 
-    order: list[Tensor] = []
+    start = root.node or root  # a leaf root is its own entry
+    order: list = []  # nodes and leaf Tensors, each after every entry that feeds it
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list = [(start, False)]
     while stack:
-        node, expanded = stack.pop()
+        entry, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(entry)
             continue
-        if id(node) in seen:
+        if id(entry) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+        seen.add(id(entry))
+        stack.append((entry, True))
+        if type(entry) is Node:
+            for p in entry.parents:
+                if p is not None and id(p) not in seen:
+                    stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
+    grads: dict[int, np.ndarray] = {id(start): np.ones_like(root.data)}
+    for entry in reversed(order):
+        g = grads.pop(id(entry), None)
         if g is None:
             continue
-        if node._vjp is None:
-            node.accumulate_grad(g)
+        if type(entry) is not Node:
+            entry.accumulate_grad(g)
             continue
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+        if entry.vjp is None:  # spent by an earlier backward
+            continue
+        for parent, pg in zip(entry.parents, entry.vjp(g)):
+            if pg is None or parent is None:
                 continue
             key = id(parent)
             if key in grads:
@@ -149,5 +175,5 @@ def backward(root: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-        node._parents = ()
-        node._vjp = None
+        entry.parents = ()
+        entry.vjp = None

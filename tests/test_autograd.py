@@ -34,7 +34,7 @@ def test_no_grad_suppresses_tape():
     with no_grad():
         y = mul(x, x)
     assert not y.requires_grad
-    assert y._vjp is None and y._parents == ()
+    assert y.node is None  # no parent links and no vjp
 
 
 def test_softmax_cross_entropy_grad_vs_finite_differences():

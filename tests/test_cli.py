@@ -533,6 +533,17 @@ def test_an_output_path_under_a_regular_file_exits_2_with_one_line(
     assert not (tmp_path / "pred.jsonl").exists() and not (tmp_path / "pred.jsonl.meta.json").exists()
 
 
+def test_gen_data_under_a_regular_file_names_the_output_not_its_temporary_file(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"task": "lineitems", "n_examples": 2}))
+    out = str(afile / "d.jsonl")
+    assert main(["gen-data", str(spec), out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.rstrip().endswith(f"'{out}'") and ".tmp-" not in err
+
+
 def _grid_file(tmp_path, records, **keys):
     """A grid file over ``records`` with a tiny model, updated by ``keys``."""
     data = str(tmp_path / "data.jsonl")

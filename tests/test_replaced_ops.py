@@ -1,8 +1,12 @@
 """Ops made leaner against the formulas they replaced, bit for bit.
 
 - ``layer_norm`` now works in place, in its forward and its vjp.
-- ``relu`` is ``np.maximum`` and builds its mask only in the vjp.
+- ``relu`` is ``np.maximum`` and builds its mask only in the vjp, from the
+  op's output, where it read the op's input.
 - The ``dropout`` mask is scaled in the input dtype, with no float64 array.
+- ``dropout`` keeps a bool mask and remakes its multiplier in the vjp, where
+  it kept the float multiplier.
+- No vjp closes over a Tensor; each keeps the arrays and shapes it reads.
 - ``attention`` takes visibility folded into its bias, as -inf on every
   hidden pair, where it took a separate ``allow`` mask.
 - ``attention`` runs scale, bias, softmax and the softmax vjp once over one
@@ -26,6 +30,7 @@ from text2table.model import ModelConfig, TextToTableModel
 from text2table.numerics import Tensor, no_grad, ops
 from text2table.table import Table
 from text2table.training import Trainer, TrainingConfig, prepare_example
+from util import closure_tensors
 
 DTYPES = [np.float32, np.float64]
 
@@ -37,7 +42,7 @@ def _same_bits(a, b):
 
 def _forward_and_vjp(out: Tensor, grad: np.ndarray):
     """The op's result and the gradients its vjp sends back for ``grad``."""
-    return out.data, out._vjp(grad)
+    return out.data, out.node.vjp(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +81,21 @@ def old_relu(x):
 def old_dropout_mask(shape, p, dtype, rng):
     keep = (rng.random(shape) >= p) / (1.0 - p)
     return keep.astype(dtype)
+
+
+def float_multiplier_dropout(x, p, rng):
+    """Dropout that keeps its float multiplier for the vjp: (out, vjp)."""
+    keep = (rng.random(x.shape) >= p) * x.dtype.type(1.0 / (1.0 - p))
+    return x * keep, lambda g: (g * keep,)
+
+
+def _special_pairs(dtype, n=3):
+    """(x, g): every pair of NaN, +-inf, +-0.0, the largest finite value and
+    two plain numbers, each pair ``n`` times, in shuffled order."""
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, np.finfo(dtype).max, 1.5, -2.0], dtype=dtype)
+    x, g = (a.reshape(-1) for a in np.meshgrid(special, special))
+    order = np.random.default_rng(3).permutation(np.tile(np.arange(x.size), n))
+    return x[order], g[order]
 
 
 def old_attention(q, k, v, q_len, k_len, n_heads, bias, allow, scale):
@@ -249,6 +269,15 @@ def test_relu_matches_replaced_formula_on_signed_zeros(dtype):
     assert _same_bits(g, want_vjp(grad)[0])
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_relu_vjp_from_its_output_matches_the_input_formula_on_special_values(dtype):
+    x, g = _special_pairs(dtype)
+    with np.errstate(invalid="ignore"):
+        _, (got,) = _forward_and_vjp(ops.relu(Tensor(x, requires_grad=True)), g)
+        want = g * (x > 0)  # the replaced vjp, which read the op's input
+    assert _same_bits(got, want)
+
+
 def test_relu_propagates_nan():
     # the replaced formula zeroed a NaN input; np.maximum keeps it
     out = ops.relu(Tensor(np.array([np.nan, -1.0, 2.0]))).data
@@ -266,6 +295,16 @@ def test_dropout_mask_matches_replaced_formula(dtype, p):
     grad = np.random.default_rng(9).normal(size=shape).astype(dtype)
     out, (g,) = _forward_and_vjp(ops.dropout(Tensor(x, requires_grad=True), p, np.random.default_rng(7)), grad)
     assert _same_bits(out, x * want) and _same_bits(g, grad * want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_bool_mask_dropout_matches_float_multiplier_on_special_values(dtype, p):
+    x, g = _special_pairs(dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out, (got,) = _forward_and_vjp(ops.dropout(Tensor(x, requires_grad=True), p, np.random.default_rng(5)), g)
+        want, want_vjp = float_multiplier_dropout(x, p, np.random.default_rng(5))
+        assert _same_bits(out, want) and _same_bits(got, want_vjp(g)[0])
 
 
 H, D = 4, 16
@@ -363,7 +402,7 @@ def test_packed_attention_matches_per_example_loop(dtype, case):
     with no_grad():
         fwd = ops.attention(Tensor(q), Tensor(k), Tensor(v), q_len, k_len, H, b, 1.0 / np.sqrt(D // H))
     assert _same_bits(fwd.data, out)
-    assert not fwd.requires_grad and fwd._vjp is None and fwd._parents == ()
+    assert not fwd.requires_grad and fwd.node is None
 
 
 @pytest.fixture(scope="module")
@@ -470,3 +509,15 @@ def test_every_op_returns_an_ndarray_of_its_input_dtype(dtype):
         assert type(out.data) is np.ndarray and out.data.dtype == dtype, name
         assert out.requires_grad and out.grad is None, name
     assert results[2][1].data.shape == ()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_no_vjp_closes_over_a_tensor(dtype):
+    for name, out in _every_op(dtype):
+        assert closure_tensors(out.node.vjp) == [], name
+    # an attention call with nothing to score leaves some of its vjp's cells unbound
+    q, kv = (Tensor(np.zeros((n, 4), dtype), requires_grad=True) for n in (0, 3))
+    bias = Tensor(np.zeros((2, 0), dtype), requires_grad=True)
+    out = ops.attention(q, kv, kv, [0], [3], 2, bias, 0.5)
+    assert closure_tensors(out.node.vjp) == []
+    assert [gb.shape for gb in out.node.vjp(np.zeros((0, 4), dtype))] == [(0, 4), (3, 4), (3, 4), (2, 0)]

@@ -419,7 +419,7 @@ def test_evaluate_loss_records_no_tape_and_keeps_its_value(tiny_model, lineitems
 
     tr._batch_loss = recording
     record = tr.evaluate(0)
-    assert not any(t.requires_grad or t._parents for t in losses[0])
+    assert not any(t.requires_grad or t.node is not None for t in losses[0])
     assert record["nll"] == nll.item() and record["mse"] == mse.item()  # bitwise
     assert record["cell_f1"] is None and record["per_column_f1"] is None  # no validation records
 

@@ -1,11 +1,13 @@
 """Shared test helpers: the ``mul`` and ``sum_all`` ops only tests use, a
-recorder of op result dtypes, finite differences, gradient comparison,
+recorder of op result dtypes, the Tensors a vjp closes over, finite
+differences, gradient comparison,
 teacher-forced layouts and cell logits, the cell of a loss position, layout stages,
 prefixes and visibility, and a mock candidate source."""
 
 from __future__ import annotations
 
 import sys
+import types
 
 import numpy as np
 
@@ -57,6 +59,33 @@ def record_op_dtypes(monkeypatch) -> list[tuple[str, str, np.dtype]]:
 
     monkeypatch.setattr(ops, "make_result", hooked)
     return seen
+
+
+def closure_tensors(fn) -> list[Tensor]:
+    """Every Tensor a function reaches through its closure cells, and through
+    the tuples, lists, dicts and plain objects those hold (not through module
+    globals)."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a variable the function names but its scope never bound
+                    pass
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif not isinstance(obj, (type, np.ndarray)) and hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
 
 
 def finite_diff_grad(f, arr: np.ndarray, h: float = 1e-6, order: int = 2) -> np.ndarray:
