@@ -12,27 +12,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import (
-    CorpusError,
-    CorpusSpec,
-    DataFormatError,
-    DatasetRecord,
-    build_vocab,
-    generate,
-    read_jsonl,
-    write_jsonl,
-)
+from ..corpus import CorpusError, CorpusSpec, DatasetRecord, build_vocab, generate, read_jsonl, write_jsonl
 from ..decoding import DecodingConfig, NonFiniteCountError, NonFiniteLogitsError, decode_table
 from ..decoding.engine import DECODE_COUNTS
 from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
-from ..model import (
-    CheckpointError,
-    LayoutError,
-    ModelConfig,
-    TextToTableModel,
-    load_checkpoint,
-)
+from ..model import LayoutError, ModelConfig, TextToTableModel, load_checkpoint
 from ..numerics import AdamW
 from ..training import Trainer, TrainingConfig, TrainingExample, prepare_example
 from ..vocab import Vocabulary
@@ -68,10 +53,7 @@ def _parse_config(kind: str, cls, d: dict):
 def _read_records(path: str) -> list[DatasetRecord]:
     if not os.path.exists(path):
         raise DataError(f"dataset not found: {path}")
-    try:
-        return list(read_jsonl(path))
-    except DataFormatError as exc:
-        raise DataError(str(exc)) from None
+    return list(read_jsonl(path))
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +77,6 @@ def cmd_gen_data(spec_path: str, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
-
-
-def _prepare_examples(records, vocab: Vocabulary, cfg: ModelConfig) -> list[TrainingExample]:
-    try:
-        return [prepare_example(r, vocab, cfg) for r in records]
-    except LayoutError as exc:
-        raise DataError(str(exc)) from None
 
 
 def warn_cut_ids(command: str, examples: list[TrainingExample], cfg: ModelConfig, point: dict | None = None) -> None:
@@ -150,7 +125,7 @@ class Run(NamedTuple):
 
     def examples(self) -> list[TrainingExample]:
         """The run's training examples."""
-        return _prepare_examples(self.records, self.vocab, self.model)
+        return [prepare_example(r, self.vocab, self.model) for r in self.records]
 
     def build(self) -> tuple[TextToTableModel, list[TrainingExample]]:
         """A freshly initialised model and its training examples."""
@@ -158,15 +133,12 @@ class Run(NamedTuple):
 
     def trainer(self, model: TextToTableModel, examples: list[TrainingExample], **kwargs) -> Trainer:
         """A :class:`Trainer` that evaluates on the run's validation records;
-        an example whose passes do not fit the model is a :class:`DataError`."""
-        val_examples = _prepare_examples(self.val_records, model.vocab, model.cfg)
-        try:
-            return Trainer(
-                model, examples, self.training, val_records=self.val_records, val_examples=val_examples,
-                eval_decoding=self.decoding, **kwargs
-            )
-        except LayoutError as exc:
-            raise DataError(str(exc)) from None
+        a record or example the model cannot lay out is a :class:`LayoutError`."""
+        val_examples = [prepare_example(r, model.vocab, model.cfg) for r in self.val_records]
+        return Trainer(
+            model, examples, self.training, val_records=self.val_records, val_examples=val_examples,
+            eval_decoding=self.decoding, **kwargs
+        )
 
 
 def _parse_decoding(d: dict, model: ModelConfig) -> DecodingConfig:
@@ -217,6 +189,8 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     cfg = apply_overrides(merged_run_config(load_json_config(config_path)), overrides)
     run = prepare_run(cfg)
     tcfg = run.training
+    if resume and not tcfg.checkpoint_dir:
+        raise ConfigError("--resume needs training.checkpoint_dir, the directory that holds latest.npz")
     resolved = run.resolved()
     chash = config_hash(resolved)
     if tcfg.checkpoint_dir:
@@ -227,12 +201,9 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     latest = os.path.join(tcfg.checkpoint_dir, "latest.npz") if tcfg.checkpoint_dir else None
     start_step = 0
     optimizer = None
-    resuming = bool(resume and latest and os.path.exists(latest))
+    resuming = resume and os.path.exists(latest)  # --resume implies a checkpoint directory
     if resuming:
-        try:
-            model, meta = load_checkpoint(latest)
-        except CheckpointError as exc:
-            raise ModelError(str(exc)) from None
+        model, meta = load_checkpoint(latest)
         stored = meta.get("run_config") or {}
         if (
             not isinstance(stored.get("config"), dict)
@@ -243,7 +214,7 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
                 f"refusing to resume from {latest}: it was trained under another run config or dataset "
                 "(only training.steps may change)"
             )
-        examples = _prepare_examples(run.records, model.vocab, model.cfg)
+        examples = [prepare_example(r, model.vocab, model.cfg) for r in run.records]
         if not meta.get("optimizer"):
             raise ModelError(f"cannot resume from {latest}: it holds no optimizer state")
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
@@ -288,10 +259,7 @@ def cmd_decode(
     for path in filter(None, (out_path, trace_path)):  # refused before the first table, not after the last
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise DataError(f"cannot write {path}: {os.path.dirname(path)} is not a directory")
-    try:
-        model, meta = load_checkpoint(checkpoint_path)
-    except CheckpointError as exc:
-        raise ModelError(str(exc)) from None
+    model, meta = load_checkpoint(checkpoint_path)
     dcfg_dict = load_json_config(config_path) if config_path else {}
     dcfg = _parse_decoding(apply_overrides(dcfg_dict, overrides or []), model.cfg)
 
@@ -384,11 +352,7 @@ def cmd_eval(
     pretty: bool = False,
     force: bool = False,
 ) -> int:
-    try:
-        mode = AlignmentMode.parse(mode_text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
+    mode = AlignmentMode.parse(mode_text)
     preds = _read_records(pred_path)
     golds = _read_records(gold_path)
     if len(preds) != len(golds):
@@ -398,15 +362,7 @@ def cmd_eval(
     gold_hash = file_sha256(gold_path)
     pred_meta = None
     if os.path.exists(meta_path):
-        try:
-            with open(meta_path, encoding="utf-8") as fh:
-                pred_meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{meta_path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"{meta_path}: not readable as UTF-8 text ({type(exc).__name__})") from None
-        if not isinstance(pred_meta, dict):
-            raise DataError(f"{meta_path}: top level must be an object")
+        pred_meta = load_json_config(meta_path)
         stored = pred_meta.get("dataset_sha256")
         if stored and stored != gold_hash and not force:
             raise DataError(
@@ -416,10 +372,7 @@ def cmd_eval(
     for p, g in zip(preds, golds):
         if p.id != g.id:
             raise DataError(f"prediction id {p.id!r} does not match gold id {g.id!r}")
-    try:
-        score = score_corpus([(p.table, g.table) for p, g in zip(preds, golds)], mode)
-    except ValueError as exc:  # AlignmentError, HeaderMismatchError
-        raise DataError(str(exc)) from None
+    score = score_corpus([(p.table, g.table) for p, g in zip(preds, golds)], mode)
     report = score.report()
     report["alignment"] = mode_text
     report["gold_sha256"] = gold_hash

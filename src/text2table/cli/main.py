@@ -1,13 +1,21 @@
 """Command-line entry point: ``text2table <subcommand> ...``.
 
-Parses arguments and dispatches to the ``cmd_*`` functions. Each failure
-below exits with a one-line message on stderr:
+Parses arguments and dispatches to the ``cmd_*`` functions. :func:`main`
+alone maps each error below to its exit code, and prints the error's own
+text as a one-line message on stderr:
 
-* code 2, the input: a bad config, spec, grid or dataset, a record the
-  model cannot lay out (``train`` and ``decode`` refuse it alike, naming it),
-  or a file the command cannot read or write (any ``OSError``);
-* code 3, the model: an unreadable or mismatched checkpoint, a training run
-  whose loss turns non-finite, or a row count or logits that do.
+* code 2, the input: a bad config, spec, grid or alignment mode
+  (``ConfigError``), a malformed dataset (``DataFormatError``), a record the
+  model cannot lay out (``LayoutError``; ``train`` and ``decode`` refuse it
+  alike, naming it), tables whose headers or key column do not line up
+  (``HeaderMismatchError``, ``AlignmentError``), another input the command
+  refuses (``DataError``), or a file it cannot read or write (any
+  ``OSError``);
+* code 3, the model: an unreadable or mismatched checkpoint
+  (``CheckpointError``) or one a run cannot resume from (``ModelError``), a
+  training run whose loss turns non-finite (``TrainingDiverged``), or a row
+  count or logits that do (``NonFiniteCountError``,
+  ``NonFiniteLogitsError``; ``decode`` names the record, as a ``ModelError``).
 """
 
 from __future__ import annotations
@@ -16,7 +24,10 @@ import argparse
 import sys
 import warnings
 
+from ..corpus import DataFormatError
 from ..decoding import NonFiniteCountError, NonFiniteLogitsError
+from ..metrics import AlignmentError, HeaderMismatchError
+from ..model import CheckpointError, LayoutError
 from ..training import TrainingDiverged
 from .ablate import cmd_ablate
 from .commands import DataError, ModelError, cmd_decode, cmd_eval, cmd_gen_data, cmd_train
@@ -79,10 +90,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             return args.run(args)
-    except (DataError, ConfigError, OSError) as exc:
+    except (
+        DataError, ConfigError, OSError, LayoutError, DataFormatError, AlignmentError, HeaderMismatchError
+    ) as exc:
         print(f"text2table {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, TrainingDiverged, NonFiniteCountError, NonFiniteLogitsError) as exc:
+    except (ModelError, CheckpointError, TrainingDiverged, NonFiniteCountError, NonFiniteLogitsError) as exc:
         print(f"text2table {args.command}: {exc}", file=sys.stderr)
         caught.clear()
         return 3

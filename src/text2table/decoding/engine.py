@@ -85,7 +85,7 @@ class DecodingConfig:
 class Candidate:
     tokens: list[int]  # content ids, end-of-cell excluded
     token_logprobs: list[float]  # every emitted token including end-of-cell
-    truncated: bool = False  # the content fills the slot, so the grammar closed it
+    truncated: bool = False  # cut at the slot width (see cut_at_slot)
     forced_close: bool = False  # the grammar forced the end-of-cell (log-probability 0)
 
     def score(self, criterion: str) -> float:
@@ -124,6 +124,13 @@ class TraceEntry:
     score: float
     tokens: list[int]
     truncated: bool
+
+
+def cut_at_slot(tokens: list[int], max_cell_len: int) -> bool:
+    """Whether a cell's content was cut at the slot width: it fills the slot,
+    so the grammar closed it. A NULL cell is complete at any width, so it is
+    never cut, even where NULL alone fills the slot."""
+    return len(tokens) == max_cell_len - 1 and tokens != [NULL]
 
 
 def rows_from_count(pred: float, max_rows: int) -> int:
@@ -325,7 +332,7 @@ class ModelCellSource:
         self.forced += int(forced.sum())
         per_cell = list(zip(cells, tokens.tolist(), logprobs.tolist(), n_tok.tolist(), forced.tolist()))
         self.drafts.update((c, [BOS] + tok[: n - fc] + [-1] * (l - 1 - n + fc)) for c, tok, _, n, fc in per_cell)
-        return {c: Candidate(tok[:n], lps[: n + 1], n == l - 1, fc) for c, tok, lps, n, fc in per_cell}
+        return {c: Candidate(tok[:n], lps[: n + 1], cut_at_slot(tok[:n], l), fc) for c, tok, lps, n, fc in per_cell}
 
 
 def _masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:
@@ -509,5 +516,5 @@ def decode_table(
         _state_to_table(vocab, state, headers, state.n_rows), trace or [], iters, count, hit_row_cap=hit_cap,
         decoder_passes=passes, tokens=sum(len(tok) + 1 for tok in state.committed.values()), forced_tokens=forced,
         input_tokens_dropped=enc.input_tokens_dropped, header_tokens_dropped=enc.header_tokens_dropped,
-        truncated_cells=[c for c, tok in state.committed.items() if len(tok) == model.cfg.max_cell_len - 1],
+        truncated_cells=[c for c, tok in state.committed.items() if cut_at_slot(tok, model.cfg.max_cell_len)],
     )

@@ -1,9 +1,10 @@
 """The benchmark tracer patches library attributes by name; each must exist.
 
 ``perfbench/spans.py`` wraps the functions that ``layer_targets()`` lists by
-looking each one up in ``vars(owner)``. The benchmark's own tests are not
-collected with this suite, so without this check a renamed or moved function
-would break ``perfbench/run.py --trace 1`` unnoticed.
+looking each one up in ``vars(owner)``. ``pyproject.toml``'s ``testpaths``
+collects the benchmark's own tests with this suite, but a renamed or moved
+function fails those only as a bare ``KeyError`` inside a traced run; this
+check names every attribute the tracer cannot patch.
 """
 
 import importlib.util

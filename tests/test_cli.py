@@ -17,11 +17,13 @@ import text2table
 from text2table.cli import commands
 from text2table.cli.commands import DataError, ModelError, prepare_run
 from text2table.cli.main import main
-from text2table.cli.runconfig import merged_run_config
-from text2table.corpus import DatasetRecord, build_vocab, read_jsonl, write_jsonl
-from text2table.model import load_checkpoint, save_checkpoint
+from text2table.cli.runconfig import ConfigError, merged_run_config
+from text2table.corpus import DataFormatError, DatasetRecord, build_vocab, read_jsonl, write_jsonl
+from text2table.decoding import NonFiniteCountError, NonFiniteLogitsError
+from text2table.metrics import AlignmentError, HeaderMismatchError
+from text2table.model import CheckpointError, LayoutError, load_checkpoint, save_checkpoint
 from text2table.table import Table
-from text2table.training import Trainer
+from text2table.training import Trainer, TrainingDiverged
 from text2table.vocab import NULL
 from util import record_op_dtypes
 
@@ -299,18 +301,40 @@ def test_diverging_run_in_a_fresh_interpreter_prints_its_error_line_alone(lineit
     assert len(err) == 1 and err[0].startswith("text2table train: non-finite loss at step 2: "), proc.stderr
 
 
-@pytest.mark.parametrize("code", [0, 2, 3])
-def test_command_warnings_are_shown_after_it_unless_it_exits_3(monkeypatch, code):
+MAPPED_ERRORS = [
+    (None, 0),
+    (DataError("failed"), 2),
+    (ModelError("failed"), 3),
+    (ConfigError("config file not found: run.json"), 2),
+    (FileNotFoundError(2, "No such file or directory", "pred.jsonl"), 2),
+    (LayoutError("wide-0: 5 columns exceed max_cols 4"), 2),
+    (DataFormatError("invalid JSON: Expecting value", line=3), 2),
+    (AlignmentError("bad alignment mode 'bogus'; use 'assignment' or 'keyed:<column>'"), 2),
+    (HeaderMismatchError({"qty"}, {"price"}), 2),
+    (CheckpointError("plain.npy: not a checkpoint (a single array, not an npz archive)"), 3),
+    (TrainingDiverged(2, ["r0"], {"cell": float("nan")}), 3),
+    (NonFiniteCountError(float("nan")), 3),
+    (NonFiniteLogitsError([(1, 1)]), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "error, code", MAPPED_ERRORS, ids=["0", "2", "3"] + [type(e).__name__ for e, _ in MAPPED_ERRORS[3:]]
+)
+def test_command_warnings_are_shown_after_it_unless_it_exits_3(monkeypatch, capsys, error, code):
+    # every error class main maps: its exit code, its text as the one stderr line, and
+    # the command's warnings shown after it unless it exits 3
     def command(*args):
         warnings.warn("held back", UserWarning)
-        if code:
-            raise (DataError if code == 2 else ModelError)("failed")
+        if error is not None:
+            raise error
         return 0
 
     monkeypatch.setattr(importlib.import_module("text2table.cli.main"), "cmd_eval", command)
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
         assert main(["eval", "pred.jsonl", "gold.jsonl"]) == code
+    assert capsys.readouterr().err == ("" if error is None else f"text2table eval: {error}\n")
     assert [str(w.message) for w in shown] == ([] if code == 3 else ["held back"])
     with warnings.catch_warnings(), pytest.raises(UserWarning):
         warnings.simplefilter("error")  # the filters stay in force while the command runs
@@ -709,6 +733,16 @@ def test_resume_without_optimizer_state_exits_3(lineitems_records, tmp_path, cap
     assert main(argv + ["--resume"]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "holds no optimizer state" in err
+
+
+@pytest.mark.parametrize("overrides", [[], ["--set", "training.checkpoint_dir=null"]], ids=["unset", "null"])
+def test_resume_without_a_checkpoint_dir_exits_2_before_any_step(lineitems_records, tmp_path, capsys, overrides):
+    # there is no checkpoint to resume from: such a run once trained from step 0, saved nothing and exited 0
+    config = _train_config(tmp_path, lineitems_records[:3])
+    assert main(["train", config, *overrides, "--resume"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "text2table train: --resume needs training.checkpoint_dir, the directory that holds latest.npz\n"
 
 
 def test_resume_with_missing_optimizer_array_exits_3(lineitems_records, tmp_path, capsys):

@@ -80,7 +80,7 @@ class FullRecomputeSource:
                     tok = int(np.argmax(lp))
                     cand.token_logprobs.append(float(lp[tok]))
                     if tok == EOC:
-                        cand.truncated = t_rel == l - 1
+                        cand.truncated = t_rel == l - 1 and cand.tokens != [NULL]
                         cand.forced_close = np.flatnonzero(legal).tolist() == [EOC]
                     else:
                         cand.tokens.append(tok)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from text2table.decoding import (
 )
 from text2table.decoding import engine
 from text2table.decoding.engine import _masked_log_softmax
-from text2table.model import LayoutError, instance_for_decoding
+from text2table.model import LayoutError, TextToTableModel, instance_for_decoding
 from text2table.vocab import EOC, NULL, tokenize
 from util import MockCellSource, filled_stages, instance_for_pass, structure, visibility
 
@@ -494,6 +495,28 @@ def test_decoder_passes_are_unforced_token_steps(tiny_model):
     assert res.decoder_passes == (l - 1) + (res.outer_iterations - 1)
     # iteration i re-decodes the 13 - i cells still open, each closing by force
     assert res.forced_tokens == sum(range(1, 13))
+
+
+@pytest.mark.parametrize("content", ["null", "token"])
+def test_a_null_cell_is_never_truncated_even_where_it_fills_the_slot(tiny_model, content):
+    # at slot width 2 a cell holds one token, NULL or content, and its close is
+    # forced either way; only the content cell was cut short. A trace entry's
+    # flag is its committed candidate's
+    model = TextToTableModel(replace(tiny_model.cfg, max_cell_len=2), tiny_model.vocab, seed=1)
+    tok = NULL if content == "null" else model.vocab.content_ids()[1]
+    p = model.params
+    p["dec.ln_f.g"].data[...] = 0.0
+    p["dec.ln_f.b"].data[...] = np.eye(model.cfg.d_model)[0]
+    p["lm_head"].data[...] = 0.0
+    p["lm_head"].data[0, tok] = 5.0
+    p["count.b"].data[...] = [2.0]
+    res = decode_table("pens and mugs .", model, DecodingConfig(k=2), ["item", "qty", "price", "total"],
+                       keep_trace=True)
+    assert len(res.trace) == 8 and all(t.tokens == [tok] for t in res.trace)
+    cut = content == "token"
+    assert [t.truncated for t in res.trace] == [cut] * 8
+    assert res.truncated_cells == ([t.cell for t in res.trace] if cut else [])
+    assert res.counts()["truncated_cells"] == (8 if cut else 0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
