@@ -189,8 +189,11 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     cfg = apply_overrides(merged_run_config(load_json_config(config_path)), overrides)
     run = prepare_run(cfg)
     tcfg = run.training
-    if resume and not tcfg.checkpoint_dir:
+    latest = os.path.join(tcfg.checkpoint_dir, "latest.npz") if tcfg.checkpoint_dir else None
+    if resume and not latest:
         raise ConfigError("--resume needs training.checkpoint_dir, the directory that holds latest.npz")
+    if resume and not os.path.exists(latest):
+        raise ConfigError(f"--resume found no checkpoint to resume from: {latest} does not exist")
     resolved = run.resolved()
     chash = config_hash(resolved)
     if tcfg.checkpoint_dir:
@@ -198,15 +201,14 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     metrics_path = os.path.join(tcfg.checkpoint_dir, "metrics.jsonl") if tcfg.checkpoint_dir else None
     run_config = {"config": resolved, "config_hash": chash, "dataset_sha256": file_sha256(cfg["paths"]["dataset"])}
 
-    latest = os.path.join(tcfg.checkpoint_dir, "latest.npz") if tcfg.checkpoint_dir else None
     start_step = 0
     optimizer = None
-    resuming = resume and os.path.exists(latest)  # --resume implies a checkpoint directory
-    if resuming:
+    if resume:
         model, meta = load_checkpoint(latest)
-        stored = meta.get("run_config") or {}
+        stored = meta["run_config"]
         if (
-            not isinstance(stored.get("config"), dict)
+            stored is None
+            or not isinstance(stored.get("config"), dict)
             or _resume_hash(stored["config"]) != _resume_hash(resolved)
             or stored.get("dataset_sha256") != run_config["dataset_sha256"]
         ):
@@ -214,16 +216,11 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
                 f"refusing to resume from {latest}: it was trained under another run config or dataset "
                 "(only training.steps may change)"
             )
-        examples = [prepare_example(r, model.vocab, model.cfg) for r in run.records]
-        if not meta.get("optimizer"):
+        if meta["optimizer"] is None:
             raise ModelError(f"cannot resume from {latest}: it holds no optimizer state")
+        examples = run.examples()
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
-        try:
-            optimizer.load_state_arrays(meta["opt_arrays"], meta["optimizer"]["step_count"])
-        except KeyError as exc:
-            raise ModelError(f"cannot resume from {latest}: optimizer state lacks {exc.args[0]}") from None
-        except ValueError as exc:
-            raise ModelError(f"cannot resume from {latest}: {exc}") from None
+        optimizer.load_state_arrays(meta["opt_arrays"], meta["optimizer"]["step_count"])
         start_step = meta["step"]
         print(f"resuming from step {start_step}")
     else:
@@ -232,7 +229,7 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     trainer = run.trainer(
         model, examples, metrics_path=metrics_path, run_config=run_config, start_step=start_step, optimizer=optimizer
     )
-    if not resuming and metrics_path and os.path.exists(metrics_path):
+    if not resume and metrics_path and os.path.exists(metrics_path):
         os.unlink(metrics_path)
     history = trainer.run()
     warn_cut_ids("train", examples, model.cfg)
@@ -303,8 +300,8 @@ def cmd_decode(
     write_jsonl(preds, out_path)
     ms_p50, ms_p95 = np.percentile(ms, [50, 95]).tolist() if ms else (None, None)
     sidecar = {
-        "checkpoint_step": meta.get("step"),
-        "config_hash": (meta.get("run_config") or {}).get("config_hash"),
+        "checkpoint_step": meta["step"],
+        "config_hash": None if meta["run_config"] is None else meta["run_config"].get("config_hash"),
         "decoding": dataclasses.asdict(dcfg),
         "dataset_sha256": file_sha256(dataset_path),
         "tables": len(preds),

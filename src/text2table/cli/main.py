@@ -10,12 +10,17 @@ text as a one-line message on stderr:
   alike, naming it), tables whose headers or key column do not line up
   (``HeaderMismatchError``, ``AlignmentError``), another input the command
   refuses (``DataError``), or a file it cannot read or write (any
-  ``OSError``);
-* code 3, the model: an unreadable or mismatched checkpoint
-  (``CheckpointError``) or one a run cannot resume from (``ModelError``), a
-  training run whose loss turns non-finite (``TrainingDiverged``), or a row
-  count or logits that do (``NonFiniteCountError``,
-  ``NonFiniteLogitsError``; ``decode`` names the record, as a ``ModelError``).
+  ``OSError``); ``train --resume`` with no ``latest.npz`` in the checkpoint
+  directory is a ``ConfigError`` raised before any step, and makes no
+  directory;
+* code 3, the model: a checkpoint :func:`~text2table.model.load_checkpoint`
+  refuses (``CheckpointError``): unreadable, mismatched, with a missing or
+  mis-shaped parameter or optimizer array, or with metadata of the wrong
+  type, for ``decode`` and ``train --resume`` alike; one a run cannot resume
+  from (``ModelError``), a training run whose loss turns non-finite
+  (``TrainingDiverged``), or a row count or logits that do
+  (``NonFiniteCountError``, ``NonFiniteLogitsError``; ``decode`` names the
+  record, as a ``ModelError``).
 """
 
 from __future__ import annotations

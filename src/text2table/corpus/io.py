@@ -8,11 +8,10 @@ string "null".
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ..files import atomic_write
 from ..table import Table, TableFormatError
 
 
@@ -82,28 +81,13 @@ def record_to_line(rec: DatasetRecord) -> str:
 
 
 def write_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
-    """Write records atomically (no partial file on failure), with the mode
-    ``open`` would give a new file under the umask. Returns count. An
-    ``OSError`` on a file names ``path``, not the temporary file beside it."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write records atomically (no partial file on failure), as
+    :func:`~text2table.files.atomic_write` writes. Returns count."""
     n = 0
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
-        umask = os.umask(0)  # read by setting it, so it is set back at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes it 0600
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for rec in records:
-                rec.table.validate()
-                fh.write(record_to_line(rec))
-                fh.write("\n")
-                n += 1
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            raise OSError(exc.errno, exc.strerror, path) from None
-        raise
+    with atomic_write(path, encoding="utf-8") as fh:
+        for rec in records:
+            rec.table.validate()
+            fh.write(record_to_line(rec))
+            fh.write("\n")
+            n += 1
     return n

@@ -1,9 +1,24 @@
 """Versioned checkpoint container with per-array integrity hashes.
 
 One npz file holds a JSON metadata blob (format version, model config,
-vocabulary, step, optional run config, array manifest with sha256 digests)
-plus the named parameter and optimizer arrays. Loading verifies version and
-digests and refuses anything that does not match bit-for-bit.
+vocabulary, step, optional run config, optional optimizer step count, array
+manifest with sha256 digests) plus the named parameter and optimizer arrays.
+A save is atomic: it writes a temporary file beside the checkpoint and
+replaces the checkpoint with it, so a save that fails leaves the previous
+file whole.
+
+:func:`load_checkpoint` is the one gate a checkpoint passes, for decoding and
+resuming alike. It refuses, as one :class:`CheckpointError` line:
+
+* a file that is not a whole checkpoint of this format version, or whose
+  arrays do not match the manifest's digests bit for bit;
+* a model config or vocabulary the model cannot be built from;
+* metadata of the wrong type: ``step`` must be a non-negative int,
+  ``run_config`` an object or null, and ``optimizer`` null or an object with a
+  non-negative int ``step_count``;
+* a missing array, or one of another shape or dtype than its parameter:
+  ``param::<name>`` for every parameter and, when ``optimizer`` is set,
+  ``opt::m::<name>`` and ``opt::v::<name>`` too.
 """
 
 from __future__ import annotations
@@ -16,6 +31,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ..fields import from_fields
+from ..files import atomic_write
 from ..vocab import Vocabulary
 from .config import ModelConfig
 from .transformer import TextToTableModel
@@ -62,14 +78,15 @@ def save_checkpoint(
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
     """Rebuild the model; returns (model, meta). Meta carries step/run_config
     and, when present, raw optimizer arrays under "opt_arrays". A file that
-    is not a whole, matching checkpoint is a :class:`CheckpointError`."""
+    is not a whole, matching checkpoint, as the module docstring sets out, is
+    a :class:`CheckpointError`."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -108,16 +125,26 @@ def load_checkpoint(path: str) -> tuple[TextToTableModel, dict]:
         model = TextToTableModel(cfg, vocab, seed=0)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CheckpointError(f"{path}: invalid model config or vocabulary ({exc})") from None
+    step, opt_meta = meta.get("step"), meta.get("optimizer")
+    if type(step) is not int or step < 0:
+        raise CheckpointError(f"{path}: step {step!r} is not a non-negative integer")
+    if not isinstance(meta.get("run_config"), (dict, type(None))):
+        raise CheckpointError(f"{path}: run_config is not a JSON object or null")
+    if opt_meta is not None and not (
+        isinstance(opt_meta, dict) and type(opt_meta.get("step_count")) is int and opt_meta["step_count"] >= 0
+    ):
+        raise CheckpointError(f"{path}: optimizer is not null or an object with a non-negative integer step_count")
+    expected = {f"param::{n}": (f"parameter {n}", t) for n, t in model.params.items()}
+    if opt_meta is not None:
+        expected |= {f"opt::{k}::{n}": (f"optimizer array {k}::{n}", t) for k in "mv" for n, t in model.params.items()}
+    for key, (what, t) in expected.items():
+        arr = arrays.get(key)
+        if arr is None:
+            raise CheckpointError(f"{path}: missing {what}")
+        if arr.shape != t.shape or arr.dtype != t.dtype:
+            raise CheckpointError(f"{path}: {what} is {arr.dtype} {arr.shape}, the model's {t.dtype} {t.shape}")
     for name, t in model.params.items():
-        key = f"param::{name}"
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing parameter {name}")
-        if arrays[key].shape != t.data.shape or arrays[key].dtype != t.data.dtype:
-            raise CheckpointError(
-                f"{path}: parameter {name} is {arrays[key].dtype} {arrays[key].shape}, "
-                f"the model's {t.data.dtype} {t.data.shape}"
-            )
-        t.data[...] = arrays[key]
+        t.data[...] = arrays[f"param::{name}"]
     meta["opt_arrays"] = {
         k.removeprefix("opt::"): v for k, v in arrays.items() if k.startswith("opt::")
     }

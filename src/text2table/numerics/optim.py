@@ -104,11 +104,9 @@ def clip_grad_norm(store: ParameterStore, max_norm: float) -> float:
 
     The squares are summed per parameter, in store order, as numpy sums one
     parameter's array; a parameter without a grad adds nothing."""
-    flat = store.grad
-    sq = store.views(flat * flat)
-    norm = math.sqrt(sum(float(sq[name].sum()) for name, t in store.items() if t.grad is not None))
+    norm = math.sqrt(sum(float(np.square(t.grad).sum()) for _, t in store.items() if t.grad is not None))
     if max_norm > 0 and norm > max_norm:
-        flat *= max_norm / norm
+        store.grad *= max_norm / norm
     return norm
 
 
@@ -167,16 +165,9 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        """Load the arrays :meth:`state_arrays` names. A missing array is a
-        KeyError of its name; one whose shape or dtype is not its parameter's
-        is a ValueError that names it. Either leaves the state as it was."""
-        for name, t in self.store.items():
-            for key in (f"m::{name}", f"v::{name}"):
-                arr = arrays[key]
-                if arr.shape != t.shape or arr.dtype != t.dtype:
-                    raise ValueError(
-                        f"optimizer array {key} is {arr.dtype} {arr.shape}, its parameter {t.dtype} {t.shape}"
-                    )
+        """Copy in the arrays :meth:`state_arrays` names. They are not checked
+        here: :func:`~text2table.model.load_checkpoint` refuses a checkpoint
+        whose moments are missing or not of their parameter's shape and dtype."""
         for name in self.store.names():
             self.m[name][...] = arrays[f"m::{name}"]
             self.v[name][...] = arrays[f"v::{name}"]

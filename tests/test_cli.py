@@ -745,47 +745,83 @@ def test_resume_without_a_checkpoint_dir_exits_2_before_any_step(lineitems_recor
     assert err == "text2table train: --resume needs training.checkpoint_dir, the directory that holds latest.npz\n"
 
 
-def test_resume_with_missing_optimizer_array_exits_3(lineitems_records, tmp_path, capsys):
-    argv, latest = _trained_checkpoint(tmp_path, lineitems_records[:3])
-    with np.load(latest) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
-    del arrays["opt::v::embed"], meta["manifest"]["opt::v::embed"]  # a consistent file, one array short
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(latest, "wb") as fh:
-        np.savez(fh, **arrays)
-    capsys.readouterr()
-    assert main(argv + ["--resume"]) == 3
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "optimizer state lacks v::embed" in err
+@pytest.mark.parametrize("made", [False, True], ids=["no-directory", "no-latest"])
+def test_resume_without_latest_npz_exits_2_before_any_step(lineitems_records, tmp_path, capsys, made):
+    # a misspelt checkpoint directory once made the directory, trained from step 0 and exited 0
+    config = _train_config(tmp_path, lineitems_records[:3])
+    ckpt_dir = tmp_path / "typo"
+    if made:
+        ckpt_dir.mkdir()
+        (ckpt_dir / "metrics.jsonl").write_text('{"step": 1}\n')
+    assert main(["train", config, "--set", f"training.checkpoint_dir={ckpt_dir}", "--resume"]) == 2
+    latest = ckpt_dir / "latest.npz"
+    message = f"--resume found no checkpoint to resume from: {latest} does not exist"
+    assert capsys.readouterr() == ("", f"text2table train: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "run.json"] + ["typo"] * made
+    if made:
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["metrics.jsonl"]
+        assert (ckpt_dir / "metrics.jsonl").read_text() == '{"step": 1}\n'
+
+
+def _set_meta(key, value, message):
+    def edit(arrays, meta):
+        meta[key] = value
+        return message
+    return edit
+
+
+def _drop_moment(arrays, meta):
+    del arrays["opt::v::embed"]
+    return "missing optimizer array v::embed"
+
+
+def _set_moment(key, bad):
+    def edit(arrays, meta):
+        want = arrays[key]
+        arrays[key] = got = bad(want)
+        name = key.removeprefix("opt::")
+        return f"optimizer array {name} is {got.dtype} {got.shape}, the model's {want.dtype} {want.shape}"
+    return edit
 
 
 @pytest.mark.parametrize(
-    "key, bad",
+    "edit",
     [
-        ("opt::m::embed", lambda a: a[0].astype(np.float64)),
-        ("opt::v::embed", lambda a: np.zeros((3, 3), a.dtype)),
-        ("opt::m::lm_head", lambda a: a.astype(np.float64)),
+        _set_meta("optimizer", [4], "optimizer is not null or an object with a non-negative integer step_count"),
+        _set_meta("optimizer", {}, "optimizer is not null or an object with a non-negative integer step_count"),
+        _set_meta("run_config", [], "run_config is not a JSON object or null"),
+        _set_meta("step", "1", "step '1' is not a non-negative integer"),
+        _set_meta("step", -1, "step -1 is not a non-negative integer"),
+        _drop_moment,
+        _set_moment("opt::m::embed", lambda a: a[0].astype(np.float64)),
+        _set_moment("opt::v::embed", lambda a: np.zeros((3, 3), a.dtype)),
+        _set_moment("opt::m::lm_head", lambda a: a.astype(np.float64)),
     ],
-    ids=["float64-row", "3x3", "float64"],
+    ids=[
+        "optimizer-list", "optimizer-without-step-count", "run-config-list", "step-string", "step-negative",
+        "missing-moment", "float64-row-moment", "3x3-moment", "float64-moment",
+    ],
 )
-def test_resume_with_misshaped_optimizer_array_exits_3(lineitems_records, tmp_path, capsys, key, bad):
-    # a float64 row once broadcast into the moment in silence, a 3x3 array escaped as a bare
-    # traceback and a float64 array of the right shape was cast in silence
+def test_train_resume_and_decode_refuse_a_bad_checkpoint_with_the_same_line(lineitems_records, tmp_path, capsys, edit):
+    # load_checkpoint is the one gate: train --resume once ended three of these in a traceback and resumed from
+    # step -1, a float64 row broadcast into a moment and a float64 moment was cast in silence, and decode ended the
+    # list run_config in a traceback and accepted the rest
     argv, latest = _trained_checkpoint(tmp_path, lineitems_records[:3])
     with np.load(latest) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
-    arrays[key] = bad(arrays[key])
-    meta["manifest"][key] = hashlib.sha256(np.ascontiguousarray(arrays[key]).tobytes()).hexdigest()
+    message = edit(arrays, meta)
+    # every digest matches, so only the edit is wrong with the file
+    meta["manifest"] = {k: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for k, a in arrays.items()}
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with open(latest, "wb") as fh:
         np.savez(fh, **arrays)
+    data = str(tmp_path / "decode.jsonl")
+    write_jsonl(lineitems_records[:1], data)
     capsys.readouterr()
-    assert main(argv + ["--resume"]) == 3
-    err = capsys.readouterr().err.strip()
-    name = key.removeprefix("opt::")
-    assert len(err.splitlines()) == 1 and f"optimizer array {name} is {arrays[key].dtype} {arrays[key].shape}" in err
+    for command, args in (("train", argv[1:] + ["--resume"]), ("decode", [latest, data, str(tmp_path / "out.jsonl")])):
+        assert main([command, *args]) == 3
+        assert capsys.readouterr() == ("", f"text2table {command}: {latest}: {message}\n")
 
 
 def test_ablate_empty_validation_set_exits_2_before_any_run(lineitems_records, tmp_path, capsys):

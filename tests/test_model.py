@@ -305,6 +305,28 @@ def test_checkpoint_roundtrip_bit_exact(tiny_model, tmp_path):
     assert loaded.vocab == tiny_model.vocab
 
 
+def test_a_save_that_fails_midway_leaves_the_previous_checkpoint_whole(tiny_model, tmp_path, monkeypatch):
+    # the checkpoint was once opened "wb", so a failed save left a file that would not load
+    from text2table.model import load_checkpoint, save_checkpoint
+
+    path = tmp_path / "latest.npz"
+    save_checkpoint(str(path), tiny_model, step=1)
+    before = path.read_bytes()
+
+    def failing_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 part of an archive")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_checkpoint(str(path), tiny_model, step=2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["latest.npz"]
+    loaded, meta = load_checkpoint(str(path))
+    assert meta["step"] == 1 and loaded.params.data.tobytes() == tiny_model.params.data.tobytes()
+
+
 def test_checkpoint_tamper_detected_by_hash(tiny_model, tmp_path):
     from text2table.model import CheckpointError, load_checkpoint, save_checkpoint
 

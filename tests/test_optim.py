@@ -129,6 +129,8 @@ def test_flat_steps_equal_the_per_parameter_oracle_on_model_gradients(
         backward(total)
         grads = {name: t.grad.copy() for name, t in store.items()}
         norm = _oracle_clip(grads, clip_norm)
+        sq = store.views(store.grad * store.grad)  # the sum of squares clipping once took, over the flat buffer
+        assert math.sqrt(sum(float(sq[name].sum()) for name in store.names())) == norm
         assert clip_grad_norm(store, clip_norm) == norm
         assert (norm > clip_norm) == (clip_norm == 1e-3)
         opt.step()
