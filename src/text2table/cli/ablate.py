@@ -30,7 +30,11 @@ what the run is: its whole run config with every default filled in, derived
 seed included, and the contents of its datasets. A run whose base config,
 data or a library default it relies on changed therefore runs again; a
 default written out runs nothing new. A last ledger line that an interrupted
-append cut short is dropped, and its run runs again. ``out_dir/summary.json``
+append cut short is dropped, and its run runs again. Any other line must be a
+row as ``ablate`` writes it: a JSON object with a string ``run_id``, an
+object ``combo`` and an object ``result`` whose ``cell_f1`` and
+``count_accuracy`` are numbers; ``ablate`` refuses any other line, naming
+it, before it runs anything. ``out_dir/summary.json``
 holds the mean and standard deviation of cell F1 and count accuracy per point.
 After the last run, each point whose training texts or headers were cut at
 ``model.max_input_len`` or ``model.max_cell_len`` gets the notice ``train``
@@ -110,23 +114,10 @@ def summarize(rows: list[dict]) -> list[dict]:
     return out
 
 
-def pretty_summary(summary: list[dict]) -> str:
-    keys = sorted(summary[0]["combo"]) if summary else []
-    header = "".join(f"{n:<24}" for n in keys) + f"{'f1':>14}  {'count_acc':>14}"
-    lines = [header, "-" * len(header)]
-    for row in summary:
-        cells = "".join(f"{str(row['combo'][n]):<24}" for n in keys)
-        lines.append(
-            f"{cells}{row['f1_mean']:.4f}±{row['f1_std']:.4f}  "
-            f"{row['count_accuracy_mean']:.4f}±{row['count_accuracy_std']:.4f}"
-        )
-    return "\n".join(lines)
-
-
 def read_ledger(path: str) -> dict[str, dict]:
     """Ledger rows by run id. A last line without its newline is an append
     that was cut short: it is cut from the file, so its run runs again. Any
-    other line that is not a JSON object with a ``run_id`` is a
+    other line that is not a row :func:`summarize` can read is a
     :class:`DataError`."""
     if not os.path.exists(path):
         return {}
@@ -145,13 +136,22 @@ def read_ledger(path: str) -> dict[str, dict]:
             row = json.loads(line)
         except json.JSONDecodeError:
             row = None
-        if not isinstance(row, dict) or "run_id" not in row:
-            raise DataError(f"{path}: line {line_no} is not a ledger row (a JSON object with a run_id)")
+        result = row.get("result") if isinstance(row, dict) else None
+        if not (
+            isinstance(result, dict)
+            and isinstance(row.get("run_id"), str)
+            and isinstance(row.get("combo"), dict)
+            and all(type(result.get(key)) in (int, float) for key in ("cell_f1", "count_accuracy"))  # no bool
+        ):
+            raise DataError(
+                f"{path}: line {line_no} is not a ledger row (a JSON object with a string run_id, an object combo "
+                "and an object result whose cell_f1 and count_accuracy are numbers)"
+            )
         done[row["run_id"]] = row
     return done
 
 
-def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
+def cmd_ablate(grid_path: str, out_dir: str) -> int:
     cfg = load_json_config(grid_path)
     grid = cfg.pop("grid", {})
     n_seeds = cfg.pop("n_seeds", 3)
@@ -191,7 +191,5 @@ def cmd_ablate(grid_path: str, out_dir: str, pretty: bool = False) -> int:
     summary = summarize(rows)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump({"grid": grid, "rows": summary}, fh, sort_keys=True, indent=2)
-    if pretty:
-        print(pretty_summary(summary))
     print(f"summary for {len(summary)} configurations written to {out_dir}/summary.json")
     return 0

@@ -7,17 +7,16 @@ import json
 import os
 import statistics
 import sys
-from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 
 from ..corpus import CorpusError, CorpusSpec, DatasetRecord, build_vocab, generate, read_jsonl, write_jsonl
-from ..decoding import DecodingConfig, NonFiniteCountError, NonFiniteLogitsError, decode_table
+from ..decoding import DecodingConfig, decode_records
 from ..decoding.engine import DECODE_COUNTS
 from ..fields import from_fields
 from ..metrics import AlignmentMode, score_corpus
-from ..model import LayoutError, ModelConfig, TextToTableModel, load_checkpoint
+from ..model import ModelConfig, TextToTableModel, load_checkpoint
 from ..numerics import AdamW
 from ..training import Trainer, TrainingConfig, TrainingExample, prepare_example
 from ..vocab import Vocabulary
@@ -134,10 +133,8 @@ class Run(NamedTuple):
     def trainer(self, model: TextToTableModel, examples: list[TrainingExample], **kwargs) -> Trainer:
         """A :class:`Trainer` that evaluates on the run's validation records;
         a record or example the model cannot lay out is a :class:`LayoutError`."""
-        val_examples = [prepare_example(r, model.vocab, model.cfg) for r in self.val_records]
         return Trainer(
-            model, examples, self.training, val_records=self.val_records, val_examples=val_examples,
-            eval_decoding=self.decoding, **kwargs
+            model, examples, self.training, val_records=self.val_records, eval_decoding=self.decoding, **kwargs
         )
 
 
@@ -205,11 +202,16 @@ def cmd_train(config_path: str, overrides: list[str], resume: bool = False) -> i
     optimizer = None
     if resume:
         model, meta = load_checkpoint(latest)
-        stored = meta["run_config"]
+        stored = meta["run_config"] or {}
+        stored_config = stored.get("config")
+        if isinstance(stored_config, dict):
+            try:  # each section an object, as the hash reads it
+                check_run_config(merged_run_config(stored_config))
+            except ConfigError as exc:
+                raise ModelError(f"cannot resume from {latest}: its stored run config is malformed: {exc}") from None
         if (
-            stored is None
-            or not isinstance(stored.get("config"), dict)
-            or _resume_hash(stored["config"]) != _resume_hash(resolved)
+            not isinstance(stored_config, dict)
+            or _resume_hash(stored_config) != _resume_hash(resolved)
             or stored.get("dataset_sha256") != run_config["dataset_sha256"]
         ):
             raise ModelError(
@@ -260,55 +262,22 @@ def cmd_decode(
     dcfg_dict = load_json_config(config_path) if config_path else {}
     dcfg = _parse_decoding(apply_overrides(dcfg_dict, overrides or []), model.cfg)
 
-    records = _read_records(dataset_path)
-    preds: list[DatasetRecord] = []
-    traces: list[dict] = []
-    totals = dict.fromkeys(DECODE_COUNTS, 0)
-    passes: list[int] = []  # per table
-    ms: list[float] = []  # per table
-    for rec in records:
-        start = perf_counter()
-        try:
-            result = decode_table(rec.text, model, dcfg, rec.table.headers, keep_trace=bool(trace_path))
-        except LayoutError as exc:  # the record, as train refuses it
-            raise DataError(f"{rec.id}: {exc}") from None
-        except (NonFiniteCountError, NonFiniteLogitsError) as exc:
-            raise ModelError(f"{rec.id}: {exc}") from None
-        ms.append((perf_counter() - start) * 1e3)
-        preds.append(DatasetRecord(rec.id, rec.text, result.table))
-        counts = result.counts()
-        totals = {key: n + counts[key] for key, n in totals.items()}
-        passes.append(result.decoder_passes)
-        if trace_path:
-            traces.append(
-                {
-                    "id": rec.id,
-                    **counts,
-                    "predicted_count": result.predicted_count,
-                    "trace": [
-                        {
-                            "iteration": t.iteration,
-                            "cell": list(t.cell),
-                            "score": t.score,
-                            "tokens": [model.vocab.surface(i) for i in t.tokens],
-                            "truncated": t.truncated,
-                        }
-                        for t in result.trace
-                    ],
-                }
-            )
-    write_jsonl(preds, out_path)
-    ms_p50, ms_p95 = np.percentile(ms, [50, 95]).tolist() if ms else (None, None)
+    decoded = list(decode_records(model, _read_records(dataset_path), dcfg, keep_trace=bool(trace_path)))
+    write_jsonl([DatasetRecord(rec.id, rec.text, result.table) for rec, result, _ in decoded], out_path)
+    counts = [result.counts() for _, result, _ in decoded]  # per table, as are passes and ms
+    totals = {key: sum(c[key] for c in counts) for key in DECODE_COUNTS}
+    passes = [result.decoder_passes for _, result, _ in decoded]
+    ms_p50, ms_p95 = np.percentile([ms for *_, ms in decoded], [50, 95]).tolist() if decoded else (None, None)
     sidecar = {
         "checkpoint_step": meta["step"],
         "config_hash": None if meta["run_config"] is None else meta["run_config"].get("config_hash"),
         "decoding": dataclasses.asdict(dcfg),
         "dataset_sha256": file_sha256(dataset_path),
-        "tables": len(preds),
+        "tables": len(decoded),
         **totals,
         "decoder_passes_p50": statistics.median(passes) if passes else None,
         "decoder_passes_max": max(passes, default=None),
-        "tokens_per_table_mean": totals["tokens"] / len(preds) if preds else None,
+        "tokens_per_table_mean": totals["tokens"] / len(decoded) if decoded else None,
         "ms_per_table_p50": ms_p50,
         "ms_per_table_p95": ms_p95,
     }
@@ -316,9 +285,15 @@ def cmd_decode(
         json.dump(sidecar, fh, sort_keys=True, indent=2)
     if trace_path:
         with open(trace_path, "w", encoding="utf-8") as fh:
-            for t in traces:
-                fh.write(json.dumps(t, sort_keys=True) + "\n")
-    print(f"decoded {len(preds)} tables to {out_path}")
+            for (rec, result, _), table_counts in zip(decoded, counts):
+                trace = [
+                    {"iteration": t.iteration, "cell": list(t.cell), "score": t.score,
+                     "tokens": [model.vocab.surface(i) for i in t.tokens], "truncated": t.truncated}
+                    for t in result.trace
+                ]
+                line = {"id": rec.id, **table_counts, "predicted_count": result.predicted_count, "trace": trace}
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
+    print(f"decoded {len(decoded)} tables to {out_path}")
     return 0
 
 
@@ -327,26 +302,11 @@ def cmd_decode(
 # ---------------------------------------------------------------------------
 
 
-def _pretty_report(report: dict) -> str:
-    rows = [("all", report)] + sorted(report["per_column"].items())
-    widths = [max(len(str(name)) for name, _ in rows), 9, 9, 9]
-    lines = [
-        f"{'column':<{widths[0]}}  {'precision':>9}  {'recall':>9}  {'f1':>9}",
-    ]
-    for name, r in rows:
-        lines.append(
-            f"{name:<{widths[0]}}  {r['precision']:>9.4f}  {r['recall']:>9.4f}  {r['f1']:>9.4f}"
-        )
-    lines.append(f"count_accuracy: {report['count_accuracy']:.4f}")
-    return "\n".join(lines)
-
-
 def cmd_eval(
     pred_path: str,
     gold_path: str,
     mode_text: str = "assignment",
     out_path: str | None = None,
-    pretty: bool = False,
     force: bool = False,
 ) -> int:
     mode = AlignmentMode.parse(mode_text)
@@ -380,8 +340,5 @@ def cmd_eval(
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    if pretty:
-        print(_pretty_report(report))
-    else:
-        print(text)
+    print(text)
     return 0

@@ -19,8 +19,9 @@ text as a one-line message on stderr:
   type, for ``decode`` and ``train --resume`` alike; one a run cannot resume
   from (``ModelError``), a training run whose loss turns non-finite
   (``TrainingDiverged``), or a row count or logits that do
-  (``NonFiniteCountError``, ``NonFiniteLogitsError``; ``decode`` names the
-  record, as a ``ModelError``).
+  (``NonFiniteCountError``, ``NonFiniteLogitsError``), named by the record
+  whose decode gave them, whether ``decode`` decodes it or ``train`` and
+  ``ablate`` evaluate on it.
 """
 
 from __future__ import annotations
@@ -76,15 +77,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("gold")
     p.add_argument("--alignment", default="assignment")
     p.add_argument("--out", help="also write the JSON report here")
-    p.add_argument("--pretty", action="store_true")
     p.add_argument("--force", action="store_true", help="score even if the corpus hashes differ")
-    p.set_defaults(run=lambda a: cmd_eval(a.pred, a.gold, a.alignment, a.out, a.pretty, a.force))
+    p.set_defaults(run=lambda a: cmd_eval(a.pred, a.gold, a.alignment, a.out, a.force))
 
     p = sub.add_parser("ablate", help="run a resumable ablation grid")
     p.add_argument("grid")
     p.add_argument("out_dir")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(run=lambda a: cmd_ablate(a.grid, a.out_dir, a.pretty))
+    p.set_defaults(run=lambda a: cmd_ablate(a.grid, a.out_dir))
     return ap
 
 

@@ -21,12 +21,14 @@ pass over the whole layout per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from time import perf_counter
+from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
+from ..corpus import DatasetRecord
 from ..model import TableTemplate, TextToTableModel, collate_instances, instance_for_decoding
-from ..model.layout import Coord, check_shape, encode_record, row_major_order
+from ..model.layout import Coord, LayoutError, check_shape, encode_record, row_major_order
 from ..numerics import no_grad
 from ..table import Table
 from ..vocab import BOS, EOC, NULL, Vocabulary
@@ -518,3 +520,21 @@ def decode_table(
         input_tokens_dropped=enc.input_tokens_dropped, header_tokens_dropped=enc.header_tokens_dropped,
         truncated_cells=[c for c, tok in state.committed.items() if cut_at_slot(tok, model.cfg.max_cell_len)],
     )
+
+
+def decode_records(
+    model: TextToTableModel, records: Iterable[DatasetRecord], cfg: DecodingConfig, *, keep_trace: bool = False
+) -> Iterator[tuple[DatasetRecord, DecodeResult, float]]:
+    """Decode each record's table from its text and headers, in order; yields
+    ``(record, result, ms)``, ``ms`` the wall time of its :func:`decode_table`
+    call. A record the model refuses raises the refusal as it is
+    (``LayoutError``, ``NonFiniteCountError`` or ``NonFiniteLogitsError``),
+    its message led by the record's id."""
+    for rec in records:
+        start = perf_counter()
+        try:
+            result = decode_table(rec.text, model, cfg, rec.table.headers, keep_trace=keep_trace)
+        except (LayoutError, NonFiniteCountError, NonFiniteLogitsError) as exc:
+            exc.args = (f"{rec.id}: {exc}",)
+            raise
+        yield rec, result, (perf_counter() - start) * 1e3

@@ -16,12 +16,9 @@ class UnknownKeysError(ValueError):
 
 def _fits(value, hint) -> bool:
     """Whether ``value`` fits the type ``hint``: an int fits a float, a bool
-    fits no number, ``X | None`` also takes None and ``list[X]`` a list of X."""
+    fits no number and ``X | None`` also takes None."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
     if isinstance(value, bool) and hint is not bool:
         return False
     return isinstance(value, (int, float) if hint is float else hint)

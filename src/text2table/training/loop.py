@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import DatasetRecord
-from ..decoding import DecodingConfig, decode_table
+from ..decoding import DecodingConfig, decode_records
 from ..metrics import AlignmentMode, score_corpus
 from ..model import LayoutError, TextToTableModel, collate_instances, save_checkpoint
 from ..model.layout import check_shape, row_major_order
 from ..numerics import AdamW, Tensor, backward, clip_grad_norm, no_grad, ops
-from .passes import TrainingExample, build_training_pass, causal_stages, sample_permutation
+from .passes import TrainingExample, build_training_pass, causal_stages, prepare_example, sample_permutation
 
 STREAM_BATCH, STREAM_PLAN, STREAM_DROPOUT, STREAM_EVAL = 0, 1, 2, 3
 
@@ -97,7 +97,6 @@ class Trainer:
         cfg: TrainingConfig,
         *,
         val_records: list[DatasetRecord] | None = None,
-        val_examples: list[TrainingExample] | None = None,
         eval_decoding: DecodingConfig | None = None,
         metrics_path: str | None = None,
         run_config: dict | None = None,
@@ -110,7 +109,7 @@ class Trainer:
         self.examples = train_examples
         self.cfg = cfg
         self.val_records = val_records or []
-        self.val_examples = val_examples or []
+        self.val_examples = [prepare_example(r, model.vocab, model.cfg) for r in self.val_records]
         for ex in train_examples + self.val_examples:  # the largest template the mode draws must fit
             try:
                 check_shape(model.cfg, ex.n_rows + (cfg.mode == "semi-templated"), ex.n_cols)
@@ -216,9 +215,10 @@ class Trainer:
     # ------------------------------------------------------------------
 
     def evaluate(self, step: int) -> dict:
-        """Validation NLL/MSE (without a tape) and, from decoded tables, cell
-        precision, recall and F1, per-column F1 and row-count accuracy; a
-        value whose validation data the trainer lacks is None."""
+        """Validation NLL/MSE (without a tape) and, from the tables
+        :func:`~text2table.decoding.decode_records` decodes, cell precision,
+        recall and F1, per-column F1 and row-count accuracy; a value whose
+        validation data the trainer lacks is None."""
         keys = ("nll", "mse", "cell_precision", "cell_recall", "cell_f1", "per_column_f1", "count_accuracy")
         out = {"step": step, **dict.fromkeys(keys)}
         if self.val_examples:
@@ -228,14 +228,8 @@ class Trainer:
             out["nll"] = nll.item()
             out["mse"] = mse.item()
         if self.val_records:
-            cap = min(len(self.val_records), self.cfg.eval_decode_examples)
-            pairs = []
-            for rec in self.val_records[:cap]:
-                result = decode_table(
-                    rec.text, self.model, self.eval_decoding, rec.table.headers
-                )
-                pairs.append((result.table, rec.table))
-            score = score_corpus(pairs, AlignmentMode.assignment())
+            decoded = decode_records(self.model, self.val_records[: self.cfg.eval_decode_examples], self.eval_decoding)
+            score = score_corpus(((result.table, rec.table) for rec, result, _ in decoded), AlignmentMode.assignment())
             out["cell_precision"] = score.counts.precision
             out["cell_recall"] = score.counts.recall
             out["cell_f1"] = score.counts.f1

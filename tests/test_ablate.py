@@ -166,15 +166,38 @@ def test_ablate_drops_a_torn_last_ledger_line_and_reruns_its_run(lineitems_recor
     assert _ledger(out) == [row]
 
 
+def _row(run_id="abc", combo=None, **result):
+    result = {"cell_f1": 0.5, "count_accuracy": 1.0, **result}
+    return json.dumps({"run_id": run_id, "combo": {} if combo is None else combo, "result": result}) + "\n"
+
+
 def test_ablate_ledger_line_that_is_not_a_row_exits_2(lineitems_records, tmp_path, capsys):
     grid, out = _grid(tmp_path, lineitems_records, ["predicted-count"]), tmp_path / "out"
     out.mkdir()
-    for bad in ['{"run_id": "abc", "comb\n', "[1, 2]\n", '{"combo": {}}\n']:
-        (out / "done.jsonl").write_text('{"run_id": "abc"}\n' + bad + '{"run_id": "def"}\n')
+    no_count = json.dumps({"run_id": "x", "combo": {}, "result": {"cell_f1": 0.5}}) + "\n"
+    for bad in [
+        '{"run_id": "abc", "comb\n', "[1, 2]\n", '"run_id"\n', '{"combo": {}}\n', '{"run_id": "abc"}\n', no_count,
+        _row(combo=[]), _row(run_id=["x"]), _row(cell_f1=True), _row(count_accuracy=None), _row(cell_f1="0.5"),
+    ]:
+        (out / "done.jsonl").write_text(_row("abc") + bad + _row("def"))
         assert main(["ablate", grid, str(out)]) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
-        assert "done.jsonl" in err and "line 2" in err
+        assert "done.jsonl" in err and "line 2" in err, bad
+
+
+def test_ablate_refuses_a_finished_run_whose_result_it_cannot_summarize(lineitems_records, tmp_path, capsys):
+    cfg = {**_base(tmp_path, lineitems_records), "n_seeds": 1, "grid": {"decoding.stopping": ["predicted-count"]}}
+    cfg["training"]["steps"] = 2
+    grid, out = tmp_path / "grid.json", tmp_path / "out"
+    grid.write_text(json.dumps(cfg))
+    assert main(["ablate", str(grid), str(out)]) == 0
+    (row,) = _ledger(out)
+    (out / "done.jsonl").write_text(json.dumps({**row, "result": {"cell_f1": 0.5}}) + "\n")  # the run's own id
+    capsys.readouterr()
+    assert main(["ablate", str(grid), str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith(f"text2table ablate: {out / 'done.jsonl'}: line 1 ")
 
 
 def test_ablate_evaluates_each_run_once_at_its_last_step(lineitems_records, tmp_path, monkeypatch):

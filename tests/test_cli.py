@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 import text2table
-from text2table.cli import commands
 from text2table.cli.commands import DataError, ModelError, prepare_run
 from text2table.cli.main import main
 from text2table.cli.runconfig import ConfigError, merged_run_config
 from text2table.corpus import DataFormatError, DatasetRecord, build_vocab, read_jsonl, write_jsonl
-from text2table.decoding import NonFiniteCountError, NonFiniteLogitsError
+from text2table.decoding import NonFiniteCountError, NonFiniteLogitsError, engine
 from text2table.metrics import AlignmentError, HeaderMismatchError
 from text2table.model import CheckpointError, LayoutError, load_checkpoint, save_checkpoint
 from text2table.table import Table
@@ -168,7 +167,7 @@ def test_semi_templated_decode_runs_no_count_head_and_writes_strict_json(tiny_mo
 def steady_clock(monkeypatch):
     """``decode``'s clock ticks one second per reading, so every table takes
     1000 ms and a sidecar's timings repeat from run to run."""
-    monkeypatch.setattr(commands, "perf_counter", itertools.count().__next__)
+    monkeypatch.setattr(engine, "perf_counter", itertools.count().__next__)
 
 
 def test_decode_meta_holds_the_totals_of_the_trace(tiny_model, lineitems_records, tmp_path, steady_clock):
@@ -232,7 +231,7 @@ def test_decode_meta_gives_ms_per_table_percentiles(tiny_model, lineitems_record
     data = str(tmp_path / "data.jsonl")
     write_jsonl(lineitems_records[:3], data)
     readings = iter([0, 1, 10, 12, 20, 23])  # the three tables take 1, 2 and 3 s
-    monkeypatch.setattr(commands, "perf_counter", lambda: next(readings))
+    monkeypatch.setattr(engine, "perf_counter", lambda: next(readings))
     assert main(["decode", ckpt, data, str(tmp_path / "out.jsonl")]) == 0
     meta = json.loads((tmp_path / "out.jsonl.meta.json").read_text())
     assert meta["ms_per_table_p50"] == 2000.0
@@ -260,8 +259,9 @@ DIVERGING = {"steps": 4, "batch_size": 4, "lr": 1e30, "clip_norm": 0}
     "training, decoding, message",
     [
         ({}, {}, "non-finite loss at step 2: "),
-        ({"steps": 1, "eval_every": 1}, {}, "row-count head gave a non-finite value (nan)"),
-        ({"steps": 1, "eval_every": 1}, {"stopping": "semi-templated"}, "decoder gave non-finite logits for cells "),
+        # evaluation names the validation record it was decoding, the first
+        ({"steps": 1, "eval_every": 1}, {}, "{id}: row-count head gave a non-finite value (nan)"),
+        ({"steps": 1, "eval_every": 1}, {"stopping": "semi-templated"}, "{id}: decoder gave non-finite logits for cells "),
     ],
     ids=["diverged", "non_finite_count", "non_finite_logits"],
 )
@@ -279,7 +279,7 @@ def test_non_finite_training_or_evaluation_exits_3(lineitems_records, tmp_path, 
     argv = ["train", str(config)] if command == "train" else ["ablate", str(config), str(tmp_path / "out")]
     assert main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"text2table {command}: {message}")
+    assert len(err) == 1 and err[0].startswith(f"text2table {command}: {message.format(id=lineitems_records[0].id)}")
 
 
 def test_diverging_run_in_a_fresh_interpreter_prints_its_error_line_alone(lineitems_records, tmp_path):
@@ -550,7 +550,7 @@ def test_an_output_path_under_a_regular_file_exits_2_with_one_line(
     afile.write_text("")
     argv = _unwritable_output_argv(command, tmp_path, lineitems_records[:4], tiny_model, str(afile / "out"))
     capsys.readouterr()
-    monkeypatch.setattr(commands, "decode_table", lambda *a, **k: pytest.fail("decode refuses before its first table"))
+    monkeypatch.setattr(engine, "decode_table", lambda *a, **k: pytest.fail("decode refuses before its first table"))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"text2table {argv[0]}: ") and "afile" in err
@@ -733,6 +733,30 @@ def test_resume_without_optimizer_state_exits_3(lineitems_records, tmp_path, cap
     assert main(argv + ["--resume"]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "holds no optimizer state" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, why",
+    [
+        ("training", [], "run config section 'training' must be an object"),
+        ("model", None, "run config section 'model' must be an object"),
+        ("seed", "0", "seed must be an integer, got '0'"),
+    ],
+    ids=["training", "model", "seed"],
+)
+def test_resume_from_a_stored_run_config_of_the_wrong_shape_exits_3(lineitems_records, tmp_path, capsys, key, value, why):
+    argv, latest = _trained_checkpoint(tmp_path, lineitems_records[:3])
+    with np.load(latest) as data:
+        arrays = dict(data)
+    meta = json.loads(arrays["__meta__"].tobytes())
+    meta["run_config"]["config"][key] = value
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    np.savez(latest, **arrays)
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 3
+    assert capsys.readouterr().err == (
+        f"text2table train: cannot resume from {latest}: its stored run config is malformed: {why}\n"
+    )
 
 
 @pytest.mark.parametrize("overrides", [[], ["--set", "training.checkpoint_dir=null"]], ids=["unset", "null"])

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_bias_tables
+from conftest import _tiny_model, random_bias_tables
 from text2table.decoding import (
     Candidate,
     DecodingConfig,
@@ -17,6 +17,7 @@ from text2table.decoding import (
     NonFiniteCountError,
     NonFiniteLogitsError,
     apply_constraint,
+    decode_records,
     decode_table,
     inner_loop,
     outer_criterion,
@@ -26,7 +27,9 @@ from text2table.decoding import (
 )
 from text2table.decoding import engine
 from text2table.decoding.engine import _masked_log_softmax
+from text2table.corpus import DatasetRecord
 from text2table.model import LayoutError, TextToTableModel, instance_for_decoding
+from text2table.table import Table
 from text2table.vocab import EOC, NULL, tokenize
 from util import MockCellSource, filled_stages, instance_for_pass, structure, visibility
 
@@ -472,6 +475,63 @@ def test_nan_decoder_logits_raise_named_error(tiny_model, stopping):
         decode_table("pens and mugs .", tiny_model, DecodingConfig(stopping=stopping), ["item", "qty"])
     assert ei.value.cells  # the first inner loop already fails, naming its open cells
     assert set(ei.value.cells) <= {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+# ---------------------------------------------------------------------------
+# a record set
+# ---------------------------------------------------------------------------
+
+
+def _decoding_model(vocab):
+    """A tiny model with random bias tables whose count head predicts 2 rows."""
+    model = _tiny_model(vocab)
+    random_bias_tables(model, np.random.default_rng(4))
+    model.params["count.b"].data[...] = [2.0]
+    return model
+
+
+@pytest.mark.parametrize("stopping", ["predicted-count", "semi-templated"])
+def test_records_decode_as_each_alone(tiny_vocab, lineitems_records, stopping):
+    records = lineitems_records[:4]
+    cfg = DecodingConfig(k=2, stopping=stopping)
+    out = list(decode_records(_decoding_model(tiny_vocab), records, cfg, keep_trace=True))
+    assert [rec for rec, _, _ in out] == records
+    assert all(ms >= 0 for _, _, ms in out)
+    for rec, res, _ in out:  # each against a fresh model that decoded nothing before it
+        alone = decode_table(rec.text, _decoding_model(tiny_vocab), cfg, rec.table.headers, keep_trace=True)
+        assert res.table == alone.table and res.trace == alone.trace and res.trace
+        assert res.counts() == alone.counts()
+    assert all(not res.trace for _, res, _ in decode_records(_decoding_model(tiny_vocab), records, cfg))
+
+
+def _refusal(model, records):
+    decoded = []
+    with pytest.raises((LayoutError, NonFiniteCountError, NonFiniteLogitsError)) as ei:
+        for rec, _, _ in decode_records(model, records, DecodingConfig()):
+            decoded.append(rec.id)
+    return decoded, ei
+
+
+def test_a_refused_record_keeps_its_error_and_leads_its_message_with_its_id(tiny_model, lineitems_records):
+    first = lineitems_records[0]
+    wide = DatasetRecord("wide", first.text, Table(["a", "b", "c", "d", "e"], [["1", "2", "3", "4", "5"]]))
+    decoded, ei = _refusal(tiny_model, [first, wide, first])
+    assert decoded == [first.id] and type(ei.value) is LayoutError
+    assert str(ei.value) == "wide: 5 columns exceed max_cols 4"
+    blank = DatasetRecord("blank", " ", first.table)
+    _, ei = _refusal(tiny_model, [blank])
+    assert type(ei.value) is EmptySourceTextError and str(ei.value).startswith("blank: ")
+
+    tiny_model.params["count.b"].data[...] = np.nan
+    _, ei = _refusal(tiny_model, [first])
+    assert type(ei.value) is NonFiniteCountError and np.isnan(ei.value.count)
+    assert str(ei.value) == f"{first.id}: row-count head gave a non-finite value (nan)"
+
+    tiny_model.params["count.b"].data[...] = [2.0]
+    tiny_model.params["lm_head"].data[0, :] = np.nan
+    _, ei = _refusal(tiny_model, [first])
+    assert type(ei.value) is NonFiniteLogitsError and ei.value.cells
+    assert str(ei.value) == f"{first.id}: decoder gave non-finite logits for cells {ei.value.cells}"
 
 
 def test_decoder_passes_are_unforced_token_steps(tiny_model):

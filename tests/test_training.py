@@ -273,15 +273,24 @@ def test_semi_templated_passes_open_one_row_of_a_template_that_ends_there(tiny_m
 def test_semi_templated_trainer_refuses_a_table_with_no_room_for_its_sentinel(tiny_model, which):
     # the sentinel row counts toward max_rows: a full table has no room for it
     n = tiny_model.cfg.max_rows
-    full = prepare_example(DatasetRecord("full", "pens .", Table(["item"], [["pens"]] * n)), tiny_model.vocab,
-                           tiny_model.cfg)
-    assert full.n_rows == n
-    ok = prepare_example(DatasetRecord("ok", "pens .", Table(["item"], [["pens"]])), tiny_model.vocab, tiny_model.cfg)
+    full = DatasetRecord("full", "pens .", Table(["item"], [["pens"]] * n))
+    ok = DatasetRecord("ok", "pens .", Table(["item"], [["pens"]]))
+    assert prepare_example(full, tiny_model.vocab, tiny_model.cfg).n_rows == n
     train, val = ([full], [ok]) if which == "train" else ([ok], [full])
+    train = [prepare_example(r, tiny_model.vocab, tiny_model.cfg) for r in train]
     for mode in ("permuted", "fixed-causal"):
-        Trainer(tiny_model, train, TrainingConfig(mode=mode), val_examples=val)
+        Trainer(tiny_model, train, TrainingConfig(mode=mode), val_records=val)
     with pytest.raises(LayoutError, match=f"^full: {n + 1} rows exceed max_rows {n}$"):
-        Trainer(tiny_model, train, TrainingConfig(mode="semi-templated"), val_examples=val)
+        Trainer(tiny_model, train, TrainingConfig(mode="semi-templated"), val_records=val)
+
+
+def test_trainer_prepares_its_validation_examples_from_its_validation_records(tiny_model, lineitems_records):
+    train = [prepare_example(r, tiny_model.vocab, tiny_model.cfg) for r in lineitems_records[:2]]
+    val = lineitems_records[2:5]
+    tr = Trainer(tiny_model, train, TrainingConfig(), val_records=val)
+    assert tr.val_records == val
+    assert tr.val_examples == [prepare_example(r, tiny_model.vocab, tiny_model.cfg) for r in val]
+    assert Trainer(tiny_model, train, TrainingConfig()).val_examples == []
 
 
 def test_sentinel_row_serializes_as_null_eoc(tiny_model):
